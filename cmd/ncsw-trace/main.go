@@ -57,21 +57,8 @@ func main() {
 		return
 	}
 
-	env := repro.NewEnv()
-	sticks, err := repro.NewNCSTestbed(env, *devices, repro.Seed(*seed))
-	if err != nil {
-		log.Fatal(err)
-	}
-	net := repro.NewGoogLeNet(repro.Seed(*seed))
-	blob, err := repro.CompileGraph(net)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	tl := repro.NewTimeline()
-	opts := repro.DefaultVPUOptions()
-	opts.Timeline = tl
-	var faultLog *repro.FaultLog
+	var rc repro.RecoveryConfig
 	if *faults {
 		// Size the scenario so the faults land mid-steady-state: the
 		// main process opens sticks sequentially (~1.05 s each: firmware
@@ -80,8 +67,27 @@ func main() {
 		if *images < 30**devices {
 			*images = 30 * *devices
 		}
+		rc = repro.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: true}
+	}
+	cfg := repro.DefaultDatasetConfig()
+	cfg.Images = *images
+	sess, err := repro.NewSession(
+		repro.WithDataset(cfg),
+		repro.WithVPUs(*devices),
+		repro.WithSeed(*seed),
+		repro.WithNetSeed(*seed),
+		repro.WithTimeline(tl),
+		repro.WithRecovery(rc),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var faultLog *repro.FaultLog
+	if *faults {
+		// The scripted plan targets the sticks alone (not their USB
+		// ports), so the slowdown stretches SHAVE time only.
+		sticks := sess.Devices()
 		setup := time.Duration(*devices) * 1100 * time.Millisecond
-		opts.Recovery = repro.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: true}
 		reg := repro.FaultRegistry{}
 		for _, d := range sticks {
 			reg.Add(d.Name(), d)
@@ -95,7 +101,7 @@ func main() {
 			plan.Events = append(plan.Events, repro.FaultEvent{
 				Device: sticks[1].Name(), Kind: repro.LinkDrop, At: setup + 600*time.Millisecond})
 		}
-		faultLog, err = repro.ApplyFaults(env, plan, repro.Seed(*seed), reg,
+		faultLog, err = repro.ApplyFaults(sess.Env(), plan, repro.Seed(*seed), reg,
 			func(inj repro.FaultInjection) {
 				tl.Add(inj.Device, trace.Fault, inj.At, inj.Until, inj.Kind.String())
 			})
@@ -103,26 +109,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	target, err := repro.NewVPUTarget(sticks, blob, opts)
+	rep, err := sess.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := repro.DefaultDatasetConfig()
-	cfg.Images = *images
-	ds, err := repro.NewDataset(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	src, err := repro.NewDatasetSource(ds, 0, *images, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	col := repro.NewCollector(false)
-	job := target.Start(env, src, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		log.Fatal(job.Err)
-	}
+	job := rep.Job
 
 	// Drop the one-time setup (firmware boot, graph allocation) so the
 	// chart shows the steady-state pipeline of Fig. 4.
@@ -142,7 +133,7 @@ func main() {
 			fmt.Printf("  %v\n", inj)
 		}
 		fmt.Printf("outage spans (X) run from detection (completion timeout %v) to rejoin after the\n",
-			opts.Recovery.Timeout)
+			rc.Timeout)
 		fmt.Println("reboot-priced recovery: reset, firmware re-upload, RTOS boot, graph re-allocation")
 	}
 }

@@ -25,8 +25,9 @@ type vpuRunSpec struct {
 	usbCfg    usb.Config
 }
 
-// runVPUSpec is the configurable variant of runVPU used by the
-// ablation experiments.
+// runVPUSpec is the hand-wired variant of perfRun used by the ablation
+// experiments: it swaps the stick and USB models, which a session
+// does not expose.
 func (h *Harness) runVPUSpec(spec vpuRunSpec) (perfResult, error) {
 	env := sim.NewEnv()
 	var ports []*usb.Port
@@ -62,7 +63,7 @@ func (h *Harness) runVPUSpec(spec vpuRunSpec) (perfResult, error) {
 	if err != nil {
 		return perfResult{}, err
 	}
-	ds, err := h.perfDatasetSized(spec.images)
+	ds, err := imagenet.New(h.perfDataset(spec.images))
 	if err != nil {
 		return perfResult{}, err
 	}

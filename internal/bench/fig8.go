@@ -37,15 +37,15 @@ func (h *Harness) Fig8a() (*Table, error) {
 	var vpu1, cpu8, gpu8 float64
 	for _, b := range Fig8aBatches {
 		run := fmt.Sprintf("fig8a/b%d", b)
-		cpu, err := h.runBatchDevice("cpu", b, images, run)
+		cpu, err := h.perfRun(cpuGroup(b), images, run)
 		if err != nil {
 			return nil, err
 		}
-		gpu, err := h.runBatchDevice("gpu", b, images, run)
+		gpu, err := h.perfRun(gpuGroup(b), images, run)
 		if err != nil {
 			return nil, err
 		}
-		vpu, err := h.runVPU(b, images, run)
+		vpu, err := h.perfRun(vpuGroup(b), images, run)
 		if err != nil {
 			return nil, err
 		}
@@ -102,11 +102,11 @@ func (h *Harness) Fig8b() (*Table, error) {
 	var cpu16, gpu16, vpuProj16, vpuSim16 float64
 	for _, b := range Fig8bBatches {
 		run := fmt.Sprintf("fig8b/b%d", b)
-		cpu, err := h.runBatchDevice("cpu", b, images, run)
+		cpu, err := h.perfRun(cpuGroup(b), images, run)
 		if err != nil {
 			return nil, err
 		}
-		gpu, err := h.runBatchDevice("gpu", b, images, run)
+		gpu, err := h.perfRun(gpuGroup(b), images, run)
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +117,7 @@ func (h *Harness) Fig8b() (*Table, error) {
 		var vpuIPS float64
 		mode := "measured"
 		if b <= 8 {
-			vpu, err := h.runVPU(b, images, run)
+			vpu, err := h.perfRun(vpuGroup(b), images, run)
 			if err != nil {
 				return nil, err
 			}
@@ -130,7 +130,7 @@ func (h *Harness) Fig8b() (*Table, error) {
 			vpuProj16 = vpuIPS
 			mode = "projected"
 			// Cross-check: simulate the 16-stick testbed outright.
-			sim16, err := h.runVPU(b, images, run+"/sim-check")
+			sim16, err := h.perfRun(vpuGroup(b), images, run+"/sim-check")
 			if err != nil {
 				return nil, err
 			}

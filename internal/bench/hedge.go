@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/rng"
-	"repro/internal/sim"
+	"repro/internal/pipeline"
 )
 
 // The hedge experiment measures what speculative hedged requests buy
@@ -145,71 +143,26 @@ func (h *Harness) HedgePoints() ([]HedgePoint, error) {
 	return points, nil
 }
 
-// hedgePoint measures one (configuration, level, variant) cell. The
-// run seed depends only on (config, level): every hedge variant of a
-// cell faces identical device jitter, arrivals and faults.
+// hedgePoint measures one (configuration, level, variant) cell under
+// self-healing recovery.
 func (h *Harness) hedgePoint(cfg resilienceConfig, level resilienceLevel, v hedgeVariant, images int, rate float64, ready time.Duration, window, slo time.Duration) (HedgePoint, error) {
-	env := sim.NewEnv()
-	col := core.NewCollector(false)
-	col.SetSLO(slo)
-	// hedgedPool is assigned once the target is built; for the pooled
-	// configuration the drop hook consults its hedge state so a lost
-	// duplicate is not miscounted as a loss.
-	var hedgedPool *core.Pool
-	rc := core.RecoveryConfig{
-		Timeout:     resilienceTimeout,
-		Recover:     true,
-		MaxAttempts: resilienceAttempts,
-		OnRetry:     func(core.Item, time.Duration) { col.NoteRetry() },
-		OnDrop: func(item core.Item, _ time.Duration) {
-			if hedgedPool != nil && !hedgedPool.HedgeItemLost(item.Index) {
-				return
-			}
-			col.NoteDrop(core.DropFailed)
+	sess, log, err := h.faultedSession(cfg, level, images, rate, ready, window, pipeline.Config{
+		SLO: slo,
+		Recovery: core.RecoveryConfig{
+			Timeout:     resilienceTimeout,
+			Recover:     true,
+			MaxAttempts: resilienceAttempts,
 		},
-		OnOutage: func(_ string, from, to time.Duration, rec bool) { col.NoteOutage(from, to, rec) },
-	}
-	hc := v.hc
-	hc.OnHedge = func(core.Item, int, time.Duration) { col.NoteHedge() }
-	hc.OnWin = func(core.Item, int, time.Duration) { col.NoteHedgeWin() }
-	hc.OnWaste = func(core.Item, int, time.Duration) { col.NoteHedgeWaste() }
-	runName := level.name
-	target, devices, err := h.resilienceTarget(env, cfg, runName, rc, hc)
+		Hedge: v.hc,
+	})
 	if err != nil {
 		return HedgePoint{}, err
 	}
-	hedgedPool, _ = target.(*core.Pool)
-	names := make([]string, len(devices))
-	reg := fault.Registry{}
-	for i, d := range devices {
-		names[i] = d.Name()
-		reg.Add(d.Name(), d)
-	}
-	plan := level.plan(ready, window, names)
-	log, err := fault.Apply(env, plan, rng.New(h.cfg.Seed).Derive("resilience/faults/"+cfg.name+"/"+runName), reg, nil)
+	rep, err := sess.Run()
 	if err != nil {
 		return HedgePoint{}, err
 	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return HedgePoint{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return HedgePoint{}, err
-	}
-	arr := core.DelayedArrivals(core.PoissonArrivals(rate), ready)
-	asrc, err := core.NewArrivalSource(env, src, arr,
-		rng.New(h.cfg.Seed).Derive("resilience/"+cfg.name+"/"+runName))
-	if err != nil {
-		return HedgePoint{}, err
-	}
-	job := target.Start(env, asrc, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		return HedgePoint{}, job.Err
-	}
-	lat := col.Latency()
+	col := rep.Collector
 	ms := func(d time.Duration) float64 { return round2(d.Seconds() * 1e3) }
 	triggerMS := 0.0
 	if v.hc.Trigger > 0 && v.hc.Trigger != core.HedgeNever {
@@ -222,11 +175,11 @@ func (h *Harness) hedgePoint(cfg resilienceConfig, level resilienceLevel, v hedg
 		TriggerMS:   triggerMS,
 		Injected:    log.Count(),
 		OfferedIPS:  round2(rate),
-		AchievedIPS: round2(job.Throughput()),
+		AchievedIPS: round2(rep.Throughput),
 		SLOMS:       round2(slo.Seconds() * 1e3),
 		GoodputPct:  round2(col.Goodput() * 100),
-		P50MS:       ms(lat.P50),
-		P99MS:       ms(lat.P99),
+		P50MS:       ms(rep.Latency.P50),
+		P99MS:       ms(rep.Latency.P99),
 		Hedged:      col.Hedged,
 		HedgeWins:   col.HedgeWins,
 		HedgeWaste:  col.HedgeWaste,

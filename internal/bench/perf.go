@@ -3,15 +3,11 @@ package bench
 import (
 	"fmt"
 	"math"
+	"time"
 
-	"repro/internal/core"
-	"repro/internal/devsim"
 	"repro/internal/imagenet"
-	"repro/internal/ncs"
-	"repro/internal/rng"
-	"repro/internal/sim"
+	"repro/internal/pipeline"
 	"repro/internal/stats"
-	"repro/internal/usb"
 )
 
 // perfResult is one performance measurement: steady-state throughput
@@ -24,120 +20,80 @@ type perfResult struct {
 	StdMS float64
 }
 
-// runVPU measures an n-stick multi-VPU run over `images` inferences.
-// runName isolates the jitter and topology seeds, so distinct subsets
-// measure slightly different values — the error bars of Fig. 6a.
-func (h *Harness) runVPU(n, images int, runName string) (perfResult, error) {
-	env := sim.NewEnv()
-	_, ports, err := usb.Testbed(env, usb.DefaultConfig(), n)
-	if err != nil {
-		return perfResult{}, err
-	}
-	seed := rng.New(h.cfg.Seed).Derive("vpu-run/" + runName)
-	devices := make([]*ncs.Device, n)
-	for i, port := range ports {
-		d, err := ncs.NewDevice(env, port.Name(), port, ncs.DefaultConfig(), seed)
-		if err != nil {
-			return perfResult{}, err
-		}
-		devices[i] = d
-	}
-	target, err := core.NewVPUTarget(devices, h.blob, core.DefaultVPUOptions())
-	if err != nil {
-		return perfResult{}, err
-	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return perfResult{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return perfResult{}, err
-	}
-	col := core.NewCollector(true)
-	job := target.Start(env, src, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		return perfResult{}, job.Err
-	}
-	var spans stats.Running
-	for _, r := range col.Results {
-		spans.Add((r.End - r.Start).Seconds() * 1e3)
-	}
-	ips := job.Throughput()
-	return perfResult{
-		ImagesPerSec: ips,
-		PerImageMS:   1e3 / ips,
-		StdMS:        spans.Std(),
-	}, nil
+// Device groups of the experiments.
+func cpuGroup(batch int) pipeline.Group { return pipeline.Group{Kind: pipeline.GroupCPU, Batch: batch} }
+func gpuGroup(batch int) pipeline.Group { return pipeline.Group{Kind: pipeline.GroupGPU, Batch: batch} }
+func vpuGroup(sticks int) pipeline.Group {
+	return pipeline.Group{Kind: pipeline.GroupVPU, Devices: sticks}
 }
 
-// runBatchDevice measures a Caffe-style batch engine at the given
-// batch size over `images` images.
-func (h *Harness) runBatchDevice(dev string, batch, images int, runName string) (perfResult, error) {
-	seed := rng.New(h.cfg.Seed).Derive(dev + "-run/" + runName)
-	var target *core.BatchTarget
-	var err error
-	switch dev {
-	case "cpu":
-		eng, e := devsim.NewCPU(devsim.DefaultCPUConfig(), h.workload, seed)
-		if e != nil {
-			return perfResult{}, e
-		}
-		target, err = core.NewCPUTarget(eng, h.goog, batch, false)
-	case "gpu":
-		eng, e := devsim.NewGPU(devsim.DefaultGPUConfig(), h.workload, seed)
-		if e != nil {
-			return perfResult{}, e
-		}
-		target, err = core.NewGPUTarget(eng, h.goog, batch, false)
-	default:
-		return perfResult{}, fmt.Errorf("bench: unknown device %q", dev)
+// session builds one bench run on the declarative session: cfg's
+// groups, traffic and serving edge over the harness's GoogLeNet and
+// blob, a label-only dataset of exactly `images` images, and the
+// harness seed. It labels every group of cfg with seedLabel, so each
+// draws its device jitter from the seed derived under that label:
+// distinct runs of one experiment measure independent jitter while
+// runs sharing a label face identical devices.
+func (h *Harness) session(images int, seedLabel string, cfg pipeline.Config) (*pipeline.Session, error) {
+	cfg.Dataset = h.perfDataset(images)
+	cfg.Seed = h.cfg.Seed
+	cfg.Net, cfg.Blob = h.goog, h.blob
+	for i := range cfg.Groups {
+		cfg.Groups[i].SeedLabel = seedLabel
 	}
+	return pipeline.NewFromConfig(cfg)
+}
+
+// run builds and runs one bench session (see session).
+func (h *Harness) run(images int, seedLabel string, cfg pipeline.Config) (*pipeline.Report, error) {
+	sess, err := h.session(images, seedLabel, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sess.Run()
+}
+
+// perfRun measures one device group closed-loop over `images`
+// inferences. runName isolates the jitter seeds, so distinct subsets
+// measure slightly different values — the error bars of Fig. 6a.
+func (h *Harness) perfRun(g pipeline.Group, images int, runName string) (perfResult, error) {
+	rep, err := h.run(images, g.Kind.String()+"-run/"+runName, pipeline.Config{
+		Groups: []pipeline.Group{g},
+		Retain: true,
+	})
 	if err != nil {
 		return perfResult{}, err
 	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return perfResult{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return perfResult{}, err
-	}
-	env := sim.NewEnv()
-	col := core.NewCollector(true)
-	job := target.Start(env, src, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		return perfResult{}, job.Err
-	}
-	// Per-batch spans, amortized per image.
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }
 	var spans stats.Running
-	seen := map[int64]bool{}
-	for _, r := range col.Results {
-		key := int64(r.Start)
-		if seen[key] {
+	seen := map[time.Duration]bool{}
+	for _, r := range rep.Results {
+		if g.Kind == pipeline.GroupVPU {
+			spans.Add(ms(r.End - r.Start))
 			continue
 		}
-		seen[key] = true
-		spans.Add((r.End - r.Start).Seconds() * 1e3 / float64(batch))
+		// Per-batch spans, amortized per image.
+		if seen[r.Start] {
+			continue
+		}
+		seen[r.Start] = true
+		spans.Add(ms(r.End-r.Start) / float64(g.Batch))
 	}
-	ips := job.Throughput()
 	return perfResult{
-		ImagesPerSec: ips,
-		PerImageMS:   1e3 / ips,
+		ImagesPerSec: rep.Throughput,
+		PerImageMS:   1e3 / rep.Throughput,
 		StdMS:        spans.Std(),
 	}, nil
 }
 
-// perfDatasetSized builds a label-only dataset with exactly n images.
-func (h *Harness) perfDatasetSized(n int) (*imagenet.Dataset, error) {
+// perfDataset configures the label-only dataset of the performance
+// runs: exactly n images in one subset.
+func (h *Harness) perfDataset(n int) imagenet.Config {
 	cfg := imagenet.DefaultConfig()
 	cfg.Images = n
 	cfg.Subsets = 1
 	cfg.Seed = h.cfg.Seed + 2012
-	return imagenet.New(cfg)
+	return cfg
 }
 
 // fmtRatio renders a measured-vs-paper pair as "x (paper y)".

@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ncs"
+	"repro/internal/pipeline"
 	"repro/internal/rng"
-	"repro/internal/sim"
-	"repro/internal/usb"
 )
 
 // The resilience experiment measures serving dependability under
@@ -211,82 +209,36 @@ func (h *Harness) resilienceCapacity(cfg resilienceConfig, images int) (float64,
 		pr := p.(probe)
 		return pr.capacity, pr.ready, nil
 	}
-	env := sim.NewEnv()
-	target, _, err := h.resilienceTarget(env, cfg, "capacity", core.RecoveryConfig{}, core.HedgeConfig{})
+	rep, err := h.run(images, "resilience/"+cfg.name+"/run/capacity", cfg.fleet(pipeline.Config{}))
 	if err != nil {
 		return 0, 0, err
 	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return 0, 0, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return 0, 0, err
-	}
-	job := target.Start(env, src, func(core.Result) {})
-	env.Run()
-	if job.Err != nil {
-		return 0, 0, job.Err
-	}
-	h.capCache[key] = probe{capacity: job.Throughput(), ready: job.ReadyAt}
-	return job.Throughput(), job.ReadyAt, nil
+	h.capCache[key] = probe{capacity: rep.Throughput, ready: rep.Job.ReadyAt}
+	return rep.Throughput, rep.Job.ReadyAt, nil
 }
 
 // resiliencePoint measures one (configuration, level, policy) cell.
 func (h *Harness) resiliencePoint(cfg resilienceConfig, level resilienceLevel, policy string, images int, rate float64, ready time.Duration, window, slo time.Duration) (ResiliencePoint, error) {
-	env := sim.NewEnv()
-	col := core.NewCollector(false)
-	col.SetSLO(slo)
-	rc := core.RecoveryConfig{}
+	pc := pipeline.Config{SLO: slo}
 	if policy != "none" {
-		rc = core.RecoveryConfig{
+		pc.Recovery = core.RecoveryConfig{
 			Timeout:     resilienceTimeout,
 			Recover:     policy == "recovery",
 			MaxAttempts: resilienceAttempts,
-			OnRetry:     func(core.Item, time.Duration) { col.NoteRetry() },
-			OnDrop:      func(core.Item, time.Duration) { col.NoteDrop(core.DropFailed) },
-			OnOutage:    func(_ string, from, to time.Duration, rec bool) { col.NoteOutage(from, to, rec) },
 		}
 	}
-	// The run seed depends only on (config, level): both policies face
-	// identical device jitter, identical arrivals, identical faults.
-	runName := level.name
-	target, devices, err := h.resilienceTarget(env, cfg, runName, rc, core.HedgeConfig{})
+	sess, log, err := h.faultedSession(cfg, level, images, rate, ready, window, pc)
 	if err != nil {
 		return ResiliencePoint{}, err
 	}
-	names := make([]string, len(devices))
-	reg := fault.Registry{}
-	for i, d := range devices {
-		names[i] = d.Name()
-		reg.Add(d.Name(), d)
-	}
-	plan := level.plan(ready, window, names)
-	log, err := fault.Apply(env, plan, rng.New(h.cfg.Seed).Derive("resilience/faults/"+cfg.name+"/"+runName), reg, nil)
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	arr := core.DelayedArrivals(core.PoissonArrivals(rate), ready)
-	asrc, err := core.NewArrivalSource(env, src, arr,
-		rng.New(h.cfg.Seed).Derive("resilience/"+cfg.name+"/"+runName))
-	if err != nil {
-		return ResiliencePoint{}, err
-	}
-	job := target.Start(env, asrc, col.Sink())
-	env.Run()
 	// Fail-stop abandonments surface as job errors by design; the
 	// degradation is the measurement, so they do not fail the
 	// experiment — the outage/drop counters carry the story.
-	lat := col.Latency()
+	rep, err := sess.Run()
+	if rep == nil {
+		return ResiliencePoint{}, err
+	}
+	col, job := rep.Collector, rep.Job
 	ms := func(d time.Duration) float64 { return round2(d.Seconds() * 1e3) }
 	uptime := 100.0
 	if span := job.Span(); span > 0 && cfg.sticks > 0 {
@@ -302,11 +254,11 @@ func (h *Harness) resiliencePoint(cfg resilienceConfig, level resilienceLevel, p
 		Faults:      level.name,
 		Injected:    log.Count(),
 		OfferedIPS:  round2(rate),
-		AchievedIPS: round2(job.Throughput()),
+		AchievedIPS: round2(rep.Throughput),
 		SLOMS:       round2(slo.Seconds() * 1e3),
 		GoodputPct:  round2(col.Goodput() * 100),
-		P50MS:       ms(lat.P50),
-		P99MS:       ms(lat.P99),
+		P50MS:       ms(rep.Latency.P50),
+		P99MS:       ms(rep.Latency.P99),
 		Retries:     col.Retries,
 		FaultDrops:  col.FaultDrops,
 		Outages:     col.Outages,
@@ -316,44 +268,50 @@ func (h *Harness) resiliencePoint(cfg resilienceConfig, level resilienceLevel, p
 	}, nil
 }
 
-// resilienceTarget builds one configuration's target and returns its
-// devices (for the fault registry). Device jitter is seeded per
-// (config, runName) so distinct cells draw independent jitter while
-// the two policies of one cell stay identical. hc arms hedged
-// requests: across sticks for the multi-stick target, across children
-// for the pool (the hedge experiment; the resilience experiment
-// passes the zero value).
-func (h *Harness) resilienceTarget(env *sim.Env, cfg resilienceConfig, runName string, rc core.RecoveryConfig, hc core.HedgeConfig) (core.Target, []*ncs.Device, error) {
-	seed := rng.New(h.cfg.Seed).Derive("resilience/" + cfg.name + "/run/" + runName)
-	_, ports, err := usb.Testbed(env, usb.DefaultConfig(), cfg.sticks)
+// fleet declares the configuration's device groups on pc: one
+// multi-stick VPU group, or one single-stick group per stick under
+// latency routing. Hedging (pc.Hedge) then runs across sticks for the
+// multi-stick target and across groups for the pool.
+func (c resilienceConfig) fleet(pc pipeline.Config) pipeline.Config {
+	if !c.pooled {
+		pc.Groups = []pipeline.Group{vpuGroup(c.sticks)}
+		return pc
+	}
+	pc.Groups = make([]pipeline.Group, c.sticks)
+	for i := range pc.Groups {
+		pc.Groups[i] = vpuGroup(1)
+	}
+	pc.Routing = core.RouteLatency
+	return pc
+}
+
+// faultedSession builds one (configuration, level) serving run of the
+// resilience and hedge experiments with level's fault plan armed. The
+// seeds depend only on (config, level): every policy or variant of a
+// cell faces identical device jitter, arrivals and faults. The plan is
+// driven through fault.Apply over a registry of the sticks alone, under
+// the experiment's own fault seed — not Config.Faults, which derives
+// another seed and also registers each stick's USB port (a Slowdown
+// would then slow the link as well).
+func (h *Harness) faultedSession(cfg resilienceConfig, level resilienceLevel, images int, rate float64, ready, window time.Duration, pc pipeline.Config) (*pipeline.Session, *fault.Log, error) {
+	pc.Arrivals = core.DelayedArrivals(core.PoissonArrivals(rate), ready)
+	pc.ArrivalLabel = "resilience/" + cfg.name + "/" + level.name
+	sess, err := h.session(images, "resilience/"+cfg.name+"/run/"+level.name, cfg.fleet(pc))
 	if err != nil {
 		return nil, nil, err
 	}
-	devices := make([]*ncs.Device, cfg.sticks)
-	for i, port := range ports {
-		d, err := ncs.NewDevice(env, port.Name(), port, ncs.DefaultConfig(), seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		devices[i] = d
+	names := make([]string, len(sess.Devices()))
+	reg := fault.Registry{}
+	for i, d := range sess.Devices() {
+		names[i] = d.Name()
+		reg.Add(d.Name(), d)
 	}
-	opts := core.DefaultVPUOptions()
-	opts.Recovery = rc
-	if !cfg.pooled {
-		opts.Hedge = hc
-		t, err := core.NewVPUTarget(devices, h.blob, opts)
-		return t, devices, err
+	log, err := fault.Apply(sess.Env(), level.plan(ready, window, names),
+		rng.New(h.cfg.Seed).Derive("resilience/faults/"+cfg.name+"/"+level.name), reg, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	children := make([]core.Target, cfg.sticks)
-	for i := range children {
-		t, err := core.NewVPUTarget(devices[i:i+1], h.blob, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		children[i] = t
-	}
-	pool, err := core.NewPool(children, core.PoolOptions{Routing: core.RouteLatency, Hedge: hc})
-	return pool, devices, err
+	return sess, log, nil
 }
 
 // Resilience renders the resilience experiment as a table: goodput

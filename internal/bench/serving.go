@@ -5,11 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/devsim"
-	"repro/internal/ncs"
-	"repro/internal/rng"
-	"repro/internal/sim"
-	"repro/internal/usb"
+	"repro/internal/pipeline"
 )
 
 // servingLoads are the offered-load fractions of each configuration's
@@ -153,67 +149,50 @@ func (h *Harness) Serving() (*Table, error) {
 	return t, nil
 }
 
+// group declares the configuration as a session device group.
+func (c servingConfig) group() pipeline.Group {
+	switch c.dev {
+	case "cpu":
+		return cpuGroup(c.batch)
+	case "gpu":
+		return gpuGroup(c.batch)
+	}
+	return vpuGroup(c.sticks)
+}
+
 // servingCapacity measures a configuration's closed-loop throughput
 // and setup time (Job.ReadyAt) — the normalization for offered load
 // and the arrival delay of the open-loop points.
 func (h *Harness) servingCapacity(cfg servingConfig, images int) (float64, time.Duration, error) {
-	env := sim.NewEnv()
-	target, err := h.servingTarget(env, cfg, "capacity")
+	rep, err := h.run(images, "serving/"+cfg.name+"/run/capacity", pipeline.Config{
+		Groups: []pipeline.Group{cfg.group()},
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return 0, 0, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return 0, 0, err
-	}
-	job := target.Start(env, src, func(core.Result) {})
-	env.Run()
-	if job.Err != nil {
-		return 0, 0, job.Err
-	}
-	return job.Throughput(), job.ReadyAt, nil
+	return rep.Throughput, rep.Job.ReadyAt, nil
 }
 
 // servePoint measures one open-loop point: Poisson arrivals at rate,
-// delayed past the configuration's setup time.
+// delayed past the configuration's setup time. Each point draws its
+// own device jitter and arrival sequence.
 func (h *Harness) servePoint(cfg servingConfig, images int, frac, rate float64, ready time.Duration) (ServingPoint, error) {
-	env := sim.NewEnv()
 	runName := fmt.Sprintf("load%.2f", frac)
-	target, err := h.servingTarget(env, cfg, runName)
+	rep, err := h.run(images, "serving/"+cfg.name+"/run/"+runName, pipeline.Config{
+		Groups:       []pipeline.Group{cfg.group()},
+		Arrivals:     core.DelayedArrivals(core.PoissonArrivals(rate), ready),
+		ArrivalLabel: "serving/" + cfg.name + "/" + runName,
+	})
 	if err != nil {
 		return ServingPoint{}, err
 	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return ServingPoint{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return ServingPoint{}, err
-	}
-	arr := core.DelayedArrivals(core.PoissonArrivals(rate), ready)
-	asrc, err := core.NewArrivalSource(env, src, arr,
-		rng.New(h.cfg.Seed).Derive("serving/"+cfg.name+"/"+runName))
-	if err != nil {
-		return ServingPoint{}, err
-	}
-	col := core.NewCollector(false)
-	job := target.Start(env, asrc, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		return ServingPoint{}, job.Err
-	}
-	lat := col.Latency()
+	lat := rep.Latency
 	ms := func(d time.Duration) float64 { return round2(d.Seconds() * 1e3) }
 	return ServingPoint{
 		Device:        cfg.name,
 		LoadFraction:  frac,
 		OfferedIPS:    round2(rate),
-		AchievedIPS:   round2(job.Throughput()),
+		AchievedIPS:   round2(rep.Throughput),
 		P50MS:         ms(lat.P50),
 		P95MS:         ms(lat.P95),
 		P99MS:         ms(lat.P99),
@@ -221,41 +200,4 @@ func (h *Harness) servePoint(cfg servingConfig, images int, frac, rate float64, 
 		QueueMeanMS:   ms(lat.QueueMean),
 		ServiceMeanMS: ms(lat.ServiceMean),
 	}, nil
-}
-
-// servingTarget builds one configuration's target inside env, seeded
-// per run so distinct points draw independent jitter, like the other
-// experiments.
-func (h *Harness) servingTarget(env *sim.Env, cfg servingConfig, runName string) (core.Target, error) {
-	seed := rng.New(h.cfg.Seed).Derive("serving/" + cfg.name + "/run/" + runName)
-	switch cfg.dev {
-	case "cpu":
-		eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), h.workload, seed)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewCPUTarget(eng, h.goog, cfg.batch, false)
-	case "gpu":
-		eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), h.workload, seed)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewGPUTarget(eng, h.goog, cfg.batch, false)
-	case "vpu":
-		_, ports, err := usb.Testbed(env, usb.DefaultConfig(), cfg.sticks)
-		if err != nil {
-			return nil, err
-		}
-		devices := make([]*ncs.Device, cfg.sticks)
-		for i, port := range ports {
-			d, err := ncs.NewDevice(env, port.Name(), port, ncs.DefaultConfig(), seed)
-			if err != nil {
-				return nil, err
-			}
-			devices[i] = d
-		}
-		return core.NewVPUTarget(devices, h.blob, core.DefaultVPUOptions())
-	default:
-		return nil, fmt.Errorf("bench: unknown serving device %q", cfg.dev)
-	}
 }

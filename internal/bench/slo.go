@@ -5,8 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rng"
-	"repro/internal/sim"
+	"repro/internal/pipeline"
 )
 
 // sloLoads are the offered-load fractions of each configuration's
@@ -153,61 +152,34 @@ func (h *Harness) sloTarget(cfg servingConfig, capacity float64) time.Duration {
 	return time.Duration(sloServiceMultiple * float64(unit) / capacity * float64(time.Second))
 }
 
-// sloPoint measures one (configuration, variant, load) cell.
+// sloPoint measures one (configuration, variant, load) cell. The
+// devices and arrivals depend only on (configuration, load), not the
+// variant: every serving edge faces the identical traffic.
 func (h *Harness) sloPoint(cfg servingConfig, v sloVariant, images int, frac, rate float64, ready time.Duration, slo time.Duration) (SLOPoint, error) {
-	env := sim.NewEnv()
 	runName := fmt.Sprintf("load%.2f", frac)
-	target, err := h.servingTarget(env, cfg, runName)
-	if err != nil {
-		return SLOPoint{}, err
+	pc := pipeline.Config{
+		Groups:       []pipeline.Group{cfg.group()},
+		Arrivals:     core.DelayedArrivals(core.PoissonArrivals(rate), ready),
+		ArrivalLabel: "slo/" + cfg.name + "/" + runName,
+		SLO:          slo,
 	}
-	var batcher *core.BatchTarget
-	if bt, ok := target.(*core.BatchTarget); ok {
-		batcher = bt
-		if v.batching == "adaptive" {
-			bt.SetAssembly(core.BatchAssembly{
-				MaxWait:  time.Duration(sloMaxWaitFraction * float64(slo)),
-				Adaptive: true,
-			})
-		}
+	if v.batching == "adaptive" {
+		pc.AdaptiveBatch = true
+		pc.BatchMaxWait = time.Duration(sloMaxWaitFraction * float64(slo))
 	}
-	ds, err := h.perfDatasetSized(images)
-	if err != nil {
-		return SLOPoint{}, err
-	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
-	if err != nil {
-		return SLOPoint{}, err
-	}
-	arr := core.DelayedArrivals(core.PoissonArrivals(rate), ready)
-	// The arrival seed depends only on (device, load), not the
-	// variant: every serving edge faces the identical traffic.
-	asrc, err := core.NewArrivalSource(env, src, arr,
-		rng.New(h.cfg.Seed).Derive("slo/"+cfg.name+"/"+runName))
-	if err != nil {
-		return SLOPoint{}, err
-	}
-	col := core.NewCollector(false)
-	col.SetSLO(slo)
-	feed := core.Source(asrc)
 	if v.admission == "bounded" {
-		aq, err := core.NewAdmissionQueue(env, asrc, core.AdmissionOptions{
-			Depth:    sloAdmissionDepth,
-			Policy:   core.ShedNewest,
-			Deadline: slo,
-			OnDrop:   func(_ core.Item, reason core.DropReason, _ time.Duration) { col.NoteDrop(reason) },
-		})
-		if err != nil {
-			return SLOPoint{}, err
-		}
-		feed = aq
+		pc.AdmissionDepth = sloAdmissionDepth
+		pc.AdmissionPolicy = core.ShedNewest
 	}
-	job := target.Start(env, feed, col.Sink())
-	env.Run()
-	if job.Err != nil {
-		return SLOPoint{}, job.Err
+	sess, err := h.session(images, "serving/"+cfg.name+"/run/"+runName, pc)
+	if err != nil {
+		return SLOPoint{}, err
 	}
-	lat := col.Latency()
+	rep, err := sess.Run()
+	if err != nil {
+		return SLOPoint{}, err
+	}
+	col, lat := rep.Collector, rep.Latency
 	msOf := func(d time.Duration) float64 { return round2(d.Seconds() * 1e3) }
 	pt := SLOPoint{
 		Device:        cfg.name,
@@ -215,7 +187,7 @@ func (h *Harness) sloPoint(cfg servingConfig, v sloVariant, images int, frac, ra
 		Admission:     v.admission,
 		LoadFraction:  frac,
 		OfferedIPS:    round2(rate),
-		AchievedIPS:   round2(job.Throughput()),
+		AchievedIPS:   round2(rep.Throughput),
 		SLOMS:         msOf(slo),
 		GoodputPct:    round2(col.Goodput() * 100),
 		ShedPct:       round2(col.ShedRate() * 100),
@@ -226,8 +198,8 @@ func (h *Harness) sloPoint(cfg servingConfig, v sloVariant, images int, frac, ra
 		QueueMeanMS:   msOf(lat.QueueMean),
 		ServiceMeanMS: msOf(lat.ServiceMean),
 	}
-	if batcher != nil && batcher.Batches() > 0 {
-		pt.MeanBatch = round2(float64(job.Images) / float64(batcher.Batches()))
+	if bt, ok := sess.Targets()[0].(*core.BatchTarget); ok && bt.Batches() > 0 {
+		pt.MeanBatch = round2(float64(rep.Images) / float64(bt.Batches()))
 	}
 	return pt, nil
 }

@@ -18,27 +18,27 @@ func (h *Harness) Summary() (*Table, error) {
 	}
 	images := h.cfg.ImagesPerSubset
 
-	cpu1, err := h.runBatchDevice("cpu", 1, images, "summary/cpu1")
+	cpu1, err := h.perfRun(cpuGroup(1), images, "summary/cpu1")
 	if err != nil {
 		return nil, err
 	}
-	gpu1, err := h.runBatchDevice("gpu", 1, images, "summary/gpu1")
+	gpu1, err := h.perfRun(gpuGroup(1), images, "summary/gpu1")
 	if err != nil {
 		return nil, err
 	}
-	vpu1, err := h.runVPU(1, images, "summary/vpu1")
+	vpu1, err := h.perfRun(vpuGroup(1), images, "summary/vpu1")
 	if err != nil {
 		return nil, err
 	}
-	cpu8, err := h.runBatchDevice("cpu", 8, images, "summary/cpu8")
+	cpu8, err := h.perfRun(cpuGroup(8), images, "summary/cpu8")
 	if err != nil {
 		return nil, err
 	}
-	gpu8, err := h.runBatchDevice("gpu", 8, images, "summary/gpu8")
+	gpu8, err := h.perfRun(gpuGroup(8), images, "summary/gpu8")
 	if err != nil {
 		return nil, err
 	}
-	vpu8, err := h.runVPU(8, images, "summary/vpu8")
+	vpu8, err := h.perfRun(vpuGroup(8), images, "summary/vpu8")
 	if err != nil {
 		return nil, err
 	}

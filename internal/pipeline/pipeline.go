@@ -85,13 +85,11 @@ type Group struct {
 	// routing; 0 means unset. When any group sets a weight, unset
 	// groups default to 1.
 	Weight float64
-	// SeedLabel, when set, derives this group's batch-engine seed from
-	// the session seed by label — rng.New(Seed).Derive(SeedLabel) —
-	// instead of using the session seed directly. Hand-wired benches
-	// decorrelate per-run jitter streams this way ("serving/cpu-b8/
-	// run/load1.10"); the label lets a declarative session reproduce
-	// such a run bit for bit. CPU/GPU groups only (VPU sticks draw
-	// from the shared testbed seed).
+	// SeedLabel, when set, derives this group's device seed from the
+	// session seed by label — rng.New(Seed).Derive(SeedLabel) — instead
+	// of using the session seed directly: the batch engine of a CPU/GPU
+	// group, or every stick of a VPU group. The benches decorrelate
+	// per-run jitter streams this way ("serving/cpu-b8/run/load1.10").
 	SeedLabel string
 	// VPUOptions overrides the multi-VPU pipeline settings for this
 	// group (Functional and Timeline are managed by the session).
@@ -166,10 +164,10 @@ type Config struct {
 	Arrivals core.Arrivals
 	// ArrivalLabel overrides the label the arrival stream's seed is
 	// derived under (default "arrivals"): the stream draws from
-	// rng.New(Seed).Derive(ArrivalLabel). Hand-wired benches pin
-	// arrival sequences to labels like "slo/cpu-b8/load1.10" so every
-	// serving edge faces identical traffic; the override lets a
-	// declarative session replay exactly that traffic.
+	// rng.New(Seed).Derive(ArrivalLabel). The benches pin arrival
+	// sequences to labels like "slo/cpu-b8/load1.10" so every serving
+	// edge faces identical traffic; a scenario can name the same label
+	// to replay exactly that traffic.
 	ArrivalLabel string
 	// SLO is the per-item serving deadline (arrival to completion)
 	// goodput is measured against; 0 disables goodput accounting.
@@ -583,23 +581,25 @@ func (s *Session) buildTargets() error {
 			}
 		}
 	}
-	totalSticks := 0
+	// Sticks are laid out on the testbed in group order, each seeded
+	// from its group's seed.
+	var stickSeeds []*rng.Source
 	for i, g := range groups {
 		if g.Kind == GroupVPU {
-			totalSticks += g.Devices * reps[i]
+			seed := s.groupSeed(g)
+			for k := 0; k < g.Devices*reps[i]; k++ {
+				stickSeeds = append(stickSeeds, seed)
+			}
 		}
 	}
-	var ports []*usb.Port
-	if totalSticks > 0 {
-		var err error
-		_, ports, err = usb.Testbed(s.env, usb.DefaultConfig(), totalSticks)
+	if totalSticks := len(stickSeeds); totalSticks > 0 {
+		_, ports, err := usb.Testbed(s.env, usb.DefaultConfig(), totalSticks)
 		if err != nil {
 			return fmt.Errorf("pipeline: usb testbed: %w", err)
 		}
-		deviceSeed := rng.New(s.cfg.Seed)
 		s.devices = make([]*ncs.Device, totalSticks)
 		for i, port := range ports {
-			d, err := ncs.NewDevice(s.env, port.Name(), port, ncs.DefaultConfig(), deviceSeed)
+			d, err := ncs.NewDevice(s.env, port.Name(), port, ncs.DefaultConfig(), stickSeeds[i])
 			if err != nil {
 				return fmt.Errorf("pipeline: ncs device: %w", err)
 			}
@@ -657,6 +657,15 @@ func (s *Session) buildTargets() error {
 	return nil
 }
 
+// groupSeed is the device seed of group g: the session seed, or its
+// derivation under the group's SeedLabel.
+func (s *Session) groupSeed(g Group) *rng.Source {
+	if g.SeedLabel != "" {
+		return rng.New(s.cfg.Seed).Derive(g.SeedLabel)
+	}
+	return rng.New(s.cfg.Seed)
+}
+
 // buildGroupTarget constructs and returns one target for group i over
 // the given network (and, for VPU groups, compiled blob), preserving
 // the exact construction and seeding order of the hand-wired
@@ -664,15 +673,9 @@ func (s *Session) buildTargets() error {
 // same group index, so all copies share the stage's collectors and
 // recovery accounting.
 func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob []byte, nextStick *int, batchName func(GroupKind) string) (core.Target, error) {
-	engineSeed := func() *rng.Source {
-		if g.SeedLabel != "" {
-			return rng.New(s.cfg.Seed).Derive(g.SeedLabel)
-		}
-		return rng.New(s.cfg.Seed)
-	}
 	switch g.Kind {
 	case GroupCPU:
-		eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(net), engineSeed())
+		eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(net), s.groupSeed(g))
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: cpu engine: %w", err)
 		}
@@ -688,7 +691,7 @@ func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob []byte, n
 		s.registry.Add(batchName(GroupCPU), eng)
 		return t, nil
 	case GroupGPU:
-		eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(net), engineSeed())
+		eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(net), s.groupSeed(g))
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: gpu engine: %w", err)
 		}

@@ -1,12 +1,16 @@
 package pipeline
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/imagenet"
+	"repro/internal/ncs"
+	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/usb"
 )
 
 func smallDataset(images int) imagenet.Config {
@@ -134,6 +138,82 @@ func handWiredVPU(t *testing.T, images int, seed uint64) float64 {
 		t.Fatal(job.Err)
 	}
 	return job.Throughput()
+}
+
+// TestSessionVPUSeedLabel: a VPU group's SeedLabel seeds its sticks
+// from rng.New(Seed).Derive(SeedLabel), so a labelled group draws a
+// different jitter stream than an unlabelled one, and each session
+// matches sticks hand-seeded the same way — the unlabelled one from
+// the session seed itself, as before labels reached VPU groups.
+func TestSessionVPUSeedLabel(t *testing.T) {
+	const images, sticks, seed = 40, 2, 7
+	run := func(label string) (*Session, *Report) {
+		t.Helper()
+		sess, err := NewFromConfig(Config{
+			Dataset: smallDataset(images),
+			Groups:  []Group{{Kind: GroupVPU, Devices: sticks, SeedLabel: label}},
+			Seed:    seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess, rep
+	}
+	plainSess, plain := run("")
+	_, labelled := run("serving/vpu-2/run/load0.50")
+	if labelled.Throughput == plain.Throughput || reflect.DeepEqual(labelled.Latency, plain.Latency) {
+		t.Errorf("labelled VPU group drew the unlabelled jitter stream: %.6f img/s, %+v",
+			labelled.Throughput, labelled.Latency)
+	}
+
+	// Hand-seeded references over the session's own workload.
+	hand := func(devSeed *rng.Source) (float64, core.LatencySummary) {
+		t.Helper()
+		env := sim.NewEnv()
+		_, ports, err := usb.Testbed(env, usb.DefaultConfig(), sticks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devices := make([]*ncs.Device, sticks)
+		for i, port := range ports {
+			if devices[i], err = ncs.NewDevice(env, port.Name(), port, ncs.DefaultConfig(), devSeed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		target, err := core.NewVPUTarget(devices, plainSess.Blob(), core.DefaultVPUOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := core.NewDatasetSource(plainSess.Dataset(), 0, images, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := core.NewCollector(false)
+		job := target.Start(env, src, col.Sink())
+		env.Run()
+		if job.Err != nil {
+			t.Fatal(job.Err)
+		}
+		return job.Throughput(), col.Latency()
+	}
+	for _, c := range []struct {
+		name string
+		rep  *Report
+		seed *rng.Source
+	}{
+		{"unlabelled", plain, rng.New(seed)},
+		{"labelled", labelled, rng.New(seed).Derive("serving/vpu-2/run/load0.50")},
+	} {
+		ips, lat := hand(c.seed)
+		if c.rep.Throughput != ips || !reflect.DeepEqual(c.rep.Latency, lat) {
+			t.Errorf("%s session %.6f img/s %+v != hand-seeded sticks %.6f img/s %+v",
+				c.name, c.rep.Throughput, c.rep.Latency, ips, lat)
+		}
+	}
 }
 
 // TestSessionFunctionalAccuracy: a functional CPU session classifies

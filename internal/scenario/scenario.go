@@ -105,8 +105,9 @@ type GroupSpec struct {
 	Devices int `json:"devices,omitempty"`
 	// Weight is the static/weighted routing weight (0 = unset).
 	Weight float64 `json:"weight,omitempty"`
-	// SeedLabel pins the group's batch-engine jitter stream to a
-	// derivation label (see pipeline.Group.SeedLabel).
+	// SeedLabel pins the group's device jitter streams (the batch
+	// engine, or every stick of a VPU group) to a derivation label
+	// (see pipeline.Group.SeedLabel).
 	SeedLabel string `json:"seed_label,omitempty"`
 }
 

@@ -56,7 +56,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/devsim"
 	"repro/internal/fault"
 	"repro/internal/graphfile"
 	"repro/internal/imagenet"
@@ -581,15 +580,6 @@ func WithGPU(batch int) SessionOption { return pipeline.WithGPU(batch) }
 // parallel NCSw pipeline.
 func WithVPUs(n int) SessionOption { return pipeline.WithVPUs(n) }
 
-// WithVPUOptions adds a VPU group with explicit pipeline options
-// (scheduling, overlap, host overhead).
-//
-// Deprecated: use WithGroup(DeviceGroup{Kind: VPUGroup, Devices: n,
-// VPUOptions: &opts}) — or, in a split session, a StageConfig whose
-// Group carries the options. The group/stage structs subsume this
-// wrapper; it remains for compatibility.
-func WithVPUOptions(n int, opts VPUOptions) SessionOption { return pipeline.WithVPUOptions(n, opts) }
-
 // WithTarget adds a custom Target as its own device group.
 func WithTarget(t Target) SessionOption { return pipeline.WithTarget(t) }
 
@@ -725,47 +715,6 @@ func NewCollector(retain bool) *Collector { return core.NewCollector(retain) }
 
 // DefaultVPUOptions returns the paper-faithful multi-VPU settings.
 func DefaultVPUOptions() VPUOptions { return core.DefaultVPUOptions() }
-
-// NewVPUTarget builds the parallel multi-VPU target over devices.
-//
-// Deprecated: NewSession(WithVPUs(n)) builds and runs this target;
-// use this only when hand-wiring targets to sources.
-func NewVPUTarget(devices []*NCSDevice, blob []byte, opts VPUOptions) (*VPUTarget, error) {
-	return core.NewVPUTarget(devices, blob, opts)
-}
-
-// NewCPUTarget builds the Caffe-MKL-style CPU target for the graph's
-// workload at the given batch size.
-//
-// Deprecated: NewSession(WithCPU(batch)) builds and runs this target;
-// use this only when hand-wiring targets to sources.
-func NewCPUTarget(g *Graph, batch int, functional bool, seed *Rand) (*BatchTarget, error) {
-	eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(g), seed)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewCPUTarget(eng, g, batch, functional)
-}
-
-// NewGPUTarget builds the Caffe-cuDNN-style GPU target.
-//
-// Deprecated: NewSession(WithGPU(batch)) builds and runs this target;
-// use this only when hand-wiring targets to sources.
-func NewGPUTarget(g *Graph, batch int, functional bool, seed *Rand) (*BatchTarget, error) {
-	eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(g), seed)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewGPUTarget(eng, g, batch, functional)
-}
-
-// NewDatasetSource serves images [lo, hi) of a synthetic dataset.
-//
-// Deprecated: sessions build their own dataset source (WithImages);
-// use this only when hand-wiring targets to sources.
-func NewDatasetSource(ds *Dataset, lo, hi int, functional bool) (Source, error) {
-	return core.NewDatasetSource(ds, lo, hi, functional)
-}
 
 // NewStreamSource creates a push-style source with the given buffer
 // capacity (0 = unbounded).

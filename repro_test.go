@@ -3,7 +3,39 @@ package repro
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/devsim"
 )
+
+// handCPUTarget and handGPUTarget build the Caffe-style batch targets
+// straight from the framework packages — the hand-wired reference the
+// facade and session tests compare against.
+func handCPUTarget(t *testing.T, g *Graph, batch int, seed *Rand) *BatchTarget {
+	t.Helper()
+	eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(g), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := core.NewCPUTarget(eng, g, batch, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt
+}
+
+func handGPUTarget(t *testing.T, g *Graph, batch int, seed *Rand) *BatchTarget {
+	t.Helper()
+	eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(g), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := core.NewGPUTarget(eng, g, batch, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bt
+}
 
 // TestFacadeListing1 exercises the public API end to end: the doc
 // comment's Listing-1-style session must actually work.
@@ -62,21 +94,18 @@ func TestFacadeListing1(t *testing.T) {
 	}
 }
 
-// TestFacadeNCSwRun drives the framework layer through the facade:
-// a CPU target and a dataset source.
+// TestFacadeNCSwRun drives the framework layer on facade types: a
+// hand-wired CPU target over a dataset source.
 func TestFacadeNCSwRun(t *testing.T) {
 	net := NewGoogLeNet(Seed(1))
-	cpu, err := NewCPUTarget(net, 8, false, Seed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cpu := handCPUTarget(t, net, 8, Seed(2))
 	cfg := DefaultDatasetConfig()
 	cfg.Images = 64
 	ds, err := NewDataset(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(ds, 0, 64, false)
+	src, err := core.NewDatasetSource(ds, 0, 64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +126,7 @@ func TestFacadeNCSwRun(t *testing.T) {
 
 func TestFacadeGPUTarget(t *testing.T) {
 	net := NewGoogLeNet(Seed(1))
-	gpu, err := NewGPUTarget(net, 8, false, Seed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	gpu := handGPUTarget(t, net, 8, Seed(2))
 	if gpu.TDPWatts() != 80 {
 		t.Errorf("GPU TDP = %g", gpu.TDPWatts())
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // echoTarget is a custom device group implemented entirely outside
@@ -108,7 +110,7 @@ func TestSessionAcceptance(t *testing.T) {
 	}
 
 	// The equivalent hand-wired setup: same seeds, same models, same
-	// pool — built through the pre-session constructors.
+	// pool — built straight from the framework packages.
 	env := NewEnv()
 	net := NewGoogLeNet(Seed(42))
 	blob, err := CompileGraph(net)
@@ -119,15 +121,9 @@ func TestSessionAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := NewCPUTarget(net, 8, false, Seed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpu, err := NewGPUTarget(net, 8, false, Seed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vpu, err := NewVPUTarget(sticks, blob, DefaultVPUOptions())
+	cpu := handCPUTarget(t, net, 8, Seed(1))
+	gpu := handGPUTarget(t, net, 8, Seed(1))
+	vpu, err := core.NewVPUTarget(sticks, blob, DefaultVPUOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +135,7 @@ func TestSessionAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(ds, 0, images, false)
+	src, err := core.NewDatasetSource(ds, 0, images, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +191,7 @@ func TestSessionVPUScalingMatchesTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		target, err := NewVPUTarget(sticks, blob, DefaultVPUOptions())
+		target, err := core.NewVPUTarget(sticks, blob, DefaultVPUOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +199,7 @@ func TestSessionVPUScalingMatchesTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := NewDatasetSource(ds, 0, images, false)
+		src, err := core.NewDatasetSource(ds, 0, images, false)
 		if err != nil {
 			t.Fatal(err)
 		}
