@@ -1,10 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"time"
 
+	"repro/internal/field"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -82,22 +82,23 @@ type HedgeConfig struct {
 // Enabled reports whether any trigger is configured.
 func (hc HedgeConfig) Enabled() bool { return hc.Trigger > 0 || hc.Quantile > 0 }
 
-// Validate checks the configuration's shape.
+// Validate checks the configuration's shape. Errors are field.Errors
+// with paths relative to the config ("Budget").
 func (hc HedgeConfig) Validate() error {
 	if hc.Trigger < 0 {
-		return fmt.Errorf("core: negative hedge trigger %v", hc.Trigger)
+		return field.Errorf("Trigger", "negative trigger %v", hc.Trigger)
 	}
-	if hc.Quantile < 0 || hc.Quantile >= 1 {
-		return fmt.Errorf("core: hedge quantile %g outside [0, 1)", hc.Quantile)
+	if !(hc.Quantile >= 0 && hc.Quantile < 1) {
+		return field.Errorf("Quantile", "quantile %g (need 0 <= q < 1)", hc.Quantile)
 	}
 	if hc.MinSamples < 0 {
-		return fmt.Errorf("core: negative hedge min-samples %d", hc.MinSamples)
+		return field.Errorf("MinSamples", "negative warmup %d", hc.MinSamples)
 	}
-	if hc.Budget < 0 {
-		return fmt.Errorf("core: negative hedge budget %g", hc.Budget)
+	if !(hc.Budget >= 0) || math.IsInf(hc.Budget, 1) {
+		return field.Errorf("Budget", "budget %g (need finite >= 0)", hc.Budget)
 	}
-	if hc.DynamicBudget && hc.Budget <= 0 {
-		return fmt.Errorf("core: dynamic hedge budget needs a base Budget > 0")
+	if hc.DynamicBudget && hc.Budget == 0 {
+		return field.Errorf("DynamicBudget", "needs a positive budget")
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/field"
 	"repro/internal/sim"
 )
 
@@ -147,7 +148,7 @@ func NewPool(children []Target, opts PoolOptions) (*Pool, error) {
 		return nil, fmt.Errorf("core: negative queue depth %d", opts.QueueDepth)
 	}
 	if err := opts.Hedge.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", field.Under("Hedge", err))
 	}
 	if opts.Hedge.Enabled() {
 		if opts.Routing == RouteWorkStealing {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/field"
 	"repro/internal/ncs"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -187,7 +188,7 @@ func NewVPUTarget(devices []*ncs.Device, blob []byte, opts VPUOptions) (*VPUTarg
 		return nil, fmt.Errorf("core: negative recovery attempt budget %d", opts.Recovery.MaxAttempts)
 	}
 	if err := opts.Hedge.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", field.Under("Hedge", err))
 	}
 	if opts.Timeline == nil {
 		opts.Timeline = trace.Disabled()

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/field"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -169,44 +170,67 @@ func (pl Plan) NeedsRecovery() bool {
 }
 
 // Validate checks the plan's own shape (device resolution happens in
-// Apply, against the registry).
+// Apply, against the registry). Errors are field.Errors with paths
+// relative to the plan ("Events[0].Factor").
 func (pl Plan) Validate() error {
 	for i, e := range pl.Events {
+		p := fmt.Sprintf("Events[%d]", i)
 		if e.Device == "" {
-			return fmt.Errorf("fault: event %d has no device", i)
-		}
-		if e.At < 0 {
-			return fmt.Errorf("fault: event %d at negative instant %v", i, e.At)
+			return field.Errorf(p+".Device", "required")
 		}
 		if e.Kind < StickHang || e.Kind > BatchOOM {
-			return fmt.Errorf("fault: event %d has unknown kind %v", i, e.Kind)
+			return field.Errorf(p+".Kind", "unknown fault kind %v", e.Kind)
 		}
-		if e.Kind == Slowdown && (e.Factor <= 1 || e.Duration <= 0) {
-			return fmt.Errorf("fault: slowdown event %d needs factor > 1 and duration > 0 (got ×%g for %v)",
-				i, e.Factor, e.Duration)
+		if e.At < 0 {
+			return field.Errorf(p+".At", "negative instant %v", e.At)
+		}
+		if e.Kind == Slowdown {
+			if !finiteAbove1(e.Factor) {
+				return field.Errorf(p+".Factor", "slowdown factor %g (need finite > 1)", e.Factor)
+			}
+			if e.Duration <= 0 {
+				return field.Errorf(p+".Duration", "slowdown window %v (need > 0)", e.Duration)
+			}
 		}
 		if e.Count < 0 {
-			return fmt.Errorf("fault: event %d has negative count %d", i, e.Count)
+			return field.Errorf(p+".Count", "negative count %d", e.Count)
 		}
 	}
-	for i, p := range pl.Processes {
-		if len(p.Devices) == 0 || len(p.Kinds) == 0 {
-			return fmt.Errorf("fault: process %d needs devices and kinds", i)
+	for i, pr := range pl.Processes {
+		p := fmt.Sprintf("Processes[%d]", i)
+		if len(pr.Devices) == 0 {
+			return field.Errorf(p+".Devices", "required")
 		}
-		if !(p.Rate > 0) || math.IsInf(p.Rate, 1) {
-			return fmt.Errorf("fault: process %d rate must be positive and finite (got %g)", i, p.Rate)
+		if len(pr.Kinds) == 0 {
+			return field.Errorf(p+".Kinds", "required")
 		}
-		if p.Start < 0 || p.End <= p.Start {
-			return fmt.Errorf("fault: process %d window [%v, %v) is not a finite forward window", i, p.Start, p.End)
-		}
-		for _, k := range p.Kinds {
+		for j, k := range pr.Kinds {
 			if k < StickHang || k > BatchOOM {
-				return fmt.Errorf("fault: process %d has unknown kind %v", i, k)
+				return field.Errorf(fmt.Sprintf("%s.Kinds[%d]", p, j), "unknown fault kind %v", k)
 			}
+		}
+		if !(pr.Rate > 0) || math.IsInf(pr.Rate, 1) {
+			return field.Errorf(p+".Rate", "fault rate %g (need positive finite)", pr.Rate)
+		}
+		if pr.Start < 0 {
+			return field.Errorf(p+".Start", "negative instant %v", pr.Start)
+		}
+		if pr.End <= pr.Start {
+			return field.Errorf(p+".End", "window end %v at or before start %v", pr.End, pr.Start)
+		}
+		if pr.Factor != 0 && !finiteAbove1(pr.Factor) {
+			return field.Errorf(p+".Factor", "slowdown factor %g (need 0 for the default, or finite > 1)", pr.Factor)
+		}
+		if pr.Window < 0 {
+			return field.Errorf(p+".Window", "negative window %v", pr.Window)
 		}
 	}
 	return nil
 }
+
+// finiteAbove1 reports whether a slowdown factor actually slows: a
+// finite multiplier above 1 (NaN fails every comparison).
+func finiteAbove1(f float64) bool { return f > 1 && !math.IsInf(f, 1) }
 
 // Registry maps device names to their injection hooks. One name may
 // carry several hook objects — register an NCS stick together with its
@@ -294,7 +318,7 @@ func (l *Log) Count() int {
 // fills in as the simulation runs.
 func Apply(env *sim.Env, plan Plan, seed *rng.Source, reg Registry, observe func(Injection)) (*Log, error) {
 	if err := plan.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fault: %w", err)
 	}
 	if seed == nil {
 		seed = rng.New(1)

@@ -20,6 +20,7 @@ package imagenet
 import (
 	"fmt"
 
+	"repro/internal/field"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -61,21 +62,26 @@ func DefaultConfig() Config {
 // (cmd/calib-noise) if the network or dataset geometry changes.
 const CalibratedNoiseSigma = 19.48
 
-func (c Config) validate() error {
+// Validate checks the dataset shape. Errors are field.Errors with
+// paths relative to the config ("Subsets").
+func (c Config) Validate() error {
 	if c.Classes < 2 {
-		return fmt.Errorf("imagenet: need >= 2 classes, got %d", c.Classes)
+		return field.Errorf("Classes", "need >= 2 classes, got %d", c.Classes)
 	}
 	if c.Images < 1 {
-		return fmt.Errorf("imagenet: need >= 1 image, got %d", c.Images)
+		return field.Errorf("Images", "need >= 1 image, got %d", c.Images)
 	}
 	if c.Subsets < 1 || c.Subsets > c.Images {
-		return fmt.Errorf("imagenet: %d subsets for %d images", c.Subsets, c.Images)
+		return field.Errorf("Subsets", "%d subsets for %d images", c.Subsets, c.Images)
 	}
-	if c.Channels < 1 || c.Size < 1 {
-		return fmt.Errorf("imagenet: invalid geometry %dx%dx%d", c.Channels, c.Size, c.Size)
+	if c.Channels < 1 {
+		return field.Errorf("Channels", "need >= 1 channel, got %d", c.Channels)
+	}
+	if c.Size < 1 {
+		return field.Errorf("Size", "need >= 1 pixel, got %d", c.Size)
 	}
 	if c.NoiseSigma < 0 {
-		return fmt.Errorf("imagenet: negative noise sigma")
+		return field.Errorf("NoiseSigma", "negative noise sigma %g", c.NoiseSigma)
 	}
 	return nil
 }
@@ -93,8 +99,8 @@ type Dataset struct {
 
 // New generates the prototype table and channel means for cfg.
 func New(cfg Config) (*Dataset, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("imagenet: %w", err)
 	}
 	d := &Dataset{cfg: cfg, root: rng.New(cfg.Seed)}
 	protoSrc := d.root.Derive("prototypes")

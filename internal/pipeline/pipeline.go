@@ -27,11 +27,13 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/devsim"
 	"repro/internal/fault"
+	"repro/internal/field"
 	"repro/internal/graphfile"
 	"repro/internal/imagenet"
 	"repro/internal/ncs"
@@ -310,12 +312,14 @@ func New(opts ...Option) (*Session, error) {
 	return NewFromConfig(cfg)
 }
 
-// NewFromConfig builds a session from an explicit configuration.
+// NewFromConfig builds a session from an explicit configuration. The
+// config is checked by Validate first; the caller's slices are never
+// written.
 func NewFromConfig(cfg Config) (*Session, error) {
-	applyDefaults(&cfg)
-	if err := validate(&cfg); err != nil {
-		return nil, err
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
+	cfg = cfg.withDefaults()
 
 	s := &Session{cfg: cfg, env: sim.NewEnv()}
 
@@ -344,7 +348,10 @@ func NewFromConfig(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-func applyDefaults(cfg *Config) {
+// withDefaults returns the config with every zero knob resolved. The
+// group and stage slices are copied before their entries are
+// defaulted, so the caller's backing arrays are never written.
+func (cfg Config) withDefaults() Config {
 	if cfg.Dataset == (imagenet.Config{}) {
 		cfg.Dataset = imagenet.DefaultConfig()
 	}
@@ -380,132 +387,174 @@ func applyDefaults(cfg *Config) {
 			cfg.Recovery.MaxAttempts = def.MaxAttempts
 		}
 	}
+	cfg.Groups = append([]Group(nil), cfg.Groups...)
 	for i := range cfg.Groups {
-		g := &cfg.Groups[i]
-		switch g.Kind {
-		case GroupCPU, GroupGPU:
-			if g.Batch == 0 {
-				g.Batch = 8
-			}
-		case GroupVPU:
-			if g.Devices == 0 {
-				g.Devices = 1
-			}
-		}
+		cfg.Groups[i].applyDefaults()
 	}
+	cfg.Stages = append([]Stage(nil), cfg.Stages...)
 	for i := range cfg.Stages {
-		g := &cfg.Stages[i].Group
-		switch g.Kind {
-		case GroupCPU, GroupGPU:
-			if g.Batch == 0 {
-				g.Batch = 8
-			}
-		case GroupVPU:
-			if g.Devices == 0 {
-				g.Devices = 1
-			}
+		cfg.Stages[i].Group.applyDefaults()
+	}
+	return cfg
+}
+
+// applyDefaults resolves a zero batch size (CPU/GPU, default 8) or
+// stick count (VPU, default 1).
+func (g *Group) applyDefaults() {
+	switch g.Kind {
+	case GroupCPU, GroupGPU:
+		if g.Batch == 0 {
+			g.Batch = 8
+		}
+	case GroupVPU:
+		if g.Devices == 0 {
+			g.Devices = 1
 		}
 	}
 }
 
-func validate(cfg *Config) error {
-	if len(cfg.Stages) > 0 {
-		if err := validateStages(cfg); err != nil {
-			return err
-		}
-	} else if len(cfg.Groups) == 0 {
-		return fmt.Errorf("pipeline: session needs at least one device group (WithCPU/WithGPU/WithVPUs/WithTarget) or stage chain (WithStages)")
+// Validate checks the config as NewFromConfig will build it: defaults
+// are applied to a copy, and the caller's slices are never written.
+// It is the one semantic check of a session config (scenario files
+// are lowered onto a Config and checked here too). The first broken
+// rule is returned as a *field.Error whose Path names the offending
+// field in Go syntax: "Groups[1].Weight", "Stages[0].Replicas",
+// "Hedge.DynamicBudget", "Tenants.Tenants[2].ID",
+// "Faults.Events[0].Factor", "AdmissionMinDepth". A rule that refuses
+// a combination names the field it refuses ("Hedge" on a single CPU
+// group). Three checks need built artefacts and stay with the
+// session: cut geometry against the network and Images against the
+// dataset size (NewFromConfig), fault device names (Run).
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	switch {
+	case len(c.Stages) > 0 && len(c.Groups) > 0:
+		return field.Errorf("Stages", "groups and stages are mutually exclusive (every stage declares its own group)")
+	case len(c.Stages) == 0 && len(c.Groups) == 0:
+		return field.Errorf("Groups", "needs groups or stages (at least one device group, or a stage chain)")
+	case len(c.Stages) > 0 && len(c.Cuts) != len(c.Stages)-1:
+		return field.Errorf("Cuts", "%d cuts for %d stages (need stages-1)", len(c.Cuts), len(c.Stages))
+	case len(c.Stages) == 0 && len(c.Cuts) > 0:
+		return field.Errorf("Cuts", "cuts need stages")
 	}
-	if cfg.Images < 0 {
-		return fmt.Errorf("pipeline: negative image count %d", cfg.Images)
-	}
-	for i, g := range cfg.Groups {
-		switch g.Kind {
-		case GroupCPU, GroupGPU:
-			if g.Batch < 1 {
-				return fmt.Errorf("pipeline: group %d: batch size %d", i, g.Batch)
-			}
-		case GroupVPU:
-			if g.Devices < 1 {
-				return fmt.Errorf("pipeline: group %d: %d VPU devices", i, g.Devices)
-			}
-		case GroupCustom:
-			if g.Target == nil {
-				return fmt.Errorf("pipeline: group %d: custom group needs a Target", i)
-			}
-		default:
-			return fmt.Errorf("pipeline: group %d: unknown kind %v", i, g.Kind)
-		}
-		if g.Weight < 0 {
-			return fmt.Errorf("pipeline: group %d: negative weight %g", i, g.Weight)
+	for i, g := range c.Groups {
+		if err := g.validate(); err != nil {
+			return field.Under(fmt.Sprintf("Groups[%d]", i), err)
 		}
 	}
-	if cfg.StreamCapacity != nil && *cfg.StreamCapacity < 0 {
-		return fmt.Errorf("pipeline: negative stream capacity %d", *cfg.StreamCapacity)
+	for i, st := range c.Stages {
+		p := fmt.Sprintf("Stages[%d]", i)
+		if err := st.Group.validate(); err != nil {
+			return field.Under(p+".Group", err)
+		}
+		if st.Queue < 0 {
+			return field.Errorf(p+".Queue", "negative queue bound %d", st.Queue)
+		}
+		if st.Replicas < 0 {
+			return field.Errorf(p+".Replicas", "negative replica count %d", st.Replicas)
+		}
+		if st.Replicas > 1 && st.Group.Kind == GroupCustom {
+			return field.Errorf(p+".Replicas", "a custom stage carries one caller-built Target and cannot be replicated")
+		}
 	}
-	if cfg.SLO < 0 {
-		return fmt.Errorf("pipeline: negative SLO %v", cfg.SLO)
+	if len(c.Stages) > 0 && c.Functional {
+		return field.Errorf("Functional", "split inference is pure-performance; functional stage flows are not supported")
 	}
-	if cfg.Tenants.Enabled() {
-		if err := cfg.Tenants.Validate(); err != nil {
-			return fmt.Errorf("pipeline: %w", err)
+	if len(c.Stages) > 0 && c.Blob != nil {
+		return field.Errorf("Blob", "a whole-network graph file cannot serve stages; stage segments are compiled per stage")
+	}
+	if c.Images < 0 {
+		return field.Errorf("Images", "negative image count %d", c.Images)
+	}
+	if err := c.Dataset.Validate(); err != nil {
+		return field.Under("Dataset", err)
+	}
+	if c.QueueDepth < 0 {
+		return field.Errorf("QueueDepth", "negative queue depth %d", c.QueueDepth)
+	}
+	if c.StreamCapacity != nil && *c.StreamCapacity < 0 {
+		return field.Errorf("StreamCapacity", "negative stream capacity %d", *c.StreamCapacity)
+	}
+	if c.SLO < 0 {
+		return field.Errorf("SLO", "negative deadline %v", c.SLO)
+	}
+	if c.Tenants.Enabled() {
+		if err := c.Tenants.Validate(); err != nil {
+			return field.Under("Tenants", err)
 		}
 		// The tenant scheduler owns both the arrival edge (one pump
 		// per tenant lane) and the admission edge (per-tenant queues,
 		// quotas, shed policies), so the single-tenant equivalents
 		// cannot compose with it.
-		if cfg.Arrivals != nil {
-			return fmt.Errorf("pipeline: tenant lanes own their arrival processes; WithTenants excludes WithArrivals")
-		}
-		if cfg.StreamCapacity != nil {
-			return fmt.Errorf("pipeline: tenant lanes pace the source themselves; WithTenants excludes WithStream")
-		}
-		if cfg.AdmissionDepth > 0 {
-			return fmt.Errorf("pipeline: the tenant scheduler is the admission edge; WithTenants excludes WithAdmission")
+		switch {
+		case c.Arrivals != nil:
+			return field.Errorf("Arrivals", "arrivals and tenants are mutually exclusive (tenant lanes carry their own arrival processes)")
+		case c.StreamCapacity != nil:
+			return field.Errorf("StreamCapacity", "a stream and tenants are mutually exclusive (tenant lanes pace the source themselves)")
+		case c.AdmissionDepth > 0:
+			return field.Errorf("AdmissionDepth", "admission and tenants are mutually exclusive (the tenant scheduler is the admission edge)")
 		}
 	}
-	if cfg.AdmissionDepth < 0 {
-		return fmt.Errorf("pipeline: negative admission depth %d", cfg.AdmissionDepth)
-	}
-	if cfg.AdmissionDepth > 0 && cfg.Arrivals == nil && cfg.StreamCapacity == nil {
+	switch {
+	case c.AdmissionDepth < 0:
+		return field.Errorf("AdmissionDepth", "negative depth %d", c.AdmissionDepth)
+	case c.AdmissionDepth > 0 && c.Arrivals == nil && c.StreamCapacity == nil:
 		// Against an eager closed-loop source the admission pump would
 		// drain the whole dataset at t=0 and shed everything beyond
 		// the queue depth before any device runs.
-		return fmt.Errorf("pipeline: admission control needs a paced source (WithArrivals or WithStream)")
+		return field.Errorf("AdmissionDepth", "needs a paced source (arrivals or a stream)")
+	case c.AdmissionPolicy < core.ShedNewest || c.AdmissionPolicy > core.Block:
+		return field.Errorf("AdmissionPolicy", "unknown overload policy %v", c.AdmissionPolicy)
+	case c.AdmissionShrink && c.AdmissionDepth == 0:
+		return field.Errorf("AdmissionShrink", "needs a bounded ingress (an admission depth)")
+	case c.AdmissionMinDepth < 0:
+		return field.Errorf("AdmissionMinDepth", "negative floor %d", c.AdmissionMinDepth)
+	case c.AdmissionDepth > 0 && c.AdmissionMinDepth > c.AdmissionDepth:
+		return field.Errorf("AdmissionMinDepth", "floor %d exceeds depth %d", c.AdmissionMinDepth, c.AdmissionDepth)
 	}
-	if cfg.AdmissionPolicy < core.ShedNewest || cfg.AdmissionPolicy > core.Block {
-		return fmt.Errorf("pipeline: unknown admission policy %v", cfg.AdmissionPolicy)
+	if err := c.Hedge.Validate(); err != nil {
+		return field.Under("Hedge", err)
 	}
-	if cfg.AdmissionShrink && cfg.AdmissionDepth == 0 {
-		return fmt.Errorf("pipeline: admission shrink needs a bounded ingress (WithAdmission)")
-	}
-	if cfg.AdmissionMinDepth < 0 {
-		return fmt.Errorf("pipeline: negative admission min-depth %d", cfg.AdmissionMinDepth)
-	}
-	if err := cfg.Hedge.Validate(); err != nil {
-		return fmt.Errorf("pipeline: %w", err)
-	}
-	if cfg.Hedge.Enabled() {
-		if len(cfg.Groups) == 1 {
-			g := cfg.Groups[0]
-			if g.Kind != GroupVPU || g.Devices < 2 {
-				return fmt.Errorf("pipeline: hedging a single group needs a multi-stick VPU group (got %v)", g.Kind)
-			}
-		} else if cfg.Routing == core.RouteWorkStealing {
-			return fmt.Errorf("pipeline: hedging needs per-group feeds; routing %v shares the source directly", cfg.Routing)
+	if c.Hedge.Enabled() {
+		switch {
+		case len(c.Stages) > 0:
+			return field.Errorf("Hedge", "hedging duplicates whole inferences across groups; it does not compose with serial stages")
+		case len(c.Groups) == 1 && (c.Groups[0].Kind != GroupVPU || c.Groups[0].Devices < 2):
+			return field.Errorf("Hedge", "hedging a single group needs a multi-stick VPU group (got %v)", c.Groups[0].Kind)
+		case len(c.Groups) > 1 && c.Routing == core.RouteWorkStealing:
+			return field.Errorf("Hedge", "hedging needs per-group feeds; routing %v shares the source directly", c.Routing)
 		}
 	}
-	if cfg.BatchMaxWait < 0 {
-		return fmt.Errorf("pipeline: negative batch max-wait %v", cfg.BatchMaxWait)
+	if c.BatchMaxWait < 0 {
+		return field.Errorf("BatchMaxWait", "negative wait %v", c.BatchMaxWait)
 	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return fmt.Errorf("pipeline: %w", err)
+	if err := c.Faults.Validate(); err != nil {
+		return field.Under("Faults", err)
 	}
-	if cfg.Recovery.Timeout < 0 {
-		return fmt.Errorf("pipeline: negative recovery timeout %v", cfg.Recovery.Timeout)
+	if c.Recovery.Timeout < 0 {
+		return field.Errorf("Recovery.Timeout", "negative heartbeat %v", c.Recovery.Timeout)
 	}
-	if cfg.Recovery.MaxAttempts < 0 {
-		return fmt.Errorf("pipeline: negative recovery attempt budget %d", cfg.Recovery.MaxAttempts)
+	if c.Recovery.MaxAttempts < 0 {
+		return field.Errorf("Recovery.MaxAttempts", "negative budget %d", c.Recovery.MaxAttempts)
+	}
+	return nil
+}
+
+// validate checks one defaulted group's own fields (paths relative to
+// the group). Defaulting turned a zero batch size or stick count into
+// a positive one, so only negatives remain to reject.
+func (g Group) validate() error {
+	switch {
+	case g.Kind < GroupCPU || g.Kind > GroupCustom:
+		return field.Errorf("Kind", "unknown kind %v", g.Kind)
+	case g.Kind == GroupCustom && g.Target == nil:
+		return field.Errorf("Target", "a custom group needs a Target")
+	case g.Batch < 0:
+		return field.Errorf("Batch", "negative batch size %d", g.Batch)
+	case g.Devices < 0:
+		return field.Errorf("Devices", "negative device count %d", g.Devices)
+	case !(g.Weight >= 0) || math.IsInf(g.Weight, 1):
+		return field.Errorf("Weight", "weight %g (need finite >= 0)", g.Weight)
 	}
 	return nil
 }

@@ -193,52 +193,3 @@ func (s *Session) resolveStages() error {
 	s.stages = eff
 	return nil
 }
-
-// validateStages is the construction-time half of stage validation
-// (the cut geometry is checked against the network in resolveStages).
-func validateStages(cfg *Config) error {
-	if len(cfg.Groups) > 0 {
-		return fmt.Errorf("pipeline: WithStages is exclusive with device groups (WithCPU/WithGPU/WithVPUs); every stage declares its own group")
-	}
-	if len(cfg.Cuts) != len(cfg.Stages)-1 {
-		return fmt.Errorf("pipeline: %d stages need %d cut(s), got %d", len(cfg.Stages), len(cfg.Stages)-1, len(cfg.Cuts))
-	}
-	for i, st := range cfg.Stages {
-		g := st.Group
-		switch g.Kind {
-		case GroupCPU, GroupGPU:
-			if g.Batch < 1 {
-				return fmt.Errorf("pipeline: stage %d: batch size %d", i, g.Batch)
-			}
-		case GroupVPU:
-			if g.Devices < 1 {
-				return fmt.Errorf("pipeline: stage %d: %d VPU devices", i, g.Devices)
-			}
-		case GroupCustom:
-			if g.Target == nil {
-				return fmt.Errorf("pipeline: stage %d: custom stage needs a Target", i)
-			}
-		default:
-			return fmt.Errorf("pipeline: stage %d: unknown kind %v", i, g.Kind)
-		}
-		if st.Queue < 0 {
-			return fmt.Errorf("pipeline: stage %d: negative queue depth %d", i, st.Queue)
-		}
-		if st.Replicas < 0 {
-			return fmt.Errorf("pipeline: stage %d: negative replica count %d", i, st.Replicas)
-		}
-		if st.Replicas > 1 && g.Kind == GroupCustom {
-			return fmt.Errorf("pipeline: stage %d: a custom stage carries one caller-built Target and cannot be replicated", i)
-		}
-	}
-	if cfg.Functional {
-		return fmt.Errorf("pipeline: split inference is pure-performance; functional stage flows are not supported")
-	}
-	if cfg.Blob != nil {
-		return fmt.Errorf("pipeline: WithBlob carries a whole-network graph file; stage segments are compiled per stage")
-	}
-	if cfg.Hedge.Enabled() {
-		return fmt.Errorf("pipeline: hedging duplicates whole inferences across groups; it does not compose with serial stages")
-	}
-	return nil
-}

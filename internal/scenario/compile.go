@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/field"
 	"repro/internal/imagenet"
 	"repro/internal/nn"
 	"repro/internal/pipeline"
@@ -14,74 +16,62 @@ import (
 	"repro/internal/tenant"
 )
 
-// Compilation: a validated scenario lowers onto pipeline.Config — the
-// same struct the hand-wired benches and options build — so a
-// scenario session is indistinguishable from a hand-coded one. The
-// one piece of late validation lives here: named cuts are resolved
-// against the workload network's layer list, which only exists once
-// the network kind is known.
+// Compilation: a scenario lowers onto pipeline.Config — the same
+// struct the benches and options build — so a scenario session is
+// indistinguishable from a hand-coded one. Each enum spelling has one
+// table below; lowering reads it, and an unknown spelling is a
+// validation error. The one piece of late validation lives here: named
+// cuts are resolved against the workload network's layer list, which
+// only exists once the network kind is known.
 
-func compileKind(k string) pipeline.GroupKind {
-	switch k {
-	case "cpu":
-		return pipeline.GroupCPU
-	case "gpu":
-		return pipeline.GroupGPU
+var (
+	networks = map[string]pipeline.NetworkKind{
+		"": pipeline.NetAuto, "auto": pipeline.NetAuto,
+		"googlenet": pipeline.NetGoogLeNet, "micro": pipeline.NetMicro,
 	}
-	return pipeline.GroupVPU
+	groupKinds = map[string]pipeline.GroupKind{
+		"cpu": pipeline.GroupCPU, "gpu": pipeline.GroupGPU, "vpu": pipeline.GroupVPU,
+	}
+	routings = map[string]core.Routing{
+		"": core.RouteWeighted, "throughput-weighted": core.RouteWeighted,
+		"static-split": core.RouteStatic, "round-robin": core.RouteRoundRobin,
+		"work-stealing": core.RouteWorkStealing, "latency-ewma": core.RouteLatency,
+	}
+	policies = map[string]core.OverloadPolicy{
+		"": core.ShedNewest, "shed-newest": core.ShedNewest,
+		"shed-oldest": core.ShedOldest, "block": core.Block,
+	}
+	schedulers = map[string]tenant.Scheduler{
+		"": tenant.FIFO, "fifo": tenant.FIFO, "fair": tenant.WeightedFair,
+		"weighted-fair": tenant.WeightedFair, "priority": tenant.Priority,
+	}
+	faultKinds = map[string]fault.Kind{
+		"hang": fault.StickHang, "link-drop": fault.LinkDrop, "transient": fault.TransientError,
+		"slowdown": fault.Slowdown, "batch-oom": fault.BatchOOM,
+	}
+)
+
+// enum resolves a spelling through its table. An unknown spelling
+// records a field error listing the accepted ones in *errp (the first
+// error wins) and yields the zero value, so lowering can carry on.
+func enum[T any](errp *error, table map[string]T, path, what, spelling string) T {
+	v, ok := table[spelling]
+	if !ok && *errp == nil {
+		want := make([]string, 0, len(table))
+		for k := range table {
+			if k != "" {
+				want = append(want, k)
+			}
+		}
+		sort.Strings(want)
+		*errp = field.Errorf(path, "unknown %s %q (want %s)", what, spelling, strings.Join(want, ", "))
+	}
+	return v
 }
 
-func compileRouting(r string) core.Routing {
-	switch r {
-	case "static-split":
-		return core.RouteStatic
-	case "round-robin":
-		return core.RouteRoundRobin
-	case "work-stealing":
-		return core.RouteWorkStealing
-	case "latency-ewma":
-		return core.RouteLatency
-	}
-	return core.RouteWeighted
-}
-
-func compilePolicy(p string) core.OverloadPolicy {
-	switch p {
-	case "shed-oldest":
-		return core.ShedOldest
-	case "block":
-		return core.Block
-	}
-	return core.ShedNewest
-}
-
-func compileScheduler(s string) tenant.Scheduler {
-	switch s {
-	case "fair", "weighted-fair":
-		return tenant.WeightedFair
-	case "priority":
-		return tenant.Priority
-	}
-	return tenant.FIFO
-}
-
-func compileFaultKind(k string) fault.Kind {
-	switch k {
-	case "hang":
-		return fault.StickHang
-	case "link-drop":
-		return fault.LinkDrop
-	case "transient":
-		return fault.TransientError
-	case "slowdown":
-		return fault.Slowdown
-	}
-	return fault.BatchOOM
-}
-
-func compileGroup(g GroupSpec) pipeline.Group {
+func lowerGroup(errp *error, path string, g GroupSpec) pipeline.Group {
 	return pipeline.Group{
-		Kind:      compileKind(g.Kind),
+		Kind:      enum(errp, groupKinds, path+".kind", "device kind", g.Kind),
 		Batch:     g.Batch,
 		Devices:   g.Devices,
 		Weight:    g.Weight,
@@ -90,8 +80,8 @@ func compileGroup(g GroupSpec) pipeline.Group {
 }
 
 // compileArrivals lowers a validated arrival spec onto the core
-// constructors. Validation mirrored every constructor precondition,
-// so this can never panic.
+// constructors. validateArrival mirrors every constructor
+// precondition, so this can never panic.
 func compileArrivals(a *ArrivalSpec) core.Arrivals {
 	var arr core.Arrivals
 	switch a.Process {
@@ -163,15 +153,15 @@ func resolveCuts(cuts []Cut, network string) ([]int, error) {
 				}
 			}
 			if found < 0 {
-				return nil, pathErr(p, "no layer %q in %s (layers: %s ...)", c.Name, g.Name(), strings.Join(names[:4], ", "))
+				return nil, field.Errorf(p, "no layer %q in %s (layers: %s ...)", c.Name, g.Name(), strings.Join(names[:4], ", "))
 			}
 			idx = found + 1 // cut after the named layer
 		}
 		if !valid[idx] && idx != 0 && idx != g.Len() {
 			if c.Name != "" {
-				return nil, pathErr(p, "no legal cut after layer %q (cut %d of %s)", c.Name, idx, g.Name())
+				return nil, field.Errorf(p, "no legal cut after layer %q (cut %d of %s)", c.Name, idx, g.Name())
 			}
-			return nil, pathErr(p, "no legal cut at %d (nn.Graph.ValidCuts enumerates the legal ones)", idx)
+			return nil, field.Errorf(p, "no legal cut at %d (nn.Graph.ValidCuts enumerates the legal ones)", idx)
 		}
 		out[i] = idx
 	}
@@ -185,33 +175,43 @@ func (sc *Scenario) Compile() (pipeline.Config, error) {
 	fail := func(err error) (pipeline.Config, error) {
 		return pipeline.Config{}, fmt.Errorf("scenario %s: %v", sc.errLabel(), err)
 	}
-	if err := sc.Validate(); err != nil {
+	cfg, err := sc.check()
+	if err != nil {
 		return fail(err)
 	}
+	if cfg.Cuts, err = resolveCuts(sc.Fleet.Cuts, sc.Network); err != nil {
+		return fail(err)
+	}
+	return cfg, nil
+}
+
+// lower maps the scenario onto a pipeline.Config; the returned error is
+// the first unknown enum spelling. Declared cut indices stand in for
+// the cuts (Compile resolves names). The arrival specs must already be
+// valid: the core constructors panic on bad parameters.
+func (sc *Scenario) lower() (pipeline.Config, error) {
+	var err error
 	cfg := pipeline.Config{
 		Seed:    sc.Seed,
 		NetSeed: sc.NetSeed,
 		Images:  sc.Images,
 		SLO:     sc.SLO.Std(),
-	}
-	switch sc.Network {
-	case "googlenet":
-		cfg.Network = pipeline.NetGoogLeNet
-	case "micro":
-		cfg.Network = pipeline.NetMicro
+		Network: enum(&err, networks, "network", "network", sc.Network),
 	}
 	if d := sc.Dataset; d != nil {
+		// Zero keeps the default; anything else, negatives included,
+		// is the dataset's to accept or refuse.
 		dc := imagenet.DefaultConfig()
-		if d.Images > 0 {
+		if d.Images != 0 {
 			dc.Images = d.Images
 		}
-		if d.Classes > 0 {
+		if d.Classes != 0 {
 			dc.Classes = d.Classes
 		}
-		if d.Subsets > 0 {
+		if d.Subsets != 0 {
 			dc.Subsets = d.Subsets
 		}
-		if d.Size > 0 {
+		if d.Size != 0 {
 			dc.Size = d.Size
 		}
 		if d.Seed != 0 {
@@ -219,22 +219,20 @@ func (sc *Scenario) Compile() (pipeline.Config, error) {
 		}
 		cfg.Dataset = dc
 	}
-	for _, g := range sc.Fleet.Groups {
-		cfg.Groups = append(cfg.Groups, compileGroup(g))
+	for i, g := range sc.Fleet.Groups {
+		cfg.Groups = append(cfg.Groups, lowerGroup(&err, fmt.Sprintf("fleet.groups[%d]", i), g))
 	}
-	for _, s := range sc.Fleet.Stages {
+	for i, s := range sc.Fleet.Stages {
 		cfg.Stages = append(cfg.Stages, pipeline.Stage{
-			Group:    compileGroup(s.GroupSpec),
+			Group:    lowerGroup(&err, fmt.Sprintf("fleet.stages[%d]", i), s.GroupSpec),
 			Queue:    s.Queue,
 			Replicas: s.Replicas,
 		})
 	}
-	cuts, err := resolveCuts(sc.Fleet.Cuts, sc.Network)
-	if err != nil {
-		return fail(err)
+	for _, c := range sc.Fleet.Cuts {
+		cfg.Cuts = append(cfg.Cuts, c.Index)
 	}
-	cfg.Cuts = cuts
-	cfg.Routing = compileRouting(sc.Fleet.Routing)
+	cfg.Routing = enum(&err, routings, "fleet.routing", "routing", sc.Fleet.Routing)
 	cfg.QueueDepth = sc.Fleet.QueueDepth
 	if t := sc.Traffic; t != nil {
 		if t.Arrivals != nil {
@@ -243,11 +241,11 @@ func (sc *Scenario) Compile() (pipeline.Config, error) {
 		}
 		if ts := t.Tenants; ts != nil {
 			tc := tenant.Config{
-				Scheduler:      compileScheduler(ts.Scheduler),
+				Scheduler:      enum(&err, schedulers, "traffic.tenants.scheduler", "scheduler", ts.Scheduler),
 				SharedDepth:    ts.SharedDepth,
-				SharedOverload: compilePolicy(ts.SharedOverload),
+				SharedOverload: enum(&err, policies, "traffic.tenants.shared_overload", "overload policy", ts.SharedOverload),
 			}
-			for _, tn := range ts.Tenants {
+			for i, tn := range ts.Tenants {
 				tc.Tenants = append(tc.Tenants, tenant.Tenant{
 					ID:          tn.ID,
 					Weight:      tn.Weight,
@@ -255,7 +253,7 @@ func (sc *Scenario) Compile() (pipeline.Config, error) {
 					SLO:         tn.SLO.Std(),
 					Arrivals:    compileArrivals(tn.Arrivals),
 					QueueDepth:  tn.QueueDepth,
-					Overload:    compilePolicy(tn.Overload),
+					Overload:    enum(&err, policies, fmt.Sprintf("traffic.tenants.tenants[%d].overload", i), "overload policy", tn.Overload),
 					MaxInFlight: tn.MaxInFlight,
 					RatePerSec:  tn.RatePerSec,
 					Burst:       tn.Burst,
@@ -266,7 +264,7 @@ func (sc *Scenario) Compile() (pipeline.Config, error) {
 	}
 	if ad := sc.Admission; ad != nil {
 		cfg.AdmissionDepth = ad.Depth
-		cfg.AdmissionPolicy = compilePolicy(ad.Policy)
+		cfg.AdmissionPolicy = enum(&err, policies, "admission.policy", "overload policy", ad.Policy)
 		cfg.AdmissionShrink = ad.Shrink
 		cfg.AdmissionMinDepth = ad.MinDepth
 	}
@@ -284,20 +282,20 @@ func (sc *Scenario) Compile() (pipeline.Config, error) {
 		cfg.AdaptiveBatch = b.Adaptive
 	}
 	if f := sc.Faults; f != nil {
-		for _, e := range f.Events {
+		for i, e := range f.Events {
 			cfg.Faults.Events = append(cfg.Faults.Events, fault.Event{
 				Device:   e.Device,
-				Kind:     compileFaultKind(e.Kind),
+				Kind:     enum(&err, faultKinds, fmt.Sprintf("faults.events[%d].kind", i), "fault kind", e.Kind),
 				At:       e.At.Std(),
 				Duration: e.Duration.Std(),
 				Factor:   e.Factor,
 				Count:    e.Count,
 			})
 		}
-		for _, pr := range f.Processes {
+		for i, pr := range f.Processes {
 			kinds := make([]fault.Kind, len(pr.Kinds))
-			for i, k := range pr.Kinds {
-				kinds[i] = compileFaultKind(k)
+			for j, k := range pr.Kinds {
+				kinds[j] = enum(&err, faultKinds, fmt.Sprintf("faults.processes[%d].kinds[%d]", i, j), "fault kind", k)
 			}
 			cfg.Faults.Processes = append(cfg.Faults.Processes, fault.Process{
 				Devices: pr.Devices,
@@ -321,5 +319,5 @@ func (sc *Scenario) Compile() (pipeline.Config, error) {
 		}
 		cfg.Recovery = rc
 	}
-	return cfg, nil
+	return cfg, err
 }

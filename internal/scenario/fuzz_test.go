@@ -9,9 +9,10 @@ import (
 
 // FuzzParse throws arbitrary bytes at the strict parser: whatever the
 // input, Parse must never panic, and every rejection must name the
-// file. When parsing succeeds, compilation of cut-free scenarios must
-// not panic either (cut resolution builds a network per call, too
-// slow for the fuzz loop).
+// file. When parsing succeeds, a cut-free scenario must compile, and
+// its config must pass pipeline.Config.Validate: whatever Parse
+// accepts, the session constructor accepts (cut resolution builds a
+// network per call, too slow for the fuzz loop).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		minimal,
@@ -69,8 +70,12 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		if len(sc.Fleet.Cuts) == 0 {
-			if _, err := sc.Compile(); err != nil {
+			cfg, err := sc.Compile()
+			if err != nil {
 				t.Fatalf("validated cut-free scenario failed to compile: %v", err)
+			}
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("Parse accepted a config the session constructor refuses: %v", err)
 			}
 		}
 	})

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -390,145 +391,80 @@ type Scenario struct {
 	src string
 }
 
-// field is one node of the strict-parsing schema: the set of known
-// JSON keys at that nesting level. A nil child is a scalar (or an
-// array of scalars); a non-nil child applies to an object value or to
-// every element of an array value.
-type field map[string]field
-
-func arrivalFields(top bool) field {
-	f := field{
-		"process":  nil,
-		"rate":     nil,
-		"on":       nil,
-		"off":      nil,
-		"instants": nil,
-		"delay":    nil,
-	}
-	if top {
-		f["cycle"] = nil
-		ph := arrivalFields(false)
-		ph["duration"] = nil
-		f["phases"] = ph
-	}
-	return f
-}
-
-func groupFields(stage bool) field {
-	f := field{
-		"kind":       nil,
-		"batch":      nil,
-		"devices":    nil,
-		"weight":     nil,
-		"seed_label": nil,
-	}
-	if stage {
-		f["replicas"] = nil
-		f["queue"] = nil
-	}
-	return f
-}
-
-// rootSchema is the full scenario schema, used to reject unknown
-// fields with an exact path before typed decoding.
-var rootSchema = field{
-	"name":        nil,
-	"description": nil,
-	"seed":        nil,
-	"net_seed":    nil,
-	"images":      nil,
-	"network":     nil,
-	"dataset": field{
-		"images": nil, "classes": nil, "subsets": nil, "size": nil, "seed": nil,
-	},
-	"fleet": field{
-		"groups":      groupFields(false),
-		"stages":      groupFields(true),
-		"cuts":        nil,
-		"routing":     nil,
-		"queue_depth": nil,
-	},
-	"traffic": field{
-		"arrivals":      arrivalFields(true),
-		"arrival_label": nil,
-		"tenants": field{
-			"scheduler":       nil,
-			"shared_depth":    nil,
-			"shared_overload": nil,
-			"tenants": field{
-				"id":            nil,
-				"weight":        nil,
-				"priority":      nil,
-				"slo":           nil,
-				"arrivals":      arrivalFields(true),
-				"queue_depth":   nil,
-				"overload":      nil,
-				"max_in_flight": nil,
-				"rate_per_sec":  nil,
-				"burst":         nil,
-			},
-		},
-	},
-	"slo": nil,
-	"admission": field{
-		"depth": nil, "policy": nil, "shrink": nil, "min_depth": nil,
-	},
-	"hedge": field{
-		"trigger": nil, "quantile": nil, "min_samples": nil, "budget": nil, "dynamic": nil,
-	},
-	"batching": field{
-		"max_wait": nil, "adaptive": nil,
-	},
-	"faults": field{
-		"events": field{
-			"device": nil, "kind": nil, "at": nil, "duration": nil, "factor": nil, "count": nil,
-		},
-		"processes": field{
-			"devices": nil, "kinds": nil, "rate": nil, "start": nil, "end": nil, "factor": nil, "window": nil,
-		},
-	},
-	"recovery": field{
-		"timeout": nil, "recover": nil, "max_attempts": nil,
-	},
-	"reloads": field{
-		"at": nil, "slo": nil, "hedge_budget": nil, "admission_depth": nil,
-	},
-}
+// unmarshaler is the interface of types that decode themselves
+// (Duration, Cut): the strict field check treats them as leaves.
+var unmarshaler = reflect.TypeFor[json.Unmarshaler]()
 
 // checkFields walks the generically-decoded document against the
-// schema and rejects the first unknown key, carrying its full path.
-// Keys are visited in sorted order so the error is deterministic.
-func checkFields(path string, v any, sc field) error {
+// scenario structs' json tags and rejects the first unknown key,
+// carrying its full path. Keys are visited in sorted order so the
+// error is deterministic; values whose shape does not match the type
+// are left to the typed decode, which reports them.
+func checkFields(path string, v any, t reflect.Type) error {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	if reflect.PointerTo(t).Implements(unmarshaler) {
+		return nil
+	}
 	switch val := v.(type) {
 	case map[string]any:
+		if t.Kind() != reflect.Struct {
+			return nil
+		}
+		fields := jsonFields(t)
 		keys := make([]string, 0, len(val))
 		for k := range val {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			child, ok := sc[k]
 			p := k
 			if path != "" {
 				p = path + "." + k
 			}
+			ft, ok := fields[k]
 			if !ok {
 				return fmt.Errorf("%s: unknown field", p)
 			}
-			if child != nil {
-				if err := checkFields(p, val[k], child); err != nil {
-					return err
-				}
+			if err := checkFields(p, val[k], ft); err != nil {
+				return err
 			}
 		}
 	case []any:
+		if t.Kind() != reflect.Slice {
+			return nil
+		}
 		for i, e := range val {
-			if err := checkFields(fmt.Sprintf("%s[%d]", path, i), e, sc); err != nil {
+			if err := checkFields(fmt.Sprintf("%s[%d]", path, i), e, t.Elem()); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// jsonFields maps each JSON key of struct type t to its field type as
+// encoding/json sees them: embedded structs are flattened, and
+// unexported and `json:"-"` fields are skipped.
+func jsonFields(t reflect.Type) map[string]reflect.Type {
+	out := map[string]reflect.Type{}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case f.Anonymous && name == "":
+			for k, ft := range jsonFields(f.Type) {
+				out[k] = ft
+			}
+		case !f.IsExported() || name == "-":
+		case name == "":
+			out[f.Name] = f.Type
+		default:
+			out[name] = f.Type
+		}
+	}
+	return out
 }
 
 // errLabel returns the name a scenario's errors carry: the file base
@@ -560,7 +496,7 @@ func Parse(data []byte, name string) (*Scenario, error) {
 	if !ok {
 		return nil, fail("top level must be a JSON object")
 	}
-	if err := checkFields("", obj, rootSchema); err != nil {
+	if err := checkFields("", obj, reflect.TypeFor[Scenario]()); err != nil {
 		return nil, fail("%v", err)
 	}
 	var sc Scenario

@@ -14,25 +14,16 @@ const minimal = `{
 	"fleet": {"groups": [{"kind": "cpu"}]}
 }`
 
-// parseCompile exercises the full static path: strict parse,
-// semantic validation, and compilation (where cut names resolve).
-func parseCompile(src string) error {
-	sc, err := Parse([]byte(src), "test.json")
-	if err != nil {
-		return err
-	}
-	_, err = sc.Compile()
-	return err
-}
-
 // TestValidationRules holds one case per validation rule: every
 // malformed scenario must fail with an error naming the offending
-// field path.
+// field path. Parse rejects all of them except named cuts, which only
+// Compile can resolve against the workload network.
 func TestValidationRules(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
 		want string // substring of the error
+		late bool   // rejected by Compile, not Parse
 	}{
 		{
 			name: "unknown device kind",
@@ -59,6 +50,7 @@ func TestValidationRules(t *testing.T) {
 				"fleet":{"stages":[{"kind":"vpu","devices":2},{"kind":"gpu","batch":4}],
 				"cuts":["no_such_layer"]}}`,
 			want: `fleet.cuts[0]: no layer "no_such_layer"`,
+			late: true,
 		},
 		{
 			name: "cut inside an inception module",
@@ -66,6 +58,7 @@ func TestValidationRules(t *testing.T) {
 				"fleet":{"stages":[{"kind":"vpu","devices":2},{"kind":"gpu","batch":4}],
 				"cuts":["inception_3a/1x1"]}}`,
 			want: `fleet.cuts[0]: no legal cut after layer "inception_3a/1x1"`,
+			late: true,
 		},
 		{
 			name: "hot-reload of a non-reloadable field",
@@ -88,7 +81,7 @@ func TestValidationRules(t *testing.T) {
 			name: "admission without arrivals",
 			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
 				"admission":{"depth":8}}`,
-			want: "admission: needs traffic.arrivals",
+			want: "admission: needs a paced source",
 		},
 		{
 			name: "hedge budget reload without a hedge section",
@@ -198,11 +191,66 @@ func TestValidationRules(t *testing.T) {
 			src:  `{"name":"t","fleet":{}}`,
 			want: "fleet: needs groups or stages",
 		},
+		{
+			name: "duplicate tenant IDs",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+				"traffic":{"tenants":{"tenants":[
+					{"id":"a","arrivals":{"process":"poisson","rate":5}},
+					{"id":"a","arrivals":{"process":"poisson","rate":5}}]}}}`,
+			want: `traffic.tenants.tenants[1].id: duplicate tenant "a"`,
+		},
+		{
+			name: "hedge on a single CPU group",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+				"hedge":{"trigger":100}}`,
+			want: "hedge: hedging a single group needs a multi-stick VPU group",
+		},
+		{
+			name: "hedge over stages",
+			src: `{"name":"t","fleet":{
+				"stages":[{"kind":"vpu","devices":2},{"kind":"gpu","batch":4}],"cuts":[38]},
+				"hedge":{"trigger":100}}`,
+			want: "hedge: hedging duplicates whole inferences across groups",
+		},
+		{
+			name: "hedge with work-stealing routing",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"},{"kind":"vpu","devices":2}],
+				"routing":"work-stealing"},
+				"hedge":{"trigger":100}}`,
+			want: "hedge: hedging needs per-group feeds",
+		},
+		{
+			name: "admission floor above depth",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+				"traffic":{"arrivals":{"process":"poisson","rate":10}},
+				"admission":{"depth":4,"shrink":true,"min_depth":8}}`,
+			want: "admission.min_depth: floor 8 exceeds depth 4",
+		},
+		{
+			name: "phases on a non-phased phase",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+				"traffic":{"arrivals":{"process":"phased","phases":[
+					{"process":"poisson","rate":5,"duration":1000,
+					 "phases":[{"process":"poisson","rate":1,"duration":10}]}]}}}`,
+			want: "traffic.arrivals.phases[0].phases: only meaningful with a phased process",
+		},
+		{
+			name: "phase-only key on a top-level process",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+				"traffic":{"arrivals":{"process":"poisson","rate":5,"duration":1000}}}`,
+			want: "traffic.arrivals.duration: unknown field",
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			err := parseCompile(tc.src)
+			sc, err := Parse([]byte(tc.src), "test.json")
+			if tc.late {
+				if err != nil {
+					t.Fatalf("Parse: %v (want the error from Compile)", err)
+				}
+				_, err = sc.Compile()
+			}
 			if err == nil {
 				t.Fatalf("want error containing %q, got nil", tc.want)
 			}

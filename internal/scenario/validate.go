@@ -1,236 +1,106 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"regexp"
+	"strings"
 	"time"
+
+	"repro/internal/field"
+	"repro/internal/pipeline"
 )
 
-// Validation: every rule failure is an error whose message begins
-// with the JSON field path of the offending value ("fleet.groups[0]
-// .kind: ..."), so a scenario author can fix a file from the error
-// alone. Parse wraps these with the file name. Cut names are the one
-// thing validated later — they need the workload network, so Compile
-// resolves and checks them.
-
-func pathErr(path, format string, args ...any) error {
-	return fmt.Errorf("%s: %s", path, fmt.Sprintf(format, args...))
-}
+// Validation: every rule failure is a field.Error whose path is the
+// JSON field path of the offending value ("fleet.groups[0].kind: ..."),
+// so a scenario author can fix a file from the error alone. Parse wraps
+// these with the file name.
+//
+// Only the rules a pipeline.Config cannot see live in this package:
+// the name, the enum spellings (network, kinds, policies — the tables
+// in compile.go), whether a section is present (an empty admission or hedge section
+// lowers to a disabled knob), the arrival specs (the core arrival
+// constructors panic on bad parameters, and a Config holds only built
+// processes) and the reload schedule. Everything else is
+// pipeline.Config.Validate's: the scenario is lowered onto a Config,
+// validated there, and the Go field path of any error is translated
+// into the JSON path. Cut names are the one thing validated later —
+// they need the workload network, so Compile resolves and checks them.
 
 func finitePositive(v float64) bool {
-	return v > 0 && !math.IsInf(v, 1) && !math.IsNaN(v)
+	return v > 0 && !math.IsInf(v, 1)
 }
 
 func finiteNonNegative(v float64) bool {
-	return v >= 0 && !math.IsInf(v, 1) && !math.IsNaN(v)
-}
-
-// knownKinds, knownRoutings, knownPolicies and knownSchedulers are
-// the accepted enum spellings; the compile helpers map them onto the
-// typed constants.
-const (
-	knownKinds      = "cpu, gpu or vpu"
-	knownRoutings   = "throughput-weighted, static-split, round-robin, work-stealing or latency-ewma"
-	knownPolicies   = "shed-newest, shed-oldest or block"
-	knownSchedulers = "fifo, weighted-fair or priority"
-	knownFaults     = "hang, link-drop, transient, slowdown or batch-oom"
-	knownProcesses  = "deterministic, poisson, bursty, trace or phased"
-)
-
-func validKind(k string) bool {
-	return k == "cpu" || k == "gpu" || k == "vpu"
-}
-
-func validRouting(r string) bool {
-	switch r {
-	case "", "throughput-weighted", "static-split", "round-robin", "work-stealing", "latency-ewma":
-		return true
-	}
-	return false
-}
-
-func validPolicy(p string) bool {
-	return p == "" || p == "shed-newest" || p == "shed-oldest" || p == "block"
-}
-
-func validScheduler(s string) bool {
-	return s == "" || s == "fifo" || s == "fair" || s == "weighted-fair" || s == "priority"
-}
-
-func validFaultKind(k string) bool {
-	switch k {
-	case "hang", "link-drop", "transient", "slowdown", "batch-oom":
-		return true
-	}
-	return false
+	return v >= 0 && !math.IsInf(v, 1)
 }
 
 // Validate checks every semantic rule a scenario must satisfy before
 // compilation; the returned error names the offending field path.
 func (sc *Scenario) Validate() error {
+	_, err := sc.check()
+	return err
+}
+
+// check runs the file-format rules, lowers the scenario onto a
+// pipeline.Config and validates that config, returning it for Compile.
+func (sc *Scenario) check() (pipeline.Config, error) {
+	if err := sc.validateFormat(); err != nil {
+		return pipeline.Config{}, err
+	}
+	cfg, err := sc.lower()
+	if err != nil {
+		return pipeline.Config{}, err
+	}
+	if err := cfg.Validate(); err != nil {
+		var fe *field.Error
+		if errors.As(err, &fe) {
+			err = &field.Error{Path: jsonPath(fe.Path), Err: fe.Err}
+		}
+		return pipeline.Config{}, err
+	}
+	return cfg, nil
+}
+
+func (sc *Scenario) validateFormat() error {
 	if sc.Name == "" {
-		return pathErr("name", "required (a scenario must name itself)")
+		return field.Errorf("name", "required (a scenario must name itself)")
 	}
-	if sc.Images < 0 {
-		return pathErr("images", "negative image count %d", sc.Images)
-	}
-	switch sc.Network {
-	case "", "auto", "googlenet", "micro":
-	default:
-		return pathErr("network", "unknown network %q (want auto, googlenet or micro)", sc.Network)
-	}
-	if d := sc.Dataset; d != nil {
-		if d.Images < 0 || d.Classes < 0 || d.Subsets < 0 || d.Size < 0 {
-			return pathErr("dataset", "negative dataset parameter")
+	if t := sc.Traffic; t != nil {
+		if t.ArrivalLabel != "" && t.Arrivals == nil {
+			return field.Errorf("traffic.arrival_label", "needs traffic.arrivals")
 		}
-	}
-	if err := sc.validateFleet(); err != nil {
-		return err
-	}
-	if err := sc.validateTraffic(); err != nil {
-		return err
-	}
-	if sc.SLO < 0 {
-		return pathErr("slo", "negative deadline %v", sc.SLO.Std())
-	}
-	if err := sc.validateKnobs(); err != nil {
-		return err
-	}
-	if err := sc.validateFaults(); err != nil {
-		return err
-	}
-	if err := sc.validateReloads(); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (sc *Scenario) validateFleet() error {
-	f := &sc.Fleet
-	if len(f.Groups) == 0 && len(f.Stages) == 0 {
-		return pathErr("fleet", "needs groups or stages")
-	}
-	if len(f.Groups) > 0 && len(f.Stages) > 0 {
-		return pathErr("fleet", "groups and stages are mutually exclusive")
-	}
-	for i, g := range f.Groups {
-		if err := validateGroup(fmt.Sprintf("fleet.groups[%d]", i), g); err != nil {
-			return err
-		}
-	}
-	for i, s := range f.Stages {
-		p := fmt.Sprintf("fleet.stages[%d]", i)
-		if err := validateGroup(p, s.GroupSpec); err != nil {
-			return err
-		}
-		if s.Replicas < 0 {
-			return pathErr(p+".replicas", "negative replica count %d", s.Replicas)
-		}
-		if s.Queue < 0 {
-			return pathErr(p+".queue", "negative queue bound %d", s.Queue)
-		}
-	}
-	if len(f.Cuts) > 0 && len(f.Stages) == 0 {
-		return pathErr("fleet.cuts", "cuts need stages")
-	}
-	if len(f.Stages) > 0 && len(f.Cuts) != len(f.Stages)-1 {
-		return pathErr("fleet.cuts", "%d cuts for %d stages (need stages-1)", len(f.Cuts), len(f.Stages))
-	}
-	if !validRouting(f.Routing) {
-		return pathErr("fleet.routing", "unknown routing %q (want %s)", f.Routing, knownRoutings)
-	}
-	if f.QueueDepth < 0 {
-		return pathErr("fleet.queue_depth", "negative queue depth %d", f.QueueDepth)
-	}
-	return nil
-}
-
-func validateGroup(path string, g GroupSpec) error {
-	if !validKind(g.Kind) {
-		return pathErr(path+".kind", "unknown device kind %q (want %s)", g.Kind, knownKinds)
-	}
-	if g.Batch < 0 {
-		return pathErr(path+".batch", "negative batch size %d", g.Batch)
-	}
-	if g.Devices < 0 {
-		return pathErr(path+".devices", "negative device count %d", g.Devices)
-	}
-	if !finiteNonNegative(g.Weight) {
-		return pathErr(path+".weight", "weight %g (need finite >= 0)", g.Weight)
-	}
-	return nil
-}
-
-func (sc *Scenario) validateTraffic() error {
-	t := sc.Traffic
-	if t == nil {
-		return nil
-	}
-	if t.Arrivals != nil && t.Tenants != nil {
-		return pathErr("traffic", "arrivals and tenants are mutually exclusive (tenant lanes carry their own arrival processes)")
-	}
-	if t.ArrivalLabel != "" && t.Arrivals == nil {
-		return pathErr("traffic.arrival_label", "needs traffic.arrivals")
-	}
-	if t.Arrivals != nil {
-		if err := validateArrival("traffic.arrivals", t.Arrivals, false); err != nil {
-			return err
-		}
-	}
-	if ts := t.Tenants; ts != nil {
-		if !validScheduler(ts.Scheduler) {
-			return pathErr("traffic.tenants.scheduler", "unknown scheduler %q (want %s)", ts.Scheduler, knownSchedulers)
-		}
-		if ts.SharedDepth < 0 {
-			return pathErr("traffic.tenants.shared_depth", "negative depth %d", ts.SharedDepth)
-		}
-		if !validPolicy(ts.SharedOverload) {
-			return pathErr("traffic.tenants.shared_overload", "unknown overload policy %q (want %s)", ts.SharedOverload, knownPolicies)
-		}
-		if len(ts.Tenants) == 0 {
-			return pathErr("traffic.tenants.tenants", "need at least one tenant")
-		}
-		for i, tn := range ts.Tenants {
-			if err := validateTenant(fmt.Sprintf("traffic.tenants.tenants[%d]", i), tn); err != nil {
+		if t.Arrivals != nil {
+			if err := validateArrival("traffic.arrivals", t.Arrivals, false); err != nil {
 				return err
 			}
 		}
+		if ts := t.Tenants; ts != nil {
+			if len(ts.Tenants) == 0 {
+				return field.Errorf("traffic.tenants.tenants", "need at least one tenant")
+			}
+			for i, tn := range ts.Tenants {
+				p := fmt.Sprintf("traffic.tenants.tenants[%d].arrivals", i)
+				if tn.Arrivals == nil {
+					return field.Errorf(p, "required (every tenant drives its own traffic)")
+				}
+				if err := validateArrival(p, tn.Arrivals, false); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	return nil
-}
-
-func validateTenant(path string, t TenantSpec) error {
-	if t.ID == "" {
-		return pathErr(path+".id", "required")
+	if ad := sc.Admission; ad != nil && ad.Depth < 1 {
+		return field.Errorf("admission.depth", "depth %d (need >= 1)", ad.Depth)
 	}
-	if !finiteNonNegative(t.Weight) {
-		return pathErr(path+".weight", "weight %g (need finite >= 0)", t.Weight)
+	if h := sc.Hedge; h != nil && h.Trigger == 0 && h.Quantile == 0 {
+		return field.Errorf("hedge", "needs a trigger or a quantile")
 	}
-	if t.SLO < 0 {
-		return pathErr(path+".slo", "negative deadline %v", t.SLO.Std())
+	if r := sc.Recovery; r != nil && r.Timeout <= 0 {
+		return field.Errorf("recovery.timeout", "heartbeat %v (need > 0)", r.Timeout.Std())
 	}
-	if t.Arrivals == nil {
-		return pathErr(path+".arrivals", "required (every tenant drives its own traffic)")
-	}
-	if err := validateArrival(path+".arrivals", t.Arrivals, false); err != nil {
-		return err
-	}
-	if t.QueueDepth < 0 {
-		return pathErr(path+".queue_depth", "negative depth %d", t.QueueDepth)
-	}
-	if !validPolicy(t.Overload) {
-		return pathErr(path+".overload", "unknown overload policy %q (want %s)", t.Overload, knownPolicies)
-	}
-	if t.MaxInFlight < 0 {
-		return pathErr(path+".max_in_flight", "negative quota %d", t.MaxInFlight)
-	}
-	if !finiteNonNegative(t.RatePerSec) {
-		return pathErr(path+".rate_per_sec", "rate quota %g (need finite >= 0)", t.RatePerSec)
-	}
-	if t.Burst < 0 {
-		return pathErr(path+".burst", "negative burst %d", t.Burst)
-	}
-	return nil
+	return sc.validateReloads()
 }
 
 // validateArrival checks one arrival spec; the checks mirror the
@@ -241,42 +111,42 @@ func validateArrival(path string, a *ArrivalSpec, nested bool) error {
 	switch a.Process {
 	case "deterministic", "poisson":
 		if !finitePositive(a.Rate) {
-			return pathErr(path+".rate", "arrival rate %g (need positive finite)", a.Rate)
+			return field.Errorf(path+".rate", "arrival rate %g (need positive finite)", a.Rate)
 		}
 	case "bursty":
 		if !finitePositive(a.Rate) {
-			return pathErr(path+".rate", "arrival rate %g (need positive finite)", a.Rate)
+			return field.Errorf(path+".rate", "arrival rate %g (need positive finite)", a.Rate)
 		}
 		if a.On <= 0 {
-			return pathErr(path+".on", "on-phase %v (need > 0)", a.On.Std())
+			return field.Errorf(path+".on", "on-phase %v (need > 0)", a.On.Std())
 		}
 		if a.Off < 0 {
-			return pathErr(path+".off", "negative off-phase %v", a.Off.Std())
+			return field.Errorf(path+".off", "negative off-phase %v", a.Off.Std())
 		}
 		if period := time.Duration(float64(time.Second) / a.Rate); a.On.Std() < period {
-			return pathErr(path+".on", "on-phase %v holds no arrivals at %g/s (period %v)", a.On.Std(), a.Rate, period)
+			return field.Errorf(path+".on", "on-phase %v holds no arrivals at %g/s (period %v)", a.On.Std(), a.Rate, period)
 		}
 	case "trace":
 		if len(a.Instants) == 0 {
-			return pathErr(path+".instants", "empty trace")
+			return field.Errorf(path+".instants", "empty trace")
 		}
 		for i, ins := range a.Instants {
 			if ins < 0 {
-				return pathErr(fmt.Sprintf("%s.instants[%d]", path, i), "negative instant %v", ins.Std())
+				return field.Errorf(fmt.Sprintf("%s.instants[%d]", path, i), "negative instant %v", ins.Std())
 			}
 		}
 	case "phased":
 		if nested {
-			return pathErr(path+".process", "phased schedules cannot nest")
+			return field.Errorf(path+".process", "phased schedules cannot nest")
 		}
 		if len(a.Phases) == 0 {
-			return pathErr(path+".phases", "need at least one phase")
+			return field.Errorf(path+".phases", "need at least one phase")
 		}
 		silent := true
 		for i, ph := range a.Phases {
 			p := fmt.Sprintf("%s.phases[%d]", path, i)
 			if ph.Duration <= 0 {
-				return pathErr(p+".duration", "phase duration %v (need > 0)", ph.Duration.Std())
+				return field.Errorf(p+".duration", "phase duration %v (need > 0)", ph.Duration.Std())
 			}
 			if ph.Process != "silence" {
 				silent = false
@@ -286,131 +156,23 @@ func validateArrival(path string, a *ArrivalSpec, nested bool) error {
 			}
 		}
 		if silent {
-			return pathErr(path+".phases", "every phase silent")
+			return field.Errorf(path+".phases", "every phase silent")
 		}
 	case "silence":
 		if !nested {
-			return pathErr(path+".process", "silence is only meaningful as a phase of a phased schedule")
+			return field.Errorf(path+".process", "silence is only meaningful as a phase of a phased schedule")
 		}
 	default:
-		return pathErr(path+".process", "unknown arrival process %q (want %s)", a.Process, knownProcesses)
+		return field.Errorf(path+".process", "unknown arrival process %q (want deterministic, poisson, bursty, trace or phased)", a.Process)
 	}
 	if a.Cycle && a.Process != "phased" {
-		return pathErr(path+".cycle", "only meaningful with a phased process")
+		return field.Errorf(path+".cycle", "only meaningful with a phased process")
+	}
+	if len(a.Phases) > 0 && a.Process != "phased" {
+		return field.Errorf(path+".phases", "only meaningful with a phased process")
 	}
 	if a.Delay < 0 {
-		return pathErr(path+".delay", "negative delay %v", a.Delay.Std())
-	}
-	return nil
-}
-
-func (sc *Scenario) validateKnobs() error {
-	if ad := sc.Admission; ad != nil {
-		if ad.Depth < 1 {
-			return pathErr("admission.depth", "depth %d (need >= 1)", ad.Depth)
-		}
-		if !validPolicy(ad.Policy) {
-			return pathErr("admission.policy", "unknown overload policy %q (want %s)", ad.Policy, knownPolicies)
-		}
-		if ad.MinDepth < 0 {
-			return pathErr("admission.min_depth", "negative floor %d", ad.MinDepth)
-		}
-		if sc.Traffic == nil || sc.Traffic.Arrivals == nil {
-			return pathErr("admission", "needs traffic.arrivals (a bounded ingress is only meaningful against offered load)")
-		}
-	}
-	if h := sc.Hedge; h != nil {
-		if h.Trigger < 0 {
-			return pathErr("hedge.trigger", "negative trigger %v", h.Trigger.Std())
-		}
-		if h.Quantile < 0 || h.Quantile >= 1 {
-			return pathErr("hedge.quantile", "quantile %g (need 0 <= q < 1)", h.Quantile)
-		}
-		if h.Trigger == 0 && h.Quantile == 0 {
-			return pathErr("hedge", "needs a trigger or a quantile")
-		}
-		if h.MinSamples < 0 {
-			return pathErr("hedge.min_samples", "negative warmup %d", h.MinSamples)
-		}
-		if !finiteNonNegative(h.Budget) {
-			return pathErr("hedge.budget", "budget %g (need finite >= 0)", h.Budget)
-		}
-		if h.Dynamic && h.Budget == 0 {
-			return pathErr("hedge.dynamic", "needs a positive budget")
-		}
-	}
-	if b := sc.Batching; b != nil {
-		if b.MaxWait < 0 {
-			return pathErr("batching.max_wait", "negative wait %v", b.MaxWait.Std())
-		}
-	}
-	if r := sc.Recovery; r != nil {
-		if r.Timeout <= 0 {
-			return pathErr("recovery.timeout", "heartbeat %v (need > 0)", r.Timeout.Std())
-		}
-		if r.MaxAttempts < 0 {
-			return pathErr("recovery.max_attempts", "negative budget %d", r.MaxAttempts)
-		}
-	}
-	return nil
-}
-
-func (sc *Scenario) validateFaults() error {
-	f := sc.Faults
-	if f == nil {
-		return nil
-	}
-	for i, e := range f.Events {
-		p := fmt.Sprintf("faults.events[%d]", i)
-		if e.Device == "" {
-			return pathErr(p+".device", "required")
-		}
-		if !validFaultKind(e.Kind) {
-			return pathErr(p+".kind", "unknown fault kind %q (want %s)", e.Kind, knownFaults)
-		}
-		if e.At < 0 {
-			return pathErr(p+".at", "negative instant %v", e.At.Std())
-		}
-		if e.Kind == "slowdown" {
-			if e.Factor <= 1 || math.IsInf(e.Factor, 1) || math.IsNaN(e.Factor) {
-				return pathErr(p+".factor", "slowdown factor %g (need finite > 1)", e.Factor)
-			}
-			if e.Duration <= 0 {
-				return pathErr(p+".duration", "slowdown window %v (need > 0)", e.Duration.Std())
-			}
-		}
-		if e.Count < 0 {
-			return pathErr(p+".count", "negative count %d", e.Count)
-		}
-	}
-	for i, pr := range f.Processes {
-		p := fmt.Sprintf("faults.processes[%d]", i)
-		if len(pr.Devices) == 0 {
-			return pathErr(p+".devices", "required")
-		}
-		if len(pr.Kinds) == 0 {
-			return pathErr(p+".kinds", "required")
-		}
-		for j, k := range pr.Kinds {
-			if !validFaultKind(k) {
-				return pathErr(fmt.Sprintf("%s.kinds[%d]", p, j), "unknown fault kind %q (want %s)", k, knownFaults)
-			}
-		}
-		if !finitePositive(pr.Rate) {
-			return pathErr(p+".rate", "fault rate %g (need positive finite)", pr.Rate)
-		}
-		if pr.Start < 0 {
-			return pathErr(p+".start", "negative instant %v", pr.Start.Std())
-		}
-		if pr.End <= pr.Start {
-			return pathErr(p+".end", "window end %v at or before start %v", pr.End.Std(), pr.Start.Std())
-		}
-		if pr.Factor != 0 && (pr.Factor <= 1 || math.IsInf(pr.Factor, 1) || math.IsNaN(pr.Factor)) {
-			return pathErr(p+".factor", "slowdown factor %g (need finite > 1)", pr.Factor)
-		}
-		if pr.Window < 0 {
-			return pathErr(p+".window", "negative window %v", pr.Window.Std())
-		}
+		return field.Errorf(path+".delay", "negative delay %v", a.Delay.Std())
 	}
 	return nil
 }
@@ -419,30 +181,104 @@ func (sc *Scenario) validateReloads() error {
 	for i, rl := range sc.Reloads {
 		p := fmt.Sprintf("reloads[%d]", i)
 		if rl.At < 0 {
-			return pathErr(p+".at", "negative instant %v", rl.At.Std())
+			return field.Errorf(p+".at", "negative instant %v", rl.At.Std())
 		}
 		if rl.SLO == nil && rl.HedgeBudget == nil && rl.AdmissionDepth == nil {
-			return pathErr(p, "reload sets no knob (want slo, hedge_budget or admission_depth)")
+			return field.Errorf(p, "reload sets no knob (want slo, hedge_budget or admission_depth)")
 		}
 		if rl.SLO != nil && *rl.SLO < 0 {
-			return pathErr(p+".slo", "negative deadline %v", rl.SLO.Std())
+			return field.Errorf(p+".slo", "negative deadline %v", rl.SLO.Std())
 		}
 		if rl.HedgeBudget != nil {
 			if !finiteNonNegative(*rl.HedgeBudget) {
-				return pathErr(p+".hedge_budget", "budget %g (need finite >= 0)", *rl.HedgeBudget)
+				return field.Errorf(p+".hedge_budget", "budget %g (need finite >= 0)", *rl.HedgeBudget)
 			}
 			if sc.Hedge == nil {
-				return pathErr(p+".hedge_budget", "needs a hedge section (hedging cannot be turned on mid-run)")
+				return field.Errorf(p+".hedge_budget", "needs a hedge section (hedging cannot be turned on mid-run)")
 			}
 		}
 		if rl.AdmissionDepth != nil {
 			if *rl.AdmissionDepth < 1 {
-				return pathErr(p+".admission_depth", "depth %d (need >= 1)", *rl.AdmissionDepth)
+				return field.Errorf(p+".admission_depth", "depth %d (need >= 1)", *rl.AdmissionDepth)
 			}
 			if sc.Admission == nil {
-				return pathErr(p+".admission_depth", "needs an admission section (admission cannot be turned on mid-run, only resized)")
+				return field.Errorf(p+".admission_depth", "needs an admission section (admission cannot be turned on mid-run, only resized)")
 			}
 		}
 	}
 	return nil
+}
+
+// jsonPaths translates the Go field paths pipeline.Config.Validate
+// reports into scenario JSON paths, with every index written "[]".
+// Config fields whose only reachable errors are conflicts between two
+// parts of one scenario section map to the section: Groups and Stages
+// (fleet shape), Arrivals (against tenants), AdmissionDepth (a paced
+// source; its range is a format rule above) and Hedge.
+var jsonPaths = map[string]string{
+	"Groups":                        "fleet",
+	"Groups[].Batch":                "fleet.groups[].batch",
+	"Groups[].Devices":              "fleet.groups[].devices",
+	"Groups[].Weight":               "fleet.groups[].weight",
+	"Stages":                        "fleet",
+	"Stages[].Group.Batch":          "fleet.stages[].batch",
+	"Stages[].Group.Devices":        "fleet.stages[].devices",
+	"Stages[].Group.Weight":         "fleet.stages[].weight",
+	"Stages[].Queue":                "fleet.stages[].queue",
+	"Stages[].Replicas":             "fleet.stages[].replicas",
+	"Cuts":                          "fleet.cuts",
+	"QueueDepth":                    "fleet.queue_depth",
+	"Images":                        "images",
+	"Dataset.Classes":               "dataset.classes",
+	"Dataset.Images":                "dataset.images",
+	"Dataset.Subsets":               "dataset.subsets",
+	"Dataset.Size":                  "dataset.size",
+	"SLO":                           "slo",
+	"Arrivals":                      "traffic",
+	"Tenants.SharedDepth":           "traffic.tenants.shared_depth",
+	"Tenants.Tenants[].ID":          "traffic.tenants.tenants[].id",
+	"Tenants.Tenants[].Weight":      "traffic.tenants.tenants[].weight",
+	"Tenants.Tenants[].SLO":         "traffic.tenants.tenants[].slo",
+	"Tenants.Tenants[].QueueDepth":  "traffic.tenants.tenants[].queue_depth",
+	"Tenants.Tenants[].MaxInFlight": "traffic.tenants.tenants[].max_in_flight",
+	"Tenants.Tenants[].RatePerSec":  "traffic.tenants.tenants[].rate_per_sec",
+	"Tenants.Tenants[].Burst":       "traffic.tenants.tenants[].burst",
+	"AdmissionDepth":                "admission",
+	"AdmissionMinDepth":             "admission.min_depth",
+	"Hedge":                         "hedge",
+	"Hedge.Trigger":                 "hedge.trigger",
+	"Hedge.Quantile":                "hedge.quantile",
+	"Hedge.MinSamples":              "hedge.min_samples",
+	"Hedge.Budget":                  "hedge.budget",
+	"Hedge.DynamicBudget":           "hedge.dynamic",
+	"BatchMaxWait":                  "batching.max_wait",
+	"Faults.Events[].Device":        "faults.events[].device",
+	"Faults.Events[].At":            "faults.events[].at",
+	"Faults.Events[].Duration":      "faults.events[].duration",
+	"Faults.Events[].Factor":        "faults.events[].factor",
+	"Faults.Events[].Count":         "faults.events[].count",
+	"Faults.Processes[].Devices":    "faults.processes[].devices",
+	"Faults.Processes[].Kinds":      "faults.processes[].kinds",
+	"Faults.Processes[].Rate":       "faults.processes[].rate",
+	"Faults.Processes[].Start":      "faults.processes[].start",
+	"Faults.Processes[].End":        "faults.processes[].end",
+	"Faults.Processes[].Factor":     "faults.processes[].factor",
+	"Faults.Processes[].Window":     "faults.processes[].window",
+	"Recovery.MaxAttempts":          "recovery.max_attempts",
+}
+
+var indexRE = regexp.MustCompile(`\[\d+\]`)
+
+// jsonPath translates one Go field path through jsonPaths, carrying
+// its indices over in order. A path the table does not know (a rule no
+// scenario can reach) is returned unchanged.
+func jsonPath(goPath string) string {
+	p, ok := jsonPaths[indexRE.ReplaceAllString(goPath, "[]")]
+	if !ok {
+		return goPath
+	}
+	for _, idx := range indexRE.FindAllString(goPath, -1) {
+		p = strings.Replace(p, "[]", idx, 1)
+	}
+	return p
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/field"
 )
 
 // Scheduler selects the admission-edge scheduling policy of a
@@ -90,41 +91,51 @@ func (c Config) Enabled() bool { return len(c.Tenants) > 0 }
 
 // Validate checks the registry: unique non-empty IDs, an arrival
 // process per tenant, finite non-negative weights/quotas, a known
-// scheduler.
+// scheduler. Errors are field.Errors with paths relative to the
+// config ("Tenants[2].ID").
 func (c Config) Validate() error {
 	if c.Scheduler < FIFO || c.Scheduler > Priority {
-		return fmt.Errorf("tenant: unknown scheduler %v", c.Scheduler)
+		return field.Errorf("Scheduler", "unknown scheduler %v", c.Scheduler)
 	}
 	if c.SharedDepth < 0 {
-		return fmt.Errorf("tenant: negative shared depth %d", c.SharedDepth)
+		return field.Errorf("SharedDepth", "negative depth %d", c.SharedDepth)
 	}
 	seen := make(map[string]bool, len(c.Tenants))
-	for _, t := range c.Tenants {
+	for i, t := range c.Tenants {
+		p := fmt.Sprintf("Tenants[%d]", i)
 		if t.ID == "" {
-			return fmt.Errorf("tenant: tenant with empty ID")
+			return field.Errorf(p+".ID", "required")
 		}
 		if seen[t.ID] {
-			return fmt.Errorf("tenant: duplicate tenant %q", t.ID)
+			return field.Errorf(p+".ID", "duplicate tenant %q", t.ID)
 		}
 		seen[t.ID] = true
 		if t.Arrivals == nil {
-			return fmt.Errorf("tenant: %q has no arrival process", t.ID)
+			return field.Errorf(p+".Arrivals", "required (every tenant drives its own traffic)")
 		}
-		if t.Weight < 0 || math.IsInf(t.Weight, 1) || math.IsNaN(t.Weight) {
-			return fmt.Errorf("tenant: %q weight %g (need finite >= 0)", t.ID, t.Weight)
+		if !finiteNonNegative(t.Weight) {
+			return field.Errorf(p+".Weight", "weight %g (need finite >= 0)", t.Weight)
 		}
 		if t.SLO < 0 {
-			return fmt.Errorf("tenant: %q negative SLO %v", t.ID, t.SLO)
+			return field.Errorf(p+".SLO", "negative deadline %v", t.SLO)
 		}
-		if t.QueueDepth < 0 || t.MaxInFlight < 0 || t.Burst < 0 {
-			return fmt.Errorf("tenant: %q negative queue depth, quota or burst", t.ID)
+		if t.QueueDepth < 0 {
+			return field.Errorf(p+".QueueDepth", "negative depth %d", t.QueueDepth)
 		}
-		if t.RatePerSec < 0 || math.IsInf(t.RatePerSec, 1) || math.IsNaN(t.RatePerSec) {
-			return fmt.Errorf("tenant: %q rate quota %g (need finite >= 0)", t.ID, t.RatePerSec)
+		if t.MaxInFlight < 0 {
+			return field.Errorf(p+".MaxInFlight", "negative quota %d", t.MaxInFlight)
+		}
+		if !finiteNonNegative(t.RatePerSec) {
+			return field.Errorf(p+".RatePerSec", "rate quota %g (need finite >= 0)", t.RatePerSec)
+		}
+		if t.Burst < 0 {
+			return field.Errorf(p+".Burst", "negative burst %d", t.Burst)
 		}
 	}
 	return nil
 }
+
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // IDs returns the tenant IDs in registration order.
 func (c Config) IDs() []string {
