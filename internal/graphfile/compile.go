@@ -18,27 +18,33 @@ func Compile(g *nn.Graph) ([]byte, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graphfile: refusing to compile invalid graph: %w", err)
 	}
-	var w writer
-	w.buf.WriteString(Magic)
+	total := g.TotalStats()
+	names := g.LayerNames()
+	// Two bytes per parameter, plus an allowance for the header and for
+	// each layer's names, edges and geometry (GoogLeNet averages 54
+	// bytes a layer), so the buffer is allocated once and the blob,
+	// which a session keeps alive, carries little slack.
+	w := writer{buf: make([]byte, 0, 2*total.Params+64*int64(len(names))+128)}
+	w.buf = append(w.buf, Magic...)
 	w.u32(Version)
 	w.str(g.Name())
-	w.ints(g.InputShape())
+	w.ints(g.InputShape()...)
 	w.str(g.Output())
-	total := g.TotalStats()
 	w.u64(uint64(total.MACs))
 	w.u64(uint64(total.Params))
 
-	names := g.LayerNames()
 	w.uvarint(uint64(len(names)))
 	for _, name := range names {
 		if err := writeLayer(&w, g, name); err != nil {
 			return nil, err
 		}
+		if w.err != nil {
+			return nil, fmt.Errorf("graphfile: layer %q: %w", name, w.err)
+		}
 	}
 
-	sum := crc32.ChecksumIEEE(w.buf.Bytes())
-	w.u32(sum)
-	return w.buf.Bytes(), nil
+	w.u32(crc32.ChecksumIEEE(w.buf))
+	return w.buf, nil
 }
 
 func writeLayer(w *writer, g *nn.Graph, name string) error {
@@ -48,7 +54,7 @@ func writeLayer(w *writer, g *nn.Graph, name string) error {
 	switch t := l.(type) {
 	case *nn.Conv:
 		w.u8(kindConv)
-		w.ints([]int{t.InC, t.OutC, t.KH, t.KW, t.Stride, t.Pad})
+		w.ints(t.InC, t.OutC, t.KH, t.KW, t.Stride, t.Pad)
 		w.fp16Blob(t.Weights.Data)
 		w.fp16Blob(t.Bias.Data)
 	case *nn.Pool:
@@ -63,12 +69,12 @@ func writeLayer(w *writer, g *nn.Graph, name string) error {
 		if t.Global {
 			flags |= 4
 		}
-		w.ints([]int{t.K, t.Stride, t.Pad, flags})
+		w.ints(t.K, t.Stride, t.Pad, flags)
 	case *nn.ReLU:
 		w.u8(kindReLU)
 	case *nn.LRN:
 		w.u8(kindLRN)
-		w.ints([]int{t.Size})
+		w.ints(t.Size)
 		w.u32(f32bits(t.Alpha))
 		w.u32(f32bits(t.Beta))
 		w.u32(f32bits(t.K))
@@ -79,7 +85,7 @@ func writeLayer(w *writer, g *nn.Graph, name string) error {
 		w.u32(f32bits(t.Ratio))
 	case *nn.FullyConnected:
 		w.u8(kindFC)
-		w.ints([]int{t.InF, t.OutF})
+		w.ints(t.InF, t.OutF)
 		w.fp16Blob(t.Weights.Data)
 		w.fp16Blob(t.Bias.Data)
 	case *nn.Softmax:

@@ -16,10 +16,8 @@
 package graphfile
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/half"
 )
@@ -43,34 +41,21 @@ const (
 	kindSoftmax uint8 = 8
 )
 
-// writer serializes primitive values into a buffer.
+// writer appends primitive values to one byte slice. Like reader it
+// keeps the first error, so call sites stay linear.
 type writer struct {
-	buf bytes.Buffer
+	buf []byte
+	err error
 }
 
-func (w *writer) u8(v uint8)   { w.buf.WriteByte(v) }
-func (w *writer) u32(v uint32) { _ = binary.Write(&w.buf, binary.LittleEndian, v) }
-func (w *writer) u64(v uint64) { _ = binary.Write(&w.buf, binary.LittleEndian, v) }
-
-func (w *writer) uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	w.buf.Write(tmp[:n])
-}
+func (w *writer) u8(v uint8)       { w.buf = append(w.buf, v) }
+func (w *writer) u32(v uint32)     { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *writer) u64(v uint64)     { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
 func (w *writer) str(s string) {
 	w.uvarint(uint64(len(s)))
-	w.buf.WriteString(s)
-}
-
-func (w *writer) ints(vals []int) {
-	w.uvarint(uint64(len(vals)))
-	for _, v := range vals {
-		if v < 0 {
-			panic(fmt.Sprintf("graphfile: negative dimension %d", v))
-		}
-		w.uvarint(uint64(v))
-	}
+	w.buf = append(w.buf, s...)
 }
 
 func (w *writer) strs(vals []string) {
@@ -80,18 +65,33 @@ func (w *writer) strs(vals []string) {
 	}
 }
 
+// ints writes a dimension list. The format stores dimensions as
+// uvarints, so a negative one is an error, not a wrapped value.
+func (w *writer) ints(vals ...int) {
+	for _, v := range vals {
+		if v < 0 && w.err == nil {
+			w.err = fmt.Errorf("negative dimension %d in %v", v, vals)
+		}
+	}
+	w.uvarint(uint64(len(vals)))
+	for _, v := range vals {
+		w.uvarint(uint64(v))
+	}
+}
+
 // fp16Blob writes a float32 slice as binary16 values.
 func (w *writer) fp16Blob(data []float32) {
 	w.uvarint(uint64(len(data)))
 	for _, v := range data {
-		_ = binary.Write(&w.buf, binary.LittleEndian, half.FromFloat32(v).Bits())
+		w.buf = binary.LittleEndian.AppendUint16(w.buf, half.FromFloat32(v).Bits())
 	}
 }
 
-// reader deserializes primitive values and tracks errors so call
-// sites stay linear.
+// reader is a cursor over a blob's bytes. It keeps the first error
+// and turns every later read into a no-op, so call sites stay linear.
 type reader struct {
-	r   *bytes.Reader
+	buf []byte
+	off int
 	err error
 }
 
@@ -101,94 +101,114 @@ func (r *reader) fail(format string, args ...any) {
 	}
 }
 
-func (r *reader) u8() uint8 {
+// remaining is the number of unread bytes.
+func (r *reader) remaining() int { return len(r.buf) - r.off }
+
+// take consumes the next n bytes, or fails if fewer remain.
+func (r *reader) take(n int, what string) []byte {
 	if r.err != nil {
-		return 0
+		return nil
 	}
-	b, err := r.r.ReadByte()
-	if err != nil {
-		r.fail("truncated blob: %v", err)
-		return 0
+	if n > r.remaining() {
+		r.fail("truncated blob: %s needs %d bytes, %d remain", what, n, r.remaining())
+		return nil
 	}
+	b := r.buf[r.off : r.off+n]
+	r.off += n
 	return b
 }
 
+func (r *reader) u8() uint8 {
+	if b := r.take(1, "byte"); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
 func (r *reader) u32() uint32 {
-	if r.err != nil {
-		return 0
+	if b := r.take(4, "u32"); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	var v uint32
-	if err := binary.Read(r.r, binary.LittleEndian, &v); err != nil {
-		r.fail("truncated blob: %v", err)
-	}
-	return v
+	return 0
 }
 
 func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
+	if b := r.take(8, "u64"); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	var v uint64
-	if err := binary.Read(r.r, binary.LittleEndian, &v); err != nil {
-		r.fail("truncated blob: %v", err)
-	}
-	return v
+	return 0
 }
 
+// uvarint reads a minimally encoded uvarint, the only form the writer
+// emits; a padded one would not survive a Parse-Compile round trip.
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.fail("truncated varint: %v", err)
+	v, n := binary.Uvarint(r.buf[r.off:])
+	switch {
+	case n == 0:
+		r.fail("truncated varint")
+		return 0
+	case n < 0:
+		r.fail("varint overflows 64 bits")
+		return 0
+	case n > 1 && r.buf[r.off+n-1] == 0:
+		r.fail("non-minimal varint")
+		return 0
 	}
+	r.off += n
 	return v
 }
 
-// maxLen caps collection sizes parsed from untrusted blobs so a
-// corrupted length cannot trigger a giant allocation.
+// maxLen caps collection sizes and dimensions parsed from untrusted
+// blobs, so a corrupted value can neither trigger a giant allocation
+// nor wrap to a negative int.
 const maxLen = 1 << 28
 
-func (r *reader) length(what string) int {
+// bounded reads a uvarint that must not exceed maxLen.
+func (r *reader) bounded(what string) int {
 	n := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
 	if n > maxLen {
-		r.fail("%s length %d exceeds limit", what, n)
+		r.fail("%s %d exceeds limit", what, n)
 		return 0
 	}
 	return int(n)
 }
 
+// length reads a collection size. Every element occupies at least one
+// byte, so a size beyond the unread bytes is refused before anything
+// is allocated for it.
+func (r *reader) length(what string) int {
+	n := r.bounded(what)
+	if r.err == nil && n > r.remaining() {
+		r.fail("%s %d exceeds remaining %d bytes", what, n, r.remaining())
+		return 0
+	}
+	return n
+}
+
 func (r *reader) str() string {
-	n := r.length("string")
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.fail("truncated string: %v", err)
-		return ""
-	}
-	return string(b)
+	return string(r.take(r.length("string length"), "string"))
 }
 
 func (r *reader) ints() []int {
-	n := r.length("int list")
+	n := r.length("int list length")
 	if r.err != nil {
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = int(r.uvarint())
+		out[i] = r.bounded("dimension")
 	}
 	return out
 }
 
 func (r *reader) strs() []string {
-	n := r.length("string list")
+	n := r.length("string list length")
 	if r.err != nil {
 		return nil
 	}
@@ -199,23 +219,17 @@ func (r *reader) strs() []string {
 	return out
 }
 
+// fp16Blob decodes a run of binary16 weights in one pass over the
+// bytes, after a single bounds check for the whole run.
 func (r *reader) fp16Blob() []float32 {
-	n := r.length("weight blob")
+	n := r.bounded("weight blob length")
+	raw := r.take(2*n, "weight blob")
 	if r.err != nil {
 		return nil
 	}
-	if int64(n)*2 > int64(r.r.Len()) {
-		r.fail("weight blob of %d halves exceeds remaining %d bytes", n, r.r.Len())
-		return nil
-	}
 	out := make([]float32, n)
-	var bits uint16
 	for i := range out {
-		if err := binary.Read(r.r, binary.LittleEndian, &bits); err != nil {
-			r.fail("truncated weights: %v", err)
-			return nil
-		}
-		out[i] = half.FromBits(bits).Float32()
+		out[i] = half.FromBits(binary.LittleEndian.Uint16(raw[2*i:])).Float32()
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package graphfile
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -40,7 +39,7 @@ func Parse(blob []byte) (*nn.Graph, *Info, error) {
 		return nil, nil, fmt.Errorf("graphfile: checksum mismatch (blob corrupted in transfer)")
 	}
 
-	r := &reader{r: bytes.NewReader(payload[len(Magic):])}
+	r := &reader{buf: payload[len(Magic):]}
 	if v := r.u32(); v != Version {
 		return nil, nil, fmt.Errorf("graphfile: unsupported version %d (want %d)", v, Version)
 	}
@@ -78,14 +77,18 @@ func Parse(blob []byte) (*nn.Graph, *Info, error) {
 	if r.err != nil {
 		return nil, nil, r.err
 	}
-	if r.r.Len() != 0 {
-		return nil, nil, fmt.Errorf("graphfile: %d trailing bytes after last layer", r.r.Len())
+	if r.remaining() != 0 {
+		return nil, nil, fmt.Errorf("graphfile: %d trailing bytes after last layer", r.remaining())
 	}
 	if err := g.SetOutput(info.Output); err != nil {
 		return nil, nil, fmt.Errorf("graphfile: %w", err)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("graphfile: parsed graph invalid: %w", err)
+	}
+	if total := g.TotalStats(); total.MACs != info.MACs || total.Params != info.Params {
+		return nil, nil, fmt.Errorf("graphfile: header declares %d MACs and %d params, network has %d and %d",
+			info.MACs, info.Params, total.MACs, total.Params)
 	}
 	return g, info, nil
 }
@@ -107,7 +110,7 @@ func readLayer(r *reader, name string) (nn.Layer, error) {
 		if inC <= 0 || outC <= 0 || kh <= 0 || kw <= 0 || stride <= 0 || pad < 0 {
 			return nil, fmt.Errorf("graphfile: conv %q has invalid geometry %v", name, dims)
 		}
-		if len(weights) != outC*inC*kh*kw || len(bias) != outC {
+		if len(weights) != product(outC, inC, kh, kw) || len(bias) != outC {
 			return nil, fmt.Errorf("graphfile: conv %q weight sizes inconsistent", name)
 		}
 		return &nn.Conv{
@@ -126,7 +129,7 @@ func readLayer(r *reader, name string) (nn.Layer, error) {
 		if flags&1 != 0 {
 			op = nn.AvgPool
 		}
-		if flags&4 == 0 && (dims[0] <= 0 || dims[1] <= 0) {
+		if dims[2] < 0 || flags&^7 != 0 || flags&4 == 0 && (dims[0] <= 0 || dims[1] <= 0) {
 			return nil, fmt.Errorf("graphfile: pool %q has invalid geometry %v", name, dims)
 		}
 		return &nn.Pool{
@@ -176,6 +179,20 @@ func readLayer(r *reader, name string) (nn.Layer, error) {
 	default:
 		return nil, fmt.Errorf("graphfile: unknown layer kind %d (%q)", kind, name)
 	}
+}
+
+// product multiplies positive dimensions, saturating just above maxLen.
+// Four dimensions of up to maxLen each can overflow int, and a wrapped
+// product could match a short weight blob.
+func product(dims ...int) int {
+	p := 1
+	for _, d := range dims {
+		if d > 0 && p > maxLen/d {
+			return maxLen + 1
+		}
+		p *= d
+	}
+	return p
 }
 
 func f32bits(f float32) uint32     { return math.Float32bits(f) }

@@ -33,3 +33,6 @@ echo "== bench-kernel smoke (-benchtime=1x: compile+run sanity, not timing) =="
 # wall-clock numbers, so CI never gates on their timings — it only
 # proves every workload still compiles and completes one iteration.
 go test -run '^$' -bench BenchmarkKernel -benchtime=1x ./internal/sim
+# The graph-file codec microbenchmarks (GoogLeNet compile and parse)
+# get the same one-iteration sanity run.
+go test -run '^$' -bench 'Benchmark(Compile|Parse)GoogLeNet' -benchtime=1x ./internal/graphfile
