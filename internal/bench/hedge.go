@@ -24,8 +24,8 @@ import (
 //     unit (sticks/capacity) — hedge an item once it has been in
 //     flight that long.
 //   - "p95": a live-quantile trigger — hedge an item older than the
-//     p95 of observed completion ages (stats.Sample, exact), after a
-//     20-completion warmup.
+//     p95 of observed completion ages (an exact streaming nearest-rank
+//     quantile, O(log n) per completion), after a 20-completion warmup.
 //
 // Every variant of one (config, level) cell faces the identical
 // arrival, jitter and fault sequences (seeds depend only on config

@@ -40,8 +40,11 @@ type HedgeConfig struct {
 	Trigger time.Duration
 	// Quantile, when in (0, 1), derives the trigger from the live
 	// distribution of observed completion ages (dispatch to first
-	// completion, a stats.Sample with exact quantiles): an item older
-	// than the q-quantile of everything completed so far is hedged.
+	// completion): an item older than the q-quantile of everything
+	// completed so far is hedged. The quantile is exact, nearest-rank
+	// (stats.Sample's convention) and streaming: a
+	// stats.QuantileTracker keeps it at O(log n) per completion and
+	// O(1) per dispatch.
 	// Until MinSamples completions have been observed the fixed
 	// Trigger applies alone (no hedging during warmup when Trigger is
 	// 0). 0 disables the quantile trigger.
@@ -138,10 +141,12 @@ type hedgeEntry struct {
 // it landed; cancelCopy withdraws a still-queued copy from a child's
 // feed. Everything runs in virtual time on the single-threaded
 // kernel, so no locking is needed and hedged runs stay deterministic.
+// A quantile trigger reads an exact streaming nearest-rank quantile
+// of the completion ages: O(log n) per completion, O(1) per dispatch.
 type hedger struct {
 	env        *sim.Env
 	cfg        HedgeConfig
-	ages       stats.Sample // completion ages (seconds, dispatch → first completion)
+	ages       *stats.QuantileTracker // completion ages (seconds, dispatch → first completion); nil without a quantile trigger
 	entries    map[int]*hedgeEntry
 	free       []*hedgeEntry // recycled entries (single-threaded freelist)
 	tracked    int           // primary dispatches seen (the budget denominator)
@@ -150,12 +155,6 @@ type hedger struct {
 	capacity   int           // owner-supplied in-flight capacity (queue + exec slots); 0 = unknown
 	redispatch func(item Item, exclude int) (int, bool)
 	cancelCopy func(index, child int) bool
-	// trigCache memoizes the quantile-derived trigger per sample size:
-	// track() runs once per dispatch, so recomputing the quantile (a
-	// sort of the whole sample) there would be quadratic in items —
-	// cached, the sample is re-sorted at most once per completion.
-	trigCache  time.Duration
-	trigCacheN int
 }
 
 // newHedger builds the engine, or returns nil when hedging is off.
@@ -167,7 +166,7 @@ func newHedger(env *sim.Env, cfg HedgeConfig, capacity int, redispatch func(Item
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &hedger{
+	h := &hedger{
 		env:        env,
 		cfg:        cfg,
 		capacity:   capacity,
@@ -175,6 +174,10 @@ func newHedger(env *sim.Env, cfg HedgeConfig, capacity int, redispatch func(Item
 		redispatch: redispatch,
 		cancelCopy: cancelCopy,
 	}
+	if cfg.Quantile > 0 {
+		h.ages = stats.NewQuantileTracker(cfg.Quantile)
+	}
+	return h
 }
 
 // getEntry takes an entry from the freelist, or builds a fresh one
@@ -215,12 +218,8 @@ func (h *hedger) release(index int, e *hedgeEntry) {
 // warm (floored at the fixed Trigger), the fixed Trigger otherwise.
 // ok=false means no trigger applies yet.
 func (h *hedger) triggerFor() (time.Duration, bool) {
-	if h.cfg.Quantile > 0 && h.ages.N() >= h.cfg.minSamples() {
-		if n := h.ages.N(); n != h.trigCacheN {
-			h.trigCacheN = n
-			h.trigCache = time.Duration(h.ages.Quantile(h.cfg.Quantile) * float64(time.Second))
-		}
-		d := h.trigCache
+	if h.ages != nil && h.ages.N() >= h.cfg.minSamples() {
+		d := time.Duration(h.ages.Quantile() * float64(time.Second))
 		if d < h.cfg.Trigger {
 			d = h.cfg.Trigger
 		}
@@ -327,10 +326,8 @@ func (h *hedger) complete(index, child int, now time.Duration) bool {
 		h.env.Cancel(e.timer)
 		e.timer = 0
 	}
-	if age := now - e.dispatched; age > 0 {
-		h.ages.Add(age.Seconds())
-	} else {
-		h.ages.Add(0)
+	if h.ages != nil {
+		h.ages.Add(max(now-e.dispatched, 0).Seconds())
 	}
 	if !e.hedged {
 		h.release(index, e)

@@ -187,6 +187,13 @@ func (s *Sample) Quantile(q float64) float64 {
 		return 0
 	}
 	s.sort()
+	return s.xs[nearestRank(q, n)]
+}
+
+// nearestRank is the sorted-data index of the q-quantile of n > 0
+// values, ⌊q·n⌋ clamped to [0, n-1]; Sample and QuantileTracker share
+// it so they agree bit for bit.
+func nearestRank(q float64, n int) int {
 	i := int(q * float64(n))
 	if i < 0 {
 		i = 0
@@ -194,7 +201,7 @@ func (s *Sample) Quantile(q float64) float64 {
 	if i >= n {
 		i = n - 1
 	}
-	return s.xs[i]
+	return i
 }
 
 func (s *Sample) sort() {
@@ -202,6 +209,102 @@ func (s *Sample) sort() {
 		sort.Float64s(s.xs)
 		s.sorted = true
 	}
+}
+
+// QuantileTracker is an exact streaming quantile for one q fixed at
+// construction: after every Add, Quantile returns exactly what
+// Sample.Quantile(q) returns on the same stream (the value at index
+// clamp(⌊q·n⌋, 0, n-1) of the sorted data), but it costs O(log n) per
+// Add and O(1) per read instead of a sort. It keeps the smallest
+// index+1 values in a max-heap and the rest in a min-heap, so it still
+// retains every value, as Sample does. Values must not be NaN.
+type QuantileTracker struct {
+	q  float64
+	lo minHeap // smallest values, negated: its minimum is the quantile
+	hi minHeap // the rest
+}
+
+// NewQuantileTracker returns an empty tracker for the q-quantile.
+func NewQuantileTracker(q float64) *QuantileTracker {
+	return &QuantileTracker{q: q}
+}
+
+// Add records x and rebalances the heaps so the low heap holds the
+// index+1 smallest values. The loops handle any step in the index.
+func (t *QuantileTracker) Add(x float64) {
+	if len(t.lo) == 0 || x <= -t.lo[0] {
+		t.lo.push(-x)
+	} else {
+		t.hi.push(x)
+	}
+	want := nearestRank(t.q, t.N()) + 1
+	for len(t.lo) > want {
+		t.hi.push(-t.lo.pop())
+	}
+	for len(t.lo) < want {
+		t.lo.push(-t.hi.pop())
+	}
+}
+
+// N returns the number of recorded values.
+func (t *QuantileTracker) N() int { return len(t.lo) + len(t.hi) }
+
+// Quantile returns the current q-quantile, or 0 when empty.
+func (t *QuantileTracker) Quantile() float64 {
+	if len(t.lo) == 0 {
+		return 0
+	}
+	return -t.lo[0]
+}
+
+// minHeap is a binary min-heap of float64, hand-rolled rather than built
+// on container/heap so pushes and pops do not box through interface
+// methods. QuantileTracker negates values to use it as a max-heap
+// (negation is exact, so values round-trip bit for bit).
+type minHeap []float64
+
+func (h *minHeap) push(x float64) {
+	*h = append(*h, x)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p] <= x {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = x
+}
+
+func (h *minHeap) pop() float64 {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	x := s[n]
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1] < s[c] {
+			c++
+		}
+		if x <= s[c] {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = x
+	return top
 }
 
 // Line is a least-squares fit y = Slope*x + Intercept.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -329,5 +330,61 @@ func TestSampleAgreesWithHistogram(t *testing.T) {
 			t.Errorf("q=%g: exact %g vs histogram %g differ by more than bucket width %g",
 				q, exact, approx, width)
 		}
+	}
+}
+
+// TestQuantileTrackerMatchesSample: after every Add, the streaming
+// tracker returns bit for bit what Sample.Quantile returns on the same
+// stream, across heavy ties, sorted runs in both directions, the
+// extreme quantiles, and q values whose q·n lands on an integer
+// (0.25 every fourth value, 0.95 at n = 20, 40, …) where the
+// nearest-rank index steps.
+func TestQuantileTrackerMatchesSample(t *testing.T) {
+	const n = 10000
+	qs := []float64{0, 0.05, 0.25, 0.5, 0.95, 0.99, 0.999}
+	r := rand.New(rand.NewPCG(1, 2))
+	streams := []struct {
+		name string
+		next func(i int) float64
+	}{
+		{"ties", func(int) float64 { return float64(r.IntN(16)) * 0.25 }},
+		{"ascending", func(i int) float64 { return float64(i/3) * 1e-3 }},
+		{"descending", func(i int) float64 { return float64((n-i)/3) * 1e-3 }},
+	}
+	for _, st := range streams {
+		name, next := st.name, st.next
+		var s Sample
+		trs := make([]*QuantileTracker, len(qs))
+		for j, q := range qs {
+			trs[j] = NewQuantileTracker(q)
+		}
+		landings := 0
+		for i := 0; i < n; i++ {
+			x := next(i)
+			s.Add(x)
+			for j, q := range qs {
+				tr := trs[j]
+				tr.Add(x)
+				if tr.N() != s.N() {
+					t.Fatalf("%s q=%g n=%d: N() = %d", name, q, s.N(), tr.N())
+				}
+				got, want := tr.Quantile(), s.Quantile(q)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s q=%g n=%d: tracker %g, Sample %g", name, q, s.N(), got, want)
+				}
+				if q == 0.95 {
+					if f := q * float64(s.N()); f == math.Trunc(f) {
+						landings++
+					}
+				}
+			}
+		}
+		if landings == 0 {
+			t.Fatalf("%s: q=0.95 never landed on an integer rank", name)
+		}
+	}
+	empty := NewQuantileTracker(0.5)
+	if empty.N() != 0 || empty.Quantile() != 0 {
+		t.Errorf("empty tracker: N() = %d, Quantile() = %g; want 0, 0", empty.N(), empty.Quantile())
 	}
 }

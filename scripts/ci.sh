@@ -36,3 +36,6 @@ go test -run '^$' -bench BenchmarkKernel -benchtime=1x ./internal/sim
 # The graph-file codec microbenchmarks (GoogLeNet compile and parse)
 # get the same one-iteration sanity run.
 go test -run '^$' -bench 'Benchmark(Compile|Parse)GoogLeNet' -benchtime=1x ./internal/graphfile
+# The hedge-trigger microbenchmark (per-completion cost after 1k and
+# 100k prior completions) gets the same sanity run.
+go test -run '^$' -bench BenchmarkHedgeTrigger -benchtime=1x ./internal/core
