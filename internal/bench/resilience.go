@@ -262,7 +262,7 @@ func (h *Harness) resiliencePoint(cfg resilienceConfig, level resilienceLevel, p
 		Retries:     col.Retries,
 		FaultDrops:  col.FaultDrops,
 		Outages:     col.Outages,
-		Recovered:   col.Repaired,
+		Recovered:   col.Recovered,
 		MTTRMS:      ms(col.MTTR()),
 		UptimePct:   round2(uptime),
 	}, nil

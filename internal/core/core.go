@@ -322,24 +322,11 @@ func (s *StreamSource) Next(p *sim.Proc) (Item, bool) {
 	return item, true
 }
 
-// Collector is a convenience sink accumulating accuracy and timing
-// aggregates, optionally retaining every result. With an SLO set
-// (SetSLO) it additionally tracks goodput: completions within the
-// SLO, against every arrival it was told about — including items the
-// admission edge shed or expired (NoteDrop).
-type Collector struct {
-	N          int
-	Correct    int
-	Mispred    int
-	ConfSum    float64
-	Results    []Result
-	retain     bool
-	firstStart time.Duration
-	lastEnd    time.Duration
-	any        bool
-	lat        latencyAgg
-	// slo is the per-item latency target goodput is measured against.
-	slo time.Duration
+// Counters holds the serving-event counts of one slice of a run — the
+// whole session, one device group or one tenant. It is declared once:
+// Collector embeds it to accumulate the events, and every report level
+// embeds it to publish them.
+type Counters struct {
 	// WithinSLO counts completions with Latency() <= the SLO target
 	// (0 until SetSLO is called before the run).
 	WithinSLO int
@@ -365,11 +352,34 @@ type Collector struct {
 	// losers never reach the result aggregates: N counts each item at
 	// most once.
 	Hedged, HedgeWins, HedgeWaste int
-	// Outages counts detected device outages, Repaired those that
-	// ended in a successful recovery; Downtime accumulates
-	// detection-to-rejoin time across repaired outages (NoteOutage).
-	Outages, Repaired int
-	Downtime          time.Duration
+	// Outages counts detected device outages, Recovered those that
+	// ended in a successful recovery (NoteOutage).
+	Outages, Recovered int
+}
+
+// Collector is a convenience sink accumulating accuracy and timing
+// aggregates, optionally retaining every result. With an SLO set
+// (SetSLO) it additionally tracks goodput: completions within the
+// SLO, against every arrival it was told about — including items the
+// admission edge shed or expired (NoteDrop).
+type Collector struct {
+	Counters
+	N          int
+	Correct    int
+	Mispred    int
+	ConfSum    float64
+	Results    []Result
+	retain     bool
+	firstStart time.Duration
+	lastEnd    time.Duration
+	any        bool
+	lat        latencyAgg
+	// slo is the per-item latency target goodput is measured against.
+	slo time.Duration
+	// Downtime accumulates detection-to-rejoin time across recovered
+	// outages (NoteOutage). It is not in Counters because a report's
+	// Downtime also charges abandoned devices (DowntimeThrough).
+	Downtime time.Duration
 	// abandoned records the detection instants of outages that never
 	// recovered (fail-stop), so DowntimeThrough can charge them to the
 	// end of the run.
@@ -471,7 +481,7 @@ func (c *Collector) HedgeWasteRate() float64 {
 func (c *Collector) NoteOutage(from, to time.Duration, recovered bool) {
 	c.Outages++
 	if recovered {
-		c.Repaired++
+		c.Recovered++
 		if to > from {
 			c.Downtime += to - from
 		}
@@ -483,10 +493,10 @@ func (c *Collector) NoteOutage(from, to time.Duration, recovered bool) {
 // MTTR returns the mean time to repair across recovered outages
 // (0 when nothing recovered).
 func (c *Collector) MTTR() time.Duration {
-	if c.Repaired == 0 {
+	if c.Recovered == 0 {
 		return 0
 	}
-	return c.Downtime / time.Duration(c.Repaired)
+	return c.Downtime / time.Duration(c.Recovered)
 }
 
 // DowntimeThrough returns total device downtime with abandoned

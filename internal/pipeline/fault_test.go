@@ -84,6 +84,40 @@ func TestSessionFaultsFailStop(t *testing.T) {
 	}
 }
 
+// TestGroupGoodputIsCompletionBased: a group's goodput is the share of
+// its completions that met the SLO. Fault drops are not completions, so
+// a fail-stop run whose every completion is on time reports 100%, not
+// WithinSLO/(completions+drops).
+func TestGroupGoodputIsCompletionBased(t *testing.T) {
+	plan := fault.Plan{Events: []fault.Event{
+		{Device: "ncs0", Kind: fault.StickHang, At: 2200 * time.Millisecond},
+	}}
+	sess, err := New(
+		WithImages(30),
+		WithVPUs(2),
+		WithSLO(10*time.Second),
+		WithFaults(plan),
+		WithRecovery(core.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: false}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, _ := sess.Run() // fail-stop abandonment errors the run
+	if report == nil {
+		t.Fatal("fail-stop must still produce a report")
+	}
+	vpu := report.Targets[0]
+	if vpu.FaultDrops == 0 {
+		t.Fatal("the hung stick dropped nothing; the case needs a fault drop")
+	}
+	if vpu.WithinSLO != vpu.Collector.N {
+		t.Fatalf("%d of %d completions met the 10s SLO; the case needs all", vpu.WithinSLO, vpu.Collector.N)
+	}
+	if vpu.Goodput != 1 {
+		t.Errorf("group goodput = %.4f, want 1 (every completion met the SLO)", vpu.Goodput)
+	}
+}
+
 // TestSessionFaultPlanResolution: a plan naming an unknown device
 // fails the run with a descriptive error instead of silently
 // injecting nothing.

@@ -795,10 +795,7 @@ func (s *Session) groupRecovery(group int) core.RecoveryConfig {
 	}
 	userRetry, userDrop, userOutage := rc.OnRetry, rc.OnDrop, rc.OnOutage
 	rc.OnRetry = func(item core.Item, at time.Duration) {
-		if s.merged != nil {
-			s.merged.NoteRetry()
-			s.perGroup[group].NoteRetry()
-		}
+		s.note(group, (*core.Collector).NoteRetry)
 		if userRetry != nil {
 			userRetry(item, at)
 		}
@@ -815,10 +812,7 @@ func (s *Session) groupRecovery(group int) core.RecoveryConfig {
 		if s.pool != nil && !s.pool.HedgeItemLost(item.Index) {
 			return
 		}
-		if s.merged != nil {
-			s.merged.NoteDrop(core.DropFailed)
-			s.perGroup[group].NoteDrop(core.DropFailed)
-		}
+		s.note(group, func(c *core.Collector) { c.NoteDrop(core.DropFailed) })
 		// A tenant's fault-dropped item never completes, so its
 		// in-flight quota credit must be released here or the tenant's
 		// MaxInFlight budget leaks away one failure at a time.
@@ -833,10 +827,7 @@ func (s *Session) groupRecovery(group int) core.RecoveryConfig {
 		}
 	}
 	rc.OnOutage = func(device string, from, to time.Duration, recovered bool) {
-		if s.merged != nil {
-			s.merged.NoteOutage(from, to, recovered)
-			s.perGroup[group].NoteOutage(from, to, recovered)
-		}
+		s.note(group, func(c *core.Collector) { c.NoteOutage(from, to, recovered) })
 		if userOutage != nil {
 			userOutage(device, from, to, recovered)
 		}
@@ -855,29 +846,20 @@ func (s *Session) sessionHedge(groupOf func(child int) int) core.HedgeConfig {
 		return hc
 	}
 	userHedge, userWin, userWaste := hc.OnHedge, hc.OnWin, hc.OnWaste
-	note := func(child int, merged func(), group func(c *core.Collector)) {
-		if s.merged == nil {
-			return
-		}
-		merged()
-		if g := groupOf(child); g >= 0 && g < len(s.perGroup) {
-			group(s.perGroup[g])
-		}
-	}
 	hc.OnHedge = func(item core.Item, child int, at time.Duration) {
-		note(child, func() { s.merged.NoteHedge() }, func(c *core.Collector) { c.NoteHedge() })
+		s.note(groupOf(child), (*core.Collector).NoteHedge)
 		if userHedge != nil {
 			userHedge(item, child, at)
 		}
 	}
 	hc.OnWin = func(item core.Item, child int, at time.Duration) {
-		note(child, func() { s.merged.NoteHedgeWin() }, func(c *core.Collector) { c.NoteHedgeWin() })
+		s.note(groupOf(child), (*core.Collector).NoteHedgeWin)
 		if userWin != nil {
 			userWin(item, child, at)
 		}
 	}
 	hc.OnWaste = func(item core.Item, child int, at time.Duration) {
-		note(child, func() { s.merged.NoteHedgeWaste() }, func(c *core.Collector) { c.NoteHedgeWaste() })
+		s.note(groupOf(child), (*core.Collector).NoteHedgeWaste)
 		if userWaste != nil {
 			userWaste(item, child, at)
 		}
@@ -891,11 +873,23 @@ func (s *Session) sessionHedge(groupOf func(child int) int) core.HedgeConfig {
 // VPU redeliveries do.
 func (s *Session) wireBatchRetry(t *core.BatchTarget, group int) {
 	t.SetRetryObserver(func(_ core.Item, _ time.Duration) {
-		if s.merged != nil {
-			s.merged.NoteRetry()
-			s.perGroup[group].NoteRetry()
-		}
+		s.note(group, (*core.Collector).NoteRetry)
 	})
+}
+
+// note records one serving event on the merged collector and on the
+// charged device group's: the one place the report's totals and its
+// per-group rows are kept in step. A group outside the session's
+// groups charges the total only; before Run publishes the collectors
+// there is nothing to record.
+func (s *Session) note(group int, event func(*core.Collector)) {
+	if s.merged == nil {
+		return
+	}
+	event(s.merged)
+	if group >= 0 && group < len(s.perGroup) {
+		event(s.perGroup[group])
+	}
 }
 
 // applyAssembly configures a batch target's SLO-aware assembly from

@@ -44,23 +44,18 @@ type TargetReport struct {
 	// so they cannot be attributed to a group; the arrival-based
 	// goodput lives on the aggregate Report). 0 when no SLO is set.
 	Goodput float64
-	// Availability metrics (meaningful for VPU groups under a fault
-	// plan; zero otherwise). Outages counts detected device outages,
-	// Recovered those healed by re-opening the device; Retries counts
-	// fault-triggered redeliveries and FaultDrops items lost after the
-	// redelivery budget. Downtime is total device-down time (abandoned
-	// devices charged to the end of the run), MTTR the mean
-	// detection-to-rejoin time of recovered outages, and Uptime the
-	// device-time fraction the group's sticks were serviceable.
-	Outages, Recovered  int
-	Retries, FaultDrops int
-	Downtime, MTTR      time.Duration
-	Uptime              float64
-	// Hedge accounting (meaningful under WithHedging; zero otherwise):
-	// Hedged counts duplicates this group received, HedgeWins its
-	// completions that beat the other copy, HedgeWaste its discarded
-	// losing completions — device time the group spent on duplicates.
-	Hedged, HedgeWins, HedgeWaste int
+	// Counters are the group's serving events: its outages, recoveries,
+	// retries and fault drops (VPU groups under a fault plan), and the
+	// duplicates it received, won and wasted (under WithHedging).
+	// Admission drops happen before routing, so Shed, Expired and
+	// QuotaRejected stay zero here.
+	core.Counters
+	// Downtime is total device-down time (abandoned devices charged to
+	// the end of the run), MTTR the mean detection-to-rejoin time of
+	// recovered outages, and Uptime the device-time fraction the
+	// group's sticks were serviceable.
+	Downtime, MTTR time.Duration
+	Uptime         float64
 	// Job exposes the raw timing (StartedAt/ReadyAt/DoneAt, Err).
 	Job *core.Job
 	// Collector exposes the raw per-group aggregates.
@@ -78,10 +73,11 @@ type TenantReport struct {
 	// Arrived counts every item the tenant's arrival process offered;
 	// Completed the ones a device finished.
 	Arrived, Completed int
-	// Shed, Expired and QuotaRejected count the tenant's own drops:
-	// shed by its queue policy (or the shared FIFO queue), expired
-	// past its SLO while queued, and rejected by its quota contract.
-	Shed, Expired, QuotaRejected int
+	// Counters are the tenant's own events; its drops are Shed (by its
+	// queue policy or the shared FIFO queue), Expired (past its SLO
+	// while queued), QuotaRejected (by its quota contract) and
+	// FaultDrops (lost to device failure).
+	core.Counters
 	// Throughput is the tenant's completion rate over the run window.
 	Throughput float64
 	// Latency is the tenant's per-item serving-latency distribution.
@@ -136,20 +132,19 @@ type Report struct {
 	// the devices; FaultLog lists them (nil without WithFaults).
 	FaultsInjected int
 	FaultLog       *fault.Log
-	// Aggregate availability under the fault plan: outage counts,
-	// fault-triggered retries and drops, total downtime, mean time to
-	// repair, and the device-time uptime fraction across all VPU
-	// groups (1 when no stick was ever down).
-	Outages, Recovered  int
-	Retries, FaultDrops int
-	Downtime, MTTR      time.Duration
-	Uptime              float64
-	// Hedge accounting under WithHedging: duplicates launched, wins
-	// (the duplicate finished first) and wasted completions (a device
-	// fully served a losing duplicate); HedgeWasteRate is waste as a
-	// fraction of all device completions. All zero without hedging.
-	Hedged, HedgeWins, HedgeWaste int
-	HedgeWasteRate                float64
+	// Counters are the session's serving events. The fault and hedge
+	// counts are the sums of the group rows; in a tenant session the
+	// admission drops are the sums of the tenant rows.
+	core.Counters
+	// Downtime is total device-down time across all VPU groups
+	// (abandoned devices charged to the end of their group's run), MTTR
+	// the mean time to repair, and Uptime the device-time fraction the
+	// sticks were serviceable (1 when no stick was ever down).
+	Downtime, MTTR time.Duration
+	Uptime         float64
+	// HedgeWasteRate is HedgeWaste as a fraction of all device
+	// completions (0 without hedging).
+	HedgeWasteRate float64
 	// Arrivals names the open-loop arrival process driving the run
 	// (nil for closed-loop runs).
 	Arrivals core.Arrivals
@@ -184,6 +179,7 @@ func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Colle
 		Latency:        merged.Latency(),
 		SLO:            s.cfg.SLO,
 		Goodput:        merged.Goodput(),
+		Counters:       merged.Counters,
 		ShedRate:       merged.ShedRate(),
 		Arrivals:       s.cfg.Arrivals,
 		SimTime:        s.env.Now(),
@@ -202,17 +198,15 @@ func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Colle
 			st := s.tenantMux.Stats(id)
 			c := s.perTenant[i]
 			tr := TenantReport{
-				ID:            id,
-				SLO:           s.cfg.Tenants.SLOFor(id, s.cfg.SLO),
-				Arrived:       st.Arrived,
-				Completed:     c.N,
-				Shed:          c.Shed,
-				Expired:       c.Expired,
-				QuotaRejected: c.QuotaRejected,
-				Latency:       c.Latency(),
-				Goodput:       c.Goodput(),
-				Stats:         st,
-				Collector:     c,
+				ID:        id,
+				SLO:       s.cfg.Tenants.SLOFor(id, s.cfg.SLO),
+				Arrived:   st.Arrived,
+				Completed: c.N,
+				Counters:  c.Counters,
+				Latency:   c.Latency(),
+				Goodput:   c.Goodput(),
+				Stats:     st,
+				Collector: c,
 			}
 			if span > 0 {
 				tr.Throughput = float64(c.N) / span
@@ -222,14 +216,7 @@ func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Colle
 	}
 	rep.FaultsInjected = s.faultLog.Count()
 	rep.FaultLog = s.faultLog
-	rep.Retries = merged.Retries
-	rep.FaultDrops = merged.FaultDrops
-	rep.Outages = merged.Outages
-	rep.Recovered = merged.Repaired
 	rep.MTTR = merged.MTTR()
-	rep.Hedged = merged.Hedged
-	rep.HedgeWins = merged.HedgeWins
-	rep.HedgeWaste = merged.HedgeWaste
 	rep.HedgeWasteRate = merged.HedgeWasteRate()
 	if s.stageMode() {
 		rep.Pipeline = true
@@ -262,20 +249,14 @@ func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Colle
 			TopOneError:    perGroup[i].TopOneError(),
 			MeanConfidence: perGroup[i].MeanConfidence(),
 			Latency:        perGroup[i].Latency(),
-			Outages:        perGroup[i].Outages,
-			Recovered:      perGroup[i].Repaired,
-			Retries:        perGroup[i].Retries,
-			FaultDrops:     perGroup[i].FaultDrops,
-			Hedged:         perGroup[i].Hedged,
-			HedgeWins:      perGroup[i].HedgeWins,
-			HedgeWaste:     perGroup[i].HedgeWaste,
+			Counters:       perGroup[i].Counters,
 			MTTR:           perGroup[i].MTTR(),
 			Uptime:         1,
 			Job:            tj,
 			Collector:      perGroup[i],
 		}
 		if s.cfg.SLO > 0 {
-			tr.Goodput = perGroup[i].Goodput()
+			tr.Goodput = sloHitRate(perGroup[i])
 		}
 		if tr.TDPWatts > 0 {
 			tr.ImagesPerWatt = power.ImagesPerWatt(tr.Throughput, tr.TDPWatts)
@@ -313,6 +294,15 @@ func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Colle
 		rep.ImagesPerWatt = power.ImagesPerWatt(rep.Throughput, rep.TDPWatts)
 	}
 	return rep
+}
+
+// sloHitRate is the fraction of c's completions that met the SLO (0
+// when nothing completed): the goodput column of the latency table.
+func sloHitRate(c *core.Collector) float64 {
+	if c.N == 0 {
+		return 0
+	}
+	return float64(c.WithinSLO) / float64(c.N)
 }
 
 // String renders the report as an aligned table, one row per group
@@ -354,17 +344,12 @@ func (r *Report) String() string {
 			// The column is completion-based throughout (fraction of
 			// served items meeting the SLO); the arrival-based goodput,
 			// which also counts drops, is on the slo summary line below.
-			merged := 0.0
-			if r.Collector.N > 0 {
-				merged = float64(r.Collector.WithinSLO) / float64(r.Collector.N)
-			}
-			lrow("total", r.Latency, merged)
+			lrow("total", r.Latency, sloHitRate(r.Collector))
 		}
 	}
 	if r.SLO > 0 {
 		fmt.Fprintf(&b, "slo %v: goodput %.1f%% of %d arrivals (shed %d, expired %d, failed %d)\n",
-			r.SLO, r.Goodput*100, r.Collector.Arrivals(), r.Collector.Shed, r.Collector.Expired,
-			r.Collector.FaultDrops)
+			r.SLO, r.Goodput*100, r.Collector.Arrivals(), r.Shed, r.Expired, r.FaultDrops)
 	}
 	if len(r.Tenants) > 0 {
 		ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }

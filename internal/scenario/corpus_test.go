@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/pipeline"
 )
 
 var update = flag.Bool("update", false, "rewrite the scenarios/golden/ files from this run")
@@ -17,6 +20,9 @@ var update = flag.Bool("update", false, "rewrite the scenarios/golden/ files fro
 // doubles as the determinism suite. Regenerate goldens with
 //
 //	go test ./internal/scenario/ -run TestCorpus -update
+//
+// Every run also checks that the report's totals are the sums of its
+// parts (checkCounterSums).
 func TestCorpus(t *testing.T) {
 	dir, err := DefaultCorpusDir()
 	if err != nil {
@@ -37,6 +43,7 @@ func TestCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkCounterSums(t, res.Report)
 			got := res.String()
 
 			// Determinism: a fresh parse of the same file must emit
@@ -71,4 +78,52 @@ func TestCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkCounterSums asserts that the report's fault and hedge counters
+// are the sums of its device groups' and, in a tenant session, that its
+// admission drops are the sums of its tenants'. The session notes each
+// event on the total and on one part, so a hook that counts on only one
+// side breaks a sum.
+func checkCounterSums(t *testing.T, rep *pipeline.Report) {
+	t.Helper()
+	type counter struct {
+		name string
+		get  func(core.Counters) int
+	}
+	check := func(parts string, counters []counter, of []core.Counters) {
+		for _, c := range counters {
+			sum := 0
+			for _, part := range of {
+				sum += c.get(part)
+			}
+			if total := c.get(rep.Counters); sum != total {
+				t.Errorf("%s: %s sum to %d, report says %d", c.name, parts, sum, total)
+			}
+		}
+	}
+	var groups, tenants []core.Counters
+	for _, g := range rep.Targets {
+		groups = append(groups, g.Counters)
+	}
+	check("groups", []counter{
+		{"Retries", func(c core.Counters) int { return c.Retries }},
+		{"FaultDrops", func(c core.Counters) int { return c.FaultDrops }},
+		{"Outages", func(c core.Counters) int { return c.Outages }},
+		{"Recovered", func(c core.Counters) int { return c.Recovered }},
+		{"Hedged", func(c core.Counters) int { return c.Hedged }},
+		{"HedgeWins", func(c core.Counters) int { return c.HedgeWins }},
+		{"HedgeWaste", func(c core.Counters) int { return c.HedgeWaste }},
+	}, groups)
+	if len(rep.Tenants) == 0 {
+		return
+	}
+	for _, tr := range rep.Tenants {
+		tenants = append(tenants, tr.Counters)
+	}
+	check("tenants", []counter{
+		{"Shed", func(c core.Counters) int { return c.Shed }},
+		{"Expired", func(c core.Counters) int { return c.Expired }},
+		{"QuotaRejected", func(c core.Counters) int { return c.QuotaRejected }},
+	}, tenants)
 }

@@ -28,6 +28,13 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== benchmark module (cmd/ncsw-perf: vet + test) =="
+# The benchmark is a Go module of its own, so the root ./... above
+# skips it; a break in the Report API it reads would otherwise surface
+# only in the workflow's scenarios job.
+go -C cmd/ncsw-perf vet ./...
+go -C cmd/ncsw-perf test ./...
+
 echo "== bench-kernel smoke (-benchtime=1x: compile+run sanity, not timing) =="
 # The kernel microbenchmarks (DESIGN.md §9) are the repo's only
 # wall-clock numbers, so CI never gates on their timings — it only
