@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -24,12 +26,24 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("graph-compile: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
-	netName := flag.String("net", "googlenet", "network to compile: googlenet or micro")
-	out := flag.String("o", "", "write the compiled blob to this file")
-	profile := flag.Bool("profile", false, "print the simulated per-layer Myriad 2 cost profile")
-	seed := flag.Uint64("seed", 1, "weight seed")
-	flag.Parse()
+// run parses args, compiles the chosen network and writes the report
+// to stdout. The default seed is 42, the one sessions, examples and
+// pipeline.Config.NetSeed use, so a blob built with default flags is
+// the one a default session compiles.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("graph-compile", flag.ContinueOnError)
+	netName := fs.String("net", "googlenet", "network to compile: googlenet or micro")
+	out := fs.String("o", "", "write the compiled blob to this file")
+	profile := fs.Bool("profile", false, "print the simulated per-layer Myriad 2 cost profile")
+	seed := fs.Uint64("seed", 42, "weight seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var net *repro.Graph
 	switch *netName {
@@ -38,40 +52,41 @@ func main() {
 	case "micro":
 		net = repro.NewMicroGoogLeNet(repro.DefaultMicroConfig(), repro.Seed(*seed))
 	default:
-		log.Fatalf("unknown network %q (want googlenet or micro)", *netName)
+		return fmt.Errorf("unknown network %q (want googlenet or micro)", *netName)
 	}
 
-	fmt.Print(net.Summary())
+	fmt.Fprint(stdout, net.Summary())
 
 	blob, err := repro.CompileGraph(net)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	_, info, err := graphfile.Parse(blob)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ncompiled blob: %d bytes (%.2f MB), %d layers, %.3f GMACs, %.2f M params (FP16)\n",
+	fmt.Fprintf(stdout, "\ncompiled blob: %d bytes (%.2f MB), %d layers, %.3f GMACs, %.2f M params (FP16)\n",
 		info.Bytes, float64(info.Bytes)/(1<<20), info.Layers,
 		float64(info.MACs)/1e9, float64(info.Params)/1e6)
 
 	if *out != "" {
 		if err := os.WriteFile(*out, blob, 0o644); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", *out)
+		fmt.Fprintf(stdout, "wrote %s\n", *out)
 	}
 
 	if *profile {
 		engine, err := vpu.NewEngine(vpu.DefaultConfig(), net, rng.New(*seed))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\nMyriad 2 per-layer profile (12 SHAVEs @ 600 MHz):\n")
-		fmt.Printf("%-26s %-9s %12s %12s %8s\n", "layer", "kind", "compute", "memory", "bound")
+		fmt.Fprintf(stdout, "\nMyriad 2 per-layer profile (12 SHAVEs @ 600 MHz):\n")
+		fmt.Fprintf(stdout, "%-26s %-9s %12s %12s %8s\n", "layer", "kind", "compute", "memory", "bound")
 		for _, lc := range engine.LayerProfile() {
-			fmt.Printf("%-26s %-9s %12v %12v %8s\n", lc.Name, lc.Kind, lc.Compute, lc.Memory, lc.Bound)
+			fmt.Fprintf(stdout, "%-26s %-9s %12v %12v %8s\n", lc.Name, lc.Kind, lc.Compute, lc.Memory, lc.Bound)
 		}
-		fmt.Printf("total on-device execution: %v per inference\n", engine.BaseExecDuration())
+		fmt.Fprintf(stdout, "total on-device execution: %v per inference\n", engine.BaseExecDuration())
 	}
+	return nil
 }

@@ -9,7 +9,10 @@ import (
 
 // Compile serializes g into an NCS graph blob. Weights are converted
 // to binary16, mirroring the FP16 conversion mvNCCompile performs; the
-// source graph is not modified.
+// source graph is not modified, and weights it has not materialised
+// stay unmaterialised: a built layer's values are generated into one
+// reused scratch buffer and encoded from there, and a parsed layer's
+// binary16 runs are copied verbatim.
 //
 // The blob embeds the graph topology, all parameters, and a CRC-32
 // trailer. Parse(Compile(g)) yields a functionally identical network
@@ -18,13 +21,22 @@ func Compile(g *nn.Graph) ([]byte, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graphfile: refusing to compile invalid graph: %w", err)
 	}
-	total := g.TotalStats()
+	var total nn.Stats
+	var largest int64
+	for _, ls := range g.PerLayerStats() {
+		total = total.Add(ls.Stats)
+		largest = max(largest, ls.Stats.Params)
+	}
 	names := g.LayerNames()
 	// Two bytes per parameter, plus an allowance for the header and for
 	// each layer's names, edges and geometry (GoogLeNet averages 54
 	// bytes a layer), so the buffer is allocated once and the blob,
-	// which a session keeps alive, carries little slack.
-	w := writer{buf: make([]byte, 0, 2*total.Params+64*int64(len(names))+128)}
+	// which a session keeps alive, carries little slack. The scratch
+	// buffer holds the largest layer's parameters, so it never regrows.
+	w := writer{
+		buf:     make([]byte, 0, 2*total.Params+64*int64(len(names))+128),
+		scratch: make([]float32, 0, largest),
+	}
 	w.buf = append(w.buf, Magic...)
 	w.u32(Version)
 	w.str(g.Name())
@@ -55,8 +67,7 @@ func writeLayer(w *writer, g *nn.Graph, name string) error {
 	case *nn.Conv:
 		w.u8(kindConv)
 		w.ints(t.InC, t.OutC, t.KH, t.KW, t.Stride, t.Pad)
-		w.fp16Blob(t.Weights.Data)
-		w.fp16Blob(t.Bias.Data)
+		w.params(t)
 	case *nn.Pool:
 		w.u8(kindPool)
 		flags := 0
@@ -86,12 +97,32 @@ func writeLayer(w *writer, g *nn.Graph, name string) error {
 	case *nn.FullyConnected:
 		w.u8(kindFC)
 		w.ints(t.InF, t.OutF)
-		w.fp16Blob(t.Weights.Data)
-		w.fp16Blob(t.Bias.Data)
+		w.params(t)
 	case *nn.Softmax:
 		w.u8(kindSoftmax)
 	default:
 		return fmt.Errorf("graphfile: unsupported layer type %T (%s)", l, name)
 	}
 	return nil
+}
+
+// weighted is a layer with a weight and a bias run.
+type weighted interface {
+	Params() *nn.Params
+	ParamCounts() (nw, nb int)
+}
+
+// params writes a layer's weight run then its bias run, without
+// materialising either (see Compile).
+func (w *writer) params(l weighted) {
+	p := l.Params()
+	if wr, br, ok := p.FP16(); ok {
+		w.fp16Run(wr)
+		w.fp16Run(br)
+		return
+	}
+	nw, nb := l.ParamCounts()
+	wv, bv := p.Values(&w.scratch, nw, nb)
+	w.fp16Blob(wv)
+	w.fp16Blob(bv)
 }

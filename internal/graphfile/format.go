@@ -18,6 +18,7 @@ package graphfile
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/half"
 )
@@ -46,6 +47,10 @@ const (
 type writer struct {
 	buf []byte
 	err error
+	// scratch receives the values of a layer that has not
+	// materialised its weights (4.1 MB for GoogLeNet's 1000x1024
+	// classifier).
+	scratch []float32
 }
 
 func (w *writer) u8(v uint8)       { w.buf = append(w.buf, v) }
@@ -82,9 +87,18 @@ func (w *writer) ints(vals ...int) {
 // fp16Blob writes a float32 slice as binary16 values.
 func (w *writer) fp16Blob(data []float32) {
 	w.uvarint(uint64(len(data)))
-	for _, v := range data {
-		w.buf = binary.LittleEndian.AppendUint16(w.buf, half.FromFloat32(v).Bits())
+	off := len(w.buf)
+	w.buf = slices.Grow(w.buf, 2*len(data))[:off+2*len(data)]
+	out := w.buf[off:]
+	for i, v := range data {
+		binary.LittleEndian.PutUint16(out[2*i:], half.FromFloat32(v).Bits())
 	}
+}
+
+// fp16Run writes a run of binary16 values that is already encoded.
+func (w *writer) fp16Run(raw []byte) {
+	w.uvarint(uint64(len(raw) / 2))
+	w.buf = append(w.buf, raw...)
 }
 
 // reader is a cursor over a blob's bytes. It keeps the first error
@@ -219,17 +233,9 @@ func (r *reader) strs() []string {
 	return out
 }
 
-// fp16Blob decodes a run of binary16 weights in one pass over the
-// bytes, after a single bounds check for the whole run.
-func (r *reader) fp16Blob() []float32 {
+// fp16Run consumes a run of binary16 weights and returns its bytes,
+// two per element, undecoded: the layer decodes them on first read.
+func (r *reader) fp16Run() []byte {
 	n := r.bounded("weight blob length")
-	raw := r.take(2*n, "weight blob")
-	if r.err != nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = half.FromBits(binary.LittleEndian.Uint16(raw[2*i:])).Float32()
-	}
-	return out
+	return r.take(2*n, "weight blob")
 }

@@ -58,14 +58,14 @@ func TestParsedWeightsAreFP16Rounded(t *testing.T) {
 	}
 	orig := g.Layer("conv1").(*nn.Conv)
 	got := parsed.Layer("conv1").(*nn.Conv)
-	if !got.Weights.IsFP16Exact() {
+	if !got.Weights().IsFP16Exact() {
 		t.Error("parsed weights must be FP16-exact")
 	}
-	want := orig.Weights.Clone()
+	want := orig.Weights().Clone()
 	want.QuantizeFP16()
 	for i := range want.Data {
-		if got.Weights.Data[i] != want.Data[i] {
-			t.Fatalf("weight %d: %g vs %g", i, got.Weights.Data[i], want.Data[i])
+		if got.Weights().Data[i] != want.Data[i] {
+			t.Fatalf("weight %d: %g vs %g", i, got.Weights().Data[i], want.Data[i])
 		}
 	}
 }
@@ -73,12 +73,12 @@ func TestParsedWeightsAreFP16Rounded(t *testing.T) {
 func TestCompileDoesNotMutateSource(t *testing.T) {
 	g := microGraph(t)
 	conv := g.Layer("conv1").(*nn.Conv)
-	before := append([]float32(nil), conv.Weights.Data...)
+	before := append([]float32(nil), conv.Weights().Data...)
 	if _, err := Compile(g); err != nil {
 		t.Fatal(err)
 	}
 	for i := range before {
-		if conv.Weights.Data[i] != before[i] {
+		if conv.Weights().Data[i] != before[i] {
 			t.Fatal("Compile mutated source weights")
 		}
 	}
@@ -337,7 +337,6 @@ func TestCompileRejectsNegativeGeometry(t *testing.T) {
 	}{
 		{"conv", &nn.Conv{
 			LayerName: "badconv", InC: 3, OutC: 2, KH: 1, KW: 1, Stride: 1, Pad: -1,
-			Weights: tensor.New(2, 3, 1, 1), Bias: tensor.New(2),
 		}},
 		{"pool", &nn.Pool{LayerName: "badpool", PoolOp: nn.MaxPool, K: 2, Stride: 2, Pad: -1}},
 	}
@@ -509,6 +508,10 @@ func roundTrip(t *testing.T, blob []byte) {
 	}
 }
 
+// BenchmarkCompileGoogLeNet times Compile of a network that has never
+// read its weights, the way every session compiles: each op includes
+// generating the 7 M weights from their rng streams, the work that a
+// network build did before weights became lazy.
 func BenchmarkCompileGoogLeNet(b *testing.B) {
 	g := nn.NewGoogLeNet(rng.New(42))
 	b.SetBytes(int64(len(mustCompile(b, g))))
@@ -521,6 +524,8 @@ func BenchmarkCompileGoogLeNet(b *testing.B) {
 	}
 }
 
+// BenchmarkParseGoogLeNet times the structure-only Parse each stick
+// runs on allocation; no weight is decoded.
 func BenchmarkParseGoogLeNet(b *testing.B) {
 	blob := mustCompile(b, nn.NewGoogLeNet(rng.New(42)))
 	b.SetBytes(int64(len(blob)))

@@ -23,9 +23,14 @@ type Info struct {
 }
 
 // Parse reconstructs a network from a compiled blob, verifying the
-// magic, version, CRC trailer, and final graph integrity. The returned
-// graph's weights are FP16-exact (they round-tripped through binary16
-// during compilation).
+// magic, version, CRC trailer, each weight run's length against its
+// layer's geometry, the header's MAC and parameter totals, and final
+// graph integrity. It decodes no weight: each weighted layer keeps its
+// binary16 runs as sub-slices of blob and decodes them on first read
+// (nn.Params), so the blob must not be modified afterwards. Parsing
+// for a timing run therefore costs the topology only. The weights, when
+// read, are FP16-exact (they round-tripped through binary16 during
+// compilation).
 func Parse(blob []byte) (*nn.Graph, *Info, error) {
 	if len(blob) < len(Magic)+8 {
 		return nil, nil, fmt.Errorf("graphfile: blob too short (%d bytes)", len(blob))
@@ -102,23 +107,23 @@ func readLayer(r *reader, name string) (nn.Layer, error) {
 			return nil, fmt.Errorf("graphfile: conv %q has %d params, want 6", name, len(dims))
 		}
 		inC, outC, kh, kw, stride, pad := dims[0], dims[1], dims[2], dims[3], dims[4], dims[5]
-		weights := r.fp16Blob()
-		bias := r.fp16Blob()
+		weights := r.fp16Run()
+		bias := r.fp16Run()
 		if r.err != nil {
 			return nil, r.err
 		}
 		if inC <= 0 || outC <= 0 || kh <= 0 || kw <= 0 || stride <= 0 || pad < 0 {
 			return nil, fmt.Errorf("graphfile: conv %q has invalid geometry %v", name, dims)
 		}
-		if len(weights) != product(outC, inC, kh, kw) || len(bias) != outC {
+		if len(weights)/2 != product(outC, inC, kh, kw) || len(bias)/2 != outC {
 			return nil, fmt.Errorf("graphfile: conv %q weight sizes inconsistent", name)
 		}
-		return &nn.Conv{
+		c := &nn.Conv{
 			LayerName: name,
 			InC:       inC, OutC: outC, KH: kh, KW: kw, Stride: stride, Pad: pad,
-			Weights: tensor.FromSlice(weights, outC, inC, kh, kw),
-			Bias:    tensor.FromSlice(bias, outC),
-		}, nil
+		}
+		c.Params().DeferFP16(weights, bias)
+		return c, nil
 	case kindPool:
 		dims := r.ints()
 		if len(dims) != 4 {
@@ -158,22 +163,20 @@ func readLayer(r *reader, name string) (nn.Layer, error) {
 			return nil, fmt.Errorf("graphfile: fc %q malformed", name)
 		}
 		inF, outF := dims[0], dims[1]
-		weights := r.fp16Blob()
-		bias := r.fp16Blob()
+		weights := r.fp16Run()
+		bias := r.fp16Run()
 		if r.err != nil {
 			return nil, r.err
 		}
 		if inF <= 0 || outF <= 0 {
 			return nil, fmt.Errorf("graphfile: fc %q has invalid geometry %v", name, dims)
 		}
-		if len(weights) != inF*outF || len(bias) != outF {
+		if len(weights)/2 != product(outF, inF) || len(bias)/2 != outF {
 			return nil, fmt.Errorf("graphfile: fc %q weight sizes inconsistent", name)
 		}
-		return &nn.FullyConnected{
-			LayerName: name, InF: inF, OutF: outF,
-			Weights: tensor.FromSlice(weights, outF, inF),
-			Bias:    tensor.FromSlice(bias, outF),
-		}, nil
+		f := &nn.FullyConnected{LayerName: name, InF: inF, OutF: outF}
+		f.Params().DeferFP16(weights, bias)
+		return f, nil
 	case kindSoftmax:
 		return &nn.Softmax{LayerName: name}, nil
 	default:

@@ -295,7 +295,9 @@ type GraphOptions struct {
 
 // AllocateGraph ships a compiled blob to the device, which parses and
 // validates it (rejecting corrupted blobs exactly like the firmware
-// does) and readies the VPU engine (mvncAllocateGraph).
+// does) and readies the VPU engine (mvncAllocateGraph). The parse
+// decodes no weight: the engine costs layers from their geometry, and
+// a functional graph decodes its weights on its first inference.
 func (d *Device) AllocateGraph(p *sim.Proc, blob []byte, opts GraphOptions) (*Graph, error) {
 	if d.state == stateClosed {
 		return nil, ErrDeviceNotOpen

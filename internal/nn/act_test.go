@@ -198,8 +198,8 @@ func TestConcatErrors(t *testing.T) {
 
 func TestFullyConnectedKnown(t *testing.T) {
 	fc := NewFullyConnected("fc", 3, 2, rng.New(0))
-	copy(fc.Weights.Data, []float32{1, 0, 0, 0, 1, 1})
-	fc.Bias.Data = []float32{0.5, -1}
+	copy(fc.Weights().Data, []float32{1, 0, 0, 0, 1, 1})
+	fc.Bias().Data = []float32{0.5, -1}
 	in := tensor.FromSlice([]float32{2, 3, 4}, 1, 3)
 	out := tensor.New(1, 2)
 	fc.Forward(out, []*tensor.T{in})

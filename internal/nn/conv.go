@@ -19,8 +19,7 @@ type Conv struct {
 	KH, KW    int
 	Stride    int
 	Pad       int
-	Weights   *tensor.T // (OutC, InC, KH, KW)
-	Bias      *tensor.T // (OutC)
+	params    Params // weights (OutC, InC, KH, KW) and bias (OutC)
 }
 
 // NewConv constructs a convolution layer with MSRA-initialized weights
@@ -37,15 +36,34 @@ func NewConvRect(name string, inC, outC, kh, kw, stride, pad int, src *rng.Sourc
 		InC:       inC, OutC: outC,
 		KH: kh, KW: kw,
 		Stride: stride, Pad: pad,
-		Weights: tensor.New(outC, inC, kh, kw),
-		Bias:    tensor.New(outC),
 	}
-	s := src.Derive("conv/" + name)
-	c.Weights.FillMSRA(s, inC*kh*kw)
-	// Small positive bias keeps a healthy fraction of ReLUs active in
-	// the randomly initialized full-size network.
-	c.Bias.FillNormal(s, 0.01, 0.005)
+	c.params.src = seed(src, "conv/"+name, func(s *rng.Source, w, b *tensor.T) {
+		w.FillMSRA(s, inC*kh*kw)
+		// Small positive bias keeps a healthy fraction of ReLUs active
+		// in the randomly initialized full-size network.
+		b.FillNormal(s, 0.01, 0.005)
+	})
 	return c
+}
+
+// Weights returns the (OutC, InC, KH, KW) weight tensor, filling it on
+// first read.
+func (c *Conv) Weights() *tensor.T { w, _ := c.tensors(); return w }
+
+// Bias returns the (OutC) bias tensor, filling it on first read.
+func (c *Conv) Bias() *tensor.T { _, b := c.tensors(); return b }
+
+// Params exposes the layer's parameter source to serializers.
+func (c *Conv) Params() *Params { return &c.params }
+
+// ParamCounts returns the weight and bias element counts the geometry
+// implies.
+func (c *Conv) ParamCounts() (nw, nb int) { return c.OutC * c.InC * c.KH * c.KW, c.OutC }
+
+func (c *Conv) tensors() (w, b *tensor.T) {
+	return c.params.tensors(func() (w, b tensor.Shape) {
+		return tensor.Shape{c.OutC, c.InC, c.KH, c.KW}, tensor.Shape{c.OutC}
+	})
 }
 
 // Name implements Layer.
@@ -102,14 +120,15 @@ func (c *Conv) Forward(out *tensor.T, ins []*tensor.T) {
 	col := (*bufp)[:k*spatial]
 	defer colBuffers.Put(bufp)
 
-	wmat := c.Weights.Data // (OutC) x (k), already contiguous
+	wt, bt := c.tensors()
+	wmat := wt.Data // (OutC) x (k), already contiguous
 	for b := 0; b < n; b++ {
 		src := in.Data[b*c.InC*h*w : (b+1)*c.InC*h*w]
 		im2col(col, src, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
 		dst := out.Data[b*c.OutC*spatial : (b+1)*c.OutC*spatial]
 		gemm.Mul(dst, wmat, col, c.OutC, k, spatial)
 		for oc := 0; oc < c.OutC; oc++ {
-			bias := c.Bias.Data[oc]
+			bias := bt.Data[oc]
 			row := dst[oc*spatial : (oc+1)*spatial]
 			for i := range row {
 				row[i] += bias
@@ -161,13 +180,14 @@ func (c *Conv) Stats(in []tensor.Shape) Stats {
 		return Stats{}
 	}
 	outElems := int64(out.Elems())
+	nw, nb := c.ParamCounts()
 	return Stats{
 		MACs:        outElems * int64(c.InC*c.KH*c.KW),
-		Params:      int64(c.Weights.Elems() + c.Bias.Elems()),
+		Params:      int64(nw) + int64(nb),
 		InputElems:  int64(in[0].Elems()),
 		OutputElems: outElems,
 	}
 }
 
 // Tensors implements the weighted interface.
-func (c *Conv) Tensors() []*tensor.T { return []*tensor.T{c.Weights, c.Bias} }
+func (c *Conv) Tensors() []*tensor.T { w, b := c.tensors(); return []*tensor.T{w, b} }

@@ -52,8 +52,8 @@ func TestConvOutShape(t *testing.T) {
 func TestConvKnownValues(t *testing.T) {
 	conv := NewConv("c", 1, 1, 3, 1, 1, rng.New(0))
 	// Kernel = all ones, bias = 0: output is the 3x3 box sum.
-	conv.Weights.Fill(1)
-	conv.Bias.Fill(0)
+	conv.Weights().Fill(1)
+	conv.Bias().Fill(0)
 	in := tensor.New(1, 1, 3, 3)
 	for i := range in.Data {
 		in.Data[i] = float32(i + 1) // 1..9
@@ -74,9 +74,9 @@ func TestConvKnownValues(t *testing.T) {
 
 func TestConvBias(t *testing.T) {
 	conv := NewConv("c", 1, 2, 1, 1, 0, rng.New(0))
-	conv.Weights.Fill(0)
-	conv.Bias.Data[0] = 1.5
-	conv.Bias.Data[1] = -2
+	conv.Weights().Fill(0)
+	conv.Bias().Data[0] = 1.5
+	conv.Bias().Data[1] = -2
 	in := tensor.New(1, 1, 2, 2)
 	out := tensor.New(1, 2, 2, 2)
 	conv.Forward(out, []*tensor.T{in})
@@ -87,8 +87,8 @@ func TestConvBias(t *testing.T) {
 
 func TestConvStride(t *testing.T) {
 	conv := NewConv("c", 1, 1, 1, 2, 0, rng.New(0))
-	conv.Weights.Fill(1)
-	conv.Bias.Fill(0)
+	conv.Weights().Fill(1)
+	conv.Bias().Fill(0)
 	in := tensor.New(1, 1, 4, 4)
 	for i := range in.Data {
 		in.Data[i] = float32(i)
@@ -113,7 +113,7 @@ func convNaive(out *tensor.T, in *tensor.T, c *Conv) {
 		for oc := 0; oc < c.OutC; oc++ {
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					acc := float64(c.Bias.Data[oc])
+					acc := float64(c.Bias().Data[oc])
 					for ic := 0; ic < c.InC; ic++ {
 						for ky := 0; ky < c.KH; ky++ {
 							sy := oy*c.Stride - c.Pad + ky
@@ -125,7 +125,7 @@ func convNaive(out *tensor.T, in *tensor.T, c *Conv) {
 								if sx < 0 || sx >= w {
 									continue
 								}
-								acc += float64(c.Weights.At(oc, ic, ky, kx)) *
+								acc += float64(c.Weights().At(oc, ic, ky, kx)) *
 									float64(in.At(b, ic, sy, sx))
 							}
 						}
@@ -201,13 +201,13 @@ func TestConvStats(t *testing.T) {
 func TestConvDeterministicInit(t *testing.T) {
 	a := NewConv("same", 3, 8, 3, 1, 1, rng.New(5))
 	b := NewConv("same", 3, 8, 3, 1, 1, rng.New(5))
-	for i := range a.Weights.Data {
-		if a.Weights.Data[i] != b.Weights.Data[i] {
+	for i := range a.Weights().Data {
+		if a.Weights().Data[i] != b.Weights().Data[i] {
 			t.Fatal("same name+seed must give identical weights")
 		}
 	}
 	c := NewConv("other", 3, 8, 3, 1, 1, rng.New(5))
-	if a.Weights.Data[0] == c.Weights.Data[0] {
+	if a.Weights().Data[0] == c.Weights().Data[0] {
 		t.Error("different layer names should give different streams")
 	}
 }
@@ -217,7 +217,7 @@ func TestQuickConvLinearity(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		conv := NewConv("c", 2, 3, 3, 1, 1, src)
-		conv.Bias.Fill(0)
+		conv.Bias().Fill(0)
 		in := tensor.New(1, 2, 6, 6)
 		in.FillNormal(src, 0, 1)
 		out1 := tensor.New(1, 3, 6, 6)

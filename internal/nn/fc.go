@@ -11,22 +11,37 @@ import (
 type FullyConnected struct {
 	LayerName string
 	InF, OutF int
-	Weights   *tensor.T // (OutF, InF)
-	Bias      *tensor.T // (OutF)
+	params    Params // weights (OutF, InF) and bias (OutF)
 }
 
 // NewFullyConnected constructs an FC layer with Xavier weights drawn
 // from a name-derived sub-stream of src.
 func NewFullyConnected(name string, inF, outF int, src *rng.Source) *FullyConnected {
-	f := &FullyConnected{
-		LayerName: name,
-		InF:       inF, OutF: outF,
-		Weights: tensor.New(outF, inF),
-		Bias:    tensor.New(outF),
-	}
-	s := src.Derive("fc/" + name)
-	f.Weights.FillXavier(s, inF)
+	f := &FullyConnected{LayerName: name, InF: inF, OutF: outF}
+	f.params.src = seed(src, "fc/"+name, func(s *rng.Source, w, _ *tensor.T) {
+		w.FillXavier(s, inF)
+	})
 	return f
+}
+
+// Weights returns the (OutF, InF) weight tensor, filling it on first
+// read.
+func (f *FullyConnected) Weights() *tensor.T { w, _ := f.tensors(); return w }
+
+// Bias returns the (OutF) bias tensor, filling it on first read.
+func (f *FullyConnected) Bias() *tensor.T { _, b := f.tensors(); return b }
+
+// Params exposes the layer's parameter source to serializers.
+func (f *FullyConnected) Params() *Params { return &f.params }
+
+// ParamCounts returns the weight and bias element counts the geometry
+// implies.
+func (f *FullyConnected) ParamCounts() (nw, nb int) { return f.OutF * f.InF, f.OutF }
+
+func (f *FullyConnected) tensors() (w, b *tensor.T) {
+	return f.params.tensors(func() (w, b tensor.Shape) {
+		return tensor.Shape{f.OutF, f.InF}, tensor.Shape{f.OutF}
+	})
 }
 
 // Name implements Layer.
@@ -51,28 +66,30 @@ func (f *FullyConnected) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 func (f *FullyConnected) Forward(out *tensor.T, ins []*tensor.T) {
 	in := ins[0]
 	n := in.Dim(0)
+	wt, bt := f.tensors()
 	for b := 0; b < n; b++ {
 		x := in.Data[b*f.InF : (b+1)*f.InF]
 		y := out.Data[b*f.OutF : (b+1)*f.OutF]
-		gemm.MatVec(y, f.Weights.Data, x, f.OutF, f.InF)
+		gemm.MatVec(y, wt.Data, x, f.OutF, f.InF)
 		for i := range y {
-			y[i] += f.Bias.Data[i]
+			y[i] += bt.Data[i]
 		}
 	}
 }
 
 // Stats implements Layer.
 func (f *FullyConnected) Stats(in []tensor.Shape) Stats {
+	nw, nb := f.ParamCounts()
 	return Stats{
 		MACs:        int64(f.InF) * int64(f.OutF),
-		Params:      int64(f.Weights.Elems() + f.Bias.Elems()),
+		Params:      int64(nw) + int64(nb),
 		InputElems:  int64(f.InF),
 		OutputElems: int64(f.OutF),
 	}
 }
 
 // Tensors implements the weighted interface.
-func (f *FullyConnected) Tensors() []*tensor.T { return []*tensor.T{f.Weights, f.Bias} }
+func (f *FullyConnected) Tensors() []*tensor.T { w, b := f.tensors(); return []*tensor.T{w, b} }
 
 // Softmax normalizes the input into a probability distribution; its
 // output is the per-label confidence the NCAPI returns (Listing 1).

@@ -72,7 +72,9 @@ var GoogLeNetInputShape = tensor.Shape{3, 224, 224}
 //
 // Weights are deterministic pseudo-random (seeded by src); the
 // performance experiments only depend on layer geometry, which matches
-// the original network exactly (≈ 1.4 GMACs, ≈ 7.0 M parameters).
+// the original network exactly (≈ 1.4 GMACs, ≈ 7.0 M parameters). The
+// build allocates shapes only: each layer fills its weights from its
+// own stream on first read (see Params).
 func NewGoogLeNet(src *rng.Source) *Graph {
 	g := NewGraph("bvlc_googlenet", GoogLeNetInputShape)
 
@@ -224,11 +226,12 @@ func CalibrateClassifier(g *Graph, fcName, embeddingLayer string, protos []*tens
 	// times a cosine similarity, so softmax confidences stay in an
 	// informative range for any task scale.
 	scale := temperature / float32(meanNorm)
+	w, b := fc.Weights(), fc.Bias()
 	for c, e := range embeds {
 		for i, v := range e {
-			fc.Weights.Data[c*fc.InF+i] = v * scale
+			w.Data[c*fc.InF+i] = v * scale
 		}
-		fc.Bias.Data[c] = 0
+		b.Data[c] = 0
 	}
 	return nil
 }

@@ -80,8 +80,8 @@ func TestGoogLeNetDeterministicWeights(t *testing.T) {
 	b := NewGoogLeNet(rng.New(42))
 	ca := a.Layer("inception_4c/5x5").(*Conv)
 	cb := b.Layer("inception_4c/5x5").(*Conv)
-	for i := range ca.Weights.Data {
-		if ca.Weights.Data[i] != cb.Weights.Data[i] {
+	for i := range ca.Weights().Data {
+		if ca.Weights().Data[i] != cb.Weights().Data[i] {
 			t.Fatal("weights differ across identical seeds")
 		}
 	}

@@ -215,8 +215,8 @@ func (g *Graph) Forward(in *tensor.T, prec Precision) (*tensor.T, error) {
 }
 
 // QuantizeWeightsFP16 rounds every parameter tensor through binary16
-// in place. The NCSDK graph compiler performs the same conversion when
-// building the NCS graph file.
+// in place, filling any not yet read first. The NCSDK graph compiler
+// performs the same conversion when building the NCS graph file.
 func (g *Graph) QuantizeWeightsFP16() {
 	for _, name := range g.order {
 		if w, ok := g.nodes[name].layer.(weighted); ok {

@@ -209,15 +209,15 @@ func TestGraphInputsOfAndLayer(t *testing.T) {
 func TestQuantizeWeightsFP16(t *testing.T) {
 	g := tinyGraph(t, 12)
 	conv := g.Layer("conv").(*Conv)
-	if conv.Weights.IsFP16Exact() {
+	if conv.Weights().IsFP16Exact() {
 		t.Skip("weights happen to be exact; seed choice degenerate")
 	}
 	g.QuantizeWeightsFP16()
-	if !conv.Weights.IsFP16Exact() {
+	if !conv.Weights().IsFP16Exact() {
 		t.Error("conv weights not quantized")
 	}
 	fc := g.Layer("fc").(*FullyConnected)
-	if !fc.Weights.IsFP16Exact() {
+	if !fc.Weights().IsFP16Exact() {
 		t.Error("fc weights not quantized")
 	}
 }

@@ -12,6 +12,11 @@
 // layer, with float32 accumulation inside reductions (the VAU's FP32
 // accumulate mode). The Fig. 7 confidence differences in the paper are
 // reproduced by this genuine rounding, not by injected noise.
+//
+// Weights are lazy (see Params): a layer holds its geometry and a
+// source for its values, and fills float32 tensors on first read, so
+// the timing experiments, which cost layers from their geometry alone,
+// never allocate them.
 package nn
 
 import (
@@ -101,7 +106,7 @@ type Layer interface {
 }
 
 // weighted is implemented by layers that carry learnable parameters;
-// the graph compiler and FP16 quantizer iterate these.
+// the FP16 quantizer iterates these.
 type weighted interface {
 	// Tensors returns the parameter tensors in a stable order.
 	Tensors() []*tensor.T

@@ -49,6 +49,7 @@ func (c *Conv) ForwardFP16Strict(out *tensor.T, ins []*tensor.T) {
 	// Column-major gather buffer: one patch (length k) at a time keeps
 	// the strict inner loop contiguous.
 	patch := make([]float32, k)
+	wt, bt := c.tensors()
 	for b := 0; b < n; b++ {
 		src := in.Data[b*c.InC*h*w : (b+1)*c.InC*h*w]
 		im2col(col, src, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
@@ -58,8 +59,8 @@ func (c *Conv) ForwardFP16Strict(out *tensor.T, ins []*tensor.T) {
 				patch[i] = col[i*spatial+s]
 			}
 			for oc := 0; oc < c.OutC; oc++ {
-				wrow := c.Weights.Data[oc*k : (oc+1)*k]
-				acc := half.FromFloat32(c.Bias.Data[oc])
+				wrow := wt.Data[oc*k : (oc+1)*k]
+				acc := half.FromFloat32(bt.Data[oc])
 				acc = accumulateFP16(acc, wrow, patch)
 				dst[oc*spatial+s] = acc.Float32()
 			}
@@ -71,12 +72,13 @@ func (c *Conv) ForwardFP16Strict(out *tensor.T, ins []*tensor.T) {
 func (f *FullyConnected) ForwardFP16Strict(out *tensor.T, ins []*tensor.T) {
 	in := ins[0]
 	n := in.Dim(0)
+	wt, bt := f.tensors()
 	for b := 0; b < n; b++ {
 		x := in.Data[b*f.InF : (b+1)*f.InF]
 		y := out.Data[b*f.OutF : (b+1)*f.OutF]
 		for o := 0; o < f.OutF; o++ {
-			row := f.Weights.Data[o*f.InF : (o+1)*f.InF]
-			acc := half.FromFloat32(f.Bias.Data[o])
+			row := wt.Data[o*f.InF : (o+1)*f.InF]
+			acc := half.FromFloat32(bt.Data[o])
 			acc = accumulateFP16(acc, row, x)
 			y[o] = acc.Float32()
 		}

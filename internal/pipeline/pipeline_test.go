@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -392,5 +393,38 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if _, err := sess.Run(); err == nil {
 		t.Error("second Run accepted")
+	}
+}
+
+// TestTimingSessionAllocCeiling: a non-functional GoogLeNet session
+// reads no weight value. Its network build allocates shapes only, the
+// compile streams weights straight into the 14 MB blob, and the eight
+// sticks parse that blob without decoding it, so set-up and a short
+// run stay far below one float32 copy of the weights per stick (28 MB
+// each).
+func TestTimingSessionAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("GoogLeNet compile skipped in -short")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sess, err := NewFromConfig(Config{
+		Dataset: smallDataset(80),
+		Groups:  []Group{{Kind: GroupVPU, Devices: 8}},
+		Seed:    3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if rep.Images != 80 {
+		t.Fatalf("classified %d of 80 images", rep.Images)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<20 {
+		t.Errorf("8-stick session allocated %d MB, want < 64 MB", n>>20)
 	}
 }

@@ -119,7 +119,8 @@ func compileArrivals(a *ArrivalSpec) core.Arrivals {
 // cut-name resolution. Only the topology matters — layer names and
 // valid cut points are independent of the weights — so the seed is
 // arbitrary and the session still constructs its own network exactly
-// as a hand-coded config would.
+// as a hand-coded config would. Weights are filled on first read,
+// which never happens here, so the copy costs its shapes only.
 func structureGraph(network string) *nn.Graph {
 	if network == "micro" {
 		return nn.NewMicroGoogLeNet(nn.DefaultMicroConfig(), rng.New(1))

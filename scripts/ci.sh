@@ -41,8 +41,10 @@ echo "== bench-kernel smoke (-benchtime=1x: compile+run sanity, not timing) =="
 # proves every workload still compiles and completes one iteration.
 go test -run '^$' -bench BenchmarkKernel -benchtime=1x ./internal/sim
 # The graph-file codec microbenchmarks (GoogLeNet compile and parse)
-# get the same one-iteration sanity run.
+# and the shape-only GoogLeNet build get the same one-iteration sanity
+# run.
 go test -run '^$' -bench 'Benchmark(Compile|Parse)GoogLeNet' -benchtime=1x ./internal/graphfile
+go test -run '^$' -bench BenchmarkNewGoogLeNet -benchtime=1x ./internal/nn
 # The hedge-trigger microbenchmark (per-completion cost after 1k and
 # 100k prior completions) gets the same sanity run.
 go test -run '^$' -bench BenchmarkHedgeTrigger -benchtime=1x ./internal/core
