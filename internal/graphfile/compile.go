@@ -10,9 +10,9 @@ import (
 // Compile serializes g into an NCS graph blob. Weights are converted
 // to binary16, mirroring the FP16 conversion mvNCCompile performs; the
 // source graph is not modified, and weights it has not materialised
-// stay unmaterialised: a built layer's values are generated into one
-// reused scratch buffer and encoded from there, and a parsed layer's
-// binary16 runs are copied verbatim.
+// stay unmaterialised: their values (a built layer's generated ones, a
+// parsed layer's decoded runs) pass through one reused scratch buffer
+// and are encoded from there.
 //
 // The blob embeds the graph topology, all parameters, and a CRC-32
 // trailer. Parse(Compile(g)) yields a functionally identical network
@@ -106,23 +106,10 @@ func writeLayer(w *writer, g *nn.Graph, name string) error {
 	return nil
 }
 
-// weighted is a layer with a weight and a bias run.
-type weighted interface {
-	Params() *nn.Params
-	ParamCounts() (nw, nb int)
-}
-
 // params writes a layer's weight run then its bias run, without
 // materialising either (see Compile).
-func (w *writer) params(l weighted) {
-	p := l.Params()
-	if wr, br, ok := p.FP16(); ok {
-		w.fp16Run(wr)
-		w.fp16Run(br)
-		return
-	}
-	nw, nb := l.ParamCounts()
-	wv, bv := p.Values(&w.scratch, nw, nb)
+func (w *writer) params(l nn.Layer) {
+	wv, bv := nn.ParamValues(l, &w.scratch)
 	w.fp16Blob(wv)
 	w.fp16Blob(bv)
 }

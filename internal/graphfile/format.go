@@ -95,12 +95,6 @@ func (w *writer) fp16Blob(data []float32) {
 	}
 }
 
-// fp16Run writes a run of binary16 values that is already encoded.
-func (w *writer) fp16Run(raw []byte) {
-	w.uvarint(uint64(len(raw) / 2))
-	w.buf = append(w.buf, raw...)
-}
-
 // reader is a cursor over a blob's bytes. It keeps the first error
 // and turns every later read into a no-op, so call sites stay linear.
 type reader struct {

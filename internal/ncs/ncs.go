@@ -297,7 +297,9 @@ type GraphOptions struct {
 // validates it (rejecting corrupted blobs exactly like the firmware
 // does) and readies the VPU engine (mvncAllocateGraph). The parse
 // decodes no weight: the engine costs layers from their geometry, and
-// a functional graph decodes its weights on its first inference.
+// a functional graph decodes its weights from blob on its first
+// inference. The graph keeps referring to blob, so the caller must not
+// modify it after the call.
 func (d *Device) AllocateGraph(p *sim.Proc, blob []byte, opts GraphOptions) (*Graph, error) {
 	if d.state == stateClosed {
 		return nil, ErrDeviceNotOpen

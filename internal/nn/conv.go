@@ -48,22 +48,16 @@ func NewConvRect(name string, inC, outC, kh, kw, stride, pad int, src *rng.Sourc
 
 // Weights returns the (OutC, InC, KH, KW) weight tensor, filling it on
 // first read.
-func (c *Conv) Weights() *tensor.T { w, _ := c.tensors(); return w }
+func (c *Conv) Weights() *tensor.T { w, _ := tensorsOf(c); return w }
 
 // Bias returns the (OutC) bias tensor, filling it on first read.
-func (c *Conv) Bias() *tensor.T { _, b := c.tensors(); return b }
+func (c *Conv) Bias() *tensor.T { _, b := tensorsOf(c); return b }
 
-// Params exposes the layer's parameter source to serializers.
+// Params exposes the layer's parameter source to the graph-file parser.
 func (c *Conv) Params() *Params { return &c.params }
 
-// ParamCounts returns the weight and bias element counts the geometry
-// implies.
-func (c *Conv) ParamCounts() (nw, nb int) { return c.OutC * c.InC * c.KH * c.KW, c.OutC }
-
-func (c *Conv) tensors() (w, b *tensor.T) {
-	return c.params.tensors(func() (w, b tensor.Shape) {
-		return tensor.Shape{c.OutC, c.InC, c.KH, c.KW}, tensor.Shape{c.OutC}
-	})
+func (c *Conv) paramShapes() (w, b tensor.Shape) {
+	return tensor.Shape{c.OutC, c.InC, c.KH, c.KW}, tensor.Shape{c.OutC}
 }
 
 // Name implements Layer.
@@ -120,7 +114,7 @@ func (c *Conv) Forward(out *tensor.T, ins []*tensor.T) {
 	col := (*bufp)[:k*spatial]
 	defer colBuffers.Put(bufp)
 
-	wt, bt := c.tensors()
+	wt, bt := tensorsOf(c)
 	wmat := wt.Data // (OutC) x (k), already contiguous
 	for b := 0; b < n; b++ {
 		src := in.Data[b*c.InC*h*w : (b+1)*c.InC*h*w]
@@ -180,14 +174,10 @@ func (c *Conv) Stats(in []tensor.Shape) Stats {
 		return Stats{}
 	}
 	outElems := int64(out.Elems())
-	nw, nb := c.ParamCounts()
 	return Stats{
 		MACs:        outElems * int64(c.InC*c.KH*c.KW),
-		Params:      int64(nw) + int64(nb),
+		Params:      paramCount(c),
 		InputElems:  int64(in[0].Elems()),
 		OutputElems: outElems,
 	}
 }
-
-// Tensors implements the weighted interface.
-func (c *Conv) Tensors() []*tensor.T { w, b := c.tensors(); return []*tensor.T{w, b} }

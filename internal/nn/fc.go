@@ -26,22 +26,16 @@ func NewFullyConnected(name string, inF, outF int, src *rng.Source) *FullyConnec
 
 // Weights returns the (OutF, InF) weight tensor, filling it on first
 // read.
-func (f *FullyConnected) Weights() *tensor.T { w, _ := f.tensors(); return w }
+func (f *FullyConnected) Weights() *tensor.T { w, _ := tensorsOf(f); return w }
 
 // Bias returns the (OutF) bias tensor, filling it on first read.
-func (f *FullyConnected) Bias() *tensor.T { _, b := f.tensors(); return b }
+func (f *FullyConnected) Bias() *tensor.T { _, b := tensorsOf(f); return b }
 
-// Params exposes the layer's parameter source to serializers.
+// Params exposes the layer's parameter source to the graph-file parser.
 func (f *FullyConnected) Params() *Params { return &f.params }
 
-// ParamCounts returns the weight and bias element counts the geometry
-// implies.
-func (f *FullyConnected) ParamCounts() (nw, nb int) { return f.OutF * f.InF, f.OutF }
-
-func (f *FullyConnected) tensors() (w, b *tensor.T) {
-	return f.params.tensors(func() (w, b tensor.Shape) {
-		return tensor.Shape{f.OutF, f.InF}, tensor.Shape{f.OutF}
-	})
+func (f *FullyConnected) paramShapes() (w, b tensor.Shape) {
+	return tensor.Shape{f.OutF, f.InF}, tensor.Shape{f.OutF}
 }
 
 // Name implements Layer.
@@ -66,7 +60,7 @@ func (f *FullyConnected) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 func (f *FullyConnected) Forward(out *tensor.T, ins []*tensor.T) {
 	in := ins[0]
 	n := in.Dim(0)
-	wt, bt := f.tensors()
+	wt, bt := tensorsOf(f)
 	for b := 0; b < n; b++ {
 		x := in.Data[b*f.InF : (b+1)*f.InF]
 		y := out.Data[b*f.OutF : (b+1)*f.OutF]
@@ -79,17 +73,13 @@ func (f *FullyConnected) Forward(out *tensor.T, ins []*tensor.T) {
 
 // Stats implements Layer.
 func (f *FullyConnected) Stats(in []tensor.Shape) Stats {
-	nw, nb := f.ParamCounts()
 	return Stats{
 		MACs:        int64(f.InF) * int64(f.OutF),
-		Params:      int64(nw) + int64(nb),
+		Params:      paramCount(f),
 		InputElems:  int64(f.InF),
 		OutputElems: int64(f.OutF),
 	}
 }
-
-// Tensors implements the weighted interface.
-func (f *FullyConnected) Tensors() []*tensor.T { w, b := f.tensors(); return []*tensor.T{w, b} }
 
 // Softmax normalizes the input into a probability distribution; its
 // output is the per-label confidence the NCAPI returns (Listing 1).

@@ -219,10 +219,10 @@ func (g *Graph) Forward(in *tensor.T, prec Precision) (*tensor.T, error) {
 // performs the same conversion when building the NCS graph file.
 func (g *Graph) QuantizeWeightsFP16() {
 	for _, name := range g.order {
-		if w, ok := g.nodes[name].layer.(weighted); ok {
-			for _, t := range w.Tensors() {
-				t.QuantizeFP16()
-			}
+		if l, ok := g.nodes[name].layer.(weighted); ok {
+			w, b := tensorsOf(l)
+			w.QuantizeFP16()
+			b.QuantizeFP16()
 		}
 	}
 }

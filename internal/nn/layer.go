@@ -105,11 +105,16 @@ type Layer interface {
 	Stats(in []tensor.Shape) Stats
 }
 
-// weighted is implemented by layers that carry learnable parameters;
-// the FP16 quantizer iterates these.
+// weighted is implemented by layers that carry learnable parameters
+// (Conv, FullyConnected).
 type weighted interface {
-	// Tensors returns the parameter tensors in a stable order.
-	Tensors() []*tensor.T
+	Layer
+	// Params returns the layer's parameter source.
+	Params() *Params
+	// paramShapes is the one statement of the layer's parameter
+	// geometry: the tensors are allocated, counted and serialized from
+	// it.
+	paramShapes() (w, b tensor.Shape)
 }
 
 // shapeError builds a descriptive error for OutShape failures.

@@ -42,12 +42,13 @@ type paramSource interface {
 	fill(w, b []float32)
 }
 
-// tensors is the one accessor: it materialises the tensors, with the
+// tensorsOf is the one accessor: it materialises l's tensors, with the
 // shapes the layer reports, on the first call. Later calls cost one
 // atomic load.
-func (p *Params) tensors(shapes func() (w, b tensor.Shape)) (w, b *tensor.T) {
+func tensorsOf(l weighted) (w, b *tensor.T) {
+	p := l.Params()
 	p.once.Do(func() {
-		ws, bs := shapes()
+		ws, bs := l.paramShapes()
 		p.w, p.b = tensor.New(ws...), tensor.New(bs...)
 		if p.src != nil {
 			p.src.fill(p.w.Data, p.b.Data)
@@ -64,27 +65,29 @@ func (p *Params) tensors(shapes func() (w, b tensor.Shape)) (w, b *tensor.T) {
 // calls it after checking each run's length against the geometry.
 func (p *Params) DeferFP16(w, b []byte) { p.src = fp16Runs{w: w, b: b} }
 
-// FP16 returns the binary16 runs of a parsed layer whose values have
-// not been read, so a serializer can copy them verbatim. ok is false
-// for a built layer or once the tensors exist.
-func (p *Params) FP16() (w, b []byte, ok bool) {
-	if p.loaded.Load() {
-		return nil, nil, false
-	}
-	r, ok := p.src.(fp16Runs)
-	return r.w, r.b, ok
+// paramCount is the number of parameters l's geometry implies.
+func paramCount(l weighted) int64 {
+	ws, bs := l.paramShapes()
+	return int64(ws.Elems()) + int64(bs.Elems())
 }
 
-// Values returns the current weight and bias values without
-// materialising the layer: the tensors' data once they exist,
-// otherwise the source's values generated into *scratch, which grows
-// as needed and is reused across calls. nw and nb are the element
-// counts the layer's geometry implies. The result is valid until the
-// next call with the same scratch.
-func (p *Params) Values(scratch *[]float32, nw, nb int) (w, b []float32) {
+// ParamValues returns the current weight and bias values of a Conv or
+// FullyConnected layer without materialising it: the tensors' data
+// once they exist, otherwise the source's values generated into
+// *scratch, which grows as needed and is reused across calls. The
+// result is valid until the next call with the same scratch. Layers
+// without parameters yield nil.
+func ParamValues(l Layer, scratch *[]float32) (w, b []float32) {
+	wl, ok := l.(weighted)
+	if !ok {
+		return nil, nil
+	}
+	p := wl.Params()
 	if p.loaded.Load() {
 		return p.w.Data, p.b.Data
 	}
+	ws, bs := wl.paramShapes()
+	nw, nb := ws.Elems(), bs.Elems()
 	buf := slices.Grow((*scratch)[:0], nw+nb)[:nw+nb]
 	*scratch = buf
 	w, b = buf[:nw], buf[nw:]

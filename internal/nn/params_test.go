@@ -20,13 +20,8 @@ func allocBytes(f func()) uint64 {
 
 // loaded reports whether a weighted layer has materialised its tensors.
 func loaded(l Layer) bool {
-	switch t := l.(type) {
-	case *Conv:
-		return t.params.loaded.Load()
-	case *FullyConnected:
-		return t.params.loaded.Load()
-	}
-	return false
+	w, ok := l.(weighted)
+	return ok && w.Params().loaded.Load()
 }
 
 // TestLazyWeightsMatchEagerFill: the lazy fill draws the same values
@@ -63,7 +58,7 @@ func TestLazyWeightsMatchEagerFill(t *testing.T) {
 	equal("fc bias", fc.Bias(), tensor.New(2))
 }
 
-// TestValuesDoNotMaterialise: Stats and Params.Values read a built
+// TestValuesDoNotMaterialise: Stats and ParamValues read a built
 // layer without filling its tensors, and Values yields exactly what
 // the later fill does, also from a dirty scratch buffer.
 func TestValuesDoNotMaterialise(t *testing.T) {
@@ -71,8 +66,7 @@ func TestValuesDoNotMaterialise(t *testing.T) {
 	_ = g.TotalStats()
 	fc := g.Layer("fc").(*FullyConnected)
 	scratch := []float32{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
-	nw, nb := fc.ParamCounts()
-	w, b := fc.Params().Values(&scratch, nw, nb)
+	w, b := ParamValues(fc, &scratch)
 	for _, name := range g.LayerNames() {
 		if loaded(g.Layer(name)) {
 			t.Fatalf("layer %q materialised by Stats or Values", name)
@@ -90,20 +84,38 @@ func TestValuesDoNotMaterialise(t *testing.T) {
 	}
 }
 
+// TestParsedValuesDoNotMaterialise: ParamValues decodes a parsed
+// layer's binary16 runs into scratch and leaves the layer unread.
+func TestParsedValuesDoNotMaterialise(t *testing.T) {
+	fc := &FullyConnected{LayerName: "f", InF: 2, OutF: 1}
+	// 1.5, -2 and 0.25 in little-endian binary16.
+	fc.Params().DeferFP16([]byte{0x00, 0x3e, 0x00, 0xc0}, []byte{0x00, 0x34})
+	var scratch []float32
+	w, b := ParamValues(fc, &scratch)
+	if loaded(fc) {
+		t.Fatal("ParamValues materialised a parsed layer")
+	}
+	if w[0] != 1.5 || w[1] != -2 || b[0] != 0.25 {
+		t.Fatalf("ParamValues = %v %v, want [1.5 -2] [0.25]", w, b)
+	}
+	if fc.Weights().Data[1] != -2 || fc.Bias().Data[0] != 0.25 {
+		t.Fatalf("fill = %v %v, want [1.5 -2] [0.25]", fc.Weights().Data, fc.Bias().Data)
+	}
+}
+
 // TestWriteSurvivesLaterReads: once read, the tensors are the values;
 // no later access refills them from the source.
 func TestWriteSurvivesLaterReads(t *testing.T) {
 	conv := NewConv("c", 2, 3, 1, 1, 0, rng.New(1))
 	conv.Weights().Fill(0.5)
 	conv.Bias().Data[2] = -4
-	_ = conv.Tensors()
+	_, _ = tensorsOf(conv)
 	if conv.Weights().Data[0] != 0.5 || conv.Bias().Data[2] != -4 {
 		t.Error("a later read overwrote a write")
 	}
 	var scratch []float32
-	nw, nb := conv.ParamCounts()
-	if w, b := conv.Params().Values(&scratch, nw, nb); w[0] != 0.5 || b[2] != -4 {
-		t.Error("Values ignores the written tensors")
+	if w, b := ParamValues(conv, &scratch); w[0] != 0.5 || b[2] != -4 {
+		t.Error("ParamValues ignores the written tensors")
 	}
 }
 
@@ -115,9 +127,10 @@ func TestQuantizeWeightsFP16Unmaterialised(t *testing.T) {
 	g.QuantizeWeightsFP16()
 	want := tinyGraph(t, 12)
 	for _, name := range []string{"conv", "fc"} {
-		got := g.Layer(name).(weighted).Tensors()
-		ref := want.Layer(name).(weighted).Tensors()
-		for i, tt := range got {
+		gw, gb := tensorsOf(g.Layer(name).(weighted))
+		rw, rb := tensorsOf(want.Layer(name).(weighted))
+		ref := []*tensor.T{rw, rb}
+		for i, tt := range []*tensor.T{gw, gb} {
 			if !tt.IsFP16Exact() {
 				t.Errorf("%s tensor %d not quantized", name, i)
 			}

@@ -49,7 +49,7 @@ func (c *Conv) ForwardFP16Strict(out *tensor.T, ins []*tensor.T) {
 	// Column-major gather buffer: one patch (length k) at a time keeps
 	// the strict inner loop contiguous.
 	patch := make([]float32, k)
-	wt, bt := c.tensors()
+	wt, bt := tensorsOf(c)
 	for b := 0; b < n; b++ {
 		src := in.Data[b*c.InC*h*w : (b+1)*c.InC*h*w]
 		im2col(col, src, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
@@ -72,7 +72,7 @@ func (c *Conv) ForwardFP16Strict(out *tensor.T, ins []*tensor.T) {
 func (f *FullyConnected) ForwardFP16Strict(out *tensor.T, ins []*tensor.T) {
 	in := ins[0]
 	n := in.Dim(0)
-	wt, bt := f.tensors()
+	wt, bt := tensorsOf(f)
 	for b := 0; b < n; b++ {
 		x := in.Data[b*f.InF : (b+1)*f.InF]
 		y := out.Data[b*f.OutF : (b+1)*f.OutF]

@@ -146,7 +146,9 @@ func CalibratePrototypeClassifier(g *Graph, ds *Dataset, temperature float32) er
 // (weights converted to FP16), the analogue of mvNCCompile.
 func CompileGraph(g *Graph) ([]byte, error) { return graphfile.Compile(g) }
 
-// ParseGraph reconstructs a network from a compiled blob.
+// ParseGraph reconstructs a network from a compiled blob. The network
+// decodes its weights from blob when they are first read, so the
+// caller must not modify blob afterwards.
 func ParseGraph(blob []byte) (*Graph, error) {
 	g, _, err := graphfile.Parse(blob)
 	return g, err
