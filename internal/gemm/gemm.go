@@ -1,43 +1,49 @@
-// Package gemm implements the blocked, goroutine-parallel single
-// precision matrix multiply that backs every convolution (via im2col)
-// and fully connected layer in the inference engine.
+// Package gemm implements the single precision matrix multiply that
+// backs every convolution (via im2col) and the MDK GEMM study.
 //
 // The paper's CPU baseline is Caffe linked against Intel MKL; this
 // package is the stdlib-only stand-in. It is not competitive with MKL,
-// but it is cache-blocked, parallel and deterministic, which is what
-// the functional experiments (Fig. 7) need: the *timing* of each
-// device comes from the calibrated models in internal/devsim and
-// internal/vpu, never from wall-clock measurements of this kernel.
+// but it uses every core and keeps its accumulators in registers, and
+// it is deterministic, which is what the functional experiments
+// (Fig. 7) need: the *timing* of each device comes from the calibrated
+// models in internal/devsim and internal/vpu, never from wall-clock
+// measurements of this kernel.
+//
+// Mul splits C into tiles of blockM rows by blockN columns and hands
+// the tiles to up to GOMAXPROCS goroutines, so a product with few rows
+// (every micro-GoogLeNet conv has at most 32 output channels) still
+// splits across its columns. Within a tile the micro-kernel holds a
+// 1×8 strip of C in local variables across a run of k and stores it
+// once, instead of loading and storing C for every term.
+//
+// Bit-exactness contract: each element of C is the float32 sum of its
+// terms a[i][x]·b[x][j] in ascending x, starting from +0, with each
+// product and each addition rounded to float32 (no fused multiply-add),
+// and with every term whose a[i][x] is zero (+0 or -0) skipped. The
+// skip is observable: it keeps an Inf or NaN in B out of the sum. The
+// result is therefore independent of the tiling, the strip width and
+// the number of goroutines, and matches the plain triple loop bit for
+// bit.
 package gemm
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// Block sizes tuned for typical L1/L2 sizes; correctness does not
+// Tile sizes tuned for typical L1/L2 sizes; correctness does not
 // depend on them (tests sweep odd sizes around the boundaries).
 const (
 	blockM = 64
 	blockN = 64
 	blockK = 256
+	strip  = 8 // columns of C the micro-kernel holds in registers
+
+	// minParallelMACs keeps products too small to repay a goroutine
+	// on the calling one.
+	minParallelMACs = 1 << 15
 )
-
-// Parallelism caps the number of worker goroutines. It defaults to
-// GOMAXPROCS and exists so tests and single-threaded experiments can
-// pin it.
-var parallelism = runtime.GOMAXPROCS(0)
-
-// SetParallelism sets the worker cap for subsequent calls and returns
-// the previous value. n < 1 resets to GOMAXPROCS.
-func SetParallelism(n int) int {
-	old := parallelism
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	parallelism = n
-	return old
-}
 
 // Mul computes C = A·B for row-major matrices: A is m×k, B is k×n and
 // C is m×n. C is fully overwritten. It panics when the slice lengths
@@ -59,85 +65,97 @@ func Mul(c, a, b []float32, m, k, n int) {
 	if len(a) < m*k || len(b) < k*n {
 		panic("gemm: buffer too small for stated dimensions")
 	}
+	mul(c, a, b, m, k, n, runtime.GOMAXPROCS(0))
+}
 
-	// Parallelize over row blocks of C; each worker owns disjoint rows
-	// so no synchronization is needed inside the kernel.
-	nBlocks := (m + blockM - 1) / blockM
-	workers := parallelism
-	if workers > nBlocks {
-		workers = nBlocks
+// mul adds A·B to C tile by tile on up to workers goroutines, the
+// calling one included. Tiles cover disjoint parts of C, so the
+// workers need no synchronisation beyond claiming the next tile.
+func mul(c, a, b []float32, m, k, n, workers int) {
+	cols := (n + blockN - 1) / blockN
+	tiles := (m + blockM - 1) / blockM * cols
+	tile := func(t int) {
+		i0, j0 := t/cols*blockM, t%cols*blockN
+		mulTile(c, a, b, i0, min(i0+blockM, m), j0, min(j0+blockN, n), k, n)
 	}
-	if workers <= 1 || m*n*k < 1<<15 {
-		mulRows(c, a, b, 0, m, k, n)
-		return
+	workers = min(workers, tiles)
+	if m*k*n < minParallelMACs {
+		workers = 1
 	}
-
+	var next atomic.Int64
+	work := func() {
+		for t := int(next.Add(1) - 1); t < tiles; t = int(next.Add(1) - 1) {
+			tile(t)
+		}
+	}
 	var wg sync.WaitGroup
-	next := make(chan int, nBlocks)
-	for i := 0; i < nBlocks; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for range workers - 1 {
 		go func() {
 			defer wg.Done()
-			for blk := range next {
-				i0 := blk * blockM
-				i1 := i0 + blockM
-				if i1 > m {
-					i1 = m
-				}
-				mulRows(c, a, b, i0, i1, k, n)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 
-// mulRows computes rows [i0, i1) of C with k/n cache blocking.
-func mulRows(c, a, b []float32, i0, i1, k, n int) {
+// mulTile adds A·B to rows [i0, i1) and columns [j0, j1) of C, blockK
+// terms at a time: full strips go through the register micro-kernel
+// and the last j1-j0 mod 8 columns through its one-column form.
+func mulTile(c, a, b []float32, i0, i1, j0, j1, k, n int) {
+	jStrips := j0 + (j1-j0)/strip*strip
 	for kk := 0; kk < k; kk += blockK {
-		kMax := kk + blockK
-		if kMax > k {
-			kMax = k
-		}
-		for jj := 0; jj < n; jj += blockN {
-			jMax := jj + blockN
-			if jMax > n {
-				jMax = n
+		kMax := min(kk+blockK, k)
+		bk := b[kk*n:]
+		for i := i0; i < i1; i++ {
+			arow := a[i*k+kk : i*k+kMax]
+			crow := c[i*n : i*n+n]
+			for j := j0; j < jStrips; j += strip {
+				strip8(crow[j:j+strip], arow, bk[j:], n)
 			}
-			for i := i0; i < i1; i++ {
-				arow := a[i*k:]
-				crow := c[i*n:]
-				for kx := kk; kx < kMax; kx++ {
-					av := arow[kx]
-					if av == 0 {
-						continue
-					}
-					brow := b[kx*n:]
-					for j := jj; j < jMax; j++ {
-						crow[j] += av * brow[j]
-					}
-				}
+			for j := jStrips; j < j1; j++ {
+				crow[j] = dot(crow[j], arow, bk[j:], n)
 			}
 		}
 	}
 }
 
-// MulAddBias computes C = A·B then adds bias[j] to every element of
-// column j. This fuses the ubiquitous conv/FC bias step.
-func MulAddBias(c, a, b, bias []float32, m, k, n int) {
-	if len(bias) < n {
-		panic("gemm: bias shorter than n")
-	}
-	Mul(c, a, b, m, k, n)
-	for i := 0; i < m; i++ {
-		row := c[i*n : i*n+n]
-		for j := range row {
-			row[j] += bias[j]
+// strip8 adds Σ_x arow[x]·b[x·n : x·n+8] to the eight values of cs,
+// holding them in locals across the whole run of arow.
+func strip8(cs, arow, b []float32, n int) {
+	cs = cs[:strip]
+	c0, c1, c2, c3, c4, c5, c6, c7 := cs[0], cs[1], cs[2], cs[3], cs[4], cs[5], cs[6], cs[7]
+	off := 0
+	for _, av := range arow {
+		if av != 0 {
+			br := b[off : off+strip : off+strip]
+			// The float32 conversions round each product on its own, so
+			// no target may fuse it with the add.
+			c0 += float32(av * br[0])
+			c1 += float32(av * br[1])
+			c2 += float32(av * br[2])
+			c3 += float32(av * br[3])
+			c4 += float32(av * br[4])
+			c5 += float32(av * br[5])
+			c6 += float32(av * br[6])
+			c7 += float32(av * br[7])
 		}
+		off += n
 	}
+	cs[0], cs[1], cs[2], cs[3], cs[4], cs[5], cs[6], cs[7] = c0, c1, c2, c3, c4, c5, c6, c7
+}
+
+// dot is strip8 for a single column: it returns acc + Σ_x arow[x]·b[x·n].
+func dot(acc float32, arow, b []float32, n int) float32 {
+	off := 0
+	for _, av := range arow {
+		if av != 0 {
+			acc += float32(av * b[off])
+		}
+		off += n
+	}
+	return acc
 }
 
 // MatVec computes y = A·x for a row-major m×k matrix. It is the

@@ -147,46 +147,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 	b := randMat(src, k*n)
 
 	serial := make([]float32, m*n)
-	old := SetParallelism(1)
-	Mul(serial, a, b, m, k, n)
-
+	mul(serial, a, b, m, k, n, 1)
 	parallel := make([]float32, m*n)
-	SetParallelism(8)
-	Mul(parallel, a, b, m, k, n)
-	SetParallelism(old)
+	mul(parallel, a, b, m, k, n, 8)
 
-	// Identical blocking => identical FP order => identical bits.
-	if d := maxDiff(serial, parallel); d != 0 {
-		t.Errorf("parallel result differs from serial by %g; determinism requires bit equality", d)
+	// Every element sums its terms in the same order on any worker, so
+	// the bits agree.
+	if i := firstBitDiff(serial, parallel); i >= 0 {
+		t.Errorf("parallel result differs from serial at %d: %g vs %g", i, parallel[i], serial[i])
 	}
-}
-
-func TestSetParallelism(t *testing.T) {
-	old := SetParallelism(4)
-	if got := SetParallelism(0); got != 4 {
-		t.Errorf("previous parallelism = %d, want 4", got)
-	}
-	SetParallelism(old)
-}
-
-func TestMulAddBias(t *testing.T) {
-	a := []float32{1, 0, 0, 1}
-	b := []float32{2, 3, 4, 5}
-	bias := []float32{10, 20}
-	c := make([]float32, 4)
-	MulAddBias(c, a, b, bias, 2, 2, 2)
-	want := []float32{12, 23, 14, 25}
-	for i := range want {
-		if c[i] != want[i] {
-			t.Fatalf("c = %v, want %v", c, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("short bias should panic")
-		}
-	}()
-	MulAddBias(c, a, b, bias[:1], 2, 2, 2)
 }
 
 func TestMatVec(t *testing.T) {
@@ -277,5 +246,171 @@ func BenchmarkMulConvShape(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Mul(c, x, y, m, k, n)
+	}
+}
+
+// mulRef is the bit-exactness contract written as the plain triple
+// loop: float32 terms in ascending k from +0, each product rounded on
+// its own, and a zero in A skipping its term.
+func mulRef(c, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var acc float32
+			for x := 0; x < k; x++ {
+				if av := a[i*k+x]; av != 0 {
+					acc += float32(av * b[x*n+j])
+				}
+			}
+			c[i*n+j] = acc
+		}
+	}
+}
+
+// firstBitDiff returns the first index where got and want differ in
+// their bits, or -1.
+func firstBitDiff(got, want []float32) int {
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkBitExact runs Mul, the single-goroutine kernel and one tile
+// spanning all of C, and requires each to match mulRef bit for bit.
+func checkBitExact(t *testing.T, a, b []float32, m, k, n int) {
+	t.Helper()
+	want := make([]float32, m*n)
+	mulRef(want, a, b, m, k, n)
+	got := make([]float32, m*n)
+	Mul(got, a, b, m, k, n)
+	serial := make([]float32, m*n)
+	mul(serial, a, b, m, k, n, 1)
+	whole := make([]float32, m*n)
+	mulTile(whole, a, b, 0, m, 0, n, k, n)
+	for _, r := range []struct {
+		name string
+		c    []float32
+	}{{"Mul", got}, {"one worker", serial}, {"one tile", whole}} {
+		if i := firstBitDiff(r.c, want); i >= 0 {
+			t.Fatalf("%s: C[%d] = %g (%#08x), reference %g (%#08x)", r.name,
+				i, r.c[i], math.Float32bits(r.c[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// edges returns sizes one either side of each multiple of step up to
+// limit, plus 1.
+func edges(step, limit int) []int {
+	out := []int{1}
+	for v := step; v <= limit; v += step {
+		out = append(out, v-1, v, v+1)
+	}
+	return out
+}
+
+func TestMulBitExactAtEdges(t *testing.T) {
+	src := rng.New(4)
+	// Odd m, k and n on both sides of every strip, tile and k-block
+	// boundary; the three lists are walked in lockstep so each size of
+	// each dimension is met without the full cross product.
+	ms := edges(blockM, 2*blockM)
+	ks := edges(blockK, 2*blockK)
+	ns := append(edges(strip, 2*strip), edges(blockN, 2*blockN)...)
+	for r := 0; r < len(ns); r++ {
+		m, k, n := ms[r%len(ms)], ks[r%len(ks)], ns[r]
+		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
+			checkBitExact(t, randMat(src, m*k), randMat(src, k*n), m, k, n)
+		})
+	}
+}
+
+func TestMulBitExactColumnSplit(t *testing.T) {
+	// m ≤ blockM leaves one row block, so only the column split can
+	// spread these over workers: check that it does, then the bits.
+	src := rng.New(5)
+	for _, dims := range [][3]int{{16, 27, 1024}, {8, 100, 256}, {24, 108, 256}, {5, 61, 131}, {blockM, 9, 4*blockN + 3}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		if tiles := (n + blockN - 1) / blockN; tiles < 2 || m*k*n < minParallelMACs {
+			t.Fatalf("%v does not take the parallel column split", dims)
+		}
+		checkBitExact(t, randMat(src, m*k), randMat(src, k*n), m, k, n)
+	}
+}
+
+func TestMulBitExactSpecialValues(t *testing.T) {
+	src := rng.New(6)
+	m, k, n := 37, 70, 2*blockN+strip+3
+	a := randMat(src, m*k)
+	b := randMat(src, k*n)
+	negZero := float32(math.Copysign(0, -1))
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+	// Zeros and -0 in A, including whole columns of A that meet Inf and
+	// NaN rows of B: there the skip must keep the sum finite.
+	for i := 0; i < m; i++ {
+		a[i*k+3] = 0
+		a[i*k+11] = negZero
+		if i%3 == 0 {
+			a[i*k+20] = 0
+		}
+		if i%4 == 1 {
+			a[i*k+21] = negZero
+		}
+	}
+	for j := 0; j < n; j++ {
+		b[3*n+j] = inf
+		b[11*n+j] = nan
+	}
+	b[20*n+5] = -inf
+	b[21*n+7] = nan
+	b[40*n+9] = inf // meets nonzero A: Inf or NaN in every row
+
+	want := make([]float32, m*n)
+	mulRef(want, a, b, m, k, n)
+	if math.IsNaN(float64(want[0])) || math.IsInf(float64(want[0]), 0) || !math.IsInf(float64(want[9]), 0) {
+		t.Fatalf("reference C[0] = %g, C[9] = %g: the special values do not exercise the skip", want[0], want[9])
+	}
+	checkBitExact(t, a, b, m, k, n)
+}
+
+// microShapes are the im2col products of NewMicroGoogLeNet's
+// convolutions at its default 32×32 input, as OutC × InC·KH·KW ×
+// OH·OW; repeats are listed once.
+var microShapes = [][3]int{
+	// conv1
+	{16, 27, 1024},
+	// micro_1
+	{8, 16, 256}, {16, 72, 256}, {4, 16, 256}, {8, 100, 256},
+	// micro_2
+	{16, 40, 256}, {12, 40, 256}, {24, 108, 256}, {4, 40, 256}, {12, 100, 256},
+	// micro_3
+	{24, 64, 64}, {16, 64, 64}, {32, 144, 64}, {8, 64, 64}, {16, 200, 64},
+}
+
+// BenchmarkMulMicroShapes times Mul and its single-goroutine kernel on
+// every micro-GoogLeNet conv product. Run with -benchmem.
+func BenchmarkMulMicroShapes(b *testing.B) {
+	src := rng.New(7)
+	for _, dims := range microShapes {
+		m, k, n := dims[0], dims[1], dims[2]
+		x := randMat(src, m*k)
+		y := randMat(src, k*n)
+		c := make([]float32, m*n)
+		name := fmt.Sprintf("%dx%dx%d", m, k, n)
+		b.Run(name+"/Mul", func(b *testing.B) {
+			b.SetBytes(int64(2 * m * k * n * 4))
+			for i := 0; i < b.N; i++ {
+				Mul(c, x, y, m, k, n)
+			}
+		})
+		b.Run(name+"/serial", func(b *testing.B) {
+			b.SetBytes(int64(2 * m * k * n * 4))
+			for i := 0; i < b.N; i++ {
+				clear(c)
+				mul(c, x, y, m, k, n, 1)
+			}
+		})
 	}
 }

@@ -192,20 +192,28 @@ func CalibrateClassifier(g *Graph, fcName, embeddingLayer string, protos []*tens
 		}
 	}()
 
+	// One batch: each prototype's embedding is computed exactly as it
+	// would be alone.
+	per := g.InputShape().Elems()
+	batch := tensor.New(append(tensor.Shape{len(protos)}, g.InputShape()...)...)
+	for c, p := range protos {
+		copy(batch.Data[c*per:], p.Reshape(append(tensor.Shape{1}, g.InputShape()...)...).Data)
+	}
+	out, err := g.Forward(batch, FP32)
+	if err != nil {
+		return err
+	}
+	dim := out.Elems() / len(protos)
+	if dim != fc.InF {
+		return fmt.Errorf("nn: embedding layer %q yields %d values, classifier expects %d",
+			embeddingLayer, dim, fc.InF)
+	}
+
 	// Mean embedding norm normalizes the temperature across tasks.
 	embeds := make([][]float32, len(protos))
 	var meanNorm float64
-	for c, p := range protos {
-		in := p.Reshape(append(tensor.Shape{1}, g.InputShape()...)...)
-		out, err := g.Forward(in, FP32)
-		if err != nil {
-			return err
-		}
-		e := append([]float32(nil), out.Data...)
-		if len(e) != fc.InF {
-			return fmt.Errorf("nn: embedding layer %q yields %d values, classifier expects %d",
-				embeddingLayer, len(e), fc.InF)
-		}
+	for c := range protos {
+		e := out.Data[c*dim : (c+1)*dim]
 		var n2 float64
 		for _, v := range e {
 			n2 += float64(v) * float64(v)

@@ -3,8 +3,10 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -154,8 +156,60 @@ func (g *Graph) ShapeOf(name string) (tensor.Shape, error) { return g.shapeOf(na
 // With FP16 precision the input and every intermediate activation are
 // rounded through binary16 (weights are assumed already quantized via
 // QuantizeWeightsFP16, which the graph compiler performs).
+//
+// Every layer is per-image at inference, so Forward splits the batch
+// into min(GOMAXPROCS, N) contiguous sub-batches, runs each through
+// the layers on its own goroutine and gathers the rows into one N×out
+// tensor. Each image sees the same arithmetic at any batch size or
+// core count, so the output bits do not depend on either.
 func (g *Graph) Forward(in *tensor.T, prec Precision) (*tensor.T, error) {
 	n := batchOf(in, g.inputShape)
+	chunks := max(1, min(runtime.GOMAXPROCS(0), n))
+	per := g.inputShape.Elems()
+	outs := make([]*tensor.T, chunks)
+	errs := make([]error, chunks)
+	panics := make([]any, chunks)
+	var wg sync.WaitGroup
+	for c := range chunks {
+		// Sub-batch c holds images [lo, hi); sizes differ by at most one.
+		lo, hi := c*n/chunks, (c+1)*n/chunks
+		sub := &tensor.T{ShapeOf: append(tensor.Shape{hi - lo}, g.inputShape...), Data: in.Data[lo*per : hi*per]}
+		run := func() {
+			// A panic reaches the caller's goroutine, as it would
+			// without workers.
+			defer func() { panics[c] = recover() }()
+			outs[c], errs[c] = g.forward(sub, prec)
+		}
+		if c == chunks-1 {
+			run() // the caller takes the last sub-batch
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
+	for c := range chunks {
+		if panics[c] != nil {
+			panic(panics[c])
+		}
+		if errs[c] != nil {
+			return nil, errs[c]
+		}
+	}
+	out := tensor.New(append(tensor.Shape{n}, outs[0].ShapeOf[1:]...)...)
+	off := 0
+	for _, o := range outs {
+		off += copy(out.Data[off:], o.Data)
+	}
+	return out, nil
+}
+
+// forward runs the layers over one batch on the calling goroutine.
+func (g *Graph) forward(in *tensor.T, prec Precision) (*tensor.T, error) {
+	n := in.Dim(0)
 
 	acts := map[string]*tensor.T{}
 	input := in

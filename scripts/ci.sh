@@ -45,6 +45,10 @@ go test -run '^$' -bench BenchmarkKernel -benchtime=1x ./internal/sim
 # run.
 go test -run '^$' -bench 'Benchmark(Compile|Parse)GoogLeNet' -benchtime=1x ./internal/graphfile
 go test -run '^$' -bench BenchmarkNewGoogLeNet -benchtime=1x ./internal/nn
+# The fp32 path's kernel-variant benches (gemm on every micro-GoogLeNet
+# conv shape, one batch-8 micro forward) get the same sanity run.
+go test -run '^$' -bench BenchmarkMulMicroShapes -benchmem -benchtime=1x ./internal/gemm
+go test -run '^$' -bench BenchmarkForwardMicroB8 -benchmem -benchtime=1x ./internal/nn
 # The hedge-trigger microbenchmark (per-completion cost after 1k and
 # 100k prior completions) gets the same sanity run.
 go test -run '^$' -bench BenchmarkHedgeTrigger -benchtime=1x ./internal/core
