@@ -8,37 +8,39 @@
 //	ncsw-bench                         # quick scale, all experiments
 //	ncsw-bench -full                   # paper scale (50 000 images)
 //	ncsw-bench -experiment fig6a       # one artefact
+//	ncsw-bench -experiment slo,hedge   # several, in the order given
 //	ncsw-bench -markdown > tables.md   # EXPERIMENTS.md fragments
 //	ncsw-bench -hetero                 # device-group session demo
-//	ncsw-bench -serve                  # tail latency vs offered load
-//	ncsw-bench -serve -json            # machine-readable serving points
-//	ncsw-bench -slo                    # adaptive batching + admission vs baseline
-//	ncsw-bench -slo -json              # machine-readable slo points (BENCH_PR3.json)
-//	ncsw-bench -faults                 # goodput under injected faults, recovery vs fail-stop
-//	ncsw-bench -faults -json           # machine-readable resilience points (BENCH_PR4.json)
-//	ncsw-bench -hedge                  # p99/goodput vs hedge trigger, with and without faults
-//	ncsw-bench -hedge -json            # machine-readable hedge points (BENCH_PR5.json)
-//	ncsw-bench -kernel                 # simulation-kernel microbenchmarks vs pre-rewrite baseline
-//	ncsw-bench -kernel -json           # machine-readable kernel points (BENCH_PR7.json)
-//	ncsw-bench -split                  # split inference: throughput vs partition point
-//	ncsw-bench -split -json            # machine-readable split points (BENCH_PR8.json)
-//	ncsw-bench -tenants                # multi-tenant isolation: per-tenant goodput vs admission scheduler
-//	ncsw-bench -tenants -json          # machine-readable tenant points (BENCH_PR9.json)
+//	ncsw-bench -experiment serving     # tail latency vs offered load
+//	ncsw-bench -experiment slo         # adaptive batching + admission vs baseline
+//	ncsw-bench -experiment resilience  # goodput under injected faults, recovery vs fail-stop
+//	ncsw-bench -experiment hedge       # p99/goodput vs hedge trigger, with and without faults
+//	ncsw-bench -experiment kernel      # simulation-kernel microbenchmarks vs pre-rewrite baseline
+//	ncsw-bench -experiment split       # split inference: throughput vs partition point
+//	ncsw-bench -experiment tenants     # multi-tenant isolation: per-tenant goodput vs admission scheduler
+//	ncsw-bench -experiment slo -json   # one experiment's points as JSON (BENCH_PR3.json)
 //	ncsw-bench -scenario scenarios/    # replay every declarative scenario in a directory
 //	ncsw-bench -scenario f.json        # replay one scenario file
 //	ncsw-bench -scenario scenarios/ -json  # machine-readable scenario points (BENCH_PR10.json)
 //	ncsw-bench -cpuprofile cpu.pprof   # write a CPU profile of the run (any mode)
 //	ncsw-bench -memprofile mem.pprof   # write an allocation profile at exit (any mode)
+//
+// -json works for every experiment with points: serving, slo,
+// resilience, hedge, kernel, split, tenants and scenarios; each
+// committed BENCH_PR*.json snapshot is one such emission. A flag the
+// chosen mode ignores is an error.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,80 +48,99 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ncsw-bench: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "ncsw-bench:", err)
+		os.Exit(1)
+	}
+}
 
-	experiment := flag.String("experiment", "all",
-		"experiment to run: all, "+strings.Join(repro.ExperimentIDs(), ", "))
-	full := flag.Bool("full", false, "paper-scale workload (10000 images per subset)")
-	images := flag.Int("images", 0, "override images per subset for performance runs")
-	funcImages := flag.Int("functional-images", 0, "override images per subset for accuracy runs")
-	subsets := flag.Int("subsets", 0, "override subset count")
-	markdown := flag.Bool("markdown", false, "emit GitHub markdown instead of aligned text")
-	hetero := flag.Bool("hetero", false,
+// run parses args and runs the chosen mode, writing tables or JSON to
+// stdout and progress lines to stderr.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("ncsw-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all",
+		"comma-separated experiments to run: all, "+strings.Join(repro.ExperimentIDs(), ", "))
+	full := fs.Bool("full", false, "paper-scale workload (10000 images per subset)")
+	images := fs.Int("images", 0, "override images per subset for performance runs")
+	funcImages := fs.Int("functional-images", 0, "override images per subset for accuracy runs")
+	subsets := fs.Int("subsets", 0, "override subset count")
+	markdown := fs.Bool("markdown", false, "emit GitHub markdown instead of aligned text")
+	hetero := fs.Bool("hetero", false,
 		"run the heterogeneous device-group session (CPU + GPU + 4 VPUs) instead of the figures")
-	serve := flag.Bool("serve", false,
-		"run the serving experiment (tail latency vs offered load per device group)")
-	slo := flag.Bool("slo", false,
-		"run the slo experiment (adaptive batching + admission control vs the fixed/open baseline)")
-	faults := flag.Bool("faults", false,
-		"run the resilience experiment (goodput/p99 under injected faults, self-healing recovery vs fail-stop)")
-	hedge := flag.Bool("hedge", false,
-		"run the hedge experiment (p99/goodput vs hedge trigger, with and without faults)")
-	kernel := flag.Bool("kernel", false,
-		"run the simulation-kernel microbenchmarks (ops/sec and allocs/op per hot path vs the committed pre-rewrite baseline)")
-	split := flag.Bool("split", false,
-		"run the split-inference experiment (pipeline throughput vs partition point and boundary window, against whole-inference baselines)")
-	tenants := flag.Bool("tenants", false,
-		"run the multi-tenant experiment (per-tenant goodput under a flash-crowd mix: FIFO vs weighted-fair vs priority admission)")
-	scenarioPath := flag.String("scenario", "",
+	scenarioPath := fs.String("scenario", "",
 		"replay the declarative scenario(s) in this file or directory (each pins its own scale; -json for machine-readable points)")
-	jsonOut := flag.Bool("json", false,
-		"with -serve, -slo, -faults, -hedge, -kernel, -split or -tenants: emit the experiment's points as JSON (the BENCH_PR*.json format)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	flag.Parse()
+	jsonOut := fs.Bool("json", false,
+		"with -experiment <id> or -scenario: emit the points as JSON (the BENCH_PR*.json format)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+
+	// Each of these modes reads only some flags; setting another is
+	// an error rather than a silent no-op.
+	var mode string
+	var reads []string
+	switch {
+	case *scenarioPath != "":
+		mode, reads = "-scenario", []string{"scenario", "json"}
+	case *hetero:
+		mode, reads = "-hetero", []string{"hetero", "images"}
+	case *jsonOut:
+		mode, reads = "-json", []string{"json", "experiment", "full", "images", "functional-images", "subsets"}
+	}
+	if mode != "" {
+		reads = append(reads, "cpuprofile", "memprofile")
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && !slices.Contains(reads, f.Name) {
+				err = fmt.Errorf("%s ignores -%s", mode, f.Name)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
 
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
+		f, ferr := os.Create(*cpuProfile)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+		if ferr := pprof.StartCPUProfile(f); ferr != nil {
+			f.Close()
+			return ferr
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // surface live heap accurately
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
+			if merr := writeHeapProfile(*memProfile); err == nil {
+				err = merr
 			}
 		}()
 	}
 
 	if *scenarioPath != "" {
-		if *hetero || *serve || *slo || *faults || *hedge || *kernel || *split || *tenants || *experiment != "all" {
-			log.Fatal("-scenario replays scenario files on their own terms (drop the other mode flags)")
-		}
-		runScenarios(*scenarioPath, *jsonOut)
-		return
+		return runScenarios(*scenarioPath, *jsonOut, stdout, stderr)
 	}
-
 	if *hetero {
 		n := *images
 		if n == 0 {
 			n = 400
 		}
-		runHetero(n)
-		return
+		return runHetero(n, stdout, stderr)
 	}
 
 	cfg := repro.QuickBenchConfig()
@@ -138,285 +159,99 @@ func main() {
 
 	h, err := repro.NewBenchmarks(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	if *jsonOut {
+		points, err := h.Points(*experiment)
+		if err != nil {
+			return err
+		}
+		return emitJSON(stdout, *experiment, points)
 	}
 
 	ids := repro.ExperimentIDs()
 	if *experiment != "all" {
-		if *serve || *slo || *faults || *hedge || *kernel || *split || *tenants {
-			log.Fatal("-serve/-slo/-faults/-hedge/-kernel/-split/-tenants and -experiment are mutually exclusive (use -experiment serving,slo,resilience,hedge,kernel,split,tenants to mix)")
-		}
 		ids = strings.Split(*experiment, ",")
-	}
-	modes := 0
-	for _, on := range []bool{*serve, *slo, *faults, *hedge, *kernel, *split, *tenants} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		log.Fatal("-serve, -slo, -faults, -hedge, -kernel, -split and -tenants are mutually exclusive")
-	}
-	if *jsonOut && modes == 0 {
-		log.Fatal("-json requires -serve, -slo, -faults, -hedge, -kernel, -split or -tenants (only their points have a JSON form)")
-	}
-	if *serve {
-		if *jsonOut {
-			emitServingJSON(h)
-			return
-		}
-		ids = []string{"serving"}
-	}
-	if *slo {
-		if *jsonOut {
-			emitSLOJSON(h)
-			return
-		}
-		ids = []string{"slo"}
-	}
-	if *faults {
-		if *jsonOut {
-			emitResilienceJSON(h)
-			return
-		}
-		ids = []string{"resilience"}
-	}
-	if *hedge {
-		if *jsonOut {
-			emitHedgeJSON(h)
-			return
-		}
-		ids = []string{"hedge"}
-	}
-	if *kernel {
-		if *jsonOut {
-			emitKernelJSON(h)
-			return
-		}
-		ids = []string{"kernel"}
-	}
-	if *split {
-		if *jsonOut {
-			emitSplitJSON(h)
-			return
-		}
-		ids = []string{"split"}
-	}
-	if *tenants {
-		if *jsonOut {
-			emitTenantsJSON(h)
-			return
-		}
-		ids = []string{"tenants"}
 	}
 	for _, id := range ids {
 		start := time.Now()
 		tbl, err := h.Experiment(strings.TrimSpace(id))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if *markdown {
-			fmt.Print(tbl.Markdown())
+			fmt.Fprint(stdout, tbl.Markdown())
 		} else {
-			fmt.Println(tbl.String())
+			fmt.Fprintln(stdout, tbl.String())
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", tbl.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s done in %v]\n", tbl.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
-// emitServingJSON runs the serving experiment and emits the
-// machine-readable points (per device group: achieved img/s and tail
-// latency per offered load) in the BENCH_PR*.json format (PR 2's
-// snapshot used this experiment; scripts/bench.sh now snapshots the
-// slo experiment). The human-readable table goes through the regular
-// experiment dispatch ("serving").
+// writeHeapProfile writes an allocation profile to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // surface live heap accurately
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// emitJSON writes one experiment's points in the BENCH_PR*.json
+// format: {"experiment": id, "points": [...]}, indented.
+func emitJSON(w io.Writer, id string, points any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(struct {
+		Experiment string `json:"experiment"`
+		Points     any    `json:"points"`
+	}{Experiment: id, Points: points})
+}
+
 // runScenarios replays the declarative scenario(s) at path — one
 // file, or every *.json in a directory — printing each report (or,
 // with -json, the points in the BENCH_PR*.json format). Scenario
 // files pin their own scale and seeds, so the run is bit-reproducible
 // regardless of the harness flags.
-func runScenarios(path string, jsonOut bool) {
+func runScenarios(path string, jsonOut bool, stdout, stderr io.Writer) error {
 	scs, err := repro.LoadScenarios(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if jsonOut {
-		points := make([]repro.ScenarioPoint, 0, len(scs))
-		for _, sc := range scs {
-			res, err := sc.Run()
-			if err != nil {
-				log.Fatal(err)
-			}
-			points = append(points, res.Point())
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
-			Experiment string                `json:"experiment"`
-			Points     []repro.ScenarioPoint `json:"points"`
-		}{Experiment: "scenarios", Points: points}); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
+	points := make([]any, 0, len(scs))
 	for _, sc := range scs {
 		start := time.Now()
 		res, err := sc.Run()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Println(res.String())
-		fmt.Fprintf(os.Stderr, "[scenario %s done in %v]\n", res.Scenario.Name, time.Since(start).Round(time.Millisecond))
+		points = append(points, res.Point())
+		if !jsonOut {
+			fmt.Fprintln(stdout, res.String())
+			fmt.Fprintf(stderr, "[scenario %s done in %v]\n", res.Scenario.Name, time.Since(start).Round(time.Millisecond))
+		}
 	}
-}
-
-func emitServingJSON(h *repro.Benchmarks) {
-	points, err := h.ServingPoints()
-	if err != nil {
-		log.Fatal(err)
+	if jsonOut {
+		return emitJSON(stdout, "scenarios", points)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string               `json:"experiment"`
-		Points     []repro.ServingPoint `json:"points"`
-	}{Experiment: "serving", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitSLOJSON runs the slo experiment and emits the machine-readable
-// points (per device group and serving-edge variant: goodput, shed
-// rate and tail latency per offered load) that scripts/bench.sh
-// stores as the current PR's BENCH_PR*.json snapshot.
-func emitSLOJSON(h *repro.Benchmarks) {
-	points, err := h.SLOPoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string           `json:"experiment"`
-		Points     []repro.SLOPoint `json:"points"`
-	}{Experiment: "slo", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitResilienceJSON runs the resilience experiment and emits the
-// machine-readable points (per configuration and fault level: goodput,
-// tail latency, retries, drops, outages, MTTR and uptime for the
-// self-healing and fail-stop policies) that scripts/bench.sh stores as
-// the current PR's BENCH_PR*.json snapshot.
-func emitResilienceJSON(h *repro.Benchmarks) {
-	points, err := h.ResiliencePoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string                  `json:"experiment"`
-		Points     []repro.ResiliencePoint `json:"points"`
-	}{Experiment: "resilience", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitHedgeJSON runs the hedge experiment and emits the
-// machine-readable points (per configuration, fault level and hedge
-// variant: p99, goodput, hedge volume and waste) that scripts/bench.sh
-// stores as the current PR's BENCH_PR*.json snapshot.
-func emitHedgeJSON(h *repro.Benchmarks) {
-	points, err := h.HedgePoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string             `json:"experiment"`
-		Points     []repro.HedgePoint `json:"points"`
-	}{Experiment: "hedge", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitKernelJSON runs the simulation-kernel microbenchmarks and emits
-// the machine-readable points (per hot path: measured ops/sec and
-// exact allocs/op next to the committed pre-rewrite baseline) that
-// scripts/bench.sh stores as the current PR's BENCH_PR*.json snapshot.
-// Unlike the simulated experiments these are wall-clock numbers: two
-// emissions differ, and cross-machine comparisons are apples to
-// oranges — the committed snapshot documents one machine's
-// before/after.
-func emitKernelJSON(h *repro.Benchmarks) {
-	points, err := h.KernelPoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string              `json:"experiment"`
-		Points     []repro.KernelPoint `json:"points"`
-	}{Experiment: "kernel", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitSplitJSON runs the split-inference experiment and emits the
-// machine-readable points (per partition point and boundary window:
-// pipeline throughput and tail latency against the whole-inference
-// baselines at equal fleet) that scripts/bench.sh stores as the
-// current PR's BENCH_PR*.json snapshot. Fully simulated: two
-// emissions at the same seed are byte-identical.
-func emitSplitJSON(h *repro.Benchmarks) {
-	points, err := h.SplitPoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string             `json:"experiment"`
-		Points     []repro.SplitPoint `json:"points"`
-	}{Experiment: "split", Points: points}); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// emitTenantsJSON runs the multi-tenant experiment and emits the
-// machine-readable points (per scheduler, aggregate load and tenant:
-// offered vs achieved rate, tails, goodput against the tenant's own
-// SLO, and shed/expired/quota drops) that scripts/bench.sh stores as
-// the current PR's BENCH_PR*.json snapshot. Fully simulated: two
-// emissions at the same seed are byte-identical.
-func emitTenantsJSON(h *repro.Benchmarks) {
-	points, err := h.TenantPoints()
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Experiment string              `json:"experiment"`
-		Points     []repro.TenantPoint `json:"points"`
-	}{Experiment: "tenants", Points: points}); err != nil {
-		log.Fatal(err)
-	}
+	return nil
 }
 
 // runHetero demonstrates §III's device groups beyond the paper's
 // figures: one dataset split across every device family at once,
 // under each routing policy.
-func runHetero(images int) {
-	fmt.Printf("heterogeneous device groups: CPU + GPU + 4 VPUs over %d images\n\n", images)
+func runHetero(images int, stdout, stderr io.Writer) error {
+	fmt.Fprintf(stdout, "heterogeneous device groups: CPU + GPU + 4 VPUs over %d images\n\n", images)
 	net := repro.NewGoogLeNet(repro.Seed(42))
 	blob, err := repro.CompileGraph(net)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, route := range []repro.Routing{
 		repro.StaticSplit, repro.RoundRobinSplit, repro.WorkStealing, repro.WeightedByThroughput,
@@ -431,14 +266,15 @@ func runHetero(images int) {
 			repro.WithRouting(route),
 		)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		start := time.Now()
 		report, err := sess.Run()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("── routing: %v ──\n%s\n", route, report)
-		fmt.Fprintf(os.Stderr, "[%v done in %v]\n", route, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "── routing: %v ──\n%s\n", route, report)
+		fmt.Fprintf(stderr, "[%v done in %v]\n", route, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }

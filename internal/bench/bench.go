@@ -142,10 +142,9 @@ type Harness struct {
 	cfg  Config
 	goog *nn.Graph
 	blob []byte
-	// capCache memoizes the deterministic closed-loop capacity probes
-	// shared by the resilience and hedge experiments (keyed by
-	// config/images; see resilienceCapacity).
-	capCache map[string]any
+	// probes memoizes the deterministic closed-loop capacity probes
+	// shared across experiments (see capacity).
+	probes map[string]probe
 }
 
 // NewHarness validates cfg and builds the shared artefacts.
@@ -172,29 +171,37 @@ func (h *Harness) Blob() []byte { return h.blob }
 
 // experiments registers the regenerable artefacts in paper order: the
 // paper's figures, the headline summary, then the beyond-the-paper
-// studies.
+// studies. An entry's points, when set, returns the machine-readable
+// points its table is rendered from (the BENCH_PR*.json format).
 var experiments = []struct {
-	id  string
-	run func(*Harness) (*Table, error)
+	id     string
+	run    func(*Harness) (*Table, error)
+	points func(*Harness) (any, error)
 }{
-	{"fig6a", (*Harness).Fig6a},
-	{"fig6b", (*Harness).Fig6b},
-	{"fig7a", (*Harness).Fig7a},
-	{"fig7b", (*Harness).Fig7b},
-	{"fig8a", (*Harness).Fig8a},
-	{"fig8b", (*Harness).Fig8b},
-	{"summary", (*Harness).Summary},
-	{"ablation", (*Harness).Ablation},
-	{"precision", func(h *Harness) (*Table, error) { return h.PrecisionAblation(precisionImages(h.cfg)) }},
-	{"gemm", (*Harness).GEMMStudy},
-	{"serving", (*Harness).Serving},
-	{"slo", (*Harness).SLO},
-	{"resilience", (*Harness).Resilience},
-	{"hedge", (*Harness).Hedge},
-	{"kernel", (*Harness).Kernel},
-	{"split", (*Harness).Split},
-	{"tenants", (*Harness).Tenants},
-	{"scenarios", (*Harness).Scenarios},
+	{"fig6a", (*Harness).Fig6a, nil},
+	{"fig6b", (*Harness).Fig6b, nil},
+	{"fig7a", (*Harness).Fig7a, nil},
+	{"fig7b", (*Harness).Fig7b, nil},
+	{"fig8a", (*Harness).Fig8a, nil},
+	{"fig8b", (*Harness).Fig8b, nil},
+	{"summary", (*Harness).Summary, nil},
+	{"ablation", (*Harness).Ablation, nil},
+	{"precision", func(h *Harness) (*Table, error) { return h.PrecisionAblation(precisionImages(h.cfg)) }, nil},
+	{"gemm", (*Harness).GEMMStudy, nil},
+	{"serving", (*Harness).Serving, points((*Harness).ServingPoints)},
+	{"slo", (*Harness).SLO, points((*Harness).SLOPoints)},
+	{"resilience", (*Harness).Resilience, points((*Harness).ResiliencePoints)},
+	{"hedge", (*Harness).Hedge, points((*Harness).HedgePoints)},
+	{"kernel", (*Harness).Kernel, points((*Harness).KernelPoints)},
+	{"split", (*Harness).Split, points((*Harness).SplitPoints)},
+	{"tenants", (*Harness).Tenants, points((*Harness).TenantPoints)},
+	{"scenarios", (*Harness).Scenarios, points((*Harness).ScenarioPoints)},
+}
+
+// points adapts a typed <X>Points method to the registry's points
+// field.
+func points[T any](f func(*Harness) ([]T, error)) func(*Harness) (any, error) {
+	return func(h *Harness) (any, error) { return f(h) }
 }
 
 // All runs every experiment in paper order.
@@ -218,6 +225,24 @@ func (h *Harness) Experiment(id string) (*Table, error) {
 		}
 	}
 	return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, ExperimentIDs())
+}
+
+// Points runs one experiment by ID and returns its machine-readable
+// points: the slice its <X>Points method returns (e.g. []SLOPoint for
+// "slo"). An unknown or table-only ID is an error naming the IDs that
+// have points.
+func (h *Harness) Points(id string) (any, error) {
+	var have []string
+	for _, e := range experiments {
+		if e.points == nil {
+			continue
+		}
+		if e.id == id {
+			return e.points(h)
+		}
+		have = append(have, e.id)
+	}
+	return nil, fmt.Errorf("bench: experiment %q has no points (have %v)", id, have)
 }
 
 // precisionImages bounds the precision ablation: its FP16-accumulate

@@ -101,6 +101,13 @@ func TestExperimentDispatch(t *testing.T) {
 	if _, err := h.Experiment("nope"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+	for _, id := range []string{"nope", "fig6a"} {
+		if _, err := h.Points(id); err == nil {
+			t.Errorf("Points(%q) accepted", id)
+		} else if !strings.Contains(err.Error(), "serving") {
+			t.Errorf("Points(%q) error %q does not name the IDs with points", id, err)
+		}
+	}
 	ids := ExperimentIDs()
 	if len(ids) != 18 {
 		t.Errorf("ExperimentIDs = %v", ids)

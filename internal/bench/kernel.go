@@ -18,8 +18,8 @@ import (
 // open-loop arrival pipeline. The workloads are plain functions over
 // the public sim API so the same definitions back both the
 // go-test-bench suite (internal/sim/bench_test.go) and the
-// machine-readable kernel snapshot (ncsw-bench -kernel -json →
-// BENCH_PR7.json).
+// machine-readable kernel snapshot (ncsw-bench -experiment kernel
+// -json → BENCH_PR7.json).
 //
 // Workload shape notes:
 //   - Event times are scattered by a seeded source, so the scheduler

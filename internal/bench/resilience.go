@@ -192,29 +192,13 @@ func (h *Harness) ResiliencePoints() ([]ResiliencePoint, error) {
 }
 
 // resilienceCapacity probes a configuration's closed-loop throughput
-// and setup time, fault-free and unmonitored. The probe is
-// deterministic and shared by the resilience and hedge experiments,
-// so the result is memoized per (config, images) on the harness — an
-// all-experiments run pays each full closed-loop simulation once.
+// and setup time, fault-free and unmonitored. The probe is shared by
+// the resilience and hedge experiments and memoized per (config,
+// images) on the harness.
 func (h *Harness) resilienceCapacity(cfg resilienceConfig, images int) (float64, time.Duration, error) {
-	type probe struct {
-		capacity float64
-		ready    time.Duration
-	}
-	key := fmt.Sprintf("%s/%d", cfg.name, images)
-	if h.capCache == nil {
-		h.capCache = map[string]any{}
-	}
-	if p, ok := h.capCache[key]; ok {
-		pr := p.(probe)
-		return pr.capacity, pr.ready, nil
-	}
-	rep, err := h.run(images, "resilience/"+cfg.name+"/run/capacity", cfg.fleet(pipeline.Config{}))
-	if err != nil {
-		return 0, 0, err
-	}
-	h.capCache[key] = probe{capacity: rep.Throughput, ready: rep.Job.ReadyAt}
-	return rep.Throughput, rep.Job.ReadyAt, nil
+	return h.capacity(fmt.Sprintf("%s/%d", cfg.name, images), func() (*pipeline.Report, error) {
+		return h.run(images, "resilience/"+cfg.name+"/run/capacity", cfg.fleet(pipeline.Config{}))
+	})
 }
 
 // resiliencePoint measures one (configuration, level, policy) cell.

@@ -81,36 +81,21 @@ func tenantImages(cfg Config) int {
 // time once (memoized like the resilience probe): the normalization
 // every offered load and SLO derives from.
 func (h *Harness) tenantCapacity(images int) (float64, time.Duration, error) {
-	type probe struct {
-		capacity float64
-		ready    time.Duration
-	}
-	key := fmt.Sprintf("tenants/vpu-%d/%d", tenantSticks, images)
-	if h.capCache == nil {
-		h.capCache = map[string]any{}
-	}
-	if p, ok := h.capCache[key]; ok {
-		pr := p.(probe)
-		return pr.capacity, pr.ready, nil
-	}
-	ds := imagenet.DefaultConfig()
-	ds.Images = images
-	sess, err := pipeline.New(
-		pipeline.WithDataset(ds),
-		pipeline.WithNetwork(h.goog),
-		pipeline.WithBlob(h.blob),
-		pipeline.WithVPUs(tenantSticks),
-		pipeline.WithSeed(rng.New(h.cfg.Seed).Derive("tenants/capacity").Uint64()),
-	)
-	if err != nil {
-		return 0, 0, err
-	}
-	rep, err := sess.Run()
-	if err != nil {
-		return 0, 0, err
-	}
-	h.capCache[key] = probe{capacity: rep.Throughput, ready: rep.Job.ReadyAt}
-	return rep.Throughput, rep.Job.ReadyAt, nil
+	return h.capacity(fmt.Sprintf("tenants/vpu-%d/%d", tenantSticks, images), func() (*pipeline.Report, error) {
+		ds := imagenet.DefaultConfig()
+		ds.Images = images
+		sess, err := pipeline.New(
+			pipeline.WithDataset(ds),
+			pipeline.WithNetwork(h.goog),
+			pipeline.WithBlob(h.blob),
+			pipeline.WithVPUs(tenantSticks),
+			pipeline.WithSeed(rng.New(h.cfg.Seed).Derive("tenants/capacity").Uint64()),
+		)
+		if err != nil {
+			return nil, err
+		}
+		return sess.Run()
+	})
 }
 
 // tenantSteady builds the three well-behaved tenants: Poisson at

@@ -4,7 +4,7 @@
 // context switches, and an end-to-end open-loop arrival pipeline. The
 // workload definitions live in internal/bench (kernel.go) so the same
 // code backs both this go-test suite and the machine-readable kernel
-// snapshot (ncsw-bench -kernel -json → BENCH_PR7.json).
+// snapshot (ncsw-bench -experiment kernel -json → BENCH_PR7.json).
 //
 // Run with:
 //

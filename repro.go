@@ -794,9 +794,6 @@ type (
 	// ScenarioResult is one scenario run: the scenario plus the
 	// session report it produced.
 	ScenarioResult = scenario.Result
-	// ScenarioPoint is the machine-readable summary of one scenario
-	// run (the -scenario -json output of cmd/ncsw-bench).
-	ScenarioPoint = scenario.Point
 )
 
 // LoadScenario parses and validates one scenario file.
@@ -819,39 +816,6 @@ type (
 	// Benchmarks is the experiment harness regenerating the paper's
 	// figures.
 	Benchmarks = bench.Harness
-	// ServingPoint is one (configuration, offered load) measurement of
-	// the serving experiment (Benchmarks.ServingPoints).
-	ServingPoint = bench.ServingPoint
-	// SLOPoint is one (configuration, serving-edge variant, offered
-	// load) measurement of the slo experiment (Benchmarks.SLOPoints):
-	// fixed vs adaptive batch assembly, open vs bounded admission.
-	SLOPoint = bench.SLOPoint
-	// ResiliencePoint is one (configuration, fault level, recovery
-	// policy) measurement of the resilience experiment
-	// (Benchmarks.ResiliencePoints): goodput, tail latency and
-	// availability under injected faults, self-healing vs fail-stop.
-	ResiliencePoint = bench.ResiliencePoint
-	// HedgePoint is one (configuration, fault level, hedge variant)
-	// measurement of the hedge experiment (Benchmarks.HedgePoints):
-	// p99 and goodput vs hedge trigger, with the hedge volume and
-	// waste that bought them.
-	HedgePoint = bench.HedgePoint
-	// KernelPoint is one simulation-kernel microbench measurement
-	// (Benchmarks.KernelPoints): wall-clock ops/sec and exact allocs/op
-	// for a kernel hot path, paired with the committed pre-rewrite
-	// baseline.
-	KernelPoint = bench.KernelPoint
-	// SplitPoint is one measurement of the split-inference experiment
-	// (Benchmarks.SplitPoints): throughput and tail latency per
-	// partition point for a 4-VPU head feeding a CPU/GPU tail, against
-	// whole-inference baselines at equal fleet, plus a boundary-window
-	// sweep at the best cut.
-	SplitPoint = bench.SplitPoint
-	// TenantPoint is one (scheduler, aggregate load, tenant)
-	// measurement of the multi-tenant experiment
-	// (Benchmarks.TenantPoints): per-tenant goodput, tails and drops
-	// under a flash-crowd mix, FIFO vs weighted-fair vs priority.
-	TenantPoint = bench.TenantPoint
 )
 
 // DefaultBenchConfig returns the paper-scale experiment configuration.

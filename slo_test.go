@@ -17,7 +17,7 @@ func sloTestConfig() bench.Config {
 	}
 }
 
-func sloTestPoints(t *testing.T) []SLOPoint {
+func sloTestPoints(t *testing.T) []bench.SLOPoint {
 	t.Helper()
 	h, err := bench.NewHarness(sloTestConfig())
 	if err != nil {

@@ -41,7 +41,8 @@ func TestSplitAcceptance(t *testing.T) {
 	}
 }
 
-// TestSplitJSONDeterministic locks the -split -json contract: the
+// TestSplitJSONDeterministic locks the -experiment split -json
+// contract: the
 // whole split experiment at the same seed emits byte-identical
 // machine-readable points across two fresh harnesses.
 func TestSplitJSONDeterministic(t *testing.T) {
