@@ -44,6 +44,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (choose the network with -net)", fs.Arg(0))
+	}
 
 	var net *repro.Graph
 	switch *netName {
@@ -66,7 +69,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "\ncompiled blob: %d bytes (%.2f MB), %d layers, %.3f GMACs, %.2f M params (FP16)\n",
-		info.Bytes, float64(info.Bytes)/(1<<20), info.Layers,
+		info.Bytes, float64(info.Bytes)/1e6, info.Layers,
 		float64(info.MACs)/1e9, float64(info.Params)/1e6)
 
 	if *out != "" {

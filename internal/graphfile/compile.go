@@ -1,8 +1,13 @@
 package graphfile
 
 import (
+	"cmp"
 	"fmt"
 	"hash/crc32"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/nn"
 )
@@ -10,9 +15,16 @@ import (
 // Compile serializes g into an NCS graph blob. Weights are converted
 // to binary16, mirroring the FP16 conversion mvNCCompile performs; the
 // source graph is not modified, and weights it has not materialised
-// stay unmaterialised: their values (a built layer's generated ones, a
-// parsed layer's decoded runs) pass through one reused scratch buffer
-// and are encoded from there.
+// stay unmaterialised.
+//
+// Compile runs in two passes. The first writes the structure and, for
+// each parameter run, its length and a reserved slot of two bytes per
+// value, which the geometry fixes in advance. The second fills the
+// slots on up to GOMAXPROCS workers, one layer at a time, largest
+// first: each worker streams its layer's values (a built layer's
+// generated ones, a parsed layer's decoded runs) through its own
+// fixed-size scratch and encodes them into the slot. The blob is the
+// same byte for byte at any core count.
 //
 // The blob embeds the graph topology, all parameters, and a CRC-32
 // trailer. Parse(Compile(g)) yields a functionally identical network
@@ -21,22 +33,13 @@ func Compile(g *nn.Graph) ([]byte, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graphfile: refusing to compile invalid graph: %w", err)
 	}
-	var total nn.Stats
-	var largest int64
-	for _, ls := range g.PerLayerStats() {
-		total = total.Add(ls.Stats)
-		largest = max(largest, ls.Stats.Params)
-	}
+	total := g.TotalStats()
 	names := g.LayerNames()
 	// Two bytes per parameter, plus an allowance for the header and for
 	// each layer's names, edges and geometry (GoogLeNet averages 54
 	// bytes a layer), so the buffer is allocated once and the blob,
-	// which a session keeps alive, carries little slack. The scratch
-	// buffer holds the largest layer's parameters, so it never regrows.
-	w := writer{
-		buf:     make([]byte, 0, 2*total.Params+64*int64(len(names))+128),
-		scratch: make([]float32, 0, largest),
-	}
+	// which a session keeps alive, carries little slack.
+	w := writer{buf: make([]byte, 0, 2*total.Params+64*int64(len(names))+128)}
 	w.buf = append(w.buf, Magic...)
 	w.u32(Version)
 	w.str(g.Name())
@@ -54,6 +57,7 @@ func Compile(g *nn.Graph) ([]byte, error) {
 			return nil, fmt.Errorf("graphfile: layer %q: %w", name, w.err)
 		}
 	}
+	fillSlots(w.buf, w.slots)
 
 	w.u32(crc32.ChecksumIEEE(w.buf))
 	return w.buf, nil
@@ -106,10 +110,75 @@ func writeLayer(w *writer, g *nn.Graph, name string) error {
 	return nil
 }
 
-// params writes a layer's weight run then its bias run, without
-// materialising either (see Compile).
+// params writes a layer's weight run then its bias run as reserved
+// slots, which fillSlots encodes after the structure is written.
 func (w *writer) params(l nn.Layer) {
-	wv, bv := nn.ParamValues(l, &w.scratch)
-	w.fp16Blob(wv)
-	w.fp16Blob(bv)
+	nw, nb := nn.ParamLens(l)
+	w.slots = append(w.slots, slot{layer: l, nw: nw, nb: nb, w: w.reserve(nw), b: w.reserve(nb)})
+}
+
+// slot is a layer's reserved parameter runs: nw weights at byte offset
+// w of the blob and nb bias values at offset b, two bytes a value.
+type slot struct {
+	layer  nn.Layer
+	nw, nb int
+	w, b   int
+}
+
+// chunkLen is the number of values a compile worker generates and
+// encodes at a time: a 64 KB scratch, which stays in cache, instead of
+// one sized to the largest layer (4.1 MB for GoogLeNet's classifier).
+const chunkLen = 16 << 10
+
+// fillSlots encodes every slot's values into buf: one layer per task,
+// largest first, on min(GOMAXPROCS, layers) workers, the caller's
+// goroutine among them, each streaming values through its own scratch.
+// Slots are disjoint, so the bytes do not depend on which worker fills
+// which slot.
+func fillSlots(buf []byte, slots []slot) {
+	if len(slots) == 0 {
+		return
+	}
+	slices.SortStableFunc(slots, func(a, b slot) int { return cmp.Compare(b.nw+b.nb, a.nw+a.nb) })
+	scratchLen := max(1, min(chunkLen, slots[0].nw+slots[0].nb))
+	var next atomic.Int64
+	work := func() {
+		scratch := make([]float32, scratchLen)
+		for i := next.Add(1) - 1; i < int64(len(slots)); i = next.Add(1) - 1 {
+			s := slots[i]
+			nn.ParamChunks(s.layer, scratch, func(off int, vals []float32) {
+				at := s.w + 2*off
+				if off >= s.nw {
+					at = s.b + 2*(off-s.nw)
+				}
+				encodeFP16(buf[at:at+2*len(vals)], vals)
+			})
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(slots))
+	panics := make([]any, workers)
+	var wg sync.WaitGroup
+	for i := range workers {
+		run := func() {
+			// A panic reaches the caller's goroutine, as it would
+			// without workers.
+			defer func() { panics[i] = recover() }()
+			work()
+		}
+		if i == workers-1 {
+			run() // the caller is the last worker
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }

@@ -13,6 +13,12 @@
 // endian; weight blobs are IEEE binary16 (uint16 per element), exactly
 // like real NCS graph files. A CRC-32 trailer lets the device firmware
 // reject corrupted transfers.
+//
+// Neither direction materialises float32 weights. Compile writes the
+// structure with a reserved slot per weight run, then encodes the runs
+// on every core in fixed-size chunks (see Compile); Parse checks the
+// structure and leaves each run undecoded until its layer is first
+// read.
 package graphfile
 
 import (
@@ -47,10 +53,8 @@ const (
 type writer struct {
 	buf []byte
 	err error
-	// scratch receives the values of a layer that has not
-	// materialised its weights (4.1 MB for GoogLeNet's 1000x1024
-	// classifier).
-	scratch []float32
+	// slots are the parameter runs reserved in buf (see Compile).
+	slots []slot
 }
 
 func (w *writer) u8(v uint8)       { w.buf = append(w.buf, v) }
@@ -84,14 +88,20 @@ func (w *writer) ints(vals ...int) {
 	}
 }
 
-// fp16Blob writes a float32 slice as binary16 values.
-func (w *writer) fp16Blob(data []float32) {
-	w.uvarint(uint64(len(data)))
+// reserve writes a run length n and leaves room for n binary16 values
+// after it, returning the offset of that room in buf.
+func (w *writer) reserve(n int) int {
+	w.uvarint(uint64(n))
 	off := len(w.buf)
-	w.buf = slices.Grow(w.buf, 2*len(data))[:off+2*len(data)]
-	out := w.buf[off:]
-	for i, v := range data {
-		binary.LittleEndian.PutUint16(out[2*i:], half.FromFloat32(v).Bits())
+	w.buf = slices.Grow(w.buf, 2*n)[:off+2*n]
+	return off
+}
+
+// encodeFP16 writes vals into dst as little-endian binary16 values.
+func encodeFP16(dst []byte, vals []float32) {
+	dst = dst[:2*len(vals)]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint16(dst[2*i:], half.FromFloat32(v).Bits())
 	}
 }
 

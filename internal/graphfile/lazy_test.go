@@ -115,8 +115,9 @@ func TestParsedConcurrentFirstRead(t *testing.T) {
 }
 
 // TestGoogLeNetCodecAllocCeilings: Parse of the session blob decodes no
-// weight, and Compile of a fresh GoogLeNet allocates the blob plus one
-// scratch layer, never the network's float32 weights.
+// weight, and Compile of a fresh GoogLeNet allocates the blob plus its
+// workers' 64 KB chunk buffers, never a layer's or the network's
+// float32 weights.
 func TestGoogLeNetCodecAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GoogLeNet compile skipped in -short")
@@ -124,7 +125,7 @@ func TestGoogLeNetCodecAllocCeilings(t *testing.T) {
 	g := nn.NewGoogLeNet(rng.New(42))
 	var blob []byte
 	n := allocBytes(func() { blob = mustCompile(t, g) })
-	if limit := uint64(len(blob)) + 5<<20; n > limit {
+	if limit := uint64(len(blob)) + 1<<20; n > limit {
 		t.Errorf("Compile allocated %d bytes for a %d-byte blob, want <= %d", n, len(blob), limit)
 	}
 	n = allocBytes(func() {
@@ -134,5 +135,80 @@ func TestGoogLeNetCodecAllocCeilings(t *testing.T) {
 	})
 	if n >= 1<<20 {
 		t.Errorf("Parse allocated %d bytes, want < 1 MB", n)
+	}
+}
+
+// TestCompileSameAtAnyCoreCount: the worker count follows GOMAXPROCS,
+// and the blob is byte-identical at 1 (inline), 2 and 7 workers.
+func TestCompileSameAtAnyCoreCount(t *testing.T) {
+	cases := []struct {
+		name string
+		big  bool
+		g    func() *nn.Graph
+	}{
+		{"micro", false, quickGraph},
+		{"googlenet", true, func() *nn.Graph { return nn.NewGoogLeNet(rng.New(42)) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.big && testing.Short() {
+				t.Skip("GoogLeNet compile skipped in -short")
+			}
+			var want []byte
+			for _, procs := range []int{1, 2, 7} {
+				prev := runtime.GOMAXPROCS(procs)
+				blob := mustCompile(t, c.g())
+				runtime.GOMAXPROCS(prev)
+				if want == nil {
+					want = blob
+				} else if !bytes.Equal(blob, want) {
+					t.Fatalf("blob at GOMAXPROCS %d differs from the one at 1", procs)
+				}
+			}
+		})
+	}
+}
+
+// TestCompileConcurrentWithMaterialise: two goroutines compile one
+// graph while a third materialises its weights; both blobs equal the
+// blob of a fresh copy (run under -race to check the reads).
+func TestCompileConcurrentWithMaterialise(t *testing.T) {
+	want := mustCompile(t, quickGraph())
+	g := quickGraph()
+	blobs := make([][]byte, 2)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range blobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			blob, err := Compile(g)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			blobs[i] = blob
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for _, name := range g.LayerNames() {
+			switch l := g.Layer(name).(type) {
+			case *nn.Conv:
+				l.Weights()
+			case *nn.FullyConnected:
+				l.Bias()
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	for i, blob := range blobs {
+		if !bytes.Equal(blob, want) {
+			t.Errorf("compile %d differs from the fresh graph's blob", i)
+		}
 	}
 }

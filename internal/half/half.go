@@ -61,6 +61,15 @@ func FromFloat32(f float32) Float16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & signMask
 	exp := int32(b>>23) & 0xFF
+	if exp >= 113 && exp <= 142 {
+		// Normal half range, without branches on the value: adding
+		// 0xFFF plus the lowest kept mantissa bit rounds the 13 dropped
+		// bits to nearest even, a carry out of the mantissa bumps the
+		// exponent (at the top exponent, into infinity), and the
+		// subtraction rebiases 127 to 15.
+		r := b + 0xFFF + ((b >> 13) & 1)
+		return Float16(sign | uint16(((r&0x7FFFFFFF)>>13)-(112<<10)))
+	}
 	man := b & 0x7FFFFF
 
 	if exp == 0xFF { // infinity or NaN
@@ -78,35 +87,19 @@ func FromFloat32(f float32) Float16 {
 	if e >= 0x1F { // overflow to infinity
 		return Float16(sign | expMask)
 	}
-	if e <= 0 { // subnormal half, or underflow to zero
-		if e < -10 {
-			return Float16(sign)
-		}
-		man |= 0x800000 // restore the implicit leading bit
-		shift := uint32(14 - e)
-		halfway := uint32(1) << (shift - 1)
-		m := man >> shift
-		rem := man & (1<<shift - 1)
-		if rem > halfway || (rem == halfway && m&1 == 1) {
-			m++ // may carry into the normal range, which is still correct
-		}
-		return Float16(sign | uint16(m))
+	// Subnormal half, or underflow to zero.
+	if e < -10 {
+		return Float16(sign)
 	}
-
-	// Normal range: round the 23-bit mantissa to 10 bits.
-	m := man >> 13
-	rem := man & 0x1FFF
-	if rem > 0x1000 || (rem == 0x1000 && m&1 == 1) {
-		m++
-		if m == 0x400 { // mantissa overflowed into the exponent
-			m = 0
-			e++
-			if e >= 0x1F {
-				return Float16(sign | expMask)
-			}
-		}
+	man |= 0x800000 // restore the implicit leading bit
+	shift := uint32(14 - e)
+	halfway := uint32(1) << (shift - 1)
+	m := man >> shift
+	rem := man & (1<<shift - 1)
+	if rem > halfway || (rem == halfway && m&1 == 1) {
+		m++ // may carry into the normal range, which is still correct
 	}
-	return Float16(sign | uint16(e)<<expShift | uint16(m))
+	return Float16(sign | uint16(m))
 }
 
 // FromFloat64 converts f to the nearest half. The conversion goes

@@ -3,6 +3,8 @@ package half
 import (
 	"math"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestKnownConversions(t *testing.T) {
@@ -182,4 +184,98 @@ func TestFromFloat64MatchesFloat32Path(t *testing.T) {
 			t.Errorf("FromFloat64(%g) diverges from FromFloat32", v)
 		}
 	}
+}
+
+// fromFloat32Ref is FromFloat32 as it was before its branch-free
+// normal-range path: every case decided by comparisons on the exponent
+// and the dropped mantissa bits. TestFromFloat32MatchesReference holds
+// the fast path to it.
+func fromFloat32Ref(f float32) Float16 {
+	b := math.Float32bits(f)
+	sign := uint16(b>>16) & signMask
+	exp := int32(b>>23) & 0xFF
+	man := b & 0x7FFFFF
+
+	if exp == 0xFF { // infinity or NaN
+		if man != 0 {
+			m := uint16(man >> 13)
+			if m == 0 {
+				m = 1 // keep NaN-ness after truncation
+			}
+			return Float16(sign | expMask | m)
+		}
+		return Float16(sign | expMask)
+	}
+
+	e := exp - 127 + expBias
+	if e >= 0x1F { // overflow to infinity
+		return Float16(sign | expMask)
+	}
+	if e <= 0 { // subnormal half, or underflow to zero
+		if e < -10 {
+			return Float16(sign)
+		}
+		man |= 0x800000 // restore the implicit leading bit
+		shift := uint32(14 - e)
+		halfway := uint32(1) << (shift - 1)
+		m := man >> shift
+		rem := man & (1<<shift - 1)
+		if rem > halfway || (rem == halfway && m&1 == 1) {
+			m++ // may carry into the normal range, which is still correct
+		}
+		return Float16(sign | uint16(m))
+	}
+
+	// Normal range: round the 23-bit mantissa to 10 bits.
+	m := man >> 13
+	rem := man & 0x1FFF
+	if rem > 0x1000 || (rem == 0x1000 && m&1 == 1) {
+		m++
+		if m == 0x400 { // mantissa overflowed into the exponent
+			m = 0
+			e++
+			if e >= 0x1F {
+				return Float16(sign | expMask)
+			}
+		}
+	}
+	return Float16(sign | uint16(e)<<expShift | uint16(m))
+}
+
+// TestFromFloat32MatchesReference compares FromFloat32 with the
+// reference on every float32 whose biased exponent is 111..144: the
+// whole branch-free range (113..142) and the subnormal and overflow
+// paths on both sides of it, both signs, all 2^23 mantissas.
+func TestFromFloat32MatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("570M conversions skipped in -short")
+	}
+	for _, sign := range []uint32{0, 1 << 31} {
+		for exp := uint32(111); exp <= 144; exp++ {
+			for man := uint32(0); man < 1<<23; man++ {
+				f := math.Float32frombits(sign | exp<<23 | man)
+				if got, want := FromFloat32(f), fromFloat32Ref(f); got != want {
+					t.Fatalf("FromFloat32(%#08x) = %#04x, want %#04x", math.Float32bits(f), got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFromFloat32 converts 64 Ki normal-range values drawn the
+// way network weights are, so the rounding direction is a coin flip.
+func BenchmarkFromFloat32(b *testing.B) {
+	src := make([]float32, 64<<10)
+	s := rng.New(1)
+	for i := range src {
+		src[i] = s.NormFloat32() * 0.05
+	}
+	var sink Float16
+	b.SetBytes(int64(4 * len(src)))
+	for b.Loop() {
+		for _, v := range src {
+			sink ^= FromFloat32(v)
+		}
+	}
+	_ = sink
 }

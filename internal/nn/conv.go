@@ -37,12 +37,9 @@ func NewConvRect(name string, inC, outC, kh, kw, stride, pad int, src *rng.Sourc
 		KH: kh, KW: kw,
 		Stride: stride, Pad: pad,
 	}
-	c.params.src = seed(src, "conv/"+name, func(s *rng.Source, w, b *tensor.T) {
-		w.FillMSRA(s, inC*kh*kw)
-		// Small positive bias keeps a healthy fraction of ReLUs active
-		// in the randomly initialized full-size network.
-		b.FillNormal(s, 0.01, 0.005)
-	})
+	// Small positive bias keeps a healthy fraction of ReLUs active in
+	// the randomly initialized full-size network.
+	c.params.src = seed(src, "conv/"+name, msra(inC*kh*kw), normal(0.01, 0.005))
 	return c
 }
 

@@ -18,9 +18,7 @@ type FullyConnected struct {
 // from a name-derived sub-stream of src.
 func NewFullyConnected(name string, inF, outF int, src *rng.Source) *FullyConnected {
 	f := &FullyConnected{LayerName: name, InF: inF, OutF: outF}
-	f.params.src = seed(src, "fc/"+name, func(s *rng.Source, w, _ *tensor.T) {
-		w.FillXavier(s, inF)
-	})
+	f.params.src = seed(src, "fc/"+name, xavier(inF), nil)
 	return f
 }
 

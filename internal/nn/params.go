@@ -2,7 +2,6 @@ package nn
 
 import (
 	"encoding/binary"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -18,11 +17,13 @@ import (
 // cost models consume Stats), so building or parsing a network for it
 // costs no weight memory at all.
 //
-// There are two sources. A built layer regenerates its values from the
-// start of its own rng stream, so they are bit-identical however late
-// the fill happens. A parsed layer decodes the binary16 runs it was
-// parsed from (see DeferFP16). A zero Params, as in a layer literal,
-// fills zeros.
+// The source is a stream: ParamChunks reads it in fixed-size chunks
+// (graphfile.Compile encodes each chunk straight into the blob), and
+// the first-read fill is the one-chunk case of the same read, so the
+// values never depend on who reads them or in what pieces. A built
+// layer generates its values from the start of its own rng stream; a
+// parsed layer decodes the binary16 runs it was parsed from (see
+// DeferFP16); a zero Params, as in a layer literal, yields zeros.
 //
 // After the first read the tensors are the values: writes to them
 // (calibration, quantization, a test's edit) are never overwritten,
@@ -34,102 +35,146 @@ type Params struct {
 	w, b   *tensor.T
 }
 
-// paramSource produces a layer's initial weight and bias values into
-// zeroed slices. fill must be repeatable and safe for concurrent use:
-// graphfile.Compile may generate into scratch while another goroutine
-// materialises the same layer.
-type paramSource interface {
-	fill(w, b []float32)
+// paramSource is where a layer's initial values come from: one filler
+// per tensor and, for a built layer, the start of its rng stream. Each
+// read starts from a copy of that stream, so every read yields the
+// same values, and concurrent reads share nothing mutable. A nil
+// filler yields zeros.
+type paramSource struct {
+	stream rng.Source
+	w, b   filler
+}
+
+// filler writes the next len(dst) values of one tensor into dst. at is
+// the index of dst[0] in the tensor, and s carries the layer's stream,
+// cached polar-normal spare included, from one call to the next, so
+// consecutive pieces of any size yield the values one call over the
+// whole tensor does.
+type filler func(s *rng.Source, at int, dst []float32)
+
+// read passes the n values f yields to fn in consecutive chunks of at
+// most len(buf) values, each written into buf; a nil fn only fills.
+func read(s *rng.Source, f filler, n int, buf []float32, fn func(at int, vals []float32)) {
+	for at := 0; at < n; at += len(buf) {
+		vals := buf[:min(len(buf), n-at)]
+		if f == nil {
+			clear(vals)
+		} else {
+			f(s, at, vals)
+		}
+		if fn != nil {
+			fn(at, vals)
+		}
+	}
 }
 
 // tensorsOf is the one accessor: it materialises l's tensors, with the
-// shapes the layer reports, on the first call. Later calls cost one
-// atomic load.
+// shapes the layer reports, on the first call. The fill reads the
+// source in one chunk per tensor, straight into the tensor. Later
+// calls cost one atomic load.
 func tensorsOf(l weighted) (w, b *tensor.T) {
 	p := l.Params()
 	p.once.Do(func() {
 		ws, bs := l.paramShapes()
 		p.w, p.b = tensor.New(ws...), tensor.New(bs...)
-		if p.src != nil {
-			p.src.fill(p.w.Data, p.b.Data)
-		}
+		s := p.src.stream
+		read(&s, p.src.w, len(p.w.Data), p.w.Data, nil)
+		read(&s, p.src.b, len(p.b.Data), p.b.Data, nil)
 		p.loaded.Store(true)
 	})
 	return p.w, p.b
 }
 
-// DeferFP16 makes two little-endian binary16 runs the source of the
-// values: w holds the weights and b the bias, two bytes per element,
-// and they decode on first read. The slices are kept, not copied. It
-// must be called before the layer is read or shared; graphfile.Parse
-// calls it after checking each run's length against the geometry.
-func (p *Params) DeferFP16(w, b []byte) { p.src = fp16Runs{w: w, b: b} }
-
-// paramCount is the number of parameters l's geometry implies.
-func paramCount(l weighted) int64 {
-	ws, bs := l.paramShapes()
-	return int64(ws.Elems()) + int64(bs.Elems())
-}
-
-// ParamValues returns the current weight and bias values of a Conv or
-// FullyConnected layer without materialising it: the tensors' data
-// once they exist, otherwise the source's values generated into
-// *scratch, which grows as needed and is reused across calls. The
-// result is valid until the next call with the same scratch. Layers
-// without parameters yield nil.
-func ParamValues(l Layer, scratch *[]float32) (w, b []float32) {
+// ParamChunks passes the current values of a Conv or FullyConnected
+// layer to fn without materialising it: the weights, then the bias, in
+// consecutive chunks of at most len(scratch) values, off being the
+// index of vals[0] in that weights-then-bias order. A chunk never
+// spans the two tensors. Once the layer's tensors exist the chunks are
+// slices of their data; until then the source's values are generated
+// or decoded into scratch. vals is read-only and valid only during the
+// call. Layers without parameters yield nothing.
+//
+// Reads of one layer may run concurrently with each other and with
+// its first-read fill, each with its own scratch.
+func ParamChunks(l Layer, scratch []float32, fn func(off int, vals []float32)) {
 	wl, ok := l.(weighted)
 	if !ok {
-		return nil, nil
+		return
+	}
+	if len(scratch) == 0 {
+		panic("nn: ParamChunks with an empty scratch")
 	}
 	p := wl.Params()
 	if p.loaded.Load() {
-		return p.w.Data, p.b.Data
+		off := 0
+		for _, data := range [2][]float32{p.w.Data, p.b.Data} {
+			for len(data) > 0 {
+				k := min(len(data), len(scratch))
+				fn(off, data[:k])
+				off, data = off+k, data[k:]
+			}
+		}
+		return
+	}
+	nw, nb := ParamLens(l)
+	s := p.src.stream
+	read(&s, p.src.w, nw, scratch, fn)
+	read(&s, p.src.b, nb, scratch, func(at int, vals []float32) { fn(nw+at, vals) })
+}
+
+// ParamLens returns the number of weight and bias values a Conv or
+// FullyConnected layer's geometry implies, and zeros for other layers.
+func ParamLens(l Layer) (w, b int) {
+	wl, ok := l.(weighted)
+	if !ok {
+		return 0, 0
 	}
 	ws, bs := wl.paramShapes()
-	nw, nb := ws.Elems(), bs.Elems()
-	buf := slices.Grow((*scratch)[:0], nw+nb)[:nw+nb]
-	*scratch = buf
-	w, b = buf[:nw], buf[nw:]
-	clear(buf)
-	if p.src != nil {
-		p.src.fill(w, b)
+	return ws.Elems(), bs.Elems()
+}
+
+// paramCount is the number of parameters l's geometry implies.
+func paramCount(l weighted) int64 {
+	nw, nb := ParamLens(l)
+	return int64(nw) + int64(nb)
+}
+
+// DeferFP16 makes two little-endian binary16 runs the source of the
+// values: w holds the weights and b the bias, two bytes per element,
+// and they decode on read. The slices are kept, not copied. It must be
+// called before the layer is read or shared; graphfile.Parse calls it
+// after checking each run's length against the geometry.
+func (p *Params) DeferFP16(w, b []byte) { p.src = paramSource{w: fp16Run(w), b: fp16Run(b)} }
+
+// fp16Run is the filler of a parsed tensor: it widens the binary16
+// values of raw, two bytes each.
+func fp16Run(raw []byte) filler {
+	return func(_ *rng.Source, at int, dst []float32) {
+		src := raw[2*at : 2*(at+len(dst))]
+		for i := range dst {
+			dst[i] = half.FromBits(binary.LittleEndian.Uint16(src[2*i:])).Float32()
+		}
 	}
-	return w, b
-}
-
-// generated is the source of a built layer: init fills the values from
-// a private copy of the layer's stream, taken at its start, so every
-// fill yields the same values.
-type generated struct {
-	stream rng.Source
-	init   func(s *rng.Source, w, b *tensor.T)
-}
-
-func (g generated) fill(w, b []float32) {
-	s := g.stream
-	g.init(&s, &tensor.T{Data: w}, &tensor.T{Data: b})
 }
 
 // seed returns the source of a built layer drawing from src's
-// sub-stream name.
-func seed(src *rng.Source, name string, init func(s *rng.Source, w, b *tensor.T)) generated {
-	return generated{stream: *src.Derive(name), init: init}
+// sub-stream name: w fills the weights, then b the bias, from it.
+func seed(src *rng.Source, name string, w, b filler) paramSource {
+	return paramSource{stream: *src.Derive(name), w: w, b: b}
 }
 
-// fp16Runs is the source of a parsed layer.
-type fp16Runs struct{ w, b []byte }
+// The fillers of built layers run the tensor initializers over each
+// chunk, so every value is the float32 expression an eager fill of the
+// whole tensor computes.
 
-func (r fp16Runs) fill(w, b []float32) {
-	decodeFP16(w, r.w)
-	decodeFP16(b, r.b)
+func msra(fanIn int) filler {
+	return func(s *rng.Source, _ int, dst []float32) { (&tensor.T{Data: dst}).FillMSRA(s, fanIn) }
 }
 
-// decodeFP16 widens little-endian binary16 values into dst, one per
-// two bytes of raw.
-func decodeFP16(dst []float32, raw []byte) {
-	raw = raw[:2*len(dst)]
-	for i := range dst {
-		dst[i] = half.FromBits(binary.LittleEndian.Uint16(raw[2*i:])).Float32()
-	}
+func xavier(fanIn int) filler {
+	return func(s *rng.Source, _ int, dst []float32) { (&tensor.T{Data: dst}).FillXavier(s, fanIn) }
+}
+
+func normal(mean, std float32) filler {
+	return func(s *rng.Source, _ int, dst []float32) { (&tensor.T{Data: dst}).FillNormal(s, mean, std) }
 }

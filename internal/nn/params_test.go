@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -58,45 +60,123 @@ func TestLazyWeightsMatchEagerFill(t *testing.T) {
 	equal("fc bias", fc.Bias(), tensor.New(2))
 }
 
-// TestValuesDoNotMaterialise: Stats and ParamValues read a built
-// layer without filling its tensors, and Values yields exactly what
-// the later fill does, also from a dirty scratch buffer.
-func TestValuesDoNotMaterialise(t *testing.T) {
-	g := tinyGraph(t, 3)
-	_ = g.TotalStats()
-	fc := g.Layer("fc").(*FullyConnected)
-	scratch := []float32{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
-	w, b := ParamValues(fc, &scratch)
-	for _, name := range g.LayerNames() {
-		if loaded(g.Layer(name)) {
-			t.Fatalf("layer %q materialised by Stats or Values", name)
-		}
+// collect reads l through ParamChunks with a scratch of size values,
+// pre-filled with junk, checks that the chunks are consecutive, at most
+// size long and never span the weights and the bias, and returns the
+// values joined back into the two tensors' data.
+func collect(t *testing.T, l Layer, size int) (w, b []float32) {
+	t.Helper()
+	nw, nb := ParamLens(l)
+	scratch := make([]float32, size)
+	for i := range scratch {
+		scratch[i] = 7
 	}
-	for i, v := range fc.Weights().Data {
-		if w[i] != v {
-			t.Fatalf("Values weight %d = %g, fill gives %g", i, w[i], v)
+	var all []float32
+	ParamChunks(l, scratch, func(off int, vals []float32) {
+		if off != len(all) || len(vals) == 0 || len(vals) > size || (off < nw && off+len(vals) > nw) {
+			t.Fatalf("chunk of %d at %d after %d values (size %d, %d weights)", len(vals), off, len(all), size, nw)
 		}
+		all = append(all, vals...)
+	})
+	if len(all) != nw+nb {
+		t.Fatalf("chunks hold %d values, want %d", len(all), nw+nb)
 	}
-	for i, v := range fc.Bias().Data {
-		if b[i] != v {
-			t.Fatalf("Values bias %d = %g, fill gives %g", i, b[i], v)
+	return all[:nw], all[nw:]
+}
+
+// sameBits fails unless got and want hold the same float32 bits.
+func sameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s has %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %g, want %g", what, i, got[i], want[i])
 		}
 	}
 }
 
-// TestParsedValuesDoNotMaterialise: ParamValues decodes a parsed
+// TestParamChunksMatchMaterialised: at any chunk size, ParamChunks
+// yields the bits the materialised tensors hold, for built conv and FC
+// layers (an odd size splits a polar-normal pair across chunks),
+// parsed, edited and zero-Params layers, and reading leaves an
+// unmaterialised layer unmaterialised.
+func TestParamChunksMatchMaterialised(t *testing.T) {
+	parsed := func() Layer {
+		fc := &FullyConnected{LayerName: "f", InF: 2, OutF: 1}
+		// 1.5, -2 and 0.25 in little-endian binary16.
+		fc.Params().DeferFP16([]byte{0x00, 0x3e, 0x00, 0xc0}, []byte{0x00, 0x34})
+		return fc
+	}
+	cases := []struct {
+		name  string
+		fresh func() Layer
+		edit  bool
+	}{
+		{"conv", func() Layer { return NewConvRect("c", 3, 5, 3, 5, 1, 1, rng.New(9)) }, false},
+		{"fc", func() Layer { return NewFullyConnected("f", 37, 11, rng.New(9)) }, false},
+		{"parsed", parsed, false},
+		{"edited", func() Layer { return NewConv("c", 2, 3, 1, 1, 0, rng.New(1)) }, true},
+		{"zero", func() Layer { return &Conv{LayerName: "z", InC: 2, OutC: 3, KH: 1, KW: 1, Stride: 1} }, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			l := c.fresh()
+			if c.edit {
+				w, b := tensorsOf(l.(weighted))
+				w.Fill(0.5)
+				b.Data[2] = -4
+			}
+			got := map[int][2][]float32{}
+			for _, size := range []int{1, 3, 7, 16 << 10} {
+				w, b := collect(t, l, size)
+				got[size] = [2][]float32{w, b}
+			}
+			if !c.edit && loaded(l) {
+				t.Fatal("ParamChunks materialised the layer")
+			}
+			ww, wb := tensorsOf(l.(weighted))
+			for size, g := range got {
+				sameBits(t, fmt.Sprintf("weights at chunk %d", size), g[0], ww.Data)
+				sameBits(t, fmt.Sprintf("bias at chunk %d", size), g[1], wb.Data)
+			}
+			if c.edit && (ww.Data[0] != 0.5 || wb.Data[2] != -4) {
+				t.Fatal("a read overwrote the edit")
+			}
+		})
+	}
+}
+
+// TestValuesDoNotMaterialise: Stats and ParamChunks read a built graph
+// without filling its tensors, and the chunks hold exactly what the
+// later fill does, also from a dirty scratch buffer.
+func TestValuesDoNotMaterialise(t *testing.T) {
+	g := tinyGraph(t, 3)
+	_ = g.TotalStats()
+	fc := g.Layer("fc").(*FullyConnected)
+	w, b := collect(t, fc, 16)
+	for _, name := range g.LayerNames() {
+		if loaded(g.Layer(name)) {
+			t.Fatalf("layer %q materialised by Stats or ParamChunks", name)
+		}
+	}
+	sameBits(t, "weights", w, fc.Weights().Data)
+	sameBits(t, "bias", b, fc.Bias().Data)
+}
+
+// TestParsedValuesDoNotMaterialise: ParamChunks decodes a parsed
 // layer's binary16 runs into scratch and leaves the layer unread.
 func TestParsedValuesDoNotMaterialise(t *testing.T) {
 	fc := &FullyConnected{LayerName: "f", InF: 2, OutF: 1}
 	// 1.5, -2 and 0.25 in little-endian binary16.
 	fc.Params().DeferFP16([]byte{0x00, 0x3e, 0x00, 0xc0}, []byte{0x00, 0x34})
-	var scratch []float32
-	w, b := ParamValues(fc, &scratch)
+	w, b := collect(t, fc, 2)
 	if loaded(fc) {
-		t.Fatal("ParamValues materialised a parsed layer")
+		t.Fatal("ParamChunks materialised a parsed layer")
 	}
 	if w[0] != 1.5 || w[1] != -2 || b[0] != 0.25 {
-		t.Fatalf("ParamValues = %v %v, want [1.5 -2] [0.25]", w, b)
+		t.Fatalf("ParamChunks = %v %v, want [1.5 -2] [0.25]", w, b)
 	}
 	if fc.Weights().Data[1] != -2 || fc.Bias().Data[0] != 0.25 {
 		t.Fatalf("fill = %v %v, want [1.5 -2] [0.25]", fc.Weights().Data, fc.Bias().Data)
@@ -113,9 +193,8 @@ func TestWriteSurvivesLaterReads(t *testing.T) {
 	if conv.Weights().Data[0] != 0.5 || conv.Bias().Data[2] != -4 {
 		t.Error("a later read overwrote a write")
 	}
-	var scratch []float32
-	if w, b := ParamValues(conv, &scratch); w[0] != 0.5 || b[2] != -4 {
-		t.Error("ParamValues ignores the written tensors")
+	if w, b := collect(t, conv, 4); w[0] != 0.5 || b[2] != -4 {
+		t.Error("ParamChunks ignores the written tensors")
 	}
 }
 

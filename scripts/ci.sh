@@ -42,8 +42,9 @@ echo "== bench-kernel smoke (-benchtime=1x: compile+run sanity, not timing) =="
 go test -run '^$' -bench BenchmarkKernel -benchtime=1x ./internal/sim
 # The graph-file codec microbenchmarks (GoogLeNet compile and parse)
 # and the shape-only GoogLeNet build get the same one-iteration sanity
-# run.
-go test -run '^$' -bench 'Benchmark(Compile|Parse)GoogLeNet' -benchtime=1x ./internal/graphfile
+# run. -cpu 1,2 runs Compile both inline and on two workers.
+go test -run '^$' -bench 'Benchmark(Compile|Parse)GoogLeNet' -benchmem -cpu 1,2 -benchtime=1x ./internal/graphfile
+go test -run '^$' -bench BenchmarkFromFloat32 -benchtime=1x ./internal/half
 go test -run '^$' -bench BenchmarkNewGoogLeNet -benchtime=1x ./internal/nn
 # The fp32 path's kernel-variant benches (gemm on every micro-GoogLeNet
 # conv shape, one batch-8 micro forward) get the same sanity run.
