@@ -68,8 +68,9 @@ func TestQueueFuzzAgainstSliceModel(t *testing.T) {
 	src := rng.New(42)
 	next := 0 // distinct values so FIFO violations are visible
 
-	// Failures are recorded, not raised: t.Fatalf inside a simulated
-	// process would Goexit without parking and hang the scheduler.
+	// Failures are recorded and raised after Run returns, so the report
+	// names the first divergence. (t.Fatalf inside the process would
+	// also end the test: Run re-raises its runtime.Goexit.)
 	var failMsg string
 	fail := func(format string, args ...any) {
 		if failMsg == "" {

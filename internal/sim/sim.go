@@ -10,23 +10,27 @@
 // processes here, so experiments are fast, deterministic and
 // independent of the host machine.
 //
-// Concurrency model: processes are goroutines, but exactly one runs at
-// a time — the scheduler hands control to a process and waits for it
-// to park (block on a primitive) or terminate before dispatching the
-// next event. Event order is a strict (time, sequence) lexicographic
-// order, so simulations are reproducible bit-for-bit.
+// Concurrency model: processes are coroutines (iter.Pull), and exactly
+// one runs at a time — the scheduler resumes a process and regains
+// control when it parks (blocks on a primitive) or terminates, before
+// dispatching the next event. Event order is a strict (time, sequence)
+// lexicographic order, so simulations are reproducible bit-for-bit. A
+// panic or runtime.Goexit in a process is re-raised on the caller of
+// Run, and Env.Stop ends processes a run leaves parked.
 //
 // Performance model (DESIGN.md §9): the event queue is a
 // hand-specialized 4-ary min-heap over a reused backing array (no
 // container/heap, no interface boxing — scheduling is allocation-free
 // in steady state), timers cancel through index-based slots instead of
 // per-timer heap flags, callback-only events dispatch without touching
-// the process machinery, and each process reuses a single rendezvous
-// channel for every park/resume handoff of its lifetime.
+// the process machinery, and a park/resume handoff is a direct
+// coroutine switch with no trip through the Go scheduler.
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"math"
 	"math/bits"
 	"time"
 )
@@ -50,8 +54,10 @@ type Env struct {
 	timers    []timerSlot
 	timerFree []int32
 	// active counts live (started, unterminated) processes, to detect
-	// deadlock: events exhausted while processes still wait.
+	// deadlock: events exhausted while processes still wait; live
+	// links them, newest first, for Stop.
 	active int
+	live   *Proc
 	// waiting counts processes parked on resources/queues with no
 	// pending event (they can only be woken by another process); it
 	// feeds the deadlock diagnostic.
@@ -316,18 +322,23 @@ func (e *Env) Tick(start, interval time.Duration, fn func(now time.Duration) boo
 // Env.Process.
 type Proc struct {
 	env *Env
-	// ch is the single rendezvous channel for every park/resume
-	// handoff of this process's lifetime: the scheduler sends to
-	// resume, the process sends to park.
-	ch   chan struct{}
-	name string
-	done bool
+	// yield parks the body (the coroutine side of the handoff) and
+	// reports false once Stop has ended the process; resume runs the
+	// body until it next parks (the scheduler side).
+	yield  func(struct{}) bool
+	resume func() (struct{}, bool)
+	stop   func()
+	name   string
 	// Intrusive wait-list links: a parked process sits on exactly one
 	// waitList (queue getters/putters, resource waiters) at a time, so
 	// membership tests and removals are O(1) with no per-wait
 	// allocation.
 	next, prev *Proc
 	waitq      *waitList
+	// Intrusive live-list links: every started, unterminated process
+	// is on Env.live, so Stop can end it and a finished process is
+	// unlinked at once.
+	liveNext, livePrev *Proc
 	// timedOut is set by a fired queue-timeout event just before the
 	// wakeup; GetWithin consumes and resets it.
 	timedOut bool
@@ -342,29 +353,76 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 
+// stopSignal is the panic value that unwinds a parked body when Stop
+// ends its process; the coroutine wrapper in Process recovers it.
+type stopSignal struct{}
+
 // park returns control to the scheduler and blocks until resumed: one
-// send to yield, one receive to wait, both on the process's own
-// rendezvous channel.
+// coroutine switch each way. After Stop it unwinds the body instead,
+// running the body's deferred calls.
 func (p *Proc) park() {
-	p.ch <- struct{}{}
-	<-p.ch
+	if !p.yield(struct{}{}) {
+		panic(stopSignal{})
+	}
 }
 
 // Process starts a new simulated process running fn. The process
 // begins at the current virtual time (after the caller yields). fn
-// must interact with virtual time only through p.
+// must interact with virtual time only through p. fn runs as a
+// coroutine on a goroutine of its own; it may start goroutines and
+// wait for them, but only fn's goroutine may use p.
 func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, ch: make(chan struct{}), name: name}
-	e.active++
-	go func() {
-		<-p.ch // wait for the start event
+	p := &Proc{env: e, name: name}
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil && r != (stopSignal{}) {
+				panic(r)
+			}
+		}()
+		p.yield = yield
 		fn(p)
-		p.done = true
-		e.active--
-		p.ch <- struct{}{}
-	}()
+		e.retire(p)
+	})
+	e.active++
+	p.liveNext = e.live
+	if e.live != nil {
+		e.live.livePrev = p
+	}
+	e.live = p
 	e.schedule(e.now, p, nil)
 	return p
+}
+
+// retire unlinks a terminated process from the live list.
+func (e *Env) retire(p *Proc) {
+	e.active--
+	if p.livePrev != nil {
+		p.livePrev.liveNext = p.liveNext
+	} else {
+		e.live = p.liveNext
+	}
+	if p.liveNext != nil {
+		p.liveNext.livePrev = p.livePrev
+	}
+	p.liveNext, p.livePrev = nil, nil
+}
+
+// Stop ends every live process: each parked body unwinds from its
+// blocking call with its deferred calls run, and an unstarted one
+// never runs. Call it, from outside any process, when abandoning a
+// simulation that still has live processes after RunUntil, so none
+// stays suspended for the life of the program; Run and RunUntil call
+// it themselves when they panic. Events left for a stopped process
+// are discarded when dispatched.
+func (e *Env) Stop() {
+	for p := e.live; p != nil; p = e.live {
+		if p.waitq != nil {
+			p.waitq.remove(p)
+			e.waiting--
+		}
+		e.retire(p)
+		p.stop()
+	}
 }
 
 // Sleep suspends the process for d of virtual time. d < 0 panics;
@@ -456,32 +514,49 @@ func (w *waitList) unlink(p *Proc) {
 // Run dispatches events until none remain. It panics if live
 // processes are still blocked when the queue drains — that is a
 // deadlock in the model, which must fail loudly rather than silently
-// truncate an experiment.
+// truncate an experiment. A panic or runtime.Goexit inside a process
+// is re-raised on Run's caller. On every such exit Run first calls
+// Stop, so no process outlives it suspended.
 func (e *Env) Run() {
-	for len(e.keys) > 0 {
-		e.step()
-	}
+	e.dispatch(math.MaxInt64)
 	if e.active > 0 {
-		panic(fmt.Sprintf("sim: deadlock — %d process(es) still blocked at t=%v (%d waiting on resources/queues)",
-			e.active, e.now, e.waiting))
+		msg := fmt.Sprintf("sim: deadlock — %d process(es) still blocked at t=%v (%d waiting on resources/queues)",
+			e.active, e.now, e.waiting)
+		e.Stop()
+		panic(msg)
 	}
 }
 
 // RunUntil dispatches events with timestamp <= t, then sets the clock
-// to t. Processes may still be live afterwards.
+// to t. Processes may still be live afterwards; Stop ends them. Like
+// Run, it re-raises a process's panic or runtime.Goexit after calling
+// Stop.
 func (e *Env) RunUntil(t time.Duration) {
-	for len(e.keys) > 0 && e.keys[0].t <= t {
-		e.step()
-	}
+	e.dispatch(t)
 	if t > e.now {
 		e.now = t
 	}
 }
 
+// dispatch steps through the events with timestamp <= t, calling Stop
+// if a process's panic or runtime.Goexit unwinds it.
+func (e *Env) dispatch(t time.Duration) {
+	finished := false
+	defer func() {
+		if !finished {
+			e.Stop()
+		}
+	}()
+	for len(e.keys) > 0 && e.keys[0].t <= t {
+		e.step()
+	}
+	finished = true
+}
+
 // step dispatches one event. Callback-only events (the common case:
 // timers, ticks, At callbacks) run inline without touching the process
-// machinery; a process resume is one rendezvous send plus one receive
-// on the process's own channel.
+// machinery; a process resume is one coroutine switch into the body
+// and one back when it parks or ends.
 func (e *Env) step() {
 	key, val := e.pop()
 	if val.timer != 0 {
@@ -513,13 +588,14 @@ func (e *Env) step() {
 	}
 	e.now = key.t
 	if val.fn != nil {
-		// Fast path: a pure callback never touches the rendezvous
+		// Fast path: a pure callback never touches the coroutine
 		// machinery.
 		val.fn()
 		return
 	}
 	if val.p != nil {
-		val.p.ch <- struct{}{}
-		<-val.p.ch
+		// A stopped process's coroutine has ended, so resuming it
+		// returns at once.
+		val.p.resume()
 	}
 }

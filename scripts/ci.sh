@@ -39,7 +39,9 @@ echo "== bench-kernel smoke (-benchtime=1x: compile+run sanity, not timing) =="
 # The kernel microbenchmarks (DESIGN.md §9) are the repo's only
 # wall-clock numbers, so CI never gates on their timings — it only
 # proves every workload still compiles and completes one iteration.
-go test -run '^$' -bench BenchmarkKernel -benchtime=1x ./internal/sim
+# -cpu 1,2 runs the coroutine park/resume switch at both GOMAXPROCS
+# settings.
+go test -run '^$' -bench BenchmarkKernel -cpu 1,2 -benchtime=1x ./internal/sim
 # The graph-file codec microbenchmarks (GoogLeNet compile and parse)
 # and the shape-only GoogLeNet build get the same one-iteration sanity
 # run. -cpu 1,2 runs Compile both inline and on two workers.
