@@ -211,6 +211,38 @@ func TestArrivalBackpressureLatency(t *testing.T) {
 	}
 }
 
+// TestCollectorLatencyIdempotent: a second Collector.Latency() returns
+// exactly the first summary. Reading quantiles reorders the retained
+// samples, and the means must not depend on that order.
+func TestCollectorLatencyIdempotent(t *testing.T) {
+	const n = 2000
+	env := sim.NewEnv()
+	src, err := NewArrivalSource(env, sliceOf(n), PoissonArrivals(500), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool([]Target{
+		&stubTarget{name: "fast", latency: time.Millisecond},
+		&stubTarget{name: "slow", latency: 3 * time.Millisecond},
+	}, PoolOptions{Routing: RouteRoundRobin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector(false)
+	job := pool.Start(env, src, col.Sink())
+	env.Run()
+	if job.Err != nil {
+		t.Fatal(job.Err)
+	}
+	first := col.Latency()
+	if first.N != n {
+		t.Fatalf("latency summary over %d items, want %d", first.N, n)
+	}
+	if second := col.Latency(); second != first {
+		t.Errorf("second Latency() = %#v\nfirst  Latency() = %#v", second, first)
+	}
+}
+
 // TestArrivalSourceStaticSplit: an arrival-wrapped finite source still
 // supports static splitting (Remaining counts unarrived items), while
 // an arrival-wrapped stream is rejected as empty.

@@ -1,57 +1,15 @@
 // Package stats provides the small set of descriptive statistics the
-// experiment harness needs: per-subset means with standard-deviation
-// error bars (every figure in the paper shows them), running
-// accumulators, histograms and a least-squares line used for the
-// Fig. 8b throughput projection.
+// experiment harness needs: running mean and standard-deviation
+// accumulators (the error bars every figure in the paper shows), exact
+// quantiles of retained samples, histograms and a least-squares line
+// used for the Fig. 8b throughput projection.
 package stats
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
-
-// Summary holds the descriptive statistics of one sample set.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1 denominator)
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. It panics on an empty input:
-// every call site controls its sample sizes, so an empty set is a bug.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		panic("stats: Summarize of empty sample")
-	}
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	med := sorted[len(sorted)/2]
-	if len(sorted)%2 == 0 {
-		med = (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
-	}
-	return Summary{
-		N:      r.N,
-		Mean:   r.Mean(),
-		Std:    r.Std(),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Median: med,
-	}
-}
-
-// String renders the summary as "mean ± std" the way the paper's error
-// bars do.
-func (s Summary) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean, s.Std, s.N)
-}
 
 // Running is a numerically stable (Welford) streaming accumulator.
 // The zero value is ready to use.
@@ -124,70 +82,82 @@ func (r *Running) Merge(o Running) {
 	}
 }
 
-// Mean is a convenience over Summarize for one-off use.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Sample is an exact-quantile accumulator: it retains every value, so
-// quantiles are computed from the sorted data rather than bucket
-// midpoints. Use it for the small-to-medium samples of one run (per
-// item latencies); use Histogram when memory must stay bounded. The
-// zero value is ready to use.
+// quantiles are order statistics of the data rather than bucket
+// midpoints. Each quantile is selected in place, O(n) expected per
+// read; the mean, minimum and maximum are kept as values arrive, so
+// they cost O(1) and do not depend on which reads came before. Use it
+// for the small-to-medium samples of one run (per item latencies); use
+// Histogram when memory must stay bounded. The zero value is ready to
+// use.
 type Sample struct {
-	xs     []float64
-	sorted bool
+	xs       []float64 // in no particular order: each read partitions it in place
+	sum      float64   // running sum in insertion order
+	min, max float64   // extremes under sort.Float64s's order (NaN first)
 }
 
 // Add records x.
 func (s *Sample) Add(x float64) {
+	if len(s.xs) == 0 {
+		s.min, s.max = x, x
+	} else {
+		if nanLess(x, s.min) {
+			s.min = x
+		}
+		if nanLess(s.max, x) {
+			s.max = x
+		}
+	}
 	s.xs = append(s.xs, x)
-	s.sorted = false
+	s.sum += x
 }
 
 // N returns the number of recorded values.
 func (s *Sample) N() int { return len(s.xs) }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (s *Sample) Mean() float64 { return Mean(s.xs) }
-
-// Min returns the smallest value (0 when empty).
-func (s *Sample) Min() float64 {
+// Mean returns the arithmetic mean (0 when empty): the values summed in
+// the order they were added, divided by N.
+func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	s.sort()
-	return s.xs[0]
+	return s.sum / float64(len(s.xs))
 }
 
-// Max returns the largest value (0 when empty).
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.xs[len(s.xs)-1]
-}
+// Min returns the smallest value (0 when empty), ordering NaN first as
+// sort.Float64s does.
+func (s *Sample) Min() float64 { return s.min }
+
+// Max returns the largest value (0 when empty), ordering NaN first as
+// sort.Float64s does.
+func (s *Sample) Max() float64 { return s.max }
 
 // Quantile returns the exact q-quantile under the same nearest-rank
 // convention as Histogram.Quantile (the value at index ⌊q·n⌋ of the
 // sorted sample, clamped to the ends), so the two paths agree within
-// one bucket width on the same data. q is clamped to [0, 1]; an empty
-// sample returns 0.
+// one bucket width on the same data. "Sorted" is sort.Float64s's
+// order, NaN first; of values that order ties (−0 and +0), either may
+// be returned. q is clamped to [0, 1]; an empty sample returns 0.
 func (s *Sample) Quantile(q float64) float64 {
 	n := len(s.xs)
 	if n == 0 {
 		return 0
 	}
-	s.sort()
-	return s.xs[nearestRank(q, n)]
+	xs, k := s.xs, nearestRank(q, n)
+	if s.min != s.min { // a NaN was added: move the NaNs to the front
+		nans := 0
+		for i, x := range xs {
+			if x != x {
+				xs[i], xs[nans] = xs[nans], x
+				nans++
+			}
+		}
+		if k < nans {
+			return xs[k]
+		}
+		xs, k = xs[nans:], k-nans
+	}
+	return selectRank(xs, k)
 }
 
 // nearestRank is the sorted-data index of the q-quantile of n > 0
@@ -204,10 +174,77 @@ func nearestRank(q float64, n int) int {
 	return i
 }
 
-func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
+// nanLess is sort.Float64s's order: NaN before every other value.
+func nanLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectRank returns the value at index k of xs as sorted, reordering
+// xs in place so that xs[k] holds it. xs must hold no NaN. It is an
+// introselect: Hoare partitions around a median-of-3 pivot, narrowing
+// to the side that holds k, until the range is short enough for an
+// insertion sort. Partitions that keep more than 7/8 of the range make
+// little progress; after 2·log2(n) of them the remaining range is
+// sorted with slices.Sort, so adversarial inputs cost O(n log n), not
+// O(n²). It allocates nothing.
+func selectRank(xs []float64, k int) float64 {
+	const insertionCutoff = 12
+	lo, hi := 0, len(xs) // k is in [lo, hi)
+	budget := 2 * bits.Len(uint(len(xs)))
+	for hi-lo > insertionCutoff {
+		if budget == 0 {
+			slices.Sort(xs[lo:hi])
+			return xs[k]
+		}
+		j := partition(xs, lo, hi)
+		n := hi - lo
+		if k <= j {
+			hi = j + 1
+		} else {
+			lo = j + 1
+		}
+		if 8*(hi-lo) > 7*n {
+			budget--
+		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		x := xs[i]
+		j := i
+		for ; j > lo && x < xs[j-1]; j-- {
+			xs[j] = xs[j-1]
+		}
+		xs[j] = x
+	}
+	return xs[k]
+}
+
+// partition is Hoare's scheme on xs[lo:hi] (hi-lo >= 3) around the
+// median of its first, middle and last values. It returns j with
+// lo <= j < hi-1, every value of xs[lo:j+1] <= every value of
+// xs[j+1:hi]. Ordering the three candidates first leaves a value <= the
+// pivot at lo and one >= it at hi-1, so neither scan runs off the range;
+// both scans stop on values equal to the pivot, so runs of ties split
+// evenly instead of degrading to O(n²).
+func partition(xs []float64, lo, hi int) int {
+	m := int(uint(lo+hi-1) >> 1)
+	if xs[m] < xs[lo] {
+		xs[m], xs[lo] = xs[lo], xs[m]
+	}
+	if xs[hi-1] < xs[m] {
+		xs[m], xs[hi-1] = xs[hi-1], xs[m]
+		if xs[m] < xs[lo] {
+			xs[m], xs[lo] = xs[lo], xs[m]
+		}
+	}
+	p := xs[m]
+	i, j := lo-1, hi
+	for {
+		for i++; xs[i] < p; i++ {
+		}
+		for j--; p < xs[j]; j-- {
+		}
+		if i >= j {
+			return j
+		}
+		xs[i], xs[j] = xs[j], xs[i]
 	}
 }
 
@@ -215,9 +252,9 @@ func (s *Sample) sort() {
 // construction: after every Add, Quantile returns exactly what
 // Sample.Quantile(q) returns on the same stream (the value at index
 // clamp(⌊q·n⌋, 0, n-1) of the sorted data), but it costs O(log n) per
-// Add and O(1) per read instead of a sort. It keeps the smallest
-// index+1 values in a max-heap and the rest in a min-heap, so it still
-// retains every value, as Sample does. Values must not be NaN.
+// Add and O(1) per read instead of an O(n) selection. It keeps the
+// smallest index+1 values in a max-heap and the rest in a min-heap, so
+// it still retains every value, as Sample does. Values must not be NaN.
 type QuantileTracker struct {
 	q  float64
 	lo minHeap // smallest values, negated: its minimum is the quantile

@@ -1,62 +1,38 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSummarizeKnown(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Errorf("N = %d", s.N)
-	}
-	if !almostEq(s.Mean, 5, 1e-12) {
-		t.Errorf("Mean = %g, want 5", s.Mean)
-	}
-	// Sample std with n-1: variance = 32/7.
-	if !almostEq(s.Std, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Errorf("Std = %g", s.Std)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %g/%g", s.Min, s.Max)
-	}
-	if !almostEq(s.Median, 4.5, 1e-12) {
-		t.Errorf("Median = %g, want 4.5", s.Median)
-	}
-}
-
-func TestSummarizeOddMedian(t *testing.T) {
-	s := Summarize([]float64{3, 1, 2})
-	if s.Median != 2 {
-		t.Errorf("Median = %g, want 2", s.Median)
-	}
-}
-
-func TestSummarizeEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on empty sample")
-		}
-	}()
-	Summarize(nil)
-}
-
+// TestRunningMatchesBatch: the Welford accumulator agrees with Sample's
+// mean and extremes and with a direct two-pass variance.
 func TestRunningMatchesBatch(t *testing.T) {
 	xs := []float64{1.5, -2, 7, 3.25, 0, 11, -4.5}
 	var r Running
+	var s Sample
 	for _, x := range xs {
 		r.Add(x)
+		s.Add(x)
 	}
-	s := Summarize(xs)
-	if !almostEq(r.Mean(), s.Mean, 1e-12) || !almostEq(r.Std(), s.Std, 1e-12) {
-		t.Errorf("running %g/%g vs batch %g/%g", r.Mean(), r.Std(), s.Mean, s.Std)
+	var ss float64
+	for _, x := range xs {
+		ss += (x - s.Mean()) * (x - s.Mean())
 	}
-	if r.Min() != -4.5 || r.Max() != 11 {
-		t.Errorf("running min/max = %g/%g", r.Min(), r.Max())
+	std := math.Sqrt(ss / float64(len(xs)-1))
+	if !almostEq(r.Mean(), s.Mean(), 1e-12) || !almostEq(r.Std(), std, 1e-12) {
+		t.Errorf("running %g/%g vs batch %g/%g", r.Mean(), r.Std(), s.Mean(), std)
+	}
+	if r.Min() != s.Min() || r.Max() != s.Max() || r.Min() != -4.5 || r.Max() != 11 {
+		t.Errorf("running min/max = %g/%g, sample %g/%g", r.Min(), r.Max(), s.Min(), s.Max())
 	}
 }
 
@@ -179,15 +155,6 @@ func TestFitLinePanics(t *testing.T) {
 	}
 }
 
-func TestMeanConvenience(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	for i := 0; i < 100; i++ {
@@ -231,13 +198,6 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	h.Add(0.9)
 	if q := h.Quantile(0); q <= 0 || q >= 1 {
 		t.Errorf("q0 = %g", q)
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if got := s.String(); got == "" {
-		t.Error("empty String()")
 	}
 }
 
@@ -298,7 +258,7 @@ func TestSampleQuantile(t *testing.T) {
 	if s.Min() != 1 || s.Max() != 5 || s.Mean() != 3 {
 		t.Errorf("min/max/mean = %g/%g/%g", s.Min(), s.Max(), s.Mean())
 	}
-	// Adding after a quantile query must keep working (re-sort).
+	// Adding after a quantile query must keep working.
 	s.Add(0.5)
 	if got := s.Quantile(0); got != 0.5 {
 		t.Errorf("Quantile(0) after Add = %g, want 0.5", got)
@@ -386,5 +346,268 @@ func TestQuantileTrackerMatchesSample(t *testing.T) {
 	empty := NewQuantileTracker(0.5)
 	if empty.N() != 0 || empty.Quantile() != 0 {
 		t.Errorf("empty tracker: N() = %d, Quantile() = %g; want 0, 0", empty.N(), empty.Quantile())
+	}
+}
+
+// TestSampleMeanIndependentOfQueries: Mean, Min and Max return the same
+// bits however many quantile reads came before, and Mean is the
+// insertion-order sum over N. Reading a quantile reorders the retained
+// values, so a mean summed over them in their current order would drift
+// in the last bits.
+func TestSampleMeanIndependentOfQueries(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	for trial := 0; trial < 100; trial++ {
+		var s Sample
+		var sum float64
+		for i := 0; i < 1000; i++ {
+			x := r.ExpFloat64() * 1e-3
+			s.Add(x)
+			sum += x
+		}
+		want := sum / 1000
+		mean, lo, hi := s.Mean(), s.Min(), s.Max()
+		if math.Float64bits(mean) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Mean = %b, want insertion-order %b", trial, mean, want)
+		}
+		for _, q := range []float64{0.5, 0.99, 0.01} {
+			s.Quantile(q)
+			if got := s.Mean(); math.Float64bits(got) != math.Float64bits(mean) {
+				t.Fatalf("trial %d: Mean after Quantile(%g) = %b, before %b", trial, q, got, mean)
+			}
+			if s.Min() != lo || s.Max() != hi {
+				t.Fatalf("trial %d: Min/Max after Quantile(%g) = %g/%g, before %g/%g", trial, q, s.Min(), s.Max(), lo, hi)
+			}
+		}
+	}
+}
+
+// sameOrderValue reports whether got is the value want under
+// sort.Float64s's order: bit for bit, except that the order ties −0
+// with +0, so sort.Float64s itself may leave either at a given index.
+func sameOrderValue(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || (got == 0 && want == 0)
+}
+
+// killerPattern returns n values that drive selectRank's median-of-3
+// Hoare partition to its worst case when it selects any index >= n/2:
+// it replays the partition on value identities and, at each step, gives
+// the range's first and middle slots the two smallest values not yet
+// used. The pivot is then the range's second-smallest value, each
+// partition scans the whole range and drops only two values, and
+// without the depth limit selecting the median would take ~3n²/16
+// comparisons (n/4 partitions over ranges of n down to n/2).
+func killerPattern(n int) []float64 {
+	ids := make([]int, n) // ids[i]: which input slot sits at position i
+	for i := range ids {
+		ids[i] = i
+	}
+	xs := make([]float64, n)
+	next := 0.0
+	give := func(pos int) {
+		xs[ids[pos]] = next
+		next++
+	}
+	lo, hi := 0, n
+	for hi-lo > 12 {
+		m := (lo + hi - 1) / 2
+		give(lo)
+		give(m)
+		ids[lo+1], ids[m] = ids[m], ids[lo+1]
+		lo += 2
+	}
+	for ; lo < hi; lo++ {
+		give(lo)
+	}
+	return xs
+}
+
+// shape is one named input for the exactness tests.
+type shape struct {
+	name string
+	xs   []float64
+}
+
+// sampleShapes are the inputs the exactness tests select from: n
+// values of each shape, deterministic for a given n.
+func sampleShapes(n int) []shape {
+	r := rand.New(rand.NewPCG(uint64(n), 5))
+	specials := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(), 1, -1}
+	gens := []struct {
+		name string
+		f    func(i int) float64
+	}{
+		{"random", func(int) float64 { return r.NormFloat64() }},
+		{"equal", func(int) float64 { return 2.5 }},
+		{"sorted", func(i int) float64 { return float64(i) }},
+		{"reversed", func(i int) float64 { return float64(n - i) }},
+		{"organ", func(i int) float64 { return float64(min(i, n-1-i)) }},
+		{"dups", func(int) float64 { return float64(r.IntN(4)) }},
+		{"specials", func(int) float64 { return specials[r.IntN(len(specials))] }},
+	}
+	out := []shape{{"killer", killerPattern(n)}}
+	for _, g := range gens {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = g.f(i)
+		}
+		out = append(out, shape{g.name, xs})
+	}
+	return out
+}
+
+// checkQuantiles adds xs to a fresh Sample, reads each q in turn from
+// that one Sample, and compares every read with sort.Float64s followed
+// by an index.
+func checkQuantiles(t *testing.T, name string, xs []float64, qs []float64) {
+	t.Helper()
+	var s Sample
+	for _, x := range xs {
+		s.Add(x)
+	}
+	sorted := slices.Clone(xs)
+	sort.Float64s(sorted)
+	for _, q := range qs {
+		want := sorted[nearestRank(q, len(xs))]
+		if got := s.Quantile(q); !sameOrderValue(got, want) {
+			t.Fatalf("%s n=%d: Quantile(%g) = %g, sorted value %g", name, len(xs), q, got, want)
+		}
+	}
+	if !sameOrderValue(s.Min(), sorted[0]) || !sameOrderValue(s.Max(), sorted[len(xs)-1]) {
+		t.Fatalf("%s n=%d: Min/Max = %g/%g, sorted ends %g/%g", name, len(xs), s.Min(), s.Max(), sorted[0], sorted[len(xs)-1])
+	}
+}
+
+// TestSampleQuantileMatchesSort: selection returns what sorting and
+// indexing returns, for every rank of small samples and for the report
+// quantiles of a large one, on every shape in sampleShapes, reading
+// several quantiles in a row from one Sample in both q orders.
+func TestSampleQuantileMatchesSort(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 17, 1000} {
+		var up, down []float64
+		for k := 0; k < n; k++ {
+			q := (float64(k) + 0.5) / float64(n) // nearestRank(q, n) == k
+			if nearestRank(q, n) != k {
+				t.Fatalf("q=%g n=%d: rank %d, want %d", q, n, nearestRank(q, n), k)
+			}
+			up = append(up, q)
+			down = append([]float64{q}, down...)
+		}
+		for _, sh := range sampleShapes(n) {
+			checkQuantiles(t, sh.name+"/ascending", sh.xs, up)
+			checkQuantiles(t, sh.name+"/descending", sh.xs, down)
+		}
+	}
+	qs := []float64{0, 0.5, 0.95, 0.99, 1}
+	for _, sh := range sampleShapes(100000) {
+		checkQuantiles(t, sh.name+"/ascending", sh.xs, qs)
+		checkQuantiles(t, sh.name+"/descending", sh.xs, []float64{1, 0.99, 0.95, 0.5, 0})
+	}
+}
+
+// TestSampleQuantileKillerBound: on a million values in the pattern
+// that makes every partition drop only two values, selecting the median
+// stays within a small multiple of sorting the same values, where a
+// select without the depth limit would need ~2e11 comparisons
+// (thousands of sorts; over 100 s on a 2-core Xeon).
+func TestSampleQuantileKillerBound(t *testing.T) {
+	xs := killerPattern(1 << 20)
+	sorted := slices.Clone(xs)
+	start := time.Now()
+	sort.Float64s(sorted)
+	sortTime := time.Since(start)
+
+	var s Sample
+	for _, x := range xs {
+		s.Add(x)
+	}
+	start = time.Now()
+	got := s.Quantile(0.5)
+	selectTime := time.Since(start)
+	if want := sorted[len(sorted)/2]; got != want {
+		t.Fatalf("Quantile(0.5) = %g, want %g", got, want)
+	}
+	if selectTime > 50*sortTime+time.Second {
+		t.Fatalf("Quantile(0.5) on the killer pattern took %v, sort.Float64s %v", selectTime, sortTime)
+	}
+}
+
+// FuzzSampleQuantile: for any values (eight bytes each, so NaN, ±0 and
+// ±Inf appear) and any q, Quantile, Min and Max match sort.Float64s
+// followed by an index, and Mean is the insertion-order sum over N.
+func FuzzSampleQuantile(f *testing.F) {
+	bytesOf := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(bytesOf(3, 1, 2), 0.5)
+	f.Add(bytesOf(math.NaN(), 1, math.Copysign(0, -1), 0, math.Inf(-1), math.NaN()), 0.0)
+	f.Add(bytesOf(math.Inf(1), math.NaN(), -7, 7, 7, 7), 0.99)
+	f.Add(bytesOf(killerPattern(64)...), 1.0)
+	f.Add(bytesOf(5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 0.95)
+	f.Fuzz(func(t *testing.T, data []byte, q float64) {
+		var s Sample
+		var sum float64
+		xs := make([]float64, 0, len(data)/8)
+		for ; len(data) >= 8; data = data[8:] {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			s.Add(x)
+			xs = append(xs, x)
+			sum += x
+		}
+		if len(xs) == 0 {
+			if s.Quantile(q) != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
+				t.Fatal("empty sample should report zeros")
+			}
+			return
+		}
+		sorted := slices.Clone(xs)
+		sort.Float64s(sorted)
+		// NaN payloads are not compared: which operand's payload a sum
+		// of two NaNs keeps depends on how the compiler orders them.
+		if mean := sum / float64(len(xs)); math.Float64bits(s.Mean()) != math.Float64bits(mean) && !(math.IsNaN(s.Mean()) && math.IsNaN(mean)) {
+			t.Fatalf("Mean = %g, want %g", s.Mean(), mean)
+		}
+		for _, qq := range []float64{q, 0.5, q} {
+			if math.IsNaN(qq) {
+				continue
+			}
+			want := sorted[nearestRank(qq, len(xs))]
+			if got := s.Quantile(qq); !sameOrderValue(got, want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("Quantile(%g) = %g, sorted value %g (values %v)", qq, got, want, xs)
+			}
+		}
+		if !sameOrderValue(s.Min(), sorted[0]) && !(math.IsNaN(s.Min()) && math.IsNaN(sorted[0])) {
+			t.Fatalf("Min = %g, want %g", s.Min(), sorted[0])
+		}
+		if last := sorted[len(xs)-1]; !sameOrderValue(s.Max(), last) && !(math.IsNaN(s.Max()) && math.IsNaN(last)) {
+			t.Fatalf("Max = %g, want %g", s.Max(), last)
+		}
+	})
+}
+
+var quantileSink float64
+
+// BenchmarkSampleQuantile times one latency summary's reads of a
+// cpu-gpu-serve-sized sample: p50, p95, p99 and Max over 716k
+// exponential values, each iteration starting from the values in their
+// insertion order, as a report does.
+func BenchmarkSampleQuantile(b *testing.B) {
+	const n = 716_000
+	r := rand.New(rand.NewPCG(7, 8))
+	var s Sample
+	for i := 0; i < n; i++ {
+		s.Add(r.ExpFloat64() * 1e-2)
+	}
+	orig := slices.Clone(s.xs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(s.xs, orig)
+		b.StartTimer()
+		quantileSink = s.Quantile(0.50) + s.Quantile(0.95) + s.Quantile(0.99) + s.Max()
 	}
 }

@@ -55,3 +55,7 @@ go test -run '^$' -bench BenchmarkForwardMicroB8 -benchmem -benchtime=1x ./inter
 # The hedge-trigger microbenchmark (per-completion cost after 1k and
 # 100k prior completions) gets the same sanity run.
 go test -run '^$' -bench BenchmarkHedgeTrigger -benchtime=1x ./internal/core
+# The exact-quantile selection benchmark (one report's p50/p95/p99/Max
+# reads of a 716k-value sample) gets the same sanity run; -benchmem
+# shows its 0 allocs/op.
+go test -run '^$' -bench BenchmarkSampleQuantile -benchmem -benchtime=1x ./internal/stats
