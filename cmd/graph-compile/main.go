@@ -33,8 +33,10 @@ func main() {
 
 // run parses args, compiles the chosen network and writes the report
 // to stdout. The default seed is 42, the one sessions, examples and
-// pipeline.Config.NetSeed use, so a blob built with default flags is
-// the one a default session compiles.
+// pipeline.Config.NetSeed use, so a -net googlenet blob with the
+// default seed is the one a default GoogLeNet session compiles. A
+// -net micro blob is not: micro sessions calibrate the classifier
+// against the dataset before compiling.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("graph-compile", flag.ContinueOnError)
 	netName := fs.String("net", "googlenet", "network to compile: googlenet or micro")

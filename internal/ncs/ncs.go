@@ -298,8 +298,9 @@ type GraphOptions struct {
 // does) and readies the VPU engine (mvncAllocateGraph). The parse
 // decodes no weight: the engine costs layers from their geometry, and
 // a functional graph decodes its weights from blob on its first
-// inference. The graph keeps referring to blob, so the caller must not
-// modify it after the call.
+// inference. The graph keeps referring to blob, and a session's blob
+// may be shared with other live sessions, so blob must be treated as
+// read-only.
 func (d *Device) AllocateGraph(p *sim.Proc, blob []byte, opts GraphOptions) (*Graph, error) {
 	if d.state == stateClosed {
 		return nil, ErrDeviceNotOpen

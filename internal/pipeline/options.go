@@ -233,7 +233,9 @@ func WithNetwork(g *nn.Graph) Option {
 }
 
 // WithBlob supplies a precompiled NCS graph file for the VPU groups,
-// skipping per-session compilation; pair with WithNetwork.
+// skipping per-session compilation; pair with WithNetwork. The blob
+// may be shared with other live sessions and must be treated as
+// read-only.
 func WithBlob(blob []byte) Option {
 	return func(c *Config) { c.Blob = blob }
 }

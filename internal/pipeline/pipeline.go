@@ -34,7 +34,6 @@ import (
 	"repro/internal/devsim"
 	"repro/internal/fault"
 	"repro/internal/field"
-	"repro/internal/graphfile"
 	"repro/internal/imagenet"
 	"repro/internal/ncs"
 	"repro/internal/nn"
@@ -133,7 +132,9 @@ type Config struct {
 	Net *nn.Graph
 	// Blob, when set, is used as the compiled NCS graph file instead
 	// of compiling Net — pair it with Net when running many sessions
-	// over the same workload.
+	// over the same workload. The session and its sticks read it for
+	// as long as the session lives, as may any session it is shared
+	// with: treat it as read-only.
 	Blob []byte
 	// Micro parameterizes the micro network (zero value = defaults).
 	Micro nn.MicroConfig
@@ -593,7 +594,7 @@ func (s *Session) buildNetwork() error {
 				s.blob = s.cfg.Blob
 				break
 			}
-			blob, err := graphfile.Compile(s.net)
+			blob, err := s.compileBlob(s.net, 0)
 			if err != nil {
 				return fmt.Errorf("pipeline: compile graph: %w", err)
 			}
@@ -914,6 +915,8 @@ func (s *Session) Dataset() *imagenet.Dataset { return s.ds }
 func (s *Session) Network() *nn.Graph { return s.net }
 
 // Blob returns the compiled NCS graph file (nil when no VPU group).
+// Live sessions over the same self-built GoogLeNet share one blob, so
+// it must be treated as read-only.
 func (s *Session) Blob() []byte { return s.blob }
 
 // Devices returns every Neural Compute Stick of the session, in

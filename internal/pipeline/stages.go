@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/graphfile"
 	"repro/internal/nn"
 )
 
@@ -181,7 +180,7 @@ func (s *Session) resolveStages() error {
 		if eff[i].spec.Group.Kind != GroupVPU {
 			continue
 		}
-		blob, err := graphfile.Compile(eff[i].seg)
+		blob, err := s.compileBlob(eff[i].seg, eff[i].cut)
 		if err != nil {
 			return fmt.Errorf("pipeline: compile stage %d segment: %w", i, err)
 		}

@@ -555,7 +555,8 @@ func WithNetwork(g *Graph) SessionOption { return pipeline.WithNetwork(g) }
 // WithBlob supplies a precompiled NCS graph file for the VPU groups,
 // skipping per-session compilation; pair with WithNetwork. Not
 // applicable to split sessions, whose stage segments compile
-// per stage.
+// per stage. The blob may be shared with other live sessions and
+// must be treated as read-only.
 func WithBlob(blob []byte) SessionOption { return pipeline.WithBlob(blob) }
 
 // WithTemperature overrides the prototype-classifier softmax scale.

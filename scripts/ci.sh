@@ -46,6 +46,9 @@ go test -run '^$' -bench BenchmarkKernel -cpu 1,2 -benchtime=1x ./internal/sim
 # and the shape-only GoogLeNet build get the same one-iteration sanity
 # run. -cpu 1,2 runs Compile both inline and on two workers.
 go test -run '^$' -bench 'Benchmark(Compile|Parse)GoogLeNet' -benchmem -cpu 1,2 -benchtime=1x ./internal/graphfile
+# A GoogLeNet session build with its blob memoised (hit) and compiled
+# (miss) gets the same sanity run.
+go test -run '^$' -bench BenchmarkNewSessionGoogLeNet -benchmem -benchtime=1x ./internal/pipeline
 go test -run '^$' -bench BenchmarkFromFloat32 -benchtime=1x ./internal/half
 go test -run '^$' -bench BenchmarkNewGoogLeNet -benchtime=1x ./internal/nn
 # The fp32 path's kernel-variant benches (gemm on every micro-GoogLeNet
