@@ -40,68 +40,45 @@ type blobKey struct {
 	lo, hi int
 }
 
-// blobEntry is one memoised compile. Its fields are written before
-// done is closed and never after, so readers wait on done first.
+// blobEntry is one memoised compile: first points weakly at the first
+// byte of the blob, n is its length.
 type blobEntry struct {
-	key  blobKey
-	done chan struct{}
-	// first points weakly at the first byte of the blob, n is its
-	// length; err is set instead when the compile failed.
+	key   blobKey
 	first weak.Pointer[byte]
 	n     int
-	err   error
 }
 
 // blobMemo maps keys to compiled blobs without keeping any blob alive.
 // The sessions that use a blob hold it; once none does, the collector
 // frees it and a cleanup removes its entry, so the memo cannot grow
-// the live heap. A blob still alive anywhere in the process is never
-// compiled a second time, and concurrent builds of one key compile it
-// once. The lock guards only the map; compiles run outside it, so
-// builds of different keys do not wait for each other.
+// the live heap. A build hits when the blob of its key is still in the
+// heap, which includes a blob no session holds any more that the
+// collector has not yet freed. The lock is held across the compile:
+// sessions are built one after another, so nothing waits on it.
 type blobMemo struct {
 	mu      sync.Mutex
 	entries map[blobKey]*blobEntry
 }
 
-// compile returns the live blob for key, compiling g when there is
-// none. The returned slice has no spare capacity, so appending to it
-// cannot write into memory another session reads.
+// compile returns the blob for key if it is still in the heap,
+// compiling g otherwise. The returned slice has no spare capacity, so
+// appending to it cannot write into memory another session reads.
 func (m *blobMemo) compile(key blobKey, g *nn.Graph) ([]byte, error) {
-	for {
-		m.mu.Lock()
-		e := m.entries[key]
-		if e == nil {
-			e = &blobEntry{key: key, done: make(chan struct{})}
-			m.entries[key] = e
-			m.mu.Unlock()
-			return m.fill(e, g)
-		}
-		m.mu.Unlock()
-		<-e.done
-		if e.err != nil {
-			return nil, e.err
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.entries[key]; e != nil {
 		if first := e.first.Value(); first != nil {
 			return unsafe.Slice(first, e.n), nil
 		}
-		// The blob was freed, or its compile panicked, before a
-		// cleanup removed the entry: replace it.
-		m.drop(e)
 	}
-}
-
-// fill compiles g into the new entry e and publishes the result. A
-// failed compile leaves no entry behind, so a later build retries.
-func (m *blobMemo) fill(e *blobEntry, g *nn.Graph) ([]byte, error) {
-	defer close(e.done)
 	blob, err := graphfile.Compile(g)
 	if err != nil {
-		e.err = err
-		m.drop(e)
 		return nil, err
 	}
-	e.first, e.n = weak.Make(&blob[0]), len(blob)
+	// A dead entry under key is replaced here; its pending cleanup
+	// leaves the new one alone.
+	e := &blobEntry{key: key, first: weak.Make(&blob[0]), n: len(blob)}
+	m.entries[key] = e
 	runtime.AddCleanup(&blob[0], m.drop, e)
 	return blob[:len(blob):len(blob)], nil
 }

@@ -186,8 +186,8 @@ func TestSessionBlobBounded(t *testing.T) {
 	}
 }
 
-// TestSessionBlobConcurrent: sessions built at once over one key
-// compile once and share the blob.
+// TestSessionBlobConcurrent: sessions built at once over one key queue
+// on the memo's lock, compile once and share the blob.
 func TestSessionBlobConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GoogLeNet compile skipped in -short")
