@@ -154,9 +154,9 @@ func tenantsTrace(devices, images int, seed uint64, width int, csv bool) (string
 	// (~9.9 img/s per stick) to ~70% aggregate load.
 	setup := time.Duration(devices) * 1100 * time.Millisecond
 	capacity := 9.9 * float64(devices)
-	tc := repro.TenantConfig{
-		Scheduler: repro.TenantWeightedFair,
-		Tenants: []repro.TenantClass{
+	tc := repro.TenantMuxOptions{
+		Policy: repro.TenantWeightedFair,
+		Lanes: []repro.TenantLane{
 			{ID: "gold", Weight: 3,
 				Arrivals: repro.DelayedArrivals(repro.PoissonArrivals(0.25*capacity), setup)},
 			{ID: "silver", Weight: 1,

@@ -8,7 +8,6 @@ import (
 	"repro/internal/imagenet"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
-	"repro/internal/tenant"
 )
 
 // tenantLoads are the aggregate offered-load fractions of the fleet's
@@ -100,18 +99,18 @@ func (h *Harness) tenantCapacity(images int) (float64, time.Duration, error) {
 
 // tenantSteady builds the three well-behaved tenants: Poisson at
 // tenantSteadyFrac of capacity each, delayed past device setup.
-func tenantSteady(capacity float64, ready time.Duration, slo time.Duration) []tenant.Tenant {
+func tenantSteady(capacity float64, ready time.Duration, slo time.Duration) []core.TenantLane {
 	rate := tenantSteadyFrac * capacity
 	ids := []string{"steady-a", "steady-b", "steady-c"}
-	out := make([]tenant.Tenant, len(ids))
+	out := make([]core.TenantLane, len(ids))
 	for i, id := range ids {
-		out[i] = tenant.Tenant{
-			ID:         id,
-			Weight:     1,
-			Priority:   0,
-			SLO:        slo,
-			Arrivals:   core.DelayedArrivals(core.PoissonArrivals(rate), ready),
-			QueueDepth: tenantQueueDepth,
+		out[i] = core.TenantLane{
+			ID:       id,
+			Weight:   1,
+			Priority: 0,
+			Deadline: slo,
+			Arrivals: core.DelayedArrivals(core.PoissonArrivals(rate), ready),
+			Depth:    tenantQueueDepth,
 		}
 	}
 	return out
@@ -121,16 +120,16 @@ func tenantSteady(capacity float64, ready time.Duration, slo time.Duration) []te
 // mean rate lifts the aggregate to the target load, bursting at twice
 // its mean. Under the quota variant its admitted rate is capped at
 // its mean — the contract it keeps violating during bursts.
-func tenantFlash(capacity float64, ready time.Duration, load float64, slo time.Duration, quota bool) tenant.Tenant {
+func tenantFlash(capacity float64, ready time.Duration, load float64, slo time.Duration, quota bool) core.TenantLane {
 	mean := (load - tenantSteadyCount*tenantSteadyFrac) * capacity
 	window := time.Duration(tenantBurstSLOs) * slo
-	t := tenant.Tenant{
-		ID:         "flash",
-		Weight:     1,
-		Priority:   1, // below the steady tenants under strict priority
-		SLO:        slo,
-		Arrivals:   core.DelayedArrivals(core.BurstyArrivals(2*mean, window, window), ready),
-		QueueDepth: tenantQueueDepth,
+	t := core.TenantLane{
+		ID:       "flash",
+		Weight:   1,
+		Priority: 1, // below the steady tenants under strict priority
+		Deadline: slo,
+		Arrivals: core.DelayedArrivals(core.BurstyArrivals(2*mean, window, window), ready),
+		Depth:    tenantQueueDepth,
 	}
 	if quota {
 		t.RatePerSec = mean
@@ -143,7 +142,7 @@ func tenantFlash(capacity float64, ready time.Duration, load float64, slo time.D
 // The session seed is derived from the cell name alone, so every
 // policy variant of one load cell shares arrival instants and device
 // jitter — a controlled comparison.
-func (h *Harness) tenantSession(cell string, images int, slo time.Duration, tc tenant.Config) (*pipeline.Report, error) {
+func (h *Harness) tenantSession(cell string, images int, slo time.Duration, tc core.TenantMuxOptions) (*pipeline.Report, error) {
 	ds := imagenet.DefaultConfig()
 	ds.Images = images
 	sess, err := pipeline.New(
@@ -191,18 +190,18 @@ func tenantRows(rep *pipeline.Report, policy string, loadPct int, offered map[st
 // every load cell.
 func tenantPolicies() []struct {
 	name  string
-	sched tenant.Scheduler
+	sched core.TenantPolicy
 	quota bool
 } {
 	return []struct {
 		name  string
-		sched tenant.Scheduler
+		sched core.TenantPolicy
 		quota bool
 	}{
-		{"fifo", tenant.FIFO, false},
-		{"wfq", tenant.WeightedFair, false},
-		{"wfq+quota", tenant.WeightedFair, true},
-		{"priority", tenant.Priority, false},
+		{"fifo", core.TenantFIFO, false},
+		{"wfq", core.TenantFair, false},
+		{"wfq+quota", core.TenantFair, true},
+		{"priority", core.TenantPriority, false},
 	}
 }
 
@@ -225,7 +224,7 @@ func (h *Harness) TenantPoints() ([]TenantPoint, error) {
 	var points []TenantPoint
 
 	quietPct := int(tenantSteadyCount * tenantSteadyFrac * 100)
-	quiet := tenant.Config{Scheduler: tenant.WeightedFair, Tenants: tenantSteady(capacity, ready, slo)}
+	quiet := core.TenantMuxOptions{Policy: core.TenantFair, Lanes: tenantSteady(capacity, ready, slo)}
 	offered := map[string]float64{"steady-a": steadyRate, "steady-b": steadyRate, "steady-c": steadyRate}
 	rep, err := h.tenantSession("quiet", images, slo, quiet)
 	if err != nil {
@@ -242,9 +241,9 @@ func (h *Harness) TenantPoints() ([]TenantPoint, error) {
 			"flash": flashMean,
 		}
 		for _, pol := range tenantPolicies() {
-			tc := tenant.Config{
-				Scheduler: pol.sched,
-				Tenants:   append(tenantSteady(capacity, ready, slo), tenantFlash(capacity, ready, load, slo, pol.quota)),
+			tc := core.TenantMuxOptions{
+				Policy: pol.sched,
+				Lanes:  append(tenantSteady(capacity, ready, slo), tenantFlash(capacity, ready, load, slo, pol.quota)),
 			}
 			rep, err := h.tenantSession(cell, images, slo, tc)
 			if err != nil {

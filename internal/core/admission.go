@@ -60,6 +60,9 @@ func (o OverloadPolicy) String() string {
 	return fmt.Sprintf("policy(%d)", int(o))
 }
 
+// valid reports whether o names a known policy.
+func (o OverloadPolicy) valid() bool { return o >= ShedNewest && o <= Block }
+
 // DropReason says why the admission queue dropped an item.
 type DropReason int
 
@@ -172,7 +175,7 @@ func NewAdmissionQueue(env *sim.Env, inner Source, opts AdmissionOptions) (*Admi
 	if opts.Depth < 1 {
 		return nil, fmt.Errorf("core: admission queue depth %d (need >= 1)", opts.Depth)
 	}
-	if opts.Policy < ShedNewest || opts.Policy > Block {
+	if !opts.Policy.valid() {
 		return nil, fmt.Errorf("core: unknown overload policy %v", opts.Policy)
 	}
 	if opts.Deadline < 0 {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/field"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -113,14 +114,65 @@ type TenantMuxOptions struct {
 	// SharedPolicy is the overload policy of the shared TenantFIFO
 	// queue (default ShedNewest). Ignored by the fair policies.
 	SharedPolicy OverloadPolicy
-	// OnDrop observes every dropped or rejected item (shed, expired,
-	// quota) with the drop instant; item.Tenant identifies the lane.
-	OnDrop func(item Item, reason DropReason, at time.Duration)
-	// Seed drives the stochastic arrival processes; each lane derives
-	// its own sub-stream keyed by tenant ID, so per-tenant sequences
-	// are identical across scheduler policies. nil defaults to seed 1.
-	Seed *rng.Source
 }
+
+// Validate checks the options: at least one lane, unique non-empty
+// IDs, an arrival process per lane, finite non-negative weights and
+// quotas, known policies. It is the one home of the tenant rules:
+// NewTenantMux and the session config both call it. Errors are
+// field.Errors with paths relative to the options ("Lanes[2].ID").
+func (o TenantMuxOptions) Validate() error {
+	if o.Policy < TenantFIFO || o.Policy > TenantPriority {
+		return field.Errorf("Policy", "unknown scheduler %v", o.Policy)
+	}
+	if o.SharedDepth < 0 {
+		return field.Errorf("SharedDepth", "negative depth %d", o.SharedDepth)
+	}
+	if !o.SharedPolicy.valid() {
+		return field.Errorf("SharedPolicy", "unknown overload policy %v", o.SharedPolicy)
+	}
+	if len(o.Lanes) == 0 {
+		return field.Errorf("Lanes", "needs at least one tenant lane")
+	}
+	seen := make(map[string]bool, len(o.Lanes))
+	for i, l := range o.Lanes {
+		p := fmt.Sprintf("Lanes[%d]", i)
+		if l.ID == "" {
+			return field.Errorf(p+".ID", "required")
+		}
+		if seen[l.ID] {
+			return field.Errorf(p+".ID", "duplicate tenant %q", l.ID)
+		}
+		seen[l.ID] = true
+		if l.Arrivals == nil {
+			return field.Errorf(p+".Arrivals", "required (every tenant drives its own traffic)")
+		}
+		if !finiteNonNegative(l.Weight) {
+			return field.Errorf(p+".Weight", "weight %g (need finite >= 0)", l.Weight)
+		}
+		if l.Deadline < 0 {
+			return field.Errorf(p+".Deadline", "negative deadline %v", l.Deadline)
+		}
+		if l.Depth < 0 {
+			return field.Errorf(p+".Depth", "negative depth %d", l.Depth)
+		}
+		if !l.Policy.valid() {
+			return field.Errorf(p+".Policy", "unknown overload policy %v", l.Policy)
+		}
+		if l.MaxInFlight < 0 {
+			return field.Errorf(p+".MaxInFlight", "negative quota %d", l.MaxInFlight)
+		}
+		if !finiteNonNegative(l.RatePerSec) {
+			return field.Errorf(p+".RatePerSec", "rate quota %g (need finite >= 0)", l.RatePerSec)
+		}
+		if l.Burst < 0 {
+			return field.Errorf(p+".Burst", "negative burst %d", l.Burst)
+		}
+	}
+	return nil
+}
+
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // TenantStats counts what happened to one tenant at the admission
 // edge.
@@ -183,9 +235,10 @@ func (l *tenantLane) weight() float64 {
 // queue has drained; exhaustion is re-posted so every consumer
 // terminates.
 type TenantMux struct {
-	opts  TenantMuxOptions
-	lanes []*tenantLane
-	byID  map[string]*tenantLane
+	opts   TenantMuxOptions
+	onDrop func(item Item, reason DropReason, at time.Duration)
+	lanes  []*tenantLane
+	byID   map[string]*tenantLane
 	// tiers holds lane indices grouped by strict priority (ascending),
 	// each tier in registration order. TenantFair has a single tier.
 	tiers [][]int
@@ -205,60 +258,30 @@ type TenantMux struct {
 
 // NewTenantMux builds the multi-tenant admission edge inside env over
 // the shared inner source. The arrival pumps start immediately;
-// traffic unfolds as env runs.
-func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions) (*TenantMux, error) {
+// traffic unfolds as env runs. seed drives the stochastic arrival
+// processes: each lane derives its own sub-stream keyed by tenant ID,
+// so per-tenant sequences are identical across scheduler policies (nil
+// defaults to seed 1). onDrop, when non-nil, observes every dropped or
+// rejected item (shed, expired, quota) with the drop instant;
+// item.Tenant identifies the lane.
+func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.Source, onDrop func(item Item, reason DropReason, at time.Duration)) (*TenantMux, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("core: tenant mux needs a wrapped source")
 	}
-	if len(opts.Lanes) == 0 {
-		return nil, fmt.Errorf("core: tenant mux needs at least one tenant lane")
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if opts.Policy < TenantFIFO || opts.Policy > TenantPriority {
-		return nil, fmt.Errorf("core: unknown tenant policy %v", opts.Policy)
-	}
-	if opts.SharedPolicy < ShedNewest || opts.SharedPolicy > Block {
-		return nil, fmt.Errorf("core: unknown overload policy %v", opts.SharedPolicy)
-	}
-	if opts.Seed == nil {
-		opts.Seed = rng.New(1)
+	if seed == nil {
+		seed = rng.New(1)
 	}
 	m := &TenantMux{
-		opts:  opts,
-		byID:  make(map[string]*tenantLane, len(opts.Lanes)),
-		inner: inner,
-		pumps: len(opts.Lanes),
+		opts:   opts,
+		onDrop: onDrop,
+		byID:   make(map[string]*tenantLane, len(opts.Lanes)),
+		inner:  inner,
+		pumps:  len(opts.Lanes),
 	}
 	for _, cfg := range opts.Lanes {
-		if cfg.ID == "" {
-			return nil, fmt.Errorf("core: tenant lane with empty ID")
-		}
-		if _, dup := m.byID[cfg.ID]; dup {
-			return nil, fmt.Errorf("core: duplicate tenant %q", cfg.ID)
-		}
-		if cfg.Arrivals == nil {
-			return nil, fmt.Errorf("core: tenant %q has no arrival process", cfg.ID)
-		}
-		if cfg.Weight < 0 || math.IsInf(cfg.Weight, 1) || math.IsNaN(cfg.Weight) {
-			return nil, fmt.Errorf("core: tenant %q weight %g (need finite >= 0)", cfg.ID, cfg.Weight)
-		}
-		if cfg.Depth < 0 {
-			return nil, fmt.Errorf("core: tenant %q depth %d (need >= 0)", cfg.ID, cfg.Depth)
-		}
-		if cfg.Policy < ShedNewest || cfg.Policy > Block {
-			return nil, fmt.Errorf("core: tenant %q unknown overload policy %v", cfg.ID, cfg.Policy)
-		}
-		if cfg.Deadline < 0 {
-			return nil, fmt.Errorf("core: tenant %q negative deadline %v", cfg.ID, cfg.Deadline)
-		}
-		if cfg.MaxInFlight < 0 {
-			return nil, fmt.Errorf("core: tenant %q negative max-in-flight %d", cfg.ID, cfg.MaxInFlight)
-		}
-		if cfg.RatePerSec < 0 || math.IsInf(cfg.RatePerSec, 1) || math.IsNaN(cfg.RatePerSec) {
-			return nil, fmt.Errorf("core: tenant %q rate quota %g (need finite >= 0)", cfg.ID, cfg.RatePerSec)
-		}
-		if cfg.Burst < 0 {
-			return nil, fmt.Errorf("core: tenant %q negative burst %d", cfg.ID, cfg.Burst)
-		}
 		lane := &tenantLane{cfg: cfg, tokens: float64(cfg.burstOrDefault())}
 		m.lanes = append(m.lanes, lane)
 		m.byID[cfg.ID] = lane
@@ -285,7 +308,7 @@ func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions) (*TenantMux
 	for _, lane := range m.lanes {
 		lane := lane
 		env.Process("tenant/"+lane.cfg.ID, func(p *sim.Proc) {
-			gen := lane.cfg.Arrivals.start(opts.Seed.Derive("tenants/arrivals/" + lane.cfg.ID))
+			gen := lane.cfg.Arrivals.start(seed.Derive("tenants/arrivals/" + lane.cfg.ID))
 			for {
 				// Pull before sleeping so shared-source exhaustion is
 				// detected at the last item's arrival instant.
@@ -585,8 +608,8 @@ func (m *TenantMux) drop(lane *tenantLane, item Item, reason DropReason, at time
 	default:
 		lane.stats.Shed++
 	}
-	if m.opts.OnDrop != nil {
-		m.opts.OnDrop(item, reason, at)
+	if m.onDrop != nil {
+		m.onDrop(item, reason, at)
 	}
 }
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/field"
 	"repro/internal/sim"
 )
 
@@ -29,7 +32,7 @@ func TestTenantMuxFairWorkConservation(t *testing.T) {
 			{ID: "busy", Weight: 1, Arrivals: steadyArrivals(1000)},
 			{ID: "idle", Weight: 9, Arrivals: DelayedArrivals(steadyArrivals(1000), time.Hour)},
 		},
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +89,7 @@ func TestTenantMuxWeightProportionalService(t *testing.T) {
 			{ID: "b", Weight: 2, Arrivals: steadyArrivals(1000)},
 			{ID: "c", Weight: 4, Arrivals: steadyArrivals(1000)},
 		},
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestTenantMuxMaxInFlightQuota(t *testing.T) {
 			Lanes: []TenantLane{
 				{ID: "capped", Arrivals: steadyArrivals(1000), MaxInFlight: 2},
 			},
-		})
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +176,7 @@ func TestTenantMuxRateQuota(t *testing.T) {
 			// 200/s offered against a 50/s contract: ~1 in 4 admitted.
 			{ID: "paced", Arrivals: steadyArrivals(200), RatePerSec: 50},
 		},
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +218,7 @@ func TestTenantMuxFIFOArrivalOrder(t *testing.T) {
 			{ID: "fast", Arrivals: steadyArrivals(300)},
 			{ID: "slow", Arrivals: steadyArrivals(100)},
 		},
-	})
+	}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,32 +250,45 @@ func TestTenantMuxFIFOArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestTenantMuxValidation: constructor rejects malformed lanes.
+// TestTenantMuxValidation: constructor rejects malformed options,
+// each at the path of the rule it breaks.
 func TestTenantMuxValidation(t *testing.T) {
 	env := sim.NewEnv()
+	lane := func(mod func(*TenantLane)) TenantMuxOptions {
+		l := TenantLane{ID: "a", Arrivals: steadyArrivals(1)}
+		mod(&l)
+		return TenantMuxOptions{Lanes: []TenantLane{l}}
+	}
 	cases := []struct {
-		name string
-		opts TenantMuxOptions
+		name, path string
+		opts       TenantMuxOptions
 	}{
-		{"no lanes", TenantMuxOptions{}},
-		{"empty id", TenantMuxOptions{Lanes: []TenantLane{{Arrivals: steadyArrivals(1)}}}},
-		{"duplicate id", TenantMuxOptions{Lanes: []TenantLane{
+		{"unknown scheduler", "Policy", TenantMuxOptions{Policy: 9}},
+		{"negative shared depth", "SharedDepth", TenantMuxOptions{SharedDepth: -1,
+			Lanes: []TenantLane{{ID: "a", Arrivals: steadyArrivals(1)}}}},
+		{"unknown shared policy", "SharedPolicy", TenantMuxOptions{SharedPolicy: 9}},
+		{"no lanes", "Lanes", TenantMuxOptions{}},
+		{"empty id", "Lanes[0].ID", lane(func(l *TenantLane) { l.ID = "" })},
+		{"duplicate id", "Lanes[1].ID", TenantMuxOptions{Lanes: []TenantLane{
 			{ID: "a", Arrivals: steadyArrivals(1)}, {ID: "a", Arrivals: steadyArrivals(1)}}}},
-		{"no arrivals", TenantMuxOptions{Lanes: []TenantLane{{ID: "a"}}}},
-		{"negative weight", TenantMuxOptions{Lanes: []TenantLane{
-			{ID: "a", Weight: -1, Arrivals: steadyArrivals(1)}}}},
-		{"negative deadline", TenantMuxOptions{Lanes: []TenantLane{
-			{ID: "a", Deadline: -time.Second, Arrivals: steadyArrivals(1)}}}},
-		{"negative quota", TenantMuxOptions{Lanes: []TenantLane{
-			{ID: "a", MaxInFlight: -1, Arrivals: steadyArrivals(1)}}}},
+		{"no arrivals", "Lanes[0].Arrivals", lane(func(l *TenantLane) { l.Arrivals = nil })},
+		{"negative weight", "Lanes[0].Weight", lane(func(l *TenantLane) { l.Weight = -1 })},
+		{"negative deadline", "Lanes[0].Deadline", lane(func(l *TenantLane) { l.Deadline = -time.Second })},
+		{"negative depth", "Lanes[0].Depth", lane(func(l *TenantLane) { l.Depth = -1 })},
+		{"unknown overload policy", "Lanes[0].Policy", lane(func(l *TenantLane) { l.Policy = 9 })},
+		{"negative quota", "Lanes[0].MaxInFlight", lane(func(l *TenantLane) { l.MaxInFlight = -1 })},
+		{"infinite rate", "Lanes[0].RatePerSec", lane(func(l *TenantLane) { l.RatePerSec = math.Inf(1) })},
+		{"negative burst", "Lanes[0].Burst", lane(func(l *TenantLane) { l.Burst = -1 })},
 	}
 	for _, tc := range cases {
-		if _, err := NewTenantMux(env, sliceOf(1), tc.opts); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		_, err := NewTenantMux(env, sliceOf(1), tc.opts, nil, nil)
+		var fe *field.Error
+		if !errors.As(err, &fe) || fe.Path != tc.path {
+			t.Errorf("%s: got %v, want a field error at %s", tc.name, err, tc.path)
 		}
 	}
 	if _, err := NewTenantMux(env, nil, TenantMuxOptions{
-		Lanes: []TenantLane{{ID: "a", Arrivals: steadyArrivals(1)}}}); err == nil {
+		Lanes: []TenantLane{{ID: "a", Arrivals: steadyArrivals(1)}}}, nil, nil); err == nil {
 		t.Error("nil inner source accepted")
 	}
 }

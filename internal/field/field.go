@@ -15,7 +15,7 @@ import (
 // Error is a validation failure at one field path.
 type Error struct {
 	// Path names the field: dotted names with [i] indices
-	// ("Tenants.Tenants[2].ID").
+	// ("Tenants.Lanes[2].ID").
 	Path string
 	// Err says what is wrong with the value.
 	Err error

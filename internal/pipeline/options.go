@@ -7,7 +7,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/imagenet"
 	"repro/internal/nn"
-	"repro/internal/tenant"
 	"repro/internal/trace"
 )
 
@@ -124,18 +123,19 @@ func WithSLO(target time.Duration) Option {
 	return func(c *Config) { c.SLO = target }
 }
 
-// WithTenants runs the session multi-tenant: each declared tenant
+// WithTenants runs the session multi-tenant: each declared lane
 // drives its own open-loop arrival process, the configured scheduler
-// (tenant.FIFO, tenant.WeightedFair, tenant.Priority) multiplexes the
+// (core.TenantFIFO, core.TenantFair, core.TenantPriority) multiplexes the
 // per-tenant queues at the admission edge under each tenant's quotas
 // (max in-flight, admitted rate) and shed policy, and the report
 // gains a per-tenant section — throughput, latency tails, goodput
-// against the tenant's own SLO, sheds, expiries and quota rejections.
-// The tenant layer owns the arrival and admission edge, so it is
-// mutually exclusive with WithArrivals, WithAdmission and WithStream.
-// An empty config leaves the session single-tenant, bit-identical to
+// against the tenant's own SLO (a lane Deadline of 0 inherits the
+// session SLO), sheds, expiries and quota rejections. The tenant
+// layer owns the arrival and admission edge, so it is mutually
+// exclusive with WithArrivals, WithAdmission and WithStream. Options
+// without lanes leave the session single-tenant, bit-identical to
 // never having called this.
-func WithTenants(tc tenant.Config) Option {
+func WithTenants(tc core.TenantMuxOptions) Option {
 	return func(c *Config) { c.Tenants = tc }
 }
 

@@ -39,7 +39,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/tenant"
 	"repro/internal/trace"
 	"repro/internal/usb"
 )
@@ -175,16 +174,17 @@ type Config struct {
 	// SLO is the per-item serving deadline (arrival to completion)
 	// goodput is measured against; 0 disables goodput accounting.
 	SLO time.Duration
-	// Tenants, when it declares any tenant, runs the session
+	// Tenants, when it declares any lane, runs the session
 	// multi-tenant: each tenant drives its own arrival process, the
 	// configured scheduler (FIFO, weighted-fair, strict-priority)
 	// multiplexes the per-tenant queues at the admission edge under
 	// the tenants' quotas and shed policies, and the report gains
-	// per-tenant accounting. Tenants own the arrival and admission
-	// edge, so it is mutually exclusive with Arrivals, WithAdmission
-	// and WithStream. The zero value keeps the session single-tenant
-	// and bit-identical to pre-tenancy runs.
-	Tenants tenant.Config
+	// per-tenant accounting. A lane's Deadline of 0 inherits SLO.
+	// Tenants own the arrival and admission edge, so it is mutually
+	// exclusive with Arrivals, WithAdmission and WithStream. The zero
+	// value keeps the session single-tenant and bit-identical to
+	// pre-tenancy runs.
+	Tenants core.TenantMuxOptions
 	// AdmissionDepth, when positive, bounds the session ingress with
 	// an admission queue of that depth between the source and the
 	// device groups; arrivals beyond it are handled by
@@ -420,7 +420,7 @@ func (g *Group) applyDefaults() {
 // are lowered onto a Config and checked here too). The first broken
 // rule is returned as a *field.Error whose Path names the offending
 // field in Go syntax: "Groups[1].Weight", "Stages[0].Replicas",
-// "Hedge.DynamicBudget", "Tenants.Tenants[2].ID",
+// "Hedge.DynamicBudget", "Tenants.Lanes[2].ID",
 // "Faults.Events[0].Factor", "AdmissionMinDepth". A rule that refuses
 // a combination names the field it refuses ("Hedge" on a single CPU
 // group). Three checks need built artefacts and stay with the
@@ -479,7 +479,7 @@ func (c Config) Validate() error {
 	if c.SLO < 0 {
 		return field.Errorf("SLO", "negative deadline %v", c.SLO)
 	}
-	if c.Tenants.Enabled() {
+	if len(c.Tenants.Lanes) > 0 {
 		if err := c.Tenants.Validate(); err != nil {
 			return field.Under("Tenants", err)
 		}
@@ -893,6 +893,15 @@ func (s *Session) note(group int, event func(*core.Collector)) {
 	}
 }
 
+// tenantSLO returns the deadline tenant l is held to: its own, or the
+// session SLO when it declares none.
+func (s *Session) tenantSLO(l core.TenantLane) time.Duration {
+	if l.Deadline > 0 {
+		return l.Deadline
+	}
+	return s.cfg.SLO
+}
+
 // applyAssembly configures a batch target's SLO-aware assembly from
 // the session options.
 func (s *Session) applyAssembly(t *core.BatchTarget) {
@@ -983,20 +992,24 @@ func (s *Session) Run() (*Report, error) {
 	// hooks installed at build time reach them through the session.
 	s.merged, s.perGroup = merged, perGroup
 
-	if s.cfg.Tenants.Enabled() {
-		// One collector per tenant, measured against the tenant's own
-		// SLO (falling back to the session target), so per-tenant
-		// goodput reflects each tenant's own contract.
-		ids := s.cfg.Tenants.IDs()
-		s.perTenant = make([]*core.Collector, len(ids))
-		s.perTenantSinks = make([]func(core.Result), len(ids))
-		s.tenantIdx = make(map[string]int, len(ids))
-		for i, id := range ids {
+	// The tenant lanes as the mux runs them: a Deadline of 0 inherits
+	// the session SLO, so per-tenant goodput and expiry reflect each
+	// tenant's own contract. The caller's lanes are not written.
+	var tenants core.TenantMuxOptions
+	if lanes := s.cfg.Tenants.Lanes; len(lanes) > 0 {
+		tenants = s.cfg.Tenants
+		tenants.Lanes = make([]core.TenantLane, len(lanes))
+		s.perTenant = make([]*core.Collector, len(lanes))
+		s.perTenantSinks = make([]func(core.Result), len(lanes))
+		s.tenantIdx = make(map[string]int, len(lanes))
+		for i, l := range lanes {
+			l.Deadline = s.tenantSLO(l)
+			tenants.Lanes[i] = l
 			c := core.NewCollector(false)
-			c.SetSLO(s.cfg.Tenants.SLOFor(id, s.cfg.SLO))
+			c.SetSLO(l.Deadline)
 			s.perTenant[i] = c
 			s.perTenantSinks[i] = c.Sink()
-			s.tenantIdx[id] = i
+			s.tenantIdx[l.ID] = i
 		}
 	}
 
@@ -1032,16 +1045,14 @@ func (s *Session) Run() (*Report, error) {
 		src = aq
 	}
 
-	if s.cfg.Tenants.Enabled() {
-		topts := s.cfg.Tenants.MuxOptions(s.cfg.SLO)
-		topts.Seed = rng.New(s.cfg.Seed).Derive("tenants")
-		topts.OnDrop = func(item core.Item, reason core.DropReason, _ time.Duration) {
+	if len(tenants.Lanes) > 0 {
+		onDrop := func(item core.Item, reason core.DropReason, _ time.Duration) {
 			merged.NoteDrop(reason)
 			if i, ok := s.tenantIdx[item.Tenant]; ok {
 				s.perTenant[i].NoteDrop(reason)
 			}
 		}
-		mux, err := core.NewTenantMux(s.env, src, topts)
+		mux, err := core.NewTenantMux(s.env, src, tenants, rng.New(s.cfg.Seed).Derive("tenants"), onDrop)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: tenants: %w", err)
 		}

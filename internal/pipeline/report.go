@@ -192,14 +192,14 @@ func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Colle
 		rep.Admission = s.admission.Stats()
 	}
 	if s.tenantMux != nil {
-		rep.TenantScheduler = s.cfg.Tenants.Scheduler.String()
+		rep.TenantScheduler = s.cfg.Tenants.Policy.String()
 		span := job.Span().Seconds()
-		for i, id := range s.tenantMux.TenantIDs() {
-			st := s.tenantMux.Stats(id)
+		for i, l := range s.cfg.Tenants.Lanes {
+			st := s.tenantMux.Stats(l.ID)
 			c := s.perTenant[i]
 			tr := TenantReport{
-				ID:        id,
-				SLO:       s.cfg.Tenants.SLOFor(id, s.cfg.SLO),
+				ID:        l.ID,
+				SLO:       s.tenantSLO(l),
 				Arrived:   st.Arrived,
 				Completed: c.N,
 				Counters:  c.Counters,

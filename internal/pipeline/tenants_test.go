@@ -5,16 +5,15 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/tenant"
 )
 
 // tenantMix is a three-class tenant registry sized to roughly 70% of
 // a two-stick fleet's closed-loop capacity (~9.9 img/s per stick).
-func tenantMix() tenant.Config {
+func tenantMix() core.TenantMuxOptions {
 	capacity := 9.9 * 2
-	return tenant.Config{
-		Scheduler: tenant.WeightedFair,
-		Tenants: []tenant.Tenant{
+	return core.TenantMuxOptions{
+		Policy: core.TenantFair,
+		Lanes: []core.TenantLane{
 			{ID: "gold", Weight: 3, Arrivals: core.PoissonArrivals(0.3 * capacity)},
 			{ID: "silver", Weight: 1, Arrivals: core.PoissonArrivals(0.2 * capacity)},
 			{ID: "batch", Weight: 1,
@@ -47,8 +46,8 @@ func TestTenantSessionRuns(t *testing.T) {
 		got[0] != "gold" || got[1] != "silver" || got[2] != "batch" {
 		t.Fatalf("tenant sections %v, want [gold silver batch]", got)
 	}
-	if rep.TenantScheduler != tenant.WeightedFair.String() {
-		t.Errorf("scheduler reported as %q, want %q", rep.TenantScheduler, tenant.WeightedFair)
+	if rep.TenantScheduler != core.TenantFair.String() {
+		t.Errorf("scheduler reported as %q, want %q", rep.TenantScheduler, core.TenantFair)
 	}
 	completed := 0
 	for _, tr := range rep.Tenants {
@@ -115,7 +114,7 @@ func TestTenantEmptyConfigBitIdentical(t *testing.T) {
 		return rep
 	}
 	plain := run()
-	empty := run(WithTenants(tenant.Config{}))
+	empty := run(WithTenants(core.TenantMuxOptions{}))
 	if plain.String() != empty.String() {
 		t.Errorf("empty tenant config diverged from untenanted session:\n--- plain\n%s--- empty\n%s",
 			plain.String(), empty.String())
@@ -139,7 +138,7 @@ func TestTenantOptionConflicts(t *testing.T) {
 	}{
 		{"arrivals", []Option{WithTenants(mix), WithArrivals(core.PoissonArrivals(5))}},
 		{"admission", []Option{WithTenants(mix), WithAdmission(8, core.ShedNewest)}},
-		{"invalid config", []Option{WithTenants(tenant.Config{Tenants: []tenant.Tenant{{ID: ""}}})}},
+		{"invalid config", []Option{WithTenants(core.TenantMuxOptions{Lanes: []core.TenantLane{{ID: ""}}})}},
 	}
 	for _, tc := range bad {
 		opts := append([]Option{WithDataset(smallDataset(8)), WithVPUs(1)}, tc.opts...)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/field"
-	"repro/internal/tenant"
 )
 
 // TestConfigValidateRules holds one case per Config.Validate rule:
@@ -18,8 +17,8 @@ import (
 // NewFromConfig alike.
 func TestConfigValidateRules(t *testing.T) {
 	poisson := core.PoissonArrivals(10)
-	lane := func(id string) tenant.Tenant { return tenant.Tenant{ID: id, Arrivals: poisson} }
-	tenants := func(ts ...tenant.Tenant) tenant.Config { return tenant.Config{Tenants: ts} }
+	lane := func(id string) core.TenantLane { return core.TenantLane{ID: id, Arrivals: poisson} }
+	tenants := func(ls ...core.TenantLane) core.TenantMuxOptions { return core.TenantMuxOptions{Lanes: ls} }
 	twoStages := func(c *Config) {
 		c.Groups = nil
 		c.Stages = []Stage{VPUStage(2), GPUStage(8)}
@@ -60,39 +59,47 @@ func TestConfigValidateRules(t *testing.T) {
 		{"slo", func(c *Config) { c.SLO = -time.Second }, "SLO"},
 		{"tenant scheduler", func(c *Config) {
 			c.Tenants = tenants(lane("a"))
-			c.Tenants.Scheduler = tenant.Scheduler(9)
-		}, "Tenants.Scheduler"},
+			c.Tenants.Policy = core.TenantPolicy(9)
+		}, "Tenants.Policy"},
 		{"tenant shared depth", func(c *Config) {
 			c.Tenants = tenants(lane("a"))
 			c.Tenants.SharedDepth = -1
 		}, "Tenants.SharedDepth"},
-		{"tenant id", func(c *Config) { c.Tenants = tenants(lane("")) }, "Tenants.Tenants[0].ID"},
-		{"duplicate tenant", func(c *Config) { c.Tenants = tenants(lane("a"), lane("a")) }, "Tenants.Tenants[1].ID"},
-		{"tenant arrivals", func(c *Config) { c.Tenants = tenants(tenant.Tenant{ID: "a"}) }, "Tenants.Tenants[0].Arrivals"},
+		{"tenant shared overload", func(c *Config) {
+			c.Tenants = tenants(lane("a"))
+			c.Tenants.SharedPolicy = core.OverloadPolicy(9)
+		}, "Tenants.SharedPolicy"},
+		{"tenant id", func(c *Config) { c.Tenants = tenants(lane("")) }, "Tenants.Lanes[0].ID"},
+		{"duplicate tenant", func(c *Config) { c.Tenants = tenants(lane("a"), lane("a")) }, "Tenants.Lanes[1].ID"},
+		{"tenant arrivals", func(c *Config) { c.Tenants = tenants(core.TenantLane{ID: "a"}) }, "Tenants.Lanes[0].Arrivals"},
 		{"tenant weight", func(c *Config) {
 			c.Tenants = tenants(lane("a"))
-			c.Tenants.Tenants[0].Weight = math.NaN()
-		}, "Tenants.Tenants[0].Weight"},
+			c.Tenants.Lanes[0].Weight = math.NaN()
+		}, "Tenants.Lanes[0].Weight"},
 		{"tenant slo", func(c *Config) {
 			c.Tenants = tenants(lane("a"))
-			c.Tenants.Tenants[0].SLO = -1
-		}, "Tenants.Tenants[0].SLO"},
+			c.Tenants.Lanes[0].Deadline = -1
+		}, "Tenants.Lanes[0].Deadline"},
 		{"tenant queue", func(c *Config) {
 			c.Tenants = tenants(lane("a"))
-			c.Tenants.Tenants[0].QueueDepth = -1
-		}, "Tenants.Tenants[0].QueueDepth"},
+			c.Tenants.Lanes[0].Depth = -1
+		}, "Tenants.Lanes[0].Depth"},
+		{"tenant overload", func(c *Config) {
+			c.Tenants = tenants(lane("a"))
+			c.Tenants.Lanes[0].Policy = core.OverloadPolicy(9)
+		}, "Tenants.Lanes[0].Policy"},
 		{"tenant in-flight", func(c *Config) {
 			c.Tenants = tenants(lane("a"))
-			c.Tenants.Tenants[0].MaxInFlight = -1
-		}, "Tenants.Tenants[0].MaxInFlight"},
+			c.Tenants.Lanes[0].MaxInFlight = -1
+		}, "Tenants.Lanes[0].MaxInFlight"},
 		{"tenant rate", func(c *Config) {
 			c.Tenants = tenants(lane("a"))
-			c.Tenants.Tenants[0].RatePerSec = math.Inf(1)
-		}, "Tenants.Tenants[0].RatePerSec"},
+			c.Tenants.Lanes[0].RatePerSec = math.Inf(1)
+		}, "Tenants.Lanes[0].RatePerSec"},
 		{"tenant burst", func(c *Config) {
 			c.Tenants = tenants(lane("a"))
-			c.Tenants.Tenants[0].Burst = -1
-		}, "Tenants.Tenants[0].Burst"},
+			c.Tenants.Lanes[0].Burst = -1
+		}, "Tenants.Lanes[0].Burst"},
 		{"tenants and arrivals", func(c *Config) { c.Tenants = tenants(lane("a")); c.Arrivals = poisson }, "Arrivals"},
 		{"tenants and stream", func(c *Config) {
 			c.Tenants = tenants(lane("a"))

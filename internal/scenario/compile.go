@@ -13,7 +13,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
-	"repro/internal/tenant"
 )
 
 // Compilation: a scenario lowers onto pipeline.Config — the same
@@ -41,9 +40,9 @@ var (
 		"": core.ShedNewest, "shed-newest": core.ShedNewest,
 		"shed-oldest": core.ShedOldest, "block": core.Block,
 	}
-	schedulers = map[string]tenant.Scheduler{
-		"": tenant.FIFO, "fifo": tenant.FIFO, "fair": tenant.WeightedFair,
-		"weighted-fair": tenant.WeightedFair, "priority": tenant.Priority,
+	schedulers = map[string]core.TenantPolicy{
+		"": core.TenantFIFO, "fifo": core.TenantFIFO, "fair": core.TenantFair,
+		"weighted-fair": core.TenantFair, "priority": core.TenantPriority,
 	}
 	faultKinds = map[string]fault.Kind{
 		"hang": fault.StickHang, "link-drop": fault.LinkDrop, "transient": fault.TransientError,
@@ -241,26 +240,25 @@ func (sc *Scenario) lower() (pipeline.Config, error) {
 			cfg.ArrivalLabel = t.ArrivalLabel
 		}
 		if ts := t.Tenants; ts != nil {
-			tc := tenant.Config{
-				Scheduler:      enum(&err, schedulers, "traffic.tenants.scheduler", "scheduler", ts.Scheduler),
-				SharedDepth:    ts.SharedDepth,
-				SharedOverload: enum(&err, policies, "traffic.tenants.shared_overload", "overload policy", ts.SharedOverload),
+			cfg.Tenants = core.TenantMuxOptions{
+				Policy:       enum(&err, schedulers, "traffic.tenants.scheduler", "scheduler", ts.Scheduler),
+				SharedDepth:  ts.SharedDepth,
+				SharedPolicy: enum(&err, policies, "traffic.tenants.shared_overload", "overload policy", ts.SharedOverload),
 			}
 			for i, tn := range ts.Tenants {
-				tc.Tenants = append(tc.Tenants, tenant.Tenant{
+				cfg.Tenants.Lanes = append(cfg.Tenants.Lanes, core.TenantLane{
 					ID:          tn.ID,
 					Weight:      tn.Weight,
 					Priority:    tn.Priority,
-					SLO:         tn.SLO.Std(),
+					Deadline:    tn.SLO.Std(),
 					Arrivals:    compileArrivals(tn.Arrivals),
-					QueueDepth:  tn.QueueDepth,
-					Overload:    enum(&err, policies, fmt.Sprintf("traffic.tenants.tenants[%d].overload", i), "overload policy", tn.Overload),
+					Depth:       tn.QueueDepth,
+					Policy:      enum(&err, policies, fmt.Sprintf("traffic.tenants.tenants[%d].overload", i), "overload policy", tn.Overload),
 					MaxInFlight: tn.MaxInFlight,
 					RatePerSec:  tn.RatePerSec,
 					Burst:       tn.Burst,
 				})
 			}
-			cfg.Tenants = tc
 		}
 	}
 	if ad := sc.Admission; ad != nil {

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/pipeline"
 )
 
 // minimal is the smallest valid scenario; the table tests below
@@ -200,6 +203,20 @@ func TestValidationRules(t *testing.T) {
 			want: `traffic.tenants.tenants[1].id: duplicate tenant "a"`,
 		},
 		{
+			name: "negative tenant queue depth",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+				"traffic":{"tenants":{"tenants":[
+					{"id":"a","queue_depth":-1,"arrivals":{"process":"poisson","rate":5}}]}}}`,
+			want: "traffic.tenants.tenants[0].queue_depth: negative depth -1",
+		},
+		{
+			name: "negative tenant slo",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
+				"traffic":{"tenants":{"tenants":[
+					{"id":"a","slo":-5,"arrivals":{"process":"poisson","rate":5}}]}}}`,
+			want: "traffic.tenants.tenants[0].slo: negative deadline -5ms",
+		},
+		{
 			name: "hedge on a single CPU group",
 			src: `{"name":"t","fleet":{"groups":[{"kind":"cpu"}]},
 				"hedge":{"trigger":100}}`,
@@ -261,6 +278,36 @@ func TestValidationRules(t *testing.T) {
 				t.Fatalf("error %q does not name the file", err)
 			}
 		})
+	}
+}
+
+// TestJSONPathsResolve walks every jsonPaths key through
+// pipeline.Config by reflection, so a renamed Config field cannot
+// leave a stale key behind (its errors would then leak the Go path
+// into scenario messages).
+func TestJSONPathsResolve(t *testing.T) {
+	for goPath := range jsonPaths {
+		typ := reflect.TypeOf(pipeline.Config{})
+		for _, seg := range strings.Split(goPath, ".") {
+			name, indexed := strings.CutSuffix(seg, "[]")
+			if typ.Kind() != reflect.Struct {
+				t.Errorf("%s: %v has no fields", goPath, typ)
+				break
+			}
+			f, ok := typ.FieldByName(name)
+			if !ok {
+				t.Errorf("%s: %v has no field %s", goPath, typ, name)
+				break
+			}
+			typ = f.Type
+			if indexed {
+				if typ.Kind() != reflect.Slice {
+					t.Errorf("%s: %s is a %v, not a slice", goPath, name, typ)
+					break
+				}
+				typ = typ.Elem()
+			}
+		}
 	}
 }
 

@@ -216,55 +216,55 @@ func (sc *Scenario) validateReloads() error {
 // (fleet shape), Arrivals (against tenants), AdmissionDepth (a paced
 // source; its range is a format rule above) and Hedge.
 var jsonPaths = map[string]string{
-	"Groups":                        "fleet",
-	"Groups[].Batch":                "fleet.groups[].batch",
-	"Groups[].Devices":              "fleet.groups[].devices",
-	"Groups[].Weight":               "fleet.groups[].weight",
-	"Stages":                        "fleet",
-	"Stages[].Group.Batch":          "fleet.stages[].batch",
-	"Stages[].Group.Devices":        "fleet.stages[].devices",
-	"Stages[].Group.Weight":         "fleet.stages[].weight",
-	"Stages[].Queue":                "fleet.stages[].queue",
-	"Stages[].Replicas":             "fleet.stages[].replicas",
-	"Cuts":                          "fleet.cuts",
-	"QueueDepth":                    "fleet.queue_depth",
-	"Images":                        "images",
-	"Dataset.Classes":               "dataset.classes",
-	"Dataset.Images":                "dataset.images",
-	"Dataset.Subsets":               "dataset.subsets",
-	"Dataset.Size":                  "dataset.size",
-	"SLO":                           "slo",
-	"Arrivals":                      "traffic",
-	"Tenants.SharedDepth":           "traffic.tenants.shared_depth",
-	"Tenants.Tenants[].ID":          "traffic.tenants.tenants[].id",
-	"Tenants.Tenants[].Weight":      "traffic.tenants.tenants[].weight",
-	"Tenants.Tenants[].SLO":         "traffic.tenants.tenants[].slo",
-	"Tenants.Tenants[].QueueDepth":  "traffic.tenants.tenants[].queue_depth",
-	"Tenants.Tenants[].MaxInFlight": "traffic.tenants.tenants[].max_in_flight",
-	"Tenants.Tenants[].RatePerSec":  "traffic.tenants.tenants[].rate_per_sec",
-	"Tenants.Tenants[].Burst":       "traffic.tenants.tenants[].burst",
-	"AdmissionDepth":                "admission",
-	"AdmissionMinDepth":             "admission.min_depth",
-	"Hedge":                         "hedge",
-	"Hedge.Trigger":                 "hedge.trigger",
-	"Hedge.Quantile":                "hedge.quantile",
-	"Hedge.MinSamples":              "hedge.min_samples",
-	"Hedge.Budget":                  "hedge.budget",
-	"Hedge.DynamicBudget":           "hedge.dynamic",
-	"BatchMaxWait":                  "batching.max_wait",
-	"Faults.Events[].Device":        "faults.events[].device",
-	"Faults.Events[].At":            "faults.events[].at",
-	"Faults.Events[].Duration":      "faults.events[].duration",
-	"Faults.Events[].Factor":        "faults.events[].factor",
-	"Faults.Events[].Count":         "faults.events[].count",
-	"Faults.Processes[].Devices":    "faults.processes[].devices",
-	"Faults.Processes[].Kinds":      "faults.processes[].kinds",
-	"Faults.Processes[].Rate":       "faults.processes[].rate",
-	"Faults.Processes[].Start":      "faults.processes[].start",
-	"Faults.Processes[].End":        "faults.processes[].end",
-	"Faults.Processes[].Factor":     "faults.processes[].factor",
-	"Faults.Processes[].Window":     "faults.processes[].window",
-	"Recovery.MaxAttempts":          "recovery.max_attempts",
+	"Groups":                      "fleet",
+	"Groups[].Batch":              "fleet.groups[].batch",
+	"Groups[].Devices":            "fleet.groups[].devices",
+	"Groups[].Weight":             "fleet.groups[].weight",
+	"Stages":                      "fleet",
+	"Stages[].Group.Batch":        "fleet.stages[].batch",
+	"Stages[].Group.Devices":      "fleet.stages[].devices",
+	"Stages[].Group.Weight":       "fleet.stages[].weight",
+	"Stages[].Queue":              "fleet.stages[].queue",
+	"Stages[].Replicas":           "fleet.stages[].replicas",
+	"Cuts":                        "fleet.cuts",
+	"QueueDepth":                  "fleet.queue_depth",
+	"Images":                      "images",
+	"Dataset.Classes":             "dataset.classes",
+	"Dataset.Images":              "dataset.images",
+	"Dataset.Subsets":             "dataset.subsets",
+	"Dataset.Size":                "dataset.size",
+	"SLO":                         "slo",
+	"Arrivals":                    "traffic",
+	"Tenants.SharedDepth":         "traffic.tenants.shared_depth",
+	"Tenants.Lanes[].ID":          "traffic.tenants.tenants[].id",
+	"Tenants.Lanes[].Weight":      "traffic.tenants.tenants[].weight",
+	"Tenants.Lanes[].Deadline":    "traffic.tenants.tenants[].slo",
+	"Tenants.Lanes[].Depth":       "traffic.tenants.tenants[].queue_depth",
+	"Tenants.Lanes[].MaxInFlight": "traffic.tenants.tenants[].max_in_flight",
+	"Tenants.Lanes[].RatePerSec":  "traffic.tenants.tenants[].rate_per_sec",
+	"Tenants.Lanes[].Burst":       "traffic.tenants.tenants[].burst",
+	"AdmissionDepth":              "admission",
+	"AdmissionMinDepth":           "admission.min_depth",
+	"Hedge":                       "hedge",
+	"Hedge.Trigger":               "hedge.trigger",
+	"Hedge.Quantile":              "hedge.quantile",
+	"Hedge.MinSamples":            "hedge.min_samples",
+	"Hedge.Budget":                "hedge.budget",
+	"Hedge.DynamicBudget":         "hedge.dynamic",
+	"BatchMaxWait":                "batching.max_wait",
+	"Faults.Events[].Device":      "faults.events[].device",
+	"Faults.Events[].At":          "faults.events[].at",
+	"Faults.Events[].Duration":    "faults.events[].duration",
+	"Faults.Events[].Factor":      "faults.events[].factor",
+	"Faults.Events[].Count":       "faults.events[].count",
+	"Faults.Processes[].Devices":  "faults.processes[].devices",
+	"Faults.Processes[].Kinds":    "faults.processes[].kinds",
+	"Faults.Processes[].Rate":     "faults.processes[].rate",
+	"Faults.Processes[].Start":    "faults.processes[].start",
+	"Faults.Processes[].End":      "faults.processes[].end",
+	"Faults.Processes[].Factor":   "faults.processes[].factor",
+	"Faults.Processes[].Window":   "faults.processes[].window",
+	"Recovery.MaxAttempts":        "recovery.max_attempts",
 }
 
 var indexRE = regexp.MustCompile(`\[\d+\]`)

@@ -65,7 +65,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/tenant"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/usb"
@@ -288,27 +287,24 @@ const (
 	DropQuota = core.DropQuota
 )
 
-// Multi-tenant serving (internal/tenant + core.TenantMux).
+// Multi-tenant serving (core.TenantMux and its declaration).
 type (
-	// TenantConfig is the multi-tenant session description: the
-	// admission-edge scheduler plus the tenant registry (traffic
-	// classes with weights, priorities, SLOs, quotas, shed policies).
-	TenantConfig = tenant.Config
-	// TenantClass declares one traffic class of a multi-tenant
-	// session.
-	TenantClass = tenant.Tenant
-	// TenantScheduler selects the admission-edge scheduling policy
+	// TenantMuxOptions is the multi-tenant description, for sessions
+	// (WithTenants) and hand-wired TenantMuxes alike: the
+	// admission-edge scheduler plus the tenant lanes in registration
+	// order.
+	TenantMuxOptions = core.TenantMuxOptions
+	// TenantLane declares one tenant (traffic class): weight,
+	// priority, SLO deadline, arrivals, queue bound, shed policy,
+	// quotas.
+	TenantLane = core.TenantLane
+	// TenantPolicy selects the admission-edge scheduling policy
 	// (TenantFIFO, TenantWeightedFair, TenantStrictPriority).
-	TenantScheduler = tenant.Scheduler
+	TenantPolicy = core.TenantPolicy
 	// TenantMux is the core multi-tenant scheduler for hand-wired
 	// experiments: per-tenant arrival pumps over a shared source,
 	// deficit-round-robin or priority dispatch, quota gates.
 	TenantMux = core.TenantMux
-	// TenantLane configures one tenant's lane of a hand-wired
-	// TenantMux.
-	TenantLane = core.TenantLane
-	// TenantMuxOptions configures a hand-wired TenantMux.
-	TenantMuxOptions = core.TenantMuxOptions
 	// TenantStats counts one tenant's arrivals, admissions, drops and
 	// completions at the scheduling edge.
 	TenantStats = core.TenantStats
@@ -321,19 +317,21 @@ type (
 const (
 	// TenantFIFO multiplexes every tenant into one shared queue in
 	// arrival order — no isolation; the control configuration.
-	TenantFIFO = tenant.FIFO
+	TenantFIFO = core.TenantFIFO
 	// TenantWeightedFair drains per-tenant queues by deficit-round-
 	// robin over the tenant weights.
-	TenantWeightedFair = tenant.WeightedFair
+	TenantWeightedFair = core.TenantFair
 	// TenantStrictPriority serves lower-priority-class tenants first,
 	// deficit-round-robin within a class.
-	TenantStrictPriority = tenant.Priority
+	TenantStrictPriority = core.TenantPriority
 )
 
 // NewTenantMux wraps a source with the multi-tenant scheduler for
-// hand-wired experiments; sessions use WithTenants instead.
-func NewTenantMux(env *Env, inner Source, opts TenantMuxOptions) (*TenantMux, error) {
-	return core.NewTenantMux(env, inner, opts)
+// hand-wired experiments; sessions use WithTenants instead. seed
+// drives the lanes' arrival processes (nil = seed 1); onDrop, when
+// non-nil, observes every shed, expired or quota-rejected item.
+func NewTenantMux(env *Env, inner Source, opts TenantMuxOptions, seed *Rand, onDrop func(item Item, reason DropReason, at time.Duration)) (*TenantMux, error) {
+	return core.NewTenantMux(env, inner, opts, seed, onDrop)
 }
 
 // Fault injection and self-healing (internal/fault + core recovery).
@@ -662,17 +660,18 @@ func WithAdaptiveBatching(maxWait time.Duration) SessionOption {
 // Session.Stream from a producer process on Session.Env.
 func WithStream(capacity int) SessionOption { return pipeline.WithStream(capacity) }
 
-// WithTenants runs the session multi-tenant: each declared tenant
+// WithTenants runs the session multi-tenant: each declared lane
 // drives its own open-loop arrival process, the configured scheduler
 // (TenantFIFO, TenantWeightedFair, TenantStrictPriority) multiplexes
 // the per-tenant queues at the admission edge under each tenant's
 // quotas and shed policy, and the report gains a per-tenant section
 // (Report.Tenants) — throughput, latency tails, goodput against the
-// tenant's own SLO, sheds, expiries, quota rejections. Mutually
-// exclusive with WithArrivals, WithAdmission and WithStream, which it
-// subsumes. An empty TenantConfig leaves the session single-tenant,
-// bit-identical to never having called this.
-func WithTenants(tc TenantConfig) SessionOption { return pipeline.WithTenants(tc) }
+// tenant's own SLO (a lane Deadline of 0 inherits WithSLO), sheds,
+// expiries, quota rejections. Mutually exclusive with WithArrivals,
+// WithAdmission and WithStream, which it subsumes. Options without
+// lanes leave the session single-tenant, bit-identical to never
+// having called this.
+func WithTenants(tc TenantMuxOptions) SessionOption { return pipeline.WithTenants(tc) }
 
 // Session options — reliability. What goes wrong and what the session
 // does about it: fault injection, self-healing, hedged requests.
