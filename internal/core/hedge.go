@@ -135,7 +135,8 @@ type hedgeEntry struct {
 // VPUTarget: it arms a cancellable timer per dispatched item,
 // launches a duplicate on a different child when the trigger fires,
 // and deduplicates completions so exactly one result per item reaches
-// the sink. The owner supplies the two queue-specific callbacks:
+// the sink. The dealer that builds it supplies the two queue-specific
+// callbacks:
 // redispatch places a duplicate on a child other than exclude
 // (non-blocking — it runs inside timer callbacks) and reports where
 // it landed; cancelCopy withdraws a still-queued copy from a child's
@@ -413,9 +414,6 @@ func (h *hedger) copyLost(index, child int) bool {
 	h.release(index, e)
 	return true
 }
-
-// Launched returns how many duplicates the hedger issued.
-func (h *hedger) Launched() int { return h.launched }
 
 // setBudget replaces the hedge-volume budget from now on (0 =
 // unlimited). The budget is consulted when a trigger fires, so only

@@ -105,13 +105,6 @@ type Pool struct {
 	// device left: their weight is effectively zero — the scored and
 	// dealt policies route around them — until they rejoin.
 	down []bool
-	// dispatching is true while the dispatcher loop is live; only then
-	// does a down transition drain the child's feed back for
-	// re-dispatch (afterwards the bounded feed is left for the child to
-	// drain on rejoin, or for the stranded-item accounting if it never
-	// does). Hedge duplicates launch only while it is true: a duplicate
-	// placed after the shutdown sentinel could never be consumed.
-	dispatching bool
 	// hedge is the hedged-request engine of the current run (nil when
 	// PoolOptions.Hedge is disabled).
 	hedge *hedger
@@ -275,14 +268,9 @@ type childFeed struct {
 	upstream DepthSource
 }
 
-// poolSentinel marks end-of-feed on a child queue. Real items use
-// Index >= 0 (folder/dataset/stream indices); -1 is the framework-wide
-// shutdown convention.
-const poolSentinel = -1
-
 func (f *childFeed) Next(p *sim.Proc) (Item, bool) {
 	item := f.q.Get(p)
-	if item.Index == poolSentinel {
+	if item.Index == feedSentinel {
 		// Re-post the sentinel (there is always room for it — Get just
 		// freed a slot) so children that poll exhaustion repeatedly,
 		// like the batch targets, keep seeing it.
@@ -299,7 +287,7 @@ func (f *childFeed) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) 
 	if !ok {
 		return Item{}, false, true
 	}
-	if item.Index == poolSentinel {
+	if item.Index == feedSentinel {
 		f.q.TryPut(item)
 		return Item{}, false, false
 	}
@@ -386,21 +374,17 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 	}
 
 	// Start the children. Work-stealing children share the source
-	// directly; the dealt policies get per-child bounded feeds. A
-	// child that finishes early (device error) drains its own feed on
-	// the way out, waking a dispatcher blocked on the full queue; the
-	// drained items are re-routed to surviving children while dealing
-	// is still in progress. Items stranded by a child that dies after
-	// dealing has finished (at most QueueDepth of them) are dropped —
-	// the child's error is on its job and the pool's, so the loss is
-	// never silent.
-	feeds := make([]*sim.Queue[Item], n)
-	dealt := make([]int, n)
-	var orphans []Item
+	// directly; the dealt policies get per-child bounded feeds from the
+	// dealer. A child that finishes early (device error) drains its own
+	// feed on the way out, waking a dispatcher blocked on the full
+	// queue; the drained items are re-routed to surviving children
+	// while dealing is still in progress. Items stranded by a child
+	// that dies after dealing has finished (at most QueueDepth of
+	// them), or left when no child is, are dropped — the child's error
+	// is on its job and the pool's, so the loss is never silent.
 	done := sim.NewQueue[int](env, "pool/join", 0)
 	upstream, _ := src.(DepthSource)
 	pl.down = make([]bool, n)
-	pl.dispatching = false
 	pl.childHealthy = make([]int, n)
 	pl.childTotal = make([]int, n)
 
@@ -411,57 +395,26 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 	// sequence — and therefore every result — is bit-identical to a
 	// pool without the feature.
 	pl.hedge = nil
-	if pl.opts.Hedge.Enabled() {
-		redispatch := func(item Item, exclude int) (int, bool) {
-			if !pl.dispatching {
-				return 0, false // a duplicate behind the shutdown sentinel would never be served
-			}
-			for off := 1; off < n; off++ {
-				j := (exclude + off) % n
-				if feeds[j] == nil || pl.jobs[j].done || pl.down[j] {
-					continue
-				}
-				if feeds[j].TryPut(item) {
-					dealt[j]++
-					return j, true
-				}
-			}
-			return 0, false
-		}
-		cancelCopy := func(index, child int) bool {
-			if child < 0 || child >= n || feeds[child] == nil {
-				return false
-			}
-			_, ok := feeds[child].RemoveWhere(func(it Item) bool { return it.Index == index })
-			if ok {
-				// The withdrawn copy will never complete: take back its
-				// dealt count, or the child would carry a phantom
-				// outstanding item in the routing scores forever.
-				dealt[child]--
-			}
-			return ok
-		}
+	var deal *dealer // nil under RouteWorkStealing
+	if pl.opts.Routing != RouteWorkStealing {
 		// In-flight capacity: each child fleet holds one executing
 		// item plus two queued slots per device, and each bounded feed
 		// adds QueueDepth more — the DynamicBudget utilization
 		// denominator.
-		hcap := 0
+		hcap := n * pl.opts.QueueDepth
 		for _, c := range pl.children {
 			hcap += 3 * targetDeviceCount(c)
 		}
-		if pl.opts.QueueDepth > 0 {
-			hcap += n * pl.opts.QueueDepth
-		}
-		pl.hedge = newHedger(env, pl.opts.Hedge, hcap, redispatch, cancelCopy)
+		deal = newDealer(env, "pool/feed", n, pl.opts.QueueDepth,
+			func(j int) bool { return pl.jobs[j].done }, pl.opts.Hedge, hcap)
+		deal.down = pl.down
+		pl.hedge = deal.hedge
 	}
 
 	for i, c := range pl.children {
-		var csrc Source
-		if pl.opts.Routing == RouteWorkStealing {
-			csrc = src
-		} else {
-			feeds[i] = sim.NewQueue[Item](env, fmt.Sprintf("pool/feed%d", i), pl.opts.QueueDepth)
-			csrc = &childFeed{q: feeds[i], upstream: upstream}
+		var csrc Source = src
+		if deal != nil {
+			csrc = &childFeed{q: deal.feeds[i], upstream: upstream}
 		}
 		pl.childTotal[i] = targetDeviceCount(c)
 		pl.childHealthy[i] = pl.childTotal[i]
@@ -479,8 +432,8 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 				pl.childHealthy[i], pl.childTotal[i] = healthy, total
 				wasDown := pl.down[i]
 				pl.down[i] = healthy == 0
-				if pl.down[i] && !wasDown && pl.dispatching && feeds[i] != nil {
-					orphans = append(orphans, drainFeed(feeds[i])...)
+				if pl.down[i] && !wasDown && deal != nil && deal.dispatching {
+					deal.reclaim(i)
 				}
 				pl.notifyHealth(at)
 			})
@@ -489,8 +442,8 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 		i := i
 		cj.onFinish(func(p *sim.Proc) {
 			done.Put(p, i)
-			if feeds[i] != nil {
-				orphans = append(orphans, drainFeed(feeds[i])...)
+			if deal != nil {
+				deal.reclaim(i)
 			}
 		})
 		pl.jobs[i] = cj
@@ -500,22 +453,18 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 		job.StartedAt = p.Now()
 		if routeErr != nil {
 			job.Err = routeErr
-			pl.shutdownFeeds(p, feeds)
-		} else if pl.opts.Routing != RouteWorkStealing {
-			pl.dispatching = true
-			pl.dispatch(p, src, feeds, dealt, &orphans, completed, ewma, total)
-			pl.dispatching = false
+			deal.shutdown(p) // only RouteStatic reports a route error
+		} else if deal != nil {
+			deal.place = pl.placer(deal, completed, ewma, total)
+			deal.run(p, src)
 		}
 		// Join every child, then aggregate.
 		for range pl.children {
 			done.Get(p)
 		}
-		// Hedge arbitration before the stranded-item accounting: a
-		// reclaimed duplicate whose other copy was served is not
-		// stranded work, and an item with both copies stranded counts
-		// once, not twice.
-		if pl.hedge != nil {
-			orphans = pl.hedge.filterLost(orphans)
+		var lost []Item
+		if deal != nil {
+			lost = deal.lost()
 		}
 		var ready time.Duration
 		readySet := false
@@ -528,8 +477,8 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 				readySet = true
 			}
 		}
-		if job.Err == nil && len(orphans) > 0 {
-			job.Err = fmt.Errorf("core: %d item(s) stranded by a child that stopped consuming", len(orphans))
+		if job.Err == nil && len(lost) > 0 {
+			job.Err = fmt.Errorf("core: %d item(s) stranded by a child that stopped consuming", len(lost))
 		}
 		job.ReadyAt = ready
 		job.Finish(p)
@@ -537,136 +486,39 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 	return job
 }
 
-// dispatch pulls items from src and deals them to the child feeds
-// according to the routing policy, re-routing items reclaimed from
-// children that shut down early, then closes every feed.
-func (pl *Pool) dispatch(p *sim.Proc, src Source, feeds []*sim.Queue[Item], dealt []int, orphans *[]Item, completed []int, ewma []float64, total int) {
-	n := len(feeds)
-
-	// splitEnds[i] is the exclusive end of child i's contiguous block
-	// under RouteStatic: weighted largest-remainder apportionment.
-	var splitEnds []int
-	if pl.opts.Routing == RouteStatic {
-		splitEnds = apportion(total, pl.staticWeights(n))
-	}
-
-	k := 0
-	deliver := func(item Item) bool {
-		// A reclaimed duplicate of an item already served through its
-		// other copy is quietly forgotten, not re-served.
-		if pl.hedge != nil && pl.hedge.settled(item.Index) {
-			return true
-		}
-		var target int
-		var ok bool
-		switch pl.opts.Routing {
-		case RouteStatic:
+// placer returns the routing policy's placement for the dealer: it
+// puts the item on a live child's feed and reports which (ok=false
+// when no child is left alive). Static and round-robin count the items
+// they placed.
+func (pl *Pool) placer(deal *dealer, completed []int, ewma []float64, total int) func(*sim.Proc, Item, int) (int, bool) {
+	feeds, dealt, n := deal.feeds, deal.dealt, len(deal.feeds)
+	placed := 0
+	switch pl.opts.Routing {
+	case RouteStatic:
+		// ends[i] is the exclusive end of child i's contiguous block:
+		// weighted largest-remainder apportionment.
+		ends := apportion(total, pl.staticWeights(n))
+		return func(p *sim.Proc, item Item, _ int) (int, bool) {
 			child := 0
-			for child < n-1 && k >= splitEnds[child] {
+			for child < n-1 && placed >= ends[child] {
 				child++
 			}
-			target, ok = pl.put(p, feeds, child, item)
-		case RouteRoundRobin:
-			target, ok = pl.put(p, feeds, k%n, item)
-		case RouteLatency:
-			target, ok = pl.dispatchLatency(p, feeds, dealt, completed, ewma, item)
-		default: // RouteWeighted
-			target, ok = pl.dispatchWeighted(p, feeds, dealt, completed, item)
+			placed++
+			return deal.put(p, item, child)
 		}
-		if !ok {
-			return false
+	case RouteRoundRobin:
+		return func(p *sim.Proc, item Item, _ int) (int, bool) {
+			placed++
+			return deal.put(p, item, (placed-1)%n)
 		}
-		k++
-		if pl.hedge != nil {
-			pl.hedge.track(item, target, p.Now())
-		}
-		// If the target died while we were blocked on its full feed,
-		// the item (and anything else queued there) is stranded —
-		// reclaim it for re-routing.
-		if pl.jobs[target].done {
-			*orphans = append(*orphans, drainFeed(feeds[target])...)
-		}
-		return true
-	}
-
-	alive := true
-	for alive {
-		for alive && len(*orphans) > 0 {
-			item := (*orphans)[0]
-			*orphans = (*orphans)[1:]
-			alive = deliver(item)
-		}
-		if !alive {
-			break
-		}
-		item, ok := src.Next(p)
-		if !ok {
-			break
-		}
-		alive = deliver(item)
-	}
-	for alive && len(*orphans) > 0 {
-		item := (*orphans)[0]
-		*orphans = (*orphans)[1:]
-		alive = deliver(item)
-	}
-	// When !alive every child has shut down (their errors are on
-	// their jobs) and any remaining items are dropped; the pool job
-	// carries the first error. Dealing ends *before* the sentinels
-	// post: a hedge timer firing while a sentinel Put blocks must not
-	// slip a duplicate behind a sentinel already delivered to another
-	// feed, where no child would ever serve it.
-	pl.dispatching = false
-	pl.shutdownFeeds(p, feeds)
-}
-
-// shutdownFeeds posts the end-of-feed sentinel to every live child.
-func (pl *Pool) shutdownFeeds(p *sim.Proc, feeds []*sim.Queue[Item]) {
-	for i := range feeds {
-		if feeds[i] == nil || pl.jobs[i].done {
-			continue
-		}
-		feeds[i].Put(p, Item{Index: poolSentinel})
-	}
-}
-
-// drainFeed empties a dead child's feed, waking any blocked putter,
-// and returns the stranded work items (sentinels are discarded).
-func drainFeed(q *sim.Queue[Item]) []Item {
-	var items []Item
-	for {
-		item, ok := q.TryGet()
-		if !ok {
-			return items
-		}
-		if item.Index != poolSentinel {
-			items = append(items, item)
+	case RouteLatency:
+		return func(p *sim.Proc, item Item, _ int) (int, bool) {
+			return pl.dispatchLatency(p, feeds, dealt, completed, ewma, item)
 		}
 	}
-}
-
-// put delivers the item to child i, reroutes to the next live child
-// when i has already shut down, and reports which child received it
-// (ok=false when no child is left alive). Healthy children are
-// preferred; when every live child is unhealthy the item is queued on
-// the first live one anyway (its bounded feed absorbs a little work
-// until someone rejoins) rather than stalling the deal.
-func (pl *Pool) put(p *sim.Proc, feeds []*sim.Queue[Item], i int, item Item) (int, bool) {
-	n := len(feeds)
-	for pass := 0; pass < 2; pass++ {
-		for off := 0; off < n; off++ {
-			j := (i + off) % n
-			if pl.jobs[j].done {
-				continue
-			}
-			if pass == 0 && pl.down[j] {
-				continue
-			}
-			feeds[j].Put(p, item)
-			return j, true
-		}
+	return func(p *sim.Proc, item Item, _ int) (int, bool) { // RouteWeighted
+		return pl.dispatchWeighted(p, feeds, dealt, completed, item)
 	}
-	return 0, false
 }
 
 // staticWeights returns the explicit weights or an equal split.
@@ -696,7 +548,7 @@ func (pl *Pool) dispatchWeighted(p *sim.Proc, feeds []*sim.Queue[Item], dealt, c
 		return float64(completed[i] + 1)
 	}
 	deficit := func(i int) float64 { return float64(dealt[i]) / weight(i) }
-	return pl.dispatchByScore(p, feeds, dealt, deficit, !explicit, item)
+	return pl.dispatchByScore(p, feeds, deficit, !explicit, item)
 }
 
 // ewmaAlpha is the smoothing factor of the per-child service-time
@@ -713,7 +565,7 @@ func (pl *Pool) dispatchLatency(p *sim.Proc, feeds []*sim.Queue[Item], dealt, co
 		outstanding := dealt[i] - completed[i]
 		return ewma[i] * float64(outstanding+1)
 	}
-	return pl.dispatchByScore(p, feeds, dealt, score, true, item)
+	return pl.dispatchByScore(p, feeds, score, true, item)
 }
 
 // dispatchByScore is the dispatch skeleton shared by the scored
@@ -722,7 +574,7 @@ func (pl *Pool) dispatchLatency(p *sim.Proc, feeds []*sim.Queue[Item], dealt, co
 // (work-conserving); without, or when every live feed is full, it
 // blocks on the best child. Reports which child received the item
 // (ok=false when no child is left alive).
-func (pl *Pool) dispatchByScore(p *sim.Proc, feeds []*sim.Queue[Item], dealt []int, score func(int) float64, spill bool, item Item) (int, bool) {
+func (pl *Pool) dispatchByScore(p *sim.Proc, feeds []*sim.Queue[Item], score func(int) float64, spill bool, item Item) (int, bool) {
 	// Unhealthy children are excluded from the deal (weight zero)
 	// until they rejoin; if every live child is down, deal to the live
 	// set anyway so the bounded feeds buffer the work instead of the
@@ -752,13 +604,11 @@ func (pl *Pool) dispatchByScore(p *sim.Proc, feeds []*sim.Queue[Item], dealt []i
 	if spill {
 		for _, i := range order {
 			if feeds[i].TryPut(item) {
-				dealt[i]++
 				return i, true
 			}
 		}
 	}
 	feeds[order[0]].Put(p, item)
-	dealt[order[0]]++
 	return order[0], true
 }
 

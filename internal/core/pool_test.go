@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -254,6 +255,36 @@ func TestPoolChildDiesMidRun(t *testing.T) {
 		if !job.Done() || job.DoneAt == 0 {
 			t.Errorf("%v: pool job never finished (DoneAt=%v)", routing, job.DoneAt)
 		}
+	}
+}
+
+// TestPoolAllChildrenDieMidRun: when every child stops consuming, the
+// item the dispatcher holds has nowhere to go. It must be counted with
+// the items stranded in the feeds, so served + stranded + undealt = n.
+func TestPoolAllChildrenDieMidRun(t *testing.T) {
+	const n = 7
+	pool, err := NewPool([]Target{
+		&stubTarget{name: "a", latency: time.Millisecond, quitAfter: 1},
+		&stubTarget{name: "b", latency: time.Millisecond, quitAfter: 1},
+	}, PoolOptions{Routing: RouteRoundRobin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := sim.NewEnv()
+	src := sliceOf(n)
+	served := 0
+	job := pool.Start(env, src, func(Result) { served++ })
+	env.Run()
+	if !job.Done() {
+		t.Fatal("pool job never finished")
+	}
+	stranded := n - served - src.Remaining()
+	if stranded == 0 {
+		t.Fatalf("served %d of %d with %d undealt: nothing stranded", served, n, src.Remaining())
+	}
+	want := fmt.Sprintf("%d item(s) stranded", stranded)
+	if job.Err == nil || !strings.Contains(job.Err.Error(), want) {
+		t.Errorf("job error %v, want it to report %q (served %d, undealt %d)", job.Err, want, served, src.Remaining())
 	}
 }
 

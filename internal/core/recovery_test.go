@@ -275,3 +275,64 @@ func TestRecoveryMonitoringFreeWithoutFaults(t *testing.T) {
 		t.Errorf("makespan differs: %v vs %v", plainJob.DoneAt, monJob.DoneAt)
 	}
 }
+
+// TestVPUEveryStickFailStops: when every stick is abandoned mid-run,
+// the dispatcher is left holding an item with no live worker, and the
+// workers' queues strand more. Each of those losses must be accounted:
+// through Recovery.OnDrop when it is set (every index is served or
+// dropped exactly once, and served + dropped + undealt = n), on the
+// job error when it is not.
+func TestVPUEveryStickFailStops(t *testing.T) {
+	const n = 30
+	run := func(observe bool) (*Job, map[int]int, map[int]int, int) {
+		tb := newTestbed(t, 2, nn.NewGoogLeNet(rng.New(1)), n)
+		dropped := map[int]int{}
+		opts := DefaultVPUOptions()
+		opts.Recovery = RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: false}
+		if observe {
+			opts.Recovery.OnDrop = func(it Item, _ time.Duration) { dropped[it.Index]++ }
+		}
+		target, err := NewVPUTarget(tb.devices, tb.blob, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := NewDatasetSource(tb.ds, 0, n, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.env.At(2200*time.Millisecond, func() {
+			for _, d := range tb.devices {
+				d.InjectHang()
+			}
+		})
+		seen := map[int]int{}
+		job := target.Start(tb.env, src, func(r Result) { seen[r.Index]++ })
+		tb.env.Run()
+		if !job.Done() {
+			t.Fatal("job never finished")
+		}
+		return job, seen, dropped, src.Remaining()
+	}
+
+	_, seen, dropped, left := run(true)
+	if len(dropped) == 0 {
+		t.Fatal("no item dropped although every stick was abandoned")
+	}
+	for idx, c := range seen {
+		if c != 1 || dropped[idx] != 0 {
+			t.Errorf("item %d served %d times and dropped %d times", idx, c, dropped[idx])
+		}
+	}
+	for idx, c := range dropped {
+		if c != 1 {
+			t.Errorf("item %d dropped %d times", idx, c)
+		}
+	}
+	if got := len(seen) + len(dropped) + left; got != n {
+		t.Errorf("served %d + dropped %d + undealt %d = %d, want %d", len(seen), len(dropped), left, got, n)
+	}
+
+	if job, _, _, _ := run(false); job.Err == nil {
+		t.Error("losing every stick without an OnDrop observer must surface on the job error")
+	}
+}

@@ -355,7 +355,7 @@ func (f *stageFeed) Next(p *sim.Proc) (Item, bool) {
 		}
 	}
 	item := f.q.Get(p)
-	if item.Index == poolSentinel {
+	if item.Index == feedSentinel {
 		if f.down != nil {
 			f.down.TryPut(credit{})
 		}
@@ -392,7 +392,7 @@ func (f *stageFeed) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) 
 		}
 		return Item{}, false, true
 	}
-	if item.Index == poolSentinel {
+	if item.Index == feedSentinel {
 		if f.down != nil {
 			f.down.TryPut(credit{})
 		}
@@ -509,7 +509,7 @@ func (pl *Pipeline) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 				// End of this stage's emissions: the sentinel follows
 				// them in FIFO order, so downstream drains everything
 				// first.
-				pl.handoffs[i].TryPut(Item{Index: poolSentinel})
+				pl.handoffs[i].TryPut(Item{Index: feedSentinel})
 			}
 			if i > 0 {
 				// Wake an upstream puller blocked on this stage's

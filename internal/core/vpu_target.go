@@ -286,58 +286,29 @@ func (t *VPUTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 
 		// 2. Fork one worker per device, fed by per-worker queues. A
 		// worker that abandons its device (fail-stop) marks itself dead
-		// and drains its queue back to the dispatcher for re-dispatch.
+		// and hands its queue back to the dealer for re-dispatch.
 		forkStart := p.Now()
-		queues := make([]*sim.Queue[Item], n)
-		for i := range queues {
-			queues[i] = sim.NewQueue[Item](env, fmt.Sprintf("ncsw/q%d", i), 2)
-		}
 		dead := make([]bool, n)
-		var orphans []Item
-		done := sim.NewQueue[int](env, "ncsw/join", 0)
-
 		// Hedged requests: a timer per dispatched item duplicates it
 		// onto a different live worker when it ages past the trigger;
-		// the dedup below delivers the first completion and discards
+		// the worker dedup delivers the first completion and discards
 		// the loser. Disabled (or single-stick) hedging adds no timers,
 		// so the event sequence is bit-identical to pre-hedging runs.
-		dispatching := true
-		t.hedge = nil
-		if t.opts.Hedge.Enabled() && n > 1 {
-			redispatch := func(item Item, exclude int) (int, bool) {
-				if !dispatching {
-					return 0, false // a duplicate behind the shutdown sentinel would never be served
-				}
-				for off := 1; off < n; off++ {
-					j := (exclude + off) % n
-					if dead[j] {
-						continue
-					}
-					if queues[j].TryPut(item) {
-						return j, true
-					}
-				}
-				return 0, false
-			}
-			cancelCopy := func(index, child int) bool {
-				if child < 0 || child >= n || dead[child] {
-					return false
-				}
-				_, ok := queues[child].RemoveWhere(func(it Item) bool { return it.Index == index })
-				return ok
-			}
-			// In-flight capacity: per worker, one executing item plus
-			// its two queued slots — the DynamicBudget utilization
-			// denominator.
-			t.hedge = newHedger(env, t.opts.Hedge, 3*n, redispatch, cancelCopy)
+		hedge := t.opts.Hedge
+		if n == 1 {
+			hedge = HedgeConfig{} // no second worker to duplicate onto
 		}
-
+		// In-flight capacity: per worker, one executing item plus its
+		// two queued slots — the DynamicBudget utilization denominator.
+		deal := newDealer(env, "ncsw/q", n, 2, func(j int) bool { return dead[j] }, hedge, 3*n)
+		t.hedge = deal.hedge
+		done := sim.NewQueue[int](env, "ncsw/join", 0)
 		for i := range t.devices {
 			i := i
 			env.Process(fmt.Sprintf("ncsw-worker%d", i), func(wp *sim.Proc) {
-				t.worker(wp, t.devices[i], graphs, i, queues[i], sink, job, dead)
+				t.worker(wp, t.devices[i], graphs, i, deal.feeds[i], sink, job, dead)
 				if dead[i] {
-					orphans = append(orphans, drainFeed(queues[i])...)
+					deal.reclaim(i)
 				}
 				done.Put(wp, i)
 			})
@@ -348,67 +319,15 @@ func (t *VPUTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 		// dynamic pushes to whichever queue has room first. Dead
 		// workers are skipped and their reclaimed items re-dispatched
 		// to survivors.
-		deliver := func(item Item, k int) bool {
-			// A reclaimed duplicate of an item already served through
-			// its other copy is quietly forgotten, not re-served.
-			if t.hedge != nil && t.hedge.settled(item.Index) {
-				return true
-			}
-			var j int
-			var ok bool
-			if t.opts.Scheduling == Dynamic {
-				j, ok = t.dispatchDynamic(p, queues, dead, item, k)
-			} else {
-				j, ok = putRoundRobin(p, queues, dead, item, k%n)
-			}
-			if !ok {
-				// No live worker left: the in-hand item joins the
-				// orphans so the post-join accounting (Recovery.OnDrop
-				// or job.Err) sees it — the loss is never silent.
-				orphans = append(orphans, item)
-				return false
-			}
-			if t.hedge != nil {
-				t.hedge.track(item, j, p.Now())
-			}
-			// The worker may have died while we were blocked on its
-			// full queue; reclaim anything stranded there.
-			if dead[j] {
-				orphans = append(orphans, drainFeed(queues[j])...)
-			}
-			return true
+		deal.place = func(p *sim.Proc, item Item, k int) (int, bool) {
+			return deal.put(p, item, k%n)
 		}
-		k := 0
-		alive := true
-		for alive {
-			for alive && len(orphans) > 0 {
-				item := orphans[0]
-				orphans = orphans[1:]
-				alive = deliver(item, k)
-				k++
-			}
-			if !alive {
-				break
-			}
-			item, ok := src.Next(p)
-			if !ok {
-				break
-			}
-			alive = deliver(item, k)
-			k++
-		}
-		for alive && len(orphans) > 0 {
-			item := orphans[0]
-			orphans = orphans[1:]
-			alive = deliver(item, k)
-			k++
-		}
-		dispatching = false // no hedge may launch behind the shutdown sentinels
-		for i := range queues {
-			if !dead[i] {
-				queues[i].Put(p, Item{Index: -1}) // per-worker shutdown
+		if t.opts.Scheduling == Dynamic {
+			deal.place = func(p *sim.Proc, item Item, k int) (int, bool) {
+				return dispatchDynamic(p, deal, item, k)
 			}
 		}
+		deal.run(p, src)
 
 		// 4. Join workers, then close devices. Items stranded by a
 		// worker that died after dispatch ended are dropped through the
@@ -419,19 +338,13 @@ func (t *VPUTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 			done.Get(p)
 		}
 		tl.Add("main", trace.Join, joinStart, p.Now(), "")
-		// Hedge arbitration before the loss accounting: a reclaimed
-		// duplicate whose other copy was served is not stranded work,
-		// and an item with both copies stranded is one loss, not two.
-		if t.hedge != nil {
-			orphans = t.hedge.filterLost(orphans)
-		}
-		if len(orphans) > 0 {
+		if lost := deal.lost(); len(lost) > 0 {
 			if t.opts.Recovery.OnDrop != nil {
-				for _, it := range orphans {
+				for _, it := range lost {
 					t.opts.Recovery.OnDrop(it, p.Now())
 				}
 			} else if job.Err == nil {
-				job.Err = fmt.Errorf("core: %d item(s) stranded by failed devices", len(orphans))
+				job.Err = fmt.Errorf("core: %d item(s) stranded by failed devices", len(lost))
 			}
 		}
 		for i, d := range t.devices {
@@ -451,34 +364,18 @@ func (t *VPUTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 // scanning from the item's round-robin home for fairness, blocking on
 // the home queue when all are full. It reports which queue received
 // the item (ok=false when no live worker is left).
-func (t *VPUTarget) dispatchDynamic(p *sim.Proc, queues []*sim.Queue[Item], dead []bool, item Item, k int) (int, bool) {
-	n := len(queues)
+func dispatchDynamic(p *sim.Proc, deal *dealer, item Item, k int) (int, bool) {
+	n := len(deal.feeds)
 	for off := 0; off < n; off++ {
 		j := (k + off) % n
-		if dead[j] {
+		if deal.gone(j) {
 			continue
 		}
-		if queues[j].TryPut(item) {
+		if deal.feeds[j].TryPut(item) {
 			return j, true
 		}
 	}
-	return putRoundRobin(p, queues, dead, item, k%n)
-}
-
-// putRoundRobin blocks the item onto the first live queue scanning
-// from home, reporting which queue received it (ok=false when none
-// is live).
-func putRoundRobin(p *sim.Proc, queues []*sim.Queue[Item], dead []bool, item Item, home int) (int, bool) {
-	n := len(queues)
-	for off := 0; off < n; off++ {
-		j := (home + off) % n
-		if dead[j] {
-			continue
-		}
-		queues[j].Put(p, item)
-		return j, true
-	}
-	return 0, false
+	return deal.put(p, item, k%n)
 }
 
 // inflight is one dispatched-but-unfinished item on a worker.
@@ -678,7 +575,7 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 			}
 		case !feedDone:
 			item := q.Get(p)
-			if item.Index == -1 {
+			if item.Index == feedSentinel {
 				feedDone = true
 				continue
 			}
