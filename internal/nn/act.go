@@ -100,11 +100,23 @@ func (l *LRN) Forward(out *tensor.T, ins []*tensor.T) {
 					v := in.Data[base+cj*plane+i]
 					ss += v * v
 				}
-				den := float32(math.Pow(float64(l.K+scale*ss), float64(l.Beta)))
-				out.Data[base+ci*plane+i] = in.Data[base+ci*plane+i] / den
+				out.Data[base+ci*plane+i] = in.Data[base+ci*plane+i] / l.pow(l.K+scale*ss)
 			}
 		}
 	}
+}
+
+// pow returns float32(math.Pow(x, Beta)). For GoogLeNet's Beta of
+// 0.75 and x ≥ 0 it takes x^0.75 as √x·√√x, which rounds to the same
+// float32 for every non-negative float32 x (checked exhaustively) at a
+// fraction of math.Pow's cost. Negative and NaN x keep math.Pow, whose
+// NaNs differ in sign and payload from the square roots'.
+func (l *LRN) pow(x float32) float32 {
+	if l.Beta == 0.75 && x >= 0 {
+		r := math.Sqrt(float64(x))
+		return float32(r * math.Sqrt(r))
+	}
+	return float32(math.Pow(float64(x), float64(l.Beta)))
 }
 
 // Stats implements Layer. Each output needs ~Size multiply-adds for

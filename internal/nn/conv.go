@@ -90,10 +90,48 @@ func (c *Conv) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{c.OutC, oh, ow}, nil
 }
 
-// colBuffers recycles im2col scratch across forward calls; convolution
-// dominates runtime and the buffers are large (conv2 of GoogLeNet
-// needs 64·9·56·56 floats ≈ 7 MB).
+// colBuffers recycles layer scratch (im2col patch matrices, max-pool
+// row maxima) across forward calls; convolution dominates runtime and
+// the buffers are large (conv2 of GoogLeNet needs 64·9·56·56 floats ≈
+// 7 MB).
 var colBuffers = sync.Pool{New: func() any { return new([]float32) }}
+
+// scratch takes a buffer of n floats from colBuffers; return it with
+// colBuffers.Put.
+func scratch(n int) *[]float32 {
+	bufp := colBuffers.Get().(*[]float32)
+	if cap(*bufp) < n {
+		*bufp = make([]float32, n)
+	}
+	*bufp = (*bufp)[:n]
+	return bufp
+}
+
+// pointwise reports whether the kernel is 1×1 at stride 1 without
+// padding: then an image's im2col matrix is the image itself.
+func (c *Conv) pointwise() bool {
+	return c.KH == 1 && c.KW == 1 && c.Stride == 1 && c.Pad == 0
+}
+
+// patches returns the (InC·KH·KW) × (OH·OW) patch matrix of the CHW
+// image src: src itself for a pointwise kernel, else col filled by
+// im2col.
+func (c *Conv) patches(col, src []float32, h, w, oh, ow int) []float32 {
+	if c.pointwise() {
+		return src
+	}
+	im2col(col, src, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
+	return col
+}
+
+// colBuffer takes scratch for one image's patch matrix from colBuffers
+// (nil for a pointwise kernel, which needs none).
+func (c *Conv) colBuffer(n int) *[]float32 {
+	if c.pointwise() {
+		return nil
+	}
+	return scratch(n)
+}
 
 // Forward implements Layer.
 func (c *Conv) Forward(out *tensor.T, ins []*tensor.T) {
@@ -104,20 +142,18 @@ func (c *Conv) Forward(out *tensor.T, ins []*tensor.T) {
 	k := c.InC * c.KH * c.KW
 	spatial := oh * ow
 
-	bufp := colBuffers.Get().(*[]float32)
-	if cap(*bufp) < k*spatial {
-		*bufp = make([]float32, k*spatial)
+	var col []float32
+	if bufp := c.colBuffer(k * spatial); bufp != nil {
+		defer colBuffers.Put(bufp)
+		col = *bufp
 	}
-	col := (*bufp)[:k*spatial]
-	defer colBuffers.Put(bufp)
 
 	wt, bt := tensorsOf(c)
 	wmat := wt.Data // (OutC) x (k), already contiguous
 	for b := 0; b < n; b++ {
 		src := in.Data[b*c.InC*h*w : (b+1)*c.InC*h*w]
-		im2col(col, src, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
 		dst := out.Data[b*c.OutC*spatial : (b+1)*c.OutC*spatial]
-		gemm.Mul(dst, wmat, col, c.OutC, k, spatial)
+		gemm.Mul(dst, wmat, c.patches(col, src, h, w, oh, ow), c.OutC, k, spatial)
 		for oc := 0; oc < c.OutC; oc++ {
 			bias := bt.Data[oc]
 			row := dst[oc*spatial : (oc+1)*spatial]

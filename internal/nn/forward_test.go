@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -132,5 +133,169 @@ func BenchmarkForwardMicroB8(b *testing.B) {
 		if _, err := g.Forward(in, FP32); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestLayersOverwriteOut enforces the Layer.Forward contract that
+// pooled activations rely on: out is fully overwritten. Every layer of
+// micro-GoogLeNet, which holds every operator kind, writes the same
+// bits into a poisoned out as into a zeroed one, in each of its paths.
+func TestLayersOverwriteOut(t *testing.T) {
+	g := NewMicroGoogLeNet(DefaultMicroConfig(), rng.New(1))
+	g.QuantizeWeightsFP16()
+	src := rng.New(3)
+	kinds := map[string]bool{}
+	for _, name := range g.LayerNames() {
+		var ins []*tensor.T
+		for _, in := range g.InputsOf(name) {
+			s, err := g.ShapeOf(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := tensor.New(append(tensor.Shape{2}, s...)...)
+			x.FillNormal(src, 0, 1)
+			x.QuantizeFP16()
+			ins = append(ins, x)
+		}
+		s, _ := g.ShapeOf(name)
+		l := g.Layer(name)
+		kinds[l.Kind()] = true
+		paths := map[string]func(out *tensor.T){"Forward": func(out *tensor.T) { l.Forward(out, ins) }}
+		if sl, ok := l.(strictLayer); ok {
+			paths["ForwardFP16Strict"] = func(out *tensor.T) { sl.ForwardFP16Strict(out, ins) }
+		}
+		for path, run := range paths {
+			clean := tensor.New(append(tensor.Shape{2}, s...)...)
+			dirty := tensor.New(clean.ShapeOf...)
+			poison(dirty)
+			run(clean)
+			run(dirty)
+			sameBits(t, name+" "+path+" out", dirty.Data, clean.Data)
+		}
+	}
+	if len(kinds) < 9 {
+		t.Errorf("micro-GoogLeNet covers %d layer kinds, want all 9", len(kinds))
+	}
+}
+
+// TestForwardReuseMatchesFresh: forwarding one batch and then another
+// on the same graph gives the second batch the bits a freshly built
+// graph gives it, so no layer reads what an earlier forward left in a
+// reused activation buffer. The batches grow and shrink, and switch
+// precision, between the two calls.
+func TestForwardReuseMatchesFresh(t *testing.T) {
+	build := func() *Graph {
+		g := NewMicroGoogLeNet(DefaultMicroConfig(), rng.New(1))
+		g.QuantizeWeightsFP16()
+		return g
+	}
+	for _, tc := range []struct {
+		na, nb       int
+		pa, pb       Precision
+		seedA, seedB uint64
+	}{
+		{8, 5, FP32, FP32, 1, 2},
+		{3, 8, FP16, FP16, 3, 4},
+		{5, 2, FP16Strict, FP16, 5, 6},
+		{2, 3, FP32, FP16Strict, 7, 8},
+	} {
+		g := build()
+		if _, err := g.Forward(goldenBatch(tc.na, tc.seedA), tc.pa); err != nil {
+			t.Fatal(err)
+		}
+		b := goldenBatch(tc.nb, tc.seedB)
+		got, err := g.Forward(b, tc.pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := build().Forward(b, tc.pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("%+v: second output", tc), got.Data, want.Data)
+	}
+}
+
+// TestForwardConcurrent: goroutines sharing one graph, the first of
+// them building its plan, forward mixed batch sizes and precisions at
+// once, and each output equals a serial run's bits. Run it under
+// -race.
+func TestForwardConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	build := func() *Graph {
+		g := NewMicroGoogLeNet(DefaultMicroConfig(), rng.New(1))
+		g.QuantizeWeightsFP16()
+		return g
+	}
+	type job struct {
+		n    int
+		prec Precision
+	}
+	jobs := []job{{8, FP32}, {1, FP16}, {5, FP32}, {2, FP16Strict}, {3, FP16}, {4, FP32}}
+	serial := build()
+	want := make([]*tensor.T, len(jobs))
+	for i, j := range jobs {
+		out, err := serial.Forward(goldenBatch(j.n, uint64(i)), j.prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out
+	}
+	g := build()
+	const rounds = 2
+	got := make([][]*tensor.T, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		got[i] = make([]*tensor.T, rounds)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				out, err := g.Forward(goldenBatch(j.n, uint64(i)), j.prec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i][r] = out
+			}
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		for r, out := range got[i] {
+			if out == nil {
+				t.Fatalf("job %d round %d produced no output", i, r)
+			}
+			sameBits(t, fmt.Sprintf("%v batch %d round %d", j.prec, j.n, r), out.Data, want[i].Data)
+		}
+	}
+}
+
+// TestForwardAllocs: a warm FP32 forward at batch 8 allocates well
+// under one activation's worth: intermediate activations come from the
+// graph's pooled buffers, and only the returned tensor and the worker
+// bookkeeping are new.
+func TestForwardAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const calls, limit = 20, 256 << 10
+	g := NewMicroGoogLeNet(DefaultMicroConfig(), rng.New(1))
+	in := goldenBatch(8, 5)
+	for range 3 { // fill the weights and the pools
+		if _, err := g.Forward(in, FP32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if _, err := g.Forward(in, FP32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= limit {
+		t.Errorf("warm batch-8 Forward allocates %d bytes per call, want < %d", per, limit)
 	}
 }

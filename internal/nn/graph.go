@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -36,6 +37,8 @@ type Graph struct {
 	order      []string
 	nodes      map[string]*node
 	output     string
+	// plan caches the execution schedule; Add and SetOutput drop it.
+	plan atomic.Pointer[plan]
 }
 
 // NewGraph creates an empty graph with the given name and CHW input
@@ -87,6 +90,7 @@ func (g *Graph) Add(l Layer, inputs ...string) (string, error) {
 	g.nodes[name] = &node{layer: l, inputs: append([]string(nil), inputs...), outShape: out}
 	g.order = append(g.order, name)
 	g.output = name
+	g.plan.Store(nil)
 	return name, nil
 }
 
@@ -116,6 +120,7 @@ func (g *Graph) SetOutput(name string) error {
 		return fmt.Errorf("nn: unknown output %q", name)
 	}
 	g.output = name
+	g.plan.Store(nil)
 	return nil
 }
 
@@ -159,15 +164,23 @@ func (g *Graph) ShapeOf(name string) (tensor.Shape, error) { return g.shapeOf(na
 //
 // Every layer is per-image at inference, so Forward splits the batch
 // into min(GOMAXPROCS, N) contiguous sub-batches, runs each through
-// the layers on its own goroutine and gathers the rows into one N×out
-// tensor. Each image sees the same arithmetic at any batch size or
-// core count, so the output bits do not depend on either.
+// the layers on its own goroutine and writes its rows straight into
+// the one N×out tensor it returns. Each image sees the same arithmetic
+// at any batch size or core count, so the output bits do not depend on
+// either. Intermediate activations live in pooled buffers (see plan),
+// so the returned tensor is the only allocation that grows with the
+// batch. Forward is safe for concurrent use.
 func (g *Graph) Forward(in *tensor.T, prec Precision) (*tensor.T, error) {
 	n := batchOf(in, g.inputShape)
+	p, err := g.execPlan()
+	if err != nil {
+		return nil, err
+	}
 	chunks := max(1, min(runtime.GOMAXPROCS(0), n))
 	per := g.inputShape.Elems()
-	outs := make([]*tensor.T, chunks)
-	errs := make([]error, chunks)
+	outShape := p.vals[p.out].shape
+	outPer := outShape.Elems()
+	out := &tensor.T{ShapeOf: append(tensor.Shape{n}, outShape...), Data: make([]float32, n*outPer)}
 	panics := make([]any, chunks)
 	var wg sync.WaitGroup
 	for c := range chunks {
@@ -178,7 +191,7 @@ func (g *Graph) Forward(in *tensor.T, prec Precision) (*tensor.T, error) {
 			// A panic reaches the caller's goroutine, as it would
 			// without workers.
 			defer func() { panics[c] = recover() }()
-			outs[c], errs[c] = g.forward(sub, prec)
+			p.run(sub, out.Data[lo*outPer:hi*outPer], prec)
 		}
 		if c == chunks-1 {
 			run() // the caller takes the last sub-batch
@@ -191,79 +204,10 @@ func (g *Graph) Forward(in *tensor.T, prec Precision) (*tensor.T, error) {
 		}()
 	}
 	wg.Wait()
-	for c := range chunks {
-		if panics[c] != nil {
-			panic(panics[c])
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
 		}
-		if errs[c] != nil {
-			return nil, errs[c]
-		}
-	}
-	out := tensor.New(append(tensor.Shape{n}, outs[0].ShapeOf[1:]...)...)
-	off := 0
-	for _, o := range outs {
-		off += copy(out.Data[off:], o.Data)
-	}
-	return out, nil
-}
-
-// forward runs the layers over one batch on the calling goroutine.
-func (g *Graph) forward(in *tensor.T, prec Precision) (*tensor.T, error) {
-	n := in.Dim(0)
-
-	acts := map[string]*tensor.T{}
-	input := in
-	if prec != FP32 {
-		input = in.Clone()
-		input.QuantizeFP16()
-	}
-	acts[InputName] = input
-
-	// Track how many consumers each intermediate has left so buffers
-	// can be dropped as soon as possible; GoogLeNet at batch 8 would
-	// otherwise hold >1 GB of activations.
-	remaining := map[string]int{}
-	for _, name := range g.order {
-		for _, inp := range g.nodes[name].inputs {
-			remaining[inp]++
-		}
-	}
-	remaining[g.output]++ // the caller consumes the output
-
-	var out *tensor.T
-	for _, name := range g.order {
-		nd := g.nodes[name]
-		ins := make([]*tensor.T, len(nd.inputs))
-		for i, inp := range nd.inputs {
-			t, ok := acts[inp]
-			if !ok {
-				return nil, fmt.Errorf("nn: activation %q missing (graph corrupted)", inp)
-			}
-			ins[i] = t
-		}
-		shape := append(tensor.Shape{n}, nd.outShape...)
-		dst := tensor.New(shape...)
-		if sl, ok := nd.layer.(strictLayer); ok && prec == FP16Strict {
-			sl.ForwardFP16Strict(dst, ins)
-		} else {
-			nd.layer.Forward(dst, ins)
-		}
-		if prec != FP32 {
-			dst.QuantizeFP16()
-		}
-		acts[name] = dst
-		if name == g.output {
-			out = dst
-		}
-		for _, inp := range nd.inputs {
-			remaining[inp]--
-			if remaining[inp] == 0 && inp != InputName {
-				delete(acts, inp)
-			}
-		}
-	}
-	if out == nil {
-		return nil, fmt.Errorf("nn: graph %q has no output", g.name)
 	}
 	return out, nil
 }

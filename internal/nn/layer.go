@@ -98,7 +98,9 @@ type Layer interface {
 	OutShape(in []tensor.Shape) (tensor.Shape, error)
 	// Forward computes the layer function. ins carries one tensor per
 	// declared input, each shaped N×(input shape); out has shape
-	// N×OutShape and is fully overwritten.
+	// N×OutShape and is fully overwritten. Graph.Forward relies on
+	// that: out is a reused buffer still holding an earlier forward's
+	// values, and never shares memory with ins.
 	Forward(out *tensor.T, ins []*tensor.T)
 	// Stats reports the per-inference cost at batch 1 for the given
 	// input shapes.

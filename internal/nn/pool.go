@@ -85,28 +85,25 @@ func (p *Pool) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{c, oh, ow}, nil
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Windowed max pooling over inputs without
+// NaN or −0 (every ReLU output) takes the separable forwardMax; the
+// rest scans each window.
 func (p *Pool) Forward(out *tensor.T, ins []*tensor.T) {
 	in := ins[0]
+	if p.PoolOp == MaxPool && !p.Global && maxSafe(in.Data) {
+		p.forwardMax(out, in)
+		return
+	}
 	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
 	oh, ow := out.Dim(2), out.Dim(3)
-
-	k, stride, pad := p.K, p.Stride, p.Pad
-	if p.Global {
-		k, stride, pad = h, 1, 0
-		if w > k {
-			k = w // Global pooling window covers the full plane.
-		}
-	}
-
 	for b := 0; b < n; b++ {
 		for ci := 0; ci < c; ci++ {
 			src := in.Data[(b*c+ci)*h*w:]
 			dst := out.Data[(b*c+ci)*oh*ow:]
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					y0, x0 := oy*stride-pad, ox*stride-pad
-					y1, x1 := y0+k, x0+k
+					y0, x0 := oy*p.Stride-p.Pad, ox*p.Stride-p.Pad
+					y1, x1 := y0+p.K, x0+p.K
 					if p.Global {
 						y0, x0, y1, x1 = 0, 0, h, w
 					}
@@ -147,6 +144,74 @@ func (p *Pool) Forward(out *tensor.T, ins []*tensor.T) {
 	}
 }
 
+// maxSafe reports whether data holds no NaN and no −0. On such values
+// > is a total order under which equal values have equal bits, so the
+// builtin max and a fold that replaces only on > pick the same bits
+// in any order.
+func maxSafe(data []float32) bool {
+	for _, v := range data {
+		if b := math.Float32bits(v); b == 0x80000000 || b&0x7fffffff > 0x7f800000 {
+			return false
+		}
+	}
+	return true
+}
+
+// forwardMax is max pooling as two passes over each plane: the max
+// along each input row's window columns into a scratch row per output
+// column, then the max down each window's rows. On maxSafe inputs
+// this is the window maximum the scan in Forward finds, bit for bit;
+// the builtin max runs about twice as fast as a > fold here, branching
+// or not. A window lying entirely in padding gives 0, as in Forward.
+func (p *Pool) forwardMax(out *tensor.T, in *tensor.T) {
+	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
+	oh, ow := out.Dim(2), out.Dim(3)
+	k, stride, pad := p.K, p.Stride, p.Pad
+	negInf := float32(math.Inf(-1))
+
+	// span clips the window starting at o to [lo, hi) within [0, size);
+	// lo == hi when it lies entirely in padding.
+	span := func(o, size int) (lo, hi int) {
+		lo = min(max(o, 0), size)
+		return lo, max(min(o+k, size), lo)
+	}
+	bufp := scratch(h * ow)
+	defer colBuffers.Put(bufp)
+	rows := *bufp
+	for plane := 0; plane < n*c; plane++ {
+		src := in.Data[plane*h*w : (plane+1)*h*w]
+		dst := out.Data[plane*oh*ow : (plane+1)*oh*ow]
+		for y := 0; y < h; y++ {
+			srow, hrow := src[y*w:(y+1)*w], rows[y*ow:(y+1)*ow]
+			for ox := range hrow {
+				lo, hi := span(ox*stride-pad, w)
+				best := negInf
+				for _, v := range srow[lo:hi] {
+					best = max(best, v)
+				}
+				hrow[ox] = best
+			}
+		}
+		for oy := 0; oy < oh; oy++ {
+			drow := dst[oy*ow : (oy+1)*ow]
+			for ox := range drow {
+				drow[ox] = negInf
+			}
+			y0, y1 := span(oy*stride-pad, h)
+			for y := y0; y < y1; y++ {
+				for ox, v := range rows[y*ow : (y+1)*ow] {
+					drow[ox] = max(drow[ox], v)
+				}
+			}
+			for ox := range drow {
+				if x0, x1 := span(ox*stride-pad, w); y1 == y0 || x1 == x0 {
+					drow[ox] = 0 // window entirely in padding
+				}
+			}
+		}
+	}
+}
+
 // Stats implements Layer. Pooling performs one compare or add per
 // window element; we count those as MAC-equivalents because the SHAVE
 // CMU/VAU issue them at the same rate.
@@ -155,13 +220,13 @@ func (p *Pool) Stats(in []tensor.Shape) Stats {
 	if err != nil {
 		return Stats{}
 	}
-	k := p.K
+	window := p.K * p.K
 	if p.Global {
-		k = in[0][1] // full height; width assumed comparable
+		window = in[0][1] * in[0][2]
 	}
 	outElems := int64(out.Elems())
 	return Stats{
-		MACs:        outElems * int64(k*k),
+		MACs:        outElems * int64(window),
 		InputElems:  int64(in[0].Elems()),
 		OutputElems: outElems,
 	}

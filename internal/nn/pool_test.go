@@ -159,6 +159,15 @@ func TestPoolStats(t *testing.T) {
 	if s.Params != 0 {
 		t.Error("pool has no params")
 	}
+	// A global pool reads every element of its plane once, whatever
+	// the aspect ratio.
+	g := &Pool{LayerName: "g", PoolOp: AvgPool, Global: true}
+	if s := g.Stats([]tensor.Shape{{88, 3, 5}}); s.MACs != 88*3*5 {
+		t.Errorf("global 88x3x5 MACs = %d, want %d", s.MACs, 88*3*5)
+	}
+	if s := g.Stats([]tensor.Shape{{1024, 7, 7}}); s.MACs != 1024*7*7 {
+		t.Errorf("global 1024x7x7 MACs = %d, want %d", s.MACs, 1024*7*7)
+	}
 }
 
 func TestPoolNegativeInputsMax(t *testing.T) {

@@ -39,24 +39,22 @@ func (c *Conv) ForwardFP16Strict(out *tensor.T, ins []*tensor.T) {
 	k := c.InC * c.KH * c.KW
 	spatial := oh * ow
 
-	bufp := colBuffers.Get().(*[]float32)
-	if cap(*bufp) < k*spatial {
-		*bufp = make([]float32, k*spatial)
+	var col []float32
+	if bufp := c.colBuffer(k * spatial); bufp != nil {
+		defer colBuffers.Put(bufp)
+		col = *bufp
 	}
-	col := (*bufp)[:k*spatial]
-	defer colBuffers.Put(bufp)
 
 	// Column-major gather buffer: one patch (length k) at a time keeps
 	// the strict inner loop contiguous.
 	patch := make([]float32, k)
 	wt, bt := tensorsOf(c)
 	for b := 0; b < n; b++ {
-		src := in.Data[b*c.InC*h*w : (b+1)*c.InC*h*w]
-		im2col(col, src, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
+		cols := c.patches(col, in.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], h, w, oh, ow)
 		dst := out.Data[b*c.OutC*spatial : (b+1)*c.OutC*spatial]
 		for s := 0; s < spatial; s++ {
 			for i := 0; i < k; i++ {
-				patch[i] = col[i*spatial+s]
+				patch[i] = cols[i*spatial+s]
 			}
 			for oc := 0; oc < c.OutC; oc++ {
 				wrow := wt.Data[oc*k : (oc+1)*k]
