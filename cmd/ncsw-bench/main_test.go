@@ -23,6 +23,7 @@ func TestJSONReplaysSnapshots(t *testing.T) {
 		{[]string{"-experiment", "slo", "-json"}, "BENCH_PR3.json"},
 		{[]string{"-experiment", "resilience", "-json"}, "BENCH_PR4.json"},
 		{[]string{"-experiment", "hedge", "-json"}, "BENCH_PR25.json"},
+		{[]string{"-experiment", "split", "-json"}, "BENCH_PR27.json"},
 		{[]string{"-experiment", "tenants", "-json"}, "BENCH_PR9.json"},
 		{[]string{"-experiment", "scenarios", "-json"}, "BENCH_PR10.json"},
 		{[]string{"-scenario", "../../scenarios", "-json"}, "BENCH_PR10.json"},
