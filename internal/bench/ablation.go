@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graphfile"
 	"repro/internal/imagenet"
 	"repro/internal/ncs"
 	"repro/internal/nn"
@@ -197,20 +196,12 @@ func (h *Harness) PrecisionAblation(images int) (*Table, error) {
 	}
 	dcfg := imagenet.DefaultConfig()
 	dcfg.Images = images
+	dcfg.Subsets = 1
 	ds, err := imagenet.New(dcfg)
 	if err != nil {
 		return nil, err
 	}
-	net32 := nn.NewMicroGoogLeNet(nn.DefaultMicroConfig(), rng.New(microWeightSeed))
-	if err := nn.CalibrateClassifier(net32, nn.MicroClassifierName, nn.MicroPoolName,
-		ds.PreprocessedPrototypes(), classifierTemperature); err != nil {
-		return nil, err
-	}
-	blob, err := graphfile.Compile(net32)
-	if err != nil {
-		return nil, err
-	}
-	net16, _, err := graphfile.Parse(blob)
+	net32, net16, err := microNets(ds)
 	if err != nil {
 		return nil, err
 	}
@@ -235,19 +226,11 @@ func (h *Harness) PrecisionAblation(images int) (*Table, error) {
 	}
 	var ref float64
 	for _, m := range modes {
-		wrong := 0
-		for i := 0; i < images; i++ {
-			img := ds.Preprocessed(i)
-			in := img.Reshape(1, 3, dcfg.Size, dcfg.Size)
-			out, err := m.net.Forward(in, m.prec)
-			if err != nil {
-				return nil, err
-			}
-			if pred, _ := out.ArgMax(); pred != ds.Label(i) {
-				wrong++
-			}
+		preds, err := predict(ds, m.net, m.prec, 0, images)
+		if err != nil {
+			return nil, err
 		}
-		e := float64(wrong) / float64(images)
+		e := float64(wrongLabels(ds, preds)) / float64(images)
 		if m.prec == nn.FP32 {
 			ref = e
 		}

@@ -27,9 +27,6 @@ type Config struct {
 	// accuracy experiments (Fig. 7), which execute real arithmetic and
 	// are far more expensive per image.
 	FunctionalImagesPerSubset int
-	// Workers bounds the goroutine pool of the functional experiments
-	// (0 = GOMAXPROCS).
-	Workers int
 	// Seed drives every random stream.
 	Seed uint64
 }
@@ -61,9 +58,6 @@ func (c Config) validate() error {
 	}
 	if c.Subsets < 1 {
 		return fmt.Errorf("bench: need at least one subset")
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("bench: negative workers")
 	}
 	return nil
 }
@@ -145,6 +139,9 @@ type Harness struct {
 	// probes memoizes the deterministic closed-loop capacity probes
 	// shared across experiments (see capacity).
 	probes map[string]probe
+	// fig7Subsets memoizes the FP32-vs-FP16 comparison Fig7a, Fig7b
+	// and Summary share (see fig7).
+	fig7Subsets []fig7Subset
 }
 
 // NewHarness validates cfg and builds the shared artefacts.
@@ -247,9 +244,10 @@ func (h *Harness) Points(id string) (any, error) {
 
 // precisionImages bounds the precision ablation: its FP16-accumulate
 // pass emulates per-element rounding in software and costs ~25 ms per
-// image on one thread, so paper-scale configs cap it at 2000 images
-// (the ablation compares error-rate deltas of several percent, for
-// which 2000 samples give ±1% resolution).
+// image on one thread (the pass runs in parallel, as Forward splits
+// each batch across GOMAXPROCS), so paper-scale configs cap it at 2000
+// images (the ablation compares error-rate deltas of several percent,
+// for which 2000 samples give ±1% resolution).
 func precisionImages(cfg Config) int {
 	const cap = 2000
 	if cfg.FunctionalImagesPerSubset > cap {

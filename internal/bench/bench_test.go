@@ -65,7 +65,6 @@ func TestConfigValidation(t *testing.T) {
 		{ImagesPerSubset: 0, Subsets: 5, FunctionalImagesPerSubset: 1},
 		{ImagesPerSubset: 1, Subsets: 0, FunctionalImagesPerSubset: 1},
 		{ImagesPerSubset: 1, Subsets: 1, FunctionalImagesPerSubset: 0},
-		{ImagesPerSubset: 1, Subsets: 1, FunctionalImagesPerSubset: 1, Workers: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewHarness(cfg); err == nil {
@@ -402,6 +401,18 @@ func TestMeasureErrorAtCalibratedSigma(t *testing.T) {
 	}
 	if got < 0.29 || got > 0.35 {
 		t.Errorf("error at calibrated sigma = %.3f, want ~0.32", got)
+	}
+}
+
+// TestAccuracyTinyDatasets checks that the accuracy experiments with a
+// dataset of their own accept fewer images than the default five
+// subsets: their dataset is one subset.
+func TestAccuracyTinyDatasets(t *testing.T) {
+	if _, err := MeasureErrorAt(19.48, 3); err != nil {
+		t.Errorf("MeasureErrorAt at 3 images: %v", err)
+	}
+	if _, err := harness(t).PrecisionAblation(3); err != nil {
+		t.Errorf("PrecisionAblation at 3 images: %v", err)
 	}
 }
 

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/imagenet"
 	"repro/internal/nn"
-	"repro/internal/rng"
 )
 
 // CalibrateNoise searches for the dataset noise sigma at which the
@@ -58,56 +55,18 @@ func MeasureErrorAt(sigma float64, images int) (float64, error) {
 	cfg := imagenet.DefaultConfig()
 	cfg.NoiseSigma = sigma
 	cfg.Images = images
+	cfg.Subsets = 1
 	ds, err := imagenet.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	net := nn.NewMicroGoogLeNet(nn.DefaultMicroConfig(), rng.New(microWeightSeed))
-	if err := nn.CalibrateClassifier(net, nn.MicroClassifierName, nn.MicroPoolName,
-		ds.PreprocessedPrototypes(), classifierTemperature); err != nil {
+	net32, _, err := microNets(ds)
+	if err != nil {
 		return 0, err
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > images {
-		workers = images
+	preds, err := predict(ds, net32, nn.FP32, 0, images)
+	if err != nil {
+		return 0, err
 	}
-	wrong := make([]int, workers)
-	errs := make([]error, workers)
-	per := (images + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > images {
-			hi = images
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				img := ds.Preprocessed(i)
-				in := img.Reshape(1, 3, cfg.Size, cfg.Size)
-				out, err := net.Forward(in, nn.FP32)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if pred, _ := out.ArgMax(); pred != ds.Label(i) {
-					wrong[w]++
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for w := range wrong {
-		if errs[w] != nil {
-			return 0, errs[w]
-		}
-		total += wrong[w]
-	}
-	return float64(total) / float64(images), nil
+	return float64(wrongLabels(ds, preds)) / float64(images), nil
 }

@@ -2,13 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"math"
 
 	"repro/internal/graphfile"
 	"repro/internal/imagenet"
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 // Fixed parameters of the accuracy pipeline. The dataset's noise level
@@ -31,12 +31,6 @@ var (
 	paperFig7bConfDiff = 0.0044
 )
 
-// fig7Data caches the expensive functional comparison shared by
-// Fig7a and Fig7b.
-type fig7Data struct {
-	subsets []fig7Subset
-}
-
 type fig7Subset struct {
 	n       int
 	wrong32 int
@@ -54,28 +48,85 @@ func (s fig7Subset) confDiff() float64 {
 	return s.diffSum / float64(s.diffN)
 }
 
-var fig7Cache struct {
-	sync.Mutex
-	byKey map[string]*fig7Data
+// microNets builds the accuracy experiments' network pair for ds: the
+// FP32 micro-GoogLeNet (the CPU/Caffe path) with its prototype
+// classifier calibrated on ds, and its FP16 twin from the graph-file
+// round trip (exactly what mvNCCompile + the NCS firmware do to the
+// weights).
+func microNets(ds *imagenet.Dataset) (net32, net16 *nn.Graph, err error) {
+	net32 = nn.NewMicroGoogLeNet(nn.DefaultMicroConfig(), rng.New(microWeightSeed))
+	if err := nn.CalibrateClassifier(net32, nn.MicroClassifierName, nn.MicroPoolName,
+		ds.PreprocessedPrototypes(), classifierTemperature); err != nil {
+		return nil, nil, err
+	}
+	blob, err := graphfile.Compile(net32)
+	if err != nil {
+		return nil, nil, err
+	}
+	if net16, _, err = graphfile.Parse(blob); err != nil {
+		return nil, nil, err
+	}
+	return net32, net16, nil
 }
 
-// fig7 runs (or returns the cached) FP32-vs-FP16 comparison: the same
+// prediction is one image's top-1 class and its confidence.
+type prediction struct {
+	class int
+	conf  float32
+}
+
+// predictBatch bounds the images predict stacks into one Forward.
+const predictBatch = 64
+
+// predict classifies images [lo, hi) of ds through g at prec and
+// returns their predictions in index order. Forward splits each batch
+// across GOMAXPROCS and gives every image the bits of a forward of
+// that image alone (TestForwardBatchIndependent), so the predictions
+// depend on neither the batch size nor the core count.
+func predict(ds *imagenet.Dataset, g *nn.Graph, prec nn.Precision, lo, hi int) ([]prediction, error) {
+	shape := g.InputShape()
+	per := shape.Elems()
+	preds := make([]prediction, 0, hi-lo)
+	for b := lo; b < hi; b += predictBatch {
+		n := min(predictBatch, hi-b)
+		in := tensor.New(append(tensor.Shape{n}, shape...)...)
+		for i := range n {
+			copy(in.Data[i*per:(i+1)*per], ds.Preprocessed(b+i).Data)
+		}
+		out, err := g.Forward(in, prec)
+		if err != nil {
+			return nil, err
+		}
+		classes := len(out.Data) / n
+		for i := range n {
+			class, conf := tensor.FromSlice(out.Data[i*classes:(i+1)*classes], classes).ArgMax()
+			preds = append(preds, prediction{class, conf})
+		}
+	}
+	return preds, nil
+}
+
+// wrongLabels counts the predictions of images [0, len(preds)) that
+// miss ds.Label.
+func wrongLabels(ds *imagenet.Dataset, preds []prediction) int {
+	wrong := 0
+	for i, p := range preds {
+		if p.class != ds.Label(i) {
+			wrong++
+		}
+	}
+	return wrong
+}
+
+// fig7 runs (once per harness) the FP32-vs-FP16 comparison: the same
 // preprocessed images through the FP32 network (the CPU/Caffe path)
 // and through the FP16 network parsed from the compiled graph file
 // (the NCS path). Ground-truth labels go through the bounding-box
 // annotation extraction, as in §IV-B.
-func (h *Harness) fig7() (*fig7Data, error) {
-	key := fmt.Sprintf("%d/%d", h.cfg.FunctionalImagesPerSubset, h.cfg.Subsets)
-	fig7Cache.Lock()
-	if fig7Cache.byKey == nil {
-		fig7Cache.byKey = map[string]*fig7Data{}
+func (h *Harness) fig7() ([]fig7Subset, error) {
+	if h.fig7Subsets != nil {
+		return h.fig7Subsets, nil
 	}
-	if d, ok := fig7Cache.byKey[key]; ok {
-		fig7Cache.Unlock()
-		return d, nil
-	}
-	fig7Cache.Unlock()
-
 	dcfg := imagenet.DefaultConfig()
 	dcfg.Images = h.cfg.FunctionalImagesPerSubset * h.cfg.Subsets
 	dcfg.Subsets = h.cfg.Subsets
@@ -83,127 +134,48 @@ func (h *Harness) fig7() (*fig7Data, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// The FP32 network (CPU path) with the prototype-calibrated
-	// classifier, and its FP16 twin from the graph-file round trip
-	// (exactly what mvNCCompile + the NCS firmware do to the weights).
-	net32 := nn.NewMicroGoogLeNet(nn.DefaultMicroConfig(), rng.New(microWeightSeed))
-	if err := nn.CalibrateClassifier(net32, nn.MicroClassifierName, nn.MicroPoolName,
-		ds.PreprocessedPrototypes(), classifierTemperature); err != nil {
-		return nil, err
-	}
-	blob, err := graphfile.Compile(net32)
+	net32, net16, err := microNets(ds)
 	if err != nil {
 		return nil, err
 	}
-	net16, _, err := graphfile.Parse(blob)
-	if err != nil {
-		return nil, err
-	}
-
-	data := &fig7Data{subsets: make([]fig7Subset, h.cfg.Subsets)}
-	for k := 0; k < h.cfg.Subsets; k++ {
+	subsets := make([]fig7Subset, h.cfg.Subsets)
+	for k := range subsets {
 		lo, hi := ds.SubsetRange(k)
-		sub, err := h.fig7Subset(ds, net32, net16, lo, hi)
+		p32, err := predict(ds, net32, nn.FP32, lo, hi)
 		if err != nil {
 			return nil, err
 		}
-		data.subsets[k] = sub
-	}
-	fig7Cache.Lock()
-	fig7Cache.byKey[key] = data
-	fig7Cache.Unlock()
-	return data, nil
-}
-
-// fig7Subset classifies images [lo, hi) under both precisions with a
-// deterministic parallel reduction (chunks merged in index order).
-func (h *Harness) fig7Subset(ds *imagenet.Dataset, net32, net16 *nn.Graph, lo, hi int) (fig7Subset, error) {
-	workers := h.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := hi - lo
-	if workers > n {
-		workers = n
-	}
-	chunks := make([]fig7Subset, workers)
-	errs := make([]error, workers)
-	per := (n + workers - 1) / workers
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		cLo := lo + w*per
-		cHi := cLo + per
-		if cHi > hi {
-			cHi = hi
+		p16, err := predict(ds, net16, nn.FP16, lo, hi)
+		if err != nil {
+			return nil, err
 		}
-		if cLo >= cHi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, cLo, cHi int) {
-			defer wg.Done()
-			var acc fig7Subset
-			for i := cLo; i < cHi; i++ {
-				label, err := ds.LabelFromAnnotation(ds.Annotation(i))
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				img := ds.Preprocessed(i)
-				in := img.Reshape(1, 3, ds.Config().Size, ds.Config().Size)
-				out32, err := net32.Forward(in, nn.FP32)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out16, err := net16.Forward(in, nn.FP16)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				p32, c32 := out32.ArgMax()
-				p16, c16 := out16.ArgMax()
-				acc.n++
-				if p32 != label {
-					acc.wrong32++
-				}
-				if p16 != label {
-					acc.wrong16++
-				}
-				if p32 == label && p16 == label {
-					d := float64(c32) - float64(c16)
-					if d < 0 {
-						d = -d
-					}
-					acc.diffSum += d
-					acc.diffN++
-				}
+		s := &subsets[k]
+		for i := range p32 {
+			label, err := ds.LabelFromAnnotation(ds.Annotation(lo + i))
+			if err != nil {
+				return nil, err
 			}
-			chunks[w] = acc
-		}(w, cLo, cHi)
-	}
-	wg.Wait()
-
-	var total fig7Subset
-	for w := range chunks {
-		if errs[w] != nil {
-			return fig7Subset{}, errs[w]
+			s.n++
+			if p32[i].class != label {
+				s.wrong32++
+			}
+			if p16[i].class != label {
+				s.wrong16++
+			}
+			if p32[i].class == label && p16[i].class == label {
+				s.diffSum += math.Abs(float64(p32[i].conf) - float64(p16[i].conf))
+				s.diffN++
+			}
 		}
-		total.n += chunks[w].n
-		total.wrong32 += chunks[w].wrong32
-		total.wrong16 += chunks[w].wrong16
-		total.diffSum += chunks[w].diffSum
-		total.diffN += chunks[w].diffN
 	}
-	return total, nil
+	h.fig7Subsets = subsets
+	return subsets, nil
 }
 
 // Fig7a regenerates Figure 7a: top-1 inference error per subset for
 // the CPU (FP32) and VPU (FP16) implementations.
 func (h *Harness) Fig7a() (*Table, error) {
-	data, err := h.fig7()
+	subsets, err := h.fig7()
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +189,7 @@ func (h *Harness) Fig7a() (*Table, error) {
 		},
 	}
 	var e32, e16 float64
-	for k, s := range data.subsets {
+	for k, s := range subsets {
 		e32 += s.err32()
 		e16 += s.err16()
 		t.AddRow(
@@ -226,7 +198,7 @@ func (h *Harness) Fig7a() (*Table, error) {
 			fmt.Sprintf("%.2f%%", s.err16()*100),
 		)
 	}
-	n := float64(len(data.subsets))
+	n := float64(len(subsets))
 	t.AddRow("mean",
 		fmtRatio(e32/n*100, paperFig7aErr["cpu"]*100, "%.2f%%"),
 		fmtRatio(e16/n*100, paperFig7aErr["vpu"]*100, "%.2f%%"),
@@ -240,7 +212,7 @@ func (h *Harness) Fig7a() (*Table, error) {
 // between the FP32 and FP16 implementations per subset, filtered to
 // images both precisions classify correctly.
 func (h *Harness) Fig7b() (*Table, error) {
-	data, err := h.fig7()
+	subsets, err := h.fig7()
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +225,7 @@ func (h *Harness) Fig7b() (*Table, error) {
 		},
 	}
 	var sum float64
-	for k, s := range data.subsets {
+	for k, s := range subsets {
 		sum += s.confDiff()
 		t.AddRow(
 			fmt.Sprintf("Set-%d", k+1),
@@ -261,7 +233,7 @@ func (h *Harness) Fig7b() (*Table, error) {
 			fmt.Sprintf("%d", s.diffN),
 		)
 	}
-	mean := sum / float64(len(data.subsets))
+	mean := sum / float64(len(subsets))
 	t.AddRow("mean", fmtRatio(mean, paperFig7bConfDiff, "%.2e"), "")
 	return t, nil
 }

@@ -78,12 +78,12 @@ func (h *Harness) Summary() (*Table, error) {
 		return nil, err
 	}
 	var e32, e16, cd float64
-	for _, s := range fig7.subsets {
+	for _, s := range fig7 {
 		e32 += s.err32()
 		e16 += s.err16()
 		cd += s.confDiff()
 	}
-	n := float64(len(fig7.subsets))
+	n := float64(len(fig7))
 	t.AddRow("top-1 error (FP16, §IV-B)",
 		"31.92% (0.09% from FP32)",
 		fmt.Sprintf("%.2f%% (%+.2f%% from FP32)", e16/n*100, (e32-e16)/n*100))

@@ -28,6 +28,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== accuracy golden on one core =="
+# The accuracy experiments classify through batched Graph.Forward, which
+# splits each batch across GOMAXPROCS. The golden above ran at the
+# host's core count; this run proves the tables do not depend on it.
+GOMAXPROCS=1 go test -count=1 -run TestAccuracyGolden ./internal/bench
+
 echo "== benchmark module (cmd/ncsw-perf: vet + test) =="
 # The benchmark is a Go module of its own, so the root ./... above
 # skips it; a break in the Report API it reads would otherwise surface
