@@ -206,16 +206,8 @@ func (h *Harness) PrecisionAblation(images int) (*Table, error) {
 		return nil, err
 	}
 
-	type mode struct {
-		name string
-		net  *nn.Graph
-		prec nn.Precision
-	}
-	modes := []mode{
-		{"FP32 (CPU reference)", net32, nn.FP32},
-		{"FP16, FP32 accumulate", net16, nn.FP16},
-		{"FP16, FP16 accumulate", net16, nn.FP16Strict},
-	}
+	names := []string{"FP32 (CPU reference)", "FP16, FP32 accumulate", "FP16, FP16 accumulate"}
+	passes := []pass{{net32, nn.FP32}, {net16, nn.FP16}, {net16, nn.FP16Strict}}
 	t := &Table{
 		ID:      "precision",
 		Title:   "Precision ablation: accumulate width on the VPU path",
@@ -224,17 +216,17 @@ func (h *Harness) PrecisionAblation(images int) (*Table, error) {
 			fmt.Sprintf("%d images; paper observes a 0.09%% FP32-FP16 difference, consistent with FP32 accumulation", images),
 		},
 	}
+	preds, err := predict(ds, 0, images, passes...)
+	if err != nil {
+		return nil, err
+	}
 	var ref float64
-	for _, m := range modes {
-		preds, err := predict(ds, m.net, m.prec, 0, images)
-		if err != nil {
-			return nil, err
-		}
-		e := float64(wrongLabels(ds, preds)) / float64(images)
-		if m.prec == nn.FP32 {
+	for k, ps := range passes {
+		e := float64(wrongLabels(ds, preds[k])) / float64(images)
+		if ps.prec == nn.FP32 {
 			ref = e
 		}
-		t.AddRow(m.name, fmt.Sprintf("%.2f%%", e*100), fmt.Sprintf("%+.2f%%", (e-ref)*100))
+		t.AddRow(names[k], fmt.Sprintf("%.2f%%", e*100), fmt.Sprintf("%+.2f%%", (e-ref)*100))
 	}
 	return t, nil
 }

@@ -135,7 +135,7 @@ func (t *Table) Markdown() string {
 type Harness struct {
 	cfg  Config
 	goog *nn.Graph
-	blob []byte
+	blob *graphfile.Handle
 	// probes memoizes the deterministic closed-loop capacity probes
 	// shared across experiments (see capacity).
 	probes map[string]probe
@@ -150,7 +150,7 @@ func NewHarness(cfg Config) (*Harness, error) {
 		return nil, err
 	}
 	goog := nn.NewGoogLeNet(rng.New(cfg.Seed).Derive("googlenet-weights"))
-	blob, err := graphfile.Compile(goog)
+	blob, err := graphfile.CompileHandle(goog)
 	if err != nil {
 		return nil, err
 	}
@@ -163,8 +163,9 @@ func (h *Harness) Config() Config { return h.cfg }
 // GoogLeNet returns the cached full-size network.
 func (h *Harness) GoogLeNet() *nn.Graph { return h.goog }
 
-// Blob returns the compiled GoogLeNet graph file.
-func (h *Harness) Blob() []byte { return h.blob }
+// Blob returns the compiled GoogLeNet graph file, building its payload
+// on the first call.
+func (h *Harness) Blob() []byte { return h.blob.Bytes() }
 
 // experiments registers the regenerable artefacts in paper order: the
 // paper's figures, the headline summary, then the beyond-the-paper

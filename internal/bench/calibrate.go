@@ -64,9 +64,9 @@ func MeasureErrorAt(sigma float64, images int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	preds, err := predict(ds, net32, nn.FP32, 0, images)
+	preds, err := predict(ds, 0, images, pass{net32, nn.FP32})
 	if err != nil {
 		return 0, err
 	}
-	return float64(wrongLabels(ds, preds)) / float64(images), nil
+	return float64(wrongLabels(ds, preds[0])) / float64(images), nil
 }

@@ -78,29 +78,42 @@ type prediction struct {
 // predictBatch bounds the images predict stacks into one Forward.
 const predictBatch = 64
 
-// predict classifies images [lo, hi) of ds through g at prec and
-// returns their predictions in index order. Forward splits each batch
-// across GOMAXPROCS and gives every image the bits of a forward of
-// that image alone (TestForwardBatchIndependent), so the predictions
-// depend on neither the batch size nor the core count.
-func predict(ds *imagenet.Dataset, g *nn.Graph, prec nn.Precision, lo, hi int) ([]prediction, error) {
-	shape := g.InputShape()
+// pass is one network run at one precision.
+type pass struct {
+	net  *nn.Graph
+	prec nn.Precision
+}
+
+// predict classifies images [lo, hi) of ds through every pass and
+// returns each pass's predictions in index order. Each batch of images
+// is generated and preprocessed once and forwarded through every pass;
+// the passes share an input shape. Forward splits each batch across
+// GOMAXPROCS and gives every image the bits of a forward of that image
+// alone (TestForwardBatchIndependent), so the predictions depend on
+// neither the batch size nor the core count.
+func predict(ds *imagenet.Dataset, lo, hi int, passes ...pass) ([][]prediction, error) {
+	shape := passes[0].net.InputShape()
 	per := shape.Elems()
-	preds := make([]prediction, 0, hi-lo)
+	preds := make([][]prediction, len(passes))
+	for i := range preds {
+		preds[i] = make([]prediction, 0, hi-lo)
+	}
 	for b := lo; b < hi; b += predictBatch {
 		n := min(predictBatch, hi-b)
 		in := tensor.New(append(tensor.Shape{n}, shape...)...)
 		for i := range n {
 			copy(in.Data[i*per:(i+1)*per], ds.Preprocessed(b+i).Data)
 		}
-		out, err := g.Forward(in, prec)
-		if err != nil {
-			return nil, err
-		}
-		classes := len(out.Data) / n
-		for i := range n {
-			class, conf := tensor.FromSlice(out.Data[i*classes:(i+1)*classes], classes).ArgMax()
-			preds = append(preds, prediction{class, conf})
+		for k, ps := range passes {
+			out, err := ps.net.Forward(in, ps.prec)
+			if err != nil {
+				return nil, err
+			}
+			classes := len(out.Data) / n
+			for i := range n {
+				class, conf := tensor.FromSlice(out.Data[i*classes:(i+1)*classes], classes).ArgMax()
+				preds[k] = append(preds[k], prediction{class, conf})
+			}
 		}
 	}
 	return preds, nil
@@ -141,14 +154,11 @@ func (h *Harness) fig7() ([]fig7Subset, error) {
 	subsets := make([]fig7Subset, h.cfg.Subsets)
 	for k := range subsets {
 		lo, hi := ds.SubsetRange(k)
-		p32, err := predict(ds, net32, nn.FP32, lo, hi)
+		preds, err := predict(ds, lo, hi, pass{net32, nn.FP32}, pass{net16, nn.FP16})
 		if err != nil {
 			return nil, err
 		}
-		p16, err := predict(ds, net16, nn.FP16, lo, hi)
-		if err != nil {
-			return nil, err
-		}
+		p32, p16 := preds[0], preds[1]
 		s := &subsets[k]
 		for i := range p32 {
 			label, err := ds.LabelFromAnnotation(ds.Annotation(lo + i))

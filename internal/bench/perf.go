@@ -37,7 +37,7 @@ func vpuGroup(sticks int) pipeline.Group {
 func (h *Harness) session(images int, seedLabel string, cfg pipeline.Config) (*pipeline.Session, error) {
 	cfg.Dataset = h.perfDataset(images)
 	cfg.Seed = h.cfg.Seed
-	cfg.Net, cfg.Blob = h.goog, h.blob
+	cfg.Net, cfg.Blob = h.goog, h.Blob()
 	for i := range cfg.Groups {
 		cfg.Groups[i].SeedLabel = seedLabel
 	}

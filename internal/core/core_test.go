@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graphfile"
 	"repro/internal/imagenet"
 	"repro/internal/sim"
 )
@@ -276,7 +277,7 @@ func TestBatchTargetRunsFake(t *testing.T) {
 }
 
 func TestVPUTargetValidation(t *testing.T) {
-	if _, err := NewVPUTarget(nil, []byte{1}, DefaultVPUOptions()); err == nil {
+	if _, err := NewVPUTarget(nil, graphfile.FromBytes([]byte{1}), DefaultVPUOptions()); err == nil {
 		t.Error("no devices accepted")
 	}
 	opts := DefaultVPUOptions()

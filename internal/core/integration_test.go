@@ -21,7 +21,7 @@ import (
 type testbed struct {
 	env     *sim.Env
 	devices []*ncs.Device
-	blob    []byte
+	blob    *graphfile.Handle
 	graph   *nn.Graph
 	ds      *imagenet.Dataset
 }
@@ -42,7 +42,7 @@ func newTestbed(t testing.TB, n int, g *nn.Graph, images int) *testbed {
 		}
 		devices[i] = d
 	}
-	blob, err := graphfile.Compile(g)
+	blob, err := graphfile.CompileHandle(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestVPUTargetFunctionalClassification(t *testing.T) {
 		tb.ds.PreprocessedPrototypes(), 8); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := graphfile.Compile(micro)
+	blob, err := graphfile.CompileHandle(micro)
 	if err != nil {
 		t.Fatal(err)
 	}

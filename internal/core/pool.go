@@ -115,6 +115,8 @@ type Pool struct {
 	// childHealthy/childTotal hold the latest per-child health report
 	// (initialized to full health at Start).
 	childHealthy, childTotal []int
+	// order is dispatchByScore's scratch, reused across dispatches.
+	order []int
 }
 
 // NewPool builds a device group over children.
@@ -579,7 +581,7 @@ func (pl *Pool) dispatchByScore(p *sim.Proc, feeds []*sim.Queue[Item], score fun
 	// until they rejoin; if every live child is down, deal to the live
 	// set anyway so the bounded feeds buffer the work instead of the
 	// pool stalling.
-	var order []int
+	order := pl.order[:0]
 	for i := range feeds {
 		if !pl.jobs[i].done && !pl.down[i] {
 			order = append(order, i)
@@ -592,6 +594,7 @@ func (pl *Pool) dispatchByScore(p *sim.Proc, feeds []*sim.Queue[Item], score fun
 			}
 		}
 	}
+	pl.order = order
 	if len(order) == 0 {
 		return 0, false
 	}
@@ -608,8 +611,11 @@ func (pl *Pool) dispatchByScore(p *sim.Proc, feeds []*sim.Queue[Item], score fun
 			}
 		}
 	}
-	feeds[order[0]].Put(p, item)
-	return order[0], true
+	// Put may block, and another dispatch may reuse the scratch
+	// meanwhile.
+	best := order[0]
+	feeds[best].Put(p, item)
+	return best, true
 }
 
 // apportion splits total items into contiguous blocks proportional to

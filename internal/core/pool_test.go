@@ -474,3 +474,29 @@ func TestPoolRouteLatencyTailUnderArrivals(t *testing.T) {
 		t.Errorf("latency routing p99 %v not clearly below round-robin %v", lat.P99, rr.P99)
 	}
 }
+
+// TestDispatchByScoreAllocs: a warm scored dispatch reuses the pool's
+// order scratch and allocates nothing.
+func TestDispatchByScoreAllocs(t *testing.T) {
+	const n = 4
+	env := sim.NewEnv()
+	pl := &Pool{jobs: make([]*Job, n), down: make([]bool, n)}
+	feeds := make([]*sim.Queue[Item], n)
+	for i := range n {
+		pl.jobs[i] = &Job{}
+		feeds[i] = sim.NewQueue[Item](env, fmt.Sprintf("feed-%d", i), 1)
+	}
+	pl.down[1] = true
+	score := func(i int) float64 { return float64((3 * i) % n) }
+	dispatch := func() {
+		i, ok := pl.dispatchByScore(nil, feeds, score, true, Item{})
+		if !ok || i != 0 {
+			t.Fatalf("dispatch = %d, %v; want child 0", i, ok)
+		}
+		feeds[i].TryGet()
+	}
+	dispatch()
+	if allocs := testing.AllocsPerRun(100, dispatch); allocs != 0 {
+		t.Errorf("warm scored dispatch allocates %.0f times, want 0", allocs)
+	}
+}

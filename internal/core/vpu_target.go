@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/field"
+	"repro/internal/graphfile"
 	"repro/internal/ncs"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -157,7 +158,7 @@ func DefaultVPUOptions() VPUOptions {
 // source.
 type VPUTarget struct {
 	devices []*ncs.Device
-	blob    []byte
+	blob    *graphfile.Handle
 	opts    VPUOptions
 
 	// Health state of the current run (downCount is reset by Start;
@@ -169,13 +170,13 @@ type VPUTarget struct {
 	hedge *hedger
 }
 
-// NewVPUTarget builds the target. blob is the compiled graph file
-// loaded onto every stick.
-func NewVPUTarget(devices []*ncs.Device, blob []byte, opts VPUOptions) (*VPUTarget, error) {
+// NewVPUTarget builds the target. blob is the graph file loaded onto
+// every stick (ncs.Device.AllocateGraph).
+func NewVPUTarget(devices []*ncs.Device, blob *graphfile.Handle, opts VPUOptions) (*VPUTarget, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("core: multi-VPU target needs at least one device")
 	}
-	if len(blob) == 0 {
+	if blob == nil || blob.Len() == 0 {
 		return nil, fmt.Errorf("core: empty graph blob")
 	}
 	if opts.HostOverhead < 0 {

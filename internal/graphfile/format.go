@@ -14,17 +14,22 @@
 // like real NCS graph files. A CRC-32 trailer lets the device firmware
 // reject corrupted transfers.
 //
-// Neither direction materialises float32 weights. Compile writes the
-// structure with a reserved slot per weight run, then encodes the runs
-// on every core in fixed-size chunks (see Compile); Parse checks the
-// structure and leaves each run undecoded until its layer is first
-// read.
+// Neither direction materialises float32 weights. A compiled graph
+// file is a Handle: CompileHandle writes the structure and each weight
+// run's length, which gives the blob's exact length, and the runs'
+// values, the CRC and the buffer wait for the first Bytes call, which
+// encodes the runs on every core in fixed-size chunks. Parse checks
+// the structure and leaves each run undecoded until its layer is first
+// read. A device allocates from a handle (Handle.Parse): bytes from
+// outside (FromBytes) are parsed in full, CRC included, while a
+// compiled handle's structure is read with the same checks and its
+// layers decode from Bytes on first read, so a network that is only
+// timed never builds the payload.
 package graphfile
 
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/half"
 )
@@ -53,8 +58,12 @@ const (
 type writer struct {
 	buf []byte
 	err error
-	// slots are the parameter runs reserved in buf (see Compile).
-	slots []slot
+	// slots are the parameter runs reserved in buf and gaps where
+	// their values were left out (see CompileHandle); skipped counts
+	// those values' bytes.
+	slots   []slot
+	gaps    []gap
+	skipped int
 }
 
 func (w *writer) u8(v uint8)       { w.buf = append(w.buf, v) }
@@ -88,12 +97,13 @@ func (w *writer) ints(vals ...int) {
 	}
 }
 
-// reserve writes a run length n and leaves room for n binary16 values
-// after it, returning the offset of that room in buf.
+// reserve writes a run length n and leaves the n binary16 values that
+// follow it out of buf, returning their offset in the blob.
 func (w *writer) reserve(n int) int {
 	w.uvarint(uint64(n))
-	off := len(w.buf)
-	w.buf = slices.Grow(w.buf, 2*n)[:off+2*n]
+	w.gaps = append(w.gaps, gap{len(w.buf), 2 * n})
+	off := len(w.buf) + w.skipped
+	w.skipped += 2 * n
 	return off
 }
 
@@ -105,12 +115,18 @@ func encodeFP16(dst []byte, vals []float32) {
 	}
 }
 
-// reader is a cursor over a blob's bytes. It keeps the first error
-// and turns every later read into a no-op, so call sites stay linear.
+// reader is a cursor over a blob's bytes, or over a compiled handle's
+// structure, which leaves the values of each parameter run out. It
+// keeps the first error and turns every later read into a no-op, so
+// call sites stay linear.
 type reader struct {
 	buf []byte
 	off int
 	err error
+	// structure marks a handle's structure; skipped counts the run
+	// bytes it left out before off.
+	structure bool
+	skipped   int
 }
 
 func (r *reader) fail(format string, args ...any) {
@@ -237,9 +253,16 @@ func (r *reader) strs() []string {
 	return out
 }
 
-// fp16Run consumes a run of binary16 weights and returns its bytes,
-// two per element, undecoded: the layer decodes them on first read.
-func (r *reader) fp16Run() []byte {
-	n := r.bounded("weight blob length")
-	return r.take(2*n, "weight blob")
+// fp16Run consumes a run of n binary16 weights and returns n and the
+// blob offset of the values, which stay undecoded: the layer decodes
+// them on first read.
+func (r *reader) fp16Run() (at, n int) {
+	n = r.bounded("weight blob length")
+	at = r.off + r.skipped
+	if r.structure {
+		r.skipped += 2 * n
+	} else {
+		r.take(2*n, "weight blob")
+	}
+	return at, n
 }

@@ -25,8 +25,8 @@ type Info struct {
 // Parse reconstructs a network from a compiled blob, verifying the
 // magic, version, CRC trailer, each weight run's length against its
 // layer's geometry, the header's MAC and parameter totals, and final
-// graph integrity. It decodes no weight: each weighted layer keeps its
-// binary16 runs as sub-slices of blob and decodes them on first read
+// graph integrity. It decodes no weight: each weighted layer keeps the
+// offsets of its binary16 runs in blob and decodes them on first read
 // (nn.Params), so the blob must not be modified afterwards. Parsing
 // for a timing run therefore costs the topology only. The weights, when
 // read, are FP16-exact (they round-tripped through binary16 during
@@ -43,13 +43,31 @@ func Parse(blob []byte) (*nn.Graph, *Info, error) {
 	if got := crc32.ChecksumIEEE(payload); got != wantSum {
 		return nil, nil, fmt.Errorf("graphfile: checksum mismatch (blob corrupted in transfer)")
 	}
+	return parse(&reader{buf: payload, off: len(Magic)}, len(blob), func() []byte { return blob })
+}
 
-	r := &reader{buf: payload[len(Magic):]}
+// Parse builds the network a device runs from h. Bytes from outside go
+// through the package's Parse in full, CRC included, on every call. A
+// compiled handle's structure is read with the same cursor and checks
+// (run lengths against geometry, the header's totals, graph
+// integrity), and its weighted layers decode their runs from h.Bytes
+// on first read, so a network that is only timed never builds the
+// payload.
+func (h *Handle) Parse() (*nn.Graph, *Info, error) {
+	if h.structure == nil {
+		return Parse(h.buf)
+	}
+	return parse(&reader{buf: h.structure, off: len(Magic), structure: true}, h.n, h.Bytes)
+}
+
+// parse reads everything after the magic of an n-byte blob whose bytes
+// file returns; r is positioned at the version.
+func parse(r *reader, n int, file func() []byte) (*nn.Graph, *Info, error) {
 	if v := r.u32(); v != Version {
 		return nil, nil, fmt.Errorf("graphfile: unsupported version %d (want %d)", v, Version)
 	}
 
-	info := &Info{Bytes: len(blob)}
+	info := &Info{Bytes: n}
 	info.Name = r.str()
 	info.InputShape = tensor.Shape(r.ints())
 	info.Output = r.str()
@@ -68,7 +86,7 @@ func Parse(blob []byte) (*nn.Graph, *Info, error) {
 	for i := 0; i < nLayers; i++ {
 		name := r.str()
 		inputs := r.strs()
-		layer, err := readLayer(r, name)
+		layer, err := readLayer(r, name, file)
 		if r.err != nil {
 			return nil, nil, r.err
 		}
@@ -98,7 +116,7 @@ func Parse(blob []byte) (*nn.Graph, *Info, error) {
 	return g, info, nil
 }
 
-func readLayer(r *reader, name string) (nn.Layer, error) {
+func readLayer(r *reader, name string, file func() []byte) (nn.Layer, error) {
 	kind := r.u8()
 	switch kind {
 	case kindConv:
@@ -107,22 +125,22 @@ func readLayer(r *reader, name string) (nn.Layer, error) {
 			return nil, fmt.Errorf("graphfile: conv %q has %d params, want 6", name, len(dims))
 		}
 		inC, outC, kh, kw, stride, pad := dims[0], dims[1], dims[2], dims[3], dims[4], dims[5]
-		weights := r.fp16Run()
-		bias := r.fp16Run()
+		wAt, nw := r.fp16Run()
+		bAt, nb := r.fp16Run()
 		if r.err != nil {
 			return nil, r.err
 		}
 		if inC <= 0 || outC <= 0 || kh <= 0 || kw <= 0 || stride <= 0 || pad < 0 {
 			return nil, fmt.Errorf("graphfile: conv %q has invalid geometry %v", name, dims)
 		}
-		if len(weights)/2 != product(outC, inC, kh, kw) || len(bias)/2 != outC {
+		if nw != product(outC, inC, kh, kw) || nb != outC {
 			return nil, fmt.Errorf("graphfile: conv %q weight sizes inconsistent", name)
 		}
 		c := &nn.Conv{
 			LayerName: name,
 			InC:       inC, OutC: outC, KH: kh, KW: kw, Stride: stride, Pad: pad,
 		}
-		c.Params().DeferFP16(weights, bias)
+		c.Params().DeferFP16(file, wAt, bAt)
 		return c, nil
 	case kindPool:
 		dims := r.ints()
@@ -163,19 +181,19 @@ func readLayer(r *reader, name string) (nn.Layer, error) {
 			return nil, fmt.Errorf("graphfile: fc %q malformed", name)
 		}
 		inF, outF := dims[0], dims[1]
-		weights := r.fp16Run()
-		bias := r.fp16Run()
+		wAt, nw := r.fp16Run()
+		bAt, nb := r.fp16Run()
 		if r.err != nil {
 			return nil, r.err
 		}
 		if inF <= 0 || outF <= 0 {
 			return nil, fmt.Errorf("graphfile: fc %q has invalid geometry %v", name, dims)
 		}
-		if len(weights)/2 != product(outF, inF) || len(bias)/2 != outF {
+		if nw != product(outF, inF) || nb != outF {
 			return nil, fmt.Errorf("graphfile: fc %q weight sizes inconsistent", name)
 		}
 		f := &nn.FullyConnected{LayerName: name, InF: inF, OutF: outF}
-		f.Params().DeferFP16(weights, bias)
+		f.Params().DeferFP16(file, wAt, bAt)
 		return f, nil
 	case kindSoftmax:
 		return &nn.Softmax{LayerName: name}, nil

@@ -46,7 +46,7 @@ type BndBox struct {
 func (d *Dataset) Annotation(i int) Annotation {
 	d.checkIndex(i)
 	label := d.Label(i)
-	src := d.root.Derive("bbox").DeriveIndex(i)
+	src := *d.bbox.DeriveIndex(i)
 	// Margins up to a quarter of the frame on each side.
 	quarter := d.cfg.Size / 4
 	if quarter < 1 {

@@ -90,11 +90,14 @@ func (c Config) Validate() error {
 // deterministic functions of (Config, index); images are produced on
 // demand rather than stored.
 type Dataset struct {
-	cfg     Config
-	root    *rng.Source
-	protos  []*tensor.T // raw pixel space prototypes, one per class
-	mean    []float32   // per-channel mean of the prototypes ("training mean")
-	synsets []Synset
+	cfg  Config
+	root *rng.Source
+	// labels, noise and bbox are the roots of the per-image streams,
+	// derived once so an image's stream costs no allocation.
+	labels, noise, bbox rng.Source
+	protos              []*tensor.T // raw pixel space prototypes, one per class
+	mean                []float32   // per-channel mean of the prototypes ("training mean")
+	synsets             []Synset
 }
 
 // New generates the prototype table and channel means for cfg.
@@ -103,6 +106,7 @@ func New(cfg Config) (*Dataset, error) {
 		return nil, fmt.Errorf("imagenet: %w", err)
 	}
 	d := &Dataset{cfg: cfg, root: rng.New(cfg.Seed)}
+	d.labels, d.noise, d.bbox = *d.root.Derive("labels"), *d.root.Derive("noise"), *d.root.Derive("bbox")
 	protoSrc := d.root.Derive("prototypes")
 	d.protos = make([]*tensor.T, cfg.Classes)
 	sums := make([]float64, cfg.Channels)
@@ -161,7 +165,8 @@ func (d *Dataset) Synset(class int) Synset { return d.synsets[class] }
 // Label returns the ground-truth class of image i.
 func (d *Dataset) Label(i int) int {
 	d.checkIndex(i)
-	return d.root.Derive("labels").DeriveIndex(i).Intn(d.cfg.Classes)
+	src := *d.labels.DeriveIndex(i)
+	return src.Intn(d.cfg.Classes)
 }
 
 // Prototype returns the raw-pixel prototype of a class. The returned
@@ -179,7 +184,7 @@ func (d *Dataset) Image(i int) *tensor.T {
 	d.checkIndex(i)
 	label := d.Label(i)
 	img := d.protos[label].Clone()
-	noise := d.root.Derive("noise").DeriveIndex(i)
+	noise := *d.noise.DeriveIndex(i)
 	sigma := float32(d.cfg.NoiseSigma)
 	for j := range img.Data {
 		img.Data[j] += sigma * noise.NormFloat32()

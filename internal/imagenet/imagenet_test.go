@@ -88,6 +88,23 @@ func TestLabelsCoverClasses(t *testing.T) {
 	}
 }
 
+// TestLabelStreams: an image's label comes from the "labels"
+// sub-stream of the dataset seed, indexed by the image, and reading it
+// allocates nothing.
+func TestLabelStreams(t *testing.T) {
+	cfg := smallConfig()
+	d := mustDataset(t, cfg)
+	for i := range d.Len() {
+		if want := rng.New(cfg.Seed).Derive("labels").DeriveIndex(i).Intn(cfg.Classes); d.Label(i) != want {
+			t.Fatalf("Label(%d) = %d, want %d", i, d.Label(i), want)
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() { i = (i + d.Label(i) + 1) % d.Len() }); allocs != 0 {
+		t.Errorf("Label allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestPixelsInRange(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NoiseSigma = 500 // extreme noise must still clamp

@@ -293,15 +293,18 @@ type GraphOptions struct {
 	Functional bool
 }
 
-// AllocateGraph ships a compiled blob to the device, which parses and
-// validates it (rejecting corrupted blobs exactly like the firmware
-// does) and readies the VPU engine (mvncAllocateGraph). The parse
-// decodes no weight: the engine costs layers from their geometry, and
-// a functional graph decodes its weights from blob on its first
-// inference. The graph keeps referring to blob, and a session's blob
-// may be shared with other live sessions, so blob must be treated as
-// read-only.
-func (d *Device) AllocateGraph(p *sim.Proc, blob []byte, opts GraphOptions) (*Graph, error) {
+// AllocateGraph ships a graph file to the device, which parses and
+// validates it and readies the VPU engine (mvncAllocateGraph). The
+// transfer and parse times follow the file's length. Bytes from
+// outside (graphfile.FromBytes) are checked in full, CRC included,
+// rejecting a corrupted file exactly like the firmware does. A handle
+// this process compiled is trusted: the device re-reads its structure
+// with the same checks but no CRC, and a timing graph never builds the
+// payload, because the engine costs layers from their geometry. A
+// functional graph builds it here and decodes its weights on its
+// first inference. The graph keeps referring to the file, which other
+// live sessions may share, so its bytes must be treated as read-only.
+func (d *Device) AllocateGraph(p *sim.Proc, file *graphfile.Handle, opts GraphOptions) (*Graph, error) {
 	if d.state == stateClosed {
 		return nil, ErrDeviceNotOpen
 	}
@@ -312,13 +315,16 @@ func (d *Device) AllocateGraph(p *sim.Proc, blob []byte, opts GraphOptions) (*Gr
 		return nil, ErrGraphAllocated
 	}
 
-	d.port.Transfer(p, len(blob))
-	p.Sleep(time.Duration(float64(len(blob)) / d.cfg.AllocParseBandwidth * float64(time.Second)))
+	d.port.Transfer(p, file.Len())
+	p.Sleep(time.Duration(float64(file.Len()) / d.cfg.AllocParseBandwidth * float64(time.Second)))
 	if d.state != stateOpen {
 		// The link dropped while the blob was in flight.
 		return nil, ErrClosed
 	}
-	net, info, err := graphfile.Parse(blob)
+	if opts.Functional {
+		file.Bytes()
+	}
+	net, info, err := file.Parse()
 	if err != nil {
 		return nil, fmt.Errorf("ncs: device %s rejected graph: %w", d.name, err)
 	}

@@ -14,11 +14,12 @@ import (
 )
 
 // rig builds an env with n sticks on the paper's testbed topology and
-// a compiled blob of the given graph.
+// a compiled blob of the given graph, handed to the sticks as bytes
+// from outside, which every allocation checks in full.
 type rig struct {
 	env     *sim.Env
 	devices []*Device
-	blob    []byte
+	blob    *graphfile.Handle
 	graph   *nn.Graph
 }
 
@@ -42,7 +43,7 @@ func newRig(t testing.TB, n int, g *nn.Graph) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{env: env, devices: devices, blob: blob, graph: g}
+	return &rig{env: env, devices: devices, blob: graphfile.FromBytes(blob), graph: g}
 }
 
 func TestOpenAllocateCloseLifecycle(t *testing.T) {
@@ -154,13 +155,13 @@ func TestOperationsBeforeOpenFail(t *testing.T) {
 func TestDeviceRejectsCorruptBlob(t *testing.T) {
 	r := newRig(t, 1, nn.NewMicroGoogLeNet(nn.DefaultMicroConfig(), rng.New(1)))
 	d := r.devices[0]
-	bad := append([]byte(nil), r.blob...)
+	bad := append([]byte(nil), r.blob.Bytes()...)
 	bad[len(bad)/2] ^= 0xFF
 	r.env.Process("host", func(p *sim.Proc) {
 		if err := d.Open(p); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.AllocateGraph(p, bad, GraphOptions{}); err == nil {
+		if _, err := d.AllocateGraph(p, graphfile.FromBytes(bad), GraphOptions{}); err == nil {
 			t.Error("corrupt blob accepted")
 		}
 		if err := d.Close(p); err != nil {

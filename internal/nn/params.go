@@ -24,6 +24,8 @@ import (
 // layer generates its values from the start of its own rng stream; a
 // parsed layer decodes the binary16 runs it was parsed from (see
 // DeferFP16); a zero Params, as in a layer literal, yields zeros.
+// Unread hands the source itself out, detached from the layer, which
+// is how a compiled graph file defers its payload.
 //
 // After the first read the tensors are the values: writes to them
 // (calibration, quantization, a test's edit) are never overwritten,
@@ -104,22 +106,57 @@ func ParamChunks(l Layer, scratch []float32, fn func(off int, vals []float32)) {
 	if len(scratch) == 0 {
 		panic("nn: ParamChunks with an empty scratch")
 	}
-	p := wl.Params()
-	if p.loaded.Load() {
-		off := 0
-		for _, data := range [2][]float32{p.w.Data, p.b.Data} {
-			for len(data) > 0 {
-				k := min(len(data), len(scratch))
-				fn(off, data[:k])
-				off, data = off+k, data[k:]
-			}
-		}
+	if src, unread := Unread(l); unread {
+		src.Chunks(scratch, fn)
 		return
 	}
+	p := wl.Params()
+	off := 0
+	for _, data := range [2][]float32{p.w.Data, p.b.Data} {
+		for len(data) > 0 {
+			k := min(len(data), len(scratch))
+			fn(off, data[:k])
+			off, data = off+k, data[k:]
+		}
+	}
+}
+
+// ParamSource is a layer's initial parameter values detached from the
+// layer: what its tensors are filled from on first read. A source is
+// immutable, so it yields the same values however the layer is read or
+// edited afterwards.
+type ParamSource struct {
+	src    paramSource
+	nw, nb int
+}
+
+// Unread returns the source of a Conv or FullyConnected layer's values
+// and true while the layer has not materialised them, which is when
+// the source's values are the layer's. Once the tensors exist they are
+// the values, edits included, and Unread returns false. Layers without
+// parameters yield an empty source.
+func Unread(l Layer) (ParamSource, bool) {
+	wl, ok := l.(weighted)
+	if !ok {
+		return ParamSource{}, true
+	}
+	p := wl.Params()
+	if p.loaded.Load() {
+		return ParamSource{}, false
+	}
 	nw, nb := ParamLens(l)
-	s := p.src.stream
-	read(&s, p.src.w, nw, scratch, fn)
-	read(&s, p.src.b, nb, scratch, func(at int, vals []float32) { fn(nw+at, vals) })
+	return ParamSource{src: p.src, nw: nw, nb: nb}, true
+}
+
+// Chunks passes the source's values to fn as ParamChunks does for an
+// unread layer.
+func (s ParamSource) Chunks(scratch []float32, fn func(off int, vals []float32)) {
+	if len(scratch) == 0 {
+		panic("nn: ParamChunks with an empty scratch")
+	}
+	stream := s.src.stream
+	read(&stream, s.src.w, s.nw, scratch, fn)
+	read(&stream, s.src.b, s.nb, scratch, func(at int, vals []float32) { fn(s.nw+at, vals) })
 }
 
 // ParamLens returns the number of weight and bias values a Conv or
@@ -139,18 +176,23 @@ func paramCount(l weighted) int64 {
 	return int64(nw) + int64(nb)
 }
 
-// DeferFP16 makes two little-endian binary16 runs the source of the
-// values: w holds the weights and b the bias, two bytes per element,
-// and they decode on read. The slices are kept, not copied. It must be
-// called before the layer is read or shared; graphfile.Parse calls it
-// after checking each run's length against the geometry.
-func (p *Params) DeferFP16(w, b []byte) { p.src = paramSource{w: fp16Run(w), b: fp16Run(b)} }
+// DeferFP16 makes binary16 runs of a graph file the source of the
+// values: the weights start at byte offset w of the bytes file returns
+// and the bias at offset b, two little-endian bytes per value, as many
+// values as the geometry implies. file is called on each read and
+// never before, so the bytes may be produced on first use; what it
+// returns must not change afterwards. DeferFP16 must be called before
+// the layer is read or shared; graphfile calls it after checking each
+// run's length against the geometry.
+func (p *Params) DeferFP16(file func() []byte, w, b int) {
+	p.src = paramSource{w: fp16Run(file, w), b: fp16Run(file, b)}
+}
 
 // fp16Run is the filler of a parsed tensor: it widens the binary16
-// values of raw, two bytes each.
-func fp16Run(raw []byte) filler {
+// values at byte offset off of file, two bytes each.
+func fp16Run(file func() []byte, off int) filler {
 	return func(_ *rng.Source, at int, dst []float32) {
-		src := raw[2*at : 2*(at+len(dst))]
+		src := file()[off+2*at : off+2*(at+len(dst))]
 		for i := range dst {
 			dst[i] = half.FromBits(binary.LittleEndian.Uint16(src[2*i:])).Float32()
 		}

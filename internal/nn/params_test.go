@@ -106,7 +106,8 @@ func TestParamChunksMatchMaterialised(t *testing.T) {
 	parsed := func() Layer {
 		fc := &FullyConnected{LayerName: "f", InF: 2, OutF: 1}
 		// 1.5, -2 and 0.25 in little-endian binary16.
-		fc.Params().DeferFP16([]byte{0x00, 0x3e, 0x00, 0xc0}, []byte{0x00, 0x34})
+		runs := []byte{0x00, 0x3e, 0x00, 0xc0, 0x00, 0x34}
+		fc.Params().DeferFP16(func() []byte { return runs }, 0, 4)
 		return fc
 	}
 	cases := []struct {
@@ -170,7 +171,8 @@ func TestValuesDoNotMaterialise(t *testing.T) {
 func TestParsedValuesDoNotMaterialise(t *testing.T) {
 	fc := &FullyConnected{LayerName: "f", InF: 2, OutF: 1}
 	// 1.5, -2 and 0.25 in little-endian binary16.
-	fc.Params().DeferFP16([]byte{0x00, 0x3e, 0x00, 0xc0}, []byte{0x00, 0x34})
+	runs := []byte{0x00, 0x3e, 0x00, 0xc0, 0x00, 0x34}
+	fc.Params().DeferFP16(func() []byte { return runs }, 0, 4)
 	w, b := collect(t, fc, 2)
 	if loaded(fc) {
 		t.Fatal("ParamChunks materialised a parsed layer")

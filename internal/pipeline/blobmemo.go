@@ -3,7 +3,6 @@ package pipeline
 import (
 	"runtime"
 	"sync"
-	"unsafe"
 	"weak"
 
 	"repro/internal/graphfile"
@@ -11,7 +10,10 @@ import (
 )
 
 // compileBlob compiles g, the session network or the segment of it
-// that starts at whole-network layer lo, into an NCS graph file.
+// that starts at whole-network layer lo, into an NCS graph file. The
+// handle builds its payload only when something asks for the bytes: a
+// functional stick, Session.Blob, or a network parsed from it reading
+// its weights.
 //
 // A GoogLeNet the session built itself goes through the process-wide
 // memo, because its blob is a pure function of the net seed and the
@@ -19,9 +21,9 @@ import (
 // of its own name. A caller-supplied Net may carry edited weights, and
 // the micro network's classifier is calibrated against the dataset at
 // a temperature, so both are compiled afresh every time.
-func (s *Session) compileBlob(g *nn.Graph, lo int) ([]byte, error) {
+func (s *Session) compileBlob(g *nn.Graph, lo int) (*graphfile.Handle, error) {
 	if s.cfg.Net != nil || s.cfg.Network != NetGoogLeNet {
-		return graphfile.Compile(g)
+		return graphfile.CompileHandle(g)
 	}
 	return sessionBlobs.compile(blobKey{seed: s.cfg.NetSeed, name: g.Name(), lo: lo, hi: lo + g.Len()}, g)
 }
@@ -40,47 +42,45 @@ type blobKey struct {
 	lo, hi int
 }
 
-// blobEntry is one memoised compile: first points weakly at the first
-// byte of the blob, n is its length.
+// blobEntry is one memoised compile: a weak pointer to its handle.
 type blobEntry struct {
-	key   blobKey
-	first weak.Pointer[byte]
-	n     int
+	key  blobKey
+	file weak.Pointer[graphfile.Handle]
 }
 
-// blobMemo maps keys to compiled blobs without keeping any blob alive.
-// The sessions that use a blob hold it; once none does, the collector
-// frees it and a cleanup removes its entry, so the memo cannot grow
-// the live heap. A build hits when the blob of its key is still in the
-// heap, which includes a blob no session holds any more that the
-// collector has not yet freed. The lock is held across the compile:
-// sessions are built one after another, so nothing waits on it.
+// blobMemo maps keys to compiled handles without keeping any alive.
+// The sessions that use a handle hold it, and with it its payload once
+// built; once none does, the collector frees it and a cleanup removes
+// its entry, so the memo cannot grow the live heap. A build hits when
+// the handle of its key is still in the heap, which includes one no
+// session holds any more that the collector has not yet freed. The
+// lock is held across the compile: sessions are built one after
+// another, so nothing waits on it.
 type blobMemo struct {
 	mu      sync.Mutex
 	entries map[blobKey]*blobEntry
 }
 
-// compile returns the blob for key if it is still in the heap,
-// compiling g otherwise. The returned slice has no spare capacity, so
-// appending to it cannot write into memory another session reads.
-func (m *blobMemo) compile(key blobKey, g *nn.Graph) ([]byte, error) {
+// compile returns the handle for key if it is still in the heap,
+// compiling g otherwise.
+func (m *blobMemo) compile(key blobKey, g *nn.Graph) (*graphfile.Handle, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e := m.entries[key]; e != nil {
-		if first := e.first.Value(); first != nil {
-			return unsafe.Slice(first, e.n), nil
+		if h := e.file.Value(); h != nil {
+			return h, nil
 		}
 	}
-	blob, err := graphfile.Compile(g)
+	h, err := graphfile.CompileHandle(g)
 	if err != nil {
 		return nil, err
 	}
 	// A dead entry under key is replaced here; its pending cleanup
 	// leaves the new one alone.
-	e := &blobEntry{key: key, first: weak.Make(&blob[0]), n: len(blob)}
+	e := &blobEntry{key: key, file: weak.Make(h)}
 	m.entries[key] = e
-	runtime.AddCleanup(&blob[0], m.drop, e)
-	return blob[:len(blob):len(blob)], nil
+	runtime.AddCleanup(h, m.drop, e)
+	return h, nil
 }
 
 // drop removes e from the memo unless a newer entry has replaced it

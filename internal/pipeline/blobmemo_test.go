@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,21 +98,21 @@ func TestSessionBlobSegments(t *testing.T) {
 	other := two(c1)
 	for _, s := range []*Session{a, b, three, other} {
 		for i, st := range s.stages {
-			if !bytes.Equal(st.blob, mustCompile(t, st.seg)) {
+			if !bytes.Equal(st.blob.Bytes(), mustCompile(t, st.seg)) {
 				t.Errorf("cuts %v, stage %d: blob differs from graphfile.Compile(segment)", s.Cuts(), i)
 			}
 		}
 	}
 	for i := range a.stages {
-		if !sameArray(a.stages[i].blob, b.stages[i].blob) {
+		if !sameArray(a.stages[i].blob.Bytes(), b.stages[i].blob.Bytes()) {
 			t.Errorf("cut %d, stage %d: two live sessions hold two copies of one segment blob", c2, i)
 		}
 	}
-	if sameArray(a.stages[0].blob, other.stages[0].blob) {
+	if sameArray(a.stages[0].blob.Bytes(), other.stages[0].blob.Bytes()) {
 		t.Errorf("head segments cut at %d and %d share a blob", c2, c1)
 	}
 	last := three.stages[2]
-	if last.cut != a.stages[1].cut || sameArray(last.blob, a.stages[1].blob) {
+	if last.cut != a.stages[1].cut || sameArray(last.blob.Bytes(), a.stages[1].blob.Bytes()) {
 		t.Errorf("span [%d, end) after two cuts shares the one-cut blob", c2)
 	}
 }
@@ -238,9 +239,9 @@ func TestSessionBlobDropKeepsNewer(t *testing.T) {
 }
 
 // BenchmarkNewSessionGoogLeNet times building a one-stick GoogLeNet
-// session when the blob is memoised (hit: a session over the same net
-// seed is alive) and when it must be compiled (miss: a fresh net seed
-// every iteration).
+// session when the graph file is memoised (hit: a session over the
+// same net seed is alive) and when it must be compiled (miss: a fresh
+// net seed every iteration). A miss compiles the structure only.
 func BenchmarkNewSessionGoogLeNet(b *testing.B) {
 	cfg := func(seed uint64) Config {
 		return Config{Dataset: smallDataset(8), Groups: []Group{{Kind: GroupVPU, Devices: 1}}, NetSeed: seed}
@@ -266,4 +267,38 @@ func BenchmarkNewSessionGoogLeNet(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestSessionSkipsPayload: a timing session over a GoogLeNet no live
+// session shares compiles only the graph file's structure. Its stick
+// costs the network from geometry, so building the session and running
+// 8 images never builds the 14 MB payload.
+func TestSessionSkipsPayload(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := blobSession(t, 9200, WithVPUs(1))
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if rep.Images != 8 {
+		t.Fatalf("classified %d of 8 images", rep.Images)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<20 {
+		t.Errorf("one-stick GoogLeNet session allocated %.1f MB, want < 4 MB", float64(n)/(1<<20))
+	}
+}
+
+// TestSessionRejectsCorruptBlob: bytes a caller supplies come from
+// outside, so the stick checks them in full: a corrupted file fails the
+// allocation, and with it the run.
+func TestSessionRejectsCorruptBlob(t *testing.T) {
+	micro := func() *Session { return blobSession(t, 45, WithMicroNet(nn.MicroConfig{}), WithVPUs(1)) }
+	bad := append([]byte(nil), micro().Blob()...)
+	bad[len(bad)/2] ^= 0x40
+	s := blobSession(t, 45, WithMicroNet(nn.MicroConfig{}), WithVPUs(1), WithBlob(bad))
+	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("run over a corrupted blob: err = %v, want a checksum mismatch", err)
+	}
 }

@@ -34,6 +34,7 @@ import (
 	"repro/internal/devsim"
 	"repro/internal/fault"
 	"repro/internal/field"
+	"repro/internal/graphfile"
 	"repro/internal/imagenet"
 	"repro/internal/ncs"
 	"repro/internal/nn"
@@ -267,7 +268,7 @@ type Session struct {
 	env       *sim.Env
 	ds        *imagenet.Dataset
 	net       *nn.Graph
-	blob      []byte
+	blob      *graphfile.Handle
 	devices   []*ncs.Device // all sticks, in testbed port order
 	targets   []core.Target
 	perVPU    [][]*ncs.Device // sticks per group index (nil for non-VPU)
@@ -591,7 +592,7 @@ func (s *Session) buildNetwork() error {
 	for _, g := range s.cfg.Groups {
 		if g.Kind == GroupVPU {
 			if s.cfg.Blob != nil {
-				s.blob = s.cfg.Blob
+				s.blob = graphfile.FromBytes(s.cfg.Blob)
 				break
 			}
 			blob, err := s.compileBlob(s.net, 0)
@@ -722,7 +723,7 @@ func (s *Session) groupSeed(g Group) *rng.Source {
 // constructors. A replicated stage calls it once per replica with the
 // same group index, so all copies share the stage's collectors and
 // recovery accounting.
-func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob []byte, nextStick *int, batchName func(GroupKind) string) (core.Target, error) {
+func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob *graphfile.Handle, nextStick *int, batchName func(GroupKind) string) (core.Target, error) {
 	switch g.Kind {
 	case GroupCPU:
 		eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(net), s.groupSeed(g))
@@ -923,10 +924,16 @@ func (s *Session) Dataset() *imagenet.Dataset { return s.ds }
 // Network returns the workload graph.
 func (s *Session) Network() *nn.Graph { return s.net }
 
-// Blob returns the compiled NCS graph file (nil when no VPU group).
-// Live sessions over the same self-built GoogLeNet share one blob, so
-// it must be treated as read-only.
-func (s *Session) Blob() []byte { return s.blob }
+// Blob returns the compiled NCS graph file (nil when no VPU group),
+// building its payload if no one has yet. Live sessions over the same
+// self-built GoogLeNet share one blob, so it must be treated as
+// read-only.
+func (s *Session) Blob() []byte {
+	if s.blob == nil {
+		return nil
+	}
+	return s.blob.Bytes()
+}
 
 // Devices returns every Neural Compute Stick of the session, in
 // testbed port order.

@@ -124,7 +124,7 @@ func handWiredVPU(t *testing.T, images int, seed uint64) float64 {
 	// Drive the session's own pieces manually: same env, same blob,
 	// same devices — but started through the raw core API.
 	env := sess.Env()
-	target, err := core.NewVPUTarget(sess.Devices(), sess.Blob(), core.DefaultVPUOptions())
+	target, err := core.NewVPUTarget(sess.Devices(), sess.blob, core.DefaultVPUOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSessionVPUSeedLabel(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		target, err := core.NewVPUTarget(devices, plainSess.Blob(), core.DefaultVPUOptions())
+		target, err := core.NewVPUTarget(devices, plainSess.blob, core.DefaultVPUOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

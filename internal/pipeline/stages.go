@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/graphfile"
 	"repro/internal/nn"
 )
 
@@ -69,7 +70,7 @@ type resolvedStage struct {
 	// seg is the stage's network segment (nil for custom stages).
 	seg *nn.Graph
 	// blob is the segment's compiled NCS graph file (VPU stages only).
-	blob []byte
+	blob *graphfile.Handle
 	// cut is the whole-network layer index where the segment begins.
 	cut int
 }

@@ -37,7 +37,7 @@
 //	env.Process("host", func(p *repro.Proc) {
 //		dev := devices[0]
 //		dev.Open(p)
-//		graph, _ := dev.AllocateGraph(p, blob, repro.GraphOptions{Functional: true})
+//		graph, _ := dev.AllocateGraph(p, repro.LoadGraphFile(blob), repro.GraphOptions{Functional: true})
 //		graph.LoadTensor(p, img, nil) // returns once queued; host is free
 //		res, _ := graph.GetResult(p)  // blocks until the inference lands
 //		dev.Close(p)
@@ -144,6 +144,14 @@ func CalibratePrototypeClassifier(g *Graph, ds *Dataset, temperature float32) er
 // CompileGraph serializes a network into an NCS graph blob
 // (weights converted to FP16), the analogue of mvNCCompile.
 func CompileGraph(g *Graph) ([]byte, error) { return graphfile.Compile(g) }
+
+// GraphFile is a graph file as a stick loads it (AllocateGraph).
+type GraphFile = graphfile.Handle
+
+// LoadGraphFile hands graph-file bytes, such as CompileGraph's, to
+// AllocateGraph. Every allocation checks them in full, CRC included,
+// as the stick firmware checks a file it is sent.
+func LoadGraphFile(blob []byte) *GraphFile { return graphfile.FromBytes(blob) }
 
 // ParseGraph reconstructs a network from a compiled blob. The network
 // decodes its weights from blob when they are first read, so the

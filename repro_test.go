@@ -63,7 +63,7 @@ func TestFacadeListing1(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		graph, err := dev.AllocateGraph(p, blob, GraphOptions{Functional: true})
+		graph, err := dev.AllocateGraph(p, LoadGraphFile(blob), GraphOptions{Functional: true})
 		if err != nil {
 			t.Error(err)
 			return

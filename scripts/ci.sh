@@ -52,8 +52,10 @@ go test -run '^$' -bench BenchmarkKernel -cpu 1,2 -benchtime=1x ./internal/sim
 # and the shape-only GoogLeNet build get the same one-iteration sanity
 # run. -cpu 1,2 runs Compile both inline and on two workers.
 go test -run '^$' -bench 'Benchmark(Compile|Parse)GoogLeNet' -benchmem -cpu 1,2 -benchtime=1x ./internal/graphfile
-# A GoogLeNet session build with its blob memoised (hit) and compiled
-# (miss) gets the same sanity run.
+# A GoogLeNet session build with its graph-file handle memoised (hit)
+# and compiled (miss) gets the same sanity run. A miss compiles the
+# structure only: no weight is generated until something asks for the
+# bytes, so both cost about the same.
 go test -run '^$' -bench BenchmarkNewSessionGoogLeNet -benchmem -benchtime=1x ./internal/pipeline
 go test -run '^$' -bench BenchmarkFromFloat32 -benchtime=1x ./internal/half
 go test -run '^$' -bench BenchmarkNewGoogLeNet -benchtime=1x ./internal/nn

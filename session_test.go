@@ -123,7 +123,7 @@ func TestSessionAcceptance(t *testing.T) {
 	}
 	cpu := handCPUTarget(t, net, 8, Seed(1))
 	gpu := handGPUTarget(t, net, 8, Seed(1))
-	vpu, err := core.NewVPUTarget(sticks, blob, DefaultVPUOptions())
+	vpu, err := core.NewVPUTarget(sticks, LoadGraphFile(blob), DefaultVPUOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSessionVPUScalingMatchesTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		target, err := core.NewVPUTarget(sticks, blob, DefaultVPUOptions())
+		target, err := core.NewVPUTarget(sticks, LoadGraphFile(blob), DefaultVPUOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
