@@ -163,10 +163,6 @@ func (h *Harness) Config() Config { return h.cfg }
 // GoogLeNet returns the cached full-size network.
 func (h *Harness) GoogLeNet() *nn.Graph { return h.goog }
 
-// Blob returns the compiled GoogLeNet graph file, building its payload
-// on the first call.
-func (h *Harness) Blob() []byte { return h.blob.Bytes() }
-
 // experiments registers the regenerable artefacts in paper order: the
 // paper's figures, the headline summary, then the beyond-the-paper
 // studies. An entry's points, when set, returns the machine-readable

@@ -28,16 +28,16 @@ func vpuGroup(sticks int) pipeline.Group {
 }
 
 // session builds one bench run on the declarative session: cfg's
-// groups, traffic and serving edge over the harness's GoogLeNet and
-// blob, a label-only dataset of exactly `images` images, and the
-// harness seed. It labels every group of cfg with seedLabel, so each
+// groups, traffic and serving edge over the harness's GoogLeNet, a
+// label-only dataset of exactly `images` images, and the harness seed.
+// It labels every group of cfg with seedLabel, so each
 // draws its device jitter from the seed derived under that label:
 // distinct runs of one experiment measure independent jitter while
 // runs sharing a label face identical devices.
 func (h *Harness) session(images int, seedLabel string, cfg pipeline.Config) (*pipeline.Session, error) {
 	cfg.Dataset = h.perfDataset(images)
 	cfg.Seed = h.cfg.Seed
-	cfg.Net, cfg.Blob = h.goog, h.Blob()
+	cfg.Net = h.goog
 	for i := range cfg.Groups {
 		cfg.Groups[i].SeedLabel = seedLabel
 	}

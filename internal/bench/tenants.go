@@ -86,7 +86,6 @@ func (h *Harness) tenantCapacity(images int) (float64, time.Duration, error) {
 		sess, err := pipeline.New(
 			pipeline.WithDataset(ds),
 			pipeline.WithNetwork(h.goog),
-			pipeline.WithBlob(h.Blob()),
 			pipeline.WithVPUs(tenantSticks),
 			pipeline.WithSeed(rng.New(h.cfg.Seed).Derive("tenants/capacity").Uint64()),
 		)
@@ -148,7 +147,6 @@ func (h *Harness) tenantSession(cell string, images int, slo time.Duration, tc c
 	sess, err := pipeline.New(
 		pipeline.WithDataset(ds),
 		pipeline.WithNetwork(h.goog),
-		pipeline.WithBlob(h.Blob()),
 		pipeline.WithVPUs(tenantSticks),
 		pipeline.WithSLO(slo),
 		pipeline.WithTenants(tc),

@@ -13,8 +13,14 @@
 // the tiles to up to GOMAXPROCS goroutines, so a product with few rows
 // (every micro-GoogLeNet conv has at most 32 output channels) still
 // splits across its columns. Within a tile the micro-kernel holds a
-// 1×8 strip of C in local variables across a run of k and stores it
-// once, instead of loading and storing C for every term.
+// 1×8 strip of C in registers across a run of k and stores it once,
+// instead of loading and storing C for every term.
+//
+// On amd64 the micro-kernel is SSE2 assembly (strip_amd64.s): the
+// strip is two 4-lane XMM registers, and each term broadcasts a[i][x]
+// and updates all eight columns with one MULPS and one ADDPS per
+// register. SSE2 is the amd64 baseline, so there is no feature check.
+// Every other GOARCH runs the same loop in Go (strip8).
 //
 // Bit-exactness contract: each element of C is the float32 sum of its
 // terms a[i][x]·b[x][j] in ascending x, starting from +0, with each
@@ -24,9 +30,22 @@
 // result is therefore independent of the tiling, the strip width and
 // the number of goroutines, and matches the plain triple loop bit for
 // bit.
+//
+// When two NaNs meet, the first operand's payload wins: a NaN in A over
+// one in B, and a NaN sum over a NaN product. Go leaves the operand
+// order of a commutative operation to the compiler, so the Go loops
+// (dot, and strip8 through it) check for NaNs to keep these rules.
+//
+// The SSE2 kernel keeps that contract: a packed MULPS or ADDPS rounds
+// each lane exactly as the scalar MULSS or ADDSS does, the kernel
+// orders its operands a·b and c+product, and the zero skip tests
+// a[i][x] with UCOMISS so that a NaN in A is not skipped. It uses no
+// fused multiply-add, which would round each product and sum once
+// instead of twice, and no AVX, which would need a CPU feature check.
 package gemm
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,6 +62,10 @@ const (
 	// minParallelMACs keeps products too small to repay a goroutine
 	// on the calling one.
 	minParallelMACs = 1 << 15
+
+	// quietBit is the float32 mantissa bit that marks a NaN quiet: an
+	// arithmetic result sets it on the NaN operand it passes on.
+	quietBit = 1 << 22
 )
 
 // Mul computes C = A·B for row-major matrices: A is m×k, B is k×n and
@@ -101,8 +124,8 @@ func mul(c, a, b []float32, m, k, n, workers int) {
 }
 
 // mulTile adds A·B to rows [i0, i1) and columns [j0, j1) of C, blockK
-// terms at a time: full strips go through the register micro-kernel
-// and the last j1-j0 mod 8 columns through its one-column form.
+// terms at a time: full strips go through the micro-kernel and the
+// last j1-j0 mod 8 columns through its one-column form.
 func mulTile(c, a, b []float32, i0, i1, j0, j1, k, n int) {
 	jStrips := j0 + (j1-j0)/strip*strip
 	for kk := 0; kk < k; kk += blockK {
@@ -112,7 +135,11 @@ func mulTile(c, a, b []float32, i0, i1, j0, j1, k, n int) {
 			arow := a[i*k+kk : i*k+kMax]
 			crow := c[i*n : i*n+n]
 			for j := j0; j < jStrips; j += strip {
-				strip8(crow[j:j+strip], arow, bk[j:], n)
+				// kernel8 reads C[j:j+8] and the eight B values of
+				// every term unchecked, so check the last of each.
+				_ = crow[j+strip-1]
+				_ = bk[j+(len(arow)-1)*n+strip-1]
+				kernel8(crow[j:], arow, bk[j:], n)
 			}
 			for j := jStrips; j < j1; j++ {
 				crow[j] = dot(crow[j], arow, bk[j:], n)
@@ -122,7 +149,9 @@ func mulTile(c, a, b []float32, i0, i1, j0, j1, k, n int) {
 }
 
 // strip8 adds Σ_x arow[x]·b[x·n : x·n+8] to the eight values of cs,
-// holding them in locals across the whole run of arow.
+// holding them in locals across the whole run of arow. It is kernel8
+// on every GOARCH but amd64, and the reference kernel8 is tested
+// against there.
 func strip8(cs, arow, b []float32, n int) {
 	cs = cs[:strip]
 	c0, c1, c2, c3, c4, c5, c6, c7 := cs[0], cs[1], cs[2], cs[3], cs[4], cs[5], cs[6], cs[7]
@@ -143,14 +172,30 @@ func strip8(cs, arow, b []float32, n int) {
 		}
 		off += n
 	}
-	cs[0], cs[1], cs[2], cs[3], cs[4], cs[5], cs[6], cs[7] = c0, c1, c2, c3, c4, c5, c6, c7
+	// Go leaves the operand order of a commutative operation to the
+	// compiler, and the order decides which payload survives when two
+	// NaNs meet. A lane that never met a NaN is exact in any order; a
+	// NaN lane is summed again by dot, which follows the contract.
+	for j, c := range [strip]float32{c0, c1, c2, c3, c4, c5, c6, c7} {
+		if c != c {
+			c = dot(cs[j], arow, b[j:], n)
+		}
+		cs[j] = c
+	}
 }
 
 // dot is strip8 for a single column: it returns acc + Σ_x arow[x]·b[x·n].
+// It states the contract's NaN rules outright: a NaN in A is its
+// product's payload whatever B holds, and a NaN sum keeps its own.
 func dot(acc float32, arow, b []float32, n int) float32 {
 	off := 0
 	for _, av := range arow {
-		if av != 0 {
+		if acc != acc {
+			break
+		}
+		if av != av {
+			acc = math.Float32frombits(math.Float32bits(av) | quietBit)
+		} else if av != 0 {
 			acc += float32(av * b[off])
 		}
 		off += n

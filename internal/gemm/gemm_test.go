@@ -251,13 +251,21 @@ func BenchmarkMulConvShape(b *testing.B) {
 
 // mulRef is the bit-exactness contract written as the plain triple
 // loop: float32 terms in ascending k from +0, each product rounded on
-// its own, and a zero in A skipping its term.
+// its own, and a zero in A skipping its term. Which payload survives
+// when two NaNs meet depends on the compiled operand order, which
+// differs between builds (a -race build orders them otherwise), so the
+// loop states the contract's rules outright: a NaN in A is its
+// product's payload whatever B holds, and a NaN sum keeps its own.
 func mulRef(c, a, b []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var acc float32
 			for x := 0; x < k; x++ {
-				if av := a[i*k+x]; av != 0 {
+				switch av := a[i*k+x]; {
+				case av == 0 || acc != acc:
+				case av != av:
+					acc = math.Float32frombits(math.Float32bits(av) | quietBit)
+				default:
 					acc += float32(av * b[x*n+j])
 				}
 			}
@@ -367,12 +375,110 @@ func TestMulBitExactSpecialValues(t *testing.T) {
 	b[21*n+7] = nan
 	b[40*n+9] = inf // meets nonzero A: Inf or NaN in every row
 
+	// Quiet NaNs with distinct payloads and both signs. In rows 2–4 a
+	// NaN in A meets finite B in column 0 and a NaN in B in column 1 and
+	// the last column, where the product keeps A's payload (a·b). Rows
+	// 2 and 4 then add further NaN products to a NaN sum, which keeps
+	// its own payload (c+product).
+	for i, bits := range []uint32{0x7fc00011, 0xffc00022, 0x7fc00033} {
+		a[(2+i)*k+30] = math.Float32frombits(bits)
+	}
+	b[30*n+1] = math.Float32frombits(0xffc00044)
+	b[30*n+n-1] = math.Float32frombits(0xffc00044) // a tail column, outside every strip
+	b[31*n+1] = math.Float32frombits(0x7fc00055)
+	b[45*n+2] = math.Float32frombits(0xffc00066)
+	a[4*k+45] = math.Float32frombits(0x7fc00077)
+	// Subnormals in A and B, alone and as each other's factors.
+	for x := 50; x < 54; x++ {
+		a[5*k+x] = math.Float32frombits(uint32(x) << 12)
+		a[6*k+x] = -math.Float32frombits(1)
+		b[x*n+4] = math.Float32frombits(0x007fffff)
+	}
+	// Accumulators that reach ±Inf early and then meet finite terms,
+	// one of them an opposite Inf that turns the sum into NaN.
+	a[7*k+1], a[8*k+1] = 1, 1
+	b[1*n+6] = inf
+	b[1*n+8] = -inf
+	a[9*k+2], b[2*n+10] = 1, inf
+	a[9*k+60], b[60*n+10] = 1, -inf
+
 	want := make([]float32, m*n)
 	mulRef(want, a, b, m, k, n)
 	if math.IsNaN(float64(want[0])) || math.IsInf(float64(want[0]), 0) || !math.IsInf(float64(want[9]), 0) {
 		t.Fatalf("reference C[0] = %g, C[9] = %g: the special values do not exercise the skip", want[0], want[9])
 	}
+	for _, c := range []struct {
+		i, j int
+		bits uint32
+	}{
+		{3, 0, 0xffc00022}, // NaN in A meets finite B
+		{2, 1, 0x7fc00011}, // NaN in A meets NaN in B: A's payload
+		{2, n - 1, 0x7fc00011},
+		{4, 1, 0x7fc00033}, // the NaN sum meets two NaN products: its own
+		{7, 6, 0x7f800000}, // +Inf accumulator stays +Inf
+		{8, 8, 0xff800000}, // −Inf accumulator stays −Inf
+	} {
+		if got := math.Float32bits(want[c.i*n+c.j]); got != c.bits {
+			t.Errorf("reference C[%d][%d] = %#08x, want %#08x", c.i, c.j, got, c.bits)
+		}
+	}
+	if v := want[9*n+10]; !math.IsNaN(float64(v)) {
+		t.Errorf("reference C[9][10] = %g, want NaN from +Inf meeting -Inf", v)
+	}
 	checkBitExact(t, a, b, m, k, n)
+}
+
+// TestKernel8MatchesStrip8 calls the micro-kernel directly, at every
+// run length mulTile can give it and at the empty run it never does,
+// with B as a bare 8-wide strip and as a strip of a 1024-wide matrix.
+// Its bits must equal strip8's, special values included.
+func TestKernel8MatchesStrip8(t *testing.T) {
+	src := rng.New(8)
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002),
+		math.Float32frombits(0x7f800003), math.Float32frombits(0xff800004), // signalling
+		math.Float32frombits(1), math.Float32frombits(0x807fffff), 3e38, -3e38,
+	}
+	fill := func(v []float32) {
+		for i := range v {
+			if src.Intn(5) == 0 {
+				v[i] = specials[src.Intn(len(specials))]
+			} else {
+				v[i] = src.NormFloat32()
+			}
+		}
+	}
+	for _, terms := range []int{0, 1, 7, 8, blockK - 1, blockK, blockK + 1} {
+		for _, n := range []int{strip, 1024} {
+			arow := make([]float32, terms)
+			b := make([]float32, max(terms*n, strip))
+			got, want := make([]float32, strip), make([]float32, strip)
+			for rep := range 20 {
+				fill(arow)
+				fill(b)
+				// C starts as mulTile gives it: +0, or the sums of a
+				// previous k-block, which arithmetic never leaves
+				// signalling.
+				fill(want)
+				for i, v := range want {
+					if v != v {
+						want[i] = math.Float32frombits(math.Float32bits(v) | quietBit)
+					}
+				}
+				if rep%2 == 0 {
+					clear(want)
+				}
+				copy(got, want)
+				kernel8(got, arow, b, n)
+				strip8(want, arow, b, n)
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Fatalf("%d terms, stride %d: C[%d] = %#08x, strip8 %#08x",
+						terms, n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
 }
 
 // microShapes are the im2col products of NewMicroGoogLeNet's

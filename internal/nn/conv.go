@@ -165,33 +165,37 @@ func (c *Conv) Forward(out *tensor.T, ins []*tensor.T) {
 }
 
 // im2col lowers one CHW image into the (C*KH*KW) x (OH*OW) patch
-// matrix with zero padding.
+// matrix with zero padding. For a kernel offset (ky, kx), output column
+// ox reads source column ox·stride−pad+kx, which is inside the image
+// for one run of ox, [x0, x1), the same on every output row. A row
+// clears the padding either side of the run and fills the run with one
+// copy of the source row at stride 1, element by element otherwise.
 func im2col(col, src []float32, cIn, h, w, kh, kw, stride, pad, oh, ow int) {
 	row := 0
 	for ci := 0; ci < cIn; ci++ {
-		plane := src[ci*h*w:]
+		plane := src[ci*h*w : (ci+1)*h*w]
 		for ky := 0; ky < kh; ky++ {
 			for kx := 0; kx < kw; kx++ {
-				dst := col[row*oh*ow:]
-				i := 0
+				x0 := min(ceilDiv(max(pad-kx, 0), stride), ow)
+				x1 := max(min(ceilDiv(max(w+pad-kx, 0), stride), ow), x0)
+				dst := col[row*oh*ow : (row+1)*oh*ow]
 				for oy := 0; oy < oh; oy++ {
+					d := dst[oy*ow : (oy+1)*ow]
 					sy := oy*stride - pad + ky
-					if sy < 0 || sy >= h {
-						for ox := 0; ox < ow; ox++ {
-							dst[i] = 0
-							i++
-						}
+					if sy < 0 || sy >= h || x0 == x1 {
+						clear(d)
 						continue
 					}
-					srow := plane[sy*w:]
-					for ox := 0; ox < ow; ox++ {
-						sx := ox*stride - pad + kx
-						if sx < 0 || sx >= w {
-							dst[i] = 0
-						} else {
-							dst[i] = srow[sx]
-						}
-						i++
+					clear(d[:x0])
+					clear(d[x1:])
+					// The source index of output ox is off + ox·stride.
+					off := sy*w - pad + kx
+					if stride == 1 {
+						copy(d[x0:x1], plane[off+x0:])
+						continue
+					}
+					for ox := x0; ox < x1; ox++ {
+						d[ox] = plane[off+ox*stride]
 					}
 				}
 				row++
@@ -199,6 +203,9 @@ func im2col(col, src []float32, cIn, h, w, kh, kw, stride, pad, oh, ow int) {
 		}
 	}
 }
+
+// ceilDiv returns ⌈a/b⌉ for a >= 0 and b > 0.
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // Stats implements Layer.
 func (c *Conv) Stats(in []tensor.Shape) Stats {

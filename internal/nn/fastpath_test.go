@@ -149,6 +149,80 @@ func TestMaxPoolMatchesScalar(t *testing.T) {
 	}
 }
 
+// im2colRef is the per-element im2col loop: every output element
+// tests its source row and column against the image bounds.
+func im2colRef(col, src []float32, cIn, h, w, kh, kw, stride, pad, oh, ow int) {
+	row := 0
+	for ci := 0; ci < cIn; ci++ {
+		plane := src[ci*h*w:]
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				dst := col[row*oh*ow:]
+				i := 0
+				for oy := 0; oy < oh; oy++ {
+					sy := oy*stride - pad + ky
+					if sy < 0 || sy >= h {
+						for ox := 0; ox < ow; ox++ {
+							dst[i] = 0
+							i++
+						}
+						continue
+					}
+					srow := plane[sy*w:]
+					for ox := 0; ox < ow; ox++ {
+						sx := ox*stride - pad + kx
+						if sx < 0 || sx >= w {
+							dst[i] = 0
+						} else {
+							dst[i] = srow[sx]
+						}
+						i++
+					}
+				}
+				row++
+			}
+		}
+	}
+}
+
+// TestIm2colMatchesScalar: over K 1–5, every pad 0–K, strides 1–3 and
+// odd image sizes (images narrower and shorter than the kernel
+// included), im2col gives the per-element loop's bits on inputs holding
+// −0 and NaN payloads, and writes every element of the patch matrix.
+func TestIm2colMatchesScalar(t *testing.T) {
+	src := rng.New(13)
+	cases, narrow := 0, 0
+	for k := 1; k <= 5; k++ {
+		for pad := 0; pad <= k; pad++ {
+			for stride := 1; stride <= 3; stride++ {
+				for _, hw := range [][2]int{{1, 1}, {1, 3}, {3, 1}, {5, 7}, {9, 3}, {k - 1, k + 2}, {11, 13}} {
+					h, w := hw[0], hw[1]
+					if h < 1 || h+2*pad < k || w+2*pad < k {
+						continue // the kernel does not fit the padded image
+					}
+					c := &Conv{InC: 2, KH: k, KW: k, Stride: stride, Pad: pad}
+					oh, ow := c.outHW(h, w)
+					in := tensor.New(1, c.InC, h, w)
+					fillSpecial(in, src)
+					got := tensor.New(c.InC*k*k, oh*ow)
+					want := tensor.New(got.ShapeOf...)
+					poison(got)
+					im2col(got.Data, in.Data, c.InC, h, w, k, k, stride, pad, oh, ow)
+					im2colRef(want.Data, in.Data, c.InC, h, w, k, k, stride, pad, oh, ow)
+					sameBits(t, fmt.Sprintf("K%d s%d p%d on %dx%d", k, stride, pad, h, w), got.Data, want.Data)
+					cases++
+					if w < k {
+						narrow++
+					}
+				}
+			}
+		}
+	}
+	if cases < 200 || narrow == 0 {
+		t.Fatalf("swept %d geometries, %d narrower than the kernel; want >= 200 and > 0", cases, narrow)
+	}
+}
+
 // convIm2colRef is the convolution through im2col for every kernel, in
 // both the fp32 GEMM and the binary16-accumulate form.
 func convIm2colRef(c *Conv, out, in *tensor.T, strict bool) {
@@ -158,7 +232,7 @@ func convIm2colRef(c *Conv, out, in *tensor.T, strict bool) {
 	col := make([]float32, k*spatial)
 	wt, bt := tensorsOf(c)
 	for b := 0; b < n; b++ {
-		im2col(col, in.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
+		im2colRef(col, in.Data[b*c.InC*h*w:(b+1)*c.InC*h*w], c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
 		dst := out.Data[b*c.OutC*spatial : (b+1)*c.OutC*spatial]
 		if !strict {
 			gemm.Mul(dst, wt.Data, col, c.OutC, k, spatial)

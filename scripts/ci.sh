@@ -13,6 +13,13 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== go vet (arm64) =="
+# internal/gemm's micro-kernel is SSE2 assembly on amd64 and Go on
+# every other GOARCH: vetting an arm64 build keeps the portable kernel
+# compiling, and the amd64 vet above runs asmdecl over the .s file's
+# frame. The cross-build needs only the installed toolchain.
+GOARCH=arm64 go vet ./...
+
 echo "== ncsw-vet (determinism & API hygiene) =="
 # The domain analyzer suite (internal/lint, DESIGN.md §8): walltime,
 # seededrand and maprange guard the bit-for-bit reproducibility claim
