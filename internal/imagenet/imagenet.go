@@ -19,6 +19,7 @@ package imagenet
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/field"
 	"repro/internal/rng"
@@ -95,18 +96,40 @@ type Dataset struct {
 	// labels, noise and bbox are the roots of the per-image streams,
 	// derived once so an image's stream costs no allocation.
 	labels, noise, bbox rng.Source
-	protos              []*tensor.T // raw pixel space prototypes, one per class
-	mean                []float32   // per-channel mean of the prototypes ("training mean")
 	synsets             []Synset
+
+	// pixels guards the prototype table, built on the first read of a
+	// pixel or mean.
+	pixels sync.Once
+	protos []*tensor.T // raw pixel space prototypes, one per class
+	mean   []float32   // per-channel mean of the prototypes ("training mean")
 }
 
-// New generates the prototype table and channel means for cfg.
+// New returns the dataset for cfg. The class prototypes and channel
+// means are built on first use, by Image, Prototype, Mean, Preprocess
+// or PreprocessedPrototypes, so a dataset read only for labels,
+// annotations or synsets never builds them. They derive from named
+// streams of the seed, so their bits do not depend on when that is.
 func New(cfg Config) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("imagenet: %w", err)
 	}
 	d := &Dataset{cfg: cfg, root: rng.New(cfg.Seed)}
 	d.labels, d.noise, d.bbox = *d.root.Derive("labels"), *d.root.Derive("noise"), *d.root.Derive("bbox")
+	d.synsets = Synsets(cfg.Classes, d.root.Derive("synsets"))
+	return d, nil
+}
+
+// table returns the prototype table and channel means, building them
+// on the first call.
+func (d *Dataset) table() (protos []*tensor.T, mean []float32) {
+	d.pixels.Do(d.buildTable)
+	return d.protos, d.mean
+}
+
+// buildTable generates the class prototypes and their channel means.
+func (d *Dataset) buildTable() {
+	cfg := d.cfg
 	protoSrc := d.root.Derive("prototypes")
 	d.protos = make([]*tensor.T, cfg.Classes)
 	sums := make([]float64, cfg.Channels)
@@ -125,8 +148,6 @@ func New(cfg Config) (*Dataset, error) {
 	for ch := range d.mean {
 		d.mean[ch] = float32(sums[ch] / per)
 	}
-	d.synsets = Synsets(cfg.Classes, d.root.Derive("synsets"))
-	return d, nil
 }
 
 // protoGridSize is the low-resolution seed grid a prototype is
@@ -175,15 +196,16 @@ func (d *Dataset) Prototype(class int) *tensor.T {
 	if class < 0 || class >= d.cfg.Classes {
 		panic(fmt.Sprintf("imagenet: class %d out of range", class))
 	}
-	return d.protos[class]
+	protos, _ := d.table()
+	return protos[class]
 }
 
 // Image generates validation image i in raw pixel space ([0,255] CHW):
 // its class prototype plus clamped Gaussian noise.
 func (d *Dataset) Image(i int) *tensor.T {
 	d.checkIndex(i)
-	label := d.Label(i)
-	img := d.protos[label].Clone()
+	protos, _ := d.table()
+	img := protos[d.Label(i)].Clone()
 	noise := *d.noise.DeriveIndex(i)
 	sigma := float32(d.cfg.NoiseSigma)
 	for j := range img.Data {
@@ -195,14 +217,17 @@ func (d *Dataset) Image(i int) *tensor.T {
 
 // Mean returns the per-channel training means (the analogue of the
 // ILSVRC 2012 training-set means the paper feeds Caffe).
-func (d *Dataset) Mean() []float32 { return append([]float32(nil), d.mean...) }
+func (d *Dataset) Mean() []float32 {
+	_, mean := d.table()
+	return append([]float32(nil), mean...)
+}
 
 // Preprocess subtracts the channel means in place, converting a raw
 // image into network input space.
 func (d *Dataset) Preprocess(img *tensor.T) {
+	_, mean := d.table()
 	size := d.cfg.Size * d.cfg.Size
-	for ch := 0; ch < d.cfg.Channels; ch++ {
-		m := d.mean[ch]
+	for ch, m := range mean {
 		plane := img.Data[ch*size : (ch+1)*size]
 		for j := range plane {
 			plane[j] -= m
@@ -220,8 +245,9 @@ func (d *Dataset) Preprocessed(i int) *tensor.T {
 // PreprocessedPrototypes returns mean-subtracted copies of all class
 // prototypes, the inputs nn.CalibrateClassifier consumes.
 func (d *Dataset) PreprocessedPrototypes() []*tensor.T {
-	out := make([]*tensor.T, len(d.protos))
-	for c, p := range d.protos {
+	protos, _ := d.table()
+	out := make([]*tensor.T, len(protos))
+	for c, p := range protos {
 		img := p.Clone()
 		d.Preprocess(img)
 		out[c] = img

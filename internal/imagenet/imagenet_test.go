@@ -3,6 +3,7 @@ package imagenet
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,65 @@ func TestLabelStreams(t *testing.T) {
 	i := 0
 	if allocs := testing.AllocsPerRun(100, func() { i = (i + d.Label(i) + 1) % d.Len() }); allocs != 0 {
 		t.Errorf("Label allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestLabelOnlyLeavesTableUnbuilt: a dataset read only for labels,
+// annotations, synsets and subsets never builds its prototype table,
+// and each pixel or mean accessor builds it on first use.
+func TestLabelOnlyLeavesTableUnbuilt(t *testing.T) {
+	d := mustDataset(t, smallConfig())
+	for i := range d.Len() {
+		d.Label(i)
+		d.Annotation(i)
+		d.FileName(i)
+	}
+	for c := range d.Classes() {
+		d.Synset(c)
+	}
+	d.SubsetRange(0)
+	if d.protos != nil || d.mean != nil {
+		t.Fatal("label-only reads built the prototype table")
+	}
+	for name, read := range map[string]func(d *Dataset){
+		"Image":                  func(d *Dataset) { d.Image(0) },
+		"Prototype":              func(d *Dataset) { d.Prototype(0) },
+		"Mean":                   func(d *Dataset) { d.Mean() },
+		"Preprocess":             func(d *Dataset) { d.Preprocess(tensor.New(3, 16, 16)) },
+		"PreprocessedPrototypes": func(d *Dataset) { d.PreprocessedPrototypes() },
+	} {
+		d := mustDataset(t, smallConfig())
+		read(d)
+		if len(d.protos) != d.Classes() || len(d.mean) != d.Config().Channels {
+			t.Errorf("%s left the prototype table unbuilt", name)
+		}
+	}
+}
+
+// TestDatasetConcurrentFirstRead: goroutines whose Image call is the
+// dataset's first pixel read get the same bits as each other and as a
+// dataset whose table was built before (run under -race too).
+func TestDatasetConcurrentFirstRead(t *testing.T) {
+	want := mustDataset(t, smallConfig())
+	want.Mean()
+	d := mustDataset(t, smallConfig())
+	var got [2]*tensor.T
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = d.Image(3)
+		}()
+	}
+	wg.Wait()
+	ref := want.Image(3)
+	for g, img := range got {
+		for j := range ref.Data {
+			if math.Float32bits(img.Data[j]) != math.Float32bits(ref.Data[j]) {
+				t.Fatalf("goroutine %d: pixel %d = %g, want %g", g, j, img.Data[j], ref.Data[j])
+			}
+		}
 	}
 }
 

@@ -93,21 +93,23 @@ func fillMaxSafe(t *tensor.T, src *rng.Source) {
 	}
 }
 
-// TestMaxPoolMatchesScalar: over random geometries (K 1–4, stride
-// 1–3, pad < K, floor and Caffe ceil mode with its last-window clip,
-// windows lying entirely in padding), the separable forwardMax gives
-// the scalar loop's bits on maxSafe inputs (+0, ±Inf and ties), and
-// Forward gives them on any input, ±0 and NaNs included.
+// TestMaxPoolMatchesScalar: over random geometries (K 1–5, stride
+// 1–3, pad < K, images up to 13 wide, floor and Caffe ceil mode with
+// its last-window clip, windows lying entirely in padding, stride-1
+// rows narrower than the kernel, which have no interior outputs), the
+// separable forwardMax gives the scalar loop's bits on maxSafe inputs
+// (+0, ±Inf and ties), and Forward gives them on any input, ±0 and
+// NaNs included.
 func TestMaxPoolMatchesScalar(t *testing.T) {
 	src := rng.New(7)
-	cases, padded := 0, 0
-	for k := 1; k <= 4; k++ {
+	cases, padded, noInterior := 0, 0, 0
+	for k := 1; k <= 5; k++ {
 		for stride := 1; stride <= 3; stride++ {
 			for pad := 0; pad < k; pad++ {
 				for _, ceil := range []bool{false, true} {
 					for range 4 {
 						p := &Pool{LayerName: "p", PoolOp: MaxPool, K: k, Stride: stride, Pad: pad, CeilMode: ceil}
-						c, h, w := 1+src.Intn(3), 1+src.Intn(9), 1+src.Intn(9)
+						c, h, w := 1+src.Intn(3), 1+src.Intn(13), 1+src.Intn(13)
 						shape, err := p.OutShape([]tensor.Shape{{c, h, w}})
 						if err != nil {
 							continue
@@ -133,20 +135,176 @@ func TestMaxPoolMatchesScalar(t *testing.T) {
 						maxPoolRef(p, want, in)
 						sameBits(t, geo+": Forward out", got.Data, want.Data)
 						cases++
+						if stride == 1 && w < k {
+							noInterior++
+						}
 					}
 				}
 			}
 		}
 	}
-	if cases < 100 || padded == 0 {
-		t.Fatalf("sweep ran %d geometries with %d all-padding windows; want >= 100 and > 0", cases, padded)
+	if cases < 200 || padded == 0 || noInterior == 0 {
+		t.Fatalf("sweep ran %d geometries with %d all-padding windows and %d stride-1 rows without interior outputs; want >= 200, > 0 and > 0",
+			cases, padded, noInterior)
 	}
-	for _, v := range specialValues {
-		want := !math.IsNaN(float64(v)) && math.Float32bits(v) != 0x80000000 // neither NaN nor −0
-		if got := maxSafe([]float32{1, v}); got != want {
-			t.Errorf("maxSafe([1, %g (%#x)]) = %v, want %v", v, math.Float32bits(v), got, want)
+}
+
+// subnormals are the smallest and largest subnormal float32s of both
+// signs.
+var subnormals = []float32{
+	math.Float32frombits(1), math.Float32frombits(0x007fffff),
+	math.Float32frombits(0x80000001), math.Float32frombits(0x807fffff),
+}
+
+// atEveryPosition calls check with a slice of every length 0–9, so
+// every SSE2 tail length is covered, holding v at each position in
+// turn among normal values of both signs. The slice is followed by
+// guard values a kernel must not touch.
+func atEveryPosition(values []float32, check func(data []float32, v float32)) {
+	src := rng.New(17)
+	for n := 0; n <= 9; n++ {
+		for _, v := range values {
+			for pos := range max(n, 1) {
+				buf := make([]float32, n+4)
+				for i := range buf {
+					buf[i] = src.NormFloat32()
+				}
+				if pos < n {
+					buf[pos] = v
+				}
+				check(buf[:n], v)
+			}
 		}
 	}
+}
+
+// reluRef is the branchy ReLU loop: v > 0 ? v : +0.
+func reluRef(dst, src []float32) {
+	for i, v := range src {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// TestReLUMatchesScalar: the relu kernel gives the branchy loop's bits
+// on every special value and subnormal of both signs, at every position
+// of lengths 0–9, and writes nothing past the end of dst.
+func TestReLUMatchesScalar(t *testing.T) {
+	values := append(append([]float32(nil), specialValues...), subnormals...)
+	atEveryPosition(values, func(data []float32, v float32) {
+		what := fmt.Sprintf("relu of %#x among %d", math.Float32bits(v), len(data))
+		got, want := make([]float32, len(data)+4), make([]float32, len(data)+4)
+		poison(&tensor.T{Data: got})
+		poison(&tensor.T{Data: want})
+		relu(got[:len(data)], data)
+		reluRef(want[:len(data)], data)
+		sameBits(t, what, got, want)
+	})
+	// In place, through the layer.
+	in := tensor.New(3, 5, 7)
+	fillSpecial(in, rng.New(19))
+	want := tensor.New(in.ShapeOf...)
+	reluRef(want.Data, in.Data)
+	(&ReLU{}).Forward(in, []*tensor.T{in})
+	sameBits(t, "ReLU.Forward in place", in.Data, want.Data)
+}
+
+// TestMaxSafeMatchesScalar: maxSafe rejects a −0 and every NaN payload
+// at every position of lengths 0–9, and accepts ±Inf and subnormals
+// there, as the one-value-at-a-time scan does.
+func TestMaxSafeMatchesScalar(t *testing.T) {
+	reject := []float32{float32(math.Copysign(0, -1))}
+	for _, bits := range []uint32{0x7fc00000, 0xffc00001, 0x7f800001, 0xff800001, 0x7fffffff, 0xffffffff} {
+		reject = append(reject, math.Float32frombits(bits))
+	}
+	accept := append([]float32{0, float32(math.Inf(1)), float32(math.Inf(-1))}, subnormals...)
+	for _, tc := range []struct {
+		values []float32
+		want   bool
+	}{{reject, false}, {accept, true}} {
+		atEveryPosition(tc.values, func(data []float32, v float32) {
+			want := tc.want || len(data) == 0
+			if got, ref := maxSafe(data), maxSafeScalar(data); got != want || ref != want {
+				t.Fatalf("%#x among %d values: maxSafe %v, scalar %v, want %v",
+					math.Float32bits(v), len(data), got, ref, want)
+			}
+		})
+	}
+}
+
+// TestMaxIntoMatchesBuiltin: maxInto gives the builtin max's bits on
+// maxSafe values at every position of lengths 0–9, and writes nothing
+// past the end of dst.
+func TestMaxIntoMatchesBuiltin(t *testing.T) {
+	values := append([]float32{0, float32(math.Inf(1)), float32(math.Inf(-1)), 1, -1}, subnormals...)
+	src := rng.New(23)
+	atEveryPosition(values, func(data []float32, v float32) {
+		got := make([]float32, len(data)+4)
+		for i := range got {
+			got[i] = []float32{0, 1, -1, src.NormFloat32()}[src.Intn(4)]
+		}
+		want := append([]float32(nil), got...)
+		for i, x := range data {
+			want[i] = max(want[i], x)
+		}
+		maxInto(got[:len(data)], data)
+		sameBits(t, fmt.Sprintf("maxInto of %#x among %d", math.Float32bits(v), len(data)), got, want)
+	})
+}
+
+// microLayers returns the layers of micro-GoogLeNet that match keep,
+// each with a batch-8 input of its shape.
+func microLayers(keep func(Layer) bool) (layers []Layer, ins []*tensor.T) {
+	g := NewMicroGoogLeNet(DefaultMicroConfig(), rng.New(1))
+	src := rng.New(5)
+	for _, name := range g.LayerNames() {
+		if l := g.Layer(name); keep(l) {
+			s, err := g.ShapeOf(g.InputsOf(name)[0])
+			if err != nil {
+				panic(err)
+			}
+			in := tensor.New(append(tensor.Shape{8}, s...)...)
+			in.FillNormal(src, 0, 1)
+			layers, ins = append(layers, l), append(ins, in)
+		}
+	}
+	return layers, ins
+}
+
+// benchLayers times each layer's Forward on its input.
+func benchLayers(b *testing.B, layers []Layer, ins []*tensor.T) {
+	for i, l := range layers {
+		s, err := l.OutShape([]tensor.Shape{ins[i].ShapeOf[1:]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := tensor.New(append(tensor.Shape{8}, s...)...)
+		b.Run(fmt.Sprintf("%s/%v", l.Name(), ins[i].ShapeOf[1:]), func(b *testing.B) {
+			b.SetBytes(int64(4 * len(ins[i].Data)))
+			for b.Loop() {
+				l.Forward(out, ins[i:i+1])
+			}
+		})
+	}
+}
+
+// BenchmarkMaxPoolMicroShapes times Forward on every micro-GoogLeNet
+// max pool at batch 8, on ReLU outputs (maxSafe), scan included.
+func BenchmarkMaxPoolMicroShapes(b *testing.B) {
+	layers, ins := microLayers(func(l Layer) bool { p, ok := l.(*Pool); return ok && p.PoolOp == MaxPool })
+	for _, in := range ins {
+		relu(in.Data, in.Data)
+	}
+	benchLayers(b, layers, ins)
+}
+
+// BenchmarkReLU times Forward on every micro-GoogLeNet ReLU at batch 8.
+func BenchmarkReLU(b *testing.B) {
+	layers, ins := microLayers(func(l Layer) bool { _, ok := l.(*ReLU); return ok })
+	benchLayers(b, layers, ins)
 }
 
 // im2colRef is the per-element im2col loop: every output element

@@ -149,6 +149,12 @@ func (p *Pool) Forward(out *tensor.T, ins []*tensor.T) {
 // builtin max and a fold that replaces only on > pick the same bits
 // in any order.
 func maxSafe(data []float32) bool {
+	n := len(data) &^ 3
+	return maxSafeQuads(data[:n]) && maxSafeScalar(data[n:])
+}
+
+// maxSafeScalar is maxSafe one value at a time.
+func maxSafeScalar(data []float32) bool {
 	for _, v := range data {
 		if b := math.Float32bits(v); b == 0x80000000 || b&0x7fffffff > 0x7f800000 {
 			return false
@@ -157,58 +163,88 @@ func maxSafe(data []float32) bool {
 	return true
 }
 
-// forwardMax is max pooling as two passes over each plane: the max
-// along each input row's window columns into a scratch row per output
-// column, then the max down each window's rows. On maxSafe inputs
-// this is the window maximum the scan in Forward finds, bit for bit;
-// the builtin max runs about twice as fast as a > fold here, branching
-// or not. A window lying entirely in padding gives 0, as in Forward.
+// forwardMax is max pooling as two passes per output row: the max down
+// the window's input rows into a scratch row, then the max along each
+// window's columns of it. On maxSafe inputs this is the window maximum
+// the scan in Forward finds, bit for bit, in any order. The rows and
+// the windows lying inside the row are maxed with maxInto (the column
+// pass as K shifted calls, then one pick per output at the stride);
+// the windows clipped by the row's edges with the builtin max. A
+// window lying entirely in padding gives 0, as in Forward.
 func (p *Pool) forwardMax(out *tensor.T, in *tensor.T) {
 	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
 	oh, ow := out.Dim(2), out.Dim(3)
 	k, stride, pad := p.K, p.Stride, p.Pad
-	negInf := float32(math.Inf(-1))
 
-	// span clips the window starting at o to [lo, hi) within [0, size);
-	// lo == hi when it lies entirely in padding.
-	span := func(o, size int) (lo, hi int) {
-		lo = min(max(o, 0), size)
-		return lo, max(min(o+k, size), lo)
+	// Outputs [xlo, xhi) have windows [ox·stride−pad, ox·stride−pad+k)
+	// inside the row.
+	xlo, xhi := min((pad+stride-1)/stride, ow), 0
+	if w >= k {
+		xhi = min((w-k+pad)/stride+1, ow)
 	}
-	bufp := scratch(h * ow)
+	xhi = max(xhi, xlo)
+	bufp := scratch(2 * w)
 	defer colBuffers.Put(bufp)
-	rows := *bufp
+	col, wmax := (*bufp)[:w], (*bufp)[w:]
 	for plane := 0; plane < n*c; plane++ {
 		src := in.Data[plane*h*w : (plane+1)*h*w]
 		dst := out.Data[plane*oh*ow : (plane+1)*oh*ow]
-		for y := 0; y < h; y++ {
-			srow, hrow := src[y*w:(y+1)*w], rows[y*ow:(y+1)*ow]
-			for ox := range hrow {
-				lo, hi := span(ox*stride-pad, w)
-				best := negInf
-				for _, v := range srow[lo:hi] {
-					best = max(best, v)
-				}
-				hrow[ox] = best
-			}
-		}
 		for oy := 0; oy < oh; oy++ {
 			drow := dst[oy*ow : (oy+1)*ow]
-			for ox := range drow {
-				drow[ox] = negInf
+			y0, y1 := p.span(oy*stride-pad, h)
+			if y0 == y1 {
+				clear(drow) // windows entirely in padding
+				continue
 			}
-			y0, y1 := span(oy*stride-pad, h)
-			for y := y0; y < y1; y++ {
-				for ox, v := range rows[y*ow : (y+1)*ow] {
-					drow[ox] = max(drow[ox], v)
+			copy(col, src[y0*w:(y0+1)*w])
+			for y := y0 + 1; y < y1; y++ {
+				maxInto(col, src[y*w:(y+1)*w])
+			}
+			if xlo < xhi {
+				// win[i] is the max of col[x0+i : x0+i+k]; at stride 1
+				// those are the outputs themselves.
+				x0, win := xlo*stride-pad, drow[xlo:xhi]
+				if stride > 1 {
+					win = wmax[:(xhi-xlo-1)*stride+1]
+				}
+				copy(win, col[x0:])
+				for j := 1; j < k; j++ {
+					maxInto(win, col[x0+j:][:len(win)])
+				}
+				if stride > 1 {
+					for i := range drow[xlo:xhi] {
+						drow[xlo+i] = win[i*stride]
+					}
 				}
 			}
-			for ox := range drow {
-				if x0, x1 := span(ox*stride-pad, w); y1 == y0 || x1 == x0 {
-					drow[ox] = 0 // window entirely in padding
-				}
-			}
+			p.maxEdges(drow, col, 0, xlo)
+			p.maxEdges(drow, col, xhi, ow)
 		}
+	}
+}
+
+// span clips the window starting at o to [lo, hi) within [0, size);
+// lo == hi when it lies entirely in padding.
+func (p *Pool) span(o, size int) (lo, hi int) {
+	lo = min(max(o, 0), size)
+	return lo, max(min(o+p.K, size), lo)
+}
+
+// maxEdges sets drow[ox] for ox in [lo, hi) to the builtin max over the
+// window of col clipped to the row, or to 0 when it lies entirely in
+// padding.
+func (p *Pool) maxEdges(drow, col []float32, lo, hi int) {
+	for ox := lo; ox < hi; ox++ {
+		x0, x1 := p.span(ox*p.Stride-p.Pad, len(col))
+		if x0 == x1 {
+			drow[ox] = 0
+			continue
+		}
+		best := col[x0]
+		for _, v := range col[x0+1 : x1] {
+			best = max(best, v)
+		}
+		drow[ox] = best
 	}
 }
 

@@ -14,11 +14,20 @@ echo "== go vet =="
 go vet ./...
 
 echo "== go vet (arm64) =="
-# internal/gemm's micro-kernel is SSE2 assembly on amd64 and Go on
-# every other GOARCH: vetting an arm64 build keeps the portable kernel
-# compiling, and the amd64 vet above runs asmdecl over the .s file's
-# frame. The cross-build needs only the installed toolchain.
+# internal/gemm's micro-kernel and internal/nn's max-pool, ReLU and
+# maxSafe kernels are SSE2 assembly on amd64 and Go on every other
+# GOARCH: vetting an arm64 build keeps the portable kernels compiling,
+# and the amd64 vet above runs asmdecl over the .s files' frames. The
+# cross-build needs only the installed toolchain.
 GOARCH=arm64 go vet ./...
+
+echo "== portable kernels (386) =="
+# The vet above only compiles the portable kernels. On 386 the gemm
+# strip (strip8) and the max-pool, ReLU and maxSafe loops run as Go
+# (vec_other.go) and must meet the same TestForwardGolden hashes and
+# bit-equality tests as the SSE2 kernels; Go's 386 port does float
+# arithmetic in SSE2 scalar registers, so it rounds as amd64 does.
+GOARCH=386 go test -count=1 ./internal/gemm ./internal/nn
 
 echo "== ncsw-vet (determinism & API hygiene) =="
 # The domain analyzer suite (internal/lint, DESIGN.md §8): walltime,
@@ -62,14 +71,15 @@ go test -run '^$' -bench 'Benchmark(Compile|Parse)GoogLeNet' -benchmem -cpu 1,2 
 # A GoogLeNet session build with its graph-file handle memoised (hit)
 # and compiled (miss) gets the same sanity run. A miss compiles the
 # structure only: no weight is generated until something asks for the
-# bytes, so both cost about the same.
+# bytes, and no dataset prototype until something reads a pixel.
 go test -run '^$' -bench BenchmarkNewSessionGoogLeNet -benchmem -benchtime=1x ./internal/pipeline
 go test -run '^$' -bench BenchmarkFromFloat32 -benchtime=1x ./internal/half
 go test -run '^$' -bench BenchmarkNewGoogLeNet -benchtime=1x ./internal/nn
 # The fp32 path's kernel-variant benches (gemm on every micro-GoogLeNet
-# conv shape, one batch-8 micro forward) get the same sanity run.
+# conv shape, one batch-8 micro forward, and every batch-8
+# micro-GoogLeNet max pool and ReLU) get the same sanity run.
 go test -run '^$' -bench BenchmarkMulMicroShapes -benchmem -benchtime=1x ./internal/gemm
-go test -run '^$' -bench BenchmarkForwardMicroB8 -benchmem -benchtime=1x ./internal/nn
+go test -run '^$' -bench 'Benchmark(ForwardMicroB8|MaxPoolMicroShapes|ReLU)$' -benchmem -benchtime=1x ./internal/nn
 # The hedge-trigger microbenchmark (per-completion cost after 1k and
 # 100k prior completions) gets the same sanity run.
 go test -run '^$' -bench BenchmarkHedgeTrigger -benchtime=1x ./internal/core
