@@ -66,7 +66,7 @@ func (h *Harness) runVPUSpec(spec vpuRunSpec) (perfResult, error) {
 	if err != nil {
 		return perfResult{}, err
 	}
-	src, err := core.NewDatasetSource(ds, 0, spec.images, false)
+	src, err := core.NewDatasetSource(ds, 0, spec.images)
 	if err != nil {
 		return perfResult{}, err
 	}
@@ -207,7 +207,7 @@ func (h *Harness) PrecisionAblation(images int) (*Table, error) {
 	}
 
 	names := []string{"FP32 (CPU reference)", "FP16, FP32 accumulate", "FP16, FP16 accumulate"}
-	passes := []pass{{net32, nn.FP32}, {net16, nn.FP16}, {net16, nn.FP16Strict}}
+	passes := []nn.Pass{{Net: net32, Prec: nn.FP32}, {Net: net16, Prec: nn.FP16}, {Net: net16, Prec: nn.FP16Strict}}
 	t := &Table{
 		ID:      "precision",
 		Title:   "Precision ablation: accumulate width on the VPU path",
@@ -216,14 +216,14 @@ func (h *Harness) PrecisionAblation(images int) (*Table, error) {
 			fmt.Sprintf("%d images; paper observes a 0.09%% FP32-FP16 difference, consistent with FP32 accumulation", images),
 		},
 	}
-	preds, err := predict(ds, 0, images, passes...)
+	preds, err := nn.Classify(images, ds.Preprocessed, passes...)
 	if err != nil {
 		return nil, err
 	}
 	var ref float64
 	for k, ps := range passes {
 		e := float64(wrongLabels(ds, preds[k])) / float64(images)
-		if ps.prec == nn.FP32 {
+		if ps.Prec == nn.FP32 {
 			ref = e
 		}
 		t.AddRow(names[k], fmt.Sprintf("%.2f%%", e*100), fmt.Sprintf("%+.2f%%", (e-ref)*100))

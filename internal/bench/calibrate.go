@@ -64,7 +64,7 @@ func MeasureErrorAt(sigma float64, images int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	preds, err := predict(ds, 0, images, pass{net32, nn.FP32})
+	preds, err := nn.Classify(images, ds.Preprocessed, nn.Pass{Net: net32, Prec: nn.FP32})
 	if err != nil {
 		return 0, err
 	}

@@ -69,62 +69,12 @@ func microNets(ds *imagenet.Dataset) (net32, net16 *nn.Graph, err error) {
 	return net32, net16, nil
 }
 
-// prediction is one image's top-1 class and its confidence.
-type prediction struct {
-	class int
-	conf  float32
-}
-
-// predictBatch bounds the images predict stacks into one Forward.
-const predictBatch = 64
-
-// pass is one network run at one precision.
-type pass struct {
-	net  *nn.Graph
-	prec nn.Precision
-}
-
-// predict classifies images [lo, hi) of ds through every pass and
-// returns each pass's predictions in index order. Each batch of images
-// is generated and preprocessed once and forwarded through every pass;
-// the passes share an input shape. Forward splits each batch across
-// GOMAXPROCS and gives every image the bits of a forward of that image
-// alone (TestForwardBatchIndependent), so the predictions depend on
-// neither the batch size nor the core count.
-func predict(ds *imagenet.Dataset, lo, hi int, passes ...pass) ([][]prediction, error) {
-	shape := passes[0].net.InputShape()
-	per := shape.Elems()
-	preds := make([][]prediction, len(passes))
-	for i := range preds {
-		preds[i] = make([]prediction, 0, hi-lo)
-	}
-	for b := lo; b < hi; b += predictBatch {
-		n := min(predictBatch, hi-b)
-		in := tensor.New(append(tensor.Shape{n}, shape...)...)
-		for i := range n {
-			copy(in.Data[i*per:(i+1)*per], ds.Preprocessed(b+i).Data)
-		}
-		for k, ps := range passes {
-			out, err := ps.net.Forward(in, ps.prec)
-			if err != nil {
-				return nil, err
-			}
-			classes := len(out.Data) / n
-			for i := range n {
-				class, conf := tensor.FromSlice(out.Data[i*classes:(i+1)*classes], classes).ArgMax()
-				preds[k] = append(preds[k], prediction{class, conf})
-			}
-		}
-	}
-	return preds, nil
-}
-
 // wrongLabels counts the predictions of images [0, len(preds)) that
 // miss ds.Label.
-func wrongLabels(ds *imagenet.Dataset, preds []prediction) int {
+func wrongLabels(ds *imagenet.Dataset, preds []nn.Prediction) int {
 	wrong := 0
 	for i, p := range preds {
-		if p.class != ds.Label(i) {
+		if p.Class != ds.Label(i) {
 			wrong++
 		}
 	}
@@ -154,7 +104,8 @@ func (h *Harness) fig7() ([]fig7Subset, error) {
 	subsets := make([]fig7Subset, h.cfg.Subsets)
 	for k := range subsets {
 		lo, hi := ds.SubsetRange(k)
-		preds, err := predict(ds, lo, hi, pass{net32, nn.FP32}, pass{net16, nn.FP16})
+		image := func(i int) *tensor.T { return ds.Preprocessed(lo + i) }
+		preds, err := nn.Classify(hi-lo, image, nn.Pass{Net: net32, Prec: nn.FP32}, nn.Pass{Net: net16, Prec: nn.FP16})
 		if err != nil {
 			return nil, err
 		}
@@ -166,14 +117,14 @@ func (h *Harness) fig7() ([]fig7Subset, error) {
 				return nil, err
 			}
 			s.n++
-			if p32[i].class != label {
+			if p32[i].Class != label {
 				s.wrong32++
 			}
-			if p16[i].class != label {
+			if p16[i].Class != label {
 				s.wrong16++
 			}
-			if p32[i].class == label && p16[i].class == label {
-				s.diffSum += math.Abs(float64(p32[i].conf) - float64(p16[i].conf))
+			if p32[i].Class == label && p16[i].Class == label {
+				s.diffSum += math.Abs(float64(p32[i].Conf) - float64(p16[i].Conf))
 				s.diffN++
 			}
 		}

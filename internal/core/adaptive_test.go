@@ -21,7 +21,7 @@ func (e pacedEngine) TDPWatts() float64 { return 10 }
 // paced engine (in-package: tests reach newBatchTarget directly).
 func newFakeBatchTarget(t *testing.T, batch int, assembly BatchAssembly) *BatchTarget {
 	t.Helper()
-	bt, err := newBatchTarget("paced", pacedEngine{base: 4 * time.Millisecond, per: time.Millisecond}, nil, batch, false)
+	bt, err := newBatchTarget("paced", pacedEngine{base: 4 * time.Millisecond, per: time.Millisecond}, batch)
 	if err != nil {
 		t.Fatal(err)
 	}

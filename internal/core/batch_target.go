@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/devsim"
-	"repro/internal/nn"
 	"repro/internal/sim"
-	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
@@ -41,20 +39,18 @@ type BatchAssembly struct {
 }
 
 // BatchTarget runs a Caffe-style batch device: it gathers up to
-// BatchSize items from the source, prices the batch on the device
-// model, and (optionally) computes the outputs with a real FP32
-// forward pass. The paper uses "the traditional Caffe batch-based
-// processing on the CPU and GPU tests" (§IV). SetAssembly turns the
-// fixed gather into SLO-aware adaptive assembly.
+// BatchSize items from the source and prices the batch on the device
+// model; it keeps time only (DESIGN.md §1). The paper uses "the
+// traditional Caffe batch-based processing on the CPU and GPU tests"
+// (§IV). SetAssembly turns the fixed gather into SLO-aware adaptive
+// assembly.
 type BatchTarget struct {
-	name       string
-	engine     batchEngine
-	graph      *nn.Graph
-	batchSize  int
-	functional bool
-	timeline   *trace.Timeline
-	assembly   BatchAssembly
-	batches    int
+	name      string
+	engine    batchEngine
+	batchSize int
+	timeline  *trace.Timeline
+	assembly  BatchAssembly
+	batches   int
 	// carry holds items re-enqueued by an injected batch failure
 	// (fault.BatchOOM): they seed the next batch ahead of fresh pulls,
 	// keeping delivery order close to arrival order. carryPulls keeps
@@ -66,45 +62,30 @@ type BatchTarget struct {
 }
 
 // NewCPUTarget builds the Caffe-MKL target.
-func NewCPUTarget(engine *devsim.CPU, graph *nn.Graph, batchSize int, functional bool) (*BatchTarget, error) {
+func NewCPUTarget(engine *devsim.CPU, batchSize int) (*BatchTarget, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("core: cpu target needs an engine")
 	}
-	return newBatchTarget("cpu", engine, graph, batchSize, functional)
+	return newBatchTarget("cpu", engine, batchSize)
 }
 
-// NewGPUTarget builds the Caffe-cuDNN target. Functional execution
-// uses the same FP32 forward as the CPU: the paper confirms the GPU
-// "provides equivalent confidence results" (§IV-B, footnote 6).
-func NewGPUTarget(engine *devsim.GPU, graph *nn.Graph, batchSize int, functional bool) (*BatchTarget, error) {
+// NewGPUTarget builds the Caffe-cuDNN target.
+func NewGPUTarget(engine *devsim.GPU, batchSize int) (*BatchTarget, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("core: gpu target needs an engine")
 	}
-	return newBatchTarget("gpu", engine, graph, batchSize, functional)
+	return newBatchTarget("gpu", engine, batchSize)
 }
 
-func newBatchTarget(name string, engine batchEngine, graph *nn.Graph, batchSize int, functional bool) (*BatchTarget, error) {
-	if engine == nil {
-		return nil, fmt.Errorf("core: %s target needs an engine", name)
-	}
+func newBatchTarget(name string, engine batchEngine, batchSize int) (*BatchTarget, error) {
 	if batchSize < 1 {
 		return nil, fmt.Errorf("core: batch size %d", batchSize)
 	}
-	if functional && graph == nil {
-		return nil, fmt.Errorf("core: functional %s target needs a graph", name)
-	}
-	if graph == nil && batchSize > 0 {
-		// Non-functional runs still need the graph for the workload; the
-		// engine already embeds it, so a nil graph is acceptable.
-		_ = graph
-	}
 	return &BatchTarget{
-		name:       name,
-		engine:     engine,
-		graph:      graph,
-		batchSize:  batchSize,
-		functional: functional,
-		timeline:   trace.Disabled(),
+		name:      name,
+		engine:    engine,
+		batchSize: batchSize,
+		timeline:  trace.Disabled(),
 	}, nil
 }
 
@@ -236,71 +217,15 @@ func (t *BatchTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 			d := t.engine.NextBatchDuration(len(batch))
 			p.Sleep(d)
 			t.timeline.Add(t.name, trace.Compute, start, p.Now(), fmt.Sprintf("batch=%d", len(batch)))
-			t.emit(batch, pulls, start, p.Now(), sink, job)
+			for i, item := range batch {
+				sink(Result{Index: item.Index, Image: item.Image, Label: item.Label, Pred: -1,
+					Start: start, End: p.Now(), ArrivedAt: item.ArrivedAt, DispatchedAt: pulls[i],
+					Device: t.name, Tenant: item.Tenant})
+			}
 			job.Images += len(batch)
 			t.batches++
 		}
 		job.Finish(p)
 	})
 	return job
-}
-
-// emit produces one Result per batch item, running the functional
-// forward pass when enabled.
-func (t *BatchTarget) emit(batch []Item, pulls []time.Duration, start, end time.Duration, sink func(Result), job *Job) {
-	var outputs *tensor.T
-	if t.functional {
-		in, ok := t.stack(batch)
-		if ok {
-			out, err := t.graph.Forward(in, nn.FP32)
-			if err != nil {
-				if job.Err == nil {
-					job.Err = err
-				}
-			} else {
-				outputs = out
-			}
-		}
-	}
-	classes := 0
-	if outputs != nil {
-		classes = outputs.Elems() / len(batch)
-	}
-	for i, item := range batch {
-		r := Result{
-			Index:        item.Index,
-			Label:        item.Label,
-			Pred:         -1,
-			Start:        start,
-			End:          end,
-			ArrivedAt:    item.ArrivedAt,
-			DispatchedAt: pulls[i],
-			Device:       t.name,
-			Tenant:       item.Tenant,
-		}
-		if outputs != nil {
-			row := tensor.FromSlice(outputs.Data[i*classes:(i+1)*classes], classes)
-			pred, conf := row.ArgMax()
-			r.Pred, r.Confidence, r.Output = pred, conf, row
-		}
-		sink(r)
-	}
-}
-
-// stack assembles the batch input tensor; it reports false when any
-// image is missing (pure-performance items).
-func (t *BatchTarget) stack(batch []Item) (*tensor.T, bool) {
-	shape := t.graph.InputShape()
-	per := shape.Elems()
-	out := tensor.New(append(tensor.Shape{len(batch)}, shape...)...)
-	for i, item := range batch {
-		if item.Image == nil {
-			return nil, false
-		}
-		if item.Image.Elems() != per {
-			return nil, false
-		}
-		copy(out.Data[i*per:(i+1)*per], item.Image.Data)
-	}
-	return out, true
 }

@@ -24,10 +24,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Item is one unit of work: an image to classify. Image may be nil in
-// pure-performance runs (the devices still pay full transfer and
-// execution costs; they just skip numeric inference). Label is the
-// ground-truth class, or -1 when unknown.
+// Item is one unit of work: an image to classify. Image may be nil:
+// targets only keep time, and a functional session classifies the
+// dataset image at Index instead. Label is the ground-truth class, or
+// -1 when unknown.
 //
 // Index -1 is reserved: the framework uses it as the end-of-stream
 // sentinel on internal feeds. StreamSource.Push rejects it.
@@ -60,12 +60,13 @@ type Source interface {
 // Result is one completed inference.
 type Result struct {
 	Index int
-	Label int // ground truth, -1 unknown
-	Pred  int // predicted class, -1 when non-functional
-	// Confidence is the softmax confidence of the predicted class.
+	Image *tensor.T // copied from Item.Image
+	Label int       // ground truth, -1 unknown
+	// Pred is the predicted class: a functional pipeline.Session sets it
+	// after the run; hand-wired targets leave -1.
+	Pred int
+	// Confidence is the softmax confidence of Pred.
 	Confidence float32
-	// Output is the full confidence vector when the target retains it.
-	Output *tensor.T
 	// Start/End are virtual timestamps of the inference span.
 	Start, End time.Duration
 	// ArrivedAt is when the item became visible to the serving system
@@ -82,7 +83,7 @@ type Result struct {
 	// Tenant is the traffic class the item belonged to (copied from
 	// Item.Tenant; "" for untenanted runs).
 	Tenant string
-	// Err records a functional inference failure.
+	// Err records an inference failure the device reported.
 	Err error
 }
 
@@ -212,19 +213,17 @@ type Sized interface {
 // DatasetSource serves a half-open index range of a synthetic
 // ImageNet dataset (one of the paper's 10 000-image subsets, usually).
 type DatasetSource struct {
-	ds         *imagenet.Dataset
-	next, hi   int
-	functional bool
+	ds       *imagenet.Dataset
+	next, hi int
 }
 
-// NewDatasetSource creates a source over images [lo, hi) of ds. When
-// functional is false, items carry labels but nil images, which keeps
-// pure-performance runs free of real compute.
-func NewDatasetSource(ds *imagenet.Dataset, lo, hi int, functional bool) (*DatasetSource, error) {
+// NewDatasetSource creates a source over images [lo, hi) of ds. Items
+// carry labels but nil images.
+func NewDatasetSource(ds *imagenet.Dataset, lo, hi int) (*DatasetSource, error) {
 	if lo < 0 || hi > ds.Len() || lo >= hi {
 		return nil, fmt.Errorf("core: range [%d,%d) invalid for dataset of %d", lo, hi, ds.Len())
 	}
-	return &DatasetSource{ds: ds, next: lo, hi: hi, functional: functional}, nil
+	return &DatasetSource{ds: ds, next: lo, hi: hi}, nil
 }
 
 // Remaining implements Sized.
@@ -240,11 +239,7 @@ func (s *DatasetSource) Next(p *sim.Proc) (Item, bool) {
 	}
 	i := s.next
 	s.next++
-	item := Item{Index: i, Label: s.ds.Label(i), ArrivedAt: p.Now()}
-	if s.functional {
-		item.Image = s.ds.Preprocessed(i)
-	}
-	return item, true
+	return Item{Index: i, Label: s.ds.Label(i), ArrivedAt: p.Now()}, true
 }
 
 // SliceSource serves a fixed slice of items (tests, small demos).
@@ -395,14 +390,7 @@ func NewCollector(retain bool) *Collector {
 func (c *Collector) Sink() func(Result) {
 	return func(r Result) {
 		c.N++
-		if r.Pred >= 0 && r.Label >= 0 {
-			if r.Pred == r.Label {
-				c.Correct++
-			} else {
-				c.Mispred++
-			}
-		}
-		c.ConfSum += float64(r.Confidence)
+		c.Score(r.Label, r.Pred, r.Confidence)
 		if !c.any || r.Start < c.firstStart {
 			c.firstStart = r.Start
 		}
@@ -418,6 +406,19 @@ func (c *Collector) Sink() func(Result) {
 			c.Results = append(c.Results, r)
 		}
 	}
+}
+
+// Score adds one prediction to Correct, Mispred and ConfSum, as Sink
+// does for each result (a Pred of -1 with no Confidence adds nothing).
+func (c *Collector) Score(label, pred int, conf float32) {
+	if pred >= 0 && label >= 0 {
+		if pred == label {
+			c.Correct++
+		} else {
+			c.Mispred++
+		}
+	}
+	c.ConfSum += float64(conf)
 }
 
 // SetSLO sets the per-item serving deadline goodput is measured

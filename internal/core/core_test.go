@@ -23,7 +23,7 @@ func smallDataset(t testing.TB) *imagenet.Dataset {
 
 func TestDatasetSource(t *testing.T) {
 	ds := smallDataset(t)
-	src, err := NewDatasetSource(ds, 10, 20, true)
+	src, err := NewDatasetSource(ds, 10, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func TestDatasetSource(t *testing.T) {
 			if item.Label != ds.Label(i) {
 				t.Error("label mismatch")
 			}
-			if item.Image == nil {
-				t.Error("functional source must carry images")
+			if item.Image != nil {
+				t.Error("dataset items must leave the pixels to whoever classifies them")
 			}
 		}
 		if _, ok := src.Next(p); ok {
@@ -51,29 +51,10 @@ func TestDatasetSource(t *testing.T) {
 	env.Run()
 }
 
-func TestDatasetSourceNonFunctional(t *testing.T) {
-	ds := smallDataset(t)
-	src, err := NewDatasetSource(ds, 0, 5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := sim.NewEnv()
-	env.Process("consumer", func(p *sim.Proc) {
-		item, ok := src.Next(p)
-		if !ok || item.Image != nil {
-			t.Error("non-functional source must omit images")
-		}
-		if item.Label < 0 {
-			t.Error("labels still expected")
-		}
-	})
-	env.Run()
-}
-
 func TestDatasetSourceValidation(t *testing.T) {
 	ds := smallDataset(t)
 	for _, r := range [][2]int{{-1, 5}, {0, 101}, {5, 5}, {7, 3}} {
-		if _, err := NewDatasetSource(ds, r[0], r[1], false); err == nil {
+		if _, err := NewDatasetSource(ds, r[0], r[1]); err == nil {
 			t.Errorf("range %v accepted", r)
 		}
 	}
@@ -225,14 +206,11 @@ func TestSchedulingString(t *testing.T) {
 }
 
 func TestBatchTargetValidation(t *testing.T) {
-	if _, err := NewCPUTarget(nil, nil, 8, false); err == nil {
+	if _, err := NewCPUTarget(nil, 8); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := newBatchTarget("x", fakeEngine{}, nil, 0, false); err == nil {
+	if _, err := newBatchTarget("x", fakeEngine{}, 0); err == nil {
 		t.Error("batch 0 accepted")
-	}
-	if _, err := newBatchTarget("x", fakeEngine{}, nil, 4, true); err == nil {
-		t.Error("functional without graph accepted")
 	}
 }
 
@@ -242,7 +220,7 @@ func (fakeEngine) NextBatchDuration(b int) time.Duration { return time.Duration(
 func (fakeEngine) TDPWatts() float64                     { return 42 }
 
 func TestBatchTargetRunsFake(t *testing.T) {
-	bt, err := newBatchTarget("fake", fakeEngine{}, nil, 4, false)
+	bt, err := newBatchTarget("fake", fakeEngine{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestVPUTargetHedgeUnderSlowdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, images, false)
+	src, err := NewDatasetSource(tb.ds, 0, images)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestVPUHedgeDropAccountingDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, images, false)
+	src, err := NewDatasetSource(tb.ds, 0, images)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestVPUTargetHedgeNeverBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := NewDatasetSource(tb.ds, 0, images, false)
+		src, err := NewDatasetSource(tb.ds, 0, images)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,9 +386,7 @@ func TestVPUTargetHedgeNeverBitIdentical(t *testing.T) {
 		t.Fatalf("result counts differ: %d unhedged vs %d trigger=∞", len(plain), len(never))
 	}
 	for i := range plain {
-		p, q := plain[i], never[i]
-		p.Output, q.Output = nil, nil // pointer fields compare by identity
-		if p != q {
+		if p, q := plain[i], never[i]; p != q {
 			t.Fatalf("result %d differs:\nunhedged  %+v\ntrigger=∞ %+v", i, p, q)
 		}
 	}

@@ -61,7 +61,7 @@ func TestVPUTargetSingleDeviceThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, 50, false)
+	src, err := NewDatasetSource(tb.ds, 0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestVPUTargetEightDeviceScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, 400, false)
+	src, err := NewDatasetSource(tb.ds, 0, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestVPUTargetRoundRobinAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, 40, false)
+	src, err := NewDatasetSource(tb.ds, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestVPUTargetDynamicSchedulingBalances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, 80, false)
+	src, err := NewDatasetSource(tb.ds, 0, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestVPUTargetOverlapBeatsSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := NewDatasetSource(tb.ds, 0, 60, false)
+		src, err := NewDatasetSource(tb.ds, 0, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,52 +195,6 @@ func TestVPUTargetOverlapBeatsSequential(t *testing.T) {
 	}
 }
 
-func TestVPUTargetFunctionalClassification(t *testing.T) {
-	micro := nn.NewMicroGoogLeNet(nn.DefaultMicroConfig(), rng.New(42))
-	tb := newTestbed(t, 2, micro, 40)
-	if err := nn.CalibrateClassifier(micro, nn.MicroClassifierName, nn.MicroPoolName,
-		tb.ds.PreprocessedPrototypes(), 8); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := graphfile.CompileHandle(micro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultVPUOptions()
-	opts.Functional = true
-	target, err := NewVPUTarget(tb.devices, blob, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewDatasetSource(tb.ds, 0, 40, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewCollector(true)
-	job := target.Start(tb.env, src, col.Sink())
-	tb.env.Run()
-	if job.Err != nil {
-		t.Fatal(job.Err)
-	}
-	if col.Correct+col.Mispred != 40 {
-		t.Fatalf("classified %d of 40", col.Correct+col.Mispred)
-	}
-	// At the calibrated noise the error is ~32%; with 40 samples allow
-	// a very wide band — the point is that classification works at all
-	// and is far above the 1% random-chance accuracy.
-	if col.TopOneError() > 0.6 {
-		t.Errorf("top-1 error = %.2f implausibly high", col.TopOneError())
-	}
-	for _, r := range col.Results {
-		if r.Err != nil {
-			t.Fatalf("inference error: %v", r.Err)
-		}
-		if r.Pred < 0 || r.Confidence <= 0 {
-			t.Fatal("functional result missing prediction")
-		}
-	}
-}
-
 func TestBatchTargetsWithRealEngines(t *testing.T) {
 	g := nn.NewGoogLeNet(rng.New(1))
 	w := devsim.WorkloadOf(g)
@@ -252,11 +206,11 @@ func TestBatchTargetsWithRealEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := NewCPUTarget(cpuEng, g, 8, false)
+	cpu, err := NewCPUTarget(cpuEng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpu, err := NewGPUTarget(gpuEng, g, 8, false)
+	gpu, err := NewGPUTarget(gpuEng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +223,8 @@ func TestBatchTargetsWithRealEngines(t *testing.T) {
 	}
 
 	env := sim.NewEnv()
-	srcCPU, _ := NewDatasetSource(ds, 0, 200, false)
-	srcGPU, _ := NewDatasetSource(ds, 200, 400, false)
+	srcCPU, _ := NewDatasetSource(ds, 0, 200)
+	srcGPU, _ := NewDatasetSource(ds, 200, 400)
 	colCPU, colGPU := NewCollector(false), NewCollector(false)
 	jobCPU := cpu.Start(env, srcCPU, colCPU.Sink())
 	jobGPU := gpu.Start(env, srcGPU, colGPU.Sink())
@@ -299,7 +253,7 @@ func TestHeterogeneousGroupsShareOneEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := NewCPUTarget(cpuEng, tb.graph, 8, false)
+	cpu, err := NewCPUTarget(cpuEng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +261,8 @@ func TestHeterogeneousGroupsShareOneEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcCPU, _ := NewDatasetSource(tb.ds, 0, 60, false)
-	srcVPU, _ := NewDatasetSource(tb.ds, 60, 120, false)
+	srcCPU, _ := NewDatasetSource(tb.ds, 0, 60)
+	srcVPU, _ := NewDatasetSource(tb.ds, 60, 120)
 	colCPU, colVPU := NewCollector(false), NewCollector(false)
 	jobCPU := cpu.Start(tb.env, srcCPU, colCPU.Sink())
 	jobVPU := vpu.Start(tb.env, srcVPU, colVPU.Sink())
@@ -330,7 +284,7 @@ func TestVPUTargetTimelineShowsOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, 40, false)
+	src, err := NewDatasetSource(tb.ds, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +324,7 @@ func TestVPUTargetJitterGivesVariation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, 20, false)
+	src, err := NewDatasetSource(tb.ds, 0, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

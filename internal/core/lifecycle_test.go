@@ -44,7 +44,7 @@ func TestBatchTargetLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := NewCPUTarget(eng, g, 8, false)
+	target, err := NewCPUTarget(eng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestVPUTargetLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, n, false)
+	src, err := NewDatasetSource(tb.ds, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}

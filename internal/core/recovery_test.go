@@ -43,7 +43,7 @@ func runFaulted(t *testing.T, devices, images int, rc RecoveryConfig, at time.Du
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, images, false)
+	src, err := NewDatasetSource(tb.ds, 0, images)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestPoolRoutesAroundUnhealthyChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewDatasetSource(tb.ds, 0, n, false)
+	src, err := NewDatasetSource(tb.ds, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRecoveryMonitoringFreeWithoutFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := NewDatasetSource(tb.ds, 0, n, false)
+		src, err := NewDatasetSource(tb.ds, 0, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestVPUEveryStickFailStops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := NewDatasetSource(tb.ds, 0, n, false)
+		src, err := NewDatasetSource(tb.ds, 0, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,10 +35,9 @@ import (
 // every loss.
 
 // StageTarget is a Target that can run as an interior pipeline stage:
-// its results carry the stage's output activation (Result.Output) and
-// Forward converts one of them into the Item the downstream stage
-// consumes. The conversion must preserve the lifecycle stamps — the
-// item's identity (Index, Label) and its arrival instant survive
+// Forward converts one of its results into the Item the downstream
+// stage consumes. The conversion must preserve the lifecycle stamps —
+// the item's identity (Index, Label) and its arrival instant survive
 // every hop, so the final Result's latency still measures arrival to
 // last-stage completion.
 type StageTarget interface {
@@ -48,12 +47,10 @@ type StageTarget interface {
 	Forward(r Result) Item
 }
 
-// stageItem is the standard boundary conversion: the intermediate
-// activation becomes the item payload (nil in pure-performance runs —
-// the downstream device still prices its full segment cost) and the
-// lifecycle stamps survive the hop.
+// stageItem is the standard boundary conversion: the identity and
+// lifecycle stamps cross the hop, no activation (stages keep time).
 func stageItem(r Result) Item {
-	return Item{Index: r.Index, Image: r.Output, Label: r.Label, ArrivedAt: r.ArrivedAt, Tenant: r.Tenant}
+	return Item{Index: r.Index, Label: r.Label, ArrivedAt: r.ArrivedAt, Tenant: r.Tenant}
 }
 
 // stageAdapter wraps a plain Target as a StageTarget with the

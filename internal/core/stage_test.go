@@ -380,14 +380,16 @@ func TestPipelineCollectorNeverDoubleCounts(t *testing.T) {
 }
 
 // TestPipelineForwardPayload: the standard hop conversion carries the
-// intermediate activation as the downstream item's payload.
+// item's identity and stamps downstream but no payload: stages only
+// keep time, so the upstream input image does not become the next
+// stage's input.
 func TestPipelineForwardPayload(t *testing.T) {
-	r := Result{Index: 3, Label: 1, Output: tensor.New(2), ArrivedAt: 7 * time.Millisecond}
+	r := Result{Index: 3, Image: tensor.New(2), Label: 1, ArrivedAt: 7 * time.Millisecond}
 	item := AsStage(&stubTarget{name: "x"}).Forward(r)
 	if item.Index != 3 || item.Label != 1 || item.ArrivedAt != 7*time.Millisecond {
 		t.Errorf("hop lost identity/stamps: %+v", item)
 	}
-	if item.Image != r.Output {
-		t.Errorf("hop lost activation payload: %+v", item.Image)
+	if item.Image != nil {
+		t.Errorf("hop forwarded a payload: %+v", item.Image)
 	}
 }

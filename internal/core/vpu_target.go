@@ -10,7 +10,6 @@ import (
 	"repro/internal/ncs"
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
@@ -107,8 +106,6 @@ type HealthAware interface {
 
 // VPUOptions configures the multi-VPU target.
 type VPUOptions struct {
-	// Functional enables numeric FP16 inference on the sticks.
-	Functional bool
 	// Scheduling selects the dispatch policy (default RoundRobin).
 	Scheduling Scheduling
 	// Overlap makes each worker keep two inferences in flight per
@@ -140,7 +137,6 @@ type VPUOptions struct {
 // DefaultVPUOptions returns the paper-faithful configuration.
 func DefaultVPUOptions() VPUOptions {
 	return VPUOptions{
-		Functional:   false,
 		Scheduling:   RoundRobin,
 		Overlap:      false,
 		HostOverhead: 250 * time.Microsecond,
@@ -155,7 +151,7 @@ func DefaultVPUOptions() VPUOptions {
 // link) marks the device down, recovery re-opens it at the real
 // firmware-boot cost and redelivers the in-flight items, and a device
 // that cannot rejoin is abandoned while the survivors absorb the
-// source.
+// source. The sticks only keep time (DESIGN.md §1).
 type VPUTarget struct {
 	devices []*ncs.Device
 	blob    *graphfile.Handle
@@ -275,7 +271,7 @@ func (t *VPUTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 				job.Finish(p)
 				return
 			}
-			g, err := d.AllocateGraph(p, t.blob, ncs.GraphOptions{Functional: t.opts.Functional})
+			g, err := d.AllocateGraph(p, t.blob, ncs.GraphOptions{})
 			if err != nil {
 				job.Err = fmt.Errorf("core: allocate on %s: %w", d.Name(), err)
 				job.Finish(p)
@@ -468,6 +464,7 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 		}
 		r := Result{
 			Index:        fl.item.Index,
+			Image:        fl.item.Image,
 			Label:        fl.item.Label,
 			Pred:         -1,
 			Start:        fl.start,
@@ -477,10 +474,6 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 			Device:       dev.Name(),
 			Tenant:       fl.item.Tenant,
 			Err:          res.Err,
-		}
-		if res.Output != nil {
-			pred, conf := res.Output.ArgMax()
-			r.Pred, r.Confidence, r.Output = pred, conf, res.Output
 		}
 		// First-completion dedup: a losing hedge duplicate is discarded
 		// here, so each item reaches the sink (and Job.Images) at most
@@ -521,7 +514,7 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 			err := dev.Open(p)
 			if err == nil {
 				var g2 *ncs.Graph
-				g2, err = dev.AllocateGraph(p, t.blob, ncs.GraphOptions{Functional: t.opts.Functional})
+				g2, err = dev.AllocateGraph(p, t.blob, ncs.GraphOptions{})
 				if err == nil {
 					g = g2
 					graphs[wi] = g2
@@ -603,12 +596,8 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 		fl.attempts++
 		fl.start = p.Now()
 		p.Sleep(t.opts.HostOverhead)
-		var img *tensor.T
-		if t.opts.Functional {
-			img = fl.item.Image
-		}
 		loadStart := p.Now()
-		if err := g.LoadTensor(p, img, fl.item.Index); err != nil {
+		if err := g.LoadTensor(p, nil, fl.item.Index); err != nil {
 			if rc.enabled() {
 				pending = append(pending, fl)
 				if !fail(fmt.Sprintf("load failed: %v", err)) {

@@ -25,8 +25,8 @@ var (
 // measures from zero.
 var (
 	resultPayload = map[string]bool{
-		"Index": true, "Label": true, "Pred": true, "Confidence": true,
-		"Output": true, "Device": true, "Err": true,
+		"Index": true, "Image": true, "Label": true, "Pred": true,
+		"Confidence": true, "Device": true, "Err": true,
 	}
 	resultStamps = []string{"ArrivedAt", "Start", "End"}
 )
@@ -37,12 +37,13 @@ var (
 // only) pass; so does any code that builds a bare literal and routes
 // it through a stamping helper such as StreamSource.Push, which sets
 // ArrivedAt at the push instant. Stage-boundary hops (PR 8) get one
-// extra rule: an Item literal that forwards a Result's output tensor
-// downstream (Image from a .Output selector) must *carry* the
-// upstream arrival stamp (ArrivedAt from a .ArrivedAt selector) — a
-// freshly invented stamp at a stage boundary silently resets the
-// item's end-to-end latency. Test files are exempt: tests build
-// half-stamped literals to probe exactly these edge cases.
+// extra rule: an Item literal built from a core.Result (its Index
+// taken from a Result's .Index) forwards that result's item
+// downstream and must *carry* the upstream arrival stamp (ArrivedAt
+// from a .ArrivedAt selector) — a freshly invented stamp at a stage
+// boundary silently resets the item's end-to-end latency. Test files
+// are exempt: tests build half-stamped literals to probe exactly these
+// edge cases.
 var Resultstamp = &Analyzer{
 	Name: "resultstamp",
 	Doc:  "require core.Item/core.Result literals to set their lifecycle timestamps (or flow through a stamping helper)",
@@ -59,8 +60,7 @@ var Resultstamp = &Analyzer{
 				if !ok {
 					return true
 				}
-				name := coreTypeName(pass, lit)
-				switch name {
+				switch coreNamed(pass.TypeOf(lit)) {
 				case "Item":
 					checkStamps(pass, lit, "core.Item", itemPayload, itemStamps)
 					checkStageHop(pass, lit)
@@ -74,7 +74,7 @@ var Resultstamp = &Analyzer{
 }
 
 // checkStageHop applies the stage-boundary rule to a keyed core.Item
-// literal: Image taken from a Result's .Output field marks the
+// literal: Index taken from a core.Result's .Index field marks the
 // literal as an inter-stage hop, and its ArrivedAt must then be
 // carried from an upstream .ArrivedAt field rather than re-stamped.
 // A hop that omits ArrivedAt entirely is already reported by the
@@ -93,8 +93,8 @@ func checkStageHop(pass *Pass, lit *ast.CompositeLit) {
 			continue
 		}
 		switch id.Name {
-		case "Image":
-			hop = isFieldSelector(kv.Value, "Output")
+		case "Index":
+			hop = isResultField(pass, kv.Value, "Index")
 		case "ArrivedAt":
 			arrived = kv.Value
 		}
@@ -105,20 +105,33 @@ func checkStageHop(pass *Pass, lit *ast.CompositeLit) {
 	if isFieldSelector(arrived, "ArrivedAt") {
 		return
 	}
-	pass.Reportf(lit.Pos(), "core.Item literal forwards a Result's Output across a stage boundary but re-stamps ArrivedAt — carry the upstream result's ArrivedAt (PR 8) or end-to-end latency resets at the hop")
+	pass.Reportf(lit.Pos(), "core.Item literal forwards a Result's item across a stage boundary but re-stamps ArrivedAt — carry the upstream result's ArrivedAt (PR 8) or end-to-end latency resets at the hop")
+}
+
+// isResultField reports whether e selects the given field of a
+// core.Result value or pointer (e.g. r.Index).
+func isResultField(pass *Pass, e ast.Expr, field string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != field {
+		return false
+	}
+	t := pass.TypeOf(sel.X)
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return coreNamed(t) == "Result"
 }
 
 // isFieldSelector reports whether e is a selector expression ending
-// in the given field name (e.g. r.Output, res.Inner.ArrivedAt).
+// in the given field name (e.g. r.ArrivedAt, res.Inner.ArrivedAt).
 func isFieldSelector(e ast.Expr, field string) bool {
 	sel, ok := e.(*ast.SelectorExpr)
 	return ok && sel.Sel.Name == field
 }
 
-// coreTypeName returns the named-type name of a composite literal
-// declared in repro/internal/core ("" otherwise).
-func coreTypeName(pass *Pass, lit *ast.CompositeLit) string {
-	t := pass.TypeOf(lit)
+// coreNamed returns the name of t when it is a named type declared in
+// repro/internal/core ("" otherwise).
+func coreNamed(t types.Type) string {
 	if t == nil {
 		return ""
 	}

@@ -50,22 +50,28 @@ func allowed() core.Item {
 	return core.Item{Index: 7, Label: 1}
 }
 
+func resultImageBad(r core.Result) core.Result {
+	return core.Result{Image: r.Image} // want `core\.Result literal carries payload fields but does not set ArrivedAt, Start and End`
+}
+
 func stageHopOK(r core.Result) core.Item {
-	return core.Item{Index: r.Index, Image: r.Output, Label: r.Label, ArrivedAt: r.ArrivedAt}
+	return core.Item{Index: r.Index, Label: r.Label, ArrivedAt: r.ArrivedAt}
+}
+
+func stageHopPointerRestampBad(r *core.Result, now time.Duration) core.Item {
+	return core.Item{Index: r.Index, Label: r.Label, ArrivedAt: now} // want `re-stamps ArrivedAt`
 }
 
 func stageHopRestampBad(r core.Result, now time.Duration) core.Item {
-	return core.Item{Index: r.Index, Image: r.Output, ArrivedAt: now} // want `re-stamps ArrivedAt`
+	return core.Item{Index: r.Index, Image: r.Image, ArrivedAt: now} // want `re-stamps ArrivedAt`
 }
 
 func stageHopMissingBad(r core.Result) core.Item {
-	return core.Item{Index: r.Index, Image: r.Output} // want `does not set ArrivedAt`
+	return core.Item{Index: r.Index, Label: r.Label} // want `does not set ArrivedAt`
 }
 
-func nonHopFreshStampOK(img *struct{ Output int }, now time.Duration) core.Item {
-	// Image not taken from a Result's Output selector chain is not a
-	// hop... but a bare .Output selector is treated as one regardless
-	// of the receiver type (the analyzer is syntactic by design), so
-	// use a non-Output source here.
-	return core.Item{Index: 1, Label: img.Output, ArrivedAt: now}
+func nonHopFreshStampOK(job *struct{ Index int }, now time.Duration) core.Item {
+	// An Index taken from anything but a core.Result is not a hop, so
+	// a fresh arrival stamp is fine.
+	return core.Item{Index: job.Index, Label: 1, ArrivedAt: now}
 }

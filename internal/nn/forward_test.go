@@ -299,3 +299,40 @@ func TestForwardAllocs(t *testing.T) {
 		t.Errorf("warm batch-8 Forward allocates %d bytes per call, want < %d", per, limit)
 	}
 }
+
+// TestClassify: Classify's predictions equal the ArgMax of each image's
+// batch-1 Forward, for every pass, across a partial last batch; an
+// input of the wrong size is an error.
+func TestClassify(t *testing.T) {
+	const n = ClassifyBatch + 5
+	in := microBatch(n, 9)
+	per := in.Elems() / n
+	net32 := NewMicroGoogLeNet(DefaultMicroConfig(), rng.New(1))
+	net16 := NewMicroGoogLeNet(DefaultMicroConfig(), rng.New(1))
+	net16.QuantizeWeightsFP16()
+	passes := []Pass{{net32, FP32}, {net16, FP16}}
+	image := func(i int) *tensor.T { return tensor.FromSlice(in.Data[i*per:(i+1)*per], 3, 32, 32) }
+	preds, err := Classify(n, image, passes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, ps := range passes {
+		if len(preds[k]) != n {
+			t.Fatalf("%v: %d predictions, want %d", ps.Prec, len(preds[k]), n)
+		}
+		for i := range n {
+			out, err := ps.Net.Forward(image(i).Reshape(1, 3, 32, 32), ps.Prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			class, conf := out.ArgMax()
+			if got := preds[k][i]; got.Class != class || math.Float32bits(got.Conf) != math.Float32bits(conf) {
+				t.Errorf("%v image %d: %+v, want {%d %g}", ps.Prec, i, got, class, conf)
+			}
+		}
+	}
+	short := func(int) *tensor.T { return tensor.New(3, 32, 31) }
+	if _, err := Classify(2, short, passes[0]); err == nil || !strings.Contains(err.Error(), "want 3072") {
+		t.Errorf("short input: err = %v, want a size error", err)
+	}
+}

@@ -212,6 +212,57 @@ func (g *Graph) Forward(in *tensor.T, prec Precision) (*tensor.T, error) {
 	return out, nil
 }
 
+// Prediction is one image's top-1 class and its confidence.
+type Prediction struct {
+	Class int
+	Conf  float32
+}
+
+// Pass is one network run at one precision.
+type Pass struct {
+	Net  *Graph
+	Prec Precision
+}
+
+// ClassifyBatch is how many images Classify stacks into one Forward:
+// few, as Forward sizes its pooled activation arenas to the batch.
+const ClassifyBatch = 8
+
+// Classify forwards images input(0) .. input(n-1) through every pass
+// (all sharing one input shape) and returns each pass's predictions in
+// input order. Forward gives every image the bits of a forward of that
+// image alone (TestForwardBatchIndependent), so the predictions depend
+// on neither the batch size nor the core count.
+func Classify(n int, input func(i int) *tensor.T, passes ...Pass) ([][]Prediction, error) {
+	shape := passes[0].Net.InputShape()
+	per := shape.Elems()
+	preds := make([][]Prediction, len(passes))
+	buf := make([]float32, min(n, ClassifyBatch)*per)
+	for b := 0; b < n; b += ClassifyBatch {
+		m := min(ClassifyBatch, n-b)
+		in := &tensor.T{ShapeOf: append(tensor.Shape{m}, shape...), Data: buf[:m*per]}
+		for i := range m {
+			img := input(b + i)
+			if len(img.Data) != per {
+				return nil, fmt.Errorf("nn: classify input %d has %d values, want %d (%v)", b+i, len(img.Data), per, shape)
+			}
+			copy(in.Data[i*per:(i+1)*per], img.Data)
+		}
+		for k, ps := range passes {
+			out, err := ps.Net.Forward(in, ps.Prec)
+			if err != nil {
+				return nil, err
+			}
+			classes := len(out.Data) / m
+			for i := range m {
+				class, conf := tensor.FromSlice(out.Data[i*classes:(i+1)*classes], classes).ArgMax()
+				preds[k] = append(preds[k], Prediction{class, conf})
+			}
+		}
+	}
+	return preds, nil
+}
+
 // QuantizeWeightsFP16 rounds every parameter tensor through binary16
 // in place, filling any not yet read first. The NCSDK graph compiler
 // performs the same conversion when building the NCS graph file.

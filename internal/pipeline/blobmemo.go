@@ -11,9 +11,9 @@ import (
 
 // compileBlob compiles g, the session network or the segment of it
 // that starts at whole-network layer lo, into an NCS graph file. The
-// handle builds its payload only when something asks for the bytes: a
-// functional stick, Session.Blob, or a network parsed from it reading
-// its weights.
+// handle builds its payload only when something asks for the bytes:
+// Session.Blob, or a network parsed from it reading its weights (a
+// functional session's FP16 classification).
 //
 // A GoogLeNet the session built itself goes through the process-wide
 // memo, because its blob is a pure function of the net seed and the

@@ -12,8 +12,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/graphfile"
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/functional.golden from this run")
@@ -128,3 +133,118 @@ func resultDigest(rs []core.Result) string {
 }
 
 func ftoa(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+
+// TestFunctionalFollowsItemImage: a functional session classifies the
+// image each item carries, not the dataset image at the item's index.
+// The items here carry dataset images 100.. under indices 0.., so each
+// group's predictions must equal a direct nn.Classify of those images
+// at the group's precision (FP32 on the session network for the CPU,
+// FP16 on the network parsed from the graph file for the sticks).
+func TestFunctionalFollowsItemImage(t *testing.T) {
+	const n, offset = 12, 100
+	for _, opt := range []Option{WithCPU(8), WithVPUs(2)} {
+		sess, err := New(WithFunctional(true), WithRetain(true), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := sess.Dataset()
+		items := make([]core.Item, n)
+		for i := range items {
+			items[i] = core.Item{Index: i, Image: ds.Preprocessed(offset + i), Label: ds.Label(offset + i)}
+		}
+		sess.SetSource(core.NewSliceSource(items))
+		pass := nn.Pass{Net: sess.Network(), Prec: nn.FP32}
+		if blob := sess.Blob(); blob != nil {
+			net16, _, err := graphfile.Parse(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pass = nn.Pass{Net: net16, Prec: nn.FP16}
+		}
+		rep, err := sess.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := nn.Classify(n, func(i int) *tensor.T { return items[i].Image }, pass)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byIndex, err := nn.Classify(n, ds.Preprocessed, pass)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Results) != n {
+			t.Fatalf("%v: %d results, want %d", pass.Prec, len(rep.Results), n)
+		}
+		differ := 0
+		for _, r := range rep.Results {
+			want := own[0][r.Index]
+			if r.Pred != want.Class || math.Float32bits(r.Confidence) != math.Float32bits(want.Conf) {
+				t.Errorf("%v item %d: pred %d conf %g, want the item image's %d %g", pass.Prec, r.Index, r.Pred, r.Confidence, want.Class, want.Conf)
+			}
+			if byIndex[0][r.Index] != want {
+				differ++
+			}
+		}
+		if differ == 0 {
+			t.Errorf("%v: the item images predict exactly as the dataset images at their indices; the test cannot tell them apart", pass.Prec)
+		}
+		if got := rep.Collector.Correct + rep.Collector.Mispred; got != n {
+			t.Errorf("%v: scored %d of %d", pass.Prec, got, n)
+		}
+	}
+}
+
+// TestFunctionalHedgedGroupsScoreEveryCompletion: in a hedged
+// two-group functional session (a 2-stick VPU group beside a CPU
+// group, a straggler stick drawing duplicates onto the CPU), every
+// collector scores each of its completions exactly once, and the
+// merged totals are the sums of the group rows.
+func TestFunctionalHedgedGroupsScoreEveryCompletion(t *testing.T) {
+	const n = 120
+	sess, err := New(
+		WithFunctional(true),
+		WithImages(n),
+		WithVPUs(2),
+		WithCPU(8),
+		WithRouting(core.RouteRoundRobin),
+		WithArrivals(core.DelayedArrivals(core.PoissonArrivals(30), 2*time.Second)),
+		WithAdaptiveBatching(50*time.Millisecond),
+		WithFaults(fault.Plan{Events: []fault.Event{
+			{Device: "ncs1", Kind: fault.Slowdown, At: 2 * time.Second, Factor: 10, Duration: 4 * time.Second},
+		}}),
+		WithRecovery(core.DefaultRecoveryConfig()),
+		WithHedging(core.HedgeConfig{Trigger: 10 * time.Millisecond}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.HedgeWins == 0 {
+		t.Error("no duplicate won against a 10x straggler stick")
+	}
+	m := rep.Collector
+	if m.N != n || m.Correct+m.Mispred != n {
+		t.Errorf("merged: N %d, scored %d, want %d", m.N, m.Correct+m.Mispred, n)
+	}
+	var sum core.Collector
+	for _, tr := range rep.Targets {
+		c := tr.Collector
+		if c.N == 0 {
+			t.Errorf("group %s completed nothing", tr.Name)
+		}
+		if c.Correct+c.Mispred != c.N {
+			t.Errorf("group %s: scored %d of %d completions", tr.Name, c.Correct+c.Mispred, c.N)
+		}
+		sum.N += c.N
+		sum.Correct += c.Correct
+		sum.Mispred += c.Mispred
+	}
+	if sum.N != m.N || sum.Correct != m.Correct || sum.Mispred != m.Mispred {
+		t.Errorf("group rows sum to N %d correct %d mispred %d; merged has %d %d %d",
+			sum.N, sum.Correct, sum.Mispred, m.N, m.Correct, m.Mispred)
+	}
+}

@@ -115,9 +115,7 @@ func TestSessionHedgeNeverBitIdentical(t *testing.T) {
 		t.Fatalf("result counts differ: %d vs %d", len(off.Results), len(inf.Results))
 	}
 	for i := range off.Results {
-		a, b := off.Results[i], inf.Results[i]
-		a.Output, b.Output = nil, nil
-		if a != b {
+		if a, b := off.Results[i], inf.Results[i]; a != b {
 			t.Fatalf("result %d differs: %+v vs %+v", i, a, b)
 		}
 	}

@@ -20,8 +20,9 @@ func WithImages(n int) Option {
 	return func(c *Config) { c.Images = n }
 }
 
-// WithFunctional toggles real numeric inference (default off: devices
-// pay full simulated costs but skip arithmetic).
+// WithFunctional toggles real numeric inference: the session
+// classifies every completed item after the run (default off; the
+// devices pay the same simulated costs either way).
 func WithFunctional(on bool) Option {
 	return func(c *Config) { c.Functional = on }
 }

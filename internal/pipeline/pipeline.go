@@ -26,8 +26,10 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -93,7 +95,7 @@ type Group struct {
 	// per-run jitter streams this way ("serving/cpu-b8/run/load1.10").
 	SeedLabel string
 	// VPUOptions overrides the multi-VPU pipeline settings for this
-	// group (Functional and Timeline are managed by the session).
+	// group (Timeline, Recovery and Hedge are managed by the session).
 	VPUOptions *core.VPUOptions
 	// Target is the custom target for GroupCustom.
 	Target core.Target
@@ -121,8 +123,9 @@ type Config struct {
 	Dataset imagenet.Config
 	// Images is how many dataset images to classify (0 = all).
 	Images int
-	// Functional enables real numeric inference; otherwise devices
-	// pay full simulated costs but skip arithmetic.
+	// Functional classifies every completed item after the run (FP16
+	// for VPU groups, FP32 for CPU/GPU); the devices pay the same
+	// simulated costs either way.
 	Functional bool
 	// Network selects the workload network.
 	Network NetworkKind
@@ -302,6 +305,7 @@ type Session struct {
 	// reloadErrs collects failures of scheduled hot-reloads
 	// (ScheduleReload); they fire inside env.Run.
 	reloadErrs []error
+	done       []completion // a functional run's deliveries, until classify
 	ran        bool
 }
 
@@ -589,20 +593,18 @@ func (s *Session) buildNetwork() error {
 			return err
 		}
 	}
-	for _, g := range s.cfg.Groups {
-		if g.Kind == GroupVPU {
-			if s.cfg.Blob != nil {
-				s.blob = graphfile.FromBytes(s.cfg.Blob)
-				break
-			}
-			blob, err := s.compileBlob(s.net, 0)
-			if err != nil {
-				return fmt.Errorf("pipeline: compile graph: %w", err)
-			}
-			s.blob = blob
-			break
-		}
+	if !slices.ContainsFunc(s.cfg.Groups, func(g Group) bool { return g.Kind == GroupVPU }) {
+		return nil
 	}
+	if s.cfg.Blob != nil {
+		s.blob = graphfile.FromBytes(s.cfg.Blob)
+		return nil
+	}
+	blob, err := s.compileBlob(s.net, 0)
+	if err != nil {
+		return fmt.Errorf("pipeline: compile graph: %w", err)
+	}
+	s.blob = blob
 	return nil
 }
 
@@ -730,7 +732,7 @@ func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob *graphfil
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: cpu engine: %w", err)
 		}
-		t, err := core.NewCPUTarget(eng, net, g.Batch, s.cfg.Functional)
+		t, err := core.NewCPUTarget(eng, g.Batch)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: cpu target: %w", err)
 		}
@@ -746,7 +748,7 @@ func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob *graphfil
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: gpu engine: %w", err)
 		}
-		t, err := core.NewGPUTarget(eng, net, g.Batch, s.cfg.Functional)
+		t, err := core.NewGPUTarget(eng, g.Batch)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: gpu target: %w", err)
 		}
@@ -764,7 +766,6 @@ func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob *graphfil
 		if g.VPUOptions != nil {
 			opts = *g.VPUOptions
 		}
-		opts.Functional = s.cfg.Functional
 		if s.cfg.Timeline != nil {
 			opts.Timeline = s.cfg.Timeline
 		}
@@ -969,7 +970,7 @@ func (s *Session) Run() (*Report, error) {
 
 	src := s.source
 	if src == nil {
-		dsrc, err := core.NewDatasetSource(s.ds, 0, s.cfg.Images, s.cfg.Functional)
+		dsrc, err := core.NewDatasetSource(s.ds, 0, s.cfg.Images)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: source: %w", err)
 		}
@@ -1094,6 +1095,24 @@ func (s *Session) Run() (*Report, error) {
 			s.tenantMux.Done(r.Tenant)
 		}
 	}
+	// groupSink(i) receives group i's deliveries, before finalSink. A
+	// functional session logs them and holds predictions for classify.
+	groupSink := func(i int) func(core.Result) { return perGroup[i].Sink() }
+	if s.cfg.Functional {
+		final := finalSink
+		finalSink = func(r core.Result) {
+			r.Pred, r.Confidence = -1, 0
+			final(r)
+		}
+		groupSink = func(i int) func(core.Result) {
+			sink := perGroup[i].Sink()
+			return func(r core.Result) {
+				s.done = append(s.done, completion{r, i})
+				r.Pred, r.Confidence = -1, 0
+				sink(r)
+			}
+		}
+	}
 
 	var job *core.Job
 	var pool *core.Pool
@@ -1135,29 +1154,21 @@ func (s *Session) Run() (*Report, error) {
 	} else if len(s.targets) == 1 {
 		// Single group: start directly, bit-identical to hand-wiring.
 		subscribeAdmission(s.targets[0])
-		sink := finalSink
-		groupSink := perGroup[0].Sink()
+		sink, group := finalSink, groupSink(0)
 		job = s.targets[0].Start(s.env, src, func(r core.Result) {
-			groupSink(r)
+			group(r)
 			sink(r)
 		})
 	} else {
 		var weights []float64
-		for _, g := range s.cfg.Groups {
-			if g.Weight > 0 {
-				weights = make([]float64, len(s.cfg.Groups))
-				for i, gg := range s.cfg.Groups {
-					weights[i] = gg.Weight
-					if weights[i] == 0 {
-						weights[i] = 1
-					}
-				}
-				break
+		if slices.ContainsFunc(s.cfg.Groups, func(g Group) bool { return g.Weight > 0 }) {
+			for _, g := range s.cfg.Groups {
+				weights = append(weights, cmp.Or(g.Weight, 1))
 			}
 		}
 		sinks := make([]func(core.Result), len(s.targets))
 		for i := range sinks {
-			sinks[i] = perGroup[i].Sink()
+			sinks[i] = groupSink(i)
 		}
 		var err error
 		pool, err = core.NewPool(s.targets, core.PoolOptions{
@@ -1177,6 +1188,9 @@ func (s *Session) Run() (*Report, error) {
 
 	s.env.Run()
 
-	report := s.buildReport(job, pool, merged, perGroup)
-	return report, job.Err
+	err := job.Err
+	if cerr := s.classify(); err == nil {
+		err = cerr
+	}
+	return s.buildReport(job, pool, merged, perGroup), err
 }

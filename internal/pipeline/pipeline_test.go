@@ -128,7 +128,7 @@ func handWiredVPU(t *testing.T, images int, seed uint64) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := core.NewDatasetSource(sess.Dataset(), 0, images, false)
+	src, err := core.NewDatasetSource(sess.Dataset(), 0, images)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSessionVPUSeedLabel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := core.NewDatasetSource(plainSess.Dataset(), 0, images, false)
+		src, err := core.NewDatasetSource(plainSess.Dataset(), 0, images)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -542,8 +542,9 @@ func WithDataset(cfg DatasetConfig) SessionOption { return pipeline.WithDataset(
 // WithImages limits the run to the first n dataset images.
 func WithImages(n int) SessionOption { return pipeline.WithImages(n) }
 
-// WithFunctional toggles real numeric inference (default off: pure
-// performance, devices pay full simulated costs but skip arithmetic).
+// WithFunctional toggles real numeric inference: the session
+// classifies every completed item after the run (default off: pure
+// performance; the devices pay the same simulated costs either way).
 func WithFunctional(on bool) SessionOption { return pipeline.WithFunctional(on) }
 
 // WithGoogLeNet forces the full BVLC GoogLeNet workload.

@@ -17,7 +17,7 @@ func handCPUTarget(t *testing.T, g *Graph, batch int, seed *Rand) *BatchTarget {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := core.NewCPUTarget(eng, g, batch, false)
+	bt, err := core.NewCPUTarget(eng, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func handGPUTarget(t *testing.T, g *Graph, batch int, seed *Rand) *BatchTarget {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := core.NewGPUTarget(eng, g, batch, false)
+	bt, err := core.NewGPUTarget(eng, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFacadeNCSwRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := core.NewDatasetSource(ds, 0, 64, false)
+	src, err := core.NewDatasetSource(ds, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,17 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== accuracy golden on one core =="
-# The accuracy experiments classify through batched Graph.Forward, which
-# splits each batch across GOMAXPROCS. The golden above ran at the
-# host's core count; this run proves the tables do not depend on it.
-GOMAXPROCS=1 go test -count=1 -run TestAccuracyGolden ./internal/bench
+echo "== accuracy and functional goldens on one core =="
+# The accuracy experiments and functional sessions classify through
+# nn.Classify, whose batched Graph.Forward splits each batch across
+# GOMAXPROCS. The goldens above ran at the host's core count; this run
+# proves the tables and the session predictions do not depend on it.
+GOMAXPROCS=1 go test -count=1 -run 'TestAccuracyGolden|TestFunctionalGolden' ./internal/bench ./internal/pipeline
+
+echo "== half.RoundSlice on every float32 =="
+# The test suite checks RoundSlice against the scalar FromFloat32 round
+# trip on a stride of bit patterns; -exhaustive checks all 2^32.
+go test -count=1 -run TestRoundSliceMatchesFromFloat32 ./internal/half -exhaustive
 
 echo "== benchmark module (cmd/ncsw-perf: vet + test) =="
 # The benchmark is a Go module of its own, so the root ./... above

@@ -135,7 +135,7 @@ func TestSessionAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := core.NewDatasetSource(ds, 0, images, false)
+	src, err := core.NewDatasetSource(ds, 0, images)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSessionVPUScalingMatchesTarget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := core.NewDatasetSource(ds, 0, images, false)
+		src, err := core.NewDatasetSource(ds, 0, images)
 		if err != nil {
 			t.Fatal(err)
 		}
