@@ -60,7 +60,7 @@ func MeasureErrorAt(sigma float64, images int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	net32, _, err := microNets(ds)
+	net32, err := microNet32(ds)
 	if err != nil {
 		return 0, err
 	}

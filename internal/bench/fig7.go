@@ -48,15 +48,23 @@ func (s fig7Subset) confDiff() float64 {
 	return s.diffSum / float64(s.diffN)
 }
 
-// microNets builds the accuracy experiments' network pair for ds: the
-// FP32 micro-GoogLeNet (the CPU/Caffe path) with its prototype
-// classifier calibrated on ds, and its FP16 twin from the graph-file
-// round trip (exactly what mvNCCompile + the NCS firmware do to the
-// weights).
-func microNets(ds *imagenet.Dataset) (net32, net16 *nn.Graph, err error) {
-	net32 = nn.NewMicroGoogLeNet(nn.DefaultMicroConfig(), rng.New(microWeightSeed))
-	if err := nn.CalibrateClassifier(net32, nn.MicroClassifierName, nn.MicroPoolName,
+// microNet32 builds the FP32 micro-GoogLeNet (the CPU/Caffe path) with
+// its prototype classifier calibrated on ds.
+func microNet32(ds *imagenet.Dataset) (*nn.Graph, error) {
+	net := nn.NewMicroGoogLeNet(nn.DefaultMicroConfig(), rng.New(microWeightSeed))
+	if err := nn.CalibrateClassifier(net, nn.MicroClassifierName, nn.MicroPoolName,
 		ds.PreprocessedPrototypes(), classifierTemperature); err != nil {
+		return nil, err
+	}
+	return net, nil
+}
+
+// microNets builds the accuracy experiments' network pair for ds: the
+// calibrated FP32 net of microNet32 and its FP16 twin from the
+// graph-file round trip (exactly what mvNCCompile + the NCS firmware
+// do to the weights).
+func microNets(ds *imagenet.Dataset) (net32, net16 *nn.Graph, err error) {
+	if net32, err = microNet32(ds); err != nil {
 		return nil, nil, err
 	}
 	blob, err := graphfile.Compile(net32)

@@ -216,7 +216,11 @@ func (t *BatchTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 			start := p.Now()
 			d := t.engine.NextBatchDuration(len(batch))
 			p.Sleep(d)
-			t.timeline.Add(t.name, trace.Compute, start, p.Now(), fmt.Sprintf("batch=%d", len(batch)))
+			note := ""
+			if t.timeline.Enabled() {
+				note = fmt.Sprintf("batch=%d", len(batch))
+			}
+			t.timeline.Add(t.name, trace.Compute, start, p.Now(), note)
 			for i, item := range batch {
 				sink(Result{Index: item.Index, Image: item.Image, Label: item.Label, Pred: -1,
 					Start: start, End: p.Now(), ArrivedAt: item.ArrivedAt, DispatchedAt: pulls[i],

@@ -398,7 +398,7 @@ func (c *Collector) Sink() func(Result) {
 			c.lastEnd = r.End
 		}
 		c.any = true
-		c.lat.add(r)
+		c.lat.add(r.Wait(), r.ServiceTime())
 		if c.slo > 0 && r.Latency() <= c.slo {
 			c.WithinSLO++
 		}

@@ -611,7 +611,11 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 			feedDone = true // legacy: stop loading, drain what is pending
 			continue
 		}
-		tl.Add(dev.Name(), trace.Load, loadStart, p.Now(), fmt.Sprintf("img%d", fl.item.Index))
+		note := ""
+		if tl.Enabled() {
+			note = fmt.Sprintf("img%d", fl.item.Index)
+		}
+		tl.Add(dev.Name(), trace.Load, loadStart, p.Now(), note)
 		pending = append(pending, fl)
 		if len(pending) >= depth {
 			switch emit(pending[0]) {

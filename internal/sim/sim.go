@@ -62,6 +62,11 @@ type Env struct {
 	// pending event (they can only be woken by another process); it
 	// feeds the deadlock diagnostic.
 	waiting int
+	// events counts dispatched events (Counts); resumes holds the
+	// resume counts of retired processes by name, each folded in once
+	// from its Proc's own counter, so a resume costs no map lookup.
+	events  uint64
+	resumes map[string]uint64
 }
 
 // NewEnv creates an empty simulation at time zero.
@@ -342,6 +347,9 @@ type Proc struct {
 	// timedOut is set by a fired queue-timeout event just before the
 	// wakeup; GetWithin consumes and resets it.
 	timedOut bool
+	// resumes counts the scheduler's switches into this process; retire
+	// folds it into Env.resumes.
+	resumes uint64
 }
 
 // Name returns the process name (for traces and errors).
@@ -393,9 +401,17 @@ func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// retire unlinks a terminated process from the live list.
+// retire unlinks a terminated process from the live list and folds
+// its resume count into the environment's.
 func (e *Env) retire(p *Proc) {
 	e.active--
+	if p.resumes > 0 {
+		if e.resumes == nil {
+			e.resumes = make(map[string]uint64)
+		}
+		e.resumes[p.name] += p.resumes
+		p.resumes = 0
+	}
 	if p.livePrev != nil {
 		p.livePrev.liveNext = p.liveNext
 	} else {
@@ -405,6 +421,38 @@ func (e *Env) retire(p *Proc) {
 		p.liveNext.livePrev = p.livePrev
 	}
 	p.liveNext, p.livePrev = nil, nil
+}
+
+// Counts is the kernel's work so far: the cost model of a run that does
+// not depend on the host, so a change that adds coroutine switches
+// shows up as a number.
+type Counts struct {
+	// Events is the number of events dispatched: callbacks, process
+	// resumes and fired queue timeouts. A cancelled timer is discarded,
+	// not dispatched.
+	Events uint64
+	// Resumes is the number of switches into a process body (each one
+	// also switches back when the body parks or ends); ByName splits it
+	// by process name.
+	Resumes uint64
+	ByName  map[string]uint64
+}
+
+// Counts returns the events dispatched and processes resumed since
+// NewEnv, live processes included.
+func (e *Env) Counts() Counts {
+	c := Counts{Events: e.events, ByName: make(map[string]uint64, len(e.resumes))}
+	for name, n := range e.resumes {
+		c.ByName[name] += n
+		c.Resumes += n
+	}
+	for p := e.live; p != nil; p = p.liveNext {
+		if p.resumes > 0 {
+			c.ByName[p.name] += p.resumes
+			c.Resumes += p.resumes
+		}
+	}
+	return c
 }
 
 // Stop ends every live process: each parked body unwinds from its
@@ -569,6 +617,7 @@ func (e *Env) step() {
 			// cannot inflate the simulation horizon.
 			return
 		}
+		e.events++
 		e.now = key.t
 		if val.p != nil {
 			// Queue-timeout wakeup: fires only if p is still parked on
@@ -586,6 +635,7 @@ func (e *Env) step() {
 		}
 		return
 	}
+	e.events++
 	e.now = key.t
 	if val.fn != nil {
 		// Fast path: a pure callback never touches the coroutine
@@ -595,7 +645,8 @@ func (e *Env) step() {
 	}
 	if val.p != nil {
 		// A stopped process's coroutine has ended, so resuming it
-		// returns at once.
+		// returns at once (and its count, already folded, is dropped).
+		val.p.resumes++
 		val.p.resume()
 	}
 }

@@ -516,3 +516,29 @@ func TestQuickQueueOrder(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCounts: every dispatched event and every switch into a process
+// is counted, by process name, for retired and live processes alike; a
+// cancelled timer is not an event.
+func TestCounts(t *testing.T) {
+	e := NewEnv()
+	for _, name := range []string{"w", "w"} {
+		e.Process(name, func(p *Proc) {
+			p.Sleep(ms)
+			p.Sleep(ms)
+		}) // 3 resumes each: start, two wakeups
+	}
+	q := NewQueue[int](e, "q", 1)
+	e.Process("getter", func(p *Proc) { q.Get(p) }) // start, then parked forever
+	e.At(ms, func() {})
+	e.Cancel(e.TimerAt(2*ms, func() {}))
+	e.RunUntil(10 * ms)
+	c := e.Counts()
+	if c.Events != 8 || c.Resumes != 7 || len(c.ByName) != 2 || c.ByName["w"] != 6 || c.ByName["getter"] != 1 {
+		t.Fatalf("Counts = %+v, want 8 events, 7 resumes (w 6, getter 1)", c)
+	}
+	e.Stop()
+	if c := e.Counts(); c.Resumes != 7 || c.ByName["getter"] != 1 {
+		t.Fatalf("after Stop: Counts = %+v, want the getter's resume kept", c)
+	}
+}

@@ -6,6 +6,7 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -139,25 +140,36 @@ func (s *Sample) Max() float64 { return s.max }
 // order, NaN first; of values that order ties (−0 and +0), either may
 // be returned. q is clamped to [0, 1]; an empty sample returns 0.
 func (s *Sample) Quantile(q float64) float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
+	if s.min == s.min { // no NaN was added
+		return SelectQuantile(s.xs, q)
 	}
-	xs, k := s.xs, nearestRank(q, n)
-	if s.min != s.min { // a NaN was added: move the NaNs to the front
-		nans := 0
-		for i, x := range xs {
-			if x != x {
-				xs[i], xs[nans] = xs[nans], x
-				nans++
-			}
+	// Move the NaNs to the front; the rest is a NaN-free selection.
+	xs, k := s.xs, nearestRank(q, len(s.xs))
+	nans := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[nans] = xs[nans], x
+			nans++
 		}
-		if k < nans {
-			return xs[k]
-		}
-		xs, k = xs[nans:], k-nans
 	}
-	return selectRank(xs, k)
+	if k < nans {
+		return xs[k]
+	}
+	return selectRank(xs[nans:], k-nans)
+}
+
+// SelectQuantile returns the exact q-quantile of xs, the value at index
+// ⌊q·n⌋ (clamped to [0, n-1]) of xs as sorted, reordering xs in place
+// and allocating nothing; O(n) expected. xs must hold no NaN. q is
+// clamped to [0, 1]; an empty xs returns the zero value. Sample and
+// core's latency collectors both select through it, so every exact
+// quantile in the repository comes from the one introselect below.
+func SelectQuantile[T cmp.Ordered](xs []T, q float64) T {
+	if len(xs) == 0 {
+		var zero T
+		return zero
+	}
+	return selectRank(xs, nearestRank(q, len(xs)))
 }
 
 // nearestRank is the sorted-data index of the q-quantile of n > 0
@@ -185,7 +197,7 @@ func nanLess(a, b float64) bool { return a < b || (a != a && b == b) }
 // little progress; after 2·log2(n) of them the remaining range is
 // sorted with slices.Sort, so adversarial inputs cost O(n log n), not
 // O(n²). It allocates nothing.
-func selectRank(xs []float64, k int) float64 {
+func selectRank[T cmp.Ordered](xs []T, k int) T {
 	const insertionCutoff = 12
 	lo, hi := 0, len(xs) // k is in [lo, hi)
 	budget := 2 * bits.Len(uint(len(xs)))
@@ -223,7 +235,7 @@ func selectRank(xs []float64, k int) float64 {
 // pivot at lo and one >= it at hi-1, so neither scan runs off the range;
 // both scans stop on values equal to the pivot, so runs of ties split
 // evenly instead of degrading to O(n²).
-func partition(xs []float64, lo, hi int) int {
+func partition[T cmp.Ordered](xs []T, lo, hi int) int {
 	m := int(uint(lo+hi-1) >> 1)
 	if xs[m] < xs[lo] {
 		xs[m], xs[lo] = xs[lo], xs[m]

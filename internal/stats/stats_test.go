@@ -611,3 +611,35 @@ func BenchmarkSampleQuantile(b *testing.B) {
 		quantileSink = s.Quantile(0.50) + s.Quantile(0.95) + s.Quantile(0.99) + s.Max()
 	}
 }
+
+// TestSelectQuantileOrdered: the generic entry point selects from
+// integer and duration slices what sorting and indexing returns, and
+// an empty slice gives the zero value.
+func TestSelectQuantileOrdered(t *testing.T) {
+	if got := SelectQuantile([]time.Duration(nil), 0.5); got != 0 {
+		t.Fatalf("empty: %v, want 0", got)
+	}
+	r := rand.New(rand.NewPCG(3, 4))
+	for _, n := range []int{1, 2, 13, 1000} {
+		ds := make([]time.Duration, n)
+		for i := range ds {
+			ds[i] = time.Duration(r.Int64N(1 << 40))
+		}
+		sorted := slices.Clone(ds)
+		slices.Sort(sorted)
+		for _, q := range []float64{-1, 0, 0.5, 0.95, 0.99, 1, 2} {
+			if got, want := SelectQuantile(ds, q), sorted[nearestRank(q, n)]; got != want {
+				t.Fatalf("n=%d q=%g: %v, want %v", n, q, got, want)
+			}
+		}
+		is := make([]int, n)
+		for i := range is {
+			is[i] = r.IntN(5) - 2
+		}
+		sortedInts := slices.Clone(is)
+		slices.Sort(sortedInts)
+		if got, want := SelectQuantile(is, 0.5), sortedInts[nearestRank(0.5, n)]; got != want {
+			t.Fatalf("ints n=%d: median %d, want %d", n, got, want)
+		}
+	}
+}

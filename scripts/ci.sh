@@ -93,3 +93,7 @@ go test -run '^$' -bench BenchmarkHedgeTrigger -benchtime=1x ./internal/core
 # reads of a 716k-value sample) gets the same sanity run; -benchmem
 # shows its 0 allocs/op.
 go test -run '^$' -bench BenchmarkSampleQuantile -benchmem -benchtime=1x ./internal/stats
+# A collector's per-result cost over a cpu-gpu-serve-sized run (750k
+# results) gets the same sanity run; -benchmem shows what the chunked
+# latency store keeps.
+go test -run '^$' -bench BenchmarkCollectorSink -benchmem -benchtime=1x ./internal/core
