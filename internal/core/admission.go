@@ -157,10 +157,9 @@ type AdmissionStats struct {
 // drop deterministic (no timer per item) and models the real serving
 // pattern of checking the deadline at dispatch.
 type AdmissionQueue struct {
-	q      *sim.Queue[Item]
-	opts   AdmissionOptions
-	stats  AdmissionStats
-	closed bool // end-of-stream sentinel posted
+	itemQueue
+	opts  AdmissionOptions
+	stats AdmissionStats
 	// eff is the current health-scaled effective depth (== Depth until
 	// ObserveHealth reports degraded capacity).
 	eff int
@@ -188,107 +187,51 @@ func NewAdmissionQueue(env *sim.Env, inner Source, opts AdmissionOptions) (*Admi
 		return nil, fmt.Errorf("core: admission min-depth %d exceeds depth %d", opts.MinDepth, opts.Depth)
 	}
 	a := &AdmissionQueue{
-		q:    sim.NewQueue[Item](env, "core/admission", opts.Depth),
-		opts: opts,
-		eff:  opts.Depth,
+		itemQueue: itemQueue{q: sim.NewQueue[Item](env, "core/admission", opts.Depth)},
+		opts:      opts,
+		eff:       opts.Depth,
 	}
+	a.dispatch = a.pass
 	env.Process("admission", func(p *sim.Proc) {
-		for {
-			item, ok := inner.Next(p)
-			if !ok {
-				break
-			}
-			if item.Index == -1 {
-				panic("core: admission item with reserved Index -1 (the end-of-stream sentinel)")
-			}
-			a.admit(p, item)
-		}
-		a.q.Put(p, Item{Index: -1}) // may wait for room; consumers drain
-		a.closed = true
+		pump(p, inner, nil, "admission item", a.admit)
+		a.close(p) // may wait for room; consumers drain
 	})
 	return a, nil
 }
 
-// admit applies the overload policy to one arrival. The pump is the
-// queue's only producer, so the TryGet-then-Put sequence of ShedOldest
-// cannot race: both run in one uninterrupted process step.
+// admit applies the overload policy to one arrival.
 func (a *AdmissionQueue) admit(p *sim.Proc, item Item) {
 	a.stats.Arrived++
-	switch a.opts.Policy {
-	case Block:
-		a.q.Put(p, item) // backpressure: blocks while the queue is full
-	case ShedOldest:
-		// Evict queue heads until the arrival fits: after a health
-		// shrink the queue may be over-full by more than one item, and
-		// a shed policy must never block the pump.
-		for !a.q.TryPut(item) {
-			old, ok := a.q.TryGet()
-			if !ok {
-				a.drop(item, DropShed, p.Now())
-				return
-			}
-			a.drop(old, DropShed, p.Now())
-		}
-	default: // ShedNewest
-		if !a.q.TryPut(item) {
-			a.drop(item, DropShed, p.Now())
-			return
-		}
+	if !offer(p, a.q, a.opts.Policy, item, a.drop) {
+		a.drop(item, DropShed, p.Now())
+		return
 	}
 	a.stats.Admitted++
 }
 
+// pass is the lazy expiry at dispatch: an item whose deadline lapsed
+// in the queue is dropped (ok=false), any other is counted as
+// dispatched.
+func (a *AdmissionQueue) pass(item Item, now time.Duration) (Item, bool) {
+	if a.opts.Deadline > 0 && now > item.ArrivedAt+a.opts.Deadline {
+		a.drop(item, DropExpired, now)
+		return Item{}, false
+	}
+	a.stats.Dispatched++
+	return item, true
+}
+
 // Next implements Source: the oldest admitted, unexpired item.
 // Expired items encountered on the way are dropped and counted.
-func (a *AdmissionQueue) Next(p *sim.Proc) (Item, bool) {
-	for {
-		item := a.q.Get(p)
-		if item.Index == -1 {
-			a.q.TryPut(Item{Index: -1})
-			return Item{}, false
-		}
-		if a.expired(item, p.Now()) {
-			a.drop(item, DropExpired, p.Now())
-			continue
-		}
-		a.stats.Dispatched++
-		return item, true
-	}
-}
+func (a *AdmissionQueue) Next(p *sim.Proc) (Item, bool) { return a.next(p) }
 
 // NextWithin implements TimedSource: like Next but gives up after d.
 func (a *AdmissionQueue) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
-	deadline := p.Now() + d
-	for {
-		wait := deadline - p.Now()
-		if wait < 0 {
-			wait = 0
-		}
-		item, ok := a.q.GetWithin(p, wait)
-		if !ok {
-			return Item{}, false, true
-		}
-		if item.Index == -1 {
-			a.q.TryPut(Item{Index: -1})
-			return Item{}, false, false
-		}
-		if a.expired(item, p.Now()) {
-			a.drop(item, DropExpired, p.Now())
-			continue
-		}
-		a.stats.Dispatched++
-		return item, true, true
-	}
+	return a.nextWithin(p, d)
 }
 
 // Pending implements DepthSource: admitted items waiting for dispatch.
-func (a *AdmissionQueue) Pending() int {
-	n := a.q.Len()
-	if a.closed && n > 0 {
-		n-- // the end-of-stream sentinel is not work
-	}
-	return n
-}
+func (a *AdmissionQueue) Pending() int { return a.pending() }
 
 // Stats returns the admission counters; read after the run completes
 // for final numbers.
@@ -312,13 +255,7 @@ func (a *AdmissionQueue) ObserveHealth(healthy, total int, _ time.Duration) {
 	if healthy < 0 {
 		healthy = 0
 	}
-	eff := (a.opts.Depth*healthy + total - 1) / total
-	if min := a.minDepth(); eff < min {
-		eff = min
-	}
-	if eff > a.opts.Depth {
-		eff = a.opts.Depth
-	}
+	eff := min(max((a.opts.Depth*healthy+total-1)/total, a.opts.MinDepth, 1), a.opts.Depth)
 	if eff == a.eff {
 		return
 	}
@@ -364,19 +301,6 @@ func (a *AdmissionQueue) SetDeadline(d time.Duration) error {
 	}
 	a.opts.Deadline = d
 	return nil
-}
-
-// minDepth returns the configured floor (default 1).
-func (a *AdmissionQueue) minDepth() int {
-	if a.opts.MinDepth > 0 {
-		return a.opts.MinDepth
-	}
-	return 1
-}
-
-// expired reports whether item's deadline lapsed by now.
-func (a *AdmissionQueue) expired(item Item, now time.Duration) bool {
-	return a.opts.Deadline > 0 && now > item.ArrivedAt+a.opts.Deadline
 }
 
 // drop counts and reports one dropped item.

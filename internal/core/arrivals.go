@@ -294,12 +294,8 @@ func mustPositiveRate(rate float64) {
 // ArrivalSource: exhaustion is re-posted so every consumer terminates,
 // exactly like StreamSource.
 type ArrivalSource struct {
-	q     *sim.Queue[Item]
+	itemQueue
 	inner Source
-	// arrived/consumed track the visible backlog for Pending without
-	// counting the end-of-stream sentinel.
-	arrived  int
-	consumed int
 }
 
 // NewArrivalSource wraps inner with the arrival process, driving it
@@ -316,34 +312,10 @@ func NewArrivalSource(env *sim.Env, inner Source, arr Arrivals, seed *rng.Source
 	if seed == nil {
 		seed = rng.New(1)
 	}
-	s := &ArrivalSource{q: sim.NewQueue[Item](env, "core/arrivals", 0), inner: inner}
+	s := &ArrivalSource{itemQueue: itemQueue{q: sim.NewQueue[Item](env, "core/arrivals", 0)}, inner: inner}
 	env.Process("arrivals", func(p *sim.Proc) {
-		gen := arr.start(seed)
-		for {
-			// Pull before sleeping so exhaustion is detected at the
-			// last item's arrival instant, not one arrival later.
-			item, ok := s.inner.Next(p)
-			if !ok {
-				break
-			}
-			if item.Index == -1 {
-				// Same producer-protocol bug StreamSource.Push rejects:
-				// a user item carrying the reserved sentinel index
-				// would silently truncate the stream for consumers.
-				panic("core: arrival item with reserved Index -1 (the end-of-stream sentinel)")
-			}
-			at, more := gen()
-			if !more {
-				break
-			}
-			if at > p.Now() {
-				p.Sleep(at - p.Now())
-			}
-			item.ArrivedAt = p.Now()
-			s.arrived++
-			s.q.Put(p, item)
-		}
-		s.q.Put(p, Item{Index: -1}) // end-of-stream sentinel
+		pump(p, inner, arr.start(seed), "arrival item", s.q.Put)
+		s.close(p)
 	})
 	return s, nil
 }
@@ -362,31 +334,13 @@ func (s *ArrivalSource) Remaining() int {
 
 // Next implements Source: it blocks in virtual time until the next
 // item arrives.
-func (s *ArrivalSource) Next(p *sim.Proc) (Item, bool) {
-	item := s.q.Get(p)
-	if item.Index == -1 {
-		// Re-post the sentinel so every consumer terminates.
-		s.q.TryPut(Item{Index: -1})
-		return Item{}, false
-	}
-	s.consumed++
-	return item, true
-}
+func (s *ArrivalSource) Next(p *sim.Proc) (Item, bool) { return s.next(p) }
 
 // NextWithin implements TimedSource: like Next but gives up once d of
 // virtual time passes with no arrival.
 func (s *ArrivalSource) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
-	item, ok := s.q.GetWithin(p, d)
-	if !ok {
-		return Item{}, false, true
-	}
-	if item.Index == -1 {
-		s.q.TryPut(Item{Index: -1})
-		return Item{}, false, false
-	}
-	s.consumed++
-	return item, true, true
+	return s.nextWithin(p, d)
 }
 
 // Pending implements DepthSource: items arrived but not yet consumed.
-func (s *ArrivalSource) Pending() int { return s.arrived - s.consumed }
+func (s *ArrivalSource) Pending() int { return s.pending() }

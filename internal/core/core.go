@@ -272,14 +272,15 @@ func (s *SliceSource) Next(p *sim.Proc) (Item, bool) {
 // push items from their own simulated processes (an MPI rank, a camera
 // pipeline), consumers block in virtual time until data arrives.
 type StreamSource struct {
-	q      *sim.Queue[Item]
-	closed bool
+	// itemQueue.closed is set by Close before a full buffer lets the
+	// sentinel in, so a Push or a second Close meanwhile is caught.
+	itemQueue
 }
 
 // NewStreamSource creates a stream with the given buffer capacity
 // (0 = unbounded).
 func NewStreamSource(env *sim.Env, capacity int) *StreamSource {
-	return &StreamSource{q: sim.NewQueue[Item](env, "core/stream", capacity)}
+	return &StreamSource{itemQueue{q: sim.NewQueue[Item](env, "core/stream", capacity)}}
 }
 
 // Push appends an item, blocking while the buffer is full. Pushing
@@ -307,15 +308,7 @@ func (s *StreamSource) Close(p *sim.Proc) {
 }
 
 // Next implements Source.
-func (s *StreamSource) Next(p *sim.Proc) (Item, bool) {
-	item := s.q.Get(p)
-	if item.Index == -1 {
-		// Re-post the sentinel so every consumer terminates.
-		s.q.TryPut(Item{Index: -1})
-		return Item{}, false
-	}
-	return item, true
-}
+func (s *StreamSource) Next(p *sim.Proc) (Item, bool) { return s.next(p) }
 
 // Counters holds the serving-event counts of one slice of a run — the
 // whole session, one device group or one tenant. It is declared once:

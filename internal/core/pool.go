@@ -261,39 +261,23 @@ func (pl *Pool) notifyHealth(at time.Duration) {
 	}
 }
 
-// childFeed is the per-child source fed by the pool dispatcher.
+// childFeed is the per-child source fed by the pool dispatcher, which
+// posts its end-of-feed sentinel (dealer.shutdown).
 type childFeed struct {
-	q *sim.Queue[Item]
+	itemQueue
 	// upstream is the pool's source when it can report backlog (an
 	// ArrivalSource or AdmissionQueue), so a child's Pending sees
 	// through the shallow feed queue to the real queued work.
 	upstream DepthSource
 }
 
-func (f *childFeed) Next(p *sim.Proc) (Item, bool) {
-	item := f.q.Get(p)
-	if item.Index == feedSentinel {
-		// Re-post the sentinel (there is always room for it — Get just
-		// freed a slot) so children that poll exhaustion repeatedly,
-		// like the batch targets, keep seeing it.
-		f.q.TryPut(item)
-		return Item{}, false
-	}
-	return item, true
-}
+// Next implements Source.
+func (f *childFeed) Next(p *sim.Proc) (Item, bool) { return f.next(p) }
 
 // NextWithin implements TimedSource, so adaptive batch children close
 // partial batches against their pool feed.
 func (f *childFeed) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
-	item, ok := f.q.GetWithin(p, d)
-	if !ok {
-		return Item{}, false, true
-	}
-	if item.Index == feedSentinel {
-		f.q.TryPut(item)
-		return Item{}, false, false
-	}
-	return item, true, true
+	return f.nextWithin(p, d)
 }
 
 // Pending implements DepthSource: the feed's own buffer plus the
@@ -416,7 +400,7 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 	for i, c := range pl.children {
 		var csrc Source = src
 		if deal != nil {
-			csrc = &childFeed{q: deal.feeds[i], upstream: upstream}
+			csrc = &childFeed{itemQueue{q: deal.feeds[i]}, upstream}
 		}
 		pl.childTotal[i] = targetDeviceCount(c)
 		pl.childHealthy[i] = pl.childTotal[i]

@@ -242,18 +242,19 @@ type TenantMux struct {
 	// tiers holds lane indices grouped by strict priority (ascending),
 	// each tier in registration order. TenantFair has a single tier.
 	tiers [][]int
-	// ready holds one token per enqueued item under the fair policies
-	// (value unused); -1 is the end-of-stream sentinel token. Tokens
-	// are not bound to specific items: a ShedOldest eviction leaves an
-	// orphan token the dispatcher skips when every queue is empty.
-	ready *sim.Queue[int]
-	// shared is the single TenantFIFO queue (nil under fair policies).
-	shared *sim.Queue[Item]
-	inner  Source
+	// edge is what consumers read. Under TenantFIFO it is the single
+	// shared queue of tagged items. Under the fair policies it is the
+	// ready queue, one token (a zero Item) per enqueued item, and its
+	// dispatch hook is the scheduler. Tokens are not bound to specific
+	// items: a ShedOldest eviction leaves an orphan token the
+	// scheduler skips when every queue is empty. Either way, a
+	// sentinel after the last pump ends the stream once (invariant:
+	// tokens >= queued items) every queue has drained.
+	edge  itemQueue
+	inner Source
 	// pumps counts arrival pumps still running; the last one to finish
 	// posts the end-of-stream sentinel.
-	pumps  int
-	closed bool
+	pumps int
 }
 
 // NewTenantMux builds the multi-tenant admission edge inside env over
@@ -297,9 +298,13 @@ func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.S
 				depth += l.cfg.Depth
 			}
 		}
-		m.shared = sim.NewQueue[Item](env, "core/tenants", depth)
+		m.edge.q = sim.NewQueue[Item](env, "core/tenants", depth)
+		m.edge.dispatch = func(item Item, now time.Duration) (Item, bool) {
+			return item, m.dispatch(m.byID[item.Tenant], item, now)
+		}
 	} else {
-		m.ready = sim.NewQueue[int](env, "core/tenants/ready", 0)
+		m.edge.q = sim.NewQueue[Item](env, "core/tenants/ready", 0)
+		m.edge.dispatch = func(_ Item, now time.Duration) (Item, bool) { return m.schedule(now) }
 		for _, l := range m.lanes {
 			l.q = sim.NewQueue[Item](env, "core/tenant/"+l.cfg.ID, l.cfg.Depth)
 		}
@@ -309,35 +314,13 @@ func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.S
 		lane := lane
 		env.Process("tenant/"+lane.cfg.ID, func(p *sim.Proc) {
 			gen := lane.cfg.Arrivals.start(seed.Derive("tenants/arrivals/" + lane.cfg.ID))
-			for {
-				// Pull before sleeping so shared-source exhaustion is
-				// detected at the last item's arrival instant.
-				item, ok := m.inner.Next(p)
-				if !ok {
-					break
-				}
-				if item.Index == -1 {
-					panic("core: tenant arrival with reserved Index -1 (the end-of-stream sentinel)")
-				}
-				at, more := gen()
-				if !more {
-					break
-				}
-				if at > p.Now() {
-					p.Sleep(at - p.Now())
-				}
-				item.ArrivedAt = p.Now()
+			pump(p, m.inner, gen, "tenant arrival", func(p *sim.Proc, item Item) {
 				item.Tenant = lane.cfg.ID
 				m.admit(p, lane, item)
-			}
+			})
 			m.pumps--
 			if m.pumps == 0 {
-				if m.shared != nil {
-					m.shared.Put(p, Item{Index: -1})
-				} else {
-					m.ready.Put(p, -1)
-				}
-				m.closed = true
+				m.edge.close(p)
 			}
 		})
 	}
@@ -390,8 +373,7 @@ func (m *TenantMux) buildTiers() {
 }
 
 // admit applies quota gates and the queue bound to one tagged
-// arrival. The lane's pump is its queue's only producer, so the
-// TryGet-then-Put sequence of ShedOldest cannot race.
+// arrival.
 func (m *TenantMux) admit(p *sim.Proc, lane *tenantLane, item Item) {
 	lane.stats.Arrived++
 	now := p.Now()
@@ -414,132 +396,43 @@ func (m *TenantMux) admit(p *sim.Proc, lane *tenantLane, item Item) {
 		m.drop(lane, item, DropQuota, now)
 		return
 	}
-	if m.shared != nil {
-		m.admitShared(p, lane, item)
+	// Under TenantFIFO the shared policy applies and a ShedOldest
+	// victim may belong to any tenant — the isolation failure the fair
+	// policies exist to fix.
+	fifo := m.opts.Policy == TenantFIFO
+	q, policy := lane.q, lane.cfg.Policy
+	if fifo {
+		q, policy = m.edge.q, m.opts.SharedPolicy
+	}
+	if !offer(p, q, policy, item, m.evict) {
+		m.drop(lane, item, DropShed, p.Now())
 		return
 	}
-	switch lane.cfg.Policy {
-	case Block:
-		lane.q.Put(p, item) // backpressure on this tenant's pump only
-	case ShedOldest:
-		for !lane.q.TryPut(item) {
-			old, ok := lane.q.TryGet()
-			if !ok {
-				m.drop(lane, item, DropShed, now)
-				return
-			}
-			// The eviction's ready token stays behind as an orphan the
-			// dispatcher skips; the evicted item releases its in-flight
-			// slot here.
-			lane.inflight--
-			m.drop(lane, old, DropShed, now)
-		}
-	default: // ShedNewest
-		if !lane.q.TryPut(item) {
-			m.drop(lane, item, DropShed, now)
-			return
-		}
-	}
 	lane.stats.Admitted++
 	lane.inflight++
-	m.ready.TryPut(0) // unbounded: never fails
+	if !fifo {
+		m.edge.q.TryPut(Item{}) // the ready token; unbounded: never fails
+	}
 }
 
-// admitShared admits one arrival into the TenantFIFO shared queue.
-// The overload policy is the mux's shared policy: under ShedNewest /
-// ShedOldest the victim may belong to any tenant — the isolation
-// failure the fair policies exist to fix.
-func (m *TenantMux) admitShared(p *sim.Proc, lane *tenantLane, item Item) {
-	switch m.opts.SharedPolicy {
-	case Block:
-		m.shared.Put(p, item)
-	case ShedOldest:
-		for !m.shared.TryPut(item) {
-			old, ok := m.shared.TryGet()
-			if !ok {
-				m.drop(lane, item, DropShed, p.Now())
-				return
-			}
-			victim := m.byID[old.Tenant]
-			victim.inflight--
-			m.drop(victim, old, DropShed, p.Now())
-		}
-	default: // ShedNewest
-		if !m.shared.TryPut(item) {
-			m.drop(lane, item, DropShed, p.Now())
-			return
-		}
-	}
-	lane.stats.Admitted++
-	lane.inflight++
+// evict drops a ShedOldest victim, charged to its own lane, whose
+// in-flight slot it releases. Under the fair policies the victim's
+// ready token stays behind as an orphan the scheduler skips.
+func (m *TenantMux) evict(old Item, reason DropReason, at time.Duration) {
+	victim := m.byID[old.Tenant]
+	victim.inflight--
+	m.drop(victim, old, reason, at)
 }
 
 // Next implements Source: the next scheduled, unexpired item across
 // every tenant. Expired items encountered on the way are dropped and
 // counted against their own tenant.
-func (m *TenantMux) Next(p *sim.Proc) (Item, bool) {
-	for {
-		if m.shared != nil {
-			item := m.shared.Get(p)
-			if item.Index == -1 {
-				m.shared.TryPut(Item{Index: -1})
-				return Item{}, false
-			}
-			if m.deliver(item, p.Now()) {
-				return item, true
-			}
-			continue
-		}
-		tok := m.ready.Get(p)
-		if tok == -1 {
-			// All pumps done and (invariant: tokens >= queued items)
-			// every queue drained.
-			m.ready.TryPut(-1)
-			return Item{}, false
-		}
-		item, ok := m.schedule(p.Now())
-		if !ok {
-			continue // orphan token from a ShedOldest eviction
-		}
-		return item, true
-	}
-}
+func (m *TenantMux) Next(p *sim.Proc) (Item, bool) { return m.edge.next(p) }
 
 // NextWithin implements TimedSource: like Next but gives up once d of
 // virtual time passes with nothing dispatchable.
 func (m *TenantMux) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
-	deadline := p.Now() + d
-	for {
-		wait := deadline - p.Now()
-		if wait < 0 {
-			wait = 0
-		}
-		if m.shared != nil {
-			item, ok := m.shared.GetWithin(p, wait)
-			if !ok {
-				return Item{}, false, true
-			}
-			if item.Index == -1 {
-				m.shared.TryPut(Item{Index: -1})
-				return Item{}, false, false
-			}
-			if m.deliver(item, p.Now()) {
-				return item, true, true
-			}
-			continue
-		}
-		tok, ok := m.ready.GetWithin(p, wait)
-		if !ok {
-			return Item{}, false, true
-		}
-		if tok == -1 {
-			m.ready.TryPut(-1)
-			return Item{}, false, false
-		}
-		if item, ok := m.schedule(p.Now()); ok {
-			return item, true, true
-		}
-	}
+	return m.edge.nextWithin(p, d)
 }
 
 // schedule picks the next item under the fair policies: the first
@@ -566,36 +459,29 @@ func (m *TenantMux) schedule(now time.Duration) (Item, bool) {
 		}
 		lane := m.lanes[pick]
 		item, _ := lane.q.TryGet()
-		if m.expired(lane, item, now) {
-			lane.inflight--
-			m.drop(lane, item, DropExpired, now)
+		if !m.dispatch(lane, item, now) {
 			// The expired item consumed this token; the caller loops
 			// for the next one.
 			return Item{}, false
 		}
 		lane.served++
-		lane.stats.Dispatched++
 		return item, true
 	}
 	return Item{}, false
 }
 
-// deliver applies lazy expiry to one shared-queue item; false means
-// it was dropped as expired.
-func (m *TenantMux) deliver(item Item, now time.Duration) bool {
-	lane := m.byID[item.Tenant]
-	if m.expired(lane, item, now) {
+// dispatch is the lazy expiry of an item leaving lane's queue or the
+// shared one: an item whose tenant deadline lapsed in the queue is
+// dropped (false) and releases its in-flight slot, any other is
+// counted as dispatched.
+func (m *TenantMux) dispatch(lane *tenantLane, item Item, now time.Duration) bool {
+	if lane.cfg.Deadline > 0 && now > item.ArrivedAt+lane.cfg.Deadline {
 		lane.inflight--
 		m.drop(lane, item, DropExpired, now)
 		return false
 	}
 	lane.stats.Dispatched++
 	return true
-}
-
-// expired reports whether item's tenant deadline lapsed by now.
-func (m *TenantMux) expired(lane *tenantLane, item Item, now time.Duration) bool {
-	return lane.cfg.Deadline > 0 && now > item.ArrivedAt+lane.cfg.Deadline
 }
 
 // drop counts and reports one dropped or rejected item.
@@ -629,12 +515,8 @@ func (m *TenantMux) Done(tenant string) {
 // Pending implements DepthSource: admitted items waiting for
 // dispatch, across every tenant.
 func (m *TenantMux) Pending() int {
-	if m.shared != nil {
-		n := m.shared.Len()
-		if m.closed && n > 0 {
-			n-- // the end-of-stream sentinel is not work
-		}
-		return n
+	if m.opts.Policy == TenantFIFO {
+		return m.edge.pending()
 	}
 	n := 0
 	for _, lane := range m.lanes {

@@ -961,7 +961,9 @@ func (s *Session) FaultLog() *fault.Log { return s.faultLog }
 func (s *Session) SetSource(src core.Source) { s.source = src }
 
 // Run wires the source to the device groups, drives the simulation to
-// completion and returns the unified report. A session runs once.
+// completion and returns the unified report. A session runs once. The
+// error reports a failed job or classification, or an ingress edge
+// whose counters do not balance at the end of the run (checkEdge).
 func (s *Session) Run() (*Report, error) {
 	if s.ran {
 		return nil, fmt.Errorf("pipeline: session already ran")
@@ -1191,6 +1193,9 @@ func (s *Session) Run() (*Report, error) {
 	err := job.Err
 	if cerr := s.classify(); err == nil {
 		err = cerr
+	}
+	if eerr := s.checkEdge(); err == nil {
+		err = eerr
 	}
 	return s.buildReport(job, pool, merged, perGroup), err
 }

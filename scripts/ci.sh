@@ -41,6 +41,10 @@ go run ./cmd/ncsw-vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== non-test Go lines per package (informational) =="
+# The wc -l measure ROADMAP.md and CHANGES.md quote; it gates nothing.
+sh scripts/loc.sh || true
+
 echo "== go test =="
 go test ./...
 
