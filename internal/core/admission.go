@@ -210,15 +210,15 @@ func (a *AdmissionQueue) admit(p *sim.Proc, item Item) {
 }
 
 // pass is the lazy expiry at dispatch: an item whose deadline lapsed
-// in the queue is dropped (ok=false), any other is counted as
+// in the queue is dropped (false), any other is counted as
 // dispatched.
-func (a *AdmissionQueue) pass(item Item, now time.Duration) (Item, bool) {
+func (a *AdmissionQueue) pass(item Item, now time.Duration) bool {
 	if a.opts.Deadline > 0 && now > item.ArrivedAt+a.opts.Deadline {
 		a.drop(item, DropExpired, now)
-		return Item{}, false
+		return false
 	}
 	a.stats.Dispatched++
-	return item, true
+	return true
 }
 
 // Next implements Source: the oldest admitted, unexpired item.

@@ -23,12 +23,13 @@ type itemQueue struct {
 	// closed is set once close has posted the end-of-stream sentinel,
 	// so pending does not count it as work.
 	closed bool
-	// dispatch, when set, turns what leaves the queue into the item
-	// handed to the consumer: the admission edges' lazy expiry and
-	// dispatch count, or TenantMux's scheduler reading a ready token.
-	// ok=false means nothing deliverable came of it (an expired item
-	// was dropped, a token was an orphan), and the read goes on.
-	dispatch func(v Item, now time.Duration) (item Item, ok bool)
+	// dispatch, when set, judges each item as it leaves the queue (the
+	// admission edges' lazy expiry and dispatch count): false means
+	// the item was dropped, and the read goes on to the next one. It
+	// returns a verdict, not a replacement item: handing an Item back
+	// through the indirect call is measurably slower on the per-item
+	// path.
+	dispatch func(item Item, now time.Duration) bool
 }
 
 // next blocks until an item passes dispatch or the stream ends
@@ -40,10 +41,7 @@ func (r *itemQueue) next(p *sim.Proc) (Item, bool) {
 			r.q.TryPut(item)
 			return Item{}, false
 		}
-		if r.dispatch == nil {
-			return item, true
-		}
-		if item, ok := r.dispatch(item, p.Now()); ok {
+		if r.dispatch == nil || r.dispatch(item, p.Now()) {
 			return item, true
 		}
 	}
@@ -68,10 +66,7 @@ func (r *itemQueue) nextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) 
 			r.q.TryPut(item)
 			return Item{}, false, false
 		}
-		if r.dispatch == nil {
-			return item, true, true
-		}
-		if item, ok := r.dispatch(item, p.Now()); ok {
+		if r.dispatch == nil || r.dispatch(item, p.Now()) {
 			return item, true, true
 		}
 	}

@@ -65,12 +65,12 @@ func TestItemQueueRead(t *testing.T) {
 			}
 			var dropped []int
 			if tc.deadline > 0 {
-				r.dispatch = func(item Item, now time.Duration) (Item, bool) {
+				r.dispatch = func(item Item, now time.Duration) bool {
 					if now > item.ArrivedAt+tc.deadline {
 						dropped = append(dropped, item.Index)
-						return Item{}, false
+						return false
 					}
-					return item, true
+					return true
 				}
 			}
 			if tc.close {

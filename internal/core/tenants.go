@@ -242,16 +242,14 @@ type TenantMux struct {
 	// tiers holds lane indices grouped by strict priority (ascending),
 	// each tier in registration order. TenantFair has a single tier.
 	tiers [][]int
-	// edge is what consumers read. Under TenantFIFO it is the single
-	// shared queue of tagged items. Under the fair policies it is the
-	// ready queue, one token (a zero Item) per enqueued item, and its
-	// dispatch hook is the scheduler. Tokens are not bound to specific
-	// items: a ShedOldest eviction leaves an orphan token the
-	// scheduler skips when every queue is empty. Either way, a
-	// sentinel after the last pump ends the stream once (invariant:
-	// tokens >= queued items) every queue has drained.
-	edge  itemQueue
-	inner Source
+	// ready holds one token per enqueued item under the fair policies
+	// (value unused); -1 is the end-of-stream sentinel token. Tokens
+	// are not bound to specific items: a ShedOldest eviction leaves an
+	// orphan token the dispatcher skips when every queue is empty.
+	ready *sim.Queue[int]
+	// shared is the single TenantFIFO queue (nil under fair policies).
+	shared *itemQueue
+	inner  Source
 	// pumps counts arrival pumps still running; the last one to finish
 	// posts the end-of-stream sentinel.
 	pumps int
@@ -298,13 +296,12 @@ func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.S
 				depth += l.cfg.Depth
 			}
 		}
-		m.edge.q = sim.NewQueue[Item](env, "core/tenants", depth)
-		m.edge.dispatch = func(item Item, now time.Duration) (Item, bool) {
-			return item, m.dispatch(m.byID[item.Tenant], item, now)
+		m.shared = &itemQueue{q: sim.NewQueue[Item](env, "core/tenants", depth)}
+		m.shared.dispatch = func(item Item, now time.Duration) bool {
+			return m.dispatch(m.byID[item.Tenant], item, now)
 		}
 	} else {
-		m.edge.q = sim.NewQueue[Item](env, "core/tenants/ready", 0)
-		m.edge.dispatch = func(_ Item, now time.Duration) (Item, bool) { return m.schedule(now) }
+		m.ready = sim.NewQueue[int](env, "core/tenants/ready", 0)
 		for _, l := range m.lanes {
 			l.q = sim.NewQueue[Item](env, "core/tenant/"+l.cfg.ID, l.cfg.Depth)
 		}
@@ -320,7 +317,11 @@ func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.S
 			})
 			m.pumps--
 			if m.pumps == 0 {
-				m.edge.close(p)
+				if m.shared != nil {
+					m.shared.close(p)
+				} else {
+					m.ready.Put(p, -1)
+				}
 			}
 		})
 	}
@@ -399,10 +400,9 @@ func (m *TenantMux) admit(p *sim.Proc, lane *tenantLane, item Item) {
 	// Under TenantFIFO the shared policy applies and a ShedOldest
 	// victim may belong to any tenant — the isolation failure the fair
 	// policies exist to fix.
-	fifo := m.opts.Policy == TenantFIFO
 	q, policy := lane.q, lane.cfg.Policy
-	if fifo {
-		q, policy = m.edge.q, m.opts.SharedPolicy
+	if m.shared != nil {
+		q, policy = m.shared.q, m.opts.SharedPolicy
 	}
 	if !offer(p, q, policy, item, m.evict) {
 		m.drop(lane, item, DropShed, p.Now())
@@ -410,8 +410,8 @@ func (m *TenantMux) admit(p *sim.Proc, lane *tenantLane, item Item) {
 	}
 	lane.stats.Admitted++
 	lane.inflight++
-	if !fifo {
-		m.edge.q.TryPut(Item{}) // the ready token; unbounded: never fails
+	if m.ready != nil {
+		m.ready.TryPut(0) // unbounded: never fails
 	}
 }
 
@@ -427,12 +427,50 @@ func (m *TenantMux) evict(old Item, reason DropReason, at time.Duration) {
 // Next implements Source: the next scheduled, unexpired item across
 // every tenant. Expired items encountered on the way are dropped and
 // counted against their own tenant.
-func (m *TenantMux) Next(p *sim.Proc) (Item, bool) { return m.edge.next(p) }
+func (m *TenantMux) Next(p *sim.Proc) (Item, bool) {
+	if m.shared != nil {
+		return m.shared.next(p)
+	}
+	for {
+		tok := m.ready.Get(p)
+		if tok == -1 {
+			// All pumps done and (invariant: tokens >= queued items)
+			// every queue drained.
+			m.ready.TryPut(-1)
+			return Item{}, false
+		}
+		item, ok := m.schedule(p.Now())
+		if !ok {
+			continue // orphan token from a ShedOldest eviction
+		}
+		return item, true
+	}
+}
 
 // NextWithin implements TimedSource: like Next but gives up once d of
 // virtual time passes with nothing dispatchable.
 func (m *TenantMux) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
-	return m.edge.nextWithin(p, d)
+	if m.shared != nil {
+		return m.shared.nextWithin(p, d)
+	}
+	deadline := p.Now() + d
+	for {
+		wait := deadline - p.Now()
+		if wait < 0 {
+			wait = 0
+		}
+		tok, ok := m.ready.GetWithin(p, wait)
+		if !ok {
+			return Item{}, false, true
+		}
+		if tok == -1 {
+			m.ready.TryPut(-1)
+			return Item{}, false, false
+		}
+		if item, ok := m.schedule(p.Now()); ok {
+			return item, true, true
+		}
+	}
 }
 
 // schedule picks the next item under the fair policies: the first
@@ -515,8 +553,8 @@ func (m *TenantMux) Done(tenant string) {
 // Pending implements DepthSource: admitted items waiting for
 // dispatch, across every tenant.
 func (m *TenantMux) Pending() int {
-	if m.opts.Policy == TenantFIFO {
-		return m.edge.pending()
+	if m.shared != nil {
+		return m.shared.pending()
 	}
 	n := 0
 	for _, lane := range m.lanes {
