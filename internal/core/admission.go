@@ -156,6 +156,10 @@ type AdmissionStats struct {
 // dropped when a consumer would otherwise receive it. That keeps the
 // drop deterministic (no timer per item) and models the real serving
 // pattern of checking the deadline at dispatch.
+//
+// Next and NextWithin (the embedded queue read's) deliver the oldest
+// admitted, unexpired item, dropping and counting the expired ones on
+// the way; Pending counts the admitted items waiting for dispatch.
 type AdmissionQueue struct {
 	itemQueue
 	opts  AdmissionOptions
@@ -220,18 +224,6 @@ func (a *AdmissionQueue) pass(item Item, now time.Duration) bool {
 	a.stats.Dispatched++
 	return true
 }
-
-// Next implements Source: the oldest admitted, unexpired item.
-// Expired items encountered on the way are dropped and counted.
-func (a *AdmissionQueue) Next(p *sim.Proc) (Item, bool) { return a.next(p) }
-
-// NextWithin implements TimedSource: like Next but gives up after d.
-func (a *AdmissionQueue) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
-	return a.nextWithin(p, d)
-}
-
-// Pending implements DepthSource: admitted items waiting for dispatch.
-func (a *AdmissionQueue) Pending() int { return a.pending() }
 
 // Stats returns the admission counters; read after the run completes
 // for final numbers.

@@ -292,7 +292,10 @@ func mustPositiveRate(rate float64) {
 // The stream ends when the wrapped source is exhausted (or, for trace
 // replay, when the trace ends). Multiple consumers may share one
 // ArrivalSource: exhaustion is re-posted so every consumer terminates,
-// exactly like StreamSource.
+// exactly like StreamSource. Next blocks in virtual time until the
+// next item arrives, NextWithin (TimedSource) gives up after d, and
+// Pending (DepthSource) counts the items arrived but not yet consumed;
+// all three are the embedded queue read's.
 type ArrivalSource struct {
 	itemQueue
 	inner Source
@@ -331,16 +334,3 @@ func (s *ArrivalSource) Remaining() int {
 	}
 	return 0
 }
-
-// Next implements Source: it blocks in virtual time until the next
-// item arrives.
-func (s *ArrivalSource) Next(p *sim.Proc) (Item, bool) { return s.next(p) }
-
-// NextWithin implements TimedSource: like Next but gives up once d of
-// virtual time passes with no arrival.
-func (s *ArrivalSource) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
-	return s.nextWithin(p, d)
-}
-
-// Pending implements DepthSource: items arrived but not yet consumed.
-func (s *ArrivalSource) Pending() int { return s.pending() }

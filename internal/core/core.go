@@ -272,9 +272,9 @@ func (s *SliceSource) Next(p *sim.Proc) (Item, bool) {
 // push items from their own simulated processes (an MPI rank, a camera
 // pipeline), consumers block in virtual time until data arrives.
 type StreamSource struct {
-	// itemQueue.closed is set by Close before a full buffer lets the
-	// sentinel in, so a Push or a second Close meanwhile is caught.
-	itemQueue
+	// in.closed is set by Close before a full buffer lets the sentinel
+	// in, so a Push or a second Close meanwhile is caught.
+	in itemQueue
 }
 
 // NewStreamSource creates a stream with the given buffer capacity
@@ -287,28 +287,28 @@ func NewStreamSource(env *sim.Env, capacity int) *StreamSource {
 // after Close, or pushing the reserved sentinel index -1, panics: both
 // are protocol bugs in the producer.
 func (s *StreamSource) Push(p *sim.Proc, item Item) {
-	if s.closed {
+	if s.in.closed {
 		panic("core: Push after Close")
 	}
 	if item.Index == -1 {
 		panic("core: Push with reserved Index -1 (the end-of-stream sentinel)")
 	}
 	item.ArrivedAt = p.Now()
-	s.q.Put(p, item)
+	s.in.q.Put(p, item)
 }
 
 // Close marks the end of the stream; consumers drain the buffer and
 // then see exhaustion.
 func (s *StreamSource) Close(p *sim.Proc) {
-	if s.closed {
+	if s.in.closed {
 		return
 	}
-	s.closed = true
-	s.q.Put(p, Item{Index: -1}) // sentinel
+	s.in.closed = true
+	s.in.q.Put(p, Item{Index: -1}) // sentinel
 }
 
 // Next implements Source.
-func (s *StreamSource) Next(p *sim.Proc) (Item, bool) { return s.next(p) }
+func (s *StreamSource) Next(p *sim.Proc) (Item, bool) { return s.in.Next(p) }
 
 // Counters holds the serving-event counts of one slice of a run — the
 // whole session, one device group or one tenant. It is declared once:

@@ -18,6 +18,13 @@ import (
 // that reads it puts it back (there is always room: the read just
 // freed a slot), so every consumer sharing the queue sees exhaustion,
 // and consumers that poll exhaustion repeatedly keep seeing it.
+//
+// ArrivalSource, AdmissionQueue and childFeed embed it, so its Next,
+// NextWithin and Pending are theirs (a promoted method costs one jump
+// on the per-item path, where a hand-written wrapper costs a call).
+// StreamSource and TenantMux hold one in a field: a stream is neither
+// a TimedSource nor a DepthSource, and the mux reads one only under
+// TenantFIFO.
 type itemQueue struct {
 	q *sim.Queue[Item]
 	// closed is set once close has posted the end-of-stream sentinel,
@@ -32,9 +39,9 @@ type itemQueue struct {
 	dispatch func(item Item, now time.Duration) bool
 }
 
-// next blocks until an item passes dispatch or the stream ends
-// (ok=false).
-func (r *itemQueue) next(p *sim.Proc) (Item, bool) {
+// Next implements Source: it blocks until an item passes dispatch or
+// the stream ends (ok=false).
+func (r *itemQueue) Next(p *sim.Proc) (Item, bool) {
 	for {
 		item := r.q.Get(p)
 		if item.Index == -1 {
@@ -47,11 +54,10 @@ func (r *itemQueue) next(p *sim.Proc) (Item, bool) {
 	}
 }
 
-// nextWithin is next bounded by d of virtual time, with TimedSource's
-// (item, ok, open) results: ok=false with open=true is a timeout,
-// open=false the end of the stream. Items dropped by dispatch spend
-// the same budget.
-func (r *itemQueue) nextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
+// NextWithin implements TimedSource: Next bounded by d of virtual
+// time. ok=false with open=true is a timeout, open=false the end of
+// the stream. Items dropped by dispatch spend the same budget.
+func (r *itemQueue) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
 	deadline := p.Now() + d
 	for {
 		wait := deadline - p.Now()
@@ -72,9 +78,9 @@ func (r *itemQueue) nextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) 
 	}
 }
 
-// pending counts the queued items, not the end-of-stream sentinel
-// that close posted.
-func (r *itemQueue) pending() int {
+// Pending implements DepthSource: the queued items, not counting the
+// end-of-stream sentinel that close posted.
+func (r *itemQueue) Pending() int {
 	n := r.q.Len()
 	if r.closed && n > 0 {
 		n--

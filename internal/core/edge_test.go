@@ -89,9 +89,9 @@ func TestItemQueueRead(t *testing.T) {
 						var item Item
 						ok, open := false, true
 						if tc.within > 0 {
-							item, ok, open = r.nextWithin(p, tc.within)
+							item, ok, open = r.NextWithin(p, tc.within)
 						} else {
-							item, ok = r.next(p)
+							item, ok = r.Next(p)
 							open = ok
 						}
 						switch {
@@ -124,7 +124,7 @@ func TestItemQueueRead(t *testing.T) {
 			if !slices.Equal(dropped, tc.wantDropped) {
 				t.Errorf("dropped %v, want %v", dropped, tc.wantDropped)
 			}
-			if got := r.pending(); got != tc.wantPending {
+			if got := r.Pending(); got != tc.wantPending {
 				t.Errorf("pending %d, want %d", got, tc.wantPending)
 			}
 			if got := r.q.Len(); got != tc.wantLen {

@@ -262,22 +262,16 @@ func (pl *Pool) notifyHealth(at time.Duration) {
 }
 
 // childFeed is the per-child source fed by the pool dispatcher, which
-// posts its end-of-feed sentinel (dealer.shutdown).
+// posts its end-of-feed sentinel (dealer.shutdown). Next and
+// NextWithin are the embedded queue read's; NextWithin makes the feed
+// a TimedSource, so adaptive batch children close partial batches
+// against it.
 type childFeed struct {
 	itemQueue
 	// upstream is the pool's source when it can report backlog (an
 	// ArrivalSource or AdmissionQueue), so a child's Pending sees
 	// through the shallow feed queue to the real queued work.
 	upstream DepthSource
-}
-
-// Next implements Source.
-func (f *childFeed) Next(p *sim.Proc) (Item, bool) { return f.next(p) }
-
-// NextWithin implements TimedSource, so adaptive batch children close
-// partial batches against their pool feed.
-func (f *childFeed) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
-	return f.nextWithin(p, d)
 }
 
 // Pending implements DepthSource: the feed's own buffer plus the

@@ -429,7 +429,7 @@ func (m *TenantMux) evict(old Item, reason DropReason, at time.Duration) {
 // counted against their own tenant.
 func (m *TenantMux) Next(p *sim.Proc) (Item, bool) {
 	if m.shared != nil {
-		return m.shared.next(p)
+		return m.shared.Next(p)
 	}
 	for {
 		tok := m.ready.Get(p)
@@ -451,7 +451,7 @@ func (m *TenantMux) Next(p *sim.Proc) (Item, bool) {
 // virtual time passes with nothing dispatchable.
 func (m *TenantMux) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) {
 	if m.shared != nil {
-		return m.shared.nextWithin(p, d)
+		return m.shared.NextWithin(p, d)
 	}
 	deadline := p.Now() + d
 	for {
@@ -554,7 +554,7 @@ func (m *TenantMux) Done(tenant string) {
 // dispatch, across every tenant.
 func (m *TenantMux) Pending() int {
 	if m.shared != nil {
-		return m.shared.pending()
+		return m.shared.Pending()
 	}
 	n := 0
 	for _, lane := range m.lanes {
