@@ -28,7 +28,7 @@ import (
 type itemQueue struct {
 	q *sim.Queue[Item]
 	// closed is set once close has posted the end-of-stream sentinel,
-	// so pending does not count it as work.
+	// so Pending does not count it as work.
 	closed bool
 	// dispatch, when set, judges each item as it leaves the queue (the
 	// admission edges' lazy expiry and dispatch count): false means
