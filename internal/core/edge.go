@@ -22,9 +22,9 @@ import (
 // ArrivalSource, AdmissionQueue and childFeed embed it, so its Next,
 // NextWithin and Pending are theirs (a promoted method costs one jump
 // on the per-item path, where a hand-written wrapper costs a call).
-// StreamSource and TenantMux hold one in a field: a stream is neither
-// a TimedSource nor a DepthSource, and the mux reads one only under
-// TenantFIFO.
+// StreamSource and TenantMux hold theirs in a field: a stream is
+// neither a TimedSource nor a DepthSource, and the mux reads either its
+// shared FIFO queue or its fair policies' ready tokens.
 type itemQueue struct {
 	q *sim.Queue[Item]
 	// closed is set once close has posted the end-of-stream sentinel,

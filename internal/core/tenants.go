@@ -242,11 +242,11 @@ type TenantMux struct {
 	// tiers holds lane indices grouped by strict priority (ascending),
 	// each tier in registration order. TenantFair has a single tier.
 	tiers [][]int
-	// ready holds one token per enqueued item under the fair policies
-	// (value unused); -1 is the end-of-stream sentinel token. Tokens
+	// ready holds one token (a zero Item) per enqueued item under the
+	// fair policies, ended by the sentinel like any edge queue. Tokens
 	// are not bound to specific items: a ShedOldest eviction leaves an
 	// orphan token the dispatcher skips when every queue is empty.
-	ready *sim.Queue[int]
+	ready *itemQueue
 	// shared is the single TenantFIFO queue (nil under fair policies).
 	shared *itemQueue
 	inner  Source
@@ -301,7 +301,7 @@ func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.S
 			return m.dispatch(m.byID[item.Tenant], item, now)
 		}
 	} else {
-		m.ready = sim.NewQueue[int](env, "core/tenants/ready", 0)
+		m.ready = &itemQueue{q: sim.NewQueue[Item](env, "core/tenants/ready", 0)}
 		for _, l := range m.lanes {
 			l.q = sim.NewQueue[Item](env, "core/tenant/"+l.cfg.ID, l.cfg.Depth)
 		}
@@ -320,7 +320,7 @@ func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.S
 				if m.shared != nil {
 					m.shared.close(p)
 				} else {
-					m.ready.Put(p, -1)
+					m.ready.close(p)
 				}
 			}
 		})
@@ -411,7 +411,7 @@ func (m *TenantMux) admit(p *sim.Proc, lane *tenantLane, item Item) {
 	lane.stats.Admitted++
 	lane.inflight++
 	if m.ready != nil {
-		m.ready.TryPut(0) // unbounded: never fails
+		m.ready.q.TryPut(Item{}) // unbounded: never fails
 	}
 }
 
@@ -431,19 +431,17 @@ func (m *TenantMux) Next(p *sim.Proc) (Item, bool) {
 	if m.shared != nil {
 		return m.shared.Next(p)
 	}
+	// The stream ends once all pumps are done and (invariant: tokens
+	// >= queued items) every queue has drained.
 	for {
-		tok := m.ready.Get(p)
-		if tok == -1 {
-			// All pumps done and (invariant: tokens >= queued items)
-			// every queue drained.
-			m.ready.TryPut(-1)
+		if _, ok := m.ready.Next(p); !ok {
 			return Item{}, false
 		}
-		item, ok := m.schedule(p.Now())
-		if !ok {
-			continue // orphan token from a ShedOldest eviction
+		// A token finds no item only when a ShedOldest eviction left
+		// it orphaned; read the next one.
+		if item, ok := m.schedule(p.Now()); ok {
+			return item, true
 		}
-		return item, true
 	}
 }
 
@@ -455,17 +453,8 @@ func (m *TenantMux) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) 
 	}
 	deadline := p.Now() + d
 	for {
-		wait := deadline - p.Now()
-		if wait < 0 {
-			wait = 0
-		}
-		tok, ok := m.ready.GetWithin(p, wait)
-		if !ok {
-			return Item{}, false, true
-		}
-		if tok == -1 {
-			m.ready.TryPut(-1)
-			return Item{}, false, false
+		if _, ok, open := m.ready.NextWithin(p, max(deadline-p.Now(), 0)); !ok {
+			return Item{}, false, open
 		}
 		if item, ok := m.schedule(p.Now()); ok {
 			return item, true, true
