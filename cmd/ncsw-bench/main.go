@@ -256,15 +256,17 @@ func runHetero(images int, stdout, stderr io.Writer) error {
 	for _, route := range []repro.Routing{
 		repro.StaticSplit, repro.RoundRobinSplit, repro.WorkStealing, repro.WeightedByThroughput,
 	} {
-		sess, err := repro.NewSession(
-			repro.WithImages(images),
-			repro.WithCPU(8),
-			repro.WithGPU(8),
-			repro.WithVPUs(4),
-			repro.WithNetwork(net),
-			repro.WithBlob(blob),
-			repro.WithRouting(route),
-		)
+		sess, err := repro.NewSession(repro.SessionConfig{
+			Images: images,
+			Groups: []repro.DeviceGroup{
+				{Kind: repro.CPUGroup, Batch: 8},
+				{Kind: repro.GPUGroup, Batch: 8},
+				{Kind: repro.VPUGroup, Devices: 4},
+			},
+			Net:     net,
+			Blob:    blob,
+			Routing: route,
+		})
 		if err != nil {
 			return err
 		}

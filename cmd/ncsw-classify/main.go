@@ -37,38 +37,35 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	opts := []repro.SessionOption{
-		repro.WithFunctional(true),
-		repro.WithSeed(*seed),
-	}
+	cfg := repro.SessionConfig{Functional: true, Seed: *seed}
 	if *folder == "" {
 		if *images <= 0 {
 			log.Fatalf("-images must be positive (got %d)", *images)
 		}
 		// The synthetic dataset generates images lazily, so the full
-		// default set costs nothing; WithImages bounds the run.
-		opts = append(opts, repro.WithImages(*images))
+		// default set costs nothing; Images bounds the run.
+		cfg.Images = *images
 	}
 	route, err := parseRouting(*routing)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts = append(opts, repro.WithRouting(route))
+	cfg.Routing = route
 
 	for _, kind := range strings.Split(*target, ",") {
 		switch strings.TrimSpace(kind) {
 		case "cpu":
-			opts = append(opts, repro.WithCPU(*batch))
+			cfg.Groups = append(cfg.Groups, repro.DeviceGroup{Kind: repro.CPUGroup, Batch: *batch})
 		case "gpu":
-			opts = append(opts, repro.WithGPU(*batch))
+			cfg.Groups = append(cfg.Groups, repro.DeviceGroup{Kind: repro.GPUGroup, Batch: *batch})
 		case "vpu":
-			opts = append(opts, repro.WithVPUs(*devices))
+			cfg.Groups = append(cfg.Groups, repro.DeviceGroup{Kind: repro.VPUGroup, Devices: *devices})
 		default:
 			log.Fatalf("unknown target %q (want cpu, gpu or vpu)", kind)
 		}
 	}
 
-	sess, err := repro.NewSession(opts...)
+	sess, err := repro.NewSession(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

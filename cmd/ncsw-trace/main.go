@@ -69,16 +69,16 @@ func main() {
 		}
 		rc = repro.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: true}
 	}
-	cfg := repro.DefaultDatasetConfig()
-	cfg.Images = *images
-	sess, err := repro.NewSession(
-		repro.WithDataset(cfg),
-		repro.WithVPUs(*devices),
-		repro.WithSeed(*seed),
-		repro.WithNetSeed(*seed),
-		repro.WithTimeline(tl),
-		repro.WithRecovery(rc),
-	)
+	ds := repro.DefaultDatasetConfig()
+	ds.Images = *images
+	sess, err := repro.NewSession(repro.SessionConfig{
+		Dataset:  ds,
+		Groups:   []repro.DeviceGroup{{Kind: repro.VPUGroup, Devices: *devices}},
+		Seed:     *seed,
+		NetSeed:  *seed,
+		Timeline: tl,
+		Recovery: rc,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -165,17 +165,17 @@ func tenantsTrace(devices, images int, seed uint64, width int, csv bool) (string
 				Arrivals: repro.DelayedArrivals(repro.BurstyArrivals(0.4*capacity, time.Second, time.Second), setup)},
 		},
 	}
-	cfg := repro.DefaultDatasetConfig()
-	cfg.Images = images
-	sess, err := repro.NewSession(
-		repro.WithDataset(cfg),
-		repro.WithVPUs(devices),
-		repro.WithSeed(seed),
-		repro.WithSLO(500*time.Millisecond),
-		repro.WithTenants(tc),
-		repro.WithTimeline(tl),
-		repro.WithRetain(true),
-	)
+	ds := repro.DefaultDatasetConfig()
+	ds.Images = images
+	sess, err := repro.NewSession(repro.SessionConfig{
+		Dataset:  ds,
+		Groups:   []repro.DeviceGroup{{Kind: repro.VPUGroup, Devices: devices}},
+		Seed:     seed,
+		SLO:      500 * time.Millisecond,
+		Tenants:  tc,
+		Timeline: tl,
+		Retain:   true,
+	})
 	if err != nil {
 		return "", err
 	}

@@ -69,17 +69,17 @@ func main() {
 			repro.HedgeConfig{Trigger: trigger, Budget: 0.15}},
 	}
 	for _, v := range variants {
-		sess, err := repro.NewSession(
-			repro.WithImages(images),
-			repro.WithVPUs(4),
-			repro.WithNetwork(net),
-			repro.WithBlob(blob),
-			repro.WithArrivals(repro.DelayedArrivals(repro.PoissonArrivals(25), warmup)),
-			repro.WithSLO(slo),
-			repro.WithFaults(plan),
-			repro.WithRecovery(repro.DefaultRecoveryConfig()),
-			repro.WithHedging(v.hedge),
-		)
+		sess, err := repro.NewSession(repro.SessionConfig{
+			Images:   images,
+			Groups:   []repro.DeviceGroup{{Kind: repro.VPUGroup, Devices: 4}},
+			Net:      net,
+			Blob:     blob,
+			Arrivals: repro.DelayedArrivals(repro.PoissonArrivals(25), warmup),
+			SLO:      slo,
+			Faults:   plan,
+			Recovery: repro.DefaultRecoveryConfig(),
+			Hedge:    v.hedge,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

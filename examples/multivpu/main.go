@@ -61,14 +61,14 @@ func main() {
 // run executes imagesPerRun inferences on n sticks and returns the
 // steady-state throughput.
 func run(n int, net *repro.Graph, blob []byte, tl *repro.Timeline) float64 {
-	sess, err := repro.NewSession(
-		repro.WithImages(imagesPerRun),
-		repro.WithVPUs(n),
-		repro.WithNetwork(net),
-		repro.WithBlob(blob),
-		repro.WithSeed(7),
-		repro.WithTimeline(tl),
-	)
+	sess, err := repro.NewSession(repro.SessionConfig{
+		Images:   imagesPerRun,
+		Groups:   []repro.DeviceGroup{{Kind: repro.VPUGroup, Devices: n}},
+		Net:      net,
+		Blob:     blob,
+		Seed:     7,
+		Timeline: tl,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

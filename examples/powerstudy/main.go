@@ -44,13 +44,13 @@ func main() {
 	fmt.Println("GoogLeNet inference, throughput per Watt (Eq. 1, batch 8 / 8 sticks)")
 	fmt.Printf("%-12s %-12s %-10s %-12s\n", "target", "img/s", "TDP (W)", "img/W")
 
-	cpu := run(net, blob, repro.WithCPU(8))
+	cpu := run(net, blob, repro.DeviceGroup{Kind: repro.CPUGroup, Batch: 8})
 	fmt.Printf("%-12s %-12.1f %-10.1f %-12.2f\n", "CPU", cpu.Throughput, cpu.TDPWatts, cpu.ImagesPerWatt)
 
-	gpu := run(net, blob, repro.WithGPU(8))
+	gpu := run(net, blob, repro.DeviceGroup{Kind: repro.GPUGroup, Batch: 8})
 	fmt.Printf("%-12s %-12.1f %-10.1f %-12.2f\n", "GPU", gpu.Throughput, gpu.TDPWatts, gpu.ImagesPerWatt)
 
-	vpu := run(net, blob, repro.WithVPUs(8))
+	vpu := run(net, blob, repro.DeviceGroup{Kind: repro.VPUGroup, Devices: 8})
 	fmt.Printf("%-12s %-12.1f %-10.1f %-12.2f\n", "VPU x8", vpu.Throughput, vpu.TDPWatts, vpu.ImagesPerWatt)
 
 	// Beyond the paper: the sticks' simulated power states (boot,
@@ -65,13 +65,14 @@ func main() {
 
 // run executes one pure-performance session and returns its only
 // group report.
-func run(net *repro.Graph, blob []byte, group repro.SessionOption) repro.TargetReport {
-	sess, err := repro.NewSession(group,
-		repro.WithImages(images),
-		repro.WithNetwork(net),
-		repro.WithBlob(blob),
-		repro.WithSeed(2),
-	)
+func run(net *repro.Graph, blob []byte, group repro.DeviceGroup) repro.TargetReport {
+	sess, err := repro.NewSession(repro.SessionConfig{
+		Groups: []repro.DeviceGroup{group},
+		Images: images,
+		Net:    net,
+		Blob:   blob,
+		Seed:   2,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,8 +36,8 @@ func main() {
 	// Two sessions over the same dataset and network seeds: the only
 	// difference between them is the device path, exactly the paper's
 	// CPU-vs-VPU comparison.
-	cpuResults, _ := run(repro.WithCPU(8))
-	vpuResults, sess := run(repro.WithVPUs(1))
+	cpuResults, _ := run(repro.DeviceGroup{Kind: repro.CPUGroup, Batch: 8})
+	vpuResults, sess := run(repro.DeviceGroup{Kind: repro.VPUGroup, Devices: 1})
 	ds := sess.Dataset()
 
 	var wrong32, wrong16, wrongStrict, agree int
@@ -97,13 +97,13 @@ func main() {
 
 // run executes one functional session over the shared image range and
 // returns its results indexed by image.
-func run(group repro.SessionOption) (map[int]repro.Result, *repro.Session) {
-	sess, err := repro.NewSession(
-		group,
-		repro.WithImages(images),
-		repro.WithFunctional(true),
-		repro.WithRetain(true),
-	)
+func run(group repro.DeviceGroup) (map[int]repro.Result, *repro.Session) {
+	sess, err := repro.NewSession(repro.SessionConfig{
+		Groups:     []repro.DeviceGroup{group},
+		Images:     images,
+		Functional: true,
+		Retain:     true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,12 +19,12 @@ func main() {
 	log.SetFlags(0)
 	fmt.Println(repro.About())
 
-	sess, err := repro.NewSession(
-		repro.WithVPUs(1),
-		repro.WithFunctional(true),
-		repro.WithImages(5),
-		repro.WithRetain(true),
-	)
+	sess, err := repro.NewSession(repro.SessionConfig{
+		Groups:     []repro.DeviceGroup{{Kind: repro.VPUGroup, Devices: 1}},
+		Functional: true,
+		Images:     5,
+		Retain:     true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

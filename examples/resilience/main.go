@@ -60,16 +60,16 @@ func main() {
 		if heal {
 			label = "self-healing (reboot-priced recovery + redelivery)"
 		}
-		sess, err := repro.NewSession(
-			repro.WithImages(images),
-			repro.WithVPUs(4),
-			repro.WithNetwork(net),
-			repro.WithBlob(blob),
-			repro.WithArrivals(repro.DelayedArrivals(repro.PoissonArrivals(25), warmup)),
-			repro.WithSLO(slo),
-			repro.WithFaults(plan),
-			repro.WithRecovery(rc),
-		)
+		sess, err := repro.NewSession(repro.SessionConfig{
+			Images:   images,
+			Groups:   []repro.DeviceGroup{{Kind: repro.VPUGroup, Devices: 4}},
+			Net:      net,
+			Blob:     blob,
+			Arrivals: repro.DelayedArrivals(repro.PoissonArrivals(25), warmup),
+			SLO:      slo,
+			Faults:   plan,
+			Recovery: rc,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

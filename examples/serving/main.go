@@ -40,15 +40,17 @@ func main() {
 	// ~83 img/s combined capacity (CPU batch-8 ≈ 44, 4 VPUs ≈ 39):
 	// 40/s is comfortable, 90/s is past the knee.
 	for _, rate := range []float64{40, 90} {
-		sess, err := repro.NewSession(
-			repro.WithImages(images),
-			repro.WithCPU(8),
-			repro.WithVPUs(4),
-			repro.WithNetwork(net),
-			repro.WithBlob(blob),
-			repro.WithArrivals(repro.DelayedArrivals(repro.PoissonArrivals(rate), warmup)),
-			repro.WithRouting(repro.RouteLatency),
-		)
+		sess, err := repro.NewSession(repro.SessionConfig{
+			Images: images,
+			Groups: []repro.DeviceGroup{
+				{Kind: repro.CPUGroup, Batch: 8},
+				{Kind: repro.VPUGroup, Devices: 4},
+			},
+			Net:      net,
+			Blob:     blob,
+			Arrivals: repro.DelayedArrivals(repro.PoissonArrivals(rate), warmup),
+			Routing:  repro.RouteLatency,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,9 +4,9 @@
 // PR 2's serving example showed that past the knee an open-loop queue
 // grows without bound and tail latency diverges. This walkthrough
 // shows the two levers that manage it: adaptive batching
-// (WithAdaptiveBatching), where the CPU group's batch size tracks the
+// (AdaptiveBatch with a BatchMaxWait), where the CPU group's batch size tracks the
 // backlog so under light load it stops paying full-batch assembly
-// latency; and bounded admission (WithAdmission + WithSLO), where a
+// latency; and bounded admission (AdmissionDepth with an SLO), where a
 // bounded ingress sheds what the devices cannot serve in time, so the
 // requests that are served still meet the SLO — goodput degrades to
 // the capacity ratio instead of collapsing toward zero.
@@ -48,25 +48,27 @@ func main() {
 	// 40/s sits below the knee, 110/s far past it.
 	for _, rate := range []float64{40, 110} {
 		for _, defended := range []bool{false, true} {
-			opts := []repro.SessionOption{
-				repro.WithImages(images),
-				repro.WithCPU(8),
-				repro.WithVPUs(4),
-				repro.WithNetwork(net),
-				repro.WithBlob(blob),
-				repro.WithArrivals(repro.DelayedArrivals(repro.PoissonArrivals(rate), warmup)),
-				repro.WithRouting(repro.RouteLatency),
-				repro.WithSLO(slo),
+			cfg := repro.SessionConfig{
+				Images: images,
+				Groups: []repro.DeviceGroup{
+					{Kind: repro.CPUGroup, Batch: 8},
+					{Kind: repro.VPUGroup, Devices: 4},
+				},
+				Net:      net,
+				Blob:     blob,
+				Arrivals: repro.DelayedArrivals(repro.PoissonArrivals(rate), warmup),
+				Routing:  repro.RouteLatency,
+				SLO:      slo,
 			}
 			label := "baseline (fixed batch, unbounded ingress)"
 			if defended {
 				label = "slo-aware (adaptive batch, bounded ingress)"
-				opts = append(opts,
-					repro.WithAdaptiveBatching(slo/8),
-					repro.WithAdmission(16, repro.ShedNewest),
-				)
+				cfg.AdaptiveBatch = true
+				cfg.BatchMaxWait = slo / 8
+				cfg.AdmissionDepth = 16
+				cfg.AdmissionPolicy = repro.ShedNewest
 			}
-			sess, err := repro.NewSession(opts...)
+			sess, err := repro.NewSession(cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -53,10 +53,9 @@ func main() {
 		}
 	}
 
-	run := func(label string, opts ...repro.SessionOption) *repro.Report {
-		sess, err := repro.NewSession(append([]repro.SessionOption{
-			repro.WithImages(images),
-		}, opts...)...)
+	run := func(label string, cfg repro.SessionConfig) *repro.Report {
+		cfg.Images = images
+		sess, err := repro.NewSession(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,22 +70,22 @@ func main() {
 	head := repro.VPUStage(4)
 	head.Queue = headWindow
 
+	gpu := repro.DeviceGroup{Kind: repro.GPUGroup, Batch: gpuBatch}
+	vpus := repro.DeviceGroup{Kind: repro.VPUGroup, Devices: 4}
 	run("whole inference on the GPU (best single device)",
-		repro.WithGPU(gpuBatch))
+		repro.SessionConfig{Groups: []repro.DeviceGroup{gpu}})
 	run("whole inferences dealt across 4 VPUs + GPU (pool)",
-		repro.WithVPUs(4), repro.WithGPU(gpuBatch))
+		repro.SessionConfig{Groups: []repro.DeviceGroup{vpus, gpu}})
 	run(fmt.Sprintf("split inference: 4-VPU head + GPU tail, cut@%d", cut),
-		repro.WithStages(head, repro.GPUStage(gpuBatch)),
-		repro.WithCut(cut))
+		repro.SessionConfig{Stages: []repro.StageConfig{head, repro.GPUStage(gpuBatch)}, Cuts: []int{cut}})
 
 	// Degenerate cuts collapse before any device is built: cut at the
 	// layer count leaves the tail empty (a plain 4-stick session), cut
 	// at 0 leaves the head empty (a plain GPU session).
 	whole := run("degenerate cut at the layer count (pure 4-VPU session)",
-		repro.WithStages(head, repro.GPUStage(gpuBatch)),
-		repro.WithCut(net.Len()))
+		repro.SessionConfig{Stages: []repro.StageConfig{head, repro.GPUStage(gpuBatch)}, Cuts: []int{net.Len()}})
 	classic := run("classic 4-VPU session (must match the degenerate cut exactly)",
-		repro.WithVPUs(4))
+		repro.SessionConfig{Groups: []repro.DeviceGroup{vpus}})
 	if whole.String() != classic.String() {
 		log.Fatal("degenerate cut diverged from the classic session")
 	}

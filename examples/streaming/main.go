@@ -36,14 +36,17 @@ func imagesFromEnv(def int) int {
 func main() {
 	log.SetFlags(0)
 
-	sess, err := repro.NewSession(
-		repro.WithCPU(4),
-		repro.WithVPUs(2),
-		repro.WithFunctional(true),
-		repro.WithStream(16),
-		repro.WithRouting(repro.WorkStealing),
-		repro.WithSeed(3),
-	)
+	capacity := 16
+	sess, err := repro.NewSession(repro.SessionConfig{
+		Groups: []repro.DeviceGroup{
+			{Kind: repro.CPUGroup, Batch: 4},
+			{Kind: repro.VPUGroup, Devices: 2},
+		},
+		Functional:     true,
+		StreamCapacity: &capacity,
+		Routing:        repro.WorkStealing,
+		Seed:           3,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

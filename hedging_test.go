@@ -12,15 +12,15 @@ func hedgedRun(t *testing.T, hc HedgeConfig) *Report {
 	plan := FaultPlan{Events: []FaultEvent{
 		{Device: "ncs2", Kind: Slowdown, At: 5 * time.Second, Factor: 10, Duration: 3 * time.Second},
 	}}
-	sess, err := NewSession(
-		WithImages(100),
-		WithVPUs(4),
-		WithArrivals(DelayedArrivals(PoissonArrivals(28), 4500*time.Millisecond)),
-		WithSLO(500*time.Millisecond),
-		WithFaults(plan),
-		WithRecovery(DefaultRecoveryConfig()),
-		WithHedging(hc),
-	)
+	sess, err := NewSession(SessionConfig{
+		Images:   100,
+		Groups:   []DeviceGroup{{Kind: VPUGroup, Devices: 4}},
+		Arrivals: DelayedArrivals(PoissonArrivals(28), 4500*time.Millisecond),
+		SLO:      500 * time.Millisecond,
+		Faults:   plan,
+		Recovery: DefaultRecoveryConfig(),
+		Hedge:    hc,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,15 +71,11 @@ func splitImages(cfg Config) int {
 
 // splitSession runs one split-experiment session and reduces its
 // report to a point.
-func (h *Harness) splitSession(name string, kind string, cut int, cutLayer string, depth int, opts []pipeline.Option) (SplitPoint, error) {
-	images := splitImages(h.cfg)
-	ds := imagenet.DefaultConfig()
-	ds.Images = images
-	base := []pipeline.Option{
-		pipeline.WithDataset(ds),
-		pipeline.WithSeed(rng.New(h.cfg.Seed).Derive("split/" + name).Uint64()),
-	}
-	sess, err := pipeline.New(append(base, opts...)...)
+func (h *Harness) splitSession(name string, kind string, cut int, cutLayer string, depth int, cfg pipeline.Config) (SplitPoint, error) {
+	cfg.Dataset = imagenet.DefaultConfig()
+	cfg.Dataset.Images = splitImages(h.cfg)
+	cfg.Seed = rng.New(h.cfg.Seed).Derive("split/" + name).Uint64()
+	sess, err := pipeline.NewFromConfig(cfg)
 	if err != nil {
 		return SplitPoint{}, fmt.Errorf("bench: split %s: %w", name, err)
 	}
@@ -110,18 +106,21 @@ func (h *Harness) SplitPoints() ([]SplitPoint, error) {
 	layerAt := func(cut int) string { return names[cut-1] }
 
 	var points []SplitPoint
+	cpu := pipeline.Group{Kind: pipeline.GroupCPU, Batch: 32}
+	gpu := pipeline.Group{Kind: pipeline.GroupGPU, Batch: 32}
+	vpus := pipeline.Group{Kind: pipeline.GroupVPU, Devices: 4}
 	baselines := []struct {
-		name string
-		opts []pipeline.Option
+		name   string
+		groups []pipeline.Group
 	}{
-		{"cpu-b32", []pipeline.Option{pipeline.WithCPU(32)}},
-		{"gpu-b32", []pipeline.Option{pipeline.WithGPU(32)}},
-		{"vpu-4", []pipeline.Option{pipeline.WithVPUs(4)}},
-		{"pool-4vpu+cpu", []pipeline.Option{pipeline.WithVPUs(4), pipeline.WithCPU(32)}},
-		{"pool-4vpu+gpu", []pipeline.Option{pipeline.WithVPUs(4), pipeline.WithGPU(32)}},
+		{"cpu-b32", []pipeline.Group{cpu}},
+		{"gpu-b32", []pipeline.Group{gpu}},
+		{"vpu-4", []pipeline.Group{vpus}},
+		{"pool-4vpu+cpu", []pipeline.Group{vpus, cpu}},
+		{"pool-4vpu+gpu", []pipeline.Group{vpus, gpu}},
 	}
 	for _, b := range baselines {
-		pt, err := h.splitSession(b.name, "baseline", -1, "-", 0, b.opts)
+		pt, err := h.splitSession(b.name, "baseline", -1, "-", 0, pipeline.Config{Groups: b.groups})
 		if err != nil {
 			return nil, err
 		}
@@ -145,9 +144,9 @@ func (h *Harness) SplitPoints() ([]SplitPoint, error) {
 		for _, tail := range tails {
 			name := fmt.Sprintf("%s@%s", tail.name, layerAt(cut))
 			pt, err := h.splitSession(name, "cut", cut, layerAt(cut), splitHeadWindow,
-				[]pipeline.Option{
-					pipeline.WithStages(head(splitHeadWindow), tail.stage),
-					pipeline.WithCut(cut),
+				pipeline.Config{
+					Stages: []pipeline.Stage{head(splitHeadWindow), tail.stage},
+					Cuts:   []int{cut},
 				})
 			if err != nil {
 				return nil, err
@@ -162,9 +161,9 @@ func (h *Harness) SplitPoints() ([]SplitPoint, error) {
 	for _, depth := range splitDepths {
 		name := fmt.Sprintf("split-4vpu+gpu@%s/w%d", layerAt(bestCut), depth)
 		pt, err := h.splitSession(name, "depth", bestCut, layerAt(bestCut), depth,
-			[]pipeline.Option{
-				pipeline.WithStages(head(depth), pipeline.GPUStage(32)),
-				pipeline.WithCut(bestCut),
+			pipeline.Config{
+				Stages: []pipeline.Stage{head(depth), pipeline.GPUStage(32)},
+				Cuts:   []int{bestCut},
 			})
 		if err != nil {
 			return nil, err
@@ -185,9 +184,9 @@ func (h *Harness) SplitPoints() ([]SplitPoint, error) {
 	for _, rc := range replicaCases {
 		name := fmt.Sprintf("%s@%s", rc.name, layerAt(bestCut))
 		pt, err := h.splitSession(name, "replicas", bestCut, layerAt(bestCut), splitHeadWindow,
-			[]pipeline.Option{
-				pipeline.WithStages(rc.head, rc.tail),
-				pipeline.WithCut(bestCut),
+			pipeline.Config{
+				Stages: []pipeline.Stage{rc.head, rc.tail},
+				Cuts:   []int{bestCut},
 			})
 		if err != nil {
 			return nil, err

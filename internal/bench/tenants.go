@@ -83,12 +83,12 @@ func (h *Harness) tenantCapacity(images int) (float64, time.Duration, error) {
 	return h.capacity(fmt.Sprintf("tenants/vpu-%d/%d", tenantSticks, images), func() (*pipeline.Report, error) {
 		ds := imagenet.DefaultConfig()
 		ds.Images = images
-		sess, err := pipeline.New(
-			pipeline.WithDataset(ds),
-			pipeline.WithNetwork(h.goog),
-			pipeline.WithVPUs(tenantSticks),
-			pipeline.WithSeed(rng.New(h.cfg.Seed).Derive("tenants/capacity").Uint64()),
-		)
+		sess, err := pipeline.NewFromConfig(pipeline.Config{
+			Dataset: ds,
+			Net:     h.goog,
+			Groups:  []pipeline.Group{{Kind: pipeline.GroupVPU, Devices: tenantSticks}},
+			Seed:    rng.New(h.cfg.Seed).Derive("tenants/capacity").Uint64(),
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -144,14 +144,14 @@ func tenantFlash(capacity float64, ready time.Duration, load float64, slo time.D
 func (h *Harness) tenantSession(cell string, images int, slo time.Duration, tc core.TenantMuxOptions) (*pipeline.Report, error) {
 	ds := imagenet.DefaultConfig()
 	ds.Images = images
-	sess, err := pipeline.New(
-		pipeline.WithDataset(ds),
-		pipeline.WithNetwork(h.goog),
-		pipeline.WithVPUs(tenantSticks),
-		pipeline.WithSLO(slo),
-		pipeline.WithTenants(tc),
-		pipeline.WithSeed(rng.New(h.cfg.Seed).Derive("tenants/"+cell).Uint64()),
-	)
+	sess, err := pipeline.NewFromConfig(pipeline.Config{
+		Dataset: ds,
+		Net:     h.goog,
+		Groups:  []pipeline.Group{{Kind: pipeline.GroupVPU, Devices: tenantSticks}},
+		SLO:     slo,
+		Tenants: tc,
+		Seed:    rng.New(h.cfg.Seed).Derive("tenants/" + cell).Uint64(),
+	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: tenants %s: %w", cell, err)
 	}

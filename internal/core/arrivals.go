@@ -14,8 +14,8 @@ import (
 // which work becomes visible to the serving system, independent of how
 // fast the devices drain it. Construct one with
 // DeterministicArrivals, PoissonArrivals, BurstyArrivals or
-// TraceArrivals, and feed it to NewArrivalSource (or the session's
-// WithArrivals option).
+// TraceArrivals, and feed it to NewArrivalSource (or a session's
+// Config.Arrivals).
 type Arrivals interface {
 	fmt.Stringer
 	// start returns a fresh arrival-instant generator for one run.

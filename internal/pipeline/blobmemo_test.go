@@ -13,11 +13,16 @@ import (
 	"repro/internal/rng"
 )
 
-// blobSession builds a session over netSeed's weights with the given
-// devices and network options.
-func blobSession(t testing.TB, netSeed uint64, opts ...Option) *Session {
+// oneStick is a session's fleet of one VPU stick.
+var oneStick = []Group{{Kind: GroupVPU, Devices: 1}}
+
+// blobSession builds a session over netSeed's weights with cfg's
+// devices and network.
+func blobSession(t testing.TB, netSeed uint64, cfg Config) *Session {
 	t.Helper()
-	s, err := New(append([]Option{WithDataset(smallDataset(8)), WithNetSeed(netSeed)}, opts...)...)
+	cfg.Dataset = smallDataset(8)
+	cfg.NetSeed = netSeed
+	s, err := NewFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +69,7 @@ func TestSessionBlobShared(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GoogLeNet compile skipped in -short")
 	}
-	a, b := blobSession(t, 42, WithVPUs(1)), blobSession(t, 42, WithVPUs(1))
+	a, b := blobSession(t, 42, Config{Groups: oneStick}), blobSession(t, 42, Config{Groups: oneStick})
 	if !bytes.Equal(a.Blob(), mustCompile(t, nn.NewGoogLeNet(rng.New(42)))) {
 		t.Fatal("session blob differs from graphfile.Compile(nn.NewGoogLeNet(rng.New(42)))")
 	}
@@ -74,7 +79,7 @@ func TestSessionBlobShared(t *testing.T) {
 	if cap(b.Blob()) != len(b.Blob()) {
 		t.Errorf("shared blob has spare capacity %d", cap(b.Blob())-len(b.Blob()))
 	}
-	c := blobSession(t, 43, WithVPUs(1))
+	c := blobSession(t, 43, Config{Groups: oneStick})
 	if sameArray(a.Blob(), c.Blob()) || bytes.Equal(a.Blob(), c.Blob()) {
 		t.Error("net seeds 42 and 43 share a blob")
 	}
@@ -91,10 +96,10 @@ func TestSessionBlobSegments(t *testing.T) {
 	cuts := googleNetCuts(t)
 	c1, c2 := cuts[len(cuts)/3], cuts[2*len(cuts)/3]
 	two := func(cut int) *Session {
-		return blobSession(t, 42, WithStages(VPUStage(1), VPUStage(1)), WithCut(cut))
+		return blobSession(t, 42, Config{Stages: []Stage{VPUStage(1), VPUStage(1)}, Cuts: []int{cut}})
 	}
 	a, b := two(c2), two(c2)
-	three := blobSession(t, 42, WithStages(VPUStage(1), VPUStage(1), VPUStage(1)), WithCut(c1, c2))
+	three := blobSession(t, 42, Config{Stages: []Stage{VPUStage(1), VPUStage(1), VPUStage(1)}, Cuts: []int{c1, c2}})
 	other := two(c1)
 	for _, s := range []*Session{a, b, three, other} {
 		for i, st := range s.stages {
@@ -124,7 +129,7 @@ func TestSessionBlobCallerNet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GoogLeNet compile skipped in -short")
 	}
-	self := blobSession(t, 42, WithVPUs(1))
+	self := blobSession(t, 42, Config{Groups: oneStick})
 	key := blobKey{seed: 42, name: self.Network().Name(), lo: 0, hi: self.Network().Len()}
 	entry := memoEntry(key)
 	if entry == nil {
@@ -137,7 +142,7 @@ func TestSessionBlobCallerNet(t *testing.T) {
 	}
 
 	net := edited(42)
-	given := blobSession(t, 42, WithNetwork(net), WithVPUs(1))
+	given := blobSession(t, 42, Config{Net: net, Groups: oneStick})
 	if bytes.Equal(given.Blob(), self.Blob()) {
 		t.Error("a session given an edited seed-42 network got the memoised seed-42 blob")
 	}
@@ -148,8 +153,8 @@ func TestSessionBlobCallerNet(t *testing.T) {
 		t.Error("a caller-supplied network replaced the memo entry")
 	}
 
-	blobSession(t, 44, WithNetwork(edited(44)), WithVPUs(1))
-	blobSession(t, 45, WithMicroNet(nn.MicroConfig{}), WithVPUs(1))
+	blobSession(t, 44, Config{Net: edited(44), Groups: oneStick})
+	blobSession(t, 45, Config{Network: NetMicro, Groups: oneStick})
 	if n := memoEntries(44, 45); n != 0 {
 		t.Errorf("caller-supplied and micro networks filled %d memo entries", n)
 	}
@@ -168,7 +173,7 @@ func TestSessionBlobBounded(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for _, seed := range seeds {
-		blobSession(t, seed, WithVPUs(1))
+		blobSession(t, seed, Config{Groups: oneStick})
 	}
 	// Cleanups run on their own goroutine after the collection that
 	// frees the blob; give them a bounded time to do so.
@@ -244,7 +249,7 @@ func TestSessionBlobDropKeepsNewer(t *testing.T) {
 // net seed every iteration). A miss compiles the structure only.
 func BenchmarkNewSessionGoogLeNet(b *testing.B) {
 	cfg := func(seed uint64) Config {
-		return Config{Dataset: smallDataset(8), Groups: []Group{{Kind: GroupVPU, Devices: 1}}, NetSeed: seed}
+		return Config{Dataset: smallDataset(8), Groups: oneStick, NetSeed: seed}
 	}
 	b.Run("hit", func(b *testing.B) {
 		keep, err := NewFromConfig(cfg(42))
@@ -276,7 +281,7 @@ func BenchmarkNewSessionGoogLeNet(b *testing.B) {
 func TestSessionSkipsPayload(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s := blobSession(t, 9200, WithVPUs(1))
+	s := blobSession(t, 9200, Config{Groups: oneStick})
 	rep, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -294,10 +299,10 @@ func TestSessionSkipsPayload(t *testing.T) {
 // outside, so the stick checks them in full: a corrupted file fails the
 // allocation, and with it the run.
 func TestSessionRejectsCorruptBlob(t *testing.T) {
-	micro := func() *Session { return blobSession(t, 45, WithMicroNet(nn.MicroConfig{}), WithVPUs(1)) }
+	micro := func() *Session { return blobSession(t, 45, Config{Network: NetMicro, Groups: oneStick}) }
 	bad := append([]byte(nil), micro().Blob()...)
 	bad[len(bad)/2] ^= 0x40
-	s := blobSession(t, 45, WithMicroNet(nn.MicroConfig{}), WithVPUs(1), WithBlob(bad))
+	s := blobSession(t, 45, Config{Network: NetMicro, Groups: oneStick, Blob: bad})
 	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("run over a corrupted blob: err = %v, want a checksum mismatch", err)
 	}

@@ -16,11 +16,11 @@ func TestSessionFaultInjectionAndRecovery(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Device: "ncs0", Kind: fault.StickHang, At: 2200 * time.Millisecond},
 	}}
-	sess, err := New(
-		WithImages(n),
-		WithVPUs(2),
-		WithFaults(plan),
-	)
+	sess, err := NewFromConfig(Config{
+		Images: n,
+		Groups: []Group{{Kind: GroupVPU, Devices: 2}},
+		Faults: plan,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,12 @@ func TestSessionFaultsFailStop(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Device: "ncs0", Kind: fault.StickHang, At: 2200 * time.Millisecond},
 	}}
-	sess, err := New(
-		WithImages(n),
-		WithVPUs(2),
-		WithFaults(plan),
-		WithRecovery(core.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: false}),
-	)
+	sess, err := NewFromConfig(Config{
+		Images:   n,
+		Groups:   []Group{{Kind: GroupVPU, Devices: 2}},
+		Faults:   plan,
+		Recovery: core.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: false},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestGroupGoodputIsCompletionBased(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Device: "ncs0", Kind: fault.StickHang, At: 2200 * time.Millisecond},
 	}}
-	sess, err := New(
-		WithImages(30),
-		WithVPUs(2),
-		WithSLO(10*time.Second),
-		WithFaults(plan),
-		WithRecovery(core.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: false}),
-	)
+	sess, err := NewFromConfig(Config{
+		Images:   30,
+		Groups:   []Group{{Kind: GroupVPU, Devices: 2}},
+		SLO:      10 * time.Second,
+		Faults:   plan,
+		Recovery: core.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: false},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestGroupGoodputIsCompletionBased(t *testing.T) {
 // fails the run with a descriptive error instead of silently
 // injecting nothing.
 func TestSessionFaultPlanResolution(t *testing.T) {
-	sess, err := New(
-		WithImages(4),
-		WithVPUs(1),
-		WithFaults(fault.Plan{Events: []fault.Event{{Device: "ncs9", Kind: fault.StickHang}}}),
-	)
+	sess, err := NewFromConfig(Config{
+		Images: 4,
+		Groups: []Group{{Kind: GroupVPU, Devices: 1}},
+		Faults: fault.Plan{Events: []fault.Event{{Device: "ncs9", Kind: fault.StickHang}}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,12 @@ func TestSessionFaultPlanResolution(t *testing.T) {
 // not perturb the simulation — identical throughput and latency to an
 // unmonitored session (the resilience experiment's acceptance bar).
 func TestSessionEmptyPlanMatchesBaseline(t *testing.T) {
-	run := func(opts ...Option) *Report {
-		sess, err := New(append([]Option{WithImages(24), WithVPUs(2)}, opts...)...)
+	run := func(rc core.RecoveryConfig) *Report {
+		sess, err := NewFromConfig(Config{
+			Images:   24,
+			Groups:   []Group{{Kind: GroupVPU, Devices: 2}},
+			Recovery: rc,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,8 +154,8 @@ func TestSessionEmptyPlanMatchesBaseline(t *testing.T) {
 		}
 		return rep
 	}
-	base := run()
-	monitored := run(WithRecovery(core.DefaultRecoveryConfig()))
+	base := run(core.RecoveryConfig{})
+	monitored := run(core.DefaultRecoveryConfig())
 	if base.Throughput != monitored.Throughput {
 		t.Errorf("throughput differs: %.4f vs %.4f", base.Throughput, monitored.Throughput)
 	}

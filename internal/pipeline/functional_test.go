@@ -142,8 +142,8 @@ func ftoa(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 // FP16 on the network parsed from the graph file for the sticks).
 func TestFunctionalFollowsItemImage(t *testing.T) {
 	const n, offset = 12, 100
-	for _, opt := range []Option{WithCPU(8), WithVPUs(2)} {
-		sess, err := New(WithFunctional(true), WithRetain(true), opt)
+	for _, g := range []Group{{Kind: GroupCPU, Batch: 8}, {Kind: GroupVPU, Devices: 2}} {
+		sess, err := NewFromConfig(Config{Functional: true, Retain: true, Groups: []Group{g}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,20 +202,20 @@ func TestFunctionalFollowsItemImage(t *testing.T) {
 // merged totals are the sums of the group rows.
 func TestFunctionalHedgedGroupsScoreEveryCompletion(t *testing.T) {
 	const n = 120
-	sess, err := New(
-		WithFunctional(true),
-		WithImages(n),
-		WithVPUs(2),
-		WithCPU(8),
-		WithRouting(core.RouteRoundRobin),
-		WithArrivals(core.DelayedArrivals(core.PoissonArrivals(30), 2*time.Second)),
-		WithAdaptiveBatching(50*time.Millisecond),
-		WithFaults(fault.Plan{Events: []fault.Event{
+	sess, err := NewFromConfig(Config{
+		Functional:    true,
+		Images:        n,
+		Groups:        []Group{{Kind: GroupVPU, Devices: 2}, {Kind: GroupCPU, Batch: 8}},
+		Routing:       core.RouteRoundRobin,
+		Arrivals:      core.DelayedArrivals(core.PoissonArrivals(30), 2*time.Second),
+		BatchMaxWait:  50 * time.Millisecond,
+		AdaptiveBatch: true,
+		Faults: fault.Plan{Events: []fault.Event{
 			{Device: "ncs1", Kind: fault.Slowdown, At: 2 * time.Second, Factor: 10, Duration: 4 * time.Second},
-		}}),
-		WithRecovery(core.DefaultRecoveryConfig()),
-		WithHedging(core.HedgeConfig{Trigger: 10 * time.Millisecond}),
-	)
+		}},
+		Recovery: core.DefaultRecoveryConfig(),
+		Hedge:    core.HedgeConfig{Trigger: 10 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

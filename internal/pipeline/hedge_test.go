@@ -10,23 +10,23 @@ import (
 
 // hedgedSession builds the standard hedging scenario: four sticks
 // under Poisson load with a mid-run slowdown straggler, hedging per
-// hc.
-func hedgedSession(t *testing.T, hc core.HedgeConfig, extra ...Option) *Report {
+// hc, keeping every Result on the report when retain is set.
+func hedgedSession(t *testing.T, hc core.HedgeConfig, retain bool) *Report {
 	t.Helper()
 	const n = 120
 	plan := fault.Plan{Events: []fault.Event{
 		{Device: "ncs1", Kind: fault.Slowdown, At: 5 * time.Second, Factor: 8, Duration: 4 * time.Second},
 	}}
-	opts := []Option{
-		WithImages(n),
-		WithVPUs(4),
-		WithArrivals(core.DelayedArrivals(core.PoissonArrivals(30), 4500*time.Millisecond)),
-		WithSLO(500 * time.Millisecond),
-		WithFaults(plan),
-		WithRecovery(core.DefaultRecoveryConfig()),
-		WithHedging(hc),
-	}
-	sess, err := New(append(opts, extra...)...)
+	sess, err := NewFromConfig(Config{
+		Images:   n,
+		Groups:   []Group{{Kind: GroupVPU, Devices: 4}},
+		Arrivals: core.DelayedArrivals(core.PoissonArrivals(30), 4500*time.Millisecond),
+		SLO:      500 * time.Millisecond,
+		Faults:   plan,
+		Recovery: core.DefaultRecoveryConfig(),
+		Hedge:    hc,
+		Retain:   retain,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func hedgedSession(t *testing.T, hc core.HedgeConfig, extra ...Option) *Report {
 // dedup keeps the completion count exact, and the report carries the
 // accounting.
 func TestSessionHedgingSingleVPUGroup(t *testing.T) {
-	rep := hedgedSession(t, core.HedgeConfig{Trigger: 300 * time.Millisecond})
+	rep := hedgedSession(t, core.HedgeConfig{Trigger: 300 * time.Millisecond}, false)
 	if rep.Images != 120 {
 		t.Errorf("Images = %d, want 120 (dedup must keep the count exact)", rep.Images)
 	}
@@ -72,17 +72,16 @@ func TestSessionHedgingPoolGroups(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Device: "ncs1", Kind: fault.Slowdown, At: 5 * time.Second, Factor: 8, Duration: 4 * time.Second},
 	}}
-	sess, err := New(
-		WithImages(n),
-		WithVPUs(2),
-		WithVPUs(2),
-		WithRouting(core.RouteLatency),
-		WithArrivals(core.DelayedArrivals(core.PoissonArrivals(30), 9*time.Second)),
-		WithSLO(500*time.Millisecond),
-		WithFaults(plan),
-		WithRecovery(core.DefaultRecoveryConfig()),
-		WithHedging(core.HedgeConfig{Trigger: 300 * time.Millisecond}),
-	)
+	sess, err := NewFromConfig(Config{
+		Images:   n,
+		Groups:   []Group{{Kind: GroupVPU, Devices: 2}, {Kind: GroupVPU, Devices: 2}},
+		Routing:  core.RouteLatency,
+		Arrivals: core.DelayedArrivals(core.PoissonArrivals(30), 9*time.Second),
+		SLO:      500 * time.Millisecond,
+		Faults:   plan,
+		Recovery: core.DefaultRecoveryConfig(),
+		Hedge:    core.HedgeConfig{Trigger: 300 * time.Millisecond},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +105,8 @@ func TestSessionHedgingPoolGroups(t *testing.T) {
 // unhedged session bit for bit — the acceptance bar for the hedging
 // machinery staying out of the event stream.
 func TestSessionHedgeNeverBitIdentical(t *testing.T) {
-	off := hedgedSession(t, core.HedgeConfig{}, WithRetain(true))
-	inf := hedgedSession(t, core.HedgeConfig{Trigger: core.HedgeNever}, WithRetain(true))
+	off := hedgedSession(t, core.HedgeConfig{}, true)
+	inf := hedgedSession(t, core.HedgeConfig{Trigger: core.HedgeNever}, true)
 	if off.String() != inf.String() {
 		t.Errorf("reports differ between unhedged and trigger=∞:\n--- off ---\n%s\n--- inf ---\n%s", off, inf)
 	}
@@ -124,8 +123,8 @@ func TestSessionHedgeNeverBitIdentical(t *testing.T) {
 // TestSessionHedgingDeterministic: the same hedged, faulted, seeded
 // session twice — byte-identical reports.
 func TestSessionHedgingDeterministic(t *testing.T) {
-	a := hedgedSession(t, core.HedgeConfig{Trigger: 300 * time.Millisecond})
-	b := hedgedSession(t, core.HedgeConfig{Trigger: 300 * time.Millisecond})
+	a := hedgedSession(t, core.HedgeConfig{Trigger: 300 * time.Millisecond}, false)
+	b := hedgedSession(t, core.HedgeConfig{Trigger: 300 * time.Millisecond}, false)
 	if a.String() != b.String() {
 		t.Errorf("hedged faulted session not reproducible:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
@@ -138,17 +137,26 @@ func TestSessionHedgingDeterministic(t *testing.T) {
 // TestSessionHedgingValidation: misconfigured hedging fails session
 // construction with a descriptive error.
 func TestSessionHedgingValidation(t *testing.T) {
-	if _, err := New(WithImages(4), WithVPUs(1),
-		WithHedging(core.HedgeConfig{Trigger: time.Second})); err == nil {
+	if _, err := NewFromConfig(Config{
+		Images: 4,
+		Groups: []Group{{Kind: GroupVPU, Devices: 1}},
+		Hedge:  core.HedgeConfig{Trigger: time.Second},
+	}); err == nil {
 		t.Error("hedging a single-stick group must be rejected")
 	}
-	if _, err := New(WithImages(4), WithCPU(8),
-		WithHedging(core.HedgeConfig{Trigger: time.Second})); err == nil {
+	if _, err := NewFromConfig(Config{
+		Images: 4,
+		Groups: []Group{{Kind: GroupCPU, Batch: 8}},
+		Hedge:  core.HedgeConfig{Trigger: time.Second},
+	}); err == nil {
 		t.Error("hedging a lone CPU group must be rejected")
 	}
-	if _, err := New(WithImages(4), WithCPU(8), WithVPUs(2),
-		WithRouting(core.RouteWorkStealing),
-		WithHedging(core.HedgeConfig{Trigger: time.Second})); err == nil {
+	if _, err := NewFromConfig(Config{
+		Images:  4,
+		Groups:  []Group{{Kind: GroupCPU, Batch: 8}, {Kind: GroupVPU, Devices: 2}},
+		Routing: core.RouteWorkStealing,
+		Hedge:   core.HedgeConfig{Trigger: time.Second},
+	}); err == nil {
 		t.Error("hedging under work-stealing must be rejected")
 	}
 }
@@ -162,21 +170,19 @@ func TestSessionAdmissionShrink(t *testing.T) {
 		plan := fault.Plan{Events: []fault.Event{
 			{Device: "ncs0", Kind: fault.StickHang, At: 5 * time.Second},
 		}}
-		opts := []Option{
-			WithImages(n),
-			WithVPUs(2),
-			WithArrivals(core.DelayedArrivals(core.PoissonArrivals(14), 2500*time.Millisecond)),
-			WithSLO(400 * time.Millisecond),
-			WithAdmission(16, core.ShedNewest),
-			WithFaults(plan),
+		sess, err := NewFromConfig(Config{
+			Images:          n,
+			Groups:          []Group{{Kind: GroupVPU, Devices: 2}},
+			Arrivals:        core.DelayedArrivals(core.PoissonArrivals(14), 2500*time.Millisecond),
+			SLO:             400 * time.Millisecond,
+			AdmissionDepth:  16,
+			AdmissionPolicy: core.ShedNewest,
+			AdmissionShrink: shrink,
+			Faults:          plan,
 			// Detect fast, so the shrink binds while the baseline queue
 			// still has room — the scenario the feature exists for.
-			WithRecovery(core.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: true, MaxAttempts: 3}),
-		}
-		if shrink {
-			opts = append(opts, WithAdmissionShrink(0))
-		}
-		sess, err := New(opts...)
+			Recovery: core.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: true, MaxAttempts: 3},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +195,7 @@ func TestSessionAdmissionShrink(t *testing.T) {
 	base := run(false)
 	shrunk := run(true)
 	if base.Admission.Shrinks != 0 {
-		t.Errorf("baseline recorded %d shrinks without the option", base.Admission.Shrinks)
+		t.Errorf("baseline recorded %d shrinks without AdmissionShrink", base.Admission.Shrinks)
 	}
 	if shrunk.Admission.Shrinks == 0 {
 		t.Error("no admission shrink recorded across a stick outage")
@@ -214,11 +220,11 @@ func TestSessionBatchOOMFault(t *testing.T) {
 	plan := fault.Plan{Events: []fault.Event{
 		{Device: "cpu", Kind: fault.BatchOOM, At: 0, Count: 2},
 	}}
-	sess, err := New(
-		WithImages(n),
-		WithCPU(8),
-		WithFaults(plan),
-	)
+	sess, err := NewFromConfig(Config{
+		Images: n,
+		Groups: []Group{{Kind: GroupCPU, Batch: 8}},
+		Faults: plan,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

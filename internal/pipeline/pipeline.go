@@ -10,16 +10,18 @@
 //
 // A heterogeneous run, in full:
 //
-//	sess, err := pipeline.New(
-//		pipeline.WithImages(400),
-//		pipeline.WithCPU(8),
-//		pipeline.WithGPU(8),
-//		pipeline.WithVPUs(4),
-//		pipeline.WithRouting(core.RouteWeighted),
-//	)
+//	sess, err := pipeline.NewFromConfig(pipeline.Config{
+//		Images: 400,
+//		Groups: []pipeline.Group{
+//			{Kind: pipeline.GroupCPU, Batch: 8},
+//			{Kind: pipeline.GroupGPU, Batch: 8},
+//			{Kind: pipeline.GroupVPU, Devices: 4},
+//		},
+//		Routing: core.RouteWeighted,
+//	})
 //	report, err := sess.Run()
 //
-// The Session builds everything eagerly in New, so callers can reach
+// The Session builds everything eagerly in NewFromConfig, so callers can reach
 // the environment, dataset, network or stream before Run — the escape
 // hatches the cmd tools use for folder sources and MPI-style
 // producers.
@@ -116,8 +118,8 @@ const (
 	NetMicro
 )
 
-// Config is the resolved session description. Build one with options
-// through New, or fill it directly and call NewFromConfig.
+// Config is the session description: fill it directly and call
+// NewFromConfig. Zero fields take the defaults documented on them.
 type Config struct {
 	// Dataset parameterizes the synthetic validation set.
 	Dataset imagenet.Config
@@ -151,8 +153,11 @@ type Config struct {
 	NetSeed uint64
 	// Routing selects the device-group scheduler (default
 	// core.RouteWeighted, the adaptive throughput-chasing policy).
+	// Split sessions are serial and ignore it.
 	Routing core.Routing
-	// QueueDepth bounds the per-group feed queues (0 = default 2).
+	// QueueDepth bounds the per-group feed queues of the dealt routing
+	// policies, and is the default in-flight window of a split
+	// session's boundaries (0 = default 2).
 	QueueDepth int
 	// Retain keeps every Result on the report.
 	Retain bool
@@ -185,8 +190,8 @@ type Config struct {
 	// the tenants' quotas and shed policies, and the report gains
 	// per-tenant accounting. A lane's Deadline of 0 inherits SLO.
 	// Tenants own the arrival and admission edge, so it is mutually
-	// exclusive with Arrivals, WithAdmission and WithStream. The zero
-	// value keeps the session single-tenant and bit-identical to
+	// exclusive with Arrivals, AdmissionDepth and StreamCapacity. The
+	// zero value keeps the session single-tenant and bit-identical to
 	// pre-tenancy runs.
 	Tenants core.TenantMuxOptions
 	// AdmissionDepth, when positive, bounds the session ingress with
@@ -245,7 +250,7 @@ type Config struct {
 	// (core.Pipeline): the network is split at Cuts into one segment
 	// per stage, each stage runs its segment on its own device group,
 	// and activations stream between stages under bounded in-flight
-	// windows. Mutually exclusive with Groups; see WithStages.
+	// windows. Mutually exclusive with Groups.
 	Stages []Stage
 	// Cuts are the whole-network layer boundaries partitioning the
 	// workload across Stages (len(Stages)-1 ascending indices into
@@ -259,9 +264,6 @@ type Config struct {
 // DefaultTemperature is the calibrated prototype-classifier softmax
 // scale (see internal/bench).
 const DefaultTemperature = 150.0
-
-// Option mutates the Config under construction.
-type Option func(*Config)
 
 // Session owns one classification run: environment, dataset, network,
 // compiled graph, devices and targets, built eagerly so they can be
@@ -307,15 +309,6 @@ type Session struct {
 	reloadErrs []error
 	done       []completion // a functional run's deliveries, until classify
 	ran        bool
-}
-
-// New builds a session from options.
-func New(opts ...Option) (*Session, error) {
-	cfg := Config{}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewFromConfig(cfg)
 }
 
 // NewFromConfig builds a session from an explicit configuration. The
@@ -383,7 +376,7 @@ func (cfg Config) withDefaults() Config {
 	// A plan that can hang or kill a device needs health monitoring on
 	// the serving side, or the simulation would deadlock on the first
 	// hang; default the policy fields on rather than hand users a
-	// footgun. An explicit WithRecovery timeout wins, and user hooks
+	// footgun. An explicit Recovery.Timeout wins, and user hooks
 	// (OnRetry/OnDrop/OnOutage) are preserved either way.
 	if cfg.Faults.NeedsRecovery() && cfg.Recovery.Timeout == 0 {
 		def := core.DefaultRecoveryConfig()
@@ -905,7 +898,7 @@ func (s *Session) tenantSLO(l core.TenantLane) time.Duration {
 }
 
 // applyAssembly configures a batch target's SLO-aware assembly from
-// the session options.
+// the session config.
 func (s *Session) applyAssembly(t *core.BatchTarget) {
 	if s.cfg.BatchMaxWait > 0 || s.cfg.AdaptiveBatch {
 		t.SetAssembly(core.BatchAssembly{
@@ -944,7 +937,7 @@ func (s *Session) Devices() []*ncs.Device { return s.devices }
 func (s *Session) Targets() []core.Target { return s.targets }
 
 // Stream returns the push source when the session was configured with
-// WithStream, nil otherwise.
+// a StreamCapacity, nil otherwise.
 func (s *Session) Stream() *core.StreamSource { return s.stream }
 
 // FaultRegistry returns the session's injectable-device registry

@@ -25,14 +25,12 @@ func smallDataset(images int) imagenet.Config {
 // match the per-group jobs.
 func TestSessionHeterogeneous(t *testing.T) {
 	const images = 60
-	sess, err := New(
-		WithDataset(smallDataset(images)),
-		WithCPU(4),
-		WithGPU(4),
-		WithVPUs(2),
-		WithRouting(core.RouteWeighted),
-		WithRetain(true),
-	)
+	sess, err := NewFromConfig(Config{
+		Dataset: smallDataset(images),
+		Groups:  []Group{{Kind: GroupCPU, Batch: 4}, {Kind: GroupGPU, Batch: 4}, {Kind: GroupVPU, Devices: 2}},
+		Routing: core.RouteWeighted,
+		Retain:  true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +89,11 @@ func TestSessionHeterogeneous(t *testing.T) {
 // bit-identical to the manual env/testbed/compile/target wiring.
 func TestSessionSingleGroupMatchesHandWired(t *testing.T) {
 	const images = 40
-	sess, err := New(
-		WithDataset(smallDataset(images)),
-		WithVPUs(2),
-		WithSeed(7),
-	)
+	sess, err := NewFromConfig(Config{
+		Dataset: smallDataset(images),
+		Groups:  []Group{{Kind: GroupVPU, Devices: 2}},
+		Seed:    7,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +219,11 @@ func TestSessionVPUSeedLabel(t *testing.T) {
 // with the calibrated micro network and reports plausible accuracy.
 func TestSessionFunctionalAccuracy(t *testing.T) {
 	const images = 32
-	sess, err := New(
-		WithDataset(smallDataset(images)),
-		WithCPU(8),
-		WithFunctional(true),
-	)
+	sess, err := NewFromConfig(Config{
+		Dataset:    smallDataset(images),
+		Groups:     []Group{{Kind: GroupCPU, Batch: 8}},
+		Functional: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +250,14 @@ func TestSessionFunctionalAccuracy(t *testing.T) {
 // two groups; every frame lands exactly once.
 func TestSessionStream(t *testing.T) {
 	const frames = 30
-	sess, err := New(
-		WithDataset(smallDataset(frames)),
-		WithCPU(2),
-		WithVPUs(1),
-		WithFunctional(true),
-		WithStream(8),
-		WithRouting(core.RouteWorkStealing),
-	)
+	capacity := 8
+	sess, err := NewFromConfig(Config{
+		Dataset:        smallDataset(frames),
+		Groups:         []Group{{Kind: GroupCPU, Batch: 2}, {Kind: GroupVPU, Devices: 1}},
+		Functional:     true,
+		StreamCapacity: &capacity,
+		Routing:        core.RouteWorkStealing,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,12 +285,11 @@ func TestSessionStream(t *testing.T) {
 // source proportionally under static routing.
 func TestSessionStaticWeights(t *testing.T) {
 	const images = 40
-	sess, err := New(
-		WithDataset(smallDataset(images)),
-		WithGroup(Group{Kind: GroupCPU, Batch: 4, Weight: 3}),
-		WithGroup(Group{Kind: GroupGPU, Batch: 4, Weight: 1}),
-		WithRouting(core.RouteStatic),
-	)
+	sess, err := NewFromConfig(Config{
+		Dataset: smallDataset(images),
+		Groups:  []Group{Group{Kind: GroupCPU, Batch: 4, Weight: 3}, Group{Kind: GroupGPU, Batch: 4, Weight: 1}},
+		Routing: core.RouteStatic,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +307,11 @@ func TestSessionStaticWeights(t *testing.T) {
 // compiled blob must reproduce the self-built session exactly.
 func TestSessionSharedNetworkAndBlob(t *testing.T) {
 	const images = 30
-	self, err := New(WithDataset(smallDataset(images)), WithVPUs(1), WithSeed(5))
+	self, err := NewFromConfig(Config{
+		Dataset: smallDataset(images),
+		Groups:  []Group{{Kind: GroupVPU, Devices: 1}},
+		Seed:    5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,13 +321,13 @@ func TestSessionSharedNetworkAndBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shared, err := New(
-		WithDataset(smallDataset(images)),
-		WithVPUs(1),
-		WithSeed(5),
-		WithNetwork(net),
-		WithBlob(blob),
-	)
+	shared, err := NewFromConfig(Config{
+		Dataset: smallDataset(images),
+		Groups:  []Group{{Kind: GroupVPU, Devices: 1}},
+		Seed:    5,
+		Net:     net,
+		Blob:    blob,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +345,13 @@ func TestSessionSharedNetworkAndBlob(t *testing.T) {
 // unbounded stream — Run must return the routing error with a
 // well-formed report, not panic.
 func TestSessionStaticOverStream(t *testing.T) {
-	sess, err := New(
-		WithDataset(smallDataset(8)),
-		WithCPU(2),
-		WithVPUs(1),
-		WithStream(4),
-		WithRouting(core.RouteStatic),
-	)
+	capacity := 4
+	sess, err := NewFromConfig(Config{
+		Dataset:        smallDataset(8),
+		Groups:         []Group{{Kind: GroupCPU, Batch: 2}, {Kind: GroupVPU, Devices: 1}},
+		StreamCapacity: &capacity,
+		Routing:        core.RouteStatic,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,23 +369,23 @@ func TestSessionStaticOverStream(t *testing.T) {
 	}
 }
 
-// TestSessionValidation: configuration errors surface at New, and a
-// session refuses to run twice.
+// TestSessionValidation: configuration errors surface at
+// NewFromConfig, and a session refuses to run twice.
 func TestSessionValidation(t *testing.T) {
-	if _, err := New(); err == nil {
+	if _, err := NewFromConfig(Config{}); err == nil {
 		t.Error("session with no groups accepted")
 	}
-	if _, err := New(WithCPU(-1)); err == nil {
+	if _, err := NewFromConfig(Config{Groups: []Group{{Kind: GroupCPU, Batch: -1}}}); err == nil {
 		t.Error("negative batch accepted")
 	}
-	if _, err := New(WithVPUs(0), WithImages(10_000_000)); err == nil {
+	if _, err := NewFromConfig(Config{Groups: []Group{{Kind: GroupVPU, Devices: 0}}, Images: 10_000_000}); err == nil {
 		t.Error("oversized image count accepted")
 	}
-	if _, err := New(WithTarget(nil)); err == nil {
+	if _, err := NewFromConfig(Config{Groups: []Group{{Kind: GroupCustom, Target: nil}}}); err == nil {
 		t.Error("nil custom target accepted")
 	}
 
-	sess, err := New(WithDataset(smallDataset(8)), WithCPU(4))
+	sess, err := NewFromConfig(Config{Dataset: smallDataset(8), Groups: []Group{{Kind: GroupCPU, Batch: 4}}})
 	if err != nil {
 		t.Fatal(err)
 	}

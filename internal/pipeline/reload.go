@@ -74,11 +74,11 @@ func (s *Session) ReloadHedgeBudget(budget float64) error {
 // ReloadAdmissionDepth re-bounds the session ingress from now on:
 // queued items keep their place and drain normally, new arrivals meet
 // the new bound. It is an error on a session without bounded
-// admission (WithAdmission), or for a depth < 1 — admission cannot be
+// admission (Config.AdmissionDepth), or for a depth < 1 — admission cannot be
 // turned on or off mid-run, only resized.
 func (s *Session) ReloadAdmissionDepth(depth int) error {
 	if s.cfg.AdmissionDepth == 0 {
-		return fmt.Errorf("pipeline: admission depth reload needs a bounded ingress (WithAdmission)")
+		return fmt.Errorf("pipeline: admission depth reload needs a bounded ingress (AdmissionDepth > 0)")
 	}
 	if s.admission == nil {
 		// Run not reached yet: record the new depth for construction.

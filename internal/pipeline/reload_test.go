@@ -14,14 +14,15 @@ import (
 // both sides of it.
 func reloadSession(t *testing.T, slo time.Duration, depth int) *Session {
 	t.Helper()
-	sess, err := New(
-		WithImages(240),
-		WithCPU(8),
+	sess, err := NewFromConfig(Config{
+		Images: 240,
+		Groups: []Group{{Kind: GroupCPU, Batch: 8}},
 		// CPU batch-8 capacity is ≈44 img/s; 55/s keeps a queue.
-		WithArrivals(core.PoissonArrivals(55)),
-		WithSLO(slo),
-		WithAdmission(depth, core.ShedNewest),
-	)
+		Arrivals:        core.PoissonArrivals(55),
+		SLO:             slo,
+		AdmissionDepth:  depth,
+		AdmissionPolicy: core.ShedNewest,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +119,13 @@ func TestReloadAdmissionDepthMidRun(t *testing.T) {
 // all.
 func TestReloadHedgeBudget(t *testing.T) {
 	run := func(reloadAt time.Duration, to float64) int {
-		sess, err := New(
-			WithImages(160),
-			WithVPUs(4),
-			WithArrivals(core.PoissonArrivals(36)),
-			WithSLO(600*time.Millisecond),
-			WithHedging(core.HedgeConfig{Trigger: 110 * time.Millisecond, Budget: 0.5}),
-		)
+		sess, err := NewFromConfig(Config{
+			Images:   160,
+			Groups:   []Group{{Kind: GroupVPU, Devices: 4}},
+			Arrivals: core.PoissonArrivals(36),
+			SLO:      600 * time.Millisecond,
+			Hedge:    core.HedgeConfig{Trigger: 110 * time.Millisecond, Budget: 0.5},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestReloadHedgeBudget(t *testing.T) {
 // TestReloadErrors: a scheduled reload that violates a knob's
 // constraints must surface through ReloadErrs, not crash the run.
 func TestReloadErrors(t *testing.T) {
-	sess, err := New(WithImages(40), WithCPU(8))
+	sess, err := NewFromConfig(Config{Images: 40, Groups: []Group{{Kind: GroupCPU, Batch: 8}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ type TargetReport struct {
 	// Latency is the group's per-item serving-latency distribution
 	// (total with exact tail quantiles, split into queue wait and
 	// service time). Under closed-loop runs the queue wait reflects
-	// only internal buffering; under WithArrivals it is real queueing
+	// only internal buffering; under Config.Arrivals it is real queueing
 	// against offered load.
 	Latency core.LatencySummary
 	// Goodput is the fraction of the group's completions that met the
@@ -46,7 +46,7 @@ type TargetReport struct {
 	Goodput float64
 	// Counters are the group's serving events: its outages, recoveries,
 	// retries and fault drops (VPU groups under a fault plan), and the
-	// duplicates it received, won and wasted (under WithHedging).
+	// duplicates it received, won and wasted (under Config.Hedge).
 	// Admission drops happen before routing, so Shed, Expired and
 	// QuotaRejected stay zero here.
 	core.Counters
@@ -121,7 +121,8 @@ type Report struct {
 	// edge (shed by the overload policy or expired in the queue).
 	ShedRate float64
 	// Admission carries the ingress counters when the session ran
-	// with WithAdmission (zero value otherwise).
+	// with a bounded ingress, Config.AdmissionDepth > 0 (zero value
+	// otherwise).
 	Admission core.AdmissionStats
 	// Tenants holds one entry per declared tenant, in registration
 	// order (nil for single-tenant sessions); TenantScheduler names
@@ -129,7 +130,7 @@ type Report struct {
 	Tenants         []TenantReport
 	TenantScheduler string
 	// FaultsInjected counts the faults the session's plan drove into
-	// the devices; FaultLog lists them (nil without WithFaults).
+	// the devices; FaultLog lists them (nil without Config.Faults).
 	FaultsInjected int
 	FaultLog       *fault.Log
 	// Counters are the session's serving events. The fault and hedge

@@ -14,15 +14,17 @@ import (
 // SLO-met completions, and the rendered report carries the columns.
 func TestSessionSLOAdmissionReport(t *testing.T) {
 	const images = 120
-	sess, err := New(
-		WithImages(images),
-		WithCPU(8),
+	sess, err := NewFromConfig(Config{
+		Images: images,
+		Groups: []Group{{Kind: GroupCPU, Batch: 8}},
 		// CPU batch-8 capacity is ≈44 img/s; 90/s is far past the knee.
-		WithArrivals(core.PoissonArrivals(90)),
-		WithSLO(400*time.Millisecond),
-		WithAdmission(8, core.ShedNewest),
-		WithAdaptiveBatching(30*time.Millisecond),
-	)
+		Arrivals:        core.PoissonArrivals(90),
+		SLO:             400 * time.Millisecond,
+		AdmissionDepth:  8,
+		AdmissionPolicy: core.ShedNewest,
+		BatchMaxWait:    30 * time.Millisecond,
+		AdaptiveBatch:   true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +71,14 @@ func TestSessionSLOAdmissionReport(t *testing.T) {
 // TestSessionSLOWithoutAdmission: with an SLO but unbounded ingress,
 // nothing is shed and goodput is simply the SLO-met fraction.
 func TestSessionSLOWithoutAdmission(t *testing.T) {
-	sess, err := New(
-		WithImages(60),
-		WithCPU(8),
-		WithArrivals(core.PoissonArrivals(20)), // well below capacity
-		WithSLO(time.Second),
-		WithAdaptiveBatching(30*time.Millisecond),
-	)
+	sess, err := NewFromConfig(Config{
+		Images:        60,
+		Groups:        []Group{{Kind: GroupCPU, Batch: 8}},
+		Arrivals:      core.PoissonArrivals(20), // well below capacity
+		SLO:           time.Second,
+		BatchMaxWait:  30 * time.Millisecond,
+		AdaptiveBatch: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,28 +92,5 @@ func TestSessionSLOWithoutAdmission(t *testing.T) {
 	}
 	if rep.Goodput != 1.0 {
 		t.Errorf("goodput %.3f, want 1.0 at light load under a 1s SLO", rep.Goodput)
-	}
-}
-
-// TestSessionOptionValidation: the new options reject broken values.
-func TestSessionOptionValidation(t *testing.T) {
-	bad := []Option{
-		WithSLO(-time.Second),
-		WithAdmission(-1, core.ShedNewest),
-		WithAdmission(4, core.OverloadPolicy(9)),
-		WithAdaptiveBatching(-time.Millisecond),
-	}
-	for i, opt := range bad {
-		if _, err := New(WithImages(10), WithCPU(8), opt); err == nil {
-			t.Errorf("bad option %d accepted", i)
-		}
-	}
-	// Admission against an eager closed-loop dataset would shed the
-	// whole set at t=0; the session must refuse the combination.
-	if _, err := New(WithImages(10), WithCPU(8), WithAdmission(4, core.ShedNewest)); err == nil {
-		t.Error("admission without a paced source accepted")
-	}
-	if _, err := New(WithImages(10), WithCPU(8), WithStream(0), WithAdmission(4, core.ShedNewest)); err != nil {
-		t.Errorf("admission over a stream rejected: %v", err)
 	}
 }

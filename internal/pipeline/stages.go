@@ -11,8 +11,8 @@ import (
 // Stage declares one stage of a model-parallel (split-inference)
 // session: a device group that runs one contiguous segment of the
 // workload network, streaming its output activations to the next
-// stage. Configure a session with WithStages + WithCut, or fill
-// Config.Stages/Config.Cuts directly.
+// stage. Configure a session by filling Config.Stages and
+// Config.Cuts.
 type Stage struct {
 	// Group is the device group running this stage's segment. All
 	// group knobs apply (batch size, stick count, VPU options, custom

@@ -27,12 +27,12 @@ func TestStageSessionRuns(t *testing.T) {
 	const images = 48
 	cuts := googleNetCuts(t)
 	cut := cuts[len(cuts)/2]
-	sess, err := New(
-		WithDataset(smallDataset(images)),
-		WithStages(VPUStage(2), GPUStage(16)),
-		WithCut(cut),
-		WithRetain(true),
-	)
+	sess, err := NewFromConfig(Config{
+		Dataset: smallDataset(images),
+		Stages:  []Stage{VPUStage(2), GPUStage(16)},
+		Cuts:    []int{cut},
+		Retain:  true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,12 @@ func TestStageReplicas(t *testing.T) {
 	cut := cuts[len(cuts)/2]
 	run := func(head Stage) *Report {
 		t.Helper()
-		sess, err := New(
-			WithDataset(smallDataset(images)),
-			WithStages(head, GPUStage(16)),
-			WithCut(cut),
-			WithRetain(true),
-		)
+		sess, err := NewFromConfig(Config{
+			Dataset: smallDataset(images),
+			Stages:  []Stage{head, GPUStage(16)},
+			Cuts:    []int{cut},
+			Retain:  true,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,11 +135,11 @@ func TestStageReplicas(t *testing.T) {
 		t.Error("replicated stage session is not deterministic across reruns")
 	}
 	// A custom stage cannot be replicated.
-	if _, err := New(
-		WithDataset(smallDataset(images)),
-		WithStages(CustomStage(&stubStageTarget{}).Replicated(2), GPUStage(16)),
-		WithCut(0),
-	); err == nil {
+	if _, err := NewFromConfig(Config{
+		Dataset: smallDataset(images),
+		Stages:  []Stage{CustomStage(&stubStageTarget{}).Replicated(2), GPUStage(16)},
+		Cuts:    []int{0},
+	}); err == nil {
 		t.Error("replicated custom stage accepted")
 	}
 }
@@ -152,9 +152,9 @@ func TestStageReplicas(t *testing.T) {
 func TestStageDegenerateCollapse(t *testing.T) {
 	const images = 24
 	n := nn.NewGoogLeNet(rng.New(42)).Len()
-	run := func(opts ...Option) (*Report, error) {
-		base := []Option{WithDataset(smallDataset(images))}
-		sess, err := New(append(base, opts...)...)
+	run := func(cfg Config) (*Report, error) {
+		cfg.Dataset = smallDataset(images)
+		sess, err := NewFromConfig(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -163,11 +163,11 @@ func TestStageDegenerateCollapse(t *testing.T) {
 
 	// cut = Len: the GPU tail is empty; the whole network runs on the
 	// VPU stage exactly like a plain 2-stick session.
-	stageRep, err := run(WithStages(VPUStage(2), GPUStage(16)), WithCut(n))
+	stageRep, err := run(Config{Stages: []Stage{VPUStage(2), GPUStage(16)}, Cuts: []int{n}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	classicRep, err := run(WithVPUs(2))
+	classicRep, err := run(Config{Groups: []Group{{Kind: GroupVPU, Devices: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ func TestStageDegenerateCollapse(t *testing.T) {
 
 	// cut = 0: the VPU head is empty; no stick, no USB testbed, no
 	// blob — identical to a plain GPU session.
-	stageRep, err = run(WithStages(VPUStage(2), GPUStage(16)), WithCut(0))
+	stageRep, err = run(Config{Stages: []Stage{VPUStage(2), GPUStage(16)}, Cuts: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	classicRep, err = run(WithGPU(16))
+	classicRep, err = run(Config{Groups: []Group{{Kind: GroupGPU, Batch: 16}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +204,12 @@ func TestStageDegenerateCollapse(t *testing.T) {
 func TestStageSessionDeterminism(t *testing.T) {
 	cuts := googleNetCuts(t)
 	run := func() (*Report, error) {
-		sess, err := New(
-			WithDataset(smallDataset(32)),
-			WithStages(VPUStage(2), CPUStage(8)),
-			WithCut(cuts[0]),
-			WithSeed(7),
-		)
+		sess, err := NewFromConfig(Config{
+			Dataset: smallDataset(32),
+			Stages:  []Stage{VPUStage(2), CPUStage(8)},
+			Cuts:    []int{cuts[0]},
+			Seed:    7,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -237,11 +237,11 @@ func TestStageThreeWay(t *testing.T) {
 		t.Skip("need two valid cuts")
 	}
 	c1, c2 := cuts[0], cuts[len(cuts)-1]
-	sess, err := New(
-		WithDataset(smallDataset(images)),
-		WithStages(VPUStage(2), CPUStage(8), GPUStage(16)),
-		WithCut(c1, c2),
-	)
+	sess, err := NewFromConfig(Config{
+		Dataset: smallDataset(images),
+		Stages:  []Stage{VPUStage(2), CPUStage(8), GPUStage(16)},
+		Cuts:    []int{c1, c2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,17 +264,17 @@ func TestStageThreeWay(t *testing.T) {
 func TestStageValidation(t *testing.T) {
 	bad := []struct {
 		name string
-		opts []Option
+		cfg  Config
 	}{
-		{"stages+groups", []Option{WithGPU(8), WithStages(VPUStage(1), GPUStage(8)), WithCut(10)}},
-		{"missing cut", []Option{WithStages(VPUStage(1), GPUStage(8))}},
-		{"extra cuts", []Option{WithStages(VPUStage(1), GPUStage(8)), WithCut(1, 2)}},
-		{"descending cuts", []Option{WithStages(VPUStage(1), CPUStage(8), GPUStage(8)), WithCut(20, 10)}},
-		{"invalid cut point", []Option{WithStages(VPUStage(1), GPUStage(8)), WithCut(3)}}, // inside conv1 stem? index 3 is mid-branch only if invalid; checked below
-		{"functional", []Option{WithFunctional(true), WithStages(VPUStage(1), GPUStage(8)), WithCut(10)}},
-		{"hedged", []Option{WithHedging(core.HedgeConfig{Trigger: core.HedgeNever}), WithStages(VPUStage(2), GPUStage(8)), WithCut(10)}},
-		{"blob", []Option{WithBlob([]byte{1}), WithStages(VPUStage(1), GPUStage(8)), WithCut(10)}},
-		{"custom with span", []Option{WithStages(CustomStage(&stubStageTarget{}), GPUStage(8)), WithCut(10)}},
+		{"stages+groups", Config{Groups: []Group{{Kind: GroupGPU, Batch: 8}}, Stages: []Stage{VPUStage(1), GPUStage(8)}, Cuts: []int{10}}},
+		{"missing cut", Config{Stages: []Stage{VPUStage(1), GPUStage(8)}}},
+		{"extra cuts", Config{Stages: []Stage{VPUStage(1), GPUStage(8)}, Cuts: []int{1, 2}}},
+		{"descending cuts", Config{Stages: []Stage{VPUStage(1), CPUStage(8), GPUStage(8)}, Cuts: []int{20, 10}}},
+		{"invalid cut point", Config{Stages: []Stage{VPUStage(1), GPUStage(8)}, Cuts: []int{3}}}, // inside conv1 stem? index 3 is mid-branch only if invalid; checked below
+		{"functional", Config{Functional: true, Stages: []Stage{VPUStage(1), GPUStage(8)}, Cuts: []int{10}}},
+		{"hedged", Config{Hedge: core.HedgeConfig{Trigger: core.HedgeNever}, Stages: []Stage{VPUStage(2), GPUStage(8)}, Cuts: []int{10}}},
+		{"blob", Config{Blob: []byte{1}, Stages: []Stage{VPUStage(1), GPUStage(8)}, Cuts: []int{10}}},
+		{"custom with span", Config{Stages: []Stage{CustomStage(&stubStageTarget{}), GPUStage(8)}, Cuts: []int{10}}},
 	}
 	valid := map[int]bool{}
 	for _, c := range googleNetCuts(t) {
@@ -294,9 +294,10 @@ func TestStageValidation(t *testing.T) {
 			if invalid < 0 {
 				continue
 			}
-			tc.opts = []Option{WithStages(VPUStage(1), GPUStage(8)), WithCut(invalid)}
+			tc.cfg = Config{Stages: []Stage{VPUStage(1), GPUStage(8)}, Cuts: []int{invalid}}
 		}
-		if _, err := New(append([]Option{WithDataset(smallDataset(8))}, tc.opts...)...); err == nil {
+		tc.cfg.Dataset = smallDataset(8)
+		if _, err := NewFromConfig(tc.cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

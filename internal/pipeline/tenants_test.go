@@ -28,13 +28,13 @@ func tenantMix() core.TenantMuxOptions {
 // counters and collector totals.
 func TestTenantSessionRuns(t *testing.T) {
 	const images = 60
-	sess, err := New(
-		WithDataset(smallDataset(images)),
-		WithVPUs(2),
-		WithSLO(time.Second),
-		WithTenants(tenantMix()),
-		WithRetain(true),
-	)
+	sess, err := NewFromConfig(Config{
+		Dataset: smallDataset(images),
+		Groups:  []Group{{Kind: GroupVPU, Devices: 2}},
+		SLO:     time.Second,
+		Tenants: tenantMix(),
+		Retain:  true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestTenantSessionRuns(t *testing.T) {
 func TestTenantSessionDeterminism(t *testing.T) {
 	run := func() *Report {
 		t.Helper()
-		sess, err := New(
-			WithDataset(smallDataset(48)),
-			WithVPUs(2),
-			WithSeed(7),
-			WithSLO(time.Second),
-			WithTenants(tenantMix()),
-		)
+		sess, err := NewFromConfig(Config{
+			Dataset: smallDataset(48),
+			Groups:  []Group{{Kind: GroupVPU, Devices: 2}},
+			Seed:    7,
+			SLO:     time.Second,
+			Tenants: tenantMix(),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,14 +96,18 @@ func TestTenantSessionDeterminism(t *testing.T) {
 }
 
 // TestTenantEmptyConfigBitIdentical locks the zero-cost contract: a
-// session handed an empty tenant config (no tenants declared) builds
-// the exact untenanted path — same rendered report, same simulated
-// time as a session that never saw WithTenants.
+// session handed a tenant config that declares no lanes (here a fair
+// scheduler with a shared depth) builds the exact untenanted path — same rendered report, same simulated
+// time as a session that never set Config.Tenants.
 func TestTenantEmptyConfigBitIdentical(t *testing.T) {
-	run := func(opts ...Option) *Report {
+	run := func(tc core.TenantMuxOptions) *Report {
 		t.Helper()
-		base := []Option{WithDataset(smallDataset(32)), WithVPUs(2), WithSeed(3)}
-		sess, err := New(append(base, opts...)...)
+		sess, err := NewFromConfig(Config{
+			Dataset: smallDataset(32),
+			Groups:  []Group{{Kind: GroupVPU, Devices: 2}},
+			Seed:    3,
+			Tenants: tc,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,8 +117,8 @@ func TestTenantEmptyConfigBitIdentical(t *testing.T) {
 		}
 		return rep
 	}
-	plain := run()
-	empty := run(WithTenants(core.TenantMuxOptions{}))
+	plain := run(core.TenantMuxOptions{})
+	empty := run(core.TenantMuxOptions{Policy: core.TenantFair, SharedDepth: 8})
 	if plain.String() != empty.String() {
 		t.Errorf("empty tenant config diverged from untenanted session:\n--- plain\n%s--- empty\n%s",
 			plain.String(), empty.String())
@@ -129,20 +133,21 @@ func TestTenantEmptyConfigBitIdentical(t *testing.T) {
 }
 
 // TestTenantOptionConflicts: tenancy owns the ingress — combining it
-// with the single-tenant ingress options is a construction error.
+// with the single-tenant ingress fields is a construction error.
 func TestTenantOptionConflicts(t *testing.T) {
 	mix := tenantMix()
 	bad := []struct {
 		name string
-		opts []Option
+		cfg  Config
 	}{
-		{"arrivals", []Option{WithTenants(mix), WithArrivals(core.PoissonArrivals(5))}},
-		{"admission", []Option{WithTenants(mix), WithAdmission(8, core.ShedNewest)}},
-		{"invalid config", []Option{WithTenants(core.TenantMuxOptions{Lanes: []core.TenantLane{{ID: ""}}})}},
+		{"arrivals", Config{Tenants: mix, Arrivals: core.PoissonArrivals(5)}},
+		{"admission", Config{Tenants: mix, AdmissionDepth: 8, AdmissionPolicy: core.ShedNewest}},
+		{"invalid config", Config{Tenants: core.TenantMuxOptions{Lanes: []core.TenantLane{{ID: ""}}}}},
 	}
 	for _, tc := range bad {
-		opts := append([]Option{WithDataset(smallDataset(8)), WithVPUs(1)}, tc.opts...)
-		if _, err := New(opts...); err == nil {
+		tc.cfg.Dataset = smallDataset(8)
+		tc.cfg.Groups = []Group{{Kind: GroupVPU, Devices: 1}}
+		if _, err := NewFromConfig(tc.cfg); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

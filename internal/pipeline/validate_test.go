@@ -110,6 +110,10 @@ func TestConfigValidateRules(t *testing.T) {
 		{"negative admission depth", func(c *Config) { c.AdmissionDepth = -1 }, "AdmissionDepth"},
 		{"admission without pacing", func(c *Config) { c.AdmissionDepth = 4 }, "AdmissionDepth"},
 		{"admission policy", func(c *Config) { paced(c); c.AdmissionPolicy = core.OverloadPolicy(9) }, "AdmissionPolicy"},
+		{"admission policy without pacing", func(c *Config) {
+			c.AdmissionDepth = 4
+			c.AdmissionPolicy = core.OverloadPolicy(9)
+		}, "AdmissionDepth"},
 		{"shrink without admission", func(c *Config) { c.AdmissionShrink = true }, "AdmissionShrink"},
 		{"negative admission floor", func(c *Config) { c.AdmissionMinDepth = -1 }, "AdmissionMinDepth"},
 		{"admission floor above depth", func(c *Config) { paced(c); c.AdmissionMinDepth = 8 }, "AdmissionMinDepth"},
@@ -126,6 +130,7 @@ func TestConfigValidateRules(t *testing.T) {
 			c.Hedge.Trigger = time.Second
 		}, "Hedge"},
 		{"batch max-wait", func(c *Config) { c.BatchMaxWait = -1 }, "BatchMaxWait"},
+		{"adaptive batch max-wait", func(c *Config) { c.AdaptiveBatch = true; c.BatchMaxWait = -time.Millisecond }, "BatchMaxWait"},
 		{"fault device", func(c *Config) { c.Faults.Events = []fault.Event{{Kind: fault.StickHang}} }, "Faults.Events[0].Device"},
 		{"fault kind", func(c *Config) {
 			c.Faults.Events = []fault.Event{{Device: "cpu", Kind: fault.Kind(9)}}
@@ -207,6 +212,17 @@ func TestConfigValidateRules(t *testing.T) {
 				t.Errorf("%s: path %q, want %q (%v)", tc.name, fe.Path, tc.path, err)
 			}
 		}
+	}
+	// A stream paces the source as arrivals do, so admission over one
+	// is accepted.
+	cfg := base()
+	cfg.StreamCapacity = new(int)
+	cfg.AdmissionDepth = 4
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("admission over a stream refused: %v", err)
+	}
+	if err := newFromConfigErr(cfg); err != nil {
+		t.Errorf("admission over a stream refused by NewFromConfig: %v", err)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // Compilation: a scenario lowers onto pipeline.Config — the same
-// struct the benches and options build — so a scenario session is
+// struct the benches and the facade build — so a scenario session is
 // indistinguishable from a hand-coded one. Each enum spelling has one
 // table below; lowering reads it, and an unknown spelling is a
 // validation error. The one piece of late validation lives here: named

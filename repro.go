@@ -17,13 +17,15 @@
 // — §III's device groups, with a CPU, a GPU and four Neural Compute
 // Sticks splitting one validation set — is:
 //
-//	sess, _ := repro.NewSession(
-//		repro.WithImages(400),
-//		repro.WithCPU(8),
-//		repro.WithGPU(8),
-//		repro.WithVPUs(4),
-//		repro.WithRouting(repro.WeightedByThroughput),
-//	)
+//	sess, _ := repro.NewSession(repro.SessionConfig{
+//		Images: 400,
+//		Groups: []repro.DeviceGroup{
+//			{Kind: repro.CPUGroup, Batch: 8},
+//			{Kind: repro.GPUGroup, Batch: 8},
+//			{Kind: repro.VPUGroup, Devices: 4},
+//		},
+//		Routing: repro.WeightedByThroughput,
+//	})
 //	report, _ := sess.Run()
 //	fmt.Print(report) // per-group and aggregate throughput, img/W, accuracy
 //
@@ -187,7 +189,7 @@ func DefaultVPUConfig() VPUConfig { return vpu.DefaultConfig() }
 // Fig. 5 USB topology (two sticks on motherboard ports, the rest
 // behind two USB 3.0 hubs) inside env.
 //
-// Deprecated: NewSession(WithVPUs(n)) owns testbed assembly; use this
+// Deprecated: a session with a VPU group owns testbed assembly; use this
 // only for hand-wired NCAPI experiments.
 func NewNCSTestbed(env *Env, n int, seed *Rand) ([]*NCSDevice, error) {
 	_, ports, err := usb.Testbed(env, usb.DefaultConfig(), n)
@@ -298,7 +300,7 @@ const (
 // Multi-tenant serving (core.TenantMux and its declaration).
 type (
 	// TenantMuxOptions is the multi-tenant description, for sessions
-	// (WithTenants) and hand-wired TenantMuxes alike: the
+	// (SessionConfig.Tenants) and hand-wired TenantMuxes alike: the
 	// admission-edge scheduler plus the tenant lanes in registration
 	// order.
 	TenantMuxOptions = core.TenantMuxOptions
@@ -335,7 +337,7 @@ const (
 )
 
 // NewTenantMux wraps a source with the multi-tenant scheduler for
-// hand-wired experiments; sessions use WithTenants instead. seed
+// hand-wired experiments; sessions set SessionConfig.Tenants instead. seed
 // drives the lanes' arrival processes (nil = seed 1); onDrop, when
 // non-nil, observes every shed, expired or quota-rejected item.
 func NewTenantMux(env *Env, inner Source, opts TenantMuxOptions, seed *Rand, onDrop func(item Item, reason DropReason, at time.Duration)) (*TenantMux, error) {
@@ -386,14 +388,15 @@ const (
 func DefaultRecoveryConfig() RecoveryConfig { return core.DefaultRecoveryConfig() }
 
 // ApplyFaults drives a fault plan into registered devices for
-// hand-wired experiments; sessions use WithFaults instead. observe
+// hand-wired experiments; sessions set SessionConfig.Faults instead. observe
 // (optional) sees each injection as it is applied.
 func ApplyFaults(env *Env, plan FaultPlan, seed *Rand, reg FaultRegistry, observe func(FaultInjection)) (*FaultLog, error) {
 	return fault.Apply(env, plan, seed, reg, observe)
 }
 
 // NewAdmissionQueue wraps a source with bounded admission for
-// hand-wired serving experiments; sessions use WithAdmission instead.
+// hand-wired serving experiments; sessions set
+// SessionConfig.AdmissionDepth instead.
 func NewAdmissionQueue(env *Env, inner Source, opts AdmissionOptions) (*AdmissionQueue, error) {
 	return core.NewAdmissionQueue(env, inner, opts)
 }
@@ -479,20 +482,20 @@ type (
 	// Session owns one classification run end to end: environment,
 	// dataset, network, compiled graph, devices, targets, collection.
 	Session = pipeline.Session
-	// SessionConfig is the resolved session description (the options
-	// build one; NewSessionFromConfig accepts one directly).
+	// SessionConfig describes a session: the workload, the device
+	// groups or stages, and the serving and reliability settings.
+	// NewSession takes one; its zero fields take the documented
+	// defaults.
 	SessionConfig = pipeline.Config
-	// SessionOption customizes a session under construction.
-	SessionOption = pipeline.Option
 	// DeviceGroup declares one device group of a session.
 	DeviceGroup = pipeline.Group
 	// GroupKind identifies a group's device family.
 	GroupKind = pipeline.GroupKind
 	// StageConfig declares one stage of a split (model-parallel)
 	// session: the device group running one network segment and the
-	// bounded in-flight window to the next stage. Mirrors
-	// SessionConfig: WithStages builds the chain, Config.Stages holds
-	// it.
+	// bounded in-flight window to the next stage. SessionConfig.Stages
+	// holds the chain and SessionConfig.Cuts the layer boundaries
+	// between its stages.
 	StageConfig = pipeline.Stage
 	// Report is the unified outcome of a session run.
 	Report = pipeline.Report
@@ -508,13 +511,10 @@ const (
 	CustomGroup = pipeline.GroupCustom
 )
 
-// NewSession builds a declarative classification session. At least
-// one device group option (WithCPU, WithGPU, WithVPUs, WithTarget,
-// WithGroup) is required.
-func NewSession(opts ...SessionOption) (*Session, error) { return pipeline.New(opts...) }
-
-// NewSessionFromConfig builds a session from an explicit config.
-func NewSessionFromConfig(cfg SessionConfig) (*Session, error) { return pipeline.NewFromConfig(cfg) }
+// NewSession builds a declarative classification session from cfg.
+// At least one device group (cfg.Groups) or stage (cfg.Stages) is
+// required.
+func NewSession(cfg SessionConfig) (*Session, error) { return pipeline.NewFromConfig(cfg) }
 
 // CPUStage declares a split-session stage on the Caffe-MKL CPU at the
 // given batch size.
@@ -533,194 +533,6 @@ func VPUStage(n int) StageConfig { return pipeline.VPUStage(n) }
 // whatever cost model it implements).
 func CustomStage(t Target) StageConfig { return pipeline.CustomStage(t) }
 
-// Session options — workload. What is classified, which network does
-// it, and the seeds that make the run reproducible.
-
-// WithDataset sets the synthetic dataset configuration.
-func WithDataset(cfg DatasetConfig) SessionOption { return pipeline.WithDataset(cfg) }
-
-// WithImages limits the run to the first n dataset images.
-func WithImages(n int) SessionOption { return pipeline.WithImages(n) }
-
-// WithFunctional toggles real numeric inference: the session
-// classifies every completed item after the run (default off: pure
-// performance; the devices pay the same simulated costs either way).
-func WithFunctional(on bool) SessionOption { return pipeline.WithFunctional(on) }
-
-// WithGoogLeNet forces the full BVLC GoogLeNet workload.
-func WithGoogLeNet() SessionOption { return pipeline.WithGoogLeNet() }
-
-// WithMicroNet forces the scaled-down inception network with the
-// given geometry.
-func WithMicroNet(cfg MicroConfig) SessionOption { return pipeline.WithMicroNet(cfg) }
-
-// WithNetwork supplies a prebuilt workload network, used as-is (no
-// construction or classifier calibration) — share one network across
-// several sessions.
-func WithNetwork(g *Graph) SessionOption { return pipeline.WithNetwork(g) }
-
-// WithBlob supplies a precompiled NCS graph file for the VPU groups,
-// skipping per-session compilation; pair with WithNetwork. Not
-// applicable to split sessions, whose stage segments compile
-// per stage. The blob may be shared with other live sessions and
-// must be treated as read-only.
-func WithBlob(blob []byte) SessionOption { return pipeline.WithBlob(blob) }
-
-// WithTemperature overrides the prototype-classifier softmax scale.
-func WithTemperature(t float32) SessionOption { return pipeline.WithTemperature(t) }
-
-// WithSeed sets the simulation seed for every stochastic component.
-func WithSeed(seed uint64) SessionOption { return pipeline.WithSeed(seed) }
-
-// WithNetSeed sets the network weight seed (default 42).
-func WithNetSeed(seed uint64) SessionOption { return pipeline.WithNetSeed(seed) }
-
-// Session options — fleet. Which devices run the workload and how
-// work is distributed across them: dealt device groups (every group
-// runs whole inferences) or a model-parallel stage chain (each stage
-// runs one network segment).
-
-// WithCPU adds a Caffe-MKL CPU group at the given batch size.
-func WithCPU(batch int) SessionOption { return pipeline.WithCPU(batch) }
-
-// WithGPU adds a Caffe-cuDNN GPU group at the given batch size.
-func WithGPU(batch int) SessionOption { return pipeline.WithGPU(batch) }
-
-// WithVPUs adds a group of n Neural Compute Sticks running the
-// parallel NCSw pipeline.
-func WithVPUs(n int) SessionOption { return pipeline.WithVPUs(n) }
-
-// WithTarget adds a custom Target as its own device group.
-func WithTarget(t Target) SessionOption { return pipeline.WithTarget(t) }
-
-// WithGroup adds a fully specified device group (explicit weights,
-// VPU overrides).
-func WithGroup(g DeviceGroup) SessionOption { return pipeline.WithGroup(g) }
-
-// WithStages runs the session as a model-parallel pipeline: the
-// workload network is split at the WithCut boundaries into one
-// segment per stage, each stage runs its segment on its own device
-// group (CPUStage/GPUStage/VPUStage/CustomStage), and intermediate
-// activations stream between stages under bounded in-flight windows
-// with backpressure end to end. Mutually exclusive with the
-// device-group options above.
-func WithStages(stages ...StageConfig) SessionOption { return pipeline.WithStages(stages...) }
-
-// WithCut sets the whole-network layer boundaries partitioning the
-// workload across the WithStages chain (one fewer cut than stages,
-// ascending; Graph.ValidCuts enumerates the legal interior
-// boundaries). A degenerate cut (0 or the layer count) collapses its
-// empty stage, and a single surviving stage runs bit-identical to the
-// classic single-group session.
-func WithCut(cuts ...int) SessionOption { return pipeline.WithCut(cuts...) }
-
-// WithRouting selects the device-group scheduler (default
-// WeightedByThroughput). Pipeline sessions are serial and ignore it.
-func WithRouting(r Routing) SessionOption { return pipeline.WithRouting(r) }
-
-// WithQueueDepth bounds the per-group feed queues of the dealt
-// routing policies, and the default per-boundary in-flight window of
-// a split session (default 2).
-func WithQueueDepth(d int) SessionOption { return pipeline.WithQueueDepth(d) }
-
-// Session options — serving. How work arrives and is admitted: open-
-// loop arrivals, deadlines, bounded ingress, adaptive batch assembly.
-
-// WithArrivals wraps the session source in an open-loop arrival
-// process, turning the run into a serving measurement: items become
-// visible at their arrival instants, the report's latency
-// distributions measure real queueing against offered load, and
-// work conservation holds per arrival rather than per drain.
-func WithArrivals(a Arrivals) SessionOption { return pipeline.WithArrivals(a) }
-
-// WithSLO sets the per-item serving deadline the session measures
-// goodput against: the report gains per-group and aggregate goodput,
-// and a bounded ingress (WithAdmission) drops items whose deadline
-// lapses while queued.
-func WithSLO(target time.Duration) SessionOption { return pipeline.WithSLO(target) }
-
-// WithAdmission bounds the session ingress with an admission queue of
-// the given depth under the overload policy (ShedNewest, ShedOldest,
-// BlockOnFull) — tail latency is capped by design instead of growing
-// without bound past the saturation knee.
-func WithAdmission(depth int, policy OverloadPolicy) SessionOption {
-	return pipeline.WithAdmission(depth, policy)
-}
-
-// WithAdmissionShrink extends WithAdmission with health-aware depth:
-// during a device outage the admission bound shrinks proportionally
-// to healthy capacity (floored at minDepth; 0 = 1), so queued work
-// cannot all expire waiting for devices that are gone, and restores
-// on rejoin.
-func WithAdmissionShrink(minDepth int) SessionOption {
-	return pipeline.WithAdmissionShrink(minDepth)
-}
-
-// WithAdaptiveBatching makes every CPU/GPU group assemble batches
-// adaptively: batch size tracks the observed backlog and a partial
-// batch closes at most maxWait after its first item was pulled, so
-// lightly loaded batch devices serve at single-item latency.
-func WithAdaptiveBatching(maxWait time.Duration) SessionOption {
-	return pipeline.WithAdaptiveBatching(maxWait)
-}
-
-// WithStream replaces the dataset source with a push-style stream of
-// the given buffer capacity (0 = unbounded); feed it via
-// Session.Stream from a producer process on Session.Env.
-func WithStream(capacity int) SessionOption { return pipeline.WithStream(capacity) }
-
-// WithTenants runs the session multi-tenant: each declared lane
-// drives its own open-loop arrival process, the configured scheduler
-// (TenantFIFO, TenantWeightedFair, TenantStrictPriority) multiplexes
-// the per-tenant queues at the admission edge under each tenant's
-// quotas and shed policy, and the report gains a per-tenant section
-// (Report.Tenants) — throughput, latency tails, goodput against the
-// tenant's own SLO (a lane Deadline of 0 inherits WithSLO), sheds,
-// expiries, quota rejections. Mutually exclusive with WithArrivals,
-// WithAdmission and WithStream, which it subsumes. Options without
-// lanes leave the session single-tenant, bit-identical to never
-// having called this.
-func WithTenants(tc TenantMuxOptions) SessionOption { return pipeline.WithTenants(tc) }
-
-// Session options — reliability. What goes wrong and what the session
-// does about it: fault injection, self-healing, hedged requests.
-
-// WithFaults injects a deterministic fault plan into the session's
-// devices as the run unfolds: stick hangs, USB link drops, transient
-// inference errors, straggler slowdowns — scripted or seeded, always
-// bit-for-bit reproducible. Sticks are named "ncs0".."ncsN" in
-// testbed port order, batch groups "cpu"/"gpu". The report gains
-// availability metrics (outages, MTTR, retries, fault-attributed
-// drops, uptime).
-func WithFaults(plan FaultPlan) SessionOption { return pipeline.WithFaults(plan) }
-
-// WithRecovery sets the health-monitoring and self-healing policy of
-// every VPU group: completion-timeout detection, reboot-priced device
-// recovery (or fail-stop abandonment), and a bounded per-item
-// redelivery budget whose exhausted items count against goodput. With
-// a fault plan that can kill inferences and no explicit policy, the
-// session defaults to DefaultRecoveryConfig().
-func WithRecovery(rc RecoveryConfig) SessionOption { return pipeline.WithRecovery(rc) }
-
-// WithHedging arms speculative hedged requests — the tail-at-scale
-// defense: an item in flight past the trigger (fixed delay, or a live
-// latency quantile) is duplicated onto a different healthy device
-// group or stick, the first completion wins, and the loser is
-// cancelled in-queue or discarded with full dedup accounting
-// (Report.Hedged/HedgeWins/HedgeWaste). Not applicable to split
-// sessions: hedging duplicates whole inferences, which does not
-// compose with serial stages.
-func WithHedging(hc HedgeConfig) SessionOption { return pipeline.WithHedging(hc) }
-
-// Session options — observability. What the run records beyond the
-// aggregate report.
-
-// WithRetain keeps every per-inference Result on the report.
-func WithRetain(on bool) SessionOption { return pipeline.WithRetain(on) }
-
-// WithTimeline attaches a Fig. 4 execution timeline to every group.
-func WithTimeline(tl *Timeline) SessionOption { return pipeline.WithTimeline(tl) }
-
 // NewCollector creates a result collector; retain keeps every result.
 func NewCollector(retain bool) *Collector { return core.NewCollector(retain) }
 
@@ -733,8 +545,8 @@ func NewStreamSource(env *Env, capacity int) *StreamSource {
 	return core.NewStreamSource(env, capacity)
 }
 
-// Open-loop arrival processes for serving-mode runs (WithArrivals or
-// NewArrivalSource).
+// Open-loop arrival processes for serving-mode runs
+// (SessionConfig.Arrivals or NewArrivalSource).
 
 // DeterministicArrivals is a constant-rate arrival process.
 func DeterministicArrivals(ratePerSec float64) Arrivals {
@@ -762,7 +574,8 @@ func DelayedArrivals(arr Arrivals, delay time.Duration) Arrivals {
 }
 
 // NewArrivalSource wraps a source with an arrival process for
-// hand-wired serving experiments; sessions use WithArrivals instead.
+// hand-wired serving experiments; sessions set SessionConfig.Arrivals
+// instead.
 func NewArrivalSource(env *Env, inner Source, arr Arrivals, seed *Rand) (*ArrivalSource, error) {
 	return core.NewArrivalSource(env, inner, arr, seed)
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // The root resilience acceptance tests drive the whole stack through
-// the public facade: deterministic fault injection (WithFaults),
-// health monitoring and self-healing (WithRecovery), availability
-// metrics on the report, and the PR's acceptance bar — recovery holds
-// strictly higher goodput than fail-stop under the identical fault
-// sequence, and an empty plan changes nothing.
+// the public facade: deterministic fault injection
+// (SessionConfig.Faults), health monitoring and self-healing
+// (SessionConfig.Recovery), availability metrics on the report, and
+// the PR's acceptance bar — recovery holds strictly higher goodput
+// than fail-stop under the identical fault sequence, and an empty
+// plan changes nothing.
 
 // resilienceSession builds the shared serving scenario: 4 sticks,
 // Poisson arrivals past warmup, a hang and a link drop mid-run. The
@@ -21,16 +22,16 @@ import (
 // its goodput edge over fail-stop.
 func resilienceSession(t *testing.T, net *Graph, blob []byte, plan FaultPlan, rc RecoveryConfig) *Report {
 	t.Helper()
-	sess, err := NewSession(
-		WithImages(400),
-		WithVPUs(4),
-		WithNetwork(net),
-		WithBlob(blob),
-		WithArrivals(DelayedArrivals(PoissonArrivals(25), 5*time.Second)),
-		WithSLO(450*time.Millisecond),
-		WithFaults(plan),
-		WithRecovery(rc),
-	)
+	sess, err := NewSession(SessionConfig{
+		Images:   400,
+		Groups:   []DeviceGroup{{Kind: VPUGroup, Devices: 4}},
+		Net:      net,
+		Blob:     blob,
+		Arrivals: DelayedArrivals(PoissonArrivals(25), 5*time.Second),
+		SLO:      450 * time.Millisecond,
+		Faults:   plan,
+		Recovery: rc,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

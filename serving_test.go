@@ -10,13 +10,12 @@ import (
 // latency-aware routing.
 func runServingSession(t *testing.T, images int) *Report {
 	t.Helper()
-	sess, err := NewSession(
-		WithImages(images),
-		WithCPU(8),
-		WithVPUs(4),
-		WithArrivals(DelayedArrivals(PoissonArrivals(60), 2*time.Second)),
-		WithRouting(RouteLatency),
-	)
+	sess, err := NewSession(SessionConfig{
+		Images:   images,
+		Groups:   []DeviceGroup{{Kind: CPUGroup, Batch: 8}, {Kind: VPUGroup, Devices: 4}},
+		Arrivals: DelayedArrivals(PoissonArrivals(60), 2*time.Second),
+		Routing:  RouteLatency,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

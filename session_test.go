@@ -9,7 +9,7 @@ import (
 )
 
 // echoTarget is a custom device group implemented entirely outside
-// internal/core — the extension point WithTarget/NewPool exposes.
+// internal/core — the extension point CustomGroup/NewPool exposes.
 type echoTarget struct{ latency time.Duration }
 
 func (t *echoTarget) Name() string      { return "echo" }
@@ -42,11 +42,13 @@ func (t *echoTarget) Start(env *Env, src Source, sink func(Result)) *Job {
 // is the exported completion contract.
 func TestSessionCustomTarget(t *testing.T) {
 	const images = 40
-	sess, err := NewSession(
-		WithImages(images),
-		WithCPU(8),
-		WithTarget(&echoTarget{latency: 2 * time.Millisecond}),
-	)
+	sess, err := NewSession(SessionConfig{
+		Images: images,
+		Groups: []DeviceGroup{
+			{Kind: CPUGroup, Batch: 8},
+			{Kind: CustomGroup, Target: &echoTarget{latency: 2 * time.Millisecond}},
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +78,12 @@ func TestSessionCustomTarget(t *testing.T) {
 func TestSessionAcceptance(t *testing.T) {
 	const images = 120
 
-	// The declarative session — 7 lines of user code.
-	sess, err := NewSession(
-		WithImages(images),
-		WithCPU(8),
-		WithGPU(8),
-		WithVPUs(4),
-		WithRetain(true),
-	)
+	// The declarative session: one SessionConfig literal.
+	sess, err := NewSession(SessionConfig{
+		Images: images,
+		Groups: []DeviceGroup{{Kind: CPUGroup, Batch: 8}, {Kind: GPUGroup, Batch: 8}, {Kind: VPUGroup, Devices: 4}},
+		Retain: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,11 @@ func TestSessionAcceptance(t *testing.T) {
 func TestSessionVPUScalingMatchesTarget(t *testing.T) {
 	const images = 100
 	for _, n := range []int{1, 2} {
-		sess, err := NewSession(WithImages(images), WithVPUs(n), WithSeed(7))
+		sess, err := NewSession(SessionConfig{
+			Images: images,
+			Groups: []DeviceGroup{{Kind: VPUGroup, Devices: n}},
+			Seed:   7,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,11 +16,11 @@ func TestSplitAcceptance(t *testing.T) {
 		t.Fatal("GoogLeNet has no valid cuts")
 	}
 	cut := cuts[len(cuts)/2]
-	sess, err := NewSession(
-		WithImages(48),
-		WithStages(VPUStage(2), GPUStage(16)),
-		WithCut(cut),
-	)
+	sess, err := NewSession(SessionConfig{
+		Images: 48,
+		Stages: []StageConfig{VPUStage(2), GPUStage(16)},
+		Cuts:   []int{cut},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
