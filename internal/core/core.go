@@ -141,10 +141,10 @@ type Job struct {
 // Done reports whether the target has shut down (in virtual time).
 func (j *Job) Done() bool { return j.done }
 
-// onFinish registers fn to run (in the target's own process) when the
+// OnFinish registers fn to run (in the target's own process) when the
 // job completes. Must be called before the simulation starts the
 // target's shutdown.
-func (j *Job) onFinish(fn func(p *sim.Proc)) {
+func (j *Job) OnFinish(fn func(p *sim.Proc)) {
 	j.watchers = append(j.watchers, fn)
 }
 

@@ -420,7 +420,7 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 		}
 		cj := c.Start(env, csrc, childSink(i))
 		i := i
-		cj.onFinish(func(p *sim.Proc) {
+		cj.OnFinish(func(p *sim.Proc) {
 			done.Put(p, i)
 			if deal != nil {
 				deal.reclaim(i)

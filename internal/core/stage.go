@@ -500,7 +500,7 @@ func (pl *Pipeline) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 			}
 		}
 		cj := st.Start(env, feeds[i], ssink)
-		cj.onFinish(func(p *sim.Proc) {
+		cj.OnFinish(func(p *sim.Proc) {
 			done.Put(p, i)
 			if i < n-1 {
 				// End of this stage's emissions: the sentinel follows

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 )
 
 // TestEdgeConservation checks the end-of-run edge laws as pure
@@ -79,5 +81,75 @@ func checkErr(t *testing.T, err error, want string) {
 		t.Errorf("no error, want one containing %q", want)
 	case want != "" && !strings.Contains(err.Error(), want):
 		t.Errorf("error %q does not contain %q", err, want)
+	}
+}
+
+// TestEdgeDrainsWhenFleetFails: a bounded ingress whose whole fleet
+// fail-stops must end the run instead of deadlocking its pump on a
+// full queue. The one stick hangs mid-run and is abandoned; every item
+// the edge still holds, or receives after that, is counted once as a
+// fault drop, in the report and in its tenant's row, and the edge
+// still balances.
+func TestEdgeDrainsWhenFleetFails(t *testing.T) {
+	const images = 60
+	lanes := func(policy core.TenantPolicy) core.TenantMuxOptions {
+		return core.TenantMuxOptions{Policy: policy, Lanes: []core.TenantLane{
+			{ID: "a", Arrivals: core.DeterministicArrivals(10), Depth: 2},
+			{ID: "b", Arrivals: core.DeterministicArrivals(10), Depth: 2, Policy: core.Block},
+		}}
+	}
+	admission := func(policy core.OverloadPolicy) Config {
+		return Config{Arrivals: core.DeterministicArrivals(20), AdmissionDepth: 2, AdmissionPolicy: policy}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"admission/shed-newest", admission(core.ShedNewest)},
+		{"admission/shed-oldest", admission(core.ShedOldest)},
+		{"admission/block", admission(core.Block)},
+		{"tenants/fifo", Config{Tenants: lanes(core.TenantFIFO)}},
+		{"tenants/fair", Config{Tenants: lanes(core.TenantFair)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Images = images
+			cfg.Groups = []Group{{Kind: GroupVPU, Devices: 1}}
+			cfg.Faults = fault.Plan{Events: []fault.Event{
+				{Device: "ncs0", Kind: fault.StickHang, At: 2200 * time.Millisecond},
+			}}
+			cfg.Recovery = core.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: false}
+			sess, err := NewFromConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sess.Run()
+			if err == nil || !strings.Contains(err.Error(), "core: device ncs0 abandoned") {
+				t.Fatalf("Run error %v, want the abandoned device", err)
+			}
+			if rep == nil {
+				t.Fatal("no report")
+			}
+			if rep.Images == 0 || rep.FaultDrops == 0 {
+				t.Errorf("completed %d, fault drops %d: want both before and after the hang", rep.Images, rep.FaultDrops)
+			}
+			if got := rep.Collector.Arrivals(); got != images {
+				t.Errorf("report accounts %d arrivals (completed %d + shed %d + expired %d + fault %d + quota %d), want %d",
+					got, rep.Images, rep.Shed, rep.Expired, rep.FaultDrops, rep.QuotaRejected, images)
+			}
+			if a := sess.admission; a != nil && a.Pending() != 0 {
+				t.Errorf("admission queue still holds %d items", a.Pending())
+			}
+			for _, tr := range rep.Tenants {
+				st := tr.Stats
+				if st.Arrived != st.Dispatched+st.Shed+st.Expired+st.QuotaRejected {
+					t.Errorf("tenant %s holds undispatched arrivals: %+v", tr.ID, st)
+				}
+				if tr.FaultDrops != st.Dispatched-tr.Completed {
+					t.Errorf("tenant %s: %d fault drops, want dispatched %d - completed %d",
+						tr.ID, tr.FaultDrops, st.Dispatched, tr.Completed)
+				}
+			}
+		})
 	}
 }

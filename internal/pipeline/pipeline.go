@@ -809,15 +809,7 @@ func (s *Session) groupRecovery(group int) core.RecoveryConfig {
 			return
 		}
 		s.note(group, func(c *core.Collector) { c.NoteDrop(core.DropFailed) })
-		// A tenant's fault-dropped item never completes, so its
-		// in-flight quota credit must be released here or the tenant's
-		// MaxInFlight budget leaks away one failure at a time.
-		if s.tenantMux != nil {
-			if i, ok := s.tenantIdx[item.Tenant]; ok {
-				s.perTenant[i].NoteDrop(core.DropFailed)
-			}
-			s.tenantMux.Done(item.Tenant)
-		}
+		s.tenantFault(item)
 		if userDrop != nil {
 			userDrop(item, at)
 		}
@@ -886,6 +878,47 @@ func (s *Session) note(group int, event func(*core.Collector)) {
 	if group >= 0 && group < len(s.perGroup) {
 		event(s.perGroup[group])
 	}
+}
+
+// tenantFault charges a fault-dropped item to its tenant, if any. The
+// item never completes, so its in-flight quota credit must be released
+// here or the tenant's MaxInFlight budget leaks away one failure at a
+// time.
+func (s *Session) tenantFault(item core.Item) {
+	if s.tenantMux == nil {
+		return
+	}
+	if i, ok := s.tenantIdx[item.Tenant]; ok {
+		s.perTenant[i].NoteDrop(core.DropFailed)
+	}
+	s.tenantMux.Done(item.Tenant)
+}
+
+// drainOnFailure makes a job that stops with an error (its whole fleet
+// failed) leave nothing behind at the bounded ingress edge. Once no
+// device reads the edge, its pump parks for good on the full queue:
+// under Block in the admit, under the shed policies in the
+// end-of-stream post. So a last consumer reads the edge to the end of
+// its stream and counts every item as a fault drop, as the failed
+// fleet would have. The edge dispatches each item once, so checkEdge
+// still balances. A job that ends cleanly has drained the edge, and
+// nothing more runs.
+func (s *Session) drainOnFailure(job *core.Job, edge core.Source) {
+	job.OnFinish(func(*sim.Proc) {
+		if job.Err == nil {
+			return
+		}
+		s.env.Process("edge-drain", func(p *sim.Proc) {
+			for {
+				item, ok := edge.Next(p)
+				if !ok {
+					return
+				}
+				s.merged.NoteDrop(core.DropFailed)
+				s.tenantFault(item)
+			}
+		})
+	})
 }
 
 // tenantSLO returns the deadline tenant l is held to: its own, or the
@@ -1179,6 +1212,9 @@ func (s *Session) Run() (*Report, error) {
 		s.pool = pool
 		subscribeAdmission(pool)
 		job = pool.Start(s.env, src, finalSink)
+	}
+	if s.admission != nil || s.tenantMux != nil {
+		s.drainOnFailure(job, src)
 	}
 
 	s.env.Run()
