@@ -48,12 +48,15 @@ sh scripts/loc.sh || true
 echo "== go test =="
 go test ./...
 
-echo "== accuracy and functional goldens on one core =="
+echo "== accuracy, functional and precision-example goldens on one core =="
 # The accuracy experiments and functional sessions classify through
 # nn.Classify, whose batched Graph.Forward splits each batch across
 # GOMAXPROCS. The goldens above ran at the host's core count; this run
 # proves the tables and the session predictions do not depend on it.
+# The precision example's FP32-vs-FP16 table is built from such
+# predictions; its go run inherits GOMAXPROCS=1.
 GOMAXPROCS=1 go test -count=1 -run 'TestAccuracyGolden|TestFunctionalGolden' ./internal/bench ./internal/pipeline
+GOMAXPROCS=1 go test -count=1 -run 'TestExamplesSmoke/precision$' .
 
 echo "== half.RoundSlice on every float32 =="
 # The test suite checks RoundSlice against the scalar FromFloat32 round
