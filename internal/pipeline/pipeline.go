@@ -21,10 +21,10 @@
 //	})
 //	report, err := sess.Run()
 //
-// The Session builds everything eagerly in NewFromConfig, so callers can reach
-// the environment, dataset, network or stream before Run — the escape
-// hatches the cmd tools use for folder sources and MPI-style
-// producers.
+// The Session builds everything eagerly in NewFromConfig, so callers
+// can reach the environment, dataset, network or stream before Run —
+// the escape hatches the cmd tools use for folder sources and
+// MPI-style producers.
 package pipeline
 
 import (
@@ -894,15 +894,15 @@ func (s *Session) tenantFault(item core.Item) {
 	s.tenantMux.Done(item.Tenant)
 }
 
-// drainOnFailure makes a job that stops with an error (its whole fleet
-// failed) leave nothing behind at the bounded ingress edge. Once no
-// device reads the edge, its pump parks for good on the full queue:
-// under Block in the admit, under the shed policies in the
-// end-of-stream post. So a last consumer reads the edge to the end of
-// its stream and counts every item as a fault drop, as the failed
-// fleet would have. The edge dispatches each item once, so checkEdge
-// still balances. A job that ends cleanly has drained the edge, and
-// nothing more runs.
+// drainOnFailure keeps a failed fleet from deadlocking the bounded
+// ingress edge. Once every device has failed, nothing reads the edge,
+// and its pump parks for good on the full queue: under Block in the
+// admit, under the shed policies in the end-of-stream post. So when
+// the job stops with an error, a last consumer reads the edge to the
+// end of its stream and counts every item as a fault drop, as the
+// failed fleet would have. The edge dispatches each item once, so
+// checkEdge still balances. A job that ends cleanly has drained the
+// edge, and nothing more runs.
 func (s *Session) drainOnFailure(job *core.Job, edge core.Source) {
 	job.OnFinish(func(*sim.Proc) {
 		if job.Err == nil {

@@ -27,7 +27,11 @@ func TestSessionHeterogeneous(t *testing.T) {
 	const images = 60
 	sess, err := NewFromConfig(Config{
 		Dataset: smallDataset(images),
-		Groups:  []Group{{Kind: GroupCPU, Batch: 4}, {Kind: GroupGPU, Batch: 4}, {Kind: GroupVPU, Devices: 2}},
+		Groups: []Group{
+			{Kind: GroupCPU, Batch: 4},
+			{Kind: GroupGPU, Batch: 4},
+			{Kind: GroupVPU, Devices: 2},
+		},
 		Routing: core.RouteWeighted,
 		Retain:  true,
 	})
@@ -287,7 +291,10 @@ func TestSessionStaticWeights(t *testing.T) {
 	const images = 40
 	sess, err := NewFromConfig(Config{
 		Dataset: smallDataset(images),
-		Groups:  []Group{Group{Kind: GroupCPU, Batch: 4, Weight: 3}, Group{Kind: GroupGPU, Batch: 4, Weight: 1}},
+		Groups: []Group{
+			{Kind: GroupCPU, Batch: 4, Weight: 3},
+			{Kind: GroupGPU, Batch: 4, Weight: 1},
+		},
 		Routing: core.RouteStatic,
 	})
 	if err != nil {

@@ -189,8 +189,8 @@ func DefaultVPUConfig() VPUConfig { return vpu.DefaultConfig() }
 // Fig. 5 USB topology (two sticks on motherboard ports, the rest
 // behind two USB 3.0 hubs) inside env.
 //
-// Deprecated: a session with a VPU group owns testbed assembly; use this
-// only for hand-wired NCAPI experiments.
+// Deprecated: a session with a VPU group owns testbed assembly; use
+// this only for hand-wired NCAPI experiments.
 func NewNCSTestbed(env *Env, n int, seed *Rand) ([]*NCSDevice, error) {
 	_, ports, err := usb.Testbed(env, usb.DefaultConfig(), n)
 	if err != nil {
@@ -337,9 +337,9 @@ const (
 )
 
 // NewTenantMux wraps a source with the multi-tenant scheduler for
-// hand-wired experiments; sessions set SessionConfig.Tenants instead. seed
-// drives the lanes' arrival processes (nil = seed 1); onDrop, when
-// non-nil, observes every shed, expired or quota-rejected item.
+// hand-wired experiments; sessions set SessionConfig.Tenants instead.
+// seed drives the lanes' arrival processes (nil = seed 1); onDrop,
+// when non-nil, observes every shed, expired or quota-rejected item.
 func NewTenantMux(env *Env, inner Source, opts TenantMuxOptions, seed *Rand, onDrop func(item Item, reason DropReason, at time.Duration)) (*TenantMux, error) {
 	return core.NewTenantMux(env, inner, opts, seed, onDrop)
 }
@@ -388,8 +388,8 @@ const (
 func DefaultRecoveryConfig() RecoveryConfig { return core.DefaultRecoveryConfig() }
 
 // ApplyFaults drives a fault plan into registered devices for
-// hand-wired experiments; sessions set SessionConfig.Faults instead. observe
-// (optional) sees each injection as it is applied.
+// hand-wired experiments; sessions set SessionConfig.Faults instead.
+// observe (optional) sees each injection as it is applied.
 func ApplyFaults(env *Env, plan FaultPlan, seed *Rand, reg FaultRegistry, observe func(FaultInjection)) (*FaultLog, error) {
 	return fault.Apply(env, plan, seed, reg, observe)
 }
@@ -509,6 +509,13 @@ const (
 	GPUGroup    = pipeline.GroupGPU
 	VPUGroup    = pipeline.GroupVPU
 	CustomGroup = pipeline.GroupCustom
+)
+
+// Session workload networks (SessionConfig.Network). The zero value
+// picks NetMicro for functional sessions and NetGoogLeNet otherwise.
+const (
+	NetGoogLeNet = pipeline.NetGoogLeNet
+	NetMicro     = pipeline.NetMicro
 )
 
 // NewSession builds a declarative classification session from cfg.

@@ -81,7 +81,11 @@ func TestSessionAcceptance(t *testing.T) {
 	// The declarative session: one SessionConfig literal.
 	sess, err := NewSession(SessionConfig{
 		Images: images,
-		Groups: []DeviceGroup{{Kind: CPUGroup, Batch: 8}, {Kind: GPUGroup, Batch: 8}, {Kind: VPUGroup, Devices: 4}},
+		Groups: []DeviceGroup{
+			{Kind: CPUGroup, Batch: 8},
+			{Kind: GPUGroup, Batch: 8},
+			{Kind: VPUGroup, Devices: 4},
+		},
 		Retain: true,
 	})
 	if err != nil {
