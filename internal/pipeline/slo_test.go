@@ -94,3 +94,43 @@ func TestSessionSLOWithoutAdmission(t *testing.T) {
 		t.Errorf("goodput %.3f, want 1.0 at light load under a 1s SLO", rep.Goodput)
 	}
 }
+
+// TestSessionOptionValidation: the SLO, admission and adaptive-batching
+// settings reject broken values at session construction, and bounded
+// admission is accepted only over a paced source.
+func TestSessionOptionValidation(t *testing.T) {
+	base := func() Config { return Config{Images: 10, Groups: []Group{{Kind: GroupCPU, Batch: 8}}} }
+	bad := []func(*Config){
+		func(c *Config) { c.SLO = -time.Second },
+		func(c *Config) { c.StreamCapacity = new(int); c.AdmissionDepth = -1 },
+		func(c *Config) {
+			c.StreamCapacity = new(int)
+			c.AdmissionDepth = 4
+			c.AdmissionPolicy = core.OverloadPolicy(9)
+		},
+		func(c *Config) { c.AdaptiveBatch = true; c.BatchMaxWait = -time.Millisecond },
+	}
+	for i, mutate := range bad {
+		cfg := base()
+		mutate(&cfg)
+		if _, err := NewFromConfig(cfg); err == nil {
+			t.Errorf("bad config %d accepted", i)
+		}
+	}
+	// Admission against an eager closed-loop dataset would shed the
+	// whole set at t=0; the session must refuse the combination.
+	cfg := base()
+	cfg.AdmissionDepth = 4
+	if _, err := NewFromConfig(cfg); err == nil {
+		t.Error("admission without a paced source accepted")
+	}
+	// A stream paces the source as arrivals do, so admission over one
+	// is accepted.
+	cfg.StreamCapacity = new(int)
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("admission over a stream refused: %v", err)
+	}
+	if _, err := NewFromConfig(cfg); err != nil {
+		t.Errorf("admission over a stream rejected: %v", err)
+	}
+}

@@ -213,17 +213,6 @@ func TestConfigValidateRules(t *testing.T) {
 			}
 		}
 	}
-	// A stream paces the source as arrivals do, so admission over one
-	// is accepted.
-	cfg := base()
-	cfg.StreamCapacity = new(int)
-	cfg.AdmissionDepth = 4
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("admission over a stream refused: %v", err)
-	}
-	if err := newFromConfigErr(cfg); err != nil {
-		t.Errorf("admission over a stream refused by NewFromConfig: %v", err)
-	}
 }
 
 func newFromConfigErr(cfg Config) error {
