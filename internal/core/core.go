@@ -379,6 +379,20 @@ func NewCollector(retain bool) *Collector {
 	return &Collector{retain: retain}
 }
 
+// NewMergedCollector creates a collector over the union of parts'
+// results, for a sink that sees each result after exactly one of parts
+// has: a session's merged collector over its device groups. It keeps
+// every aggregate NewCollector's does, but stores no latency pair of
+// its own; its Latency selects over the parts' stores. The summary is
+// exact only while N equals the sum of the parts' N.
+func NewMergedCollector(retain bool, parts ...*Collector) *Collector {
+	aggs := make([]*latencyAgg, len(parts)) // not nil, even with no parts: a view
+	for i, p := range parts {
+		aggs[i] = &p.lat
+	}
+	return &Collector{retain: retain, lat: latencyAgg{parts: aggs}}
+}
+
 // Sink returns the callback to pass to Target.Start.
 func (c *Collector) Sink() func(Result) {
 	return func(r Result) {
@@ -543,7 +557,15 @@ func (c *Collector) ShedRate() float64 {
 // the producing targets stamp the Result lifecycle (all built-in
 // targets do); custom targets that stamp nothing report service time
 // only.
-func (c *Collector) Latency() LatencySummary { return c.lat.summary() }
+func (c *Collector) Latency() LatencySummary { return c.lat.summary(nil) }
+
+// LatencyIn is Latency selected in scratch, which it reuses whenever
+// its capacity holds N values: a report summarizes all its collectors
+// through one buffer sized for the largest. scratch's contents are
+// overwritten.
+func (c *Collector) LatencyIn(scratch []time.Duration) LatencySummary {
+	return c.lat.summary(scratch)
+}
 
 // TopOneError returns the fraction of classified items whose top-1
 // prediction missed (the paper's §IV-B estimation).

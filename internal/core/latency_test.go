@@ -98,7 +98,7 @@ var latencyShapes = []latencyShape{
 // on empty, one- and two-item streams, for zero waits, ties and
 // durations above 1 s, 2^32 ns and 2^53 ns, and again on a second and
 // third read of the same collector (each read reorders its scratch
-// values).
+// values); then for merged views (testMergedView).
 func TestLatencySummaryMatchesSamples(t *testing.T) {
 	counts := []int{0, 1, 2}
 	for _, b := range chunkBoundaries() {
@@ -124,31 +124,164 @@ func TestLatencySummaryMatchesSamples(t *testing.T) {
 			}
 		}
 	}
+	t.Run("merged-view", testMergedView)
+}
+
+// testMergedView (TestLatencySummaryMatchesSamples/merged-view): a
+// merged collector over k = 1, 2 and 3 part stores reads, for the
+// union of its parts, what the three-Sample reference of the union
+// reports, bit for bit, and each part still reads its own. Part sizes
+// run through every chunk boundary ±1 and include empty parts; results
+// reach the parts interleaved, each sunk into its part and then into
+// the merged collector, as a session delivers them. Every read goes
+// through one shared scratch, sized for the merged collector, in
+// either order: the parts first, then merged, and the reverse.
+func testMergedView(t *testing.T) {
+	counts := []int{0, 1, 2}
+	for _, b := range chunkBoundaries() {
+		counts = append(counts, b-1, b, b+1)
+	}
+	for k := 1; k <= 3; k++ {
+		for _, sh := range latencyShapes {
+			for i := range counts {
+				// Part j takes every count in turn, offset so parts of
+				// one view differ in size.
+				sizes := make([]int, k)
+				for j := range sizes {
+					sizes[j] = counts[(i+11*j)%len(counts)]
+				}
+				checkMergedView(t, sh, sizes)
+			}
+			checkMergedView(t, sh, make([]int, k)) // every part empty
+		}
+	}
+}
+
+func checkMergedView(t *testing.T, sh latencyShape, sizes []int) {
+	t.Helper()
+	n := 0
+	for _, s := range sizes {
+		n += s
+	}
+	r := rand.New(rand.NewPCG(uint64(n), uint64(len(sizes))))
+	parts := make([]*Collector, len(sizes))
+	sinks := make([]func(Result), len(sizes))
+	refs := make([]sampleAgg, len(sizes))
+	for j := range parts {
+		parts[j] = NewCollector(false)
+		sinks[j] = parts[j].Sink()
+	}
+	merged := NewMergedCollector(false, parts...)
+	mergedSink := merged.Sink()
+	var ref sampleAgg
+	left := append([]int(nil), sizes...)
+	for i := 0; i < n; i++ {
+		j := r.IntN(len(left))
+		for left[j] == 0 {
+			j = (j + 1) % len(left)
+		}
+		left[j]--
+		a, s, e := sh.draw(r, i)
+		res := Result{Index: i, ArrivedAt: a, Start: s, End: e}
+		sinks[j](res)
+		mergedSink(res)
+		refs[j].add(res)
+		ref.add(res)
+	}
+	want := ref.summary()
+	wantParts := make([]LatencySummary, len(refs))
+	for j := range refs {
+		wantParts[j] = refs[j].summary()
+	}
+	scratch := make([]time.Duration, 0, n)
+	readParts := func(order string) {
+		for j, p := range parts {
+			if got := p.LatencyIn(scratch); got != wantParts[j] {
+				t.Fatalf("%s parts %v, %s, part %d:\n got %+v\nwant %+v", sh.name, sizes, order, j, got, wantParts[j])
+			}
+		}
+	}
+	readMerged := func(order string) {
+		if got := merged.LatencyIn(scratch); got != want {
+			t.Fatalf("%s parts %v, %s, merged:\n got %+v\nwant %+v", sh.name, sizes, order, got, want)
+		}
+	}
+	readParts("parts first")
+	readMerged("parts first")
+	readMerged("merged first")
+	readParts("merged first")
+	if got := merged.Latency(); got != want {
+		t.Fatalf("%s parts %v, Latency alone:\n got %+v\nwant %+v", sh.name, sizes, got, want)
+	}
 }
 
 // TestCollectorSinkAllocs: once its chunks have grown to the cap, a
-// collector keeps results at well under one allocation per thousand.
+// collector keeps results at well under one allocation per thousand,
+// and a merged view, which stores no pair, at none.
 func TestCollectorSinkAllocs(t *testing.T) {
-	c := NewCollector(false)
-	sink := c.Sink()
 	res := Result{Label: -1, Pred: -1, ArrivedAt: time.Millisecond, Start: 3 * time.Millisecond,
 		End: 9 * time.Millisecond, Device: "gpu", Tenant: "gold"}
-	for i := 0; i < 4*maxLatencyChunk; i++ {
-		sink(res)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for i := 0; i < 1000; i++ {
+	warm := func(sink func(Result)) {
+		for i := 0; i < 4*maxLatencyChunk; i++ {
 			sink(res)
 		}
-	})
-	if allocs > 1 {
+	}
+	per1000 := func(sink func(Result)) float64 {
+		return testing.AllocsPerRun(50, func() {
+			for i := 0; i < 1000; i++ {
+				sink(res)
+			}
+		})
+	}
+	part := NewCollector(false)
+	sink := part.Sink()
+	warm(sink)
+	if allocs := per1000(sink); allocs > 1 {
 		t.Fatalf("warm Collector.Sink: %.2f allocations per 1000 results, want <= 1", allocs)
+	}
+	view := NewMergedCollector(false, part).Sink()
+	warm(view)
+	if allocs := per1000(view); allocs != 0 {
+		t.Fatalf("warm merged-view Sink: %.2f allocations per 1000 results, want 0", allocs)
+	}
+}
+
+// TestSummariesShareOneScratch: a report's summaries of a merged
+// collector and its k parts, read through one scratch sized for the
+// merged collector, allocate that scratch and nothing else.
+func TestSummariesShareOneScratch(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		parts := make([]*Collector, k)
+		for j := range parts {
+			parts[j] = NewCollector(false)
+		}
+		merged := NewMergedCollector(false, parts...)
+		mergedSink := merged.Sink()
+		for i := 0; i < 5000; i++ {
+			res := Result{Index: i, ArrivedAt: time.Duration(i) * time.Millisecond,
+				Start: time.Duration(i+i%7) * time.Millisecond, End: time.Duration(i+i%7+3+i%5) * time.Millisecond}
+			parts[i%k].Sink()(res)
+			mergedSink(res)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			scratch := make([]time.Duration, 0, merged.N)
+			merged.LatencyIn(scratch)
+			for _, p := range parts {
+				p.LatencyIn(scratch)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("k=%d: summaries of a merged collector and its parts made %.0f allocations, want 1 (the scratch)", k, allocs)
+		}
 	}
 }
 
 // BenchmarkCollectorSink times one cpu-gpu-serve-sized run's worth of
-// results (750k) into a fresh collector; -benchmem shows what the
-// latency store keeps.
+// results (750k): "store" into one fresh collector, "merged-view" into
+// two group collectors (alternating, like a CPU+GPU pool) and the
+// merged view over them, as a session sinks them. -benchmem shows
+// what the latency store keeps: the session's two sinks per result
+// keep one store between them, so both cases allocate about the same.
 func BenchmarkCollectorSink(b *testing.B) {
 	const n = 750_000
 	results := make([]Result, 1000)
@@ -159,11 +292,26 @@ func BenchmarkCollectorSink(b *testing.B) {
 		results[i] = Result{Index: i, Label: -1, Pred: -1, ArrivedAt: a, Start: s,
 			End: s + time.Duration(r.ExpFloat64()*float64(15*time.Millisecond)), Device: "gpu"}
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		sink := NewCollector(false).Sink()
-		for i := 0; i < n; i++ {
-			sink(results[i%len(results)])
+	b.Run("store", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			sink := NewCollector(false).Sink()
+			for i := 0; i < n; i++ {
+				sink(results[i%len(results)])
+			}
 		}
-	}
+	})
+	b.Run("merged-view", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			cpu, gpu := NewCollector(false), NewCollector(false)
+			groups := [2]func(Result){cpu.Sink(), gpu.Sink()}
+			merged := NewMergedCollector(false, cpu, gpu).Sink()
+			for i := 0; i < n; i++ {
+				res := results[i%len(results)]
+				groups[i%2](res)
+				merged(res)
+			}
+		}
+	})
 }

@@ -61,3 +61,18 @@ func tenantsConserved(ids []string, stats []core.TenantStats, queued int) error 
 	}
 	return nil
 }
+
+// mergedConserved checks the precondition of the merged collector's
+// latency view: every result it counted was sunk into exactly one of
+// its parts, so their stores hold exactly its pairs. A result sunk
+// twice into a group, or into the merged collector alone, breaks it.
+func mergedConserved(merged *core.Collector, parts []*core.Collector) error {
+	n := 0
+	for _, p := range parts {
+		n += p.N
+	}
+	if n != merged.N {
+		return fmt.Errorf("pipeline: merged latency view not conserved: the merged collector counted %d results, its parts %d", merged.N, n)
+	}
+	return nil
+}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 // TestEdgeConservation checks the end-of-run edge laws as pure
@@ -84,12 +85,14 @@ func checkErr(t *testing.T, err error, want string) {
 	}
 }
 
-// TestEdgeDrainsWhenFleetFails: a bounded ingress whose whole fleet
-// fail-stops must end the run instead of deadlocking its pump on a
-// full queue. The one stick hangs mid-run and is abandoned; every item
-// the edge still holds, or receives after that, is counted once as a
-// fault drop, in the report and in its tenant's row, and the edge
-// still balances.
+// TestEdgeDrainsWhenFleetFails: a paced ingress whose whole fleet
+// fail-stops must end the run with every arrival accounted for,
+// instead of deadlocking a bounded pump or a stream's producer on a
+// full queue, or leaving an arrival source's later arrivals counted
+// nowhere. The one stick hangs
+// mid-run and is abandoned; every item the edge still holds, or
+// receives after that, is counted once as a fault drop, in the report
+// and in its tenant's row, and the edge still balances.
 func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 	const images = 60
 	lanes := func(policy core.TenantPolicy) core.TenantMuxOptions {
@@ -101,10 +104,13 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 	admission := func(policy core.OverloadPolicy) Config {
 		return Config{Arrivals: core.DeterministicArrivals(20), AdmissionDepth: 2, AdmissionPolicy: policy}
 	}
+	streamCapacity := 2
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
+		{"arrivals", Config{Arrivals: core.DeterministicArrivals(20)}},
+		{"stream", Config{StreamCapacity: &streamCapacity}},
 		{"admission/shed-newest", admission(core.ShedNewest)},
 		{"admission/shed-oldest", admission(core.ShedOldest)},
 		{"admission/block", admission(core.Block)},
@@ -123,9 +129,25 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A stream's producer pushes a frame every 50 ms and must
+			// not stay parked on the full buffer once the fleet fails.
+			pushed := 0
+			if stream := sess.Stream(); stream != nil {
+				sess.Env().Process("producer", func(p *sim.Proc) {
+					for i := 0; i < images; i++ {
+						stream.Push(p, core.Item{Index: i, Label: -1})
+						pushed++
+						p.Sleep(50 * time.Millisecond)
+					}
+					stream.Close(p)
+				})
+			}
 			rep, err := sess.Run()
 			if err == nil || !strings.Contains(err.Error(), "core: device ncs0 abandoned") {
 				t.Fatalf("Run error %v, want the abandoned device", err)
+			}
+			if sess.Stream() != nil && pushed != images {
+				t.Errorf("producer pushed %d of %d frames", pushed, images)
 			}
 			if rep == nil {
 				t.Fatal("no report")
@@ -151,5 +173,32 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMergedConserved: the merged collector's count must equal the
+// sum of its parts'; a result sunk twice into a part, or into the
+// merged collector alone, is an error.
+func TestMergedConserved(t *testing.T) {
+	a, b := core.NewCollector(false), core.NewCollector(false)
+	merged := core.NewMergedCollector(false, a, b)
+	res := core.Result{Index: 0, Label: -1, Pred: -1, End: time.Millisecond}
+	a.Sink()(res)
+	merged.Sink()(res)
+	b.Sink()(res)
+	merged.Sink()(res)
+	if err := mergedConserved(merged, []*core.Collector{a, b}); err != nil {
+		t.Fatalf("balanced view: %v", err)
+	}
+	b.Sink()(res) // sunk twice into b
+	err := mergedConserved(merged, []*core.Collector{a, b})
+	if want := "merged collector counted 2 results, its parts 3"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("error %v, want one containing %q", err, want)
+	}
+	merged.Sink()(res)
+	merged.Sink()(res) // sunk into the merged collector alone
+	err = mergedConserved(merged, []*core.Collector{a, b})
+	if want := "merged collector counted 4 results, its parts 3"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("error %v, want one containing %q", err, want)
 	}
 }

@@ -894,12 +894,14 @@ func (s *Session) tenantFault(item core.Item) {
 	s.tenantMux.Done(item.Tenant)
 }
 
-// drainOnFailure keeps a failed fleet from deadlocking the bounded
-// ingress edge. Once every device has failed, nothing reads the edge,
-// and its pump parks for good on the full queue: under Block in the
-// admit, under the shed policies in the end-of-stream post. So when
-// the job stops with an error, a last consumer reads the edge to the
-// end of its stream and counts every item as a fault drop, as the
+// drainOnFailure keeps a failed fleet from losing or deadlocking what
+// its paced ingress still holds. Once every device has failed, nothing
+// reads the edge: an arrival source's later arrivals stay in its queue,
+// counted nowhere; a bounded stream's producer parks for good in Push;
+// an admission or tenant pump parks on its full queue (under Block in
+// the admit, under the shed policies in the end-of-stream post). So
+// when the job stops with an error, a last consumer reads the edge to
+// the end of its stream and counts every item as a fault drop, as the
 // failed fleet would have. The edge dispatches each item once, so
 // checkEdge still balances. A job that ends cleanly has drained the
 // edge, and nothing more runs.
@@ -988,8 +990,10 @@ func (s *Session) SetSource(src core.Source) { s.source = src }
 
 // Run wires the source to the device groups, drives the simulation to
 // completion and returns the unified report. A session runs once. The
-// error reports a failed job or classification, or an ingress edge
-// whose counters do not balance at the end of the run (checkEdge).
+// error reports a failed job or classification, an ingress edge whose
+// counters do not balance at the end of the run (checkEdge), or a
+// merged collector whose count differs from its parts'
+// (mergedConserved).
 func (s *Session) Run() (*Report, error) {
 	if s.ran {
 		return nil, fmt.Errorf("pipeline: session already ran")
@@ -1017,13 +1021,15 @@ func (s *Session) Run() (*Report, error) {
 		src = asrc
 	}
 
-	merged := core.NewCollector(s.cfg.Retain)
-	merged.SetSLO(s.cfg.SLO)
 	perGroup := make([]*core.Collector, len(s.targets))
 	for i := range perGroup {
 		perGroup[i] = core.NewCollector(false)
 		perGroup[i].SetSLO(s.cfg.SLO)
 	}
+	// The group collectors store each completion's latency pair once;
+	// the merged collector's summary reads their stores.
+	merged := core.NewMergedCollector(s.cfg.Retain, s.mergedParts(perGroup)...)
+	merged.SetSLO(s.cfg.SLO)
 	// Publish the collectors before the simulation starts: the recovery
 	// hooks installed at build time reach them through the session.
 	s.merged, s.perGroup = merged, perGroup
@@ -1213,7 +1219,7 @@ func (s *Session) Run() (*Report, error) {
 		subscribeAdmission(pool)
 		job = pool.Start(s.env, src, finalSink)
 	}
-	if s.admission != nil || s.tenantMux != nil {
+	if s.admission != nil || s.tenantMux != nil || s.cfg.Arrivals != nil || s.stream != nil {
 		s.drainOnFailure(job, src)
 	}
 
@@ -1226,5 +1232,21 @@ func (s *Session) Run() (*Report, error) {
 	if eerr := s.checkEdge(); err == nil {
 		err = eerr
 	}
+	if verr := mergedConserved(merged, s.mergedParts(perGroup)); err == nil {
+		err = verr
+	}
 	return s.buildReport(job, pool, merged, perGroup), err
+}
+
+// mergedParts returns the group collectors whose results are, between
+// them, exactly the merged collector's: the last stage's in a stage
+// pipeline, whose OnStageResult sees each final result just before the
+// final sink; otherwise every group's, since a lone target's group sink
+// and a pool's OnResult (after hedge dedup) each see every delivered
+// result once, just before the final sink.
+func (s *Session) mergedParts(perGroup []*core.Collector) []*core.Collector {
+	if s.stageMode() {
+		return perGroup[len(perGroup)-1:]
+	}
+	return perGroup
 }
