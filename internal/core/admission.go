@@ -143,8 +143,8 @@ type AdmissionStats struct {
 	Shrinks int
 }
 
-// AdmissionQueue is the bounded ingress edge of a serving setup: a
-// pump process drains the wrapped source (typically an ArrivalSource)
+// AdmissionQueue is the bounded ingress edge of a serving setup: the
+// edge relay drains the wrapped source (typically an ArrivalSource)
 // the moment items become visible and admits them into a bounded
 // queue under an overload policy, so queueing delay — and therefore
 // tail latency — is capped by design instead of growing without bound
@@ -170,7 +170,9 @@ type AdmissionQueue struct {
 }
 
 // NewAdmissionQueue wraps inner with admission control inside env.
-// The pump process starts immediately; admission unfolds as env runs.
+// The relay starts immediately, on the scheduler when inner is a
+// source of this package and in a process for a foreign Source;
+// admission unfolds as env runs.
 func NewAdmissionQueue(env *sim.Env, inner Source, opts AdmissionOptions) (*AdmissionQueue, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("core: admission queue needs a wrapped source")
@@ -196,21 +198,27 @@ func NewAdmissionQueue(env *sim.Env, inner Source, opts AdmissionOptions) (*Admi
 		eff:       opts.Depth,
 	}
 	a.dispatch = a.pass
-	env.Process("admission", func(p *sim.Proc) {
-		pump(p, inner, nil, "admission item", a.admit)
-		a.close(p) // may wait for room; consumers drain
-	})
+	startRelay(env, "admission", inner, nil, "admission item", a.admit,
+		func(r *relay, _ bool) bool { return a.close(r) }) // may wait for room; consumers drain
 	return a, nil
 }
 
-// admit applies the overload policy to one arrival.
-func (a *AdmissionQueue) admit(p *sim.Proc, item Item) {
-	a.stats.Arrived++
-	if !offer(p, a.q, a.opts.Policy, item, a.drop) {
-		a.drop(item, DropShed, p.Now())
-		return
+// admit applies the overload policy to one arrival. false means the
+// relay waits for room under Block; the retry counts no new arrival.
+func (a *AdmissionQueue) admit(r *relay, item *Item, retry bool) bool {
+	if !retry {
+		a.stats.Arrived++
 	}
-	a.stats.Admitted++
+	entered, wait := offer(r, a.q, a.opts.Policy, *item, a.drop)
+	switch {
+	case wait:
+		return false
+	case !entered:
+		a.drop(*item, DropShed, r.env.Now())
+	default:
+		a.stats.Admitted++
+	}
+	return true
 }
 
 // pass is the lazy expiry at dispatch: an item whose deadline lapsed

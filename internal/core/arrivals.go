@@ -282,12 +282,12 @@ func mustPositiveRate(rate float64) {
 	}
 }
 
-// ArrivalSource turns any source into an open-loop traffic source: a
-// simulation process pulls the wrapped source and makes each item
-// visible only at its arrival instant, stamping Item.ArrivedAt. Until
-// then, consumers block in virtual time — so a batch target cannot
-// eagerly drain a dataset whose items "exist" up front, and
-// RouteWorkStealing behaves like real request traffic.
+// ArrivalSource turns any source into an open-loop traffic source: the
+// edge relay pulls the wrapped source and makes each item visible only
+// at its arrival instant, stamping Item.ArrivedAt. Until then,
+// consumers block in virtual time — so a batch target cannot eagerly
+// drain a dataset whose items "exist" up front, and RouteWorkStealing
+// behaves like real request traffic.
 //
 // The stream ends when the wrapped source is exhausted (or, for trace
 // replay, when the trace ends). Multiple consumers may share one
@@ -299,12 +299,17 @@ func mustPositiveRate(rate float64) {
 type ArrivalSource struct {
 	itemQueue
 	inner Source
+	// arrived counts the items made visible so far.
+	arrived int
 }
 
-// NewArrivalSource wraps inner with the arrival process, driving it
-// from a new process in env. seed drives the stochastic processes
-// (Poisson); deterministic processes ignore it. The returned source is
-// ready immediately; arrivals unfold once env runs.
+// NewArrivalSource wraps inner with the arrival process, relaying it
+// in env: from the scheduler, as a chain of events each at the next
+// arrival instant, when inner is a source of this package, and from a
+// process when it is a foreign Source whose Next may block. seed
+// drives the stochastic processes (Poisson); deterministic processes
+// ignore it. The returned source is ready immediately; arrivals unfold
+// once env runs.
 func NewArrivalSource(env *sim.Env, inner Source, arr Arrivals, seed *rng.Source) (*ArrivalSource, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("core: arrival source needs a wrapped source")
@@ -316,12 +321,19 @@ func NewArrivalSource(env *sim.Env, inner Source, arr Arrivals, seed *rng.Source
 		seed = rng.New(1)
 	}
 	s := &ArrivalSource{itemQueue: itemQueue{q: sim.NewQueue[Item](env, "core/arrivals", 0)}, inner: inner}
-	env.Process("arrivals", func(p *sim.Proc) {
-		pump(p, inner, arr.start(seed), "arrival item", s.q.Put)
-		s.close(p)
-	})
+	startRelay(env, "arrivals", inner, arr.start(seed), "arrival item",
+		func(r *relay, item *Item, _ bool) bool {
+			r.put(s.q, *item) // unbounded: never waits
+			s.arrived++
+			return true
+		},
+		func(r *relay, _ bool) bool { return s.close(r) })
 	return s, nil
 }
+
+// Arrived returns how many items have arrived so far: every item the
+// source has released to its consumers, consumed or not.
+func (s *ArrivalSource) Arrived() int { return s.arrived }
 
 // Remaining implements Sized: items not yet arrived plus items
 // arrived but not yet consumed, when the wrapped source can count

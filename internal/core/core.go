@@ -242,6 +242,12 @@ func (s *DatasetSource) Next(p *sim.Proc) (Item, bool) {
 	return Item{Index: i, Label: s.ds.Label(i), ArrivedAt: p.Now()}, true
 }
 
+// poll is Next for the edge relay; it never waits.
+func (s *DatasetSource) poll(w *sim.Proc, into *Item) (ok, open bool) {
+	*into, ok = s.Next(w)
+	return ok, false
+}
+
 // SliceSource serves a fixed slice of items (tests, small demos).
 type SliceSource struct {
 	items []Item
@@ -268,6 +274,12 @@ func (s *SliceSource) Next(p *sim.Proc) (Item, bool) {
 	return item, true
 }
 
+// poll is Next for the edge relay; it never waits.
+func (s *SliceSource) poll(w *sim.Proc, into *Item) (ok, open bool) {
+	*into, ok = s.Next(w)
+	return ok, false
+}
+
 // StreamSource is the MPI-stream-style source of Fig. 3: producers
 // push items from their own simulated processes (an MPI rank, a camera
 // pipeline), consumers block in virtual time until data arrives.
@@ -275,12 +287,14 @@ type StreamSource struct {
 	// in.closed is set by Close before a full buffer lets the sentinel
 	// in, so a Push or a second Close meanwhile is caught.
 	in itemQueue
+	// pushed counts the items producers have pushed.
+	pushed int
 }
 
 // NewStreamSource creates a stream with the given buffer capacity
 // (0 = unbounded).
 func NewStreamSource(env *sim.Env, capacity int) *StreamSource {
-	return &StreamSource{itemQueue{q: sim.NewQueue[Item](env, "core/stream", capacity)}}
+	return &StreamSource{in: itemQueue{q: sim.NewQueue[Item](env, "core/stream", capacity)}}
 }
 
 // Push appends an item, blocking while the buffer is full. Pushing
@@ -295,7 +309,12 @@ func (s *StreamSource) Push(p *sim.Proc, item Item) {
 	}
 	item.ArrivedAt = p.Now()
 	s.in.q.Put(p, item)
+	s.pushed++
 }
+
+// Pushed returns how many items producers have pushed so far: every
+// item the stream has released to its consumers.
+func (s *StreamSource) Pushed() int { return s.pushed }
 
 // Close marks the end of the stream; consumers drain the buffer and
 // then see exhaustion.
@@ -309,6 +328,9 @@ func (s *StreamSource) Close(p *sim.Proc) {
 
 // Next implements Source.
 func (s *StreamSource) Next(p *sim.Proc) (Item, bool) { return s.in.Next(p) }
+
+// poll is Next for the edge relay.
+func (s *StreamSource) poll(w *sim.Proc, into *Item) (ok, open bool) { return s.in.poll(w, into) }
 
 // Counters holds the serving-event counts of one slice of a run — the
 // whole session, one device group or one tenant. It is declared once:

@@ -10,8 +10,8 @@ import (
 // jobs, shared by StreamSource, ArrivalSource, AdmissionQueue,
 // TenantMux and the pool's childFeed: reading a sentinel-terminated
 // item queue (itemQueue), admitting into a bounded queue under an
-// overload policy (offer), and pumping an upstream source into the
-// edge at arrival instants (pump).
+// overload policy (offer), and relaying an upstream source into the
+// edge at arrival instants (relay).
 
 // itemQueue is the consumer side of a sentinel-terminated item queue.
 // The producer ends the stream by posting Item{Index: -1}; a consumer
@@ -88,68 +88,224 @@ func (r *itemQueue) Pending() int {
 	return n
 }
 
-// close posts the end-of-stream sentinel, waiting for room on a full
-// bounded queue (consumers drain it), and marks it posted.
-func (r *itemQueue) close(p *sim.Proc) {
-	r.q.Put(p, Item{Index: -1})
+// poll is Next for the edge relay's callback waiter w: the next item
+// that passes dispatch, read into into (ok), or w registered as a
+// getter, to run again when an item is put (open), or the end of the
+// stream.
+func (r *itemQueue) poll(w *sim.Proc, into *Item) (ok, open bool) {
+	for {
+		item, ok := r.q.TryGetOr(w)
+		if !ok {
+			return false, true
+		}
+		if item.Index == -1 {
+			r.q.TryPut(item)
+			return false, false
+		}
+		if r.dispatch == nil || r.dispatch(item, w.Now()) {
+			*into = item
+			return true, true
+		}
+	}
+}
+
+// close posts the end-of-stream sentinel through rl, which waits for
+// room on a full bounded queue (consumers drain it), and marks it
+// posted. false means rl now waits as a putter and calls close again.
+func (r *itemQueue) close(rl *relay) bool {
+	if !rl.put(r.q, Item{Index: -1}) {
+		return false
+	}
 	r.closed = true
+	return true
 }
 
 // offer admits item into the bounded queue q under policy and reports
 // whether it entered; the caller counts and drops a rejected item.
-// Block waits in virtual time for room. ShedOldest evicts queue heads
-// until the item fits, handing each victim to drop as DropShed at the
-// eviction instant: after a health shrink (sim.Queue.SetCapacity) the queue may
-// be over-full by more than one item, and a shed policy must never
-// block its producer. The producer is the queue's only one, so the
+// Block waits in virtual time for room: wait=true means the relay now
+// waits as a putter, still holding the item, and calls offer again
+// when woken. ShedOldest evicts queue heads until the item fits,
+// handing each victim to drop as DropShed at the eviction instant:
+// after a health shrink (sim.Queue.SetCapacity) the queue may be
+// over-full by more than one item, and a shed policy must never block
+// its producer. The relay is the queue's only producer, so the
 // TryGet-then-TryPut sequence cannot race: both run in one
-// uninterrupted process step.
-func offer(p *sim.Proc, q *sim.Queue[Item], policy OverloadPolicy, item Item, drop func(Item, DropReason, time.Duration)) bool {
+// uninterrupted scheduler step.
+func offer(r *relay, q *sim.Queue[Item], policy OverloadPolicy, item Item, drop func(Item, DropReason, time.Duration)) (entered, wait bool) {
 	switch policy {
 	case Block:
-		q.Put(p, item)
+		ok := r.put(q, item)
+		return ok, !ok
 	case ShedOldest:
 		for !q.TryPut(item) {
 			old, ok := q.TryGet()
 			if !ok {
-				return false
+				return false, false
 			}
-			drop(old, DropShed, p.Now())
+			drop(old, DropShed, r.env.Now())
 		}
+		return true, false
 	default: // ShedNewest
-		return q.TryPut(item)
+		return q.TryPut(item), false
 	}
-	return true
 }
 
-// pump relays src into the edge until src or gen ends: it pulls the
-// next item before sleeping, so exhaustion is detected at the last
-// item's arrival instant rather than one arrival later; rejects the
-// reserved sentinel index, which would silently truncate the stream
-// for consumers; sleeps to the instant gen gives and stamps ArrivedAt;
-// then hands the item on. A nil gen hands each item on the moment it
-// is pulled, unstamped (the admission pump behind an arrival source).
-// what names the item in the protocol-bug panic. The caller posts the
-// end of the stream when pump returns.
-func pump(p *sim.Proc, src Source, gen func() (time.Duration, bool), what string, hand func(*sim.Proc, Item)) {
+// poller is a Source the edge relay can read from the scheduler,
+// without a process of its own: every source of this package whose
+// Next either never blocks or is an itemQueue read. poll is Next for
+// the callback waiter w, reading the item into into (the relay's own,
+// so the Item is not copied back through each return); ok=false with
+// open=true means w is now registered as a getter and runs again when
+// an item is put.
+type poller interface {
+	poll(w *sim.Proc, into *Item) (ok, open bool)
+}
+
+// relayStage is where a relay stopped: what it does when it next
+// runs.
+type relayStage uint8
+
+const (
+	relayPull   relayStage = iota // read the next item from src
+	relayArrive                   // the item's arrival instant came: stamp it
+	relayHand                     // hand the item on
+	relayEnd                      // post the end of the stream
+	relayDone
+)
+
+// relay is the edge's one relay, run by ArrivalSource, AdmissionQueue
+// and each tenant lane. It pulls the next item before it waits, so
+// exhaustion is detected at the last item's arrival instant rather
+// than one arrival later; rejects the reserved sentinel index, which
+// would silently truncate the stream for consumers; waits for the
+// instant gen gives and stamps ArrivedAt; then hands the item on.
+// With a nil gen it hands each item on the moment it is pulled,
+// unstamped (the admission relay behind an arrival source). When src
+// or gen ends, it posts the end of the stream.
+//
+// A relay only waits and hands on, so it runs on the scheduler, not
+// as a process: when src is a poller, a callback waiter reads it, an
+// At event waits for each arrival instant, and a full queue registers
+// the waiter as a putter. Each wait consumes the one sequence number
+// the process's Get, Sleep or Put consumed, so every event keeps its
+// (time, sequence) slot and only the coroutine switches go. A foreign
+// Source may block inside Next, so it keeps a process, which runs the
+// same steps with blocking calls.
+type relay struct {
+	env *sim.Env
+	// Exactly one of w and proc is set: the callback waiter that runs
+	// step, or the process driving a foreign source.
+	w    *sim.Proc
+	proc *sim.Proc
+	// run is step bound once, so a wait allocates nothing.
+	run  func()
+	src  Source
+	poll poller
+	gen  func() (time.Duration, bool)
+	// what names the item in the protocol-bug panic.
+	what string
+	// hand passes item on; false means it waits on a full queue as a
+	// putter (put), and it is called again with retry set when woken.
+	// end posts the end of the stream, with the same contract.
+	hand func(r *relay, item *Item, retry bool) bool
+	end  func(r *relay, retry bool) bool
+
+	stage relayStage
+	item  Item
+	retry bool
+}
+
+// startRelay starts a relay over src in env, named name: on a callback
+// waiter when src is a poller, in a process otherwise. Either way its
+// first step takes the slot a new process's first resume would.
+func startRelay(env *sim.Env, name string, src Source, gen func() (time.Duration, bool), what string,
+	hand func(r *relay, item *Item, retry bool) bool, end func(r *relay, retry bool) bool) {
+	r := &relay{env: env, src: src, gen: gen, what: what, hand: hand, end: end}
+	if p, ok := src.(poller); ok {
+		r.poll = p
+		r.run = r.step
+		r.w = env.Waiter(name, r.run)
+		env.At(env.Now(), r.run)
+		return
+	}
+	env.Process(name, func(p *sim.Proc) {
+		r.proc = p
+		r.step()
+	})
+}
+
+// step runs the relay until it waits or is done.
+func (r *relay) step() {
 	for {
-		item, ok := src.Next(p)
-		if !ok {
-			return
-		}
-		if item.Index == -1 {
-			panic("core: " + what + " with reserved Index -1 (the end-of-stream sentinel)")
-		}
-		if gen != nil {
-			at, more := gen()
+		switch r.stage {
+		case relayPull:
+			if ok, open := r.pull(); !ok {
+				if open {
+					return // a put runs step again
+				}
+				r.stage = relayEnd
+				continue
+			}
+			if r.item.Index == -1 {
+				panic("core: " + r.what + " with reserved Index -1 (the end-of-stream sentinel)")
+			}
+			if r.gen == nil {
+				r.stage = relayHand
+				continue
+			}
+			at, more := r.gen()
 			if !more {
+				r.stage = relayEnd
+				continue
+			}
+			r.stage = relayArrive
+			if now := r.env.Now(); at > now {
+				if r.proc == nil {
+					r.env.At(at, r.run)
+					return
+				}
+				r.proc.Sleep(at - now)
+			}
+		case relayArrive:
+			r.item.ArrivedAt = r.env.Now()
+			r.stage = relayHand
+		case relayHand:
+			if !r.hand(r, &r.item, r.retry) {
+				r.retry = true
+				return // a get runs step again
+			}
+			r.retry = false
+			r.stage = relayPull
+		case relayEnd:
+			if !r.end(r, r.retry) {
+				r.retry = true
 				return
 			}
-			if at > p.Now() {
-				p.Sleep(at - p.Now())
-			}
-			item.ArrivedAt = p.Now()
+			r.retry = false
+			r.stage = relayDone
+		default:
+			return
 		}
-		hand(p, item)
 	}
+}
+
+// pull reads the next item into r.item: ok=false with open=true means
+// the relay's waiter is registered as a getter.
+func (r *relay) pull() (ok, open bool) {
+	if r.proc != nil {
+		r.item, ok = r.src.Next(r.proc)
+		return ok, false
+	}
+	return r.poll.poll(r.w, &r.item)
+}
+
+// put appends item to q, waiting for room on a full bounded queue: a
+// process blocks in Put, a callback waiter registers as a putter and
+// put reports false.
+func (r *relay) put(q *sim.Queue[Item], item Item) bool {
+	if r.proc != nil {
+		q.Put(r.proc, item)
+		return true
+	}
+	return q.TryPutOr(r.w, item)
 }

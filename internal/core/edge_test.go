@@ -74,7 +74,8 @@ func TestItemQueueRead(t *testing.T) {
 				}
 			}
 			if tc.close {
-				env.Process("producer", r.close)
+				startRelay(env, "producer", NewSliceSource(nil), nil, "test item", nil,
+					func(rl *relay, _ bool) bool { return r.close(rl) })
 			}
 			if tc.peerEnd {
 				r.q.TryPut(Item{Index: -1})
@@ -110,7 +111,7 @@ func TestItemQueueRead(t *testing.T) {
 				})
 			}
 			if tc.capacity > 0 && tc.close {
-				env.RunUntil(time.Second) // close stays parked on the full queue
+				env.RunUntil(time.Second) // close stays a putter on the full queue
 				env.Stop()
 			} else {
 				env.Run()
@@ -187,10 +188,16 @@ func TestOffer(t *testing.T) {
 			}
 			var got bool
 			var at time.Duration
-			env.Process("producer", func(p *sim.Proc) {
-				got = offer(p, q, tc.policy, Item{Index: 9}, drop)
-				at = p.Now()
-			})
+			startRelay(env, "producer", NewSliceSource([]Item{{Index: 9}}), nil, "test item",
+				func(r *relay, item *Item, _ bool) bool {
+					entered, wait := offer(r, q, tc.policy, *item, drop)
+					if wait {
+						return false
+					}
+					got, at = entered, r.env.Now()
+					return true
+				},
+				func(*relay, bool) bool { return true })
 			if tc.freeAt > 0 {
 				env.Process("consumer", func(p *sim.Proc) {
 					p.Sleep(tc.freeAt)
@@ -216,10 +223,26 @@ func TestOffer(t *testing.T) {
 	}
 }
 
-// TestPump relays a slice source through the one arrival pump: it
-// pulls before it sleeps (so a drained source ends the pump at the
-// last arrival instant), stops when the arrival process ends, stamps
-// ArrivedAt, and with no arrival process hands items on unslept.
+// foreignSource hides its source's poll method, so a relay over it
+// runs in a process, as it does over a Source from outside the
+// package.
+type foreignSource struct{ Source }
+
+// relayDrivers starts a relay over src on either driver: a callback
+// waiter (src polled) or a process (src read as a foreign Source).
+var relayDrivers = []struct {
+	name string
+	wrap func(Source) Source
+}{
+	{"callback", func(src Source) Source { return src }},
+	{"process", func(src Source) Source { return foreignSource{src} }},
+}
+
+// TestPump relays a slice source through the one edge relay, on both
+// of its drivers: it pulls before it waits (so a drained source ends
+// the relay at the last arrival instant), stops when the arrival
+// process ends, stamps ArrivedAt, and with no arrival process hands
+// items on unslept.
 func TestPump(t *testing.T) {
 	type handoff struct {
 		index   int
@@ -242,54 +265,207 @@ func TestPump(t *testing.T) {
 			want: []handoff{{0, 0, 0}, {1, 0, 0}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env := sim.NewEnv()
-			var gen func() (time.Duration, bool)
-			if tc.gen != nil {
-				gen = TraceArrivals(tc.gen).start(nil)
-			}
-			var got []handoff
-			var end time.Duration
-			env.Process("pump", func(p *sim.Proc) {
-				pump(p, sliceOf(tc.items), gen, "test item", func(p *sim.Proc, item Item) {
-					got = append(got, handoff{item.Index, p.Now(), item.ArrivedAt})
+			for _, drv := range relayDrivers {
+				t.Run(drv.name, func(t *testing.T) {
+					env := sim.NewEnv()
+					var gen func() (time.Duration, bool)
+					if tc.gen != nil {
+						gen = TraceArrivals(tc.gen).start(nil)
+					}
+					var got []handoff
+					end := time.Duration(-1)
+					startRelay(env, "relay", drv.wrap(sliceOf(tc.items)), gen, "test item",
+						func(r *relay, item *Item, _ bool) bool {
+							got = append(got, handoff{item.Index, r.env.Now(), item.ArrivedAt})
+							return true
+						},
+						func(r *relay, _ bool) bool {
+							end = r.env.Now()
+							return true
+						})
+					env.Run()
+					if !slices.Equal(got, tc.want) {
+						t.Errorf("handed on %v, want %v", got, tc.want)
+					}
+					if end != tc.wantEnd {
+						t.Errorf("relay ended at %v, want %v", end, tc.wantEnd)
+					}
+					if c := env.Counts(); (c.Resumes == 0) != (drv.name == "callback") {
+						t.Errorf("%d process resumes on the %s driver", c.Resumes, drv.name)
+					}
 				})
-				end = p.Now()
-			})
-			env.Run()
-			if !slices.Equal(got, tc.want) {
-				t.Errorf("handed on %v, want %v", got, tc.want)
-			}
-			if end != tc.wantEnd {
-				t.Errorf("pump returned at %v, want %v", end, tc.wantEnd)
 			}
 		})
 	}
 }
 
 // TestPumpRejectsSentinelIndex: a source item carrying the reserved
-// Index -1 would end the stream early for every consumer; the pump
-// panics instead, naming the item, and Env.Run re-raises it.
+// Index -1 would end the stream early for every consumer; the relay
+// panics instead, naming the item, and Env.Run re-raises it, on
+// either driver.
 func TestPumpRejectsSentinelIndex(t *testing.T) {
-	env := sim.NewEnv()
-	env.Process("pump", func(p *sim.Proc) {
-		pump(p, NewSliceSource([]Item{{Index: -1}}), nil, "test item", func(*sim.Proc, Item) {
-			t.Error("reserved index handed on")
+	for _, drv := range relayDrivers {
+		t.Run(drv.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			startRelay(env, "relay", drv.wrap(NewSliceSource([]Item{{Index: -1}})), nil, "test item",
+				func(*relay, *Item, bool) bool {
+					t.Error("reserved index handed on")
+					return true
+				},
+				func(*relay, bool) bool { return true })
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "test item with reserved Index -1") {
+					t.Errorf("panic %q, want the reserved-index message", msg)
+				}
+			}()
+			env.Run()
 		})
-	})
-	defer func() {
-		msg := fmt.Sprint(recover())
-		if !strings.Contains(msg, "test item with reserved Index -1") {
-			t.Errorf("panic %q, want the reserved-index message", msg)
+	}
+}
+
+// TestRelayDriversAgree runs a whole ingress edge twice, once with
+// every relay on a callback waiter and once with every relay in a
+// process (each source wrapped as a foreign Source): an arrival source
+// under each admission policy, and tenant lanes under each scheduler
+// with a blocking lane and a shed-oldest lane. A slow consumer keeps
+// the bounded queues full, so Block waits as a putter and the
+// end-of-stream post waits for room. The two runs must dispatch the
+// same events, deliver the same items at the same instants and count
+// the same drops.
+func TestRelayDriversAgree(t *testing.T) {
+	type edge struct {
+		src   Source
+		stats func() string
+	}
+	consume := func(env *sim.Env, src Source) *[]string {
+		var log []string
+		env.Process("consumer", func(p *sim.Proc) {
+			for {
+				item, ok := src.Next(p)
+				if !ok {
+					log = append(log, fmt.Sprint("end ", p.Now()))
+					return
+				}
+				log = append(log, fmt.Sprint(item.Index, item.Tenant, " ", item.ArrivedAt, " ", p.Now()))
+				p.Sleep(ms(7))
+			}
+		})
+		return &log
+	}
+	type edgeCase struct {
+		name  string
+		build func(env *sim.Env, wrap func(Source) Source) edge
+	}
+	var cases []edgeCase
+	for _, policy := range []OverloadPolicy{ShedNewest, ShedOldest, Block} {
+		cases = append(cases, edgeCase{"admission/" + policy.String(), func(env *sim.Env, wrap func(Source) Source) edge {
+			asrc, err := NewArrivalSource(env, wrap(sliceOf(40)), PoissonArrivals(250), rng.New(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			adm, err := NewAdmissionQueue(env, wrap(asrc), AdmissionOptions{Depth: 3, Policy: policy, Deadline: ms(20)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return edge{adm, func() string { return fmt.Sprintf("%+v arrived %d", adm.Stats(), asrc.Arrived()) }}
+		}})
+	}
+	for _, policy := range []TenantPolicy{TenantFIFO, TenantFair, TenantPriority} {
+		cases = append(cases, edgeCase{"tenants/" + policy.String(), func(env *sim.Env, wrap func(Source) Source) edge {
+			m, err := NewTenantMux(env, wrap(sliceOf(60)), TenantMuxOptions{
+				Policy: policy, SharedDepth: 2, SharedPolicy: Block,
+				Lanes: []TenantLane{
+					{ID: "a", Arrivals: PoissonArrivals(150), Depth: 2, Policy: Block},
+					{ID: "b", Arrivals: DeterministicArrivals(100), Depth: 2, Policy: ShedOldest, Priority: 1},
+					{ID: "c", Arrivals: BurstyArrivals(400, ms(20), ms(40)), Depth: 1, RatePerSec: 80},
+				},
+			}, rng.New(5), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return edge{m, func() string {
+				return fmt.Sprintf("%+v %+v %+v", m.Stats("a"), m.Stats("b"), m.Stats("c"))
+			}}
+		}})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var logs, stats []string
+			var events []uint64
+			for _, drv := range relayDrivers {
+				env := sim.NewEnv()
+				e := tc.build(env, drv.wrap)
+				log := consume(env, e.src)
+				env.Run()
+				logs = append(logs, strings.Join(*log, "\n"))
+				stats = append(stats, e.stats())
+				events = append(events, env.Counts().Events)
+			}
+			if logs[0] != logs[1] {
+				t.Errorf("deliveries differ:\ncallback:\n%s\nprocess:\n%s", logs[0], logs[1])
+			}
+			if stats[0] != stats[1] || events[0] != events[1] {
+				t.Errorf("callback: %s, %d events\nprocess:  %s, %d events", stats[0], events[0], stats[1], events[1])
+			}
+		})
+	}
+}
+
+// TestCallbackWaiterDeadlock: an admission relay over a stream nobody
+// closes waits as a registered getter when the events run out. Run
+// must panic with the deadlock diagnostic, counting the waiter among
+// the blocked and the waiting exactly as it counted the relay's
+// parked process, which the process driver still runs: alone, and
+// beside a consumer parked on the admission queue.
+func TestCallbackWaiterDeadlock(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		consumer bool
+		want     string
+	}{
+		{"relay alone", false, "sim: deadlock — 1 process(es) still blocked at t=3ms (1 waiting on resources/queues)"},
+		{"with a consumer", true, "sim: deadlock — 2 process(es) still blocked at t=3ms (2 waiting on resources/queues)"},
+	} {
+		for _, drv := range relayDrivers {
+			t.Run(tc.name+"/"+drv.name, func(t *testing.T) {
+				env := sim.NewEnv()
+				stream := NewStreamSource(env, 0)
+				adm, err := NewAdmissionQueue(env, drv.wrap(stream), AdmissionOptions{Depth: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				env.Process("producer", func(p *sim.Proc) {
+					stream.Push(p, Item{Index: 0})
+					p.Sleep(ms(3)) // and never closes
+				})
+				if tc.consumer {
+					env.Process("consumer", func(p *sim.Proc) {
+						for {
+							if _, ok := adm.Next(p); !ok {
+								return
+							}
+						}
+					})
+				}
+				defer func() {
+					if msg := fmt.Sprint(recover()); msg != tc.want {
+						t.Errorf("panic %q, want %q", msg, tc.want)
+					}
+				}()
+				env.Run()
+			})
 		}
-	}()
-	env.Run()
+	}
 }
 
 // TestEdgeHandoffAllocs: a warm ArrivalSource → AdmissionQueue →
 // consumer relay allocates nothing per item, so the edge's hooks (the
-// pump's hand-on, offer's drop, the read's dispatch) add no closure or
-// interface boxing on the per-item path. Each run advances the
-// simulation by one deterministic arrival.
+// relay's hand-on, offer's drop, the read's dispatch) add no closure or
+// interface boxing on the per-item path, and neither do the relays'
+// callback waits (the At event per arrival, the admission relay's
+// getter registration). Each run advances the simulation by one
+// deterministic arrival.
 func TestEdgeHandoffAllocs(t *testing.T) {
 	const warm, runs = 2000, 1000
 	env := sim.NewEnv()
@@ -323,5 +499,8 @@ func TestEdgeHandoffAllocs(t *testing.T) {
 	}
 	if got := adm.Stats().Dispatched - before; got != runs+1 {
 		t.Fatalf("relayed %d items in %d steps, want one per step", got, runs+1)
+	}
+	if c := env.Counts(); c.Resumes != c.ByName["consumer"] {
+		t.Errorf("resumes %v: the relays must run as callbacks, not processes", c.ByName)
 	}
 }

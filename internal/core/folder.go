@@ -96,6 +96,12 @@ func (s *FolderSource) Next(p *sim.Proc) (Item, bool) {
 	return item, true
 }
 
+// poll is Next for the edge relay; it never waits.
+func (s *FolderSource) poll(w *sim.Proc, into *Item) (ok, open bool) {
+	*into, ok = s.Next(w)
+	return ok, false
+}
+
 func subtractMeans(img *tensor.T, means []float32) {
 	plane := img.Dim(1) * img.Dim(2)
 	for ch := 0; ch < img.Dim(0) && ch < len(means); ch++ {

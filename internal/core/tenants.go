@@ -80,7 +80,7 @@ type TenantLane struct {
 	Depth int
 	// Policy selects what a full tenant queue does with the tenant's
 	// next arrival (default ShedNewest). Block applies backpressure to
-	// this tenant's own arrival pump only.
+	// this tenant's own arrival relay only.
 	Policy OverloadPolicy
 	// Deadline is the tenant's per-item deadline (its SLO target)
 	// measured from arrival; an item still queued when it lapses is
@@ -221,7 +221,7 @@ func (l *tenantLane) weight() float64 {
 	return 1
 }
 
-// TenantMux is the multi-tenant admission edge: one arrival pump per
+// TenantMux is the multi-tenant admission edge: one arrival relay per
 // tenant pulls the shared inner source at the tenant's own arrival
 // instants, tags each item (Item.Tenant), applies the tenant's quotas
 // and queue bound, and a scheduler drains the queues per
@@ -250,19 +250,19 @@ type TenantMux struct {
 	// shared is the single TenantFIFO queue (nil under fair policies).
 	shared *itemQueue
 	inner  Source
-	// pumps counts arrival pumps still running; the last one to finish
+	// relays counts lane relays still running; the last one to finish
 	// posts the end-of-stream sentinel.
-	pumps int
+	relays int
 }
 
 // NewTenantMux builds the multi-tenant admission edge inside env over
-// the shared inner source. The arrival pumps start immediately;
+// the shared inner source. The lane relays start immediately;
 // traffic unfolds as env runs. seed drives the stochastic arrival
-// processes: each lane derives its own sub-stream keyed by tenant ID,
-// so per-tenant sequences are identical across scheduler policies (nil
-// defaults to seed 1). onDrop, when non-nil, observes every dropped or
-// rejected item (shed, expired, quota) with the drop instant;
-// item.Tenant identifies the lane.
+// processes: each lane derives its own sub-stream keyed by tenant ID
+// when the mux is built, so per-tenant sequences are identical across
+// scheduler policies (nil defaults to seed 1). onDrop, when non-nil,
+// observes every dropped or rejected item (shed, expired, quota) with
+// the drop instant; item.Tenant identifies the lane.
 func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.Source, onDrop func(item Item, reason DropReason, at time.Duration)) (*TenantMux, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("core: tenant mux needs a wrapped source")
@@ -278,7 +278,7 @@ func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.S
 		onDrop: onDrop,
 		byID:   make(map[string]*tenantLane, len(opts.Lanes)),
 		inner:  inner,
-		pumps:  len(opts.Lanes),
+		relays: len(opts.Lanes),
 	}
 	for _, cfg := range opts.Lanes {
 		lane := &tenantLane{cfg: cfg, tokens: float64(cfg.burstOrDefault())}
@@ -308,24 +308,30 @@ func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.S
 		m.buildTiers()
 	}
 	for _, lane := range m.lanes {
-		lane := lane
-		env.Process("tenant/"+lane.cfg.ID, func(p *sim.Proc) {
-			gen := lane.cfg.Arrivals.start(seed.Derive("tenants/arrivals/" + lane.cfg.ID))
-			pump(p, m.inner, gen, "tenant arrival", func(p *sim.Proc, item Item) {
+		gen := lane.cfg.Arrivals.start(seed.Derive("tenants/arrivals/" + lane.cfg.ID))
+		startRelay(env, "tenant/"+lane.cfg.ID, m.inner, gen, "tenant arrival",
+			func(r *relay, item *Item, retry bool) bool {
 				item.Tenant = lane.cfg.ID
-				m.admit(p, lane, item)
-			})
-			m.pumps--
-			if m.pumps == 0 {
-				if m.shared != nil {
-					m.shared.close(p)
-				} else {
-					m.ready.close(p)
-				}
-			}
-		})
+				return m.admit(r, lane, *item, retry)
+			},
+			m.endLane)
 	}
 	return m, nil
+}
+
+// endLane ends one lane's relay; the last one posts the end of the
+// stream, which may wait for room in the shared FIFO queue.
+func (m *TenantMux) endLane(r *relay, retry bool) bool {
+	if !retry {
+		m.relays--
+		if m.relays > 0 {
+			return true
+		}
+	}
+	if m.shared != nil {
+		return m.shared.close(r)
+	}
+	return m.ready.close(r)
 }
 
 // burstOrDefault returns the rate-quota bucket depth (default 1).
@@ -374,28 +380,31 @@ func (m *TenantMux) buildTiers() {
 }
 
 // admit applies quota gates and the queue bound to one tagged
-// arrival.
-func (m *TenantMux) admit(p *sim.Proc, lane *tenantLane, item Item) {
-	lane.stats.Arrived++
-	now := p.Now()
-	// Admitted-rate quota: a token bucket refilled in virtual time.
-	if lane.cfg.RatePerSec > 0 {
-		burst := float64(lane.cfg.burstOrDefault())
-		lane.tokens += (now - lane.lastRefill).Seconds() * lane.cfg.RatePerSec
-		if lane.tokens > burst {
-			lane.tokens = burst
+// arrival. false means the lane's relay waits for room under Block;
+// the retry has passed the quota gates already.
+func (m *TenantMux) admit(r *relay, lane *tenantLane, item Item, retry bool) bool {
+	now := r.env.Now()
+	if !retry {
+		lane.stats.Arrived++
+		// Admitted-rate quota: a token bucket refilled in virtual time.
+		if lane.cfg.RatePerSec > 0 {
+			burst := float64(lane.cfg.burstOrDefault())
+			lane.tokens += (now - lane.lastRefill).Seconds() * lane.cfg.RatePerSec
+			if lane.tokens > burst {
+				lane.tokens = burst
+			}
+			lane.lastRefill = now
+			if lane.tokens < 1 {
+				m.drop(lane, item, DropQuota, now)
+				return true
+			}
+			lane.tokens--
 		}
-		lane.lastRefill = now
-		if lane.tokens < 1 {
+		// Max-in-flight quota: queued here plus dispatched downstream.
+		if lane.cfg.MaxInFlight > 0 && lane.inflight >= lane.cfg.MaxInFlight {
 			m.drop(lane, item, DropQuota, now)
-			return
+			return true
 		}
-		lane.tokens--
-	}
-	// Max-in-flight quota: queued here plus dispatched downstream.
-	if lane.cfg.MaxInFlight > 0 && lane.inflight >= lane.cfg.MaxInFlight {
-		m.drop(lane, item, DropQuota, now)
-		return
 	}
 	// Under TenantFIFO the shared policy applies and a ShedOldest
 	// victim may belong to any tenant — the isolation failure the fair
@@ -404,15 +413,20 @@ func (m *TenantMux) admit(p *sim.Proc, lane *tenantLane, item Item) {
 	if m.shared != nil {
 		q, policy = m.shared.q, m.opts.SharedPolicy
 	}
-	if !offer(p, q, policy, item, m.evict) {
-		m.drop(lane, item, DropShed, p.Now())
-		return
+	entered, wait := offer(r, q, policy, item, m.evict)
+	switch {
+	case wait:
+		return false
+	case !entered:
+		m.drop(lane, item, DropShed, now)
+		return true
 	}
 	lane.stats.Admitted++
 	lane.inflight++
 	if m.ready != nil {
 		m.ready.q.TryPut(Item{}) // unbounded: never fails
 	}
+	return true
 }
 
 // evict drops a ShedOldest victim, charged to its own lane, whose
@@ -431,7 +445,7 @@ func (m *TenantMux) Next(p *sim.Proc) (Item, bool) {
 	if m.shared != nil {
 		return m.shared.Next(p)
 	}
-	// The stream ends once all pumps are done and (invariant: tokens
+	// The stream ends once all relays are done and (invariant: tokens
 	// >= queued items) every queue has drained.
 	for {
 		if _, ok := m.ready.Next(p); !ok {

@@ -61,7 +61,7 @@ func TestTenantMuxFairWorkConservation(t *testing.T) {
 	}
 	busy := mux.Stats("busy")
 	if busy.Dispatched != items-1 {
-		t.Errorf("busy tenant dispatched %d, want %d (idle pump holds exactly one source item)",
+		t.Errorf("busy tenant dispatched %d, want %d (idle relay holds exactly one source item)",
 			busy.Dispatched, items-1)
 	}
 	// Work conservation: while the busy lane is backlogged every

@@ -12,8 +12,8 @@ import (
 // still queued at the edge. A ShedOldest victim counts as both
 // Admitted and Shed, so the law is written over Dispatched, not
 // Admitted. No arrival can be held anywhere else once Env.Run
-// returns: Run panics while any process is still blocked, so no pump
-// is left parked in a Put with an item in hand.
+// returns: Run panics while any process or callback waiter is still
+// blocked, so no relay is left waiting to put an item it holds.
 func (s *Session) checkEdge() error {
 	if a := s.admission; a != nil {
 		if err := admissionConserved(a.Stats(), a.Pending()); err != nil {
@@ -27,6 +27,40 @@ func (s *Session) checkEdge() error {
 			stats[i] = m.Stats(id)
 		}
 		return tenantsConserved(ids, stats, m.Pending())
+	}
+	return nil
+}
+
+// released returns how many items the session's ingress released to
+// the fleet: the lanes' arrivals under tenants, the arrival source's
+// arrivals, a stream's pushes, or, for the dataset source read
+// directly, its Images. ok is false for a source passed to SetSource,
+// which counts nothing.
+func (s *Session) released() (n int, ok bool) {
+	switch {
+	case s.tenantMux != nil:
+		for _, id := range s.tenantMux.TenantIDs() {
+			n += s.tenantMux.Stats(id).Arrived
+		}
+		return n, true
+	case s.arrivals != nil:
+		return s.arrivals.Arrived(), true
+	case s.stream != nil && s.source == core.Source(s.stream):
+		return s.stream.Pushed(), true
+	case s.source == nil:
+		return s.cfg.Images, true
+	}
+	return 0, false
+}
+
+// ingressConserved checks the session law: the report accounts for
+// every item the ingress released, each once, as a completion or a
+// drop (Collector.Arrivals). An item lost between the ingress and the
+// fleet, or counted twice, breaks it.
+func ingressConserved(accounted, released int) error {
+	if accounted != released {
+		return fmt.Errorf("pipeline: ingress not conserved: the ingress released %d items, but the report accounts for %d (completed, shed, expired, fault-dropped or over quota)",
+			released, accounted)
 	}
 	return nil
 }

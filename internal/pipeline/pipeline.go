@@ -279,6 +279,7 @@ type Session struct {
 	perVPU    [][]*ncs.Device // sticks per group index (nil for non-VPU)
 	stream    *core.StreamSource
 	source    core.Source
+	arrivals  *core.ArrivalSource
 	admission *core.AdmissionQueue
 	registry  fault.Registry // device name -> injection hooks
 	faultLog  *fault.Log
@@ -481,7 +482,7 @@ func (c Config) Validate() error {
 		if err := c.Tenants.Validate(); err != nil {
 			return field.Under("Tenants", err)
 		}
-		// The tenant scheduler owns both the arrival edge (one pump
+		// The tenant scheduler owns both the arrival edge (one relay
 		// per tenant lane) and the admission edge (per-tenant queues,
 		// quotas, shed policies), so the single-tenant equivalents
 		// cannot compose with it.
@@ -498,7 +499,7 @@ func (c Config) Validate() error {
 	case c.AdmissionDepth < 0:
 		return field.Errorf("AdmissionDepth", "negative depth %d", c.AdmissionDepth)
 	case c.AdmissionDepth > 0 && c.Arrivals == nil && c.StreamCapacity == nil:
-		// Against an eager closed-loop source the admission pump would
+		// Against an eager closed-loop source the admission relay would
 		// drain the whole dataset at t=0 and shed everything beyond
 		// the queue depth before any device runs.
 		return field.Errorf("AdmissionDepth", "needs a paced source (arrivals or a stream)")
@@ -898,8 +899,9 @@ func (s *Session) tenantFault(item core.Item) {
 // its paced ingress still holds. Once every device has failed, nothing
 // reads the edge: an arrival source's later arrivals stay in its queue,
 // counted nowhere; a bounded stream's producer parks for good in Push;
-// an admission or tenant pump parks on its full queue (under Block in
-// the admit, under the shed policies in the end-of-stream post). So
+// an admission or tenant relay waits for good on its full queue (under
+// Block in the admit, under the shed policies in the end-of-stream
+// post). So
 // when the job stops with an error, a last consumer reads the edge to
 // the end of its stream and counts every item as a fault drop, as the
 // failed fleet would have. The edge dispatches each item once, so
@@ -991,9 +993,10 @@ func (s *Session) SetSource(src core.Source) { s.source = src }
 // Run wires the source to the device groups, drives the simulation to
 // completion and returns the unified report. A session runs once. The
 // error reports a failed job or classification, an ingress edge whose
-// counters do not balance at the end of the run (checkEdge), or a
-// merged collector whose count differs from its parts'
-// (mergedConserved).
+// counters do not balance at the end of the run (checkEdge), a report
+// that does not account for every item the ingress released
+// (ingressConserved), or a merged collector whose count differs from
+// its parts' (mergedConserved).
 func (s *Session) Run() (*Report, error) {
 	if s.ran {
 		return nil, fmt.Errorf("pipeline: session already ran")
@@ -1018,6 +1021,7 @@ func (s *Session) Run() (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: arrivals: %w", err)
 		}
+		s.arrivals = asrc
 		src = asrc
 	}
 
@@ -1231,6 +1235,11 @@ func (s *Session) Run() (*Report, error) {
 	}
 	if eerr := s.checkEdge(); err == nil {
 		err = eerr
+	}
+	if released, ok := s.released(); ok {
+		if ierr := ingressConserved(merged.Arrivals(), released); err == nil {
+			err = ierr
+		}
 	}
 	if verr := mergedConserved(merged, s.mergedParts(perGroup)); err == nil {
 		err = verr

@@ -5,6 +5,8 @@
 // workload definitions live in internal/bench (kernel.go) so the same
 // code backs both this go-test suite and the machine-readable kernel
 // snapshot (ncsw-bench -experiment kernel -json → BENCH_PR7.json).
+// BenchmarkKernelRelay, which compares a queue relay run as a process
+// with one run as a callback waiter, is defined here alone.
 //
 // Run with:
 //
@@ -13,8 +15,10 @@ package sim_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/bench"
+	"repro/internal/sim"
 )
 
 // One op = one callback event scheduled and dispatched.
@@ -64,5 +68,69 @@ func BenchmarkKernelArrivals(b *testing.B) {
 	b.ReportAllocs()
 	if got := bench.KernelArrivals(b.N); got != b.N {
 		b.Fatalf("served %d of %d arrivals", got, b.N)
+	}
+}
+
+// One op = one item relayed from one queue to the next: Put → relay →
+// Put. A ticker puts one item per tick and drains what the relay
+// handed on, so the two cases differ only in the relay: a process that
+// parks in Get (two coroutine switches per item), or a callback waiter
+// that registers with TryGetOr and runs in the same event slot.
+func BenchmarkKernelRelay(b *testing.B) {
+	for _, mode := range []string{"process", "callback"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			e := sim.NewEnv()
+			in := sim.NewQueue[int](e, "in", 0)
+			out := sim.NewQueue[int](e, "out", 0)
+			sent, relayed := 0, 0
+			e.Tick(0, time.Nanosecond, func(time.Duration) bool {
+				for {
+					if _, ok := out.TryGet(); !ok {
+						break
+					}
+					relayed++
+				}
+				if sent > b.N {
+					return false
+				}
+				v := sent
+				if sent == b.N {
+					v = -1 // ends the relay
+				}
+				in.TryPut(v)
+				sent++
+				return true
+			})
+			if mode == "process" {
+				e.Process("relay", func(p *sim.Proc) {
+					for {
+						v := in.Get(p)
+						if v < 0 {
+							return
+						}
+						out.Put(p, v)
+					}
+				})
+			} else {
+				var w *sim.Proc
+				relay := func() {
+					for {
+						v, ok := in.TryGetOr(w)
+						if !ok || v < 0 {
+							return
+						}
+						out.TryPutOr(w, v) // unbounded: never waits
+					}
+				}
+				w = e.Waiter("relay", relay)
+				e.At(0, relay)
+			}
+			b.ResetTimer()
+			e.Run()
+			if relayed != b.N {
+				b.Fatalf("relayed %d of %d items", relayed, b.N)
+			}
+		})
 	}
 }

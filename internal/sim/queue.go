@@ -11,8 +11,9 @@ import (
 //
 // Storage is a growable power-of-two ring buffer, so steady-state
 // Put/Get churn allocates nothing and never shifts elements; blocked
-// getters and putters sit on intrusive wait lists (links embedded in
-// Proc), so waiting allocates nothing and timeout removal is O(1).
+// getters and putters, parked processes and callback waiters alike,
+// sit on intrusive wait lists (links embedded in Proc), so waiting
+// allocates nothing and timeout removal is O(1).
 type Queue[T any] struct {
 	env      *Env
 	name     string
@@ -169,6 +170,37 @@ func (q *Queue[T]) TryPut(v T) bool {
 		g.wake()
 	}
 	return true
+}
+
+// TryPutOr is Put for a callback waiter (Env.Waiter): it appends v and
+// reports true, or, while the queue is full, registers w on the putter
+// list behind any parked processes and reports false. The waiter's fn
+// then runs when a Put would have resumed, and retries with the item
+// it still holds.
+func (q *Queue[T]) TryPutOr(w *Proc, v T) bool {
+	if q.TryPut(v) {
+		return true
+	}
+	w.register(&q.putters)
+	return false
+}
+
+// TryGetOr is Get for a callback waiter (Env.Waiter): it removes and
+// returns the oldest item, or, while the queue is empty, registers w
+// on the getter list behind any parked processes and reports false.
+// The waiter's fn then runs when a Get would have resumed, and
+// retries.
+func (q *Queue[T]) TryGetOr(w *Proc) (T, bool) {
+	if q.n == 0 {
+		w.register(&q.getters)
+		var zero T
+		return zero, false
+	}
+	v := q.popFront()
+	if p := q.putters.pop(); p != nil {
+		p.wake()
+	}
+	return v, true
 }
 
 // GetWithin removes and returns the oldest item like Get, but waits

@@ -18,13 +18,22 @@
 // panic or runtime.Goexit in a process is re-raised on the caller of
 // Run, and Env.Stop ends processes a run leaves parked.
 //
+// Model code that only waits and hands on need not be a process at
+// all: callbacks (At, Tick) run on the scheduler itself, and a callback
+// waiter (Env.Waiter) waits on a Queue beside parked processes through
+// TryGetOr and TryPutOr. A waiter is woken in the (time, sequence)
+// slot a parked process would resume in, so converting a process into
+// callbacks keeps every event's order and saves its coroutine
+// switches.
+//
 // Performance model (DESIGN.md §9): the event queue is a
 // hand-specialized 4-ary min-heap over a reused backing array (no
 // container/heap, no interface boxing — scheduling is allocation-free
 // in steady state), timers cancel through index-based slots instead of
-// per-timer heap flags, callback-only events dispatch without touching
-// the process machinery, and a park/resume handoff is a direct
-// coroutine switch with no trip through the Go scheduler.
+// per-timer heap flags, callback-only events (callback waiters'
+// wakeups included) dispatch without touching the process machinery,
+// and a park/resume handoff is a direct coroutine switch with no trip
+// through the Go scheduler.
 package sim
 
 import (
@@ -58,10 +67,12 @@ type Env struct {
 	// links them, newest first, for Stop.
 	active int
 	live   *Proc
-	// waiting counts processes parked on resources/queues with no
-	// pending event (they can only be woken by another process); it
-	// feeds the deadlock diagnostic.
-	waiting int
+	// waiting counts processes parked on resources/queues, and callback
+	// waiters registered on queues, with no pending event (only another
+	// process or callback can wake them); callbacks counts the callback
+	// waiters among them. Both feed the deadlock diagnostic.
+	waiting   int
+	callbacks int
 	// events counts dispatched events (Counts); resumes holds the
 	// resume counts of retired processes by name, each folded in once
 	// from its Proc's own counter, so a resume costs no map lookup.
@@ -302,10 +313,13 @@ func (e *Env) After(d time.Duration, fn func()) {
 // absolute time start, then every interval for as long as fn returns
 // true. The whole ticker costs one closure for its lifetime and reuses
 // one heap slot per period — the allocation-free, goroutine-free way
-// to run high-frequency periodic work (arrival generation, collector
-// stamping) that a full Process would pay two context switches per
-// period for. fn runs on the scheduler and must not block; it may
-// schedule further events, including at the current instant.
+// to run fixed-period work (health polls, samplers) that a full
+// Process would pay two context switches per period for. Work paced
+// by irregular instants, such as an arrival process, reschedules
+// itself with At instead, and work that waits on a queue registers a
+// callback waiter (Waiter). fn runs on the scheduler and must not
+// block; it may schedule further events, including at the current
+// instant.
 func (e *Env) Tick(start, interval time.Duration, fn func(now time.Duration) bool) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive tick interval %v", interval))
@@ -324,7 +338,8 @@ func (e *Env) Tick(start, interval time.Duration, fn func(now time.Duration) boo
 
 // Proc is the handle a simulated process uses to interact with
 // virtual time. It is only valid inside the function passed to
-// Env.Process.
+// Env.Process. Env.Waiter makes a Proc with no process behind it, a
+// callback waiter, which only the queue's TryGetOr and TryPutOr use.
 type Proc struct {
 	env *Env
 	// yield parks the body (the coroutine side of the handoff) and
@@ -350,6 +365,28 @@ type Proc struct {
 	// resumes counts the scheduler's switches into this process; retire
 	// folds it into Env.resumes.
 	resumes uint64
+	// fn is set on a callback waiter (Env.Waiter), which has no
+	// coroutine: waking it schedules fn instead of a resume.
+	fn func()
+}
+
+// Waiter returns a callback waiter: a Proc with no coroutine that
+// Queue.TryGetOr and Queue.TryPutOr register on a queue's wait list,
+// beside any parked processes. Waking it schedules fn on the
+// scheduler at the current instant, consuming the one sequence number
+// a parked process's resume would, so fn runs in the (time, sequence)
+// slot the process would have resumed in and same-time FIFO order is
+// unchanged; what it saves is the two coroutine switches. fn must not
+// block: it usually retries the operation that registered the waiter.
+// A waiter sits on at most one wait list at a time, and one still
+// registered when Run runs out of events is a deadlock, reported like
+// a parked process. It cannot wait on a Resource or with a timeout,
+// and Stop, which ends processes, leaves it registered.
+func (e *Env) Waiter(name string, fn func()) *Proc {
+	if fn == nil {
+		panic(fmt.Sprintf("sim: callback waiter %q with nil fn", name))
+	}
+	return &Proc{env: e, name: name, fn: fn}
 }
 
 // Name returns the process name (for traces and errors).
@@ -492,10 +529,28 @@ func (p *Proc) blockUnscheduled() {
 	p.park()
 }
 
-// wake schedules p to resume at the current time.
+// register puts a callback waiter on w with no pending event; it is
+// woken like a parked process, and its fn runs instead of a resume.
+func (p *Proc) register(w *waitList) {
+	if p.fn == nil || p.waitq != nil {
+		panic(fmt.Sprintf("sim: %q is not a free callback waiter", p.name))
+	}
+	w.push(p)
+	p.env.waiting++
+	p.env.callbacks++
+}
+
+// wake schedules p to resume at the current time, or, for a callback
+// waiter, its fn in the same slot.
 func (p *Proc) wake() {
-	p.env.waiting--
-	p.env.schedule(p.env.now, p, nil)
+	e := p.env
+	e.waiting--
+	if p.fn != nil {
+		e.callbacks--
+		e.schedule(e.now, nil, p.fn)
+		return
+	}
+	e.schedule(e.now, p, nil)
 }
 
 // waitList is an intrusive FIFO of parked processes: links are
@@ -560,16 +615,17 @@ func (w *waitList) unlink(p *Proc) {
 }
 
 // Run dispatches events until none remain. It panics if live
-// processes are still blocked when the queue drains — that is a
-// deadlock in the model, which must fail loudly rather than silently
-// truncate an experiment. A panic or runtime.Goexit inside a process
-// is re-raised on Run's caller. On every such exit Run first calls
-// Stop, so no process outlives it suspended.
+// processes, or callback waiters, are still blocked when the queue
+// drains — that is a deadlock in the model, which must fail loudly
+// rather than silently truncate an experiment. A panic or
+// runtime.Goexit inside a process is re-raised on Run's caller. On
+// every such exit Run first calls Stop, so no process outlives it
+// suspended.
 func (e *Env) Run() {
 	e.dispatch(math.MaxInt64)
-	if e.active > 0 {
+	if e.active > 0 || e.callbacks > 0 {
 		msg := fmt.Sprintf("sim: deadlock — %d process(es) still blocked at t=%v (%d waiting on resources/queues)",
-			e.active, e.now, e.waiting)
+			e.active+e.callbacks, e.now, e.waiting)
 		e.Stop()
 		panic(msg)
 	}

@@ -312,7 +312,7 @@ type (
 	// (TenantFIFO, TenantWeightedFair, TenantStrictPriority).
 	TenantPolicy = core.TenantPolicy
 	// TenantMux is the core multi-tenant scheduler for hand-wired
-	// experiments: per-tenant arrival pumps over a shared source,
+	// experiments: per-tenant arrival relays over a shared source,
 	// deficit-round-robin or priority dispatch, quota gates.
 	TenantMux = core.TenantMux
 	// TenantStats counts one tenant's arrivals, admissions, drops and
