@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/examples/*.golden from this run")
+var update = flag.Bool("update", false, "rewrite testdata/examples/*.golden and testdata/facade.golden from this run")
 
 // TestExamplesSmoke builds and runs every example at tiny scale
 // (NCSW_EXAMPLE_IMAGES caps the session sizes) and compares its

@@ -85,11 +85,11 @@ func checkErr(t *testing.T, err error, want string) {
 	}
 }
 
-// TestEdgeDrainsWhenFleetFails: a paced ingress whose whole fleet
+// TestEdgeDrainsWhenFleetFails: an ingress whose whole fleet
 // fail-stops must end the run with every arrival accounted for,
 // instead of deadlocking a bounded relay or a stream's producer on a
-// full queue, or leaving an arrival source's later arrivals counted
-// nowhere. The one stick hangs
+// full queue, or leaving the dataset's remaining images or an arrival
+// source's later arrivals counted nowhere. The one stick hangs
 // mid-run and is abandoned; every item the edge still holds, or
 // receives after that, is counted once as a fault drop, in the report
 // and in its tenant's row, and the edge still balances.
@@ -109,6 +109,7 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 		name string
 		cfg  Config
 	}{
+		{"dataset", Config{}},
 		{"arrivals", Config{Arrivals: core.DeterministicArrivals(20)}},
 		{"stream", Config{StreamCapacity: &streamCapacity}},
 		{"admission/shed-newest", admission(core.ShedNewest)},

@@ -896,17 +896,18 @@ func (s *Session) tenantFault(item core.Item) {
 }
 
 // drainOnFailure keeps a failed fleet from losing or deadlocking what
-// its paced ingress still holds. Once every device has failed, nothing
-// reads the edge: an arrival source's later arrivals stay in its queue,
-// counted nowhere; a bounded stream's producer parks for good in Push;
-// an admission or tenant relay waits for good on its full queue (under
-// Block in the admit, under the shed policies in the end-of-stream
-// post). So
-// when the job stops with an error, a last consumer reads the edge to
-// the end of its stream and counts every item as a fault drop, as the
-// failed fleet would have. The edge dispatches each item once, so
-// checkEdge still balances. A job that ends cleanly has drained the
-// edge, and nothing more runs.
+// its ingress still holds. Once every device has failed, nothing reads
+// the edge: the dataset's remaining images are never taken; an arrival
+// source's later arrivals stay in its queue, counted nowhere; a bounded
+// stream's producer parks for good in Push; an admission or tenant
+// relay waits for good on its full queue (under Block in the admit,
+// under the shed policies in the end-of-stream post). So when the job
+// stops with an error, a last consumer reads the edge to the end of its
+// stream and counts every item as a fault drop, as the failed fleet
+// would have. The edge dispatches each item once, so checkEdge still
+// balances. A job that ends cleanly has drained the edge, and nothing
+// more runs. Run wires it wherever released counts the ingress, the
+// ingress law's own domain.
 func (s *Session) drainOnFailure(job *core.Job, edge core.Source) {
 	job.OnFinish(func(*sim.Proc) {
 		if job.Err == nil {
@@ -1223,7 +1224,7 @@ func (s *Session) Run() (*Report, error) {
 		subscribeAdmission(pool)
 		job = pool.Start(s.env, src, finalSink)
 	}
-	if s.admission != nil || s.tenantMux != nil || s.cfg.Arrivals != nil || s.stream != nil {
+	if _, ok := s.released(); ok {
 		s.drainOnFailure(job, src)
 	}
 

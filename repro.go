@@ -6,9 +6,12 @@
 // workload, CPU and GPU baselines, and the full experiment harness
 // that regenerates every figure of the paper's evaluation.
 //
-// This file is the public facade: it re-exports the pieces a
-// downstream user composes, so typical programs only import this
-// package. The building blocks live in internal packages (one per
+// This file is the public facade, so typical programs only import this
+// package. It re-exports the types a program needs to write every
+// SessionConfig field and read every Report, the Listing-1 NCAPI
+// testbed, the scenario API and the experiment harness; the ingress
+// and composition pieces a session builds from its config stay
+// internal. The building blocks live in internal packages (one per
 // subsystem; see DESIGN.md for the inventory).
 //
 // The primary entry point is the declarative session API: describe
@@ -129,20 +132,6 @@ func NewMicroGoogLeNet(cfg MicroConfig, src *Rand) *Graph { return nn.NewMicroGo
 // 32×32 input).
 func DefaultMicroConfig() MicroConfig { return nn.DefaultMicroConfig() }
 
-// DefaultClassifierTemperature is the softmax logit scale the accuracy
-// experiments were calibrated with (see internal/bench).
-const DefaultClassifierTemperature = 150.0
-
-// CalibratePrototypeClassifier rewrites the micro network's classifier
-// so it performs nearest-prototype classification over the dataset's
-// class prototypes — the reproduction's stand-in for loading
-// pre-trained BVLC weights (DESIGN.md §2). Call it once after
-// NewMicroGoogLeNet and before CompileGraph.
-func CalibratePrototypeClassifier(g *Graph, ds *Dataset, temperature float32) error {
-	return nn.CalibrateClassifier(g, nn.MicroClassifierName, nn.MicroPoolName,
-		ds.PreprocessedPrototypes(), temperature)
-}
-
 // CompileGraph serializes a network into an NCS graph blob
 // (weights converted to FP16), the analogue of mvNCCompile.
 func CompileGraph(g *Graph) ([]byte, error) { return graphfile.Compile(g) }
@@ -225,8 +214,6 @@ type (
 	VPUOptions = core.VPUOptions
 	// BatchTarget is a Caffe-style CPU/GPU batch device.
 	BatchTarget = core.BatchTarget
-	// VPUTarget is the parallel multi-VPU pipeline.
-	VPUTarget = core.VPUTarget
 	// StreamSource is the MPI-stream-style push source.
 	StreamSource = core.StreamSource
 	// FolderSource serves .ppm images from a directory.
@@ -236,18 +223,9 @@ type (
 	// Arrivals is an open-loop arrival process (deterministic,
 	// Poisson, bursty, trace replay) for serving-mode runs.
 	Arrivals = core.Arrivals
-	// ArrivalSource makes a wrapped source's items visible only at
-	// their arrival instants.
-	ArrivalSource = core.ArrivalSource
 	// LatencySummary is a per-item serving-latency distribution:
 	// exact tail quantiles plus the queue-wait/service-time split.
 	LatencySummary = core.LatencySummary
-	// AdmissionQueue is a bounded serving ingress: arrivals beyond
-	// its depth are handled by an OverloadPolicy, items queued past
-	// their deadline are dropped as expired.
-	AdmissionQueue = core.AdmissionQueue
-	// AdmissionOptions configures an AdmissionQueue.
-	AdmissionOptions = core.AdmissionOptions
 	// AdmissionStats counts arrivals, admissions, sheds, expiries and
 	// dispatches at the admission edge.
 	AdmissionStats = core.AdmissionStats
@@ -263,10 +241,6 @@ type (
 	// (fixed delay or live latency quantile), hedge budget, and the
 	// dedup accounting hooks.
 	HedgeConfig = core.HedgeConfig
-	// HealthAware is implemented by targets that report device-health
-	// transitions (VPUTarget, Pool); health-aware admission and
-	// failover routing subscribe to it.
-	HealthAware = core.HealthAware
 )
 
 // HedgeNever is a hedge trigger that never fires: hedging armed, no
@@ -284,8 +258,7 @@ const (
 	BlockOnFull = core.Block
 )
 
-// Drop reasons (AdmissionOptions.OnDrop, RecoveryConfig.OnDrop,
-// Collector.NoteDrop).
+// Drop reasons (RecoveryConfig.OnDrop, Collector.NoteDrop).
 const (
 	DropShed    = core.DropShed
 	DropExpired = core.DropExpired
@@ -297,12 +270,11 @@ const (
 	DropQuota = core.DropQuota
 )
 
-// Multi-tenant serving (core.TenantMux and its declaration).
+// Multi-tenant serving (SessionConfig.Tenants).
 type (
-	// TenantMuxOptions is the multi-tenant description, for sessions
-	// (SessionConfig.Tenants) and hand-wired TenantMuxes alike: the
-	// admission-edge scheduler plus the tenant lanes in registration
-	// order.
+	// TenantMuxOptions is a session's multi-tenant description
+	// (SessionConfig.Tenants): the admission-edge scheduler plus the
+	// tenant lanes in registration order.
 	TenantMuxOptions = core.TenantMuxOptions
 	// TenantLane declares one tenant (traffic class): weight,
 	// priority, SLO deadline, arrivals, queue bound, shed policy,
@@ -311,10 +283,6 @@ type (
 	// TenantPolicy selects the admission-edge scheduling policy
 	// (TenantFIFO, TenantWeightedFair, TenantStrictPriority).
 	TenantPolicy = core.TenantPolicy
-	// TenantMux is the core multi-tenant scheduler for hand-wired
-	// experiments: per-tenant arrival relays over a shared source,
-	// deficit-round-robin or priority dispatch, quota gates.
-	TenantMux = core.TenantMux
 	// TenantStats counts one tenant's arrivals, admissions, drops and
 	// completions at the scheduling edge.
 	TenantStats = core.TenantStats
@@ -335,14 +303,6 @@ const (
 	// deficit-round-robin within a class.
 	TenantStrictPriority = core.TenantPriority
 )
-
-// NewTenantMux wraps a source with the multi-tenant scheduler for
-// hand-wired experiments; sessions set SessionConfig.Tenants instead.
-// seed drives the lanes' arrival processes (nil = seed 1); onDrop,
-// when non-nil, observes every shed, expired or quota-rejected item.
-func NewTenantMux(env *Env, inner Source, opts TenantMuxOptions, seed *Rand, onDrop func(item Item, reason DropReason, at time.Duration)) (*TenantMux, error) {
-	return core.NewTenantMux(env, inner, opts, seed, onDrop)
-}
 
 // Fault injection and self-healing (internal/fault + core recovery).
 type (
@@ -392,13 +352,6 @@ func DefaultRecoveryConfig() RecoveryConfig { return core.DefaultRecoveryConfig(
 // observe (optional) sees each injection as it is applied.
 func ApplyFaults(env *Env, plan FaultPlan, seed *Rand, reg FaultRegistry, observe func(FaultInjection)) (*FaultLog, error) {
 	return fault.Apply(env, plan, seed, reg, observe)
-}
-
-// NewAdmissionQueue wraps a source with bounded admission for
-// hand-wired serving experiments; sessions set
-// SessionConfig.AdmissionDepth instead.
-func NewAdmissionQueue(env *Env, inner Source, opts AdmissionOptions) (*AdmissionQueue, error) {
-	return core.NewAdmissionQueue(env, inner, opts)
 }
 
 // Scheduling policies (the multi-VPU target's internal dispatch).
@@ -453,29 +406,7 @@ type (
 	// in-flight window, with credit-based backpressure end to end.
 	// Pipelines nest like pools — a stage can itself be a Pool.
 	Pipeline = core.Pipeline
-	// StageTarget is the streaming stage contract: a Target that also
-	// knows how to forward its Results downstream as typed Items.
-	// Plain Targets gain the standard hop via AsStage.
-	StageTarget = core.StageTarget
-	// PipelineOptions configures a Pipeline (per-boundary in-flight
-	// windows, per-stage result hooks).
-	PipelineOptions = core.PipelineOptions
 )
-
-// NewPipeline composes a serial stage chain over the given targets
-// (adapted via AsStage as needed). The resulting composite is itself
-// a Target: the first stage pulls from the source, the last stage's
-// results reach the sink, and a job finishes only when every stage
-// has drained.
-func NewPipeline(stages []Target, opts PipelineOptions) (*Pipeline, error) {
-	return core.NewPipeline(stages, opts)
-}
-
-// AsStage adapts a plain Target into a StageTarget using the standard
-// activation hop (output tensor becomes the downstream input, arrival
-// stamp and label carried through). Targets that already implement
-// StageTarget pass through unchanged.
-func AsStage(t Target) StageTarget { return core.AsStage(t) }
 
 // Sessions: the declarative front door.
 type (
@@ -546,14 +477,8 @@ func NewCollector(retain bool) *Collector { return core.NewCollector(retain) }
 // DefaultVPUOptions returns the paper-faithful multi-VPU settings.
 func DefaultVPUOptions() VPUOptions { return core.DefaultVPUOptions() }
 
-// NewStreamSource creates a push-style source with the given buffer
-// capacity (0 = unbounded).
-func NewStreamSource(env *Env, capacity int) *StreamSource {
-	return core.NewStreamSource(env, capacity)
-}
-
 // Open-loop arrival processes for serving-mode runs
-// (SessionConfig.Arrivals or NewArrivalSource).
+// (SessionConfig.Arrivals and TenantLane.Arrivals).
 
 // DeterministicArrivals is a constant-rate arrival process.
 func DeterministicArrivals(ratePerSec float64) Arrivals {
@@ -578,13 +503,6 @@ func TraceArrivals(instants []time.Duration) Arrivals { return core.TraceArrival
 // start offered load only after a device group's one-time setup.
 func DelayedArrivals(arr Arrivals, delay time.Duration) Arrivals {
 	return core.DelayedArrivals(arr, delay)
-}
-
-// NewArrivalSource wraps a source with an arrival process for
-// hand-wired serving experiments; sessions set SessionConfig.Arrivals
-// instead.
-func NewArrivalSource(env *Env, inner Source, arr Arrivals, seed *Rand) (*ArrivalSource, error) {
-	return core.NewArrivalSource(env, inner, arr, seed)
 }
 
 // NewFolderSource loads .ppm images (with optional .xml annotations)

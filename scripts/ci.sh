@@ -41,9 +41,11 @@ go run ./cmd/ncsw-vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== non-test Go lines per package (informational) =="
-# The wc -l measure ROADMAP.md and CHANGES.md quote; it gates nothing.
+echo "== non-test Go lines per package and facade size (informational) =="
+# The wc -l measure and the facade's go doc line count that ROADMAP.md
+# and CHANGES.md quote; they gate nothing.
 sh scripts/loc.sh || true
+printf 'facade: %s go doc -short lines\n' "$(go doc -short . | wc -l)" || true
 
 echo "== go test =="
 go test ./...
