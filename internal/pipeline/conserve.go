@@ -35,8 +35,8 @@ func (s *Session) checkEdge() error {
 // the fleet: the lanes' arrivals under tenants, the arrival source's
 // arrivals, a stream's pushes, or, for the dataset source read
 // directly, its Images. ok is false for a source passed to SetSource,
-// which counts nothing. Where ok holds, Run checks the ingress law and
-// drains the edge of a failed fleet (drainOnFailure), so the law holds
+// which counts nothing. Where ok holds, Run checks the ingress law, and
+// drainOnFailure drains the edge of a failed fleet, so the law holds
 // after a failure too.
 func (s *Session) released() (n int, ok bool) {
 	switch {

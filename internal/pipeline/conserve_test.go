@@ -117,6 +117,8 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 		{"admission/block", admission(core.Block)},
 		{"tenants/fifo", Config{Tenants: lanes(core.TenantFIFO)}},
 		{"tenants/fair", Config{Tenants: lanes(core.TenantFair)}},
+		{"foreign/admission", Config{StreamCapacity: &streamCapacity, AdmissionDepth: 2, AdmissionPolicy: core.Block}},
+		{"foreign/stream", Config{StreamCapacity: &streamCapacity}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -130,10 +132,20 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A foreign/ case reads the images from a SetSource source.
+			foreign := strings.HasPrefix(tc.name, "foreign/")
+			if foreign {
+				items := make([]core.Item, images)
+				for i := range items {
+					items[i] = core.Item{Index: i, Label: -1}
+				}
+				sess.SetSource(foreignSource{core.NewSliceSource(items)})
+			}
 			// A stream's producer pushes a frame every 50 ms and must
 			// not stay parked on the full buffer once the fleet fails.
+			// A SetSource source replaces the stream, so nothing pushes.
 			pushed := 0
-			if stream := sess.Stream(); stream != nil {
+			if stream := sess.Stream(); stream != nil && !foreign {
 				sess.Env().Process("producer", func(p *sim.Proc) {
 					for i := 0; i < images; i++ {
 						stream.Push(p, core.Item{Index: i, Label: -1})
@@ -147,7 +159,7 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "core: device ncs0 abandoned") {
 				t.Fatalf("Run error %v, want the abandoned device", err)
 			}
-			if sess.Stream() != nil && pushed != images {
+			if sess.Stream() != nil && !foreign && pushed != images {
 				t.Errorf("producer pushed %d of %d frames", pushed, images)
 			}
 			if rep == nil {

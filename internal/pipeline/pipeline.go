@@ -906,8 +906,11 @@ func (s *Session) tenantFault(item core.Item) {
 // stream and counts every item as a fault drop, as the failed fleet
 // would have. The edge dispatches each item once, so checkEdge still
 // balances. A job that ends cleanly has drained the edge, and nothing
-// more runs. Run wires it wherever released counts the ingress, the
-// ingress law's own domain.
+// more runs. Run wires it for the dataset read directly and wherever
+// the session builds an edge (arrivals, a stream, admission, tenants),
+// also when a SetSource source replaced the stream: released does not
+// count that source, but its admission relay still deadlocks unless
+// drained.
 func (s *Session) drainOnFailure(job *core.Job, edge core.Source) {
 	job.OnFinish(func(*sim.Proc) {
 		if job.Err == nil {
@@ -1224,7 +1227,7 @@ func (s *Session) Run() (*Report, error) {
 		subscribeAdmission(pool)
 		job = pool.Start(s.env, src, finalSink)
 	}
-	if _, ok := s.released(); ok {
+	if s.source == nil || s.admission != nil || s.tenantMux != nil || s.arrivals != nil || s.stream != nil {
 		s.drainOnFailure(job, src)
 	}
 
