@@ -1,7 +1,10 @@
 package core
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -324,15 +327,18 @@ func TestPumpRejectsSentinelIndex(t *testing.T) {
 	}
 }
 
-// TestRelayDriversAgree runs a whole ingress edge twice, once with
-// every relay on a callback waiter and once with every relay in a
-// process (each source wrapped as a foreign Source): an arrival source
-// under each admission policy, and tenant lanes under each scheduler
-// with a blocking lane and a shed-oldest lane. A slow consumer keeps
-// the bounded queues full, so Block waits as a putter and the
-// end-of-stream post waits for room. The two runs must dispatch the
-// same events, deliver the same items at the same instants and count
-// the same drops.
+var update = flag.Bool("update", false, "rewrite testdata/relay_edges.golden from this run")
+
+// TestRelayDriversAgree runs a whole ingress edge on every relay
+// driver and checks each against testdata/relay_edges.golden, recorded
+// when the edge relay still had a process driver beside the callback
+// one and both delivered it identically: an arrival source under each
+// admission policy, and tenant lanes under each scheduler with a
+// blocking lane and a shed-oldest lane. A slow consumer keeps the
+// bounded queues full, so Block waits as a putter and the end-of-stream
+// post waits for room. Each case records every delivery (index,
+// tenant, arrival and delivery instants), the edge's counters and the
+// number of events dispatched.
 func TestRelayDriversAgree(t *testing.T) {
 	type edge struct {
 		src   Source
@@ -389,24 +395,38 @@ func TestRelayDriversAgree(t *testing.T) {
 			}}
 		}})
 	}
+	record := func(tc edgeCase, wrap func(Source) Source) string {
+		env := sim.NewEnv()
+		e := tc.build(env, wrap)
+		log := consume(env, e.src)
+		env.Run()
+		return fmt.Sprintf("%s\n%s\nevents %d\n", strings.Join(*log, "\n"), e.stats(), env.Counts().Events)
+	}
+	path := filepath.Join("testdata", "relay_edges.golden")
+	if *update {
+		var b strings.Builder
+		for _, tc := range cases {
+			fmt.Fprintf(&b, "== %s\n%s", tc.name, record(tc, relayDrivers[0].wrap))
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, sec := range strings.Split(string(data), "== ")[1:] {
+		name, body, _ := strings.Cut(sec, "\n")
+		want[name] = body
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var logs, stats []string
-			var events []uint64
 			for _, drv := range relayDrivers {
-				env := sim.NewEnv()
-				e := tc.build(env, drv.wrap)
-				log := consume(env, e.src)
-				env.Run()
-				logs = append(logs, strings.Join(*log, "\n"))
-				stats = append(stats, e.stats())
-				events = append(events, env.Counts().Events)
-			}
-			if logs[0] != logs[1] {
-				t.Errorf("deliveries differ:\ncallback:\n%s\nprocess:\n%s", logs[0], logs[1])
-			}
-			if stats[0] != stats[1] || events[0] != events[1] {
-				t.Errorf("callback: %s, %d events\nprocess:  %s, %d events", stats[0], events[0], stats[1], events[1])
+				if got := record(tc, drv.wrap); got != want[tc.name] {
+					t.Errorf("%s driver: deliveries differ from %s:\n--- got\n%s--- want\n%s", drv.name, path, got, want[tc.name])
+				}
 			}
 		})
 	}
