@@ -112,7 +112,7 @@ func parseRouting(name string) (repro.Routing, error) {
 // folderSource loads .ppm images (with optional .xml annotations)
 // sized for the session's network, labelled through the session's
 // synset table.
-func folderSource(sess *repro.Session, dir string) (repro.Source, int, error) {
+func folderSource(sess *repro.Session, dir string) (*repro.SliceSource, int, error) {
 	ds := sess.Dataset()
 	labelOf := func(wnid string) (int, bool) {
 		for c := 0; c < ds.Classes(); c++ {
@@ -127,5 +127,5 @@ func folderSource(sess *repro.Session, dir string) (repro.Source, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return src, src.Len(), nil
+	return src, src.Remaining(), nil
 }

@@ -169,13 +169,13 @@ type AdmissionQueue struct {
 	eff int
 }
 
-// NewAdmissionQueue wraps inner with admission control inside env.
-// The relay starts immediately, on the scheduler when inner is a
-// source of this package and in a process for a foreign Source;
-// admission unfolds as env runs.
+// NewAdmissionQueue wraps inner, a source of this package, with
+// admission control inside env. The relay starts immediately, on the
+// scheduler; admission unfolds as env runs.
 func NewAdmissionQueue(env *sim.Env, inner Source, opts AdmissionOptions) (*AdmissionQueue, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("core: admission queue needs a wrapped source")
+	src, ok := inner.(poller)
+	if !ok {
+		return nil, fmt.Errorf("core: admission queue cannot relay %T (it needs a source of package core)", inner)
 	}
 	if opts.Depth < 1 {
 		return nil, fmt.Errorf("core: admission queue depth %d (need >= 1)", opts.Depth)
@@ -198,7 +198,7 @@ func NewAdmissionQueue(env *sim.Env, inner Source, opts AdmissionOptions) (*Admi
 		eff:       opts.Depth,
 	}
 	a.dispatch = a.pass
-	startRelay(env, "admission", inner, nil, "admission item", a.admit,
+	startRelay(env, "admission", src, nil, "admission item", a.admit,
 		func(r *relay, _ bool) bool { return a.close(r) }) // may wait for room; consumers drain
 	return a, nil
 }

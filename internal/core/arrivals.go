@@ -303,16 +303,15 @@ type ArrivalSource struct {
 	arrived int
 }
 
-// NewArrivalSource wraps inner with the arrival process, relaying it
-// in env: from the scheduler, as a chain of events each at the next
-// arrival instant, when inner is a source of this package, and from a
-// process when it is a foreign Source whose Next may block. seed
-// drives the stochastic processes (Poisson); deterministic processes
-// ignore it. The returned source is ready immediately; arrivals unfold
-// once env runs.
+// NewArrivalSource wraps inner, a source of this package, with the
+// arrival process, relaying it in env from the scheduler, as a chain of
+// events each at the next arrival instant. seed drives the stochastic
+// processes (Poisson); deterministic processes ignore it. The returned
+// source is ready immediately; arrivals unfold once env runs.
 func NewArrivalSource(env *sim.Env, inner Source, arr Arrivals, seed *rng.Source) (*ArrivalSource, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("core: arrival source needs a wrapped source")
+	src, ok := inner.(poller)
+	if !ok {
+		return nil, fmt.Errorf("core: arrival source cannot relay %T (it needs a source of package core)", inner)
 	}
 	if arr == nil {
 		return nil, fmt.Errorf("core: arrival source needs an arrival process")
@@ -321,9 +320,9 @@ func NewArrivalSource(env *sim.Env, inner Source, arr Arrivals, seed *rng.Source
 		seed = rng.New(1)
 	}
 	s := &ArrivalSource{itemQueue: itemQueue{q: sim.NewQueue[Item](env, "core/arrivals", 0)}, inner: inner}
-	startRelay(env, "arrivals", inner, arr.start(seed), "arrival item",
+	startRelay(env, "arrivals", src, arr.start(seed), "arrival item",
 		func(r *relay, item *Item, _ bool) bool {
-			r.put(s.q, *item) // unbounded: never waits
+			s.q.TryPut(*item) // unbounded: never full
 			s.arrived++
 			return true
 		},

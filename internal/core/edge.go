@@ -113,7 +113,7 @@ func (r *itemQueue) poll(w *sim.Proc, into *Item) (ok, open bool) {
 // room on a full bounded queue (consumers drain it), and marks it
 // posted. false means rl now waits as a putter and calls close again.
 func (r *itemQueue) close(rl *relay) bool {
-	if !rl.put(r.q, Item{Index: -1}) {
+	if !r.q.TryPutOr(rl.w, Item{Index: -1}) {
 		return false
 	}
 	r.closed = true
@@ -134,7 +134,7 @@ func (r *itemQueue) close(rl *relay) bool {
 func offer(r *relay, q *sim.Queue[Item], policy OverloadPolicy, item Item, drop func(Item, DropReason, time.Duration)) (entered, wait bool) {
 	switch policy {
 	case Block:
-		ok := r.put(q, item)
+		ok := q.TryPutOr(r.w, item)
 		return ok, !ok
 	case ShedOldest:
 		for !q.TryPut(item) {
@@ -152,11 +152,13 @@ func offer(r *relay, q *sim.Queue[Item], policy OverloadPolicy, item Item, drop 
 
 // poller is a Source the edge relay can read from the scheduler,
 // without a process of its own: every source of this package whose
-// Next either never blocks or is an itemQueue read. poll is Next for
-// the callback waiter w, reading the item into into (the relay's own,
-// so the Item is not copied back through each return); ok=false with
-// open=true means w is now registered as a getter and runs again when
-// an item is put.
+// Next either never blocks or is an itemQueue read (DatasetSource,
+// SliceSource, StreamSource, ArrivalSource, AdmissionQueue). The edge
+// relays nothing else, so their constructors reject any other Source.
+// poll is Next for the callback waiter w, reading the item into into
+// (the relay's own, so the Item is not copied back through each
+// return); ok=false with open=true means w is now registered as a
+// getter and runs again when an item is put.
 type poller interface {
 	poll(w *sim.Proc, into *Item) (ok, open bool)
 }
@@ -184,28 +186,23 @@ const (
 // or gen ends, it posts the end of the stream.
 //
 // A relay only waits and hands on, so it runs on the scheduler, not
-// as a process: when src is a poller, a callback waiter reads it, an
-// At event waits for each arrival instant, and a full queue registers
-// the waiter as a putter. Each wait consumes the one sequence number
-// the process's Get, Sleep or Put consumed, so every event keeps its
-// (time, sequence) slot and only the coroutine switches go. A foreign
-// Source may block inside Next, so it keeps a process, which runs the
-// same steps with blocking calls.
+// as a process: a callback waiter polls src, an At event waits for
+// each arrival instant, and a full queue registers the waiter as a
+// putter. Each wait consumes the one sequence number a process's Get,
+// Sleep or Put would, so every event keeps its (time, sequence) slot
+// and no coroutine switch is spent.
 type relay struct {
 	env *sim.Env
-	// Exactly one of w and proc is set: the callback waiter that runs
-	// step, or the process driving a foreign source.
-	w    *sim.Proc
-	proc *sim.Proc
+	// w is the callback waiter that runs step.
+	w *sim.Proc
 	// run is step bound once, so a wait allocates nothing.
-	run  func()
-	src  Source
-	poll poller
-	gen  func() (time.Duration, bool)
+	run func()
+	src poller
+	gen func() (time.Duration, bool)
 	// what names the item in the protocol-bug panic.
 	what string
 	// hand passes item on; false means it waits on a full queue as a
-	// putter (put), and it is called again with retry set when woken.
+	// putter, and it is called again with retry set when woken.
 	// end posts the end of the stream, with the same contract.
 	hand func(r *relay, item *Item, retry bool) bool
 	end  func(r *relay, retry bool) bool
@@ -215,23 +212,15 @@ type relay struct {
 	retry bool
 }
 
-// startRelay starts a relay over src in env, named name: on a callback
-// waiter when src is a poller, in a process otherwise. Either way its
-// first step takes the slot a new process's first resume would.
-func startRelay(env *sim.Env, name string, src Source, gen func() (time.Duration, bool), what string,
+// startRelay starts a relay over src in env on a callback waiter named
+// name. Its first step takes the slot a new process's first resume
+// would.
+func startRelay(env *sim.Env, name string, src poller, gen func() (time.Duration, bool), what string,
 	hand func(r *relay, item *Item, retry bool) bool, end func(r *relay, retry bool) bool) {
 	r := &relay{env: env, src: src, gen: gen, what: what, hand: hand, end: end}
-	if p, ok := src.(poller); ok {
-		r.poll = p
-		r.run = r.step
-		r.w = env.Waiter(name, r.run)
-		env.At(env.Now(), r.run)
-		return
-	}
-	env.Process(name, func(p *sim.Proc) {
-		r.proc = p
-		r.step()
-	})
+	r.run = r.step
+	r.w = env.Waiter(name, r.run)
+	env.At(env.Now(), r.run)
 }
 
 // step runs the relay until it waits or is done.
@@ -239,7 +228,7 @@ func (r *relay) step() {
 	for {
 		switch r.stage {
 		case relayPull:
-			if ok, open := r.pull(); !ok {
+			if ok, open := r.src.poll(r.w, &r.item); !ok {
 				if open {
 					return // a put runs step again
 				}
@@ -259,12 +248,9 @@ func (r *relay) step() {
 				continue
 			}
 			r.stage = relayArrive
-			if now := r.env.Now(); at > now {
-				if r.proc == nil {
-					r.env.At(at, r.run)
-					return
-				}
-				r.proc.Sleep(at - now)
+			if at > r.env.Now() {
+				r.env.At(at, r.run)
+				return
 			}
 		case relayArrive:
 			r.item.ArrivedAt = r.env.Now()
@@ -287,25 +273,4 @@ func (r *relay) step() {
 			return
 		}
 	}
-}
-
-// pull reads the next item into r.item: ok=false with open=true means
-// the relay's waiter is registered as a getter.
-func (r *relay) pull() (ok, open bool) {
-	if r.proc != nil {
-		r.item, ok = r.src.Next(r.proc)
-		return ok, false
-	}
-	return r.poll.poll(r.w, &r.item)
-}
-
-// put appends item to q, waiting for room on a full bounded queue: a
-// process blocks in Put, a callback waiter registers as a putter and
-// put reports false.
-func (r *relay) put(q *sim.Queue[Item], item Item) bool {
-	if r.proc != nil {
-		q.Put(r.proc, item)
-		return true
-	}
-	return q.TryPutOr(r.w, item)
 }

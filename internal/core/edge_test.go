@@ -226,26 +226,11 @@ func TestOffer(t *testing.T) {
 	}
 }
 
-// foreignSource hides its source's poll method, so a relay over it
-// runs in a process, as it does over a Source from outside the
-// package.
-type foreignSource struct{ Source }
-
-// relayDrivers starts a relay over src on either driver: a callback
-// waiter (src polled) or a process (src read as a foreign Source).
-var relayDrivers = []struct {
-	name string
-	wrap func(Source) Source
-}{
-	{"callback", func(src Source) Source { return src }},
-	{"process", func(src Source) Source { return foreignSource{src} }},
-}
-
-// TestPump relays a slice source through the one edge relay, on both
-// of its drivers: it pulls before it waits (so a drained source ends
+// TestPump relays a slice source through the one edge relay, on its
+// callback driver: it pulls before it waits (so a drained source ends
 // the relay at the last arrival instant), stops when the arrival
 // process ends, stamps ArrivedAt, and with no arrival process hands
-// items on unslept.
+// items on unslept, all without a process resume.
 func TestPump(t *testing.T) {
 	type handoff struct {
 		index   int
@@ -268,71 +253,68 @@ func TestPump(t *testing.T) {
 			want: []handoff{{0, 0, 0}, {1, 0, 0}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, drv := range relayDrivers {
-				t.Run(drv.name, func(t *testing.T) {
-					env := sim.NewEnv()
-					var gen func() (time.Duration, bool)
-					if tc.gen != nil {
-						gen = TraceArrivals(tc.gen).start(nil)
-					}
-					var got []handoff
-					end := time.Duration(-1)
-					startRelay(env, "relay", drv.wrap(sliceOf(tc.items)), gen, "test item",
-						func(r *relay, item *Item, _ bool) bool {
-							got = append(got, handoff{item.Index, r.env.Now(), item.ArrivedAt})
-							return true
-						},
-						func(r *relay, _ bool) bool {
-							end = r.env.Now()
-							return true
-						})
-					env.Run()
-					if !slices.Equal(got, tc.want) {
-						t.Errorf("handed on %v, want %v", got, tc.want)
-					}
-					if end != tc.wantEnd {
-						t.Errorf("relay ended at %v, want %v", end, tc.wantEnd)
-					}
-					if c := env.Counts(); (c.Resumes == 0) != (drv.name == "callback") {
-						t.Errorf("%d process resumes on the %s driver", c.Resumes, drv.name)
-					}
-				})
-			}
+			t.Run("callback", func(t *testing.T) {
+				env := sim.NewEnv()
+				var gen func() (time.Duration, bool)
+				if tc.gen != nil {
+					gen = TraceArrivals(tc.gen).start(nil)
+				}
+				var got []handoff
+				end := time.Duration(-1)
+				startRelay(env, "relay", sliceOf(tc.items), gen, "test item",
+					func(r *relay, item *Item, _ bool) bool {
+						got = append(got, handoff{item.Index, r.env.Now(), item.ArrivedAt})
+						return true
+					},
+					func(r *relay, _ bool) bool {
+						end = r.env.Now()
+						return true
+					})
+				env.Run()
+				if !slices.Equal(got, tc.want) {
+					t.Errorf("handed on %v, want %v", got, tc.want)
+				}
+				if end != tc.wantEnd {
+					t.Errorf("relay ended at %v, want %v", end, tc.wantEnd)
+				}
+				if c := env.Counts(); c.Resumes != 0 {
+					t.Errorf("%d process resumes, want the relay run as callbacks", c.Resumes)
+				}
+			})
 		})
 	}
 }
 
 // TestPumpRejectsSentinelIndex: a source item carrying the reserved
 // Index -1 would end the stream early for every consumer; the relay
-// panics instead, naming the item, and Env.Run re-raises it, on
-// either driver.
+// panics instead, naming the item, and Env.Run re-raises it from the
+// callback driver.
 func TestPumpRejectsSentinelIndex(t *testing.T) {
-	for _, drv := range relayDrivers {
-		t.Run(drv.name, func(t *testing.T) {
-			env := sim.NewEnv()
-			startRelay(env, "relay", drv.wrap(NewSliceSource([]Item{{Index: -1}})), nil, "test item",
-				func(*relay, *Item, bool) bool {
-					t.Error("reserved index handed on")
-					return true
-				},
-				func(*relay, bool) bool { return true })
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, "test item with reserved Index -1") {
-					t.Errorf("panic %q, want the reserved-index message", msg)
-				}
-			}()
-			env.Run()
-		})
-	}
+	t.Run("callback", func(t *testing.T) {
+		env := sim.NewEnv()
+		startRelay(env, "relay", NewSliceSource([]Item{{Index: -1}}), nil, "test item",
+			func(*relay, *Item, bool) bool {
+				t.Error("reserved index handed on")
+				return true
+			},
+			func(*relay, bool) bool { return true })
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "test item with reserved Index -1") {
+				t.Errorf("panic %q, want the reserved-index message", msg)
+			}
+		}()
+		env.Run()
+	})
 }
 
 var update = flag.Bool("update", false, "rewrite testdata/relay_edges.golden from this run")
 
-// TestRelayDriversAgree runs a whole ingress edge on every relay
-// driver and checks each against testdata/relay_edges.golden, recorded
-// when the edge relay still had a process driver beside the callback
-// one and both delivered it identically: an arrival source under each
+// TestRelayDriversAgree runs a whole ingress edge and checks it against
+// testdata/relay_edges.golden, recorded when the edge relay still had a
+// process driver beside the callback one and both delivered it
+// identically, so the one driver left must agree with both: an arrival
+// source under each
 // admission policy, and tenant lanes under each scheduler with a
 // blocking lane and a shed-oldest lane. A slow consumer keeps the
 // bounded queues full, so Block waits as a putter and the end-of-stream
@@ -361,16 +343,16 @@ func TestRelayDriversAgree(t *testing.T) {
 	}
 	type edgeCase struct {
 		name  string
-		build func(env *sim.Env, wrap func(Source) Source) edge
+		build func(env *sim.Env) edge
 	}
 	var cases []edgeCase
 	for _, policy := range []OverloadPolicy{ShedNewest, ShedOldest, Block} {
-		cases = append(cases, edgeCase{"admission/" + policy.String(), func(env *sim.Env, wrap func(Source) Source) edge {
-			asrc, err := NewArrivalSource(env, wrap(sliceOf(40)), PoissonArrivals(250), rng.New(3))
+		cases = append(cases, edgeCase{"admission/" + policy.String(), func(env *sim.Env) edge {
+			asrc, err := NewArrivalSource(env, sliceOf(40), PoissonArrivals(250), rng.New(3))
 			if err != nil {
 				t.Fatal(err)
 			}
-			adm, err := NewAdmissionQueue(env, wrap(asrc), AdmissionOptions{Depth: 3, Policy: policy, Deadline: ms(20)})
+			adm, err := NewAdmissionQueue(env, asrc, AdmissionOptions{Depth: 3, Policy: policy, Deadline: ms(20)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,8 +360,8 @@ func TestRelayDriversAgree(t *testing.T) {
 		}})
 	}
 	for _, policy := range []TenantPolicy{TenantFIFO, TenantFair, TenantPriority} {
-		cases = append(cases, edgeCase{"tenants/" + policy.String(), func(env *sim.Env, wrap func(Source) Source) edge {
-			m, err := NewTenantMux(env, wrap(sliceOf(60)), TenantMuxOptions{
+		cases = append(cases, edgeCase{"tenants/" + policy.String(), func(env *sim.Env) edge {
+			m, err := NewTenantMux(env, sliceOf(60), TenantMuxOptions{
 				Policy: policy, SharedDepth: 2, SharedPolicy: Block,
 				Lanes: []TenantLane{
 					{ID: "a", Arrivals: PoissonArrivals(150), Depth: 2, Policy: Block},
@@ -395,9 +377,9 @@ func TestRelayDriversAgree(t *testing.T) {
 			}}
 		}})
 	}
-	record := func(tc edgeCase, wrap func(Source) Source) string {
+	record := func(tc edgeCase) string {
 		env := sim.NewEnv()
-		e := tc.build(env, wrap)
+		e := tc.build(env)
 		log := consume(env, e.src)
 		env.Run()
 		return fmt.Sprintf("%s\n%s\nevents %d\n", strings.Join(*log, "\n"), e.stats(), env.Counts().Events)
@@ -406,7 +388,7 @@ func TestRelayDriversAgree(t *testing.T) {
 	if *update {
 		var b strings.Builder
 		for _, tc := range cases {
-			fmt.Fprintf(&b, "== %s\n%s", tc.name, record(tc, relayDrivers[0].wrap))
+			fmt.Fprintf(&b, "== %s\n%s", tc.name, record(tc))
 		}
 		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -423,10 +405,8 @@ func TestRelayDriversAgree(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, drv := range relayDrivers {
-				if got := record(tc, drv.wrap); got != want[tc.name] {
-					t.Errorf("%s driver: deliveries differ from %s:\n--- got\n%s--- want\n%s", drv.name, path, got, want[tc.name])
-				}
+			if got := record(tc); got != want[tc.name] {
+				t.Errorf("deliveries differ from %s:\n--- got\n%s--- want\n%s", path, got, want[tc.name])
 			}
 		})
 	}
@@ -435,9 +415,9 @@ func TestRelayDriversAgree(t *testing.T) {
 // TestCallbackWaiterDeadlock: an admission relay over a stream nobody
 // closes waits as a registered getter when the events run out. Run
 // must panic with the deadlock diagnostic, counting the waiter among
-// the blocked and the waiting exactly as it counted the relay's
-// parked process, which the process driver still runs: alone, and
-// beside a consumer parked on the admission queue.
+// the blocked and the waiting exactly as it counted the relay's parked
+// process when the relay had one: alone, and beside a consumer parked
+// on the admission queue.
 func TestCallbackWaiterDeadlock(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -447,33 +427,78 @@ func TestCallbackWaiterDeadlock(t *testing.T) {
 		{"relay alone", false, "sim: deadlock — 1 process(es) still blocked at t=3ms (1 waiting on resources/queues)"},
 		{"with a consumer", true, "sim: deadlock — 2 process(es) still blocked at t=3ms (2 waiting on resources/queues)"},
 	} {
-		for _, drv := range relayDrivers {
-			t.Run(tc.name+"/"+drv.name, func(t *testing.T) {
-				env := sim.NewEnv()
-				stream := NewStreamSource(env, 0)
-				adm, err := NewAdmissionQueue(env, drv.wrap(stream), AdmissionOptions{Depth: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				env.Process("producer", func(p *sim.Proc) {
-					stream.Push(p, Item{Index: 0})
-					p.Sleep(ms(3)) // and never closes
-				})
-				if tc.consumer {
-					env.Process("consumer", func(p *sim.Proc) {
-						for {
-							if _, ok := adm.Next(p); !ok {
-								return
-							}
+		t.Run(tc.name+"/callback", func(t *testing.T) {
+			env := sim.NewEnv()
+			stream := NewStreamSource(env, 0)
+			adm, err := NewAdmissionQueue(env, stream, AdmissionOptions{Depth: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.Process("producer", func(p *sim.Proc) {
+				stream.Push(p, Item{Index: 0})
+				p.Sleep(ms(3)) // and never closes
+			})
+			if tc.consumer {
+				env.Process("consumer", func(p *sim.Proc) {
+					for {
+						if _, ok := adm.Next(p); !ok {
+							return
 						}
-					})
-				}
-				defer func() {
-					if msg := fmt.Sprint(recover()); msg != tc.want {
-						t.Errorf("panic %q, want %q", msg, tc.want)
 					}
-				}()
-				env.Run()
+				})
+			}
+			defer func() {
+				if msg := fmt.Sprint(recover()); msg != tc.want {
+					t.Errorf("panic %q, want %q", msg, tc.want)
+				}
+			}()
+			env.Run()
+		})
+	}
+}
+
+// TestEdgeRejectsForeignSource: the edge relays only sources of this
+// package, so each relaying constructor returns an error for a nil
+// inner source and for a Source from outside the package, and accepts
+// a SliceSource.
+func TestEdgeRejectsForeignSource(t *testing.T) {
+	type foreign struct{ Source }
+	for _, ctor := range []struct {
+		name  string
+		build func(env *sim.Env, inner Source) error
+	}{
+		{"arrivals", func(env *sim.Env, inner Source) error {
+			_, err := NewArrivalSource(env, inner, DeterministicArrivals(10), nil)
+			return err
+		}},
+		{"admission", func(env *sim.Env, inner Source) error {
+			_, err := NewAdmissionQueue(env, inner, AdmissionOptions{Depth: 1})
+			return err
+		}},
+		{"tenants", func(env *sim.Env, inner Source) error {
+			_, err := NewTenantMux(env, inner, TenantMuxOptions{Lanes: []TenantLane{
+				{ID: "a", Arrivals: DeterministicArrivals(10)},
+			}}, nil, nil)
+			return err
+		}},
+	} {
+		for _, in := range []struct {
+			name string
+			src  Source
+			want string // "" accepts
+		}{
+			{"nil", nil, "cannot relay <nil>"},
+			{"foreign", foreign{NewSliceSource(nil)}, "cannot relay core.foreign"},
+			{"slice", NewSliceSource(nil), ""},
+		} {
+			t.Run(ctor.name+"/"+in.name, func(t *testing.T) {
+				err := ctor.build(sim.NewEnv(), in.src)
+				switch {
+				case in.want == "" && err != nil:
+					t.Errorf("unexpected error: %v", err)
+				case in.want != "" && (err == nil || !strings.Contains(err.Error(), in.want)):
+					t.Errorf("error %v, want one containing %q", err, in.want)
+				}
 			})
 		}
 	}

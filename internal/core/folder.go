@@ -8,28 +8,20 @@ import (
 	"strings"
 
 	"repro/internal/imagenet"
-	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
-// FolderSource is the ImageFolder of Fig. 3: it loads every .ppm image
-// under a directory, resizes it to the network geometry, subtracts the
-// channel means, and serves the results in filename order. Ground
-// truth comes from sibling .xml bounding-box annotations when present
-// (label -1 otherwise).
+// NewFolderSource is the ImageFolder of Fig. 3: it loads every .ppm
+// image under dir, resizes it to size×size (channels are fixed at 3),
+// subtracts means (one value per channel), and returns a SliceSource
+// that serves the results in filename order. Ground truth comes from
+// sibling .xml bounding-box annotations when present (label -1
+// otherwise); labelOf resolves an annotation WNID to a class index and
+// may be nil when no annotations exist.
 //
-// All file I/O happens at construction, mirroring NCSw's exclusion of
-// decode time from measurements; Next itself never touches the disk.
-type FolderSource struct {
-	items []Item
-	next  int
-}
-
-// NewFolderSource scans dir for .ppm files. Images are resized to
-// (channels are fixed at 3) size×size and mean-subtracted with means
-// (one value per channel). labelOf resolves an annotation WNID to a
-// class index; it may be nil when no annotations exist.
-func NewFolderSource(dir string, size int, means []float32, labelOf func(wnid string) (int, bool)) (*FolderSource, error) {
+// All file I/O happens here, mirroring NCSw's exclusion of decode time
+// from measurements; the source's Next never touches the disk.
+func NewFolderSource(dir string, size int, means []float32, labelOf func(wnid string) (int, bool)) (*SliceSource, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: folder source size %d", size)
 	}
@@ -51,7 +43,7 @@ func NewFolderSource(dir string, size int, means []float32, labelOf func(wnid st
 	}
 	sort.Strings(names)
 
-	src := &FolderSource{}
+	items := make([]Item, 0, len(names))
 	for i, name := range names {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -63,43 +55,16 @@ func NewFolderSource(dir string, size int, means []float32, labelOf func(wnid st
 		}
 		img = imagenet.Resize(img, size, size)
 		subtractMeans(img, means)
-		// Arrival cannot be known at load time; Next stamps it at the
-		// pull instant, closed-loop, like the other finite sources.
+		// Arrival cannot be known at load time; SliceSource.Next stamps
+		// it at the pull instant, closed-loop.
 		//ncsw:allow resultstamp stamped by Next at the pull instant
 		item := Item{Index: i, Image: img, Label: -1}
 		if label, ok := lookupAnnotation(dir, name, labelOf); ok {
 			item.Label = label
 		}
-		src.items = append(src.items, item)
+		items = append(items, item)
 	}
-	return src, nil
-}
-
-// Len returns the number of loaded images.
-func (s *FolderSource) Len() int { return len(s.items) }
-
-// Remaining implements Sized.
-func (s *FolderSource) Remaining() int { return len(s.items) - s.next }
-
-// Next implements Source. Items arrive at the pull instant
-// (closed-loop), like DatasetSource and SliceSource — before the
-// resultstamp sweep this source left ArrivedAt zero, which made
-// Collector wait/latency splits measure from the start of the
-// simulation for folder-served runs.
-func (s *FolderSource) Next(p *sim.Proc) (Item, bool) {
-	if s.next >= len(s.items) {
-		return Item{}, false
-	}
-	s.next++
-	item := s.items[s.next-1]
-	item.ArrivedAt = p.Now()
-	return item, true
-}
-
-// poll is Next for the edge relay; it never waits.
-func (s *FolderSource) poll(w *sim.Proc, into *Item) (ok, open bool) {
-	*into, ok = s.Next(w)
-	return ok, false
+	return NewSliceSource(items), nil
 }
 
 func subtractMeans(img *tensor.T, means []float32) {

@@ -34,8 +34,8 @@ func TestWriteAndReadSampleFolder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Len() != 10 {
-		t.Fatalf("loaded %d images", src.Len())
+	if src.Remaining() != 10 {
+		t.Fatalf("loaded %d images", src.Remaining())
 	}
 	env := sim.NewEnv()
 	env.Process("consume", func(p *sim.Proc) {

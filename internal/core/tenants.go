@@ -264,8 +264,9 @@ type TenantMux struct {
 // observes every dropped or rejected item (shed, expired, quota) with
 // the drop instant; item.Tenant identifies the lane.
 func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.Source, onDrop func(item Item, reason DropReason, at time.Duration)) (*TenantMux, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("core: tenant mux needs a wrapped source")
+	src, ok := inner.(poller)
+	if !ok {
+		return nil, fmt.Errorf("core: tenant mux cannot relay %T (it needs a source of package core)", inner)
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -309,7 +310,7 @@ func NewTenantMux(env *sim.Env, inner Source, opts TenantMuxOptions, seed *rng.S
 	}
 	for _, lane := range m.lanes {
 		gen := lane.cfg.Arrivals.start(seed.Derive("tenants/arrivals/" + lane.cfg.ID))
-		startRelay(env, "tenant/"+lane.cfg.ID, m.inner, gen, "tenant arrival",
+		startRelay(env, "tenant/"+lane.cfg.ID, src, gen, "tenant arrival",
 			func(r *relay, item *Item, retry bool) bool {
 				item.Tenant = lane.cfg.ID
 				return m.admit(r, lane, *item, retry)

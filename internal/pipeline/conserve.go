@@ -31,30 +31,6 @@ func (s *Session) checkEdge() error {
 	return nil
 }
 
-// released returns how many items the session's ingress released to
-// the fleet: the lanes' arrivals under tenants, the arrival source's
-// arrivals, a stream's pushes, or, for the dataset source read
-// directly, its Images. ok is false for a source passed to SetSource,
-// which counts nothing. Where ok holds, Run checks the ingress law, and
-// drainOnFailure drains the edge of a failed fleet, so the law holds
-// after a failure too.
-func (s *Session) released() (n int, ok bool) {
-	switch {
-	case s.tenantMux != nil:
-		for _, id := range s.tenantMux.TenantIDs() {
-			n += s.tenantMux.Stats(id).Arrived
-		}
-		return n, true
-	case s.arrivals != nil:
-		return s.arrivals.Arrived(), true
-	case s.stream != nil && s.source == core.Source(s.stream):
-		return s.stream.Pushed(), true
-	case s.source == nil:
-		return s.cfg.Images, true
-	}
-	return 0, false
-}
-
 // ingressConserved checks the session law: the report accounts for
 // every item the ingress released, each once, as a completion or a
 // drop (Collector.Arrivals). An item lost between the ingress and the

@@ -88,8 +88,9 @@ func checkErr(t *testing.T, err error, want string) {
 // TestEdgeDrainsWhenFleetFails: an ingress whose whole fleet
 // fail-stops must end the run with every arrival accounted for,
 // instead of deadlocking a bounded relay or a stream's producer on a
-// full queue, or leaving the dataset's remaining images or an arrival
-// source's later arrivals counted nowhere. The one stick hangs
+// full queue, or leaving the remaining images of the dataset or of a
+// SetSource slice, or an arrival source's later arrivals, counted
+// nowhere. The one stick hangs
 // mid-run and is abandoned; every item the edge still holds, or
 // receives after that, is counted once as a fault drop, in the report
 // and in its tenant's row, and the edge still balances.
@@ -117,8 +118,9 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 		{"admission/block", admission(core.Block)},
 		{"tenants/fifo", Config{Tenants: lanes(core.TenantFIFO)}},
 		{"tenants/fair", Config{Tenants: lanes(core.TenantFair)}},
-		{"foreign/admission", Config{StreamCapacity: &streamCapacity, AdmissionDepth: 2, AdmissionPolicy: core.Block}},
-		{"foreign/stream", Config{StreamCapacity: &streamCapacity}},
+		{"slice", Config{}},
+		{"slice/admission", Config{StreamCapacity: &streamCapacity, AdmissionDepth: 2, AdmissionPolicy: core.Block}},
+		{"slice/stream", Config{StreamCapacity: &streamCapacity}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -132,20 +134,20 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A foreign/ case reads the images from a SetSource source.
-			foreign := strings.HasPrefix(tc.name, "foreign/")
-			if foreign {
+			// A slice case reads the images from a SetSource slice.
+			slice := strings.HasPrefix(tc.name, "slice")
+			if slice {
 				items := make([]core.Item, images)
 				for i := range items {
 					items[i] = core.Item{Index: i, Label: -1}
 				}
-				sess.SetSource(foreignSource{core.NewSliceSource(items)})
+				sess.SetSource(core.NewSliceSource(items))
 			}
 			// A stream's producer pushes a frame every 50 ms and must
 			// not stay parked on the full buffer once the fleet fails.
-			// A SetSource source replaces the stream, so nothing pushes.
+			// A SetSource slice replaces the stream, so nothing pushes.
 			pushed := 0
-			if stream := sess.Stream(); stream != nil && !foreign {
+			if stream := sess.Stream(); stream != nil && !slice {
 				sess.Env().Process("producer", func(p *sim.Proc) {
 					for i := 0; i < images; i++ {
 						stream.Push(p, core.Item{Index: i, Label: -1})
@@ -159,7 +161,7 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "core: device ncs0 abandoned") {
 				t.Fatalf("Run error %v, want the abandoned device", err)
 			}
-			if sess.Stream() != nil && !foreign && pushed != images {
+			if sess.Stream() != nil && !slice && pushed != images {
 				t.Errorf("producer pushed %d of %d frames", pushed, images)
 			}
 			if rep == nil {
@@ -220,10 +222,9 @@ func TestMergedConserved(t *testing.T) {
 // every item the ingress released — holds on every kind of ingress,
 // each counting its own releases: a dataset source read directly (its
 // Images), an arrival process that ends before the dataset does (its
-// arrivals), a stream (its pushes), admission over arrivals and tenant
-// lanes (their arrivals). A source passed to SetSource counts nothing,
-// so the law is skipped there. The pure check names a lost or doubly
-// counted item.
+// arrivals), a stream (its pushes), admission over arrivals, tenant
+// lanes (their arrivals) and a SetSource slice (its items). The pure
+// check names a lost or doubly counted item.
 func TestIngressConserved(t *testing.T) {
 	checkErr(t, ingressConserved(10, 10), "")
 	checkErr(t, ingressConserved(9, 10), "ingress not conserved: the ingress released 10 items, but the report accounts for 9")
@@ -238,7 +239,7 @@ func TestIngressConserved(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		want int // items released; -1: the law is skipped
+		want int // items released
 	}{
 		{"dataset", Config{}, images},
 		{"arrivals end first", Config{Arrivals: core.TraceArrivals(trace)}, len(trace)},
@@ -248,7 +249,7 @@ func TestIngressConserved(t *testing.T) {
 			{ID: "a", Arrivals: core.DeterministicArrivals(300), Depth: 1},
 			{ID: "b", Arrivals: core.PoissonArrivals(300), Depth: 1, RatePerSec: 100},
 		}}}, images},
-		{"foreign source", Config{}, -1},
+		{"slice", Config{}, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -267,25 +268,18 @@ func TestIngressConserved(t *testing.T) {
 					st.Close(p)
 				})
 			}
-			if tc.want < 0 {
-				sess.SetSource(foreignSource{core.NewSliceSource(make([]core.Item, 7))})
+			if tc.name == "slice" {
+				sess.SetSource(core.NewSliceSource(make([]core.Item, tc.want)))
 			}
 			rep, err := sess.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, ok := sess.released()
-			switch {
-			case tc.want < 0 && ok:
-				t.Errorf("a foreign source released %d items, want the law skipped", n)
-			case tc.want >= 0 && (!ok || n != tc.want):
-				t.Errorf("released %d (counted %v), want %d", n, ok, tc.want)
-			case ok && rep.Collector.Arrivals() != n:
+			if n := sess.released(); n != tc.want {
+				t.Errorf("released %d, want %d", n, tc.want)
+			} else if rep.Collector.Arrivals() != n {
 				t.Errorf("report accounts for %d of %d released items", rep.Collector.Arrivals(), n)
 			}
 		})
 	}
 }
-
-// foreignSource is a Source from outside package core.
-type foreignSource struct{ core.Source }

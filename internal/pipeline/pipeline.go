@@ -278,9 +278,9 @@ type Session struct {
 	targets   []core.Target
 	perVPU    [][]*ncs.Device // sticks per group index (nil for non-VPU)
 	stream    *core.StreamSource
-	source    core.Source
-	arrivals  *core.ArrivalSource
+	source    *core.SliceSource // SetSource's, read instead of the stream or dataset
 	admission *core.AdmissionQueue
+	released  func() int     // the ingress law's count, set by ingress
 	registry  fault.Registry // device name -> injection hooks
 	faultLog  *fault.Log
 	// pool is the device-group composite of the current run (nil for
@@ -343,7 +343,6 @@ func NewFromConfig(cfg Config) (*Session, error) {
 
 	if cfg.StreamCapacity != nil {
 		s.stream = core.NewStreamSource(s.env, *cfg.StreamCapacity)
-		s.source = s.stream
 	}
 	return s, nil
 }
@@ -895,40 +894,6 @@ func (s *Session) tenantFault(item core.Item) {
 	s.tenantMux.Done(item.Tenant)
 }
 
-// drainOnFailure keeps a failed fleet from losing or deadlocking what
-// its ingress still holds. Once every device has failed, nothing reads
-// the edge: the dataset's remaining images are never taken; an arrival
-// source's later arrivals stay in its queue, counted nowhere; a bounded
-// stream's producer parks for good in Push; an admission or tenant
-// relay waits for good on its full queue (under Block in the admit,
-// under the shed policies in the end-of-stream post). So when the job
-// stops with an error, a last consumer reads the edge to the end of its
-// stream and counts every item as a fault drop, as the failed fleet
-// would have. The edge dispatches each item once, so checkEdge still
-// balances. A job that ends cleanly has drained the edge, and nothing
-// more runs. Run wires it for the dataset read directly and wherever
-// the session builds an edge (arrivals, a stream, admission, tenants),
-// also when a SetSource source replaced the stream: released does not
-// count that source, but its admission relay still deadlocks unless
-// drained.
-func (s *Session) drainOnFailure(job *core.Job, edge core.Source) {
-	job.OnFinish(func(*sim.Proc) {
-		if job.Err == nil {
-			return
-		}
-		s.env.Process("edge-drain", func(p *sim.Proc) {
-			for {
-				item, ok := edge.Next(p)
-				if !ok {
-					return
-				}
-				s.merged.NoteDrop(core.DropFailed)
-				s.tenantFault(item)
-			}
-		})
-	})
-}
-
 // tenantSLO returns the deadline tenant l is held to: its own, or the
 // session SLO when it declares none.
 func (s *Session) tenantSLO(l core.TenantLane) time.Duration {
@@ -990,44 +955,22 @@ func (s *Session) FaultRegistry() fault.Registry { return s.registry }
 // no plan was configured). It fills in as the simulation runs.
 func (s *Session) FaultLog() *fault.Log { return s.faultLog }
 
-// SetSource overrides the input source (folder sources, custom
-// generators). Call before Run.
-func (s *Session) SetSource(src core.Source) { s.source = src }
+// SetSource replaces the session's stream or dataset images with src,
+// such as the images core.NewFolderSource loads. Call before Run.
+func (s *Session) SetSource(src *core.SliceSource) { s.source = src }
 
-// Run wires the source to the device groups, drives the simulation to
-// completion and returns the unified report. A session runs once. The
-// error reports a failed job or classification, an ingress edge whose
-// counters do not balance at the end of the run (checkEdge), a report
-// that does not account for every item the ingress released
-// (ingressConserved), or a merged collector whose count differs from
-// its parts' (mergedConserved).
+// Run builds the ingress edge (ingress), starts the device groups on it
+// (startFleet), drives the simulation to completion and returns the
+// unified report. A session runs once. The error reports a failed job
+// or classification, an ingress edge whose counters do not balance at
+// the end of the run (checkEdge), a report that does not account for
+// every item the ingress released (ingressConserved), or a merged
+// collector whose count differs from its parts' (mergedConserved).
 func (s *Session) Run() (*Report, error) {
 	if s.ran {
 		return nil, fmt.Errorf("pipeline: session already ran")
 	}
 	s.ran = true
-
-	src := s.source
-	if src == nil {
-		dsrc, err := core.NewDatasetSource(s.ds, 0, s.cfg.Images)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: source: %w", err)
-		}
-		src = dsrc
-	}
-	if s.cfg.Arrivals != nil {
-		label := s.cfg.ArrivalLabel
-		if label == "" {
-			label = "arrivals"
-		}
-		asrc, err := core.NewArrivalSource(s.env, src, s.cfg.Arrivals,
-			rng.New(s.cfg.Seed).Derive(label))
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: arrivals: %w", err)
-		}
-		s.arrivals = asrc
-		src = asrc
-	}
 
 	perGroup := make([]*core.Collector, len(s.targets))
 	for i := range perGroup {
@@ -1042,25 +985,9 @@ func (s *Session) Run() (*Report, error) {
 	// hooks installed at build time reach them through the session.
 	s.merged, s.perGroup = merged, perGroup
 
-	// The tenant lanes as the mux runs them: a Deadline of 0 inherits
-	// the session SLO, so per-tenant goodput and expiry reflect each
-	// tenant's own contract. The caller's lanes are not written.
-	var tenants core.TenantMuxOptions
-	if lanes := s.cfg.Tenants.Lanes; len(lanes) > 0 {
-		tenants = s.cfg.Tenants
-		tenants.Lanes = make([]core.TenantLane, len(lanes))
-		s.perTenant = make([]*core.Collector, len(lanes))
-		s.perTenantSinks = make([]func(core.Result), len(lanes))
-		s.tenantIdx = make(map[string]int, len(lanes))
-		for i, l := range lanes {
-			l.Deadline = s.tenantSLO(l)
-			tenants.Lanes[i] = l
-			c := core.NewCollector(false)
-			c.SetSLO(l.Deadline)
-			s.perTenant[i] = c
-			s.perTenantSinks[i] = c.Sink()
-			s.tenantIdx[l.ID] = i
-		}
+	src, err := s.ingress()
+	if err != nil {
+		return nil, err
 	}
 
 	if !s.cfg.Faults.Empty() {
@@ -1078,55 +1005,30 @@ func (s *Session) Run() (*Report, error) {
 		s.faultLog = lg
 	}
 
-	if s.cfg.AdmissionDepth > 0 {
-		aq, err := core.NewAdmissionQueue(s.env, src, core.AdmissionOptions{
-			Depth:    s.cfg.AdmissionDepth,
-			Policy:   s.cfg.AdmissionPolicy,
-			Deadline: s.cfg.SLO, // work past the SLO is not worth a device's time
-			MinDepth: s.cfg.AdmissionMinDepth,
-			OnDrop: func(_ core.Item, reason core.DropReason, _ time.Duration) {
-				merged.NoteDrop(reason)
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: admission: %w", err)
-		}
-		s.admission = aq
-		src = aq
+	job, err := s.startFleet(src)
+	if err != nil {
+		return nil, err
 	}
+	s.drainOnFailure(job, src)
 
-	if len(tenants.Lanes) > 0 {
-		onDrop := func(item core.Item, reason core.DropReason, _ time.Duration) {
-			merged.NoteDrop(reason)
-			if i, ok := s.tenantIdx[item.Tenant]; ok {
-				s.perTenant[i].NoteDrop(reason)
-			}
-		}
-		mux, err := core.NewTenantMux(s.env, src, tenants, rng.New(s.cfg.Seed).Derive("tenants"), onDrop)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: tenants: %w", err)
-		}
-		s.tenantMux = mux
-		src = mux
-	}
+	s.env.Run()
 
-	// Health-aware admission: the ingress bound tracks healthy device
-	// capacity — through the pool's aggregate observer for device
-	// groups, or straight off a lone health-aware target.
-	subscribeAdmission := func(t core.Target) {
-		if !s.cfg.AdmissionShrink || s.admission == nil {
-			return
-		}
-		if ha, ok := t.(core.HealthAware); ok {
-			ha.SetHealthObserver(s.admission.ObserveHealth)
-		}
-	}
+	// Every check runs; the first error is returned.
+	err = cmp.Or(job.Err, s.classify(), s.checkEdge(),
+		ingressConserved(merged.Arrivals(), s.released()),
+		mergedConserved(merged, s.mergedParts(perGroup)))
+	return s.buildReport(job, s.pool, merged, perGroup), err
+}
 
+// startFleet starts the device groups on src: a stage pipeline, a lone
+// target, or a pool over the groups.
+func (s *Session) startFleet(src core.Source) (*core.Job, error) {
+	perGroup := s.perGroup
 	// finalSink receives every deduplicated final result; under
 	// tenancy it additionally routes the result into the owning
 	// tenant's collector and releases the tenant's in-flight quota
 	// credit (core.TenantMux.Done).
-	finalSink := merged.Sink()
+	finalSink := s.merged.Sink()
 	if s.tenantMux != nil {
 		base := finalSink
 		finalSink = func(r core.Result) {
@@ -1156,8 +1058,6 @@ func (s *Session) Run() (*Report, error) {
 		}
 	}
 
-	var job *core.Job
-	var pool *core.Pool
 	if s.stageMode() {
 		// Model-parallel pipeline: serial stages, final-stage results
 		// to the merged collector, per-stage emissions to the group
@@ -1191,64 +1091,53 @@ func (s *Session) Run() (*Report, error) {
 			return nil, fmt.Errorf("pipeline: stages: %w", err)
 		}
 		s.pipe = pipe
-		subscribeAdmission(pipe)
-		job = pipe.Start(s.env, src, finalSink)
-	} else if len(s.targets) == 1 {
+		s.subscribeAdmission(pipe)
+		return pipe.Start(s.env, src, finalSink), nil
+	}
+	if len(s.targets) == 1 {
 		// Single group: start directly, bit-identical to hand-wiring.
-		subscribeAdmission(s.targets[0])
+		s.subscribeAdmission(s.targets[0])
 		sink, group := finalSink, groupSink(0)
-		job = s.targets[0].Start(s.env, src, func(r core.Result) {
+		return s.targets[0].Start(s.env, src, func(r core.Result) {
 			group(r)
 			sink(r)
-		})
-	} else {
-		var weights []float64
-		if slices.ContainsFunc(s.cfg.Groups, func(g Group) bool { return g.Weight > 0 }) {
-			for _, g := range s.cfg.Groups {
-				weights = append(weights, cmp.Or(g.Weight, 1))
-			}
-		}
-		sinks := make([]func(core.Result), len(s.targets))
-		for i := range sinks {
-			sinks[i] = groupSink(i)
-		}
-		var err error
-		pool, err = core.NewPool(s.targets, core.PoolOptions{
-			Routing:    s.cfg.Routing,
-			Weights:    weights,
-			QueueDepth: s.cfg.QueueDepth,
-			OnResult:   func(child int, r core.Result) { sinks[child](r) },
-			Hedge:      s.sessionHedge(func(child int) int { return child }),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: pool: %w", err)
-		}
-		s.pool = pool
-		subscribeAdmission(pool)
-		job = pool.Start(s.env, src, finalSink)
+		}), nil
 	}
-	if s.source == nil || s.admission != nil || s.tenantMux != nil || s.arrivals != nil || s.stream != nil {
-		s.drainOnFailure(job, src)
+	var weights []float64
+	if slices.ContainsFunc(s.cfg.Groups, func(g Group) bool { return g.Weight > 0 }) {
+		for _, g := range s.cfg.Groups {
+			weights = append(weights, cmp.Or(g.Weight, 1))
+		}
 	}
+	sinks := make([]func(core.Result), len(s.targets))
+	for i := range sinks {
+		sinks[i] = groupSink(i)
+	}
+	pool, err := core.NewPool(s.targets, core.PoolOptions{
+		Routing:    s.cfg.Routing,
+		Weights:    weights,
+		QueueDepth: s.cfg.QueueDepth,
+		OnResult:   func(child int, r core.Result) { sinks[child](r) },
+		Hedge:      s.sessionHedge(func(child int) int { return child }),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: pool: %w", err)
+	}
+	s.pool = pool
+	s.subscribeAdmission(pool)
+	return pool.Start(s.env, src, finalSink), nil
+}
 
-	s.env.Run()
-
-	err := job.Err
-	if cerr := s.classify(); err == nil {
-		err = cerr
+// subscribeAdmission makes the admission bound track the healthy
+// capacity of t (a pool's aggregate, or a lone health-aware target)
+// under AdmissionShrink.
+func (s *Session) subscribeAdmission(t core.Target) {
+	if !s.cfg.AdmissionShrink || s.admission == nil {
+		return
 	}
-	if eerr := s.checkEdge(); err == nil {
-		err = eerr
+	if ha, ok := t.(core.HealthAware); ok {
+		ha.SetHealthObserver(s.admission.ObserveHealth)
 	}
-	if released, ok := s.released(); ok {
-		if ierr := ingressConserved(merged.Arrivals(), released); err == nil {
-			err = ierr
-		}
-	}
-	if verr := mergedConserved(merged, s.mergedParts(perGroup)); err == nil {
-		err = verr
-	}
-	return s.buildReport(job, pool, merged, perGroup), err
 }
 
 // mergedParts returns the group collectors whose results are, between

@@ -216,8 +216,8 @@ type (
 	BatchTarget = core.BatchTarget
 	// StreamSource is the MPI-stream-style push source.
 	StreamSource = core.StreamSource
-	// FolderSource serves .ppm images from a directory.
-	FolderSource = core.FolderSource
+	// SliceSource serves fixed items: NewFolderSource's, SetSource's.
+	SliceSource = core.SliceSource
 	// Scheduling selects round-robin or dynamic dispatch.
 	Scheduling = core.Scheduling
 	// Arrivals is an open-loop arrival process (deterministic,
@@ -506,8 +506,8 @@ func DelayedArrivals(arr Arrivals, delay time.Duration) Arrivals {
 }
 
 // NewFolderSource loads .ppm images (with optional .xml annotations)
-// from a directory.
-func NewFolderSource(dir string, size int, means []float32, labelOf func(wnid string) (int, bool)) (*FolderSource, error) {
+// from a directory into a SliceSource.
+func NewFolderSource(dir string, size int, means []float32, labelOf func(wnid string) (int, bool)) (*SliceSource, error) {
 	return core.NewFolderSource(dir, size, means, labelOf)
 }
 

@@ -77,8 +77,9 @@ echo "== bench-kernel smoke (-benchtime=1x: compile+run sanity, not timing) =="
 # wall-clock numbers, so CI never gates on their timings — it only
 # proves every workload still compiles and completes one iteration.
 # -cpu 1,2 runs the coroutine park/resume switch at both GOMAXPROCS
-# settings. BenchmarkKernelRelay runs a queue relay as a process and as
-# a callback waiter (sim.Env.Waiter), the edge relay's two drivers.
+# settings. BenchmarkKernelRelay compares, in the sim kernel, a queue
+# relay run as a process with one run as a callback waiter
+# (sim.Env.Waiter).
 go test -run '^$' -bench BenchmarkKernel -cpu 1,2 -benchtime=1x ./internal/sim
 # The graph-file codec microbenchmarks (GoogLeNet compile and parse)
 # and the shape-only GoogLeNet build get the same one-iteration sanity
