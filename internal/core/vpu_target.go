@@ -266,14 +266,9 @@ func (t *VPUTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 					tl.Add(name, trace.Exec, start, end, "")
 				})
 			}
-			if err := d.Open(p); err != nil {
-				job.Err = fmt.Errorf("core: open %s: %w", d.Name(), err)
-				job.Finish(p)
-				return
-			}
-			g, err := d.AllocateGraph(p, t.blob, ncs.GraphOptions{})
+			g, err := t.connect(p, d)
 			if err != nil {
-				job.Err = fmt.Errorf("core: allocate on %s: %w", d.Name(), err)
+				job.Err = err
 				job.Finish(p)
 				return
 			}
@@ -355,6 +350,45 @@ func (t *VPUTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 		job.Finish(p)
 	})
 	return job
+}
+
+// connect opens d and allocates the graph on it. A device that fails
+// to connect (a link dropped before or during Open) is an outage like
+// one in service: under recovery it is reset and connected again, as
+// worker's fail heals it, and the outage is reported recovered; a
+// second failure, or any failure under fail-stop, ends the job with
+// the connect error.
+func (t *VPUTarget) connect(p *sim.Proc, d *ncs.Device) (*ncs.Graph, error) {
+	try := func() (*ncs.Graph, error) {
+		if err := d.Open(p); err != nil {
+			return nil, fmt.Errorf("core: open %s: %w", d.Name(), err)
+		}
+		g, err := d.AllocateGraph(p, t.blob, ncs.GraphOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("core: allocate on %s: %w", d.Name(), err)
+		}
+		return g, nil
+	}
+	g, err := try()
+	rc := t.opts.Recovery
+	if err == nil || !rc.enabled() || !rc.Recover {
+		return g, err
+	}
+	from := p.Now()
+	t.noteDown(from)
+	d.Reset()
+	g, err2 := try()
+	if err2 == nil {
+		t.noteUp(p.Now())
+		t.opts.Timeline.Add(d.Name(), trace.Down, from, p.Now(), err.Error())
+	}
+	if rc.OnOutage != nil {
+		rc.OnOutage(d.Name(), from, p.Now(), err2 == nil)
+	}
+	if err2 != nil {
+		return nil, fmt.Errorf("%w; re-open failed: %w", err, err2)
+	}
+	return g, nil
 }
 
 // dispatchDynamic places the item on the first live queue with room,

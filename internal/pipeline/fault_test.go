@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -162,5 +163,45 @@ func TestSessionEmptyPlanMatchesBaseline(t *testing.T) {
 	if base.Latency.P99 != monitored.Latency.P99 || base.SimTime != monitored.SimTime {
 		t.Errorf("latency/simtime differ: %v/%v vs %v/%v",
 			base.Latency.P99, base.SimTime, monitored.Latency.P99, monitored.SimTime)
+	}
+}
+
+// TestSessionLinkDropBeforeOpen: a link drop that hits a stick before
+// the group connects it is an outage like any other. Under recovery
+// the group resets and re-opens the stick and serves on both; under
+// fail-stop the connect error still ends the VPU group.
+func TestSessionLinkDropBeforeOpen(t *testing.T) {
+	const n = 40
+	run := func(recover bool) (*Report, error) {
+		sess, err := NewFromConfig(Config{
+			Images: n,
+			Groups: []Group{{Kind: GroupVPU, Devices: 2}, {Kind: GroupCPU, Batch: 8}},
+			Faults: fault.Plan{Events: []fault.Event{
+				{Device: "ncs0", Kind: fault.LinkDrop, At: 0},
+			}},
+			Recovery: core.RecoveryConfig{Timeout: 2 * time.Second, Recover: recover},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess.Run()
+	}
+	rep, err := run(true)
+	if err != nil {
+		t.Fatalf("recovered session errored: %v", err)
+	}
+	if rep.Images != n || rep.FaultDrops != 0 {
+		t.Errorf("completed %d, dropped %d, want %d and 0", rep.Images, rep.FaultDrops, n)
+	}
+	if rep.FaultsInjected != 1 || rep.Outages != 1 || rep.Recovered != 1 {
+		t.Errorf("injected=%d outages=%d recovered=%d, want 1/1/1", rep.FaultsInjected, rep.Outages, rep.Recovered)
+	}
+	if vpu := rep.Targets[0]; vpu.Collector.N == 0 {
+		t.Error("the VPU group served nothing after re-opening its stick")
+	}
+
+	_, err = run(false)
+	if err == nil || !strings.Contains(err.Error(), "core: open ncs0: ncs: device closed") {
+		t.Errorf("fail-stop error %v, want the connect failure on ncs0", err)
 	}
 }

@@ -35,8 +35,9 @@ func renderCounts(c sim.Counts) string {
 // slo-bounded's depth-16 shed-newest admission queue. The counts are
 // the host-independent cost of a run: a change that adds coroutine
 // switches, or removes them, moves these numbers, and the pin makes
-// it say so. The edge relays (arrivals, admission, tenant lanes) run
-// as scheduler callbacks, so they add events but no resumes.
+// it say so. The edge relays (arrivals, admission, tenant lanes) and
+// the hops of a USB transfer run as scheduler callbacks, so they add
+// events but no resumes: a transfer resumes its caller once.
 func TestServingKernelCounts(t *testing.T) {
 	corpus, err := DefaultCorpusDir()
 	if err != nil {
@@ -51,15 +52,15 @@ func TestServingKernelCounts(t *testing.T) {
 	}{
 		{workloads, "cpu-gpu-serve", 3000, "events 10706 resumes 4673: " +
 			"cpu=865 gpu=1150 pool-main=2658"},
-		{workloads, "vpu8-hedged", 400, "events 11660 resumes 11201: " +
+		{workloads, "vpu8-hedged", 400, "events 11660 resumes 3996: " +
 			"fault-driver=15 " +
 			"ncs0/runtime=158 ncs1/runtime=158 ncs2/runtime=158 ncs3/runtime=152 " +
 			"ncs4/runtime=152 ncs5/runtime=152 ncs6/runtime=152 ncs7/runtime=152 " +
-			"ncsw-main=3124 ncsw-worker0=714 ncsw-worker1=719 ncsw-worker2=931 ncsw-worker3=902 " +
-			"ncsw-worker4=897 ncsw-worker5=888 ncsw-worker6=886 ncsw-worker7=891"},
-		{corpus, "flash-crowd", 0, "events 8520 resumes 8017: " +
+			"ncsw-main=440 ncsw-worker0=294 ncsw-worker1=296 ncsw-worker2=296 ncsw-worker3=286 " +
+			"ncsw-worker4=287 ncsw-worker5=283 ncsw-worker6=281 ncsw-worker7=284"},
+		{corpus, "flash-crowd", 0, "events 8520 resumes 3284: " +
 			"ncs0/runtime=263 ncs1/runtime=263 ncs2/runtime=263 ncs3/runtime=263 " +
-			"ncsw-main=1568 ncsw-worker0=1176 ncsw-worker1=1167 ncsw-worker2=1529 ncsw-worker3=1525"},
+			"ncsw-main=348 ncsw-worker0=471 ncsw-worker1=470 ncsw-worker2=471 ncsw-worker3=472"},
 		{corpus, "slo-bounded", 0, "events 889 resumes 87: cpu=87"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

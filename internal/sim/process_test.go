@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -237,5 +239,106 @@ func TestProcessWaitsForItsGoroutines(t *testing.T) {
 	}
 	if len(sums) != rounds || len(stamps) != rounds || e.Now() != rounds*ms {
 		t.Errorf("%d rounds, %d stamps, end at %v; want %d, %d, %v", len(sums), len(stamps), e.Now(), rounds, rounds, rounds*ms)
+	}
+}
+
+// TestSuspendResumeAt: a suspended process resumes in the slot that
+// ResumeAt schedules, which consumes one sequence number exactly like
+// the process's own Sleep to the same instant. Two processes sleep to
+// 3 ms and then to 5 ms; the first one's run is replayed with its two
+// sleeps handed to a callback that resumes it, and the dispatch log
+// must not change, sequence numbers included, while it saves one
+// resume.
+func TestSuspendResumeAt(t *testing.T) {
+	run := func(suspend bool) (log []string, resumes uint64) {
+		e := NewEnv()
+		for _, name := range []string{"first", "second"} {
+			e.Process(name, func(p *Proc) {
+				if suspend && name == "first" {
+					e.At(3*ms, func() { p.ResumeAt(5 * ms) })
+					p.Suspend()
+				} else {
+					p.Sleep(3 * ms)
+					p.Sleep(2 * ms)
+				}
+				log = append(log, fmt.Sprintf("%s t=%v seq=%d", name, e.now, e.seq))
+			})
+		}
+		e.Run()
+		return append(log, fmt.Sprintf("end seq=%d events=%d", e.seq, e.events)), e.Counts().ByName["first"]
+	}
+	want, sleeps := run(false)
+	got, resumes := run(true)
+	if !slices.Equal(got, want) {
+		t.Errorf("with ResumeAt: %v, want the Sleep run's %v", got, want)
+	}
+	if sleeps != 3 || resumes != 2 {
+		t.Errorf("first process resumed %d times sleeping and %d suspended, want 3 and 2", sleeps, resumes)
+	}
+
+	e := NewEnv()
+	var p *Proc
+	e.Process("p", func(pp *Proc) { p = pp; pp.Sleep(ms) })
+	e.RunUntil(0)
+	defer func() {
+		if recover() == nil {
+			t.Error("ResumeAt of a sleeping process did not panic")
+		}
+		e.Stop()
+	}()
+	p.ResumeAt(2 * ms)
+}
+
+// TestSuspendedNeverResumedIsDeadlock: a process suspended with no
+// callback left to resume it is a deadlock, reported by Run and
+// unwound like any blocked process.
+func TestSuspendedNeverResumedIsDeadlock(t *testing.T) {
+	e := NewEnv()
+	unwound := false
+	e.Process("lost", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Sleep(ms)
+		p.Suspend()
+		t.Error("a suspended process resumed with nothing to resume it")
+	})
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "sim: deadlock — 1 process(es) still blocked at t=1ms") {
+				t.Errorf("deadlock panic %q, want one blocked process at 1ms", msg)
+			}
+		}()
+		e.Run()
+	}()
+	if !unwound || e.active != 0 || e.live != nil {
+		t.Errorf("after the deadlock: unwound=%v active=%d live=%v, want true 0 nil", unwound, e.active, e.live)
+	}
+}
+
+// TestStopEndsSuspendedProcess: Stop unwinds a suspended process, and
+// a callback that resumes it afterwards schedules a resume that
+// dispatches to nothing.
+func TestStopEndsSuspendedProcess(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEnv()
+	unwound := false
+	e.Process("suspended", func(p *Proc) {
+		defer func() { unwound = true }()
+		e.At(time.Hour, func() { p.ResumeAt(e.Now()) })
+		p.Suspend()
+		t.Error("a stopped process resumed")
+	})
+	e.RunUntil(time.Second)
+	e.Stop()
+	if !unwound || e.active != 0 || e.waiting != 0 || e.live != nil {
+		t.Errorf("after Stop: unwound=%v active=%d waiting=%d live=%v, want true 0 0 nil",
+			unwound, e.active, e.waiting, e.live)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Stop, want at most the baseline %d", n, base)
+	}
+	e.Run()
+	if e.Now() != time.Hour {
+		t.Errorf("clock after draining = %v, want 1h", e.Now())
 	}
 }

@@ -67,6 +67,19 @@ func (r *Resource) TryAcquire() bool {
 	return false
 }
 
+// TryAcquireOr is Acquire for a callback waiter (Env.Waiter): it takes
+// a unit and reports true, or, while none is free, registers w on the
+// wait list behind any parked processes and reports false. Release
+// then hands w the unit and runs its fn in the slot an Acquire would
+// have resumed in; fn holds the unit and must not acquire again.
+func (r *Resource) TryAcquireOr(w *Proc) bool {
+	if r.TryAcquire() {
+		return true
+	}
+	w.register(&r.waiters)
+	return false
+}
+
 // Release returns a unit, waking the oldest waiter if any. Releasing
 // an unheld resource panics — it indicates a protocol bug in a model.
 func (r *Resource) Release() {

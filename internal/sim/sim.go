@@ -20,11 +20,13 @@
 //
 // Model code that only waits and hands on need not be a process at
 // all: callbacks (At, Tick) run on the scheduler itself, and a callback
-// waiter (Env.Waiter) waits on a Queue beside parked processes through
-// TryGetOr and TryPutOr. A waiter is woken in the (time, sequence)
-// slot a parked process would resume in, so converting a process into
-// callbacks keeps every event's order and saves its coroutine
-// switches.
+// waiter (Env.Waiter) waits on a Queue through TryGetOr and TryPutOr,
+// or on a Resource through TryAcquireOr, beside parked processes. A
+// waiter is woken in the (time, sequence) slot a parked process would
+// resume in, so converting a process into callbacks keeps every
+// event's order and saves its coroutine switches. A process can also
+// hand one multi-step wait to callbacks: it parks with Suspend, and
+// the last callback schedules its resume with ResumeAt.
 //
 // Performance model (DESIGN.md §9): the event queue is a
 // hand-specialized 4-ary min-heap over a reused backing array (no
@@ -68,7 +70,7 @@ type Env struct {
 	active int
 	live   *Proc
 	// waiting counts processes parked on resources/queues, and callback
-	// waiters registered on queues, with no pending event (only another
+	// waiters registered on them, with no pending event (only another
 	// process or callback can wake them); callbacks counts the callback
 	// waiters among them. Both feed the deadlock diagnostic.
 	waiting   int
@@ -339,7 +341,8 @@ func (e *Env) Tick(start, interval time.Duration, fn func(now time.Duration) boo
 // Proc is the handle a simulated process uses to interact with
 // virtual time. It is only valid inside the function passed to
 // Env.Process. Env.Waiter makes a Proc with no process behind it, a
-// callback waiter, which only the queue's TryGetOr and TryPutOr use.
+// callback waiter, which only the queue's TryGetOr and TryPutOr and
+// the resource's TryAcquireOr use.
 type Proc struct {
 	env *Env
 	// yield parks the body (the coroutine side of the handoff) and
@@ -362,6 +365,9 @@ type Proc struct {
 	// timedOut is set by a fired queue-timeout event just before the
 	// wakeup; GetWithin consumes and resets it.
 	timedOut bool
+	// suspended is set while the process is parked by Suspend with no
+	// resume scheduled; ResumeAt clears it.
+	suspended bool
 	// resumes counts the scheduler's switches into this process; retire
 	// folds it into Env.resumes.
 	resumes uint64
@@ -371,17 +377,19 @@ type Proc struct {
 }
 
 // Waiter returns a callback waiter: a Proc with no coroutine that
-// Queue.TryGetOr and Queue.TryPutOr register on a queue's wait list,
-// beside any parked processes. Waking it schedules fn on the
-// scheduler at the current instant, consuming the one sequence number
-// a parked process's resume would, so fn runs in the (time, sequence)
-// slot the process would have resumed in and same-time FIFO order is
-// unchanged; what it saves is the two coroutine switches. fn must not
-// block: it usually retries the operation that registered the waiter.
+// Queue.TryGetOr, Queue.TryPutOr and Resource.TryAcquireOr register on
+// a queue's or a resource's wait list, beside any parked processes.
+// Waking it schedules fn on the scheduler at the current instant,
+// consuming the one sequence number a parked process's resume would,
+// so fn runs in the (time, sequence) slot the process would have
+// resumed in and same-time FIFO order is unchanged; what it saves is
+// the two coroutine switches. fn must not block: it usually retries
+// the operation that registered the waiter, or, woken by a resource,
+// goes on holding the unit it was handed.
 // A waiter sits on at most one wait list at a time, and one still
 // registered when Run runs out of events is a deadlock, reported like
-// a parked process. It cannot wait on a Resource or with a timeout,
-// and Stop, which ends processes, leaves it registered.
+// a parked process. It cannot wait with a timeout, and Stop, which
+// ends processes, leaves it registered.
 func (e *Env) Waiter(name string, fn func()) *Proc {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: callback waiter %q with nil fn", name))
@@ -508,6 +516,33 @@ func (e *Env) Stop() {
 		e.retire(p)
 		p.stop()
 	}
+}
+
+// Suspend parks the process with no pending event until a callback,
+// or another process, schedules its resume with ResumeAt. It is how a
+// process hands a multi-step wait to scheduler callbacks and pays one
+// resume for the lot: usb.Port.Transfer suspends its caller, runs every
+// hop of every chunk as callbacks and resumes the caller in the last
+// hop's slot. A process still suspended when Run runs out of events is
+// a deadlock, and Stop ends it like any parked process.
+func (p *Proc) Suspend() {
+	if p.fn != nil {
+		panic(fmt.Sprintf("sim: callback waiter %q cannot suspend", p.name))
+	}
+	p.suspended = true
+	p.park()
+}
+
+// ResumeAt schedules a suspended process to resume at absolute virtual
+// time t (t >= Now), consuming the one sequence number that the
+// process's own Sleep to t, issued at this instant, would. It panics
+// unless the process is suspended with no resume scheduled yet.
+func (p *Proc) ResumeAt(t time.Duration) {
+	if !p.suspended {
+		panic(fmt.Sprintf("sim: resuming %q, which is not suspended", p.name))
+	}
+	p.suspended = false
+	p.env.schedule(t, p, nil)
 }
 
 // Sleep suspends the process for d of virtual time. d < 0 panics;

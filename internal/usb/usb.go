@@ -10,7 +10,9 @@
 // controller, holding one hop at a time. Chunking lets concurrent
 // transfers interleave fairly on shared hops, approximating the
 // round-robin arbitration of real bulk traffic while keeping the
-// simulation deterministic.
+// simulation deterministic. The hops run as scheduler callbacks, so a
+// transfer costs its caller one process resume however many chunks and
+// hops it crosses (DESIGN.md §9).
 package usb
 
 import (
@@ -113,6 +115,32 @@ type Port struct {
 	// slow is the fault-injected link-degradation factor (<=1 = none):
 	// a flaky link retrying bulk packets stretches every hop occupancy.
 	slow float64
+	// idle holds transfer states no transfer is using. Overlapping
+	// transfers on one port each take their own; a port that carries
+	// one at a time, as a stick's does, allocates one state on its
+	// first transfer and reuses it.
+	idle *xfer
+}
+
+// xfer is one in-flight transfer, run as a chain of scheduler
+// callbacks: startChunk (first after the setup latency) sizes the next
+// chunk, acquire takes the current hop, hold arms its occupancy and
+// release frees it and moves on. The caller stays suspended
+// throughout, and the hold of the last hop of the last chunk ends in
+// the caller's own resume instead of a callback.
+type xfer struct {
+	port *Port
+	proc *sim.Proc
+	// left is the bytes not yet sent; sz is the current chunk's size
+	// and hop its position along port.path.
+	left, sz, hop int
+	// waiter stands in for proc on a busy hop's wait list and runs
+	// hold once the hop is handed over; start and done are the
+	// startChunk and release method values, bound once so a warm
+	// transfer allocates nothing.
+	waiter      *sim.Proc
+	start, done func()
+	next        *xfer
 }
 
 // InjectSlowdown models a degraded link (bulk retries, a renegotiated
@@ -155,31 +183,88 @@ func (p *Port) BytesMoved() int64 { return p.bytesMoved }
 // virtual time for the full duration (bulk transfers are symmetric
 // enough that direction is not modelled). Zero-byte transfers still
 // pay the setup latency (a real command/status round trip).
+//
+// proc is suspended once, for the whole transfer: after the setup
+// latency each chunk acquires, holds and releases each hop as
+// scheduler callbacks, in the (time, sequence) slots a process doing
+// the same steps would resume in, and the hold of the last hop of the
+// last chunk ends in proc's own resume, which releases that hop. The
+// port's slowdown factor is read as each hop is acquired.
 func (p *Port) Transfer(proc *sim.Proc, n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("usb: negative transfer size %d", n))
 	}
-	proc.Sleep(p.fabric.cfg.SetupLatency)
-	chunk := p.fabric.cfg.ChunkBytes
-	for moved := 0; moved < n; moved += chunk {
-		sz := chunk
-		if n-moved < sz {
-			sz = n - moved
-		}
-		for _, h := range p.path {
-			h.res.Acquire(proc)
-			d := durationFor(sz, h.bw)
-			if p.slow > 1 {
-				// Degraded link: retries stretch the hop occupancy (and,
-				// since the hop is held, everyone sharing it feels it —
-				// as real bulk retries do).
-				d = time.Duration(float64(d) * p.slow)
-			}
-			proc.Sleep(d)
-			h.res.Release()
-		}
+	if n == 0 {
+		proc.Sleep(p.fabric.cfg.SetupLatency)
+		return
 	}
+	x := p.idle
+	if x == nil {
+		x = p.newXfer()
+	}
+	p.idle = x.next
+	x.proc, x.left = proc, n
+	p.fabric.env.At(proc.Now()+p.fabric.cfg.SetupLatency, x.start)
+	proc.Suspend()
+	p.path[len(p.path)-1].res.Release()
+	x.proc, x.next = nil, p.idle
+	p.idle = x
 	p.bytesMoved += int64(n)
+}
+
+// newXfer allocates a transfer state with its callbacks bound.
+func (p *Port) newXfer() *xfer {
+	x := &xfer{port: p}
+	x.start, x.done = x.startChunk, x.release
+	x.waiter = p.fabric.env.Waiter("usb/"+p.name, x.hold)
+	return x
+}
+
+// startChunk sizes the next chunk and starts it on the first hop.
+func (x *xfer) startChunk() {
+	x.hop = 0
+	x.sz = min(x.port.fabric.cfg.ChunkBytes, x.left)
+	x.left -= x.sz
+	x.acquire()
+}
+
+// acquire takes the current hop, or waits for Release to hand it over
+// and run hold.
+func (x *xfer) acquire() {
+	if x.port.path[x.hop].res.TryAcquireOr(x.waiter) {
+		x.hold()
+	}
+}
+
+// hold occupies the acquired hop for the chunk's time on it. The last
+// hop of the last chunk resumes the caller, which releases it.
+func (x *xfer) hold() {
+	h := x.port.path[x.hop]
+	d := durationFor(x.sz, h.bw)
+	if x.port.slow > 1 {
+		// Degraded link: retries stretch the hop occupancy (and, since
+		// the hop is held, everyone sharing it feels it — as real bulk
+		// retries do).
+		d = time.Duration(float64(d) * x.port.slow)
+	}
+	env := x.port.fabric.env
+	if x.left == 0 && x.hop == len(x.port.path)-1 {
+		x.proc.ResumeAt(env.Now() + d)
+		return
+	}
+	env.At(env.Now()+d, x.done)
+}
+
+// release frees the held hop and moves the chunk on to the next hop,
+// or starts the next chunk after the last.
+func (x *xfer) release() {
+	x.port.path[x.hop].res.Release()
+	x.hop++
+	if x.hop == len(x.port.path) {
+		x.startChunk()
+		return
+	}
+	x.acquire()
 }
 
 // MinDuration estimates the uncontended time for an n-byte transfer;

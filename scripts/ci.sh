@@ -81,6 +81,10 @@ echo "== bench-kernel smoke (-benchtime=1x: compile+run sanity, not timing) =="
 # relay run as a process with one run as a callback waiter
 # (sim.Env.Waiter).
 go test -run '^$' -bench BenchmarkKernel -cpu 1,2 -benchtime=1x ./internal/sim
+# The USB transfer benchmark (eight Fig. 5 ports moving input tensors
+# at once, one op per transfer) gets the same sanity run; -benchmem
+# shows its 0 allocs/op.
+go test -run '^$' -bench BenchmarkTransfer -benchmem -benchtime=1x ./internal/usb
 # The graph-file codec microbenchmarks (GoogLeNet compile and parse)
 # and the shape-only GoogLeNet build get the same one-iteration sanity
 # run. -cpu 1,2 runs Compile both inline and on two workers.
