@@ -1,8 +1,9 @@
 // Command make-dataset materializes a slice of the synthetic ILSVRC
 // validation set to disk: one .ppm image plus one ILSVRC-style .xml
-// bounding-box annotation per sample. The output folder feeds
-// ncsw-classify -folder, exercising the file-based ImageFolder source
-// of the NCSw class diagram (Fig. 3).
+// bounding-box annotation per sample. ncsw-classify -folder loads the
+// output folder (repro.LoadFolder) into its session's
+// SessionConfig.Items: the file-based ImageFolder source of the NCSw
+// class diagram (Fig. 3).
 //
 // Example:
 //

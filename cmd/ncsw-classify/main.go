@@ -3,7 +3,10 @@
 // folder of .ppm files made with make-dataset) on one or more device
 // groups — the simulated CPU, GPU, and groups of Neural Compute
 // Sticks — and reports per-group and aggregate accuracy plus
-// simulated throughput.
+// simulated throughput. A folder's images are loaded before the
+// session is built and passed in its SessionConfig.Items, sized,
+// centred and labelled as the functional session's own dataset and
+// micro network expect.
 //
 // Examples:
 //
@@ -65,19 +68,19 @@ func main() {
 		}
 	}
 
-	sess, err := repro.NewSession(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	total := *images
 	if *folder != "" {
-		src, n, err := folderSource(sess, *folder)
+		items, err := loadFolder(*folder)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sess.SetSource(src)
-		total = n
+		cfg.Items = items
+		total = len(items)
+	}
+
+	sess, err := repro.NewSession(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	report, err := sess.Run()
@@ -109,11 +112,15 @@ func parseRouting(name string) (repro.Routing, error) {
 	return 0, fmt.Errorf("unknown routing %q (want static, roundrobin, stealing or weighted)", name)
 }
 
-// folderSource loads .ppm images (with optional .xml annotations)
-// sized for the session's network, labelled through the session's
-// synset table.
-func folderSource(sess *repro.Session, dir string) (*repro.SliceSource, int, error) {
-	ds := sess.Dataset()
+// loadFolder loads the .ppm images (with optional .xml annotations)
+// under dir as the functional session reads its own images: sized for
+// the default micro network's input, less the default dataset's
+// channel means, and labelled through its synset table.
+func loadFolder(dir string) ([]repro.Item, error) {
+	ds, err := repro.NewDataset(repro.DefaultDatasetConfig())
+	if err != nil {
+		return nil, err
+	}
 	labelOf := func(wnid string) (int, bool) {
 		for c := 0; c < ds.Classes(); c++ {
 			if ds.Synset(c).WNID == wnid {
@@ -122,10 +129,5 @@ func folderSource(sess *repro.Session, dir string) (*repro.SliceSource, int, err
 		}
 		return 0, false
 	}
-	size := sess.Network().InputShape()[1]
-	src, err := repro.NewFolderSource(dir, size, ds.Mean(), labelOf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return src, src.Remaining(), nil
+	return repro.LoadFolder(dir, repro.DefaultMicroConfig().Input, ds.Mean(), labelOf)
 }

@@ -5,11 +5,13 @@
 // scripted failure scenario (slowdown, stick hang, link drop) and the
 // self-healing pipeline's response: `!` marks injections, `X` marks
 // each outage from detection to rejoin, so failure scenarios are
-// visually debuggable. With -tenants it runs a small multi-tenant
-// serving session under weighted-fair scheduling and adds one lane
-// per tenant below the device tracks — queue wait and service spans
-// per delivered item — so per-tenant isolation is visually
-// debuggable too.
+// visually debuggable. The scenario is the session's own fault plan
+// (SessionConfig.Faults), so its slowdown stretches the stick's USB
+// transfers as well as its SHAVE time, as in every faulted session.
+// With -tenants it runs a small multi-tenant serving session under
+// weighted-fair scheduling and adds one lane per tenant below the
+// device tracks — queue wait and service spans per delivered item —
+// so per-tenant isolation is visually debuggable too.
 //
 // Examples:
 //
@@ -48,94 +50,90 @@ func main() {
 	if *tenants && *faults {
 		log.Fatal("-tenants and -faults are separate scenarios; pick one")
 	}
-	if *tenants {
-		out, err := tenantsTrace(*devices, *images, *seed, *width, *csv)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(out)
-		return
+	if *devices < 1 {
+		log.Fatalf("-devices must be positive (got %d)", *devices)
 	}
+	var out string
+	var err error
+	if *tenants {
+		out, err = tenantsTrace(*devices, *images, *seed, *width, *csv)
+	} else {
+		out, err = fleetTrace(*devices, *images, *seed, *width, *csv, *faults)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(out)
+}
 
+// fleetTrace runs the Fig. 4 session — images inferences on a fleet of
+// devices sticks — and renders its steady-state timeline. With faults
+// it raises images to 30 per stick and scripts a slowdown, a stick
+// hang and (from three sticks on) a link drop into the session's
+// Faults, with recovery on; the chart marks each injection and outage
+// and a list of the injected faults follows. Deterministic for a fixed
+// configuration: the golden test pins the faults chart.
+func fleetTrace(devices, images int, seed uint64, width int, csv, faults bool) (string, error) {
 	tl := repro.NewTimeline()
-	var rc repro.RecoveryConfig
-	if *faults {
+	cfg := repro.SessionConfig{
+		Groups:   []repro.DeviceGroup{{Kind: repro.VPUGroup, Devices: devices}},
+		Seed:     seed,
+		NetSeed:  seed,
+		Timeline: tl,
+	}
+	if faults {
 		// Size the scenario so the faults land mid-steady-state: the
 		// main process opens sticks sequentially (~1.05 s each: firmware
 		// upload, RTOS boot, graph allocation), then each stick serves
 		// ~101 ms per image.
-		if *images < 30**devices {
-			*images = 30 * *devices
-		}
-		rc = repro.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: true}
-	}
-	ds := repro.DefaultDatasetConfig()
-	ds.Images = *images
-	sess, err := repro.NewSession(repro.SessionConfig{
-		Dataset:  ds,
-		Groups:   []repro.DeviceGroup{{Kind: repro.VPUGroup, Devices: *devices}},
-		Seed:     *seed,
-		NetSeed:  *seed,
-		Timeline: tl,
-		Recovery: rc,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var faultLog *repro.FaultLog
-	if *faults {
-		// The scripted plan targets the sticks alone (not their USB
-		// ports), so the slowdown stretches SHAVE time only.
-		sticks := sess.Devices()
-		setup := time.Duration(*devices) * 1100 * time.Millisecond
-		reg := repro.FaultRegistry{}
-		for _, d := range sticks {
-			reg.Add(d.Name(), d)
-		}
-		plan := repro.FaultPlan{Events: []repro.FaultEvent{
-			{Device: sticks[0].Name(), Kind: repro.Slowdown, At: setup + 200*time.Millisecond,
+		images = max(images, 30*devices)
+		setup := time.Duration(devices) * 1100 * time.Millisecond
+		stick := func(i int) string { return fmt.Sprintf("ncs%d", i) }
+		cfg.Faults.Events = []repro.FaultEvent{
+			{Device: stick(0), Kind: repro.Slowdown, At: setup + 200*time.Millisecond,
 				Factor: 3, Duration: time.Second},
-			{Device: sticks[len(sticks)-1].Name(), Kind: repro.StickHang, At: setup + 300*time.Millisecond},
-		}}
-		if len(sticks) > 2 {
-			plan.Events = append(plan.Events, repro.FaultEvent{
-				Device: sticks[1].Name(), Kind: repro.LinkDrop, At: setup + 600*time.Millisecond})
+			{Device: stick(devices - 1), Kind: repro.StickHang, At: setup + 300*time.Millisecond},
 		}
-		faultLog, err = repro.ApplyFaults(sess.Env(), plan, repro.Seed(*seed), reg,
-			func(inj repro.FaultInjection) {
-				tl.Add(inj.Device, trace.Fault, inj.At, inj.Until, inj.Kind.String())
-			})
-		if err != nil {
-			log.Fatal(err)
+		if devices > 2 {
+			cfg.Faults.Events = append(cfg.Faults.Events, repro.FaultEvent{
+				Device: stick(1), Kind: repro.LinkDrop, At: setup + 600*time.Millisecond})
 		}
+		cfg.Recovery = repro.RecoveryConfig{Timeout: 500 * time.Millisecond, Recover: true}
+	}
+	cfg.Dataset = repro.DefaultDatasetConfig()
+	cfg.Dataset.Images = images
+	sess, err := repro.NewSession(cfg)
+	if err != nil {
+		return "", err
 	}
 	rep, err := sess.Run()
 	if err != nil {
-		log.Fatal(err)
+		return "", err
 	}
 	job := rep.Job
 
 	// Drop the one-time setup (firmware boot, graph allocation) so the
 	// chart shows the steady-state pipeline of Fig. 4.
 	steady := tl.After(job.ReadyAt)
-	if *csv {
-		fmt.Print(steady.CSV())
-		return
+	if csv {
+		return steady.CSV(), nil
 	}
-	fmt.Printf("multi-VPU execution timeline: %d inferences on %d devices (GoogLeNet)\n", *images, *devices)
-	fmt.Printf("steady-state throughput: %.1f img/s\n\n", job.Throughput())
-	fmt.Print(steady.Render(*width))
-	fmt.Printf("\nexec overlap across devices: %v of %v steady-state\n",
+	var b strings.Builder
+	fmt.Fprintf(&b, "multi-VPU execution timeline: %d inferences on %d devices (GoogLeNet)\n", images, devices)
+	fmt.Fprintf(&b, "steady-state throughput: %.1f img/s\n\n", job.Throughput())
+	b.WriteString(steady.Render(width))
+	fmt.Fprintf(&b, "\nexec overlap across devices: %v of %v steady-state\n",
 		steady.Overlap(trace.Exec), job.DoneAt-job.ReadyAt)
-	if faultLog != nil {
-		fmt.Printf("\ninjected faults (%d):\n", faultLog.Count())
-		for _, inj := range faultLog.Injections {
-			fmt.Printf("  %v\n", inj)
+	if faults {
+		fmt.Fprintf(&b, "\ninjected faults (%d):\n", rep.FaultLog.Count())
+		for _, inj := range rep.FaultLog.Injections {
+			fmt.Fprintf(&b, "  %v\n", inj)
 		}
-		fmt.Printf("outage spans (X) run from detection (completion timeout %v) to rejoin after the\n",
-			rc.Timeout)
-		fmt.Println("reboot-priced recovery: reset, firmware re-upload, RTOS boot, graph re-allocation")
+		fmt.Fprintf(&b, "outage spans (X) run from detection (completion timeout %v) to rejoin after the\n",
+			cfg.Recovery.Timeout)
+		b.WriteString("reboot-priced recovery: reset, firmware re-upload, RTOS boot, graph re-allocation\n")
 	}
+	return b.String(), nil
 }
 
 // tenantsTrace runs a small multi-tenant serving session — two steady

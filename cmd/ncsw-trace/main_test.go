@@ -10,6 +10,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// TestFaultsTraceGolden pins the -devices 4 -faults timeline byte for
+// byte: the scripted slowdown, hang and link drop, the outages they
+// cause and the injected-fault list. Regenerate with
+// `go test ./cmd/ncsw-trace -run Golden -update` after an intentional
+// fault, recovery or pricing change.
+func TestFaultsTraceGolden(t *testing.T) {
+	got, err := fleetTrace(4, 12, 1, 100, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "faults.golden", got)
+}
+
 // TestTenantsTraceGolden pins the -tenants timeline byte for byte: a
 // fixed (devices, images, seed) session renders per-tenant lanes
 // identically on every run and platform — the chart is simulator
@@ -28,7 +41,14 @@ func TestTenantsTraceGolden(t *testing.T) {
 	if got != again {
 		t.Fatal("tenants trace differs across reruns of the same configuration")
 	}
-	golden := filepath.Join("testdata", "tenants.golden")
+	checkGolden(t, "tenants.golden", got)
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -40,7 +60,7 @@ func TestTenantsTraceGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	if got != string(want) {
-		t.Errorf("tenants trace diverged from golden:\n--- got\n%s--- want\n%s", got, want)
+		t.Errorf("%s diverged from golden:\n--- got\n%s--- want\n%s", name, got, want)
 	}
 }
 

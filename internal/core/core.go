@@ -248,8 +248,8 @@ func (s *DatasetSource) poll(w *sim.Proc, into *Item) (ok, open bool) {
 	return ok, false
 }
 
-// SliceSource serves a fixed slice of items (an image folder that
-// NewFolderSource loaded, tests, small demos).
+// SliceSource serves a fixed slice of items (a session's Config.Items,
+// such as an image folder LoadFolder loaded; tests, small demos).
 type SliceSource struct {
 	items []Item
 	next  int

@@ -11,17 +11,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// NewFolderSource is the ImageFolder of Fig. 3: it loads every .ppm
-// image under dir, resizes it to size×size (channels are fixed at 3),
-// subtracts means (one value per channel), and returns a SliceSource
-// that serves the results in filename order. Ground truth comes from
-// sibling .xml bounding-box annotations when present (label -1
+// LoadFolder is the ImageFolder of Fig. 3: it loads every .ppm image
+// under dir, resizes it to size×size (channels are fixed at 3),
+// subtracts means (one value per channel), and returns the items in
+// filename order, for a session's Config.Items. Ground truth comes
+// from sibling .xml bounding-box annotations when present (label -1
 // otherwise); labelOf resolves an annotation WNID to a class index and
 // may be nil when no annotations exist.
 //
 // All file I/O happens here, mirroring NCSw's exclusion of decode time
-// from measurements; the source's Next never touches the disk.
-func NewFolderSource(dir string, size int, means []float32, labelOf func(wnid string) (int, bool)) (*SliceSource, error) {
+// from measurements; serving the items never touches the disk.
+func LoadFolder(dir string, size int, means []float32, labelOf func(wnid string) (int, bool)) ([]Item, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: folder source size %d", size)
 	}
@@ -55,8 +55,8 @@ func NewFolderSource(dir string, size int, means []float32, labelOf func(wnid st
 		}
 		img = imagenet.Resize(img, size, size)
 		subtractMeans(img, means)
-		// Arrival cannot be known at load time; SliceSource.Next stamps
-		// it at the pull instant, closed-loop.
+		// Arrival cannot be known at load time; the source serving the
+		// items stamps it at the pull instant, closed-loop.
 		//ncsw:allow resultstamp stamped by Next at the pull instant
 		item := Item{Index: i, Image: img, Label: -1}
 		if label, ok := lookupAnnotation(dir, name, labelOf); ok {
@@ -64,7 +64,7 @@ func NewFolderSource(dir string, size int, means []float32, labelOf func(wnid st
 		}
 		items = append(items, item)
 	}
-	return NewSliceSource(items), nil
+	return items, nil
 }
 
 func subtractMeans(img *tensor.T, means []float32) {

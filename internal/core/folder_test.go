@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestWriteAndReadSampleFolder(t *testing.T) {
@@ -30,36 +28,28 @@ func TestWriteAndReadSampleFolder(t *testing.T) {
 		}
 		return 0, false
 	}
-	src, err := NewFolderSource(dir, 32, ds.Mean(), labelOf)
+	items, err := LoadFolder(dir, 32, ds.Mean(), labelOf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Remaining() != 10 {
-		t.Fatalf("loaded %d images", src.Remaining())
+	if len(items) != 10 {
+		t.Fatalf("loaded %d images", len(items))
 	}
-	env := sim.NewEnv()
-	env.Process("consume", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			item, ok := src.Next(p)
-			if !ok {
-				t.Fatal("source dried up")
-			}
-			if item.Image == nil {
-				t.Fatal("no image")
-			}
-			// Resized from 16x16 (dataset) to 32x32 (requested).
-			if item.Image.Elems() != 3*32*32 {
-				t.Fatalf("image elems = %d", item.Image.Elems())
-			}
-			if item.Label != ds.Label(i) {
-				t.Errorf("image %d label %d, want %d (from annotation)", i, item.Label, ds.Label(i))
-			}
+	for i, item := range items {
+		if item.Index != i {
+			t.Errorf("item %d has index %d", i, item.Index)
 		}
-		if _, ok := src.Next(p); ok {
-			t.Error("not exhausted")
+		if item.Image == nil {
+			t.Fatal("no image")
 		}
-	})
-	env.Run()
+		// Resized from 16x16 (dataset) to 32x32 (requested).
+		if item.Image.Elems() != 3*32*32 {
+			t.Fatalf("image elems = %d", item.Image.Elems())
+		}
+		if item.Label != ds.Label(i) {
+			t.Errorf("image %d label %d, want %d (from annotation)", i, item.Label, ds.Label(i))
+		}
+	}
 }
 
 func TestFolderSourceWithoutAnnotations(t *testing.T) {
@@ -75,32 +65,27 @@ func TestFolderSourceWithoutAnnotations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src, err := NewFolderSource(dir, 16, ds.Mean(), nil)
+	items, err := LoadFolder(dir, 16, ds.Mean(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := sim.NewEnv()
-	env.Process("c", func(p *sim.Proc) {
-		item, ok := src.Next(p)
-		if !ok || item.Label != -1 {
-			t.Errorf("expected unlabeled item, got %+v", item)
-		}
-	})
-	env.Run()
+	if len(items) != 3 || items[0].Label != -1 {
+		t.Errorf("expected 3 unlabeled items, got %d, first %+v", len(items), items[0])
+	}
 }
 
 func TestFolderSourceErrors(t *testing.T) {
-	if _, err := NewFolderSource("/nonexistent-dir-xyz", 32, []float32{0, 0, 0}, nil); err == nil {
+	if _, err := LoadFolder("/nonexistent-dir-xyz", 32, []float32{0, 0, 0}, nil); err == nil {
 		t.Error("missing dir accepted")
 	}
 	empty := t.TempDir()
-	if _, err := NewFolderSource(empty, 32, []float32{0, 0, 0}, nil); err == nil {
+	if _, err := LoadFolder(empty, 32, []float32{0, 0, 0}, nil); err == nil {
 		t.Error("empty dir accepted")
 	}
-	if _, err := NewFolderSource(empty, 0, []float32{0, 0, 0}, nil); err == nil {
+	if _, err := LoadFolder(empty, 0, []float32{0, 0, 0}, nil); err == nil {
 		t.Error("size 0 accepted")
 	}
-	if _, err := NewFolderSource(empty, 32, []float32{0}, nil); err == nil {
+	if _, err := LoadFolder(empty, 32, []float32{0}, nil); err == nil {
 		t.Error("wrong mean count accepted")
 	}
 	// Corrupt PPM.
@@ -108,7 +93,7 @@ func TestFolderSourceErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(bad, "x.ppm"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFolderSource(bad, 32, []float32{0, 0, 0}, nil); err == nil {
+	if _, err := LoadFolder(bad, 32, []float32{0, 0, 0}, nil); err == nil {
 		t.Error("corrupt image accepted")
 	}
 }

@@ -88,8 +88,8 @@ func checkErr(t *testing.T, err error, want string) {
 // TestEdgeDrainsWhenFleetFails: an ingress whose whole fleet
 // fail-stops must end the run with every arrival accounted for,
 // instead of deadlocking a bounded relay or a stream's producer on a
-// full queue, or leaving the remaining images of the dataset or of a
-// SetSource slice, or an arrival source's later arrivals, counted
+// full queue, or leaving the remaining images of the dataset or of
+// Config.Items, or an arrival source's later arrivals, counted
 // nowhere. The one stick hangs
 // mid-run and is abandoned; every item the edge still holds, or
 // receives after that, is counted once as a fault drop, in the report
@@ -106,6 +106,10 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 		return Config{Arrivals: core.DeterministicArrivals(20), AdmissionDepth: 2, AdmissionPolicy: policy}
 	}
 	streamCapacity := 2
+	items := make([]core.Item, images)
+	for i := range items {
+		items[i] = core.Item{Index: i, Label: -1}
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -118,13 +122,14 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 		{"admission/block", admission(core.Block)},
 		{"tenants/fifo", Config{Tenants: lanes(core.TenantFIFO)}},
 		{"tenants/fair", Config{Tenants: lanes(core.TenantFair)}},
-		{"slice", Config{}},
-		{"slice/admission", Config{StreamCapacity: &streamCapacity, AdmissionDepth: 2, AdmissionPolicy: core.Block}},
-		{"slice/stream", Config{StreamCapacity: &streamCapacity}},
+		{"slice", Config{Items: items}},
+		{"slice/admission", Config{Items: items, Arrivals: core.DeterministicArrivals(20), AdmissionDepth: 2, AdmissionPolicy: core.Block}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.Images = images
+			if len(cfg.Items) == 0 {
+				cfg.Images = images
+			}
 			cfg.Groups = []Group{{Kind: GroupVPU, Devices: 1}}
 			cfg.Faults = fault.Plan{Events: []fault.Event{
 				{Device: "ncs0", Kind: fault.StickHang, At: 2200 * time.Millisecond},
@@ -134,20 +139,10 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A slice case reads the images from a SetSource slice.
-			slice := strings.HasPrefix(tc.name, "slice")
-			if slice {
-				items := make([]core.Item, images)
-				for i := range items {
-					items[i] = core.Item{Index: i, Label: -1}
-				}
-				sess.SetSource(core.NewSliceSource(items))
-			}
 			// A stream's producer pushes a frame every 50 ms and must
 			// not stay parked on the full buffer once the fleet fails.
-			// A SetSource slice replaces the stream, so nothing pushes.
 			pushed := 0
-			if stream := sess.Stream(); stream != nil && !slice {
+			if stream := sess.Stream(); stream != nil {
 				sess.Env().Process("producer", func(p *sim.Proc) {
 					for i := 0; i < images; i++ {
 						stream.Push(p, core.Item{Index: i, Label: -1})
@@ -161,7 +156,7 @@ func TestEdgeDrainsWhenFleetFails(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "core: device ncs0 abandoned") {
 				t.Fatalf("Run error %v, want the abandoned device", err)
 			}
-			if sess.Stream() != nil && !slice && pushed != images {
+			if sess.Stream() != nil && pushed != images {
 				t.Errorf("producer pushed %d of %d frames", pushed, images)
 			}
 			if rep == nil {
@@ -223,7 +218,7 @@ func TestMergedConserved(t *testing.T) {
 // each counting its own releases: a dataset source read directly (its
 // Images), an arrival process that ends before the dataset does (its
 // arrivals), a stream (its pushes), admission over arrivals, tenant
-// lanes (their arrivals) and a SetSource slice (its items). The pure
+// lanes (their arrivals) and Config.Items (its items). The pure
 // check names a lost or doubly counted item.
 func TestIngressConserved(t *testing.T) {
 	checkErr(t, ingressConserved(10, 10), "")
@@ -249,11 +244,13 @@ func TestIngressConserved(t *testing.T) {
 			{ID: "a", Arrivals: core.DeterministicArrivals(300), Depth: 1},
 			{ID: "b", Arrivals: core.PoissonArrivals(300), Depth: 1, RatePerSec: 100},
 		}}}, images},
-		{"slice", Config{}, 7},
+		{"slice", Config{Items: make([]core.Item, 7)}, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.Images = images
+			if len(cfg.Items) == 0 {
+				cfg.Images = images
+			}
 			cfg.Groups = []Group{{Kind: GroupCPU, Batch: 4}}
 			sess, err := NewFromConfig(cfg)
 			if err != nil {
@@ -267,9 +264,6 @@ func TestIngressConserved(t *testing.T) {
 					}
 					st.Close(p)
 				})
-			}
-			if tc.name == "slice" {
-				sess.SetSource(core.NewSliceSource(make([]core.Item, tc.want)))
 			}
 			rep, err := sess.Run()
 			if err != nil {

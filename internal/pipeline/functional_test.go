@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graphfile"
+	"repro/internal/imagenet"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -142,17 +143,19 @@ func ftoa(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 // FP16 on the network parsed from the graph file for the sticks).
 func TestFunctionalFollowsItemImage(t *testing.T) {
 	const n, offset = 12, 100
+	ds, err := imagenet.New(imagenet.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]core.Item, n)
+	for i := range items {
+		items[i] = core.Item{Index: i, Image: ds.Preprocessed(offset + i), Label: ds.Label(offset + i)}
+	}
 	for _, g := range []Group{{Kind: GroupCPU, Batch: 8}, {Kind: GroupVPU, Devices: 2}} {
-		sess, err := NewFromConfig(Config{Functional: true, Retain: true, Groups: []Group{g}})
+		sess, err := NewFromConfig(Config{Functional: true, Retain: true, Groups: []Group{g}, Items: items})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := sess.Dataset()
-		items := make([]core.Item, n)
-		for i := range items {
-			items[i] = core.Item{Index: i, Image: ds.Preprocessed(offset + i), Label: ds.Label(offset + i)}
-		}
-		sess.SetSource(core.NewSliceSource(items))
 		pass := nn.Pass{Net: sess.Network(), Prec: nn.FP32}
 		if blob := sess.Blob(); blob != nil {
 			net16, _, err := graphfile.Parse(blob)

@@ -11,8 +11,8 @@ import (
 )
 
 // ingress builds the session's ingress edge, innermost first: the base
-// source (the SetSource slice, else the stream, else the dataset's
-// first Images), the arrival process, admission and the tenant lanes.
+// source (Config.Items, else the stream, else the dataset's first
+// Images), the arrival process, admission and the tenant lanes.
 // It returns the source the fleet reads, and sets s.released to what
 // the edge releases to the fleet (ingressConserved): the lanes' summed
 // arrivals, the arrival source's arrivals, a stream's pushes, or a
@@ -21,8 +21,8 @@ func (s *Session) ingress() (core.Source, error) {
 	var src core.Source
 	finite := func(n int) func() int { return func() int { return n } }
 	switch {
-	case s.source != nil:
-		src, s.released = s.source, finite(s.source.Remaining())
+	case len(s.cfg.Items) > 0:
+		src, s.released = core.NewSliceSource(s.cfg.Items), finite(len(s.cfg.Items))
 	case s.stream != nil:
 		src, s.released = s.stream, s.stream.Pushed
 	default:

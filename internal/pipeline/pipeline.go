@@ -21,10 +21,11 @@
 //	})
 //	report, err := sess.Run()
 //
-// The Session builds everything eagerly in NewFromConfig, so callers
-// can reach the environment, dataset, network or stream before Run —
-// the escape hatches the cmd tools use for folder sources and
-// MPI-style producers.
+// The Config describes the whole run, its source included: the
+// dataset, fixed Items (an image folder core.LoadFolder loaded), or a
+// stream. The Session builds everything eagerly in NewFromConfig, so
+// callers can reach the environment, dataset, network or stream before
+// Run — the escape hatch MPI-style producers use.
 package pipeline
 
 import (
@@ -125,6 +126,13 @@ type Config struct {
 	Dataset imagenet.Config
 	// Images is how many dataset images to classify (0 = all).
 	Images int
+	// Items, when non-empty, are classified instead of the dataset
+	// images, in order, such as the images core.LoadFolder loads. Each
+	// arrives at the pull instant unless Arrivals paces them. The
+	// session reads the slice and never writes it, so one Config builds
+	// any number of sessions over the same items. Mutually exclusive
+	// with Images and StreamCapacity.
+	Items []core.Item
 	// Functional classifies every completed item after the run (FP16
 	// for VPU groups, FP32 for CPU/GPU); the devices pay the same
 	// simulated costs either way.
@@ -267,7 +275,7 @@ const DefaultTemperature = 150.0
 
 // Session owns one classification run: environment, dataset, network,
 // compiled graph, devices and targets, built eagerly so they can be
-// inspected or adjusted before Run.
+// inspected before Run.
 type Session struct {
 	cfg       Config
 	env       *sim.Env
@@ -278,7 +286,6 @@ type Session struct {
 	targets   []core.Target
 	perVPU    [][]*ncs.Device // sticks per group index (nil for non-VPU)
 	stream    *core.StreamSource
-	source    *core.SliceSource // SetSource's, read instead of the stream or dataset
 	admission *core.AdmissionQueue
 	released  func() int     // the ingress law's count, set by ingress
 	registry  fault.Registry // device name -> injection hooks
@@ -473,6 +480,16 @@ func (c Config) Validate() error {
 	}
 	if c.StreamCapacity != nil && *c.StreamCapacity < 0 {
 		return field.Errorf("StreamCapacity", "negative stream capacity %d", *c.StreamCapacity)
+	}
+	if len(c.Items) > 0 {
+		switch {
+		case c.StreamCapacity != nil:
+			// The session would read the items, and the stream's
+			// producer would park for good on a buffer nothing reads.
+			return field.Errorf("Items", "items and a stream are mutually exclusive (the session reads one source)")
+		case c.Images != 0:
+			return field.Errorf("Items", "items and Images are mutually exclusive (the items are the whole run)")
+		}
 	}
 	if c.SLO < 0 {
 		return field.Errorf("SLO", "negative deadline %v", c.SLO)
@@ -945,19 +962,6 @@ func (s *Session) Targets() []core.Target { return s.targets }
 // Stream returns the push source when the session was configured with
 // a StreamCapacity, nil otherwise.
 func (s *Session) Stream() *core.StreamSource { return s.stream }
-
-// FaultRegistry returns the session's injectable-device registry
-// (stick and port hooks under "ncs0".., batch engines under
-// "cpu"/"gpu"), for hand-wired fault.Apply experiments.
-func (s *Session) FaultRegistry() fault.Registry { return s.registry }
-
-// FaultLog returns the injected-fault log (nil until Run, empty when
-// no plan was configured). It fills in as the simulation runs.
-func (s *Session) FaultLog() *fault.Log { return s.faultLog }
-
-// SetSource replaces the session's stream or dataset images with src,
-// such as the images core.NewFolderSource loads. Call before Run.
-func (s *Session) SetSource(src *core.SliceSource) { s.source = src }
 
 // Run builds the ingress edge (ingress), starts the device groups on it
 // (startFleet), drives the simulation to completion and returns the

@@ -80,10 +80,6 @@ type resolvedStage struct {
 // collapse to the classic group path).
 func (s *Session) stageMode() bool { return len(s.stages) > 0 }
 
-// Pipe returns the stage composite of the current run (nil for
-// non-pipeline sessions, or before Run).
-func (s *Session) Pipe() *core.Pipeline { return s.pipe }
-
 // Cuts returns the effective whole-network cut indices between the
 // session's stages (nil for non-pipeline sessions). Degenerate cuts
 // collapse their empty stage, so every returned cut is interior.

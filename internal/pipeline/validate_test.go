@@ -56,6 +56,12 @@ func TestConfigValidateRules(t *testing.T) {
 		{"dataset subsets", func(c *Config) { c.Dataset = smallDataset(4); c.Dataset.Subsets = 8 }, "Dataset.Subsets"},
 		{"queue depth", func(c *Config) { c.QueueDepth = -1 }, "QueueDepth"},
 		{"stream capacity", func(c *Config) { n := -1; c.StreamCapacity = &n }, "StreamCapacity"},
+		{"items and stream", func(c *Config) {
+			c.Items = make([]core.Item, 5)
+			n := 2
+			c.StreamCapacity = &n
+		}, "Items"},
+		{"items and images", func(c *Config) { c.Items = make([]core.Item, 5); c.Images = 5 }, "Items"},
 		{"slo", func(c *Config) { c.SLO = -time.Second }, "SLO"},
 		{"tenant scheduler", func(c *Config) {
 			c.Tenants = tenants(lane("a"))

@@ -216,8 +216,6 @@ type (
 	BatchTarget = core.BatchTarget
 	// StreamSource is the MPI-stream-style push source.
 	StreamSource = core.StreamSource
-	// SliceSource serves fixed items: NewFolderSource's, SetSource's.
-	SliceSource = core.SliceSource
 	// Scheduling selects round-robin or dynamic dispatch.
 	Scheduling = core.Scheduling
 	// Arrivals is an open-loop arrival process (deterministic,
@@ -316,10 +314,6 @@ type (
 	// FaultKind identifies a fault class (StickHang, LinkDrop,
 	// TransientError, Slowdown).
 	FaultKind = fault.Kind
-	// FaultRegistry maps device names to their injection hooks.
-	FaultRegistry = fault.Registry
-	// FaultInjection is one applied fault (log/trace record).
-	FaultInjection = fault.Injection
 	// FaultLog records every fault a driver injected.
 	FaultLog = fault.Log
 	// RecoveryConfig is the health-monitoring and self-healing policy
@@ -346,13 +340,6 @@ const (
 // DefaultRecoveryConfig returns the standard self-healing policy (2 s
 // completion heartbeat, recovery on, 3 delivery attempts per item).
 func DefaultRecoveryConfig() RecoveryConfig { return core.DefaultRecoveryConfig() }
-
-// ApplyFaults drives a fault plan into registered devices for
-// hand-wired experiments; sessions set SessionConfig.Faults instead.
-// observe (optional) sees each injection as it is applied.
-func ApplyFaults(env *Env, plan FaultPlan, seed *Rand, reg FaultRegistry, observe func(FaultInjection)) (*FaultLog, error) {
-	return fault.Apply(env, plan, seed, reg, observe)
-}
 
 // Scheduling policies (the multi-VPU target's internal dispatch).
 const (
@@ -413,10 +400,11 @@ type (
 	// Session owns one classification run end to end: environment,
 	// dataset, network, compiled graph, devices, targets, collection.
 	Session = pipeline.Session
-	// SessionConfig describes a session: the workload, the device
-	// groups or stages, and the serving and reliability settings.
-	// NewSession takes one; its zero fields take the documented
-	// defaults.
+	// SessionConfig describes a whole session: the workload and its
+	// source (the dataset, fixed Items such as LoadFolder's, or a
+	// stream), the device groups or stages, and the serving and
+	// reliability settings, the fault plan included. NewSession takes
+	// one; its zero fields take the documented defaults.
 	SessionConfig = pipeline.Config
 	// DeviceGroup declares one device group of a session.
 	DeviceGroup = pipeline.Group
@@ -505,10 +493,10 @@ func DelayedArrivals(arr Arrivals, delay time.Duration) Arrivals {
 	return core.DelayedArrivals(arr, delay)
 }
 
-// NewFolderSource loads .ppm images (with optional .xml annotations)
-// from a directory into a SliceSource.
-func NewFolderSource(dir string, size int, means []float32, labelOf func(wnid string) (int, bool)) (*SliceSource, error) {
-	return core.NewFolderSource(dir, size, means, labelOf)
+// LoadFolder loads .ppm images (with optional .xml annotations) from a
+// directory, for SessionConfig.Items.
+func LoadFolder(dir string, size int, means []float32, labelOf func(wnid string) (int, bool)) ([]Item, error) {
+	return core.LoadFolder(dir, size, means, labelOf)
 }
 
 // Dataset: the synthetic ILSVRC stand-in.

@@ -50,6 +50,23 @@ printf 'facade: %s go doc -short lines\n' "$(go doc -short . | wc -l)" || true
 echo "== go test =="
 go test ./...
 
+echo "== ncsw-classify -folder end to end =="
+# The CLI's folder path: make-dataset writes eight .ppm images with
+# their annotations, and ncsw-classify loads them as the session's
+# items and must classify every one.
+folder=$(mktemp -d)
+trap 'rm -rf "$folder"' EXIT
+go run ./cmd/make-dataset -out "$folder" -n 8 >/dev/null
+out=$(go run ./cmd/ncsw-classify -target cpu,vpu -devices 2 -folder "$folder")
+case $out in
+*"images classified:  8 of 8"*) ;;
+*)
+	echo "$out"
+	echo "ncsw-classify -folder: want 'images classified:  8 of 8'"
+	exit 1
+	;;
+esac
+
 echo "== accuracy, functional and precision-example goldens on one core =="
 # The accuracy experiments and functional sessions classify through
 # nn.Classify, whose batched Graph.Forward splits each batch across
