@@ -238,10 +238,11 @@ func (a *AdmissionQueue) pass(item Item, now time.Duration) bool {
 func (a *AdmissionQueue) Stats() AdmissionStats { return a.stats }
 
 // ObserveHealth makes the admission bound track device health: wire
-// it to a HealthAware target's SetHealthObserver (or a Pool's
-// aggregate observer). The effective depth scales proportionally to
-// healthy capacity — ceil(Depth × healthy/total), floored at MinDepth
-// and capped at Depth — so during an outage the queue stops admitting
+// it to a HealthAware target's SetHealthObserver — a VPUTarget's, or
+// the aggregate of a Pool or Pipeline over all its children. The
+// effective depth scales proportionally to healthy capacity —
+// ceil(Depth × healthy/total), floored at MinDepth and capped at
+// Depth — so during an outage the queue stops admitting
 // work the degraded devices could only serve past its deadline, and
 // restores the full bound on rejoin. Shrinking evicts nothing:
 // already-queued items keep their place and drain normally, while new

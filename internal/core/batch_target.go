@@ -85,7 +85,6 @@ func newBatchTarget(name string, engine batchEngine, batchSize int) (*BatchTarge
 		name:      name,
 		engine:    engine,
 		batchSize: batchSize,
-		timeline:  trace.Disabled(),
 	}, nil
 }
 

@@ -8,8 +8,8 @@ import (
 
 // This file is the one implementation of the ingress edge's three
 // jobs, shared by StreamSource, ArrivalSource, AdmissionQueue,
-// TenantMux and the pool's childFeed: reading a sentinel-terminated
-// item queue (itemQueue), admitting into a bounded queue under an
+// TenantMux, the pool's childFeed and the pipeline's handoffReader:
+// reading a sentinel-terminated item queue (itemQueue), admitting into a bounded queue under an
 // overload policy (offer), and relaying an upstream source into the
 // edge at arrival instants (relay).
 
@@ -19,9 +19,10 @@ import (
 // freed a slot), so every consumer sharing the queue sees exhaustion,
 // and consumers that poll exhaustion repeatedly keep seeing it.
 //
-// ArrivalSource, AdmissionQueue and childFeed embed it, so its Next,
-// NextWithin and Pending are theirs (a promoted method costs one jump
-// on the per-item path, where a hand-written wrapper costs a call).
+// ArrivalSource, AdmissionQueue, childFeed and handoffReader embed
+// it, so its Next, NextWithin and Pending are theirs (a promoted
+// method costs one jump on the per-item path, where a hand-written
+// wrapper costs a call; handoffReader replaces Pending).
 // StreamSource and TenantMux hold theirs in a field: a stream is
 // neither a TimedSource nor a DepthSource, and the mux reads either its
 // shared FIFO queue or its fair policies' ready tokens.
@@ -37,6 +38,11 @@ type itemQueue struct {
 	// through the indirect call is measurably slower on the per-item
 	// path.
 	dispatch func(item Item, now time.Duration) bool
+	// end, when set, runs each time Next or NextWithin meets the
+	// end-of-stream sentinel, before putting it back: a gated pipeline
+	// stage returns its boundary credit there (creditGate), ahead of
+	// the wakeup the sentinel gives the next reader.
+	end func()
 }
 
 // Next implements Source: it blocks until an item passes dispatch or
@@ -45,6 +51,9 @@ func (r *itemQueue) Next(p *sim.Proc) (Item, bool) {
 	for {
 		item := r.q.Get(p)
 		if item.Index == -1 {
+			if r.end != nil {
+				r.end()
+			}
 			r.q.TryPut(item)
 			return Item{}, false
 		}
@@ -69,6 +78,9 @@ func (r *itemQueue) NextWithin(p *sim.Proc, d time.Duration) (Item, bool, bool) 
 			return Item{}, false, true
 		}
 		if item.Index == -1 {
+			if r.end != nil {
+				r.end()
+			}
 			r.q.TryPut(item)
 			return Item{}, false, false
 		}

@@ -95,12 +95,13 @@ type PoolOptions struct {
 
 // Pool is a Target over N child targets: a composite device group.
 // Because Pool itself implements Target, groups compose recursively —
-// a pool of (CPU, pool of VPUs) is just another target.
+// a pool of (CPU, pool of VPUs) is just another target. Its TDP,
+// device count, child jobs and aggregate health (SetHealthObserver)
+// are the shared composite's.
 type Pool struct {
-	name     string
-	children []Target
-	opts     PoolOptions
-	jobs     []*Job
+	composite
+	name string
+	opts PoolOptions
 	// down marks children whose HealthAware observer reports no healthy
 	// device left: their weight is effectively zero — the scored and
 	// dealt policies route around them — until they rejoin.
@@ -108,13 +109,6 @@ type Pool struct {
 	// hedge is the hedged-request engine of the current run (nil when
 	// PoolOptions.Hedge is disabled).
 	hedge *hedger
-	// healthObs are the pool's own health observers (SetHealthObserver):
-	// they see the aggregate healthy/total device counts across all
-	// children on every child transition.
-	healthObs []func(healthy, total int, at time.Duration)
-	// childHealthy/childTotal hold the latest per-child health report
-	// (initialized to full health at Start).
-	childHealthy, childTotal []int
 	// order is dispatchByScore's scratch, reused across dispatches.
 	order []int
 }
@@ -161,60 +155,14 @@ func NewPool(children []Target, opts PoolOptions) (*Pool, error) {
 		names[i] = c.Name()
 	}
 	return &Pool{
-		name:     fmt.Sprintf("pool[%s](%s)", opts.Routing, strings.Join(names, "+")),
-		children: children,
-		opts:     opts,
+		composite: composite{children: children},
+		name:      fmt.Sprintf("pool[%s](%s)", opts.Routing, strings.Join(names, "+")),
+		opts:      opts,
 	}, nil
 }
 
 // Name implements Target.
 func (pl *Pool) Name() string { return pl.name }
-
-// TDPWatts implements Target: the aggregate TDP of the group.
-func (pl *Pool) TDPWatts() float64 {
-	var w float64
-	for _, c := range pl.children {
-		w += c.TDPWatts()
-	}
-	return w
-}
-
-// Children returns the child targets.
-func (pl *Pool) Children() []Target { return pl.children }
-
-// ChildJobs returns the per-child jobs of the last Start. Valid after
-// Start; fields settle once Env.Run returns.
-func (pl *Pool) ChildJobs() []*Job { return pl.jobs }
-
-// DeviceCount reports how many devices the group drives, summed
-// recursively across children (non-reporting children count as one) —
-// the capacity denominator health-aware admission scales against.
-func (pl *Pool) DeviceCount() int {
-	n := 0
-	for _, c := range pl.children {
-		n += targetDeviceCount(c)
-	}
-	return n
-}
-
-// targetDeviceCount returns a target's device count when it reports
-// one (VPUTarget, nested Pool), else 1.
-func targetDeviceCount(t Target) int {
-	if dc, ok := t.(interface{ DeviceCount() int }); ok {
-		return dc.DeviceCount()
-	}
-	return 1
-}
-
-// SetHealthObserver implements HealthAware for the group as a whole:
-// fn sees the aggregate (healthy, total) device counts across every
-// child on each child health transition, in virtual time. Observers
-// accumulate — a parent pool and a health-aware admission queue can
-// both subscribe. Register before Start; children that are not
-// HealthAware count as permanently healthy.
-func (pl *Pool) SetHealthObserver(fn func(healthy, total int, at time.Duration)) {
-	pl.healthObs = append(pl.healthObs, fn)
-}
 
 // HedgeItemLost arbitrates a child-internal item loss under
 // pool-level hedging: it reports whether the loss should be counted
@@ -242,22 +190,6 @@ func (pl *Pool) SetHedgeBudget(b float64) {
 	pl.opts.Hedge.Budget = b
 	if pl.hedge != nil {
 		pl.hedge.setBudget(b)
-	}
-}
-
-// notifyHealth publishes the aggregate health to the pool's own
-// observers.
-func (pl *Pool) notifyHealth(at time.Duration) {
-	if len(pl.healthObs) == 0 {
-		return
-	}
-	var healthy, total int
-	for i := range pl.childTotal {
-		healthy += pl.childHealthy[i]
-		total += pl.childTotal[i]
-	}
-	for _, fn := range pl.healthObs {
-		fn(healthy, total, at)
 	}
 }
 
@@ -301,7 +233,6 @@ func (f *childFeed) Pending() int {
 func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 	job := &Job{}
 	n := len(pl.children)
-	pl.jobs = make([]*Job, n)
 	completed := make([]int, n)
 	ewma := make([]float64, n)
 
@@ -365,8 +296,6 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 	done := sim.NewQueue[int](env, "pool/join", 0)
 	upstream, _ := src.(DepthSource)
 	pl.down = make([]bool, n)
-	pl.childHealthy = make([]int, n)
-	pl.childTotal = make([]int, n)
 
 	// Hedged requests: a timer per dispatched item duplicates it onto
 	// a different healthy child when it ages past the trigger; the
@@ -381,45 +310,33 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 		// item plus two queued slots per device, and each bounded feed
 		// adds QueueDepth more — the DynamicBudget utilization
 		// denominator.
-		hcap := n * pl.opts.QueueDepth
-		for _, c := range pl.children {
-			hcap += 3 * targetDeviceCount(c)
-		}
+		hcap := n*pl.opts.QueueDepth + 3*pl.DeviceCount()
 		deal = newDealer(env, "pool/feed", n, pl.opts.QueueDepth,
 			func(j int) bool { return pl.jobs[j].done }, pl.opts.Hedge, hcap)
 		deal.down = pl.down
 		pl.hedge = deal.hedge
 	}
 
+	// Health-aware failover: a child reporting no healthy device is
+	// routed around (weight zero) and, while dealing is live, its
+	// bounded feed is drained back to the dispatcher for re-dispatch;
+	// it rejoins the deal on the first healthy report. The reaction
+	// runs before the composite republishes the aggregate health to
+	// the pool's own observers — the feed health-aware admission
+	// subscribes to.
+	pl.start(func(i, healthy int) {
+		wasDown := pl.down[i]
+		pl.down[i] = healthy == 0
+		if pl.down[i] && !wasDown && deal != nil && deal.dispatching {
+			deal.reclaim(i)
+		}
+	})
 	for i, c := range pl.children {
 		var csrc Source = src
 		if deal != nil {
 			csrc = &childFeed{itemQueue{q: deal.feeds[i]}, upstream}
 		}
-		pl.childTotal[i] = targetDeviceCount(c)
-		pl.childHealthy[i] = pl.childTotal[i]
-		// Health-aware failover: a child reporting no healthy device is
-		// routed around (weight zero) and, while dealing is live, its
-		// bounded feed is drained back to the dispatcher for
-		// re-dispatch; it rejoins the deal on the first healthy report.
-		// Every transition also updates the pool's aggregate health,
-		// which the pool republishes to its own observers
-		// (SetHealthObserver) — the feed health-aware admission
-		// subscribes to.
-		if ha, ok := c.(HealthAware); ok {
-			i := i
-			ha.SetHealthObserver(func(healthy, total int, at time.Duration) {
-				pl.childHealthy[i], pl.childTotal[i] = healthy, total
-				wasDown := pl.down[i]
-				pl.down[i] = healthy == 0
-				if pl.down[i] && !wasDown && deal != nil && deal.dispatching {
-					deal.reclaim(i)
-				}
-				pl.notifyHealth(at)
-			})
-		}
 		cj := c.Start(env, csrc, childSink(i))
-		i := i
 		cj.OnFinish(func(p *sim.Proc) {
 			done.Put(p, i)
 			if deal != nil {

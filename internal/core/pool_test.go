@@ -480,7 +480,7 @@ func TestPoolRouteLatencyTailUnderArrivals(t *testing.T) {
 func TestDispatchByScoreAllocs(t *testing.T) {
 	const n = 4
 	env := sim.NewEnv()
-	pl := &Pool{jobs: make([]*Job, n), down: make([]bool, n)}
+	pl := &Pool{composite: composite{jobs: make([]*Job, n)}, down: make([]bool, n)}
 	feeds := make([]*sim.Queue[Item], n)
 	for i := range n {
 		pl.jobs[i] = &Job{}

@@ -33,7 +33,7 @@ func TestPipelineItemConservation(t *testing.T) {
 		&stubTarget{name: "mid", latency: 2 * time.Millisecond},
 		&stubTarget{name: "tail", latency: time.Millisecond},
 	}
-	pl, job, seen := runPipeline(t, stages, PipelineOptions{}, n)
+	pl, job, seen := runPipeline(t, stages, PipelineOptions{QueueDepths: []int{2, 2}}, n)
 	if job.Err != nil {
 		t.Fatalf("pipeline error: %v", job.Err)
 	}
@@ -44,7 +44,7 @@ func TestPipelineItemConservation(t *testing.T) {
 	if !job.Done() {
 		t.Error("pipeline job not settled")
 	}
-	for i, cj := range pl.StageJobs() {
+	for i, cj := range pl.ChildJobs() {
 		if cj.Images != n {
 			t.Errorf("stage %d processed %d items, want %d", i, cj.Images, n)
 		}
@@ -68,7 +68,7 @@ func TestPipelineStampsSurviveHops(t *testing.T) {
 	pl, err := NewPipeline([]Target{
 		&stubTarget{name: "head", latency: time.Millisecond},
 		&stubTarget{name: "tail", latency: time.Millisecond},
-	}, PipelineOptions{})
+	}, PipelineOptions{QueueDepths: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,14 @@ func TestPipelineStampsSurviveHops(t *testing.T) {
 
 // TestPipelineBackpressure: a slow tail must bound the head's
 // run-ahead to the boundary window — the handoff never holds more
-// than QueueDepth activations no matter how fast the head is.
+// than the boundary's window of items no matter how fast the head is.
 func TestPipelineBackpressure(t *testing.T) {
 	const n, depth = 60, 2
 	stages := []Target{
 		&stubTarget{name: "head", latency: 10 * time.Microsecond},
 		&stubTarget{name: "tail", latency: 5 * time.Millisecond},
 	}
-	pl, job, seen := runPipeline(t, stages, PipelineOptions{QueueDepth: depth}, n)
+	pl, job, seen := runPipeline(t, stages, PipelineOptions{QueueDepths: []int{depth}}, n)
 	if job.Err != nil {
 		t.Fatal(job.Err)
 	}
@@ -116,15 +116,15 @@ func TestPipelineBackpressure(t *testing.T) {
 	}
 	// And with the window held, the fast head's job must stretch to
 	// roughly the tail's pace rather than finishing immediately.
-	headDone := pl.StageJobs()[0].DoneAt
+	headDone := pl.ChildJobs()[0].DoneAt
 	tailSpan := time.Duration(n) * 5 * time.Millisecond
 	if headDone < tailSpan/2 {
 		t.Errorf("head finished at %v, before backpressure could matter (tail span %v)", headDone, tailSpan)
 	}
 }
 
-// TestPipelinePerBoundaryDepths: QueueDepths overrides the window per
-// boundary.
+// TestPipelinePerBoundaryDepths: QueueDepths sets the window per
+// boundary, one entry for each.
 func TestPipelinePerBoundaryDepths(t *testing.T) {
 	const n = 40
 	stages := []Target{
@@ -145,6 +145,9 @@ func TestPipelinePerBoundaryDepths(t *testing.T) {
 	}
 	if _, err := NewPipeline(stages, PipelineOptions{QueueDepths: []int{1}}); err == nil {
 		t.Error("ragged QueueDepths accepted")
+	}
+	if _, err := NewPipeline(stages[:2], PipelineOptions{}); err == nil {
+		t.Error("nil QueueDepths accepted for a 2-stage pipeline")
 	}
 }
 
@@ -200,7 +203,7 @@ func TestPipelineIntermediateDropSettles(t *testing.T) {
 	const n, depth, dropEvery = 40, 2, 5
 	head := &dropStage{name: "head", latency: time.Millisecond, dropEvery: dropEvery}
 	tail := &stubTarget{name: "tail", latency: time.Millisecond}
-	pl, err := NewPipeline([]Target{head, tail}, PipelineOptions{QueueDepth: depth})
+	pl, err := NewPipeline([]Target{head, tail}, PipelineOptions{QueueDepths: []int{depth}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +245,7 @@ func TestPipelineLastStageDropNoCredit(t *testing.T) {
 	pl, job, seen := runPipeline(t, []Target{
 		&stubTarget{name: "head", latency: time.Millisecond},
 		&stubTarget{name: "tail", latency: time.Millisecond},
-	}, PipelineOptions{}, 10)
+	}, PipelineOptions{QueueDepths: []int{2}}, 10)
 	if job.Err != nil {
 		t.Fatal(job.Err)
 	}
@@ -271,7 +274,7 @@ func TestPipelinePoolStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, job, seen := runPipeline(t, []Target{headPool, tailPool}, PipelineOptions{QueueDepth: 4}, n)
+	pl, job, seen := runPipeline(t, []Target{headPool, tailPool}, PipelineOptions{QueueDepths: []int{4}}, n)
 	if job.Err != nil {
 		t.Fatalf("pool-staged pipeline error: %v", job.Err)
 	}
@@ -304,7 +307,7 @@ func TestPipelineSingleStageDelegates(t *testing.T) {
 	if job.Err != nil || seen != 5 {
 		t.Fatalf("delegated run: err=%v seen=%d", job.Err, seen)
 	}
-	if pl.StageJobs()[0] != job {
+	if pl.ChildJobs()[0] != job {
 		t.Error("single-stage pipeline did not return the stage's own job")
 	}
 	if pl.credits != nil || pl.handoffs != nil {
@@ -321,7 +324,7 @@ func TestPipelineDeadTailUnblocksHead(t *testing.T) {
 		&stubTarget{name: "head", latency: 100 * time.Microsecond},
 		&stubTarget{name: "tail", latency: time.Millisecond, quitAfter: 5},
 	}
-	_, job, seen := runPipeline(t, stages, PipelineOptions{QueueDepth: 2}, n)
+	_, job, seen := runPipeline(t, stages, PipelineOptions{QueueDepths: []int{2}}, n)
 	if !job.Done() {
 		t.Fatal("pipeline wedged on a dead tail stage")
 	}
@@ -341,7 +344,7 @@ func TestPipelineReadyAtIsLatest(t *testing.T) {
 		&stubTarget{name: "head", setup: 50 * time.Millisecond, latency: time.Millisecond},
 		&stubTarget{name: "tail", setup: 2 * time.Millisecond, latency: time.Millisecond},
 	}
-	_, job, _ := runPipeline(t, stages, PipelineOptions{}, 10)
+	_, job, _ := runPipeline(t, stages, PipelineOptions{QueueDepths: []int{2}}, 10)
 	if job.Err != nil {
 		t.Fatal(job.Err)
 	}
@@ -361,7 +364,7 @@ func TestPipelineCollectorNeverDoubleCounts(t *testing.T) {
 	pl, err := NewPipeline([]Target{
 		&stubTarget{name: "head", latency: time.Millisecond},
 		&stubTarget{name: "tail", latency: time.Millisecond},
-	}, PipelineOptions{OnStageResult: func(stage int, r Result) { hops[stage]++ }})
+	}, PipelineOptions{QueueDepths: []int{2}, OnStageResult: func(stage int, r Result) { hops[stage]++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,17 +382,78 @@ func TestPipelineCollectorNeverDoubleCounts(t *testing.T) {
 	}
 }
 
-// TestPipelineForwardPayload: the standard hop conversion carries the
-// item's identity and stamps downstream but no payload: stages only
-// keep time, so the upstream input image does not become the next
-// stage's input.
+// TestPipelineForwardPayload: the hop conversion (stageItem) carries
+// the item's identity and stamps downstream but no payload: stages
+// only keep time, so the upstream input image does not become the
+// next stage's input.
 func TestPipelineForwardPayload(t *testing.T) {
 	r := Result{Index: 3, Image: tensor.New(2), Label: 1, ArrivedAt: 7 * time.Millisecond}
-	item := AsStage(&stubTarget{name: "x"}).Forward(r)
+	item := stageItem(r)
 	if item.Index != 3 || item.Label != 1 || item.ArrivedAt != 7*time.Millisecond {
 		t.Errorf("hop lost identity/stamps: %+v", item)
 	}
 	if item.Image != nil {
 		t.Errorf("hop forwarded a payload: %+v", item.Image)
+	}
+}
+
+// TestPipelineNestedLastStage: a Pipeline whose last stage is another
+// Pipeline, or a work-stealing Pool of Pipelines whose stage 0 has two
+// readers, shares the outer boundary's handoff reader with every inner
+// stage 0. Each inner boundary keeps its own credits: every item is
+// classified once, every job settles, and no handoff holds more than
+// its window plus the end sentinel.
+func TestPipelineNestedLastStage(t *testing.T) {
+	inner := func(name string) *Pipeline {
+		head, err := NewPool([]Target{
+			&stubTarget{name: name + "/h0", latency: time.Millisecond},
+			&stubTarget{name: name + "/h1", latency: 2 * time.Millisecond},
+		}, PoolOptions{Routing: RouteWorkStealing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := NewPipeline([]Target{head, &stubTarget{name: name + "/t", latency: 3 * time.Millisecond}},
+			PipelineOptions{QueueDepths: []int{1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	single := inner("in")
+	a, b := inner("a"), inner("b")
+	pool, err := NewPool([]Target{a, b}, PoolOptions{Routing: RouteWorkStealing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		last   Target
+		inners []*Pipeline
+	}{
+		{"pipeline", single, []*Pipeline{single}},
+		{"pool-of-pipelines", pool, []*Pipeline{a, b}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n, depth = 40, 2
+			pl, job, seen := runPipeline(t, []Target{&stubTarget{name: "head", latency: 100 * time.Microsecond}, tc.last},
+				PipelineOptions{QueueDepths: []int{depth}}, n)
+			if job.Err != nil || !job.Done() {
+				t.Fatalf("outer job done=%v err=%v", job.Done(), job.Err)
+			}
+			checkConservation(t, seen, n, tc.name)
+			if peak := pl.handoffs[0].Peak(); peak > depth+1 {
+				t.Errorf("outer handoff peak %d, window %d", peak, depth)
+			}
+			for k, in := range tc.inners {
+				for i, cj := range in.ChildJobs() {
+					if !cj.Done() {
+						t.Errorf("inner %d stage %d never finished", k, i)
+					}
+				}
+				if peak := in.handoffs[0].Peak(); peak > 1+1 {
+					t.Errorf("inner %d handoff peak %d, window 1", k, peak)
+				}
+			}
+		})
 	}
 }

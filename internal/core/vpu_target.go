@@ -130,7 +130,7 @@ type VPUOptions struct {
 	// device the option is inert (there is no second worker to
 	// duplicate onto).
 	Hedge HedgeConfig
-	// Timeline receives Fig. 4 spans when set.
+	// Timeline receives Fig. 4 spans when set (nil records nothing).
 	Timeline *trace.Timeline
 }
 
@@ -158,8 +158,9 @@ type VPUTarget struct {
 	opts    VPUOptions
 
 	// Health state of the current run (downCount is reset by Start;
-	// observers persist across the target's lifetime).
-	healthObs []func(healthy, total int, at time.Duration)
+	// observers persist across the target's lifetime, and
+	// SetHealthObserver is theirs).
+	healthObservers
 	downCount int
 	// hedge is the hedged-request engine of the current run (nil when
 	// VPUOptions.Hedge is disabled or the target has one device).
@@ -187,9 +188,6 @@ func NewVPUTarget(devices []*ncs.Device, blob *graphfile.Handle, opts VPUOptions
 	if err := opts.Hedge.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", field.Under("Hedge", err))
 	}
-	if opts.Timeline == nil {
-		opts.Timeline = trace.Disabled()
-	}
 	return &VPUTarget{devices: devices, blob: blob, opts: opts}, nil
 }
 
@@ -212,12 +210,6 @@ func (t *VPUTarget) Devices() []*ncs.Device { return t.devices }
 // against.
 func (t *VPUTarget) DeviceCount() int { return len(t.devices) }
 
-// SetHealthObserver implements HealthAware. Observers accumulate:
-// each registered fn sees every subsequent health transition.
-func (t *VPUTarget) SetHealthObserver(fn func(healthy, total int, at time.Duration)) {
-	t.healthObs = append(t.healthObs, fn)
-}
-
 // SetHedgeBudget replaces the target's hedge-volume budget from now
 // on (0 = unlimited) — the operator's mid-run hedging knob (scenario
 // hot-reload). The budget is consulted when a trigger fires, so only
@@ -235,16 +227,12 @@ func (t *VPUTarget) SetHedgeBudget(b float64) {
 // hang off this).
 func (t *VPUTarget) noteDown(at time.Duration) {
 	t.downCount++
-	for _, fn := range t.healthObs {
-		fn(len(t.devices)-t.downCount, len(t.devices), at)
-	}
+	t.publish(len(t.devices)-t.downCount, len(t.devices), at)
 }
 
 func (t *VPUTarget) noteUp(at time.Duration) {
 	t.downCount--
-	for _, fn := range t.healthObs {
-		fn(len(t.devices)-t.downCount, len(t.devices), at)
-	}
+	t.publish(len(t.devices)-t.downCount, len(t.devices), at)
 }
 
 // Start implements Target.

@@ -746,9 +746,7 @@ func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob *graphfil
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: cpu target: %w", err)
 		}
-		if s.cfg.Timeline != nil {
-			t.SetTimeline(s.cfg.Timeline)
-		}
+		t.SetTimeline(s.cfg.Timeline)
 		s.applyAssembly(t)
 		s.wireBatchRetry(t, i)
 		s.registry.Add(batchName(GroupCPU), eng)
@@ -762,9 +760,7 @@ func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob *graphfil
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: gpu target: %w", err)
 		}
-		if s.cfg.Timeline != nil {
-			t.SetTimeline(s.cfg.Timeline)
-		}
+		t.SetTimeline(s.cfg.Timeline)
 		s.applyAssembly(t)
 		s.wireBatchRetry(t, i)
 		s.registry.Add(batchName(GroupGPU), eng)
@@ -995,12 +991,9 @@ func (s *Session) Run() (*Report, error) {
 	}
 
 	if !s.cfg.Faults.Empty() {
-		var observe func(fault.Injection)
-		if s.cfg.Timeline != nil {
-			tl := s.cfg.Timeline
-			observe = func(inj fault.Injection) {
-				tl.Add(inj.Device, trace.Fault, inj.At, inj.Until, inj.Kind.String())
-			}
+		tl := s.cfg.Timeline
+		observe := func(inj fault.Injection) {
+			tl.Add(inj.Device, trace.Fault, inj.At, inj.Until, inj.Kind.String())
 		}
 		lg, err := fault.Apply(s.env, s.cfg.Faults, rng.New(s.cfg.Seed).Derive("faults"), s.registry, observe)
 		if err != nil {

@@ -238,7 +238,7 @@ func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Colle
 		jobs = pool.ChildJobs()
 	}
 	if s.pipe != nil {
-		jobs = s.pipe.StageJobs()
+		jobs = s.pipe.ChildJobs()
 	}
 	kinds := make([]GroupKind, len(s.targets))
 	for i := range kinds {

@@ -137,7 +137,7 @@ func TestStageReplicas(t *testing.T) {
 	// A custom stage cannot be replicated.
 	if _, err := NewFromConfig(Config{
 		Dataset: smallDataset(images),
-		Stages:  []Stage{CustomStage(&stubStageTarget{}).Replicated(2), GPUStage(16)},
+		Stages:  []Stage{CustomStage(&stubCustomTarget{}).Replicated(2), GPUStage(16)},
 		Cuts:    []int{0},
 	}); err == nil {
 		t.Error("replicated custom stage accepted")
@@ -274,7 +274,7 @@ func TestStageValidation(t *testing.T) {
 		{"functional", Config{Functional: true, Stages: []Stage{VPUStage(1), GPUStage(8)}, Cuts: []int{10}}},
 		{"hedged", Config{Hedge: core.HedgeConfig{Trigger: core.HedgeNever}, Stages: []Stage{VPUStage(2), GPUStage(8)}, Cuts: []int{10}}},
 		{"blob", Config{Blob: []byte{1}, Stages: []Stage{VPUStage(1), GPUStage(8)}, Cuts: []int{10}}},
-		{"custom with span", Config{Stages: []Stage{CustomStage(&stubStageTarget{}), GPUStage(8)}, Cuts: []int{10}}},
+		{"custom with span", Config{Stages: []Stage{CustomStage(&stubCustomTarget{}), GPUStage(8)}, Cuts: []int{10}}},
 	}
 	valid := map[int]bool{}
 	for _, c := range googleNetCuts(t) {
@@ -303,12 +303,12 @@ func TestStageValidation(t *testing.T) {
 	}
 }
 
-// stubStageTarget is a minimal custom target for validation tests.
-type stubStageTarget struct{}
+// stubCustomTarget is a minimal custom target for validation tests.
+type stubCustomTarget struct{}
 
-func (s *stubStageTarget) Name() string      { return "stub" }
-func (s *stubStageTarget) TDPWatts() float64 { return 1 }
-func (s *stubStageTarget) Start(env *sim.Env, src core.Source, sink func(core.Result)) *core.Job {
+func (s *stubCustomTarget) Name() string      { return "stub" }
+func (s *stubCustomTarget) TDPWatts() float64 { return 1 }
+func (s *stubCustomTarget) Start(env *sim.Env, src core.Source, sink func(core.Result)) *core.Job {
 	job := &core.Job{}
 	env.Process("stub", func(p *sim.Proc) {
 		for {

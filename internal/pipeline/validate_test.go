@@ -48,7 +48,7 @@ func TestConfigValidateRules(t *testing.T) {
 		{"stage replicas", func(c *Config) { twoStages(c); c.Stages[1].Replicas = -1 }, "Stages[1].Replicas"},
 		{"replicated custom stage", func(c *Config) {
 			twoStages(c)
-			c.Stages[0] = CustomStage(&stubStageTarget{}).Replicated(2)
+			c.Stages[0] = CustomStage(&stubCustomTarget{}).Replicated(2)
 		}, "Stages[0].Replicas"},
 		{"functional stages", func(c *Config) { twoStages(c); c.Functional = true }, "Functional"},
 		{"blob with stages", func(c *Config) { twoStages(c); c.Blob = []byte{1} }, "Blob"},

@@ -46,38 +46,42 @@ type Span struct {
 // Duration returns End - Start.
 func (s Span) Duration() time.Duration { return s.End - s.Start }
 
-// Timeline accumulates spans. The zero value is ready to use. It is
-// not safe for concurrent use; the simulation kernel is single-
-// threaded, so recording needs no locks.
+// Timeline accumulates spans. The zero value is ready to use. A nil
+// *Timeline is the disabled timeline for recording: Add, Enabled and
+// Len accept a nil receiver (Add records nothing), so schedulers
+// record unconditionally without paying for storage; the other
+// methods need a timeline. It is not safe for concurrent use; the
+// simulation kernel is single-threaded, so recording needs no locks.
 type Timeline struct {
-	spans   []Span
-	enabled bool
+	spans []Span
 }
 
 // New returns an enabled timeline.
-func New() *Timeline { return &Timeline{enabled: true} }
+func New() *Timeline { return &Timeline{} }
 
-// Disabled returns a timeline that drops all spans; schedulers can
-// record unconditionally without paying for storage.
-func Disabled() *Timeline { return &Timeline{} }
+// Enabled reports whether the timeline stores spans (false for nil).
+func (t *Timeline) Enabled() bool { return t != nil }
 
-// Enabled reports whether the timeline stores spans.
-func (t *Timeline) Enabled() bool { return t.enabled }
-
-// Add records a span. Inverted spans (End < Start) panic: virtual time
-// cannot run backwards, so they indicate a scheduler bug.
+// Add records a span; on a nil timeline it records nothing. Inverted
+// spans (End < Start) panic either way: virtual time cannot run
+// backwards, so they indicate a scheduler bug.
 func (t *Timeline) Add(track string, kind Kind, start, end time.Duration, note string) {
 	if end < start {
 		panic(fmt.Sprintf("trace: inverted span on %s: %v > %v", track, start, end))
 	}
-	if !t.enabled {
+	if t == nil {
 		return
 	}
 	t.spans = append(t.spans, Span{Track: track, Kind: kind, Start: start, End: end, Note: note})
 }
 
-// Len returns the number of stored spans.
-func (t *Timeline) Len() int { return len(t.spans) }
+// Len returns the number of stored spans (0 for nil).
+func (t *Timeline) Len() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.spans)
+}
 
 // Spans returns a copy of the stored spans, ordered by start time
 // (stable on insertion order for ties).

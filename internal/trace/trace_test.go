@@ -24,14 +24,16 @@ func TestAddAndSpans(t *testing.T) {
 	}
 }
 
+// TestDisabledDropsSpans: a nil *Timeline is the disabled timeline —
+// Add on it records nothing and does not panic.
 func TestDisabledDropsSpans(t *testing.T) {
-	tl := Disabled()
+	var tl *Timeline
 	tl.Add("x", Exec, 0, ms, "")
 	if tl.Len() != 0 || tl.Enabled() {
 		t.Error("disabled timeline stored a span")
 	}
-	if !New().Enabled() {
-		t.Error("New must be enabled")
+	if !New().Enabled() || !(&Timeline{}).Enabled() {
+		t.Error("New and the zero value must be enabled")
 	}
 }
 
@@ -46,7 +48,7 @@ func TestInvertedSpanPanics(t *testing.T) {
 }
 
 func TestInvertedSpanPanicsEvenWhenDisabled(t *testing.T) {
-	tl := Disabled()
+	var tl *Timeline
 	defer func() {
 		if recover() == nil {
 			t.Error("disabled timeline must still catch inverted spans")

@@ -48,7 +48,11 @@ sh scripts/loc.sh || true
 printf 'facade: %s go doc -short lines\n' "$(go doc -short . | wc -l)" || true
 
 echo "== go test =="
-go test ./...
+# The suite runs once, through testtime.sh: go test -count=1 -json
+# ./..., its exit status unchanged (a failing test fails CI and its
+# output is printed), plus the wall time, the test count and the 15
+# slowest tests; the event stream stays in .bench/tier1.json.
+sh scripts/testtime.sh
 
 echo "== ncsw-classify -folder end to end =="
 # The CLI's folder path: make-dataset writes eight .ppm images with
