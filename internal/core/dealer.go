@@ -98,7 +98,7 @@ func (d *dealer) run(p *sim.Proc, src Source) {
 // in-hand item joins the orphans, so the loss accounting after the
 // join sees it.
 func (d *dealer) deliver(p *sim.Proc, item Item, k int) bool {
-	if d.hedge != nil && d.hedge.settled(item.Index) {
+	if d.hedge.settled(item.Index) {
 		return true
 	}
 	j, ok := d.place(p, item, k)
@@ -107,9 +107,7 @@ func (d *dealer) deliver(p *sim.Proc, item Item, k int) bool {
 		return false
 	}
 	d.dealt[j]++
-	if d.hedge != nil {
-		d.hedge.track(item, j, p.Now())
-	}
+	d.hedge.track(item, j, p.Now())
 	// The child may have stopped while place blocked on its full feed;
 	// reclaim everything stranded there.
 	if d.gone(j) {
@@ -157,9 +155,7 @@ func (d *dealer) reclaim(j int) {
 // a copy of an item served through its other copy is not lost, and an
 // item with both copies stranded is lost once.
 func (d *dealer) lost() []Item {
-	if d.hedge != nil {
-		d.orphans = d.hedge.filterLost(d.orphans)
-	}
+	d.orphans = d.hedge.filterLost(d.orphans)
 	return d.orphans
 }
 

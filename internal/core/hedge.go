@@ -135,8 +135,10 @@ type hedgeEntry struct {
 // VPUTarget: it arms a cancellable timer per dispatched item,
 // launches a duplicate on a different child when the trigger fires,
 // and deduplicates completions so exactly one result per item reaches
-// the sink. The dealer that builds it supplies the two queue-specific
-// callbacks:
+// the sink. A nil *hedger is hedging off: track, settled, complete,
+// copyLost, filterLost and setBudget accept it, so dispatchers call
+// them unguarded. The dealer that builds it supplies the two
+// queue-specific callbacks:
 // redispatch places a duplicate on a child other than exclude
 // (non-blocking — it runs inside timer callbacks) and reports where
 // it landed; cancelCopy withdraws a still-queued copy from a child's
@@ -158,7 +160,8 @@ type hedger struct {
 	cancelCopy func(index, child int) bool
 }
 
-// newHedger builds the engine, or returns nil when hedging is off.
+// newHedger builds the engine, or returns nil (the hedging-off
+// engine) when no trigger is configured.
 // capacity is the owner's in-flight ceiling (queue slots plus
 // execution slots across the fleet), the denominator of the
 // DynamicBudget utilization estimate; 0 disables the dynamic scaling
@@ -239,6 +242,9 @@ func (h *hedger) triggerFor() (time.Duration, bool) {
 // dead child) just moves the primary; its original timer keeps
 // running so the age stays measured from first dispatch.
 func (h *hedger) track(item Item, child int, now time.Duration) {
+	if h == nil {
+		return
+	}
 	if e, ok := h.entries[item.Index]; ok {
 		if !e.done {
 			e.primary = child
@@ -307,6 +313,9 @@ func (h *hedger) fire(e *hedgeEntry) {
 // copy is withdrawn from its feed queue when still there); any later
 // completion of the same item is a discarded loser, counted as waste.
 func (h *hedger) complete(index, child int, now time.Duration) bool {
+	if h == nil {
+		return true
+	}
 	e, ok := h.entries[index]
 	if !ok {
 		return true // untracked (dispatched before hedging armed): deliver
@@ -353,6 +362,9 @@ func (h *hedger) complete(index, child int, now time.Duration) bool {
 // forgotten instead of re-served, double-dropped or counted as
 // stranded work. A settled entry is reclaimed on the way out.
 func (h *hedger) settled(index int) bool {
+	if h == nil {
+		return false
+	}
 	e, ok := h.entries[index]
 	if !ok {
 		return false
@@ -371,6 +383,9 @@ func (h *hedger) settled(index int) bool {
 // (copyLost arbitrates each copy). Dispatchers call it after the join,
 // when nothing is in flight anymore.
 func (h *hedger) filterLost(items []Item) []Item {
+	if h == nil {
+		return items
+	}
 	kept := items[:0]
 	for _, it := range items {
 		if h.copyLost(it.Index, -1) {
@@ -391,6 +406,9 @@ func (h *hedger) filterLost(items []Item) []Item {
 // into a double-counted completion). child is the index the lost copy
 // was on, or -1 when the caller cannot tell which copy died.
 func (h *hedger) copyLost(index, child int) bool {
+	if h == nil {
+		return true
+	}
 	e, ok := h.entries[index]
 	if !ok {
 		return true
@@ -419,4 +437,8 @@ func (h *hedger) copyLost(index, child int) bool {
 // unlimited). The budget is consulted when a trigger fires, so only
 // fires after the change see the new cap; armed timers, the launch
 // counter and the quantile estimate are untouched.
-func (h *hedger) setBudget(b float64) { h.cfg.Budget = b }
+func (h *hedger) setBudget(b float64) {
+	if h != nil {
+		h.cfg.Budget = b
+	}
+}

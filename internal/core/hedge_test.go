@@ -302,6 +302,32 @@ func TestHedgerFilterLostCountsPairOnce(t *testing.T) {
 	}
 }
 
+// TestNilHedgerIsHedgingOff: a nil *hedger (hedging off) answers
+// every dispatcher call as an unhedged run would: nothing is settled,
+// every completion is delivered, every lost copy is a loss, and
+// track and setBudget do nothing.
+func TestNilHedgerIsHedgingOff(t *testing.T) {
+	var h *hedger
+	h.track(Item{Index: 3}, 0, 0)
+	h.setBudget(0.5)
+	items := []Item{{Index: 3}, {Index: 3}, {Index: 5}}
+	for _, tc := range []struct {
+		call string
+		got  any
+		want any
+	}{
+		{"settled", h.settled(3), false},
+		{"complete", h.complete(3, 0, time.Millisecond), true},
+		{"copyLost", h.copyLost(3, 0), true},
+		{"copyLost unknown child", h.copyLost(3, -1), true},
+		{"filterLost", len(h.filterLost(items)), len(items)},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("nil hedger %s = %v, want %v", tc.call, tc.got, tc.want)
+		}
+	}
+}
+
 // TestVPUHedgeDropAccountingDisjoint: under a hang with a tight
 // redelivery budget and hedging armed, every item ends exactly one
 // way — delivered once, or dropped once. A lost duplicate whose other

@@ -175,9 +175,6 @@ func (pl *Pool) Name() string { return pl.name }
 // into a double-counted completion. Without pool-level hedging it
 // always reports true.
 func (pl *Pool) HedgeItemLost(index int) bool {
-	if pl.hedge == nil {
-		return true
-	}
 	return pl.hedge.copyLost(index, -1)
 }
 
@@ -188,9 +185,7 @@ func (pl *Pool) HedgeItemLost(index int) bool {
 // before Start) the call only updates the configuration.
 func (pl *Pool) SetHedgeBudget(b float64) {
 	pl.opts.Hedge.Budget = b
-	if pl.hedge != nil {
-		pl.hedge.setBudget(b)
-	}
+	pl.hedge.setBudget(b)
 }
 
 // childFeed is the per-child source fed by the pool dispatcher, which
@@ -253,7 +248,7 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 					ewma[i] = ewmaAlpha*obs + (1-ewmaAlpha)*ewma[i]
 				}
 			}
-			if pl.hedge != nil && !pl.hedge.complete(r.Index, i, r.End) {
+			if !pl.hedge.complete(r.Index, i, r.End) {
 				return // discarded losing duplicate
 			}
 			// The pool counts delivered results, not raw child work:

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 // recoveryOutcome captures what the recovery hooks observed.
@@ -334,5 +338,82 @@ func TestVPUEveryStickFailStops(t *testing.T) {
 
 	if job, _, _, _ := run(false); job.Err == nil {
 		t.Error("losing every stick without an OnDrop observer must surface on the job error")
+	}
+}
+
+// TestVPUDeviceErrorWithoutMonitoringFailStops: with health
+// monitoring off (a zero Timeout), a device error still abandons the
+// stick fail-stop, the way Recover: false does, instead of leaving its
+// worker gone while the dealer keeps filling its feed. A link drop
+// while ncs0 waits for a result, and one that lands inside a
+// LoadTensor transfer, both end the run: every index is served or
+// dropped exactly once, ncs0's outage is reported unrecovered, and the
+// job error names ncs0 as abandoned.
+func TestVPUDeviceErrorWithoutMonitoringFailStops(t *testing.T) {
+	const n = 40
+	for _, tc := range []struct {
+		name string
+		at   time.Duration
+		note string // expected in ncs0's Down span note
+	}{
+		{"get-result", 2500 * time.Millisecond, "completion timeout or dead link"},
+		{"load-tensor", 2545 * time.Millisecond, "load failed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed(t, 2, nn.NewGoogLeNet(rng.New(1)), n)
+			dropped := map[int]int{}
+			var outages []string
+			opts := DefaultVPUOptions()
+			opts.Timeline = trace.New()
+			opts.Recovery = RecoveryConfig{
+				OnDrop: func(it Item, _ time.Duration) { dropped[it.Index]++ },
+				OnOutage: func(dev string, _, _ time.Duration, recovered bool) {
+					outages = append(outages, fmt.Sprintf("%s recovered=%v", dev, recovered))
+				},
+			}
+			target, err := NewVPUTarget(tb.devices, tb.blob, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := NewDatasetSource(tb.ds, 0, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.env.At(tc.at, func() { tb.devices[0].InjectLinkDrop() })
+			seen := map[int]int{}
+			job := target.Start(tb.env, src, func(r Result) { seen[r.Index]++ })
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Run panicked after %d of %d items: %v", len(seen), n, r)
+					}
+				}()
+				tb.env.Run()
+			}()
+
+			for i := 0; i < n; i++ {
+				if seen[i]+dropped[i] != 1 {
+					t.Errorf("item %d served %d times and dropped %d times", i, seen[i], dropped[i])
+				}
+			}
+			if got := job.Images + len(dropped); got != n {
+				t.Errorf("served %d + dropped %d = %d, want %d", job.Images, len(dropped), got, n)
+			}
+			if want := []string{"ncs0 recovered=false"}; !slices.Equal(outages, want) {
+				t.Errorf("outages %q, want %q", outages, want)
+			}
+			if job.Err == nil || !strings.Contains(job.Err.Error(), "device ncs0 abandoned") {
+				t.Errorf("job error %v, want ncs0 abandoned", job.Err)
+			}
+			var notes []string
+			for _, s := range opts.Timeline.Spans() {
+				if s.Kind == trace.Down {
+					notes = append(notes, s.Track+": "+s.Note)
+				}
+			}
+			if len(notes) != 1 || !strings.HasPrefix(notes[0], "ncs0: "+tc.note) {
+				t.Errorf("Down spans %q, want one on ncs0 noting %q", notes, tc.note)
+			}
+		})
 	}
 }

@@ -35,18 +35,22 @@ func (s Scheduling) String() string {
 }
 
 // RecoveryConfig configures per-device health monitoring and
-// self-healing on a VPUTarget. The zero value disables both: workers
-// block indefinitely on results, the pre-fault behavior (never use it
-// with a fault plan that can hang or drop a device — a hang would
-// deadlock the simulation, which panics loudly).
+// self-healing on a VPUTarget. The zero value means no health
+// monitoring: workers block indefinitely on results, and a device
+// error (a dead link, a failed load) abandons the stick fail-stop
+// while the survivors absorb the source. A hang raises no error, so
+// it still needs a Timeout: without one it deadlocks the simulation,
+// which panics loudly.
 type RecoveryConfig struct {
 	// Timeout is the completion heartbeat: the longest a worker waits
 	// for a queued inference before declaring its device unhealthy. It
 	// must exceed the device's worst-case service time (including any
 	// slowdown window you inject) or healthy stragglers are treated as
-	// hangs. 0 disables health monitoring entirely.
+	// hangs. 0 disables health monitoring: results are awaited
+	// untimed and transient inference errors are delivered as results
+	// rather than redelivered.
 	Timeout time.Duration
-	// Recover re-opens an unhealthy device — reset (re-enumeration),
+	// Recover re-opens a failed device — reset (re-enumeration),
 	// firmware re-upload, RTOS boot, graph re-allocation: the real
 	// ~1.7 s cost — and redelivers its in-flight items. False is
 	// fail-stop: the device is abandoned, its in-flight items are
@@ -81,7 +85,8 @@ func DefaultRecoveryConfig() RecoveryConfig {
 	return RecoveryConfig{Timeout: 2 * time.Second, Recover: true, MaxAttempts: DefaultRecoveryAttempts}
 }
 
-// enabled reports whether health monitoring is on.
+// enabled reports whether health monitoring (the completion
+// heartbeat) is on.
 func (rc RecoveryConfig) enabled() bool { return rc.Timeout > 0 }
 
 // attempts returns the per-item delivery budget.
@@ -98,8 +103,8 @@ func (rc RecoveryConfig) attempts() int {
 // accumulates: every registered observer sees every subsequent
 // transition, so a Pool (failover routing) and an AdmissionQueue
 // (health-scaled depth) can subscribe to the same target. Register
-// before the target starts; with health monitoring disabled (no
-// RecoveryConfig) observers never fire.
+// before the target starts; a run without device errors (or, with a
+// Timeout, hangs) makes no transition, so observers never fire.
 type HealthAware interface {
 	SetHealthObserver(fn func(healthy, total int, at time.Duration))
 }
@@ -118,8 +123,9 @@ type VPUOptions struct {
 	// LoadTensor and GetResult (thread wakeup, pixel marshalling).
 	// Calibrated to the paper's multi-VPU penalty; default 250µs.
 	HostOverhead time.Duration
-	// Recovery configures health monitoring and self-healing (zero
-	// value = disabled, the pre-fault behavior).
+	// Recovery configures health monitoring and self-healing. The
+	// zero value means no health monitoring: a device error abandons
+	// the stick fail-stop, and a hang needs a Timeout to be noticed.
 	Recovery RecoveryConfig
 	// Hedge configures speculative hedged requests across the sticks:
 	// an item in flight (queued or executing) longer than the hedge
@@ -146,12 +152,13 @@ func DefaultVPUOptions() VPUOptions {
 // VPUTarget is the parallel multi-VPU implementation of NCSw: a main
 // process connects to every NCS device, forks one worker thread per
 // device, dispatches items round-robin, and joins the workers when the
-// source drains (Fig. 4). With Recovery configured each worker doubles
-// as its device's health monitor: a completion timeout (or a dead
-// link) marks the device down, recovery re-opens it at the real
-// firmware-boot cost and redelivers the in-flight items, and a device
-// that cannot rejoin is abandoned while the survivors absorb the
-// source. The sticks only keep time (DESIGN.md §1).
+// source drains (Fig. 4). Each worker doubles as its device's health
+// monitor: a dead link, a failed load or (with Recovery.Timeout) a
+// completion timeout marks the device down, recovery re-opens it at
+// the real firmware-boot cost and redelivers the in-flight items, and
+// a device that cannot rejoin (or any device without Recover) is
+// abandoned while the survivors absorb the source. The sticks only
+// keep time (DESIGN.md §1).
 type VPUTarget struct {
 	devices []*ncs.Device
 	blob    *graphfile.Handle
@@ -217,9 +224,7 @@ func (t *VPUTarget) DeviceCount() int { return len(t.devices) }
 // before Start) the call only updates the configuration.
 func (t *VPUTarget) SetHedgeBudget(b float64) {
 	t.opts.Hedge.Budget = b
-	if t.hedge != nil {
-		t.hedge.setBudget(b)
-	}
+	t.hedge.setBudget(b)
 }
 
 // noteDown/noteUp track device health transitions and notify the
@@ -286,7 +291,7 @@ func (t *VPUTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 		for i := range t.devices {
 			i := i
 			env.Process(fmt.Sprintf("ncsw-worker%d", i), func(wp *sim.Proc) {
-				t.worker(wp, t.devices[i], graphs, i, deal.feeds[i], sink, job, dead)
+				t.worker(wp, t.devices[i], graphs[i], i, deal.feeds[i], sink, job, dead)
 				if dead[i] {
 					deal.reclaim(i)
 				}
@@ -342,39 +347,55 @@ func (t *VPUTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 
 // connect opens d and allocates the graph on it. A device that fails
 // to connect (a link dropped before or during Open) is an outage like
-// one in service: under recovery it is reset and connected again, as
-// worker's fail heals it, and the outage is reported recovered; a
-// second failure, or any failure under fail-stop, ends the job with
+// one in service: with Recover it is healed as worker's fail heals it;
+// a second failure, or any failure without Recover, ends the job with
 // the connect error.
 func (t *VPUTarget) connect(p *sim.Proc, d *ncs.Device) (*ncs.Graph, error) {
-	try := func() (*ncs.Graph, error) {
-		if err := d.Open(p); err != nil {
-			return nil, fmt.Errorf("core: open %s: %w", d.Name(), err)
-		}
-		g, err := d.AllocateGraph(p, t.blob, ncs.GraphOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("core: allocate on %s: %w", d.Name(), err)
-		}
-		return g, nil
-	}
-	g, err := try()
+	g, err := t.open(p, d)
 	rc := t.opts.Recovery
-	if err == nil || !rc.enabled() || !rc.Recover {
+	if err == nil || !rc.Recover {
 		return g, err
 	}
 	from := p.Now()
 	t.noteDown(from)
-	d.Reset()
-	g, err2 := try()
-	if err2 == nil {
-		t.noteUp(p.Now())
-		t.opts.Timeline.Add(d.Name(), trace.Down, from, p.Now(), err.Error())
-	}
-	if rc.OnOutage != nil {
-		rc.OnOutage(d.Name(), from, p.Now(), err2 == nil)
-	}
+	g, err2 := t.heal(p, d, from, err.Error())
 	if err2 != nil {
+		if rc.OnOutage != nil {
+			rc.OnOutage(d.Name(), from, p.Now(), false)
+		}
 		return nil, fmt.Errorf("%w; re-open failed: %w", err, err2)
+	}
+	return g, nil
+}
+
+// open boots d and allocates the graph on it. Its errors name the
+// failed step and wrap the device's error.
+func (t *VPUTarget) open(p *sim.Proc, d *ncs.Device) (*ncs.Graph, error) {
+	if err := d.Open(p); err != nil {
+		return nil, fmt.Errorf("core: open %s: %w", d.Name(), err)
+	}
+	g, err := d.AllocateGraph(p, t.blob, ncs.GraphOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("core: allocate on %s: %w", d.Name(), err)
+	}
+	return g, nil
+}
+
+// heal ends the outage of d that began at from by paying its real
+// cost: reset (re-enumeration), firmware re-upload, RTOS boot and
+// graph re-allocation. Once d is back it reports the device up,
+// records the outage's Down span with note and reports the outage
+// recovered; on error nothing is reported and the caller gives d up.
+func (t *VPUTarget) heal(p *sim.Proc, d *ncs.Device, from time.Duration, note string) (*ncs.Graph, error) {
+	d.Reset()
+	g, err := t.open(p, d)
+	if err != nil {
+		return nil, err
+	}
+	t.noteUp(p.Now())
+	t.opts.Timeline.Add(d.Name(), trace.Down, from, p.Now(), note)
+	if on := t.opts.Recovery.OnOutage; on != nil {
+		on(d.Name(), from, p.Now(), true)
 	}
 	return g, nil
 }
@@ -404,24 +425,16 @@ type inflight struct {
 	attempts int // deliveries so far (>= 1 once loaded)
 }
 
-// emit outcomes.
-const (
-	emitOK     = iota // result delivered to the sink
-	emitRetry         // transient failure: item requeued or dropped, device fine
-	emitFailed        // device failure: timeout or dead link
-	emitFatal         // unrecoverable host error (legacy path), job.Err set
-)
-
 // worker drains its queue through one stick, sequential per Listing 1
-// (or two-deep pipelined with Overlap). With Recovery configured it is
-// also the device's health monitor: results are awaited under the
-// completion timeout, device failures trigger reset + re-open +
-// re-allocation (or fail-stop abandonment), and in-flight items are
-// redelivered within the attempt budget.
-func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi int, q *sim.Queue[Item], sink func(Result), job *Job, dead []bool) {
+// (or two-deep pipelined with Overlap). It is also the device's
+// health monitor: a device error (a dead link, a failed load, or with
+// Recovery.Timeout a completion timeout) triggers reset + re-open +
+// re-allocation under Recovery.Recover, or fail-stop abandonment
+// without it, and in-flight items are redelivered within the attempt
+// budget.
+func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, g *ncs.Graph, wi int, q *sim.Queue[Item], sink func(Result), job *Job, dead []bool) {
 	tl := t.opts.Timeline
 	rc := t.opts.Recovery
-	g := graphs[wi]
 	var pending []inflight // loaded, awaiting results (in load order)
 	var retry []inflight   // awaiting redelivery after a failure
 
@@ -433,7 +446,7 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 	// and a real loss disarms the item's hedge timer so a recorded
 	// drop cannot be resurrected into a double-counted completion.
 	dropItem := func(item Item) {
-		if t.hedge != nil && !t.hedge.copyLost(item.Index, wi) {
+		if !t.hedge.copyLost(item.Index, wi) {
 			return
 		}
 		if rc.OnDrop != nil {
@@ -444,9 +457,64 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 		}
 	}
 
-	// emit retrieves and publishes the result of the oldest in-flight
-	// item, classifying failures.
-	emit := func(fl inflight) int {
+	// fail handles a device failure: requeue or drop the in-flight
+	// items, then either heal the device or abandon it. It reports
+	// whether the worker should keep running.
+	fail := func(reason string) bool {
+		from := p.Now()
+		t.noteDown(from)
+		victims := pending
+		pending = nil
+		for _, v := range victims {
+			// A duplicate whose other copy already completed is neither
+			// retried nor counted as a loss.
+			if t.hedge.settled(v.item.Index) {
+				continue
+			}
+			if rc.Recover && v.attempts < rc.attempts() {
+				retry = append(retry, v)
+				if rc.OnRetry != nil {
+					rc.OnRetry(v.item, p.Now())
+				}
+			} else {
+				dropItem(v.item)
+			}
+		}
+		if rc.Recover {
+			g2, err := t.heal(p, dev, from, reason)
+			if err == nil {
+				g = g2
+				return true
+			}
+			// The note names the device's error, not open's wrapping.
+			reason = fmt.Sprintf("%s; re-open failed: %v", reason, errors.Unwrap(err))
+		}
+		// Fail-stop: nothing left to retry on — drop the redelivery
+		// queue too, kill the device model so its runtime cannot
+		// deadlock the simulation, and exit; the dispatcher reclaims
+		// whatever is still queued for this worker.
+		for _, v := range retry {
+			dropItem(v.item)
+		}
+		retry = nil
+		dev.Reset()
+		dead[wi] = true
+		tl.Add(dev.Name(), trace.Down, from, p.Now(), reason+" (abandoned)")
+		if rc.OnOutage != nil {
+			rc.OnOutage(dev.Name(), from, p.Now(), false)
+		}
+		if job.Err == nil {
+			job.Err = fmt.Errorf("core: device %s abandoned: %s", dev.Name(), reason)
+		}
+		return false
+	}
+
+	// settle retrieves and publishes the result of the oldest
+	// in-flight item, failing the device on a dead link or a
+	// completion timeout. It reports whether the worker should keep
+	// running.
+	settle := func() bool {
+		fl := pending[0]
 		readStart := p.Now()
 		var res ncs.Result
 		var err error
@@ -456,21 +524,16 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 			res, err = g.GetResult(p)
 		}
 		if err != nil {
-			if rc.enabled() {
-				return emitFailed
-			}
-			if job.Err == nil {
-				job.Err = err
-			}
-			return emitFatal
+			return fail("completion timeout or dead link")
 		}
+		pending = pending[1:]
 		p.Sleep(t.opts.HostOverhead)
 		tl.Add(dev.Name(), trace.Read, readStart, p.Now(), "")
 		if rc.enabled() && errors.Is(res.Err, ncs.ErrTransient) {
 			// A failed duplicate of an item already served through its
 			// other copy is dropped quietly — no retry, no loss.
-			if t.hedge != nil && t.hedge.settled(fl.item.Index) {
-				return emitRetry
+			if t.hedge.settled(fl.item.Index) {
+				return true
 			}
 			// Recoverable single-inference failure: redeliver within the
 			// budget instead of surfacing a broken result.
@@ -482,7 +545,7 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 			} else {
 				dropItem(fl.item)
 			}
-			return emitRetry
+			return true
 		}
 		r := Result{
 			Index:        fl.item.Index,
@@ -500,77 +563,11 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 		// First-completion dedup: a losing hedge duplicate is discarded
 		// here, so each item reaches the sink (and Job.Images) at most
 		// once.
-		if t.hedge == nil || t.hedge.complete(fl.item.Index, wi, p.Now()) {
+		if t.hedge.complete(fl.item.Index, wi, p.Now()) {
 			sink(r)
 			job.Images++
 		}
-		return emitOK
-	}
-
-	// fail handles a device failure: requeue or drop the in-flight
-	// items, then either heal the device (reset, firmware re-upload,
-	// RTOS boot, graph re-allocation — the real outage cost) or abandon
-	// it. It reports whether the worker should keep running.
-	fail := func(reason string) bool {
-		from := p.Now()
-		t.noteDown(from)
-		victims := pending
-		pending = nil
-		for _, v := range victims {
-			// A duplicate whose other copy already completed is neither
-			// retried nor counted as a loss.
-			if t.hedge != nil && t.hedge.settled(v.item.Index) {
-				continue
-			}
-			if rc.Recover && v.attempts < rc.attempts() {
-				retry = append(retry, v)
-				if rc.OnRetry != nil {
-					rc.OnRetry(v.item, p.Now())
-				}
-			} else {
-				dropItem(v.item)
-			}
-		}
-		if rc.Recover {
-			dev.Reset()
-			err := dev.Open(p)
-			if err == nil {
-				var g2 *ncs.Graph
-				g2, err = dev.AllocateGraph(p, t.blob, ncs.GraphOptions{})
-				if err == nil {
-					g = g2
-					graphs[wi] = g2
-					t.noteUp(p.Now())
-					tl.Add(dev.Name(), trace.Down, from, p.Now(), reason)
-					if rc.OnOutage != nil {
-						rc.OnOutage(dev.Name(), from, p.Now(), true)
-					}
-					return true
-				}
-			}
-			reason = fmt.Sprintf("%s; re-open failed: %v", reason, err)
-		}
-		// Fail-stop: nothing left to retry on — drop the redelivery
-		// queue too, kill the device model so its runtime cannot
-		// deadlock the simulation, and exit; the dispatcher reclaims
-		// whatever is still queued for this worker.
-		for _, v := range retry {
-			if t.hedge != nil && t.hedge.settled(v.item.Index) {
-				continue
-			}
-			dropItem(v.item)
-		}
-		retry = nil
-		dev.Reset()
-		dead[wi] = true
-		tl.Add(dev.Name(), trace.Down, from, p.Now(), reason+" (abandoned)")
-		if rc.OnOutage != nil {
-			rc.OnOutage(dev.Name(), from, p.Now(), false)
-		}
-		if job.Err == nil {
-			job.Err = fmt.Errorf("core: device %s abandoned: %s", dev.Name(), reason)
-		}
-		return false
+		return true
 	}
 
 	depth := 1
@@ -586,7 +583,7 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 		case len(retry) > 0:
 			fl = retry[0]
 			retry = retry[1:]
-			if t.hedge != nil && t.hedge.settled(fl.item.Index) {
+			if t.hedge.settled(fl.item.Index) {
 				continue // the other copy won while this one waited for redelivery
 			}
 		case !feedDone:
@@ -595,19 +592,12 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 				feedDone = true
 				continue
 			}
-			if t.hedge != nil && t.hedge.settled(item.Index) {
+			if t.hedge.settled(item.Index) {
 				continue // a duplicate whose other copy already completed
 			}
 			fl = inflight{item: item}
 		case len(pending) > 0:
-			switch emit(pending[0]) {
-			case emitOK, emitRetry:
-				pending = pending[1:]
-			case emitFailed:
-				if !fail("completion timeout or dead link") {
-					return
-				}
-			case emitFatal:
+			if !settle() {
 				return
 			}
 			continue
@@ -619,18 +609,11 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 		fl.start = p.Now()
 		p.Sleep(t.opts.HostOverhead)
 		loadStart := p.Now()
+		pending = append(pending, fl)
 		if err := g.LoadTensor(p, nil, fl.item.Index); err != nil {
-			if rc.enabled() {
-				pending = append(pending, fl)
-				if !fail(fmt.Sprintf("load failed: %v", err)) {
-					return
-				}
-				continue
+			if !fail(fmt.Sprintf("load failed: %v", err)) {
+				return
 			}
-			if job.Err == nil {
-				job.Err = err
-			}
-			feedDone = true // legacy: stop loading, drain what is pending
 			continue
 		}
 		note := ""
@@ -638,18 +621,8 @@ func (t *VPUTarget) worker(p *sim.Proc, dev *ncs.Device, graphs []*ncs.Graph, wi
 			note = fmt.Sprintf("img%d", fl.item.Index)
 		}
 		tl.Add(dev.Name(), trace.Load, loadStart, p.Now(), note)
-		pending = append(pending, fl)
-		if len(pending) >= depth {
-			switch emit(pending[0]) {
-			case emitOK, emitRetry:
-				pending = pending[1:]
-			case emitFailed:
-				if !fail("completion timeout or dead link") {
-					return
-				}
-			case emitFatal:
-				return
-			}
+		if len(pending) >= depth && !settle() {
+			return
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
@@ -35,6 +36,16 @@ var wantRe = regexp.MustCompile(`// want(-below)? (.*)$`)
 
 // wantArgRe extracts the individual quoted regexps of a want comment.
 var wantArgRe = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
+
+// universe is shared by every Run of a test binary, so the standard
+// library fixtures import is listed and type-checked once. Fixtures
+// themselves are never cached (lint.Universe.TypeCheckFiles), so two
+// fixtures may use the same import path. Run holds universeMu
+// throughout: a Universe is not safe for concurrent use.
+var (
+	universeMu sync.Mutex
+	universe   *lint.Universe
+)
 
 // expectation is one `// want` regexp waiting for a diagnostic.
 type expectation struct {
@@ -66,8 +77,12 @@ func Run(t *testing.T, a *lint.Analyzer, dir, importPath string) {
 		t.Fatalf("linttest: no fixture files in %s", dir)
 	}
 
-	u := lint.NewUniverse()
-	pkg, err := u.TypeCheckFiles(importPath, files)
+	universeMu.Lock()
+	defer universeMu.Unlock()
+	if universe == nil {
+		universe = lint.NewUniverse()
+	}
+	pkg, err := universe.TypeCheckFiles(importPath, files)
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}

@@ -97,9 +97,6 @@ type Group struct {
 	// group, or every stick of a VPU group. The benches decorrelate
 	// per-run jitter streams this way ("serving/cpu-b8/run/load1.10").
 	SeedLabel string
-	// VPUOptions overrides the multi-VPU pipeline settings for this
-	// group (Timeline, Recovery and Hedge are managed by the session).
-	VPUOptions *core.VPUOptions
 	// Target is the custom target for GroupCustom.
 	Target core.Target
 }
@@ -246,7 +243,8 @@ type Config struct {
 	Faults fault.Plan
 	// Recovery configures health monitoring and self-healing on every
 	// VPU group (core.RecoveryConfig; the session wires the hooks into
-	// its collectors). Zero value: disabled — unless Faults contains
+	// its collectors). Zero value: no health monitoring, so a device
+	// error abandons its stick fail-stop — unless Faults contains
 	// hang/drop/transient faults, in which case the session defaults
 	// to core.DefaultRecoveryConfig() so an injected hang cannot
 	// deadlock the simulation.
@@ -769,12 +767,7 @@ func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob *graphfil
 		sticks := s.devices[*nextStick : *nextStick+g.Devices]
 		*nextStick += g.Devices
 		opts := core.DefaultVPUOptions()
-		if g.VPUOptions != nil {
-			opts = *g.VPUOptions
-		}
-		if s.cfg.Timeline != nil {
-			opts.Timeline = s.cfg.Timeline
-		}
+		opts.Timeline = s.cfg.Timeline
 		opts.Recovery = s.groupRecovery(i)
 		if len(s.cfg.Groups) == 1 && s.cfg.Hedge.Enabled() {
 			// A lone multi-stick VPU group hedges across its own
