@@ -4,24 +4,35 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/devsim"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
-// pacedEngine is a deterministic batch engine: a batch of b items
-// takes base + b*per of virtual time.
-type pacedEngine struct{ base, per time.Duration }
-
-func (e pacedEngine) NextBatchDuration(b int) time.Duration {
-	return e.base + time.Duration(b)*e.per
+// pacedEngine is a deterministic batch engine: a jitter-free CPU
+// model whose batch of b items takes base + b*per of virtual time
+// (per an even number of nanoseconds), at a TDP of 10 W.
+func pacedEngine(t *testing.T, base, per time.Duration) *devsim.Engine {
+	t.Helper()
+	cfg := devsim.CPUConfig{Sockets: 1, CoresPerSocket: 1, ClockHz: 1e9, FlopsPerCycle: 1, Efficiency: 1,
+		BatchOverhead: base, TDPWatts: 10}
+	eng, err := devsim.NewCPU(cfg, devsim.Workload{MACs: int64(per) / 2}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 1; b <= 64; b++ {
+		if got, want := eng.NextBatchDuration(b), base+time.Duration(b)*per; got != want {
+			t.Fatalf("paced engine: batch %d takes %v, want %v", b, got, want)
+		}
+	}
+	return eng
 }
-func (e pacedEngine) TDPWatts() float64 { return 10 }
 
-// newFakeBatchTarget builds a non-functional batch target over the
-// paced engine (in-package: tests reach newBatchTarget directly).
+// newFakeBatchTarget builds a non-functional batch target over a
+// paced engine (4ms + 1ms per item).
 func newFakeBatchTarget(t *testing.T, batch int, assembly BatchAssembly) *BatchTarget {
 	t.Helper()
-	bt, err := newBatchTarget("paced", pacedEngine{base: 4 * time.Millisecond, per: time.Millisecond}, batch)
+	bt, err := NewBatchTarget(pacedEngine(t, 4*time.Millisecond, time.Millisecond), batch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func runBatchOOM(t *testing.T, n, batch, failures int, at time.Duration) (*Batch
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := NewCPUTarget(eng, batch)
+	target, err := NewBatchTarget(eng, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBatchOOMDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		target, err := NewCPUTarget(eng, 8)
+		target, err := NewBatchTarget(eng, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,12 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// batchEngine is the common face of the two Caffe baselines.
-type batchEngine interface {
-	NextBatchDuration(b int) time.Duration
-	TDPWatts() float64
-}
-
 // BatchAssembly configures how a BatchTarget assembles batches beyond
 // the classic fill-to-batch-size behavior.
 type BatchAssembly struct {
@@ -46,7 +40,7 @@ type BatchAssembly struct {
 // assembly.
 type BatchTarget struct {
 	name      string
-	engine    batchEngine
+	engine    *devsim.Engine
 	batchSize int
 	timeline  *trace.Timeline
 	assembly  BatchAssembly
@@ -61,28 +55,17 @@ type BatchTarget struct {
 	oomSplits  int
 }
 
-// NewCPUTarget builds the Caffe-MKL target.
-func NewCPUTarget(engine *devsim.CPU, batchSize int) (*BatchTarget, error) {
+// NewBatchTarget builds the target over a Caffe batch engine
+// (devsim.NewCPU or devsim.NewGPU); it takes the engine's name.
+func NewBatchTarget(engine *devsim.Engine, batchSize int) (*BatchTarget, error) {
 	if engine == nil {
-		return nil, fmt.Errorf("core: cpu target needs an engine")
+		return nil, fmt.Errorf("core: batch target needs an engine")
 	}
-	return newBatchTarget("cpu", engine, batchSize)
-}
-
-// NewGPUTarget builds the Caffe-cuDNN target.
-func NewGPUTarget(engine *devsim.GPU, batchSize int) (*BatchTarget, error) {
-	if engine == nil {
-		return nil, fmt.Errorf("core: gpu target needs an engine")
-	}
-	return newBatchTarget("gpu", engine, batchSize)
-}
-
-func newBatchTarget(name string, engine batchEngine, batchSize int) (*BatchTarget, error) {
 	if batchSize < 1 {
 		return nil, fmt.Errorf("core: batch size %d", batchSize)
 	}
 	return &BatchTarget{
-		name:      name,
+		name:      engine.Name(),
 		engine:    engine,
 		batchSize: batchSize,
 	}, nil
@@ -197,7 +180,7 @@ func (t *BatchTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 			// re-enqueued ahead of the next gather, so items are delayed
 			// but never lost. A single-item batch cannot split (the
 			// fault is a capacity fault) and runs unharmed.
-			if fb, ok := t.engine.(interface{ TakeBatchFailure() bool }); ok && len(batch) > 1 && fb.TakeBatchFailure() {
+			if len(batch) > 1 && t.engine.TakeBatchFailure() {
 				keep := (len(batch) + 1) / 2
 				t.carry = append(t.carry, batch[keep:]...)
 				t.carryPulls = append(t.carryPulls, pulls[keep:]...)

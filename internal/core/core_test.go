@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/devsim"
 	"repro/internal/graphfile"
 	"repro/internal/imagenet"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -206,25 +208,20 @@ func TestSchedulingString(t *testing.T) {
 }
 
 func TestBatchTargetValidation(t *testing.T) {
-	if _, err := NewCPUTarget(nil, 8); err == nil {
+	if _, err := NewBatchTarget(nil, 8); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := newBatchTarget("x", fakeEngine{}, 0); err == nil {
+	if _, err := NewBatchTarget(pacedEngine(t, 0, time.Millisecond), 0); err == nil {
 		t.Error("batch 0 accepted")
 	}
 }
 
-type fakeEngine struct{}
-
-func (fakeEngine) NextBatchDuration(b int) time.Duration { return time.Duration(b) * time.Millisecond }
-func (fakeEngine) TDPWatts() float64                     { return 42 }
-
 func TestBatchTargetRunsFake(t *testing.T) {
-	bt, err := newBatchTarget("fake", fakeEngine{}, 4)
+	bt, err := NewBatchTarget(pacedEngine(t, 0, time.Millisecond), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bt.TDPWatts() != 42 || bt.Name() != "fake" {
+	if bt.TDPWatts() != 10 || bt.Name() != "cpu" {
 		t.Error("metadata")
 	}
 	items := make([]Item, 10)
@@ -251,6 +248,32 @@ func TestBatchTargetRunsFake(t *testing.T) {
 	}
 	if col.Results[0].Pred != -1 {
 		t.Error("non-functional results must have Pred -1")
+	}
+}
+
+// TestBatchTargetAllocs: a warm fixed-assembly batch target prices,
+// sleeps and delivers each batch without allocating (no-op sink, no
+// timeline).
+func TestBatchTargetAllocs(t *testing.T) {
+	eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.Workload{MACs: 1_500_000_000}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := NewBatchTarget(eng, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := sim.NewEnv()
+	bt.Start(env, sliceOf(4000), func(Result) {})
+	defer env.Stop()
+	env.RunUntil(time.Second)
+	before := bt.Batches()
+	allocs := testing.AllocsPerRun(20, func() { env.RunUntil(env.Now() + time.Second) })
+	if ran := bt.Batches() - before; ran < 20*4 {
+		t.Fatalf("only %d batches ran in the measured windows", ran)
+	}
+	if allocs != 0 {
+		t.Errorf("a window of warm batches allocates %v times, want 0", allocs)
 	}
 }
 

@@ -206,11 +206,11 @@ func TestBatchTargetsWithRealEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := NewCPUTarget(cpuEng, 8)
+	cpu, err := NewBatchTarget(cpuEng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpu, err := NewGPUTarget(gpuEng, 8)
+	gpu, err := NewBatchTarget(gpuEng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestHeterogeneousGroupsShareOneEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := NewCPUTarget(cpuEng, 8)
+	cpu, err := NewBatchTarget(cpuEng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

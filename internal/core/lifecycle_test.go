@@ -44,7 +44,7 @@ func TestBatchTargetLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := NewCPUTarget(eng, 8)
+	target, err := NewBatchTarget(eng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

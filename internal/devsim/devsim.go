@@ -5,7 +5,8 @@
 // whole batch through the network at once (§III), which is exactly why
 // their scaling curves differ so sharply from the multi-VPU pipeline.
 //
-// Like the VPU model, each is a calibrated analytic model:
+// Both run on one Engine (NewCPU, NewGPU); only the calibrated batch
+// latency curve differs. Like the VPU model, each curve is analytic:
 //
 //   - CPU: the conv GEMMs already saturate all 8 cores at batch 1, so
 //     batching only amortizes a fixed per-batch framework overhead —
@@ -129,6 +130,11 @@ func (c GPUConfig) validate() error {
 	return nil
 }
 
+// Utilization returns the occupancy model's utilization at batch b.
+func (c GPUConfig) Utilization(b int) float64 {
+	return c.UtilizationMax * float64(b) / (float64(b) + c.UtilizationK)
+}
+
 // Workload is the static description a batch engine prices: the
 // network's per-image cost.
 type Workload struct {
@@ -146,196 +152,126 @@ func WorkloadOf(g *nn.Graph) Workload {
 	}
 }
 
-// CPU is the Caffe-MKL batch engine.
-type CPU struct {
-	cfg    CPUConfig
+// batchDuration is the CPU's jitter-free latency of one batch of b
+// images: the fixed framework overhead plus the batch's FLOPs at the
+// sustained MKL rate.
+func (c CPUConfig) batchDuration(w Workload, b int) time.Duration {
+	flops := 2 * float64(w.MACs) * float64(b)
+	exec := flops / (c.PeakFlops() * c.Efficiency)
+	return c.BatchOverhead + time.Duration(exec*float64(time.Second))
+}
+
+// batchDuration is the GPU's jitter-free latency of one batch of b
+// images: the host-to-device copy plus execution at the batch's
+// utilization.
+func (c GPUConfig) batchDuration(w Workload, b int) time.Duration {
+	copySec := float64(w.InputBytes) * float64(b) / c.PCIeBandwidth
+	flops := 2 * float64(w.MACs) * float64(b)
+	execSec := flops / (c.PeakFlops() * c.Utilization(b))
+	return time.Duration((copySec + execSec) * float64(time.Second))
+}
+
+// curve is a device's calibrated jitter-free batch latency, the one
+// thing the two baselines do not share.
+type curve interface {
+	batchDuration(w Workload, b int) time.Duration
+}
+
+// Engine is a Caffe batch engine: Caffe-MKL on the CPU (NewCPU) or
+// Caffe-cuDNN on the GPU (NewGPU). It prices batches in virtual time
+// and counts nothing; the consuming target (core.BatchTarget) does.
+type Engine struct {
+	name   string
+	curve  curve
 	work   Workload
+	sigma  float64
+	tdp    float64
 	jitter *rng.Source
 
-	batches int64
-	images  int64
-	busy    time.Duration
-	slow    float64 // fault-injected straggler factor (<=1 = none)
-	oom     int     // fault-injected pending batch failures
+	slow float64 // fault-injected straggler factor (<=1 = none)
+	oom  int     // fault-injected pending batch failures
 }
+
+// NewCPU builds the Caffe-MKL engine for the workload.
+func NewCPU(cfg CPUConfig, w Workload, seed *rng.Source) (*Engine, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return newEngine("cpu", cfg, w, cfg.JitterSigma, cfg.TDPWatts, seed)
+}
+
+// NewGPU builds the Caffe-cuDNN engine for the workload.
+func NewGPU(cfg GPUConfig, w Workload, seed *rng.Source) (*Engine, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	return newEngine("gpu", cfg, w, cfg.JitterSigma, cfg.TDPWatts, seed)
+}
+
+// newEngine builds an engine named name ("cpu", "gpu"); its jitter
+// stream is the seed derived under name+"-jitter".
+func newEngine(name string, c curve, w Workload, sigma, tdp float64, seed *rng.Source) (*Engine, error) {
+	if w.MACs <= 0 {
+		return nil, fmt.Errorf("devsim: empty workload")
+	}
+	return &Engine{name: name, curve: c, work: w, sigma: sigma, tdp: tdp,
+		jitter: seed.Derive(name + "-jitter")}, nil
+}
+
+// Name reports the device kind: "cpu" or "gpu".
+func (e *Engine) Name() string { return e.name }
+
+// TDPWatts reports the configured thermal design power.
+func (e *Engine) TDPWatts() float64 { return e.tdp }
 
 // InjectSlowdown stretches every subsequent batch ×factor — the
 // straggler fault hook internal/fault drives (a co-scheduled job, a
 // thermal event). ClearSlowdown ends the window.
-func (c *CPU) InjectSlowdown(factor float64) {
+func (e *Engine) InjectSlowdown(factor float64) {
 	if factor > 1 {
-		c.slow = factor
+		e.slow = factor
 	}
 }
 
 // ClearSlowdown ends a straggler window.
-func (c *CPU) ClearSlowdown() { c.slow = 0 }
+func (e *Engine) ClearSlowdown() { e.slow = 0 }
 
 // InjectBatchFailures makes the next n batch submissions fail with an
 // OOM-style allocator error — the batch-engine fault hook
-// internal/fault drives (fault.BatchOOM). The consuming target splits
-// the failed batch and retries (core.BatchTarget).
-func (c *CPU) InjectBatchFailures(n int) {
+// internal/fault drives (fault.BatchOOM); cudaMalloc failing on a
+// fragmented device is the canonical incident. The consuming target
+// splits the failed batch and retries (core.BatchTarget).
+func (e *Engine) InjectBatchFailures(n int) {
 	if n > 0 {
-		c.oom += n
+		e.oom += n
 	}
 }
 
 // TakeBatchFailure consumes one pending injected batch failure,
 // reporting whether the next submission should fail. Deterministic:
 // failures fire in submission order, exactly as many as injected.
-func (c *CPU) TakeBatchFailure() bool {
-	if c.oom > 0 {
-		c.oom--
+func (e *Engine) TakeBatchFailure() bool {
+	if e.oom > 0 {
+		e.oom--
 		return true
 	}
 	return false
 }
-
-// NewCPU builds a CPU engine for the workload.
-func NewCPU(cfg CPUConfig, w Workload, seed *rng.Source) (*CPU, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if w.MACs <= 0 {
-		return nil, fmt.Errorf("devsim: empty workload")
-	}
-	return &CPU{cfg: cfg, work: w, jitter: seed.Derive("cpu-jitter")}, nil
-}
-
-// Config returns the engine configuration.
-func (c *CPU) Config() CPUConfig { return c.cfg }
 
 // BaseBatchDuration is the jitter-free latency of one batch of size b.
-func (c *CPU) BaseBatchDuration(b int) time.Duration {
+func (e *Engine) BaseBatchDuration(b int) time.Duration {
 	if b <= 0 {
 		panic(fmt.Sprintf("devsim: batch size %d", b))
 	}
-	flops := 2 * float64(c.work.MACs) * float64(b)
-	exec := flops / (c.cfg.PeakFlops() * c.cfg.Efficiency)
-	return c.cfg.BatchOverhead + time.Duration(exec*float64(time.Second))
+	return e.curve.batchDuration(e.work, b)
 }
 
 // NextBatchDuration prices the next batch with jitter (and any
 // fault-injected straggler window) applied.
-func (c *CPU) NextBatchDuration(b int) time.Duration {
-	d := time.Duration(float64(c.BaseBatchDuration(b)) * c.jitter.Jitter(c.cfg.JitterSigma))
-	if c.slow > 1 {
-		d = time.Duration(float64(d) * c.slow)
+func (e *Engine) NextBatchDuration(b int) time.Duration {
+	d := time.Duration(float64(e.BaseBatchDuration(b)) * e.jitter.Jitter(e.sigma))
+	if e.slow > 1 {
+		d = time.Duration(float64(d) * e.slow)
 	}
-	c.batches++
-	c.images += int64(b)
-	c.busy += d
 	return d
 }
-
-// Batches reports how many batches the engine executed.
-func (c *CPU) Batches() int64 { return c.batches }
-
-// Images reports how many images the engine processed.
-func (c *CPU) Images() int64 { return c.images }
-
-// Busy reports the accumulated execution time.
-func (c *CPU) Busy() time.Duration { return c.busy }
-
-// TDPWatts reports the configured thermal design power.
-func (c *CPU) TDPWatts() float64 { return c.cfg.TDPWatts }
-
-// GPU is the Caffe-cuDNN batch engine.
-type GPU struct {
-	cfg    GPUConfig
-	work   Workload
-	jitter *rng.Source
-
-	batches int64
-	images  int64
-	busy    time.Duration
-	slow    float64 // fault-injected straggler factor (<=1 = none)
-	oom     int     // fault-injected pending batch failures
-}
-
-// InjectSlowdown stretches every subsequent batch ×factor (straggler
-// fault hook); ClearSlowdown ends the window.
-func (g *GPU) InjectSlowdown(factor float64) {
-	if factor > 1 {
-		g.slow = factor
-	}
-}
-
-// ClearSlowdown ends a straggler window.
-func (g *GPU) ClearSlowdown() { g.slow = 0 }
-
-// InjectBatchFailures makes the next n batch submissions fail with an
-// OOM-style allocator error (fault.BatchOOM) — cudaMalloc failing on
-// a fragmented device is the canonical incident.
-func (g *GPU) InjectBatchFailures(n int) {
-	if n > 0 {
-		g.oom += n
-	}
-}
-
-// TakeBatchFailure consumes one pending injected batch failure,
-// reporting whether the next submission should fail.
-func (g *GPU) TakeBatchFailure() bool {
-	if g.oom > 0 {
-		g.oom--
-		return true
-	}
-	return false
-}
-
-// NewGPU builds a GPU engine for the workload.
-func NewGPU(cfg GPUConfig, w Workload, seed *rng.Source) (*GPU, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if w.MACs <= 0 {
-		return nil, fmt.Errorf("devsim: empty workload")
-	}
-	return &GPU{cfg: cfg, work: w, jitter: seed.Derive("gpu-jitter")}, nil
-}
-
-// Config returns the engine configuration.
-func (g *GPU) Config() GPUConfig { return g.cfg }
-
-// Utilization returns the occupancy model's utilization at batch b.
-func (g *GPU) Utilization(b int) float64 {
-	return g.cfg.UtilizationMax * float64(b) / (float64(b) + g.cfg.UtilizationK)
-}
-
-// BaseBatchDuration is the jitter-free latency of one batch of size b:
-// host-to-device copy plus execution at the batch's utilization.
-func (g *GPU) BaseBatchDuration(b int) time.Duration {
-	if b <= 0 {
-		panic(fmt.Sprintf("devsim: batch size %d", b))
-	}
-	copySec := float64(g.work.InputBytes) * float64(b) / g.cfg.PCIeBandwidth
-	flops := 2 * float64(g.work.MACs) * float64(b)
-	execSec := flops / (g.cfg.PeakFlops() * g.Utilization(b))
-	return time.Duration((copySec + execSec) * float64(time.Second))
-}
-
-// NextBatchDuration prices the next batch with jitter (and any
-// fault-injected straggler window) applied.
-func (g *GPU) NextBatchDuration(b int) time.Duration {
-	d := time.Duration(float64(g.BaseBatchDuration(b)) * g.jitter.Jitter(g.cfg.JitterSigma))
-	if g.slow > 1 {
-		d = time.Duration(float64(d) * g.slow)
-	}
-	g.batches++
-	g.images += int64(b)
-	g.busy += d
-	return d
-}
-
-// Batches reports how many batches the engine executed.
-func (g *GPU) Batches() int64 { return g.batches }
-
-// Images reports how many images the engine processed.
-func (g *GPU) Images() int64 { return g.images }
-
-// Busy reports the accumulated execution time.
-func (g *GPU) Busy() time.Duration { return g.busy }
-
-// TDPWatts reports the configured thermal design power.
-func (g *GPU) TDPWatts() float64 { return g.cfg.TDPWatts }

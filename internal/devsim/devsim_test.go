@@ -25,32 +25,52 @@ func TestPeakFlops(t *testing.T) {
 	}
 }
 
+// models builds each baseline's engine with its default config.
+var models = []struct {
+	name string
+	new  func(w Workload, seed *rng.Source) (*Engine, error)
+}{
+	{"cpu", func(w Workload, seed *rng.Source) (*Engine, error) { return NewCPU(DefaultCPUConfig(), w, seed) }},
+	{"gpu", func(w Workload, seed *rng.Source) (*Engine, error) { return NewGPU(DefaultGPUConfig(), w, seed) }},
+}
+
+// calibration is one device's measured points from the paper: the
+// batch-1 latency, the batch-8 per-image latency, the scaling between
+// them and the batch-16 throughput of Fig. 8b.
+type calibration struct {
+	b1, b1Tol       float64 // ms
+	b8, b8Tol       float64 // ms/img
+	scaleLo, scaleH float64
+	ips16, ips16Tol float64 // img/s
+}
+
+func checkCalibration(t *testing.T, e *Engine, want calibration) {
+	t.Helper()
+	b1 := msOf(e.BaseBatchDuration(1))
+	if math.Abs(b1-want.b1) > want.b1Tol {
+		t.Errorf("%s batch-1 latency = %.2f ms, want ~%.1f", e.Name(), b1, want.b1)
+	}
+	b8 := msOf(e.BaseBatchDuration(8)) / 8
+	if math.Abs(b8-want.b8) > want.b8Tol {
+		t.Errorf("%s batch-8 per-image = %.2f ms, want ~%.1f", e.Name(), b8, want.b8)
+	}
+	if scaling := b1 / b8; scaling < want.scaleLo || scaling > want.scaleH {
+		t.Errorf("%s scaling at 8 = %.2fx, want in [%.2f, %.2f]", e.Name(), scaling, want.scaleLo, want.scaleH)
+	}
+	if ips := 16 / e.BaseBatchDuration(16).Seconds(); math.Abs(ips-want.ips16) > want.ips16Tol {
+		t.Errorf("%s batch-16 throughput = %.1f img/s, paper reports %.1f", e.Name(), ips, want.ips16)
+	}
+}
+
 // TestCPUCalibration anchors the CPU model to the paper's measured
-// points: 26.0 ms at batch 1, 22.7 ms/img at batch 8 and the derived
-// 14.7% improvement.
+// points: 26.0 ms at batch 1, 22.7 ms/img at batch 8 (the paper's
+// 1.1x) and 44.5 img/s at batch 16.
 func TestCPUCalibration(t *testing.T) {
 	cpu, err := NewCPU(DefaultCPUConfig(), googWorkload(t), rng.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1 := msOf(cpu.BaseBatchDuration(1))
-	if math.Abs(b1-26.0) > 0.8 {
-		t.Errorf("CPU batch-1 latency = %.2f ms, want ~26.0", b1)
-	}
-	b8 := msOf(cpu.BaseBatchDuration(8)) / 8
-	if math.Abs(b8-22.7) > 0.7 {
-		t.Errorf("CPU batch-8 per-image = %.2f ms, want ~22.7", b8)
-	}
-	scaling := b1 / b8
-	if scaling < 1.08 || scaling > 1.22 {
-		t.Errorf("CPU scaling at 8 = %.2fx, paper reports 1.1x", scaling)
-	}
-	// Fig. 8b: at batch 16 the CPU should top out near 44.5 img/s.
-	b16 := cpu.BaseBatchDuration(16).Seconds() / 16
-	ips := 1 / b16
-	if math.Abs(ips-44.5) > 1.5 {
-		t.Errorf("CPU batch-16 throughput = %.1f img/s, paper reports 44.5", ips)
-	}
+	checkCalibration(t, cpu, calibration{26.0, 0.8, 22.7, 0.7, 1.08, 1.22, 44.5, 1.5})
 }
 
 // TestGPUCalibration anchors the GPU model: 25.9 ms at batch 1,
@@ -60,36 +80,18 @@ func TestGPUCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1 := msOf(gpu.BaseBatchDuration(1))
-	if math.Abs(b1-25.9) > 0.8 {
-		t.Errorf("GPU batch-1 latency = %.2f ms, want ~25.9", b1)
-	}
-	b8 := msOf(gpu.BaseBatchDuration(8)) / 8
-	if math.Abs(b8-13.5) > 0.5 {
-		t.Errorf("GPU batch-8 per-image = %.2f ms, want ~13.5", b8)
-	}
-	scaling := b1 / b8
-	if scaling < 1.82 || scaling > 2.02 {
-		t.Errorf("GPU scaling at 8 = %.2fx, paper reports 1.9x", scaling)
-	}
-	ips16 := 16 / gpu.BaseBatchDuration(16).Seconds()
-	if math.Abs(ips16-79.9) > 2.5 {
-		t.Errorf("GPU batch-16 throughput = %.1f img/s, paper reports 79.9", ips16)
-	}
+	checkCalibration(t, gpu, calibration{25.9, 0.8, 13.5, 0.5, 1.82, 2.02, 79.9, 2.5})
 }
 
 func TestGPUUtilizationCurveMonotone(t *testing.T) {
-	gpu, err := NewGPU(DefaultGPUConfig(), googWorkload(t), rng.New(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultGPUConfig()
 	prev := 0.0
 	for b := 1; b <= 64; b *= 2 {
-		u := gpu.Utilization(b)
+		u := cfg.Utilization(b)
 		if u <= prev {
 			t.Errorf("utilization not increasing at batch %d: %g <= %g", b, u, prev)
 		}
-		if u > gpu.Config().UtilizationMax {
+		if u > cfg.UtilizationMax {
 			t.Errorf("utilization %g exceeds max", u)
 		}
 		prev = u
@@ -98,57 +100,79 @@ func TestGPUUtilizationCurveMonotone(t *testing.T) {
 
 func TestPerImageLatencyMonotoneInBatch(t *testing.T) {
 	w := googWorkload(t)
-	cpu, _ := NewCPU(DefaultCPUConfig(), w, rng.New(0))
-	gpu, _ := NewGPU(DefaultGPUConfig(), w, rng.New(0))
-	for b := 1; b < 32; b++ {
-		c1 := cpu.BaseBatchDuration(b).Seconds() / float64(b)
-		c2 := cpu.BaseBatchDuration(b+1).Seconds() / float64(b+1)
-		if c2 > c1+1e-12 {
-			t.Errorf("CPU per-image latency increased from batch %d to %d", b, b+1)
+	for _, m := range models {
+		e, err := m.new(w, rng.New(0))
+		if err != nil {
+			t.Fatal(err)
 		}
-		g1 := gpu.BaseBatchDuration(b).Seconds() / float64(b)
-		g2 := gpu.BaseBatchDuration(b+1).Seconds() / float64(b+1)
-		if g2 > g1+1e-12 {
-			t.Errorf("GPU per-image latency increased from batch %d to %d", b, b+1)
+		for b := 1; b < 32; b++ {
+			p1 := e.BaseBatchDuration(b).Seconds() / float64(b)
+			p2 := e.BaseBatchDuration(b+1).Seconds() / float64(b+1)
+			if p2 > p1+1e-12 {
+				t.Errorf("%s per-image latency increased from batch %d to %d", m.name, b, b+1)
+			}
 		}
 	}
 }
 
-func TestJitterAccountingAndDeterminism(t *testing.T) {
+// TestJitterDeterminism: two engines from the same seed price the
+// same batch stream, and each reports its kind and TDP.
+func TestJitterDeterminism(t *testing.T) {
 	w := googWorkload(t)
-	a, _ := NewCPU(DefaultCPUConfig(), w, rng.New(7))
-	b, _ := NewCPU(DefaultCPUConfig(), w, rng.New(7))
-	var seq []time.Duration
-	for i := 0; i < 50; i++ {
-		seq = append(seq, a.NextBatchDuration(8))
-	}
-	for i := 0; i < 50; i++ {
-		if d := b.NextBatchDuration(8); d != seq[i] {
-			t.Fatalf("CPU jitter stream diverged at %d", i)
-		}
-	}
-	if a.Batches() != 50 || a.Images() != 400 {
-		t.Errorf("accounting: %d batches, %d images", a.Batches(), a.Images())
-	}
-	if a.Busy() <= 0 {
-		t.Error("busy time not accumulated")
-	}
-	if a.TDPWatts() != 80 {
-		t.Errorf("TDP = %g", a.TDPWatts())
+	for _, m := range models {
+		t.Run(m.name, func(t *testing.T) {
+			a, _ := m.new(w, rng.New(7))
+			b, _ := m.new(w, rng.New(7))
+			for i := 0; i < 50; i++ {
+				if da, db := a.NextBatchDuration(8), b.NextBatchDuration(8); da != db {
+					t.Fatalf("jitter stream diverged at %d: %v vs %v", i, da, db)
+				}
+			}
+			if a.Name() != m.name || a.TDPWatts() != 80 {
+				t.Errorf("name %q, TDP %g; want %q, 80", a.Name(), a.TDPWatts(), m.name)
+			}
+		})
 	}
 }
 
-func TestGPUJitterDeterminism(t *testing.T) {
-	w := googWorkload(t)
-	a, _ := NewGPU(DefaultGPUConfig(), w, rng.New(7))
-	b, _ := NewGPU(DefaultGPUConfig(), w, rng.New(7))
-	for i := 0; i < 20; i++ {
-		if a.NextBatchDuration(4) != b.NextBatchDuration(4) {
-			t.Fatal("GPU jitter stream diverged")
-		}
+// TestPricedBatchStreams pins the priced batch stream of each model at
+// seed 7: six batches of GoogLeNet, the middle two under a x3
+// slowdown window. The figures were recorded from the CPU and GPU
+// engines before they became one Engine; any change to a latency
+// curve, its float operation order or the jitter seeding moves them.
+func TestPricedBatchStreams(t *testing.T) {
+	batches := [3]int{1, 8, 32}
+	want := map[string][3][6]time.Duration{
+		"cpu": {
+			{25874863, 26083358, 76981713, 78154599, 25876965, 25596134},
+			{180508058, 181962559, 537039351, 545221623, 180522719, 178563587},
+			{710679011, 716405533, 2114379822, 2146594281, 710736735, 703023428},
+		},
+		"gpu": {
+			{25299587, 25536115, 80592381, 79063983, 26357511, 25632955},
+			{105485901, 106472100, 336027618, 329655000, 109896883, 106875868},
+			{380410405, 383966901, 1211805564, 1188824202, 396317587, 385422997},
+		},
 	}
-	if a.Images() != 80 || a.TDPWatts() != 80 {
-		t.Error("GPU accounting wrong")
+	w := googWorkload(t)
+	for _, m := range models {
+		for j, b := range batches {
+			e, err := m.new(w, rng.New(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, d := range want[m.name][j] {
+				switch k {
+				case 2:
+					e.InjectSlowdown(3)
+				case 4:
+					e.ClearSlowdown()
+				}
+				if got := e.NextBatchDuration(b); got != d {
+					t.Errorf("%s batch %d: batch %d priced %d ns, want %d", m.name, b, k, got, d)
+				}
+			}
+		}
 	}
 }
 
@@ -184,20 +208,18 @@ func TestValidationErrors(t *testing.T) {
 
 func TestBatchSizePanics(t *testing.T) {
 	w := googWorkload(t)
-	cpu, _ := NewCPU(DefaultCPUConfig(), w, rng.New(0))
-	gpu, _ := NewGPU(DefaultGPUConfig(), w, rng.New(0))
-	for _, f := range []func(){
-		func() { cpu.BaseBatchDuration(0) },
-		func() { gpu.BaseBatchDuration(-1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
+	for _, m := range models {
+		e, _ := m.new(w, rng.New(0))
+		for _, b := range []int{0, -1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: batch %d did not panic", m.name, b)
+					}
+				}()
+				e.BaseBatchDuration(b)
 			}()
-			f()
-		}()
+		}
 	}
 }
 
@@ -228,30 +250,23 @@ func TestSingleInputLatenciesNearEqual(t *testing.T) {
 }
 
 // TestInjectSlowdownStretchesBatches: the straggler hook stretches
-// subsequent batches on both engines; clearing restores the baseline
+// subsequent batches on both models; clearing restores the baseline
 // (modulo jitter, which the shared seed makes comparable).
 func TestInjectSlowdownStretchesBatches(t *testing.T) {
 	w := Workload{MACs: 1e9, InputBytes: 1 << 20}
-	cpu, err := NewCPU(DefaultCPUConfig(), w, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpu, err := NewGPU(DefaultGPUConfig(), w, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, base time.Duration, next func(int) time.Duration, inject func(float64), clear func()) {
-		inject(4)
-		slowed := next(8)
-		if slowed < base*3 {
-			t.Errorf("%s: slowed batch %v not ~4x the %v base", name, slowed, base)
+	for _, m := range models {
+		e, err := m.new(w, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
 		}
-		clear()
-		restored := next(8)
-		if restored > base*3/2 {
-			t.Errorf("%s: batch after clear %v, want near base %v", name, restored, base)
+		base := e.BaseBatchDuration(8)
+		e.InjectSlowdown(4)
+		if slowed := e.NextBatchDuration(8); slowed < base*3 {
+			t.Errorf("%s: slowed batch %v not ~4x the %v base", m.name, slowed, base)
+		}
+		e.ClearSlowdown()
+		if restored := e.NextBatchDuration(8); restored > base*3/2 {
+			t.Errorf("%s: batch after clear %v, want near base %v", m.name, restored, base)
 		}
 	}
-	check("cpu", cpu.BaseBatchDuration(8), cpu.NextBatchDuration, cpu.InjectSlowdown, cpu.ClearSlowdown)
-	check("gpu", gpu.BaseBatchDuration(8), gpu.NextBatchDuration, gpu.InjectSlowdown, gpu.ClearSlowdown)
 }

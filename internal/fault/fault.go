@@ -85,14 +85,13 @@ type (
 	// inferences (ncs.Device).
 	Erratic interface{ InjectTransientErrors(n int) }
 	// Slower is implemented by anything whose service can be stretched
-	// (ncs.Device, usb.Port, devsim.CPU, devsim.GPU).
+	// (ncs.Device, usb.Port, devsim.Engine).
 	Slower interface {
 		InjectSlowdown(factor float64)
 		ClearSlowdown()
 	}
 	// OOMer is implemented by batch engines whose next submissions can
-	// fail allocator-style (devsim.CPU, devsim.GPU) — the BatchOOM
-	// hook.
+	// fail allocator-style (devsim.Engine) — the BatchOOM hook.
 	OOMer interface{ InjectBatchFailures(n int) }
 )
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -310,19 +311,27 @@ func TestCompilePinnedDigest(t *testing.T) {
 // TestParseRejectsEveryPrefix cuts the micro blob at every length:
 // each strict prefix must be refused without a panic, both as sent
 // (the CRC catches it) and with its CRC recomputed (the structural
-// checks must then catch the truncation).
+// checks must then catch the truncation). The lengths are dealt over
+// four parallel subtests by residue, so each gets a like share of the
+// long prefixes.
 func TestParseRejectsEveryPrefix(t *testing.T) {
 	blob := mustCompile(t, quickGraph())
 	payload := blob[:len(blob)-4]
-	for n := 0; n < len(blob); n++ {
-		if _, _, err := Parse(blob[:n]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes accepted", n, len(blob))
-		}
-		if n < len(payload) {
-			if _, _, err := Parse(withCRC(payload[:n])); err == nil {
-				t.Fatalf("prefix of %d/%d payload bytes with a fixed CRC accepted", n, len(payload))
+	const parts = 4
+	for part := range parts {
+		t.Run(fmt.Sprintf("mod%d", part), func(t *testing.T) {
+			t.Parallel()
+			for n := part; n < len(blob); n += parts {
+				if _, _, err := Parse(blob[:n]); err == nil {
+					t.Fatalf("prefix of %d/%d bytes accepted", n, len(blob))
+				}
+				if n < len(payload) {
+					if _, _, err := Parse(withCRC(payload[:n])); err == nil {
+						t.Fatalf("prefix of %d/%d payload bytes with a fixed CRC accepted", n, len(payload))
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package half
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -245,19 +246,25 @@ func fromFloat32Ref(f float32) Float16 {
 // TestFromFloat32MatchesReference compares FromFloat32 with the
 // reference on every float32 whose biased exponent is 111..144: the
 // whole branch-free range (113..142) and the subnormal and overflow
-// paths on both sides of it, both signs, all 2^23 mantissas.
+// paths on both sides of it, both signs, all 2^23 mantissas. Each sign
+// and exponent range is one parallel subtest.
 func TestFromFloat32MatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("570M conversions skipped in -short")
 	}
 	for _, sign := range []uint32{0, 1 << 31} {
-		for exp := uint32(111); exp <= 144; exp++ {
-			for man := uint32(0); man < 1<<23; man++ {
-				f := math.Float32frombits(sign | exp<<23 | man)
-				if got, want := FromFloat32(f), fromFloat32Ref(f); got != want {
-					t.Fatalf("FromFloat32(%#08x) = %#04x, want %#04x", math.Float32bits(f), got, want)
+		for _, exps := range [][2]uint32{{111, 119}, {120, 127}, {128, 136}, {137, 144}} {
+			t.Run(fmt.Sprintf("sign%d-exp%d-%d", sign>>31, exps[0], exps[1]), func(t *testing.T) {
+				t.Parallel()
+				for exp := exps[0]; exp <= exps[1]; exp++ {
+					for man := uint32(0); man < 1<<23; man++ {
+						f := math.Float32frombits(sign | exp<<23 | man)
+						if got, want := FromFloat32(f), fromFloat32Ref(f); got != want {
+							t.Fatalf("FromFloat32(%#08x) = %#04x, want %#04x", math.Float32bits(f), got, want)
+						}
+					}
 				}
-			}
+			})
 		}
 	}
 }

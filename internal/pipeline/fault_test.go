@@ -1,26 +1,30 @@
 package pipeline
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/field"
 )
 
 // TestSessionFaultInjectionAndRecovery: a session with a scripted
-// stick hang auto-enables recovery, heals the device, completes every
-// image, and surfaces the availability metrics on the report.
+// stick hang under the default recovery policy heals the device,
+// completes every image, and surfaces the availability metrics on the
+// report.
 func TestSessionFaultInjectionAndRecovery(t *testing.T) {
 	const n = 30
 	plan := fault.Plan{Events: []fault.Event{
 		{Device: "ncs0", Kind: fault.StickHang, At: 2200 * time.Millisecond},
 	}}
 	sess, err := NewFromConfig(Config{
-		Images: n,
-		Groups: []Group{{Kind: GroupVPU, Devices: 2}},
-		Faults: plan,
+		Images:   n,
+		Groups:   []Group{{Kind: GroupVPU, Devices: 2}},
+		Faults:   plan,
+		Recovery: core.DefaultRecoveryConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,6 +89,44 @@ func TestSessionFaultsFailStop(t *testing.T) {
 	}
 }
 
+// TestSessionFailStopNeedsHeartbeat: an explicit fail-stop request is
+// kept under a plan that can hang a stick. Without a heartbeat the
+// hang could never be detected, so the config is refused; with one,
+// the hung stick is abandoned, not healed.
+func TestSessionFailStopNeedsHeartbeat(t *testing.T) {
+	const n = 30
+	cfg := Config{
+		Images: n,
+		Groups: []Group{{Kind: GroupVPU, Devices: 2}},
+		Faults: fault.Plan{Events: []fault.Event{
+			{Device: "ncs0", Kind: fault.StickHang, At: 2200 * time.Millisecond},
+		}},
+		Recovery: core.RecoveryConfig{Recover: false},
+	}
+	var fe *field.Error
+	if err := cfg.Validate(); !errors.As(err, &fe) || fe.Path != "Recovery.Timeout" {
+		t.Fatalf("zero heartbeat under a hang plan: Validate = %v, want a Recovery.Timeout error", err)
+	}
+	cfg.Recovery.Timeout = 2 * time.Second
+	sess, err := NewFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := sess.Run()
+	if err == nil || !strings.Contains(err.Error(), "ncs0") {
+		t.Errorf("run error %v, want one naming the abandoned ncs0", err)
+	}
+	if report == nil {
+		t.Fatal("fail-stop must still produce a report")
+	}
+	if report.Outages != 1 || report.Recovered != 0 {
+		t.Errorf("outages=%d recovered=%d, want 1/0 (ncs0 abandoned)", report.Outages, report.Recovered)
+	}
+	if report.Images+report.FaultDrops != n {
+		t.Errorf("completed %d + dropped %d != %d offered", report.Images, report.FaultDrops, n)
+	}
+}
+
 // TestGroupGoodputIsCompletionBased: a group's goodput is the share of
 // its completions that met the SLO. Fault drops are not completions, so
 // a fail-stop run whose every completion is on time reports 100%, not
@@ -124,9 +166,10 @@ func TestGroupGoodputIsCompletionBased(t *testing.T) {
 // injecting nothing.
 func TestSessionFaultPlanResolution(t *testing.T) {
 	sess, err := NewFromConfig(Config{
-		Images: 4,
-		Groups: []Group{{Kind: GroupVPU, Devices: 1}},
-		Faults: fault.Plan{Events: []fault.Event{{Device: "ncs9", Kind: fault.StickHang}}},
+		Images:   4,
+		Groups:   []Group{{Kind: GroupVPU, Devices: 1}},
+		Faults:   fault.Plan{Events: []fault.Event{{Device: "ncs9", Kind: fault.StickHang}}},
+		Recovery: core.DefaultRecoveryConfig(),
 	})
 	if err != nil {
 		t.Fatal(err)

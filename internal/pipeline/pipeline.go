@@ -244,10 +244,9 @@ type Config struct {
 	// Recovery configures health monitoring and self-healing on every
 	// VPU group (core.RecoveryConfig; the session wires the hooks into
 	// its collectors). Zero value: no health monitoring, so a device
-	// error abandons its stick fail-stop — unless Faults contains
-	// hang/drop/transient faults, in which case the session defaults
-	// to core.DefaultRecoveryConfig() so an injected hang cannot
-	// deadlock the simulation.
+	// error abandons its stick fail-stop. Validate refuses a zero
+	// Timeout when Faults contains hang/drop/transient faults: an
+	// injected hang would otherwise never be detected.
 	Recovery core.RecoveryConfig
 	// Groups are the device groups (at least one, unless Stages is
 	// set).
@@ -376,19 +375,6 @@ func (cfg Config) withDefaults() Config {
 			cfg.Network = NetMicro
 		} else {
 			cfg.Network = NetGoogLeNet
-		}
-	}
-	// A plan that can hang or kill a device needs health monitoring on
-	// the serving side, or the simulation would deadlock on the first
-	// hang; default the policy fields on rather than hand users a
-	// footgun. An explicit Recovery.Timeout wins, and user hooks
-	// (OnRetry/OnDrop/OnOutage) are preserved either way.
-	if cfg.Faults.NeedsRecovery() && cfg.Recovery.Timeout == 0 {
-		def := core.DefaultRecoveryConfig()
-		cfg.Recovery.Timeout = def.Timeout
-		cfg.Recovery.Recover = def.Recover
-		if cfg.Recovery.MaxAttempts == 0 {
-			cfg.Recovery.MaxAttempts = def.MaxAttempts
 		}
 	}
 	cfg.Groups = append([]Group(nil), cfg.Groups...)
@@ -547,6 +533,9 @@ func (c Config) Validate() error {
 	}
 	if c.Recovery.Timeout < 0 {
 		return field.Errorf("Recovery.Timeout", "negative heartbeat %v", c.Recovery.Timeout)
+	}
+	if c.Recovery.Timeout == 0 && c.Faults.NeedsRecovery() {
+		return field.Errorf("Recovery.Timeout", "fault plan can hang or kill a device; it needs health monitoring (a heartbeat > 0)")
 	}
 	if c.Recovery.MaxAttempts < 0 {
 		return field.Errorf("Recovery.MaxAttempts", "negative budget %d", c.Recovery.MaxAttempts)
@@ -735,33 +724,25 @@ func (s *Session) groupSeed(g Group) *rng.Source {
 // recovery accounting.
 func (s *Session) buildGroupTarget(i int, g Group, net *nn.Graph, blob *graphfile.Handle, nextStick *int, batchName func(GroupKind) string) (core.Target, error) {
 	switch g.Kind {
-	case GroupCPU:
-		eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(net), s.groupSeed(g))
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: cpu engine: %w", err)
+	case GroupCPU, GroupGPU:
+		var eng *devsim.Engine
+		var err error
+		if g.Kind == GroupCPU {
+			eng, err = devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(net), s.groupSeed(g))
+		} else {
+			eng, err = devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(net), s.groupSeed(g))
 		}
-		t, err := core.NewCPUTarget(eng, g.Batch)
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: cpu target: %w", err)
+			return nil, fmt.Errorf("pipeline: %s engine: %w", g.Kind, err)
 		}
-		t.SetTimeline(s.cfg.Timeline)
-		s.applyAssembly(t)
-		s.wireBatchRetry(t, i)
-		s.registry.Add(batchName(GroupCPU), eng)
-		return t, nil
-	case GroupGPU:
-		eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(net), s.groupSeed(g))
+		t, err := core.NewBatchTarget(eng, g.Batch)
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: gpu engine: %w", err)
-		}
-		t, err := core.NewGPUTarget(eng, g.Batch)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: gpu target: %w", err)
+			return nil, fmt.Errorf("pipeline: %s target: %w", g.Kind, err)
 		}
 		t.SetTimeline(s.cfg.Timeline)
 		s.applyAssembly(t)
 		s.wireBatchRetry(t, i)
-		s.registry.Add(batchName(GroupGPU), eng)
+		s.registry.Add(batchName(g.Kind), eng)
 		return t, nil
 	case GroupVPU:
 		sticks := s.devices[*nextStick : *nextStick+g.Devices]

@@ -199,6 +199,9 @@ func TestConfigValidateRules(t *testing.T) {
 		}, "Faults.Processes[0].Window"},
 		{"recovery timeout", func(c *Config) { c.Recovery.Timeout = -1 }, "Recovery.Timeout"},
 		{"recovery attempts", func(c *Config) { c.Recovery.MaxAttempts = -1 }, "Recovery.MaxAttempts"},
+		{"hang without heartbeat", func(c *Config) {
+			c.Faults.Events = []fault.Event{{Device: "ncs0", Kind: fault.StickHang}}
+		}, "Recovery.Timeout"},
 	}
 	base := func() Config { return Config{Groups: []Group{{Kind: GroupCPU}}} }
 	if err := base().Validate(); err != nil {

@@ -376,8 +376,8 @@ type Scenario struct {
 	Batching *BatchingSpec `json:"batching,omitempty"`
 	// Faults is the fault plan.
 	Faults *FaultsSpec `json:"faults,omitempty"`
-	// Recovery configures self-healing (defaulted when the fault
-	// plan needs it).
+	// Recovery configures self-healing (required when the fault plan
+	// can hang or kill a device).
 	Recovery *RecoverySpec `json:"recovery,omitempty"`
 	// Reloads are the scheduled mid-run knob swaps.
 	Reloads []ReloadSpec `json:"reloads,omitempty"`

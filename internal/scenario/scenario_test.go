@@ -184,6 +184,12 @@ func TestValidationRules(t *testing.T) {
 			want: "faults.events[0].factor: slowdown factor 0",
 		},
 		{
+			name: "hang without recovery",
+			src: `{"name":"t","fleet":{"groups":[{"kind":"vpu","devices":2}]},
+				"faults":{"events":[{"device":"ncs0","kind":"hang","at":1000}]}}`,
+			want: "recovery: fault plan can hang or kill a device",
+		},
+		{
 			name: "unknown fault kind",
 			src: `{"name":"t","fleet":{"groups":[{"kind":"vpu","devices":2}]},
 				"faults":{"events":[{"device":"ncs0","kind":"meltdown","at":1000}]}}`,

@@ -264,6 +264,7 @@ var jsonPaths = map[string]string{
 	"Faults.Processes[].End":      "faults.processes[].end",
 	"Faults.Processes[].Factor":   "faults.processes[].factor",
 	"Faults.Processes[].Window":   "faults.processes[].window",
+	"Recovery.Timeout":            "recovery",
 	"Recovery.MaxAttempts":        "recovery.max_attempts",
 }
 

@@ -54,10 +54,11 @@ type Config struct {
 	// modelling DVFS/arbitration noise; it produces the error bars.
 	JitterSigma float64
 
-	// Power model (§V: chip TDP 0.9 W). Power islands let idle SHAVEs
-	// be gated, so idle draw is far below active draw.
-	IdlePowerW   float64 // SoC with SHAVE islands gated
-	ActivePowerW float64 // all 12 SHAVE islands running
+	// ActivePowerW is the chip's draw with all 12 SHAVE islands
+	// running (§V: chip TDP 0.9 W), the denominator of mdk's GFLOPS/W.
+	// A stick's energy over a run is its ncs power.Meter's, priced
+	// from ncs.Config's power states; the engine prices time only.
+	ActivePowerW float64
 }
 
 // DefaultConfig returns the calibrated MA2450 model.
@@ -72,7 +73,6 @@ func DefaultConfig() Config {
 		DDRBandwidth:      2.5e9,
 		LayerOverhead:     22 * time.Microsecond,
 		JitterSigma:       0.012,
-		IdlePowerW:        0.30,
 		ActivePowerW:      0.90,
 	}
 }
@@ -119,10 +119,6 @@ type Engine struct {
 	layers []LayerCost
 	base   time.Duration // sum of layer totals, before jitter
 	jitter *rng.Source
-
-	// accounting
-	inferences int64
-	busy       time.Duration
 }
 
 // NewEngine builds the per-layer cost table for g under cfg. The
@@ -178,10 +174,7 @@ func (e *Engine) BaseExecDuration() time.Duration { return e.base }
 // with the deterministic jitter stream applied. Each call consumes one
 // jitter sample.
 func (e *Engine) NextExecDuration() time.Duration {
-	d := time.Duration(float64(e.base) * e.jitter.Jitter(e.cfg.JitterSigma))
-	e.inferences++
-	e.busy += d
-	return d
+	return time.Duration(float64(e.base) * e.jitter.Jitter(e.cfg.JitterSigma))
 }
 
 // LayerProfile returns the per-layer cost table (the mvNCProfile
@@ -200,21 +193,4 @@ func (e *Engine) Infer(img *tensor.T) (*tensor.T, error) {
 		return nil, err
 	}
 	return out.Reshape(e.graph.OutputShape()...), nil
-}
-
-// Inferences returns the number of ExecDuration draws so far.
-func (e *Engine) Inferences() int64 { return e.inferences }
-
-// BusyTime returns the accumulated SHAVE-array busy time.
-func (e *Engine) BusyTime() time.Duration { return e.busy }
-
-// EnergyJoules returns the chip energy over a horizon: busy time at
-// active power plus the remainder at idle power (power islands gate
-// the SHAVE array between inferences).
-func (e *Engine) EnergyJoules(horizon time.Duration) float64 {
-	idle := horizon - e.busy
-	if idle < 0 {
-		idle = 0
-	}
-	return e.busy.Seconds()*e.cfg.ActivePowerW + idle.Seconds()*e.cfg.IdlePowerW
 }

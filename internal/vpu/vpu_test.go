@@ -104,9 +104,6 @@ func TestJitterIsSmallAndDeterministic(t *testing.T) {
 		}
 		durations = append(durations, d)
 	}
-	if a.Inferences() != 100 {
-		t.Errorf("Inferences = %d", a.Inferences())
-	}
 	// Re-creating the engine with identical seeds replays the stream.
 	b := googleEngine(t)
 	for i := 0; i < 100; i++ {
@@ -126,31 +123,6 @@ func TestZeroJitterExact(t *testing.T) {
 	}
 	if e.NextExecDuration() != e.BaseExecDuration() {
 		t.Error("zero jitter must reproduce base duration")
-	}
-}
-
-func TestEnergyAccounting(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.JitterSigma = 0
-	g := nn.NewMicroGoogLeNet(nn.DefaultMicroConfig(), rng.New(1))
-	e, err := NewEngine(cfg, g, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := e.NextExecDuration()
-	horizon := 2 * d
-	got := e.EnergyJoules(horizon)
-	want := d.Seconds()*cfg.ActivePowerW + d.Seconds()*cfg.IdlePowerW
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("energy = %g, want %g", got, want)
-	}
-	// A fully busy horizon uses active power only.
-	if got := e.EnergyJoules(d); math.Abs(got-d.Seconds()*cfg.ActivePowerW) > 1e-9 {
-		t.Errorf("busy-only energy = %g", got)
-	}
-	// Horizon shorter than busy time must not go negative.
-	if got := e.EnergyJoules(d / 2); got <= 0 {
-		t.Errorf("energy = %g", got)
 	}
 }
 

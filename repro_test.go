@@ -14,23 +14,21 @@ import (
 func handCPUTarget(t *testing.T, g *Graph, batch int, seed *Rand) *BatchTarget {
 	t.Helper()
 	eng, err := devsim.NewCPU(devsim.DefaultCPUConfig(), devsim.WorkloadOf(g), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt, err := core.NewCPUTarget(eng, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bt
+	return handBatchTarget(t, eng, err, batch)
 }
 
 func handGPUTarget(t *testing.T, g *Graph, batch int, seed *Rand) *BatchTarget {
 	t.Helper()
 	eng, err := devsim.NewGPU(devsim.DefaultGPUConfig(), devsim.WorkloadOf(g), seed)
+	return handBatchTarget(t, eng, err, batch)
+}
+
+func handBatchTarget(t *testing.T, eng *devsim.Engine, err error, batch int) *BatchTarget {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt, err := core.NewGPUTarget(eng, batch)
+	bt, err := core.NewBatchTarget(eng, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
