@@ -580,13 +580,16 @@ func (c *Collector) ShedRate() float64 {
 // the producing targets stamp the Result lifecycle (all built-in
 // targets do); custom targets that stamp nothing report service time
 // only.
-func (c *Collector) Latency() LatencySummary { return c.lat.summary(nil) }
+func (c *Collector) Latency() LatencySummary { return c.LatencyIn(nil) }
 
-// LatencyIn is Latency selected in scratch, which it reuses whenever
-// its capacity holds N values: a report summarizes all its collectors
-// through one buffer sized for the largest. scratch's contents are
-// overwritten.
-func (c *Collector) LatencyIn(scratch []time.Duration) LatencySummary {
+// LatencyIn is Latency selected in scratch, which keeps its buffers for
+// the next summary: a report summarizes all its collectors through one
+// scratch reserved for the largest. A nil scratch selects in a buffer
+// of the call's own.
+func (c *Collector) LatencyIn(scratch *LatencyScratch) LatencySummary {
+	if scratch == nil {
+		scratch = new(LatencyScratch)
+	}
 	return c.lat.summary(scratch)
 }
 

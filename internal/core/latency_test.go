@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -15,10 +17,12 @@ type sampleAgg struct {
 	total, queue, service stats.Sample
 }
 
-func (a *sampleAgg) add(r Result) {
-	a.queue.Add(r.Wait().Seconds())
-	a.service.Add(r.ServiceTime().Seconds())
-	a.total.Add(r.Latency().Seconds())
+func (a *sampleAgg) add(r Result) { a.addPair(r.Wait(), r.ServiceTime()) }
+
+func (a *sampleAgg) addPair(wait, service time.Duration) {
+	a.queue.Add(wait.Seconds())
+	a.service.Add(service.Seconds())
+	a.total.Add((wait + service).Seconds())
 }
 
 func (a *sampleAgg) summary() LatencySummary {
@@ -193,16 +197,17 @@ func checkMergedView(t *testing.T, sh latencyShape, sizes []int) {
 	for j := range refs {
 		wantParts[j] = refs[j].summary()
 	}
-	scratch := make([]time.Duration, 0, n)
+	var scratch LatencyScratch
+	scratch.Reserve(n)
 	readParts := func(order string) {
 		for j, p := range parts {
-			if got := p.LatencyIn(scratch); got != wantParts[j] {
+			if got := p.LatencyIn(&scratch); got != wantParts[j] {
 				t.Fatalf("%s parts %v, %s, part %d:\n got %+v\nwant %+v", sh.name, sizes, order, j, got, wantParts[j])
 			}
 		}
 	}
 	readMerged := func(order string) {
-		if got := merged.LatencyIn(scratch); got != want {
+		if got := merged.LatencyIn(&scratch); got != want {
 			t.Fatalf("%s parts %v, %s, merged:\n got %+v\nwant %+v", sh.name, sizes, order, got, want)
 		}
 	}
@@ -212,6 +217,156 @@ func checkMergedView(t *testing.T, sh latencyShape, sizes []int) {
 	readParts("merged first")
 	if got := merged.Latency(); got != want {
 		t.Fatalf("%s parts %v, Latency alone:\n got %+v\nwant %+v", sh.name, sizes, got, want)
+	}
+}
+
+// latencyPairs is one store's (wait, service) pairs, added to its
+// latencyAgg as they are, unclamped.
+type latencyPairs [][2]time.Duration
+
+// manyPairs returns n pairs of a few milliseconds each, every every-th
+// one (if every > 0) with its service lengthened by long.
+func manyPairs(n, every int, long time.Duration) latencyPairs {
+	r := rand.New(rand.NewPCG(uint64(n), uint64(every)))
+	out := make(latencyPairs, n)
+	for i := range out {
+		out[i] = [2]time.Duration{time.Duration(r.Int64N(int64(40 * time.Millisecond))),
+			time.Duration(r.Int64N(int64(15 * time.Millisecond)))}
+		if every > 0 && i%every == every-1 {
+			out[i][1] += long
+		}
+	}
+	return out
+}
+
+// TestLatencyWidthSplit: pairs at the edges of the narrow range are
+// kept in the list their values pick, and every summary, of a store
+// and of a merged view over the stores, equals the three-Sample
+// reference bit for bit, on the first read and on two more through the
+// same scratch. A fresh scratch selects in its wide buffer exactly when
+// some part or some total lies outside [0, 2^32) ns, as wantWide says
+// from the values themselves.
+func TestLatencyWidthSplit(t *testing.T) {
+	const top = 1<<32 - 1
+	cases := []struct {
+		name  string
+		parts []latencyPairs
+	}{
+		{"parts at 2^32-1", []latencyPairs{{{top, 0}, {0, top}, {5, 7}}}},
+		{"parts at 2^32", []latencyPairs{{{1 << 32, 0}, {3, 4}}, {{0, 1 << 32}, {top, 0}}}},
+		{"total crosses 2^32", []latencyPairs{{{1 << 31, 1 << 31}, {9, 2}}, {{top, top}}}},
+		{"negative wait", []latencyPairs{{{-5 * time.Millisecond, 3 * time.Millisecond}, {2 * time.Millisecond, time.Millisecond}}}},
+		{"mixed in one store", []latencyPairs{manyPairs(1000, 7, 5*time.Second)}},
+		{"view over narrow and one wide", []latencyPairs{manyPairs(300, 0, 0), {{1<<32 + 5, time.Millisecond}}}},
+	}
+	for _, tc := range cases {
+		stores := make([]*latencyAgg, len(tc.parts))
+		refs := make([]sampleAgg, len(tc.parts))
+		view := latencyAgg{parts: stores}
+		var ref sampleAgg
+		var all latencyPairs
+		for j, pairs := range tc.parts {
+			stores[j] = new(latencyAgg)
+			for _, p := range pairs {
+				stores[j].add(p[0], p[1])
+				view.add(p[0], p[1])
+				refs[j].addPair(p[0], p[1])
+				ref.addPair(p[0], p[1])
+			}
+			all = append(all, pairs...)
+			var narrow, wide int
+			for _, p := range pairs {
+				if p[0] >= 0 && p[1] >= 0 && p[0] < 1<<32 && p[1] < 1<<32 {
+					narrow++
+				} else {
+					wide++
+				}
+			}
+			if got := chunkedLen(stores[j].narrow); got != narrow {
+				t.Errorf("%s part %d: %d narrow pairs kept, want %d", tc.name, j, got, narrow)
+			}
+			if got := chunkedLen(stores[j].wide); got != wide {
+				t.Errorf("%s part %d: %d wide pairs kept, want %d", tc.name, j, got, wide)
+			}
+		}
+		check := func(what string, a *latencyAgg, pairs latencyPairs, ref *sampleAgg) {
+			t.Helper()
+			var scratch LatencyScratch
+			want := ref.summary()
+			for read := 1; read <= 3; read++ {
+				if got := a.summary(&scratch); got != want {
+					t.Fatalf("%s, %s read %d:\n got %+v\nwant %+v", tc.name, what, read, got, want)
+				}
+			}
+			if gotWide := cap(scratch.wide) > 0; gotWide != wantWide(pairs) || gotWide == (cap(scratch.narrow) > 0) {
+				t.Errorf("%s, %s: narrow scratch %d, wide scratch %d; want wide %v",
+					tc.name, what, cap(scratch.narrow), cap(scratch.wide), wantWide(pairs))
+			}
+		}
+		for j := range stores {
+			check(fmt.Sprintf("part %d", j), stores[j], tc.parts[j], &refs[j])
+		}
+		check("merged view", &view, all, &ref)
+		// A scratch that selected the view serves its parts too: a part
+		// that fits narrow selects in a wide buffer that holds it rather
+		// than allocate a narrow one.
+		var shared LatencyScratch
+		view.summary(&shared)
+		for j := range stores {
+			if got, want := stores[j].summary(&shared), refs[j].summary(); got != want {
+				t.Fatalf("%s, part %d after the view:\n got %+v\nwant %+v", tc.name, j, got, want)
+			}
+		}
+		if wantWide(all) && cap(shared.narrow) > 0 {
+			t.Errorf("%s: parts read after a wide view allocated a narrow scratch", tc.name)
+		}
+	}
+}
+
+func chunkedLen[T any](chunks [][]T) int {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// wantWide reports whether a summary of pairs must select in durations:
+// some part or some total outside [0, 2^32) ns.
+func wantWide(pairs latencyPairs) bool {
+	for _, p := range pairs {
+		for _, v := range []time.Duration{p[0], p[1], p[0] + p[1]} {
+			if v < 0 || v >= 1<<32 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestNarrowStoreBytes: a store of n completions under 4.29 s keeps 8
+// bytes per completion, at most one chunk more than 8·n bytes of chunk
+// capacity, and opens no wide chunk.
+func TestNarrowStoreBytes(t *testing.T) {
+	if size := unsafe.Sizeof(narrowPair{}); size != 8 {
+		t.Fatalf("narrowPair is %d bytes, want 8", size)
+	}
+	counts := []int{1, 2, 100_000}
+	for _, b := range chunkBoundaries() {
+		counts = append(counts, b-1, b, b+1)
+	}
+	for _, n := range counts {
+		var a latencyAgg
+		for i := 0; i < n; i++ {
+			a.add(time.Duration(i%4000)*time.Millisecond, time.Duration(1+i%13)*time.Millisecond)
+		}
+		bytes := 0
+		for _, c := range a.narrow {
+			bytes += cap(c) * int(unsafe.Sizeof(narrowPair{}))
+		}
+		if limit := 8*n + 8*maxLatencyChunk; bytes > limit || len(a.wide) != 0 {
+			t.Errorf("n=%d: %d bytes of narrow chunks (limit %d), %d wide chunks", n, bytes, limit, len(a.wide))
+		}
 	}
 }
 
@@ -264,10 +419,11 @@ func TestSummariesShareOneScratch(t *testing.T) {
 			mergedSink(res)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			scratch := make([]time.Duration, 0, merged.N)
-			merged.LatencyIn(scratch)
+			var scratch LatencyScratch
+			scratch.Reserve(merged.N)
+			merged.LatencyIn(&scratch)
 			for _, p := range parts {
-				p.LatencyIn(scratch)
+				p.LatencyIn(&scratch)
 			}
 		})
 		if allocs != 1 {
@@ -279,28 +435,36 @@ func TestSummariesShareOneScratch(t *testing.T) {
 // BenchmarkCollectorSink times one cpu-gpu-serve-sized run's worth of
 // results (750k): "store" into one fresh collector, "merged-view" into
 // two group collectors (alternating, like a CPU+GPU pool) and the
-// merged view over them, as a session sinks them. -benchmem shows
-// what the latency store keeps: the session's two sinks per result
-// keep one store between them, so both cases allocate about the same.
+// merged view over them, as a session sinks them, and "wide" into one
+// collector whose service times all exceed 4.29 s. -benchmem shows what
+// the latency store keeps: the session's two sinks per result keep one
+// store between them, so the first two cases allocate about the same,
+// 8 B per result, and "wide" keeps 16 B per result.
 func BenchmarkCollectorSink(b *testing.B) {
 	const n = 750_000
 	results := make([]Result, 1000)
+	wide := make([]Result, len(results))
 	r := rand.New(rand.NewPCG(7, 8))
 	for i := range results {
 		a := time.Duration(i) * 11 * time.Millisecond
 		s := a + time.Duration(r.ExpFloat64()*float64(40*time.Millisecond))
 		results[i] = Result{Index: i, Label: -1, Pred: -1, ArrivedAt: a, Start: s,
 			End: s + time.Duration(r.ExpFloat64()*float64(15*time.Millisecond)), Device: "gpu"}
+		wide[i] = results[i]
+		wide[i].End += 5 * time.Second
 	}
-	b.Run("store", func(b *testing.B) {
-		b.ReportAllocs()
-		for b.Loop() {
-			sink := NewCollector(false).Sink()
-			for i := 0; i < n; i++ {
-				sink(results[i%len(results)])
+	store := func(results []Result) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sink := NewCollector(false).Sink()
+				for i := 0; i < n; i++ {
+					sink(results[i%len(results)])
+				}
 			}
 		}
-	})
+	}
+	b.Run("store", store(results))
 	b.Run("merged-view", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
@@ -314,4 +478,5 @@ func BenchmarkCollectorSink(b *testing.B) {
 			}
 		}
 	})
+	b.Run("wide", store(wide))
 }

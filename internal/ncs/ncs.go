@@ -37,8 +37,6 @@ var (
 	ErrAlreadyOpen = errors.New("ncs: device already open (MVNC_BUSY)")
 	// ErrGraphAllocated is returned when allocating a second graph.
 	ErrGraphAllocated = errors.New("ncs: a graph is already allocated (MVNC_BUSY)")
-	// ErrNoGraph is returned by inference calls before AllocateGraph.
-	ErrNoGraph = errors.New("ncs: no graph allocated (MVNC_UNSUPPORTED_GRAPH_FILE)")
 	// ErrClosed is returned for operations after Close or after the
 	// device's USB link dropped.
 	ErrClosed = errors.New("ncs: device closed (MVNC_GONE)")

@@ -172,7 +172,7 @@ type Report struct {
 }
 
 func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Collector, perGroup []*core.Collector) *Report {
-	// One scratch, sized for the largest collector, serves every
+	// One scratch, reserved for the largest collector, serves every
 	// latency summary of the report.
 	n := merged.N
 	for _, c := range perGroup {
@@ -181,13 +181,14 @@ func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Colle
 	for _, c := range s.perTenant {
 		n = max(n, c.N)
 	}
-	scratch := make([]time.Duration, 0, n)
+	var scratch core.LatencyScratch
+	scratch.Reserve(n)
 	rep := &Report{
 		Images:         job.Images,
 		Throughput:     job.Throughput(),
 		TopOneError:    merged.TopOneError(),
 		MeanConfidence: merged.MeanConfidence(),
-		Latency:        merged.LatencyIn(scratch),
+		Latency:        merged.LatencyIn(&scratch),
 		SLO:            s.cfg.SLO,
 		Goodput:        merged.Goodput(),
 		Counters:       merged.Counters,
@@ -214,7 +215,7 @@ func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Colle
 				Arrived:   st.Arrived,
 				Completed: c.N,
 				Counters:  c.Counters,
-				Latency:   c.LatencyIn(scratch),
+				Latency:   c.LatencyIn(&scratch),
 				Goodput:   c.Goodput(),
 				Stats:     st,
 				Collector: c,
@@ -259,7 +260,7 @@ func (s *Session) buildReport(job *core.Job, pool *core.Pool, merged *core.Colle
 			TDPWatts:       t.TDPWatts(),
 			TopOneError:    perGroup[i].TopOneError(),
 			MeanConfidence: perGroup[i].MeanConfidence(),
-			Latency:        perGroup[i].LatencyIn(scratch),
+			Latency:        perGroup[i].LatencyIn(&scratch),
 			Counters:       perGroup[i].Counters,
 			MTTR:           perGroup[i].MTTR(),
 			Uptime:         1,

@@ -1,8 +1,8 @@
 // Package stats provides the small set of descriptive statistics the
 // experiment harness needs: running mean and standard-deviation
 // accumulators (the error bars every figure in the paper shows), exact
-// quantiles of retained samples, histograms and a least-squares line
-// used for the Fig. 8b throughput projection.
+// quantiles of retained samples and a least-squares line used for the
+// Fig. 8b throughput projection.
 package stats
 
 import (
@@ -88,9 +88,8 @@ func (r *Running) Merge(o Running) {
 // midpoints. Each quantile is selected in place, O(n) expected per
 // read; the mean, minimum and maximum are kept as values arrive, so
 // they cost O(1) and do not depend on which reads came before. Use it
-// for the small-to-medium samples of one run (per item latencies); use
-// Histogram when memory must stay bounded. The zero value is ready to
-// use.
+// for the samples of one run (per item latencies). The zero value is
+// ready to use.
 type Sample struct {
 	xs       []float64 // in no particular order: each read partitions it in place
 	sum      float64   // running sum in insertion order
@@ -133,12 +132,10 @@ func (s *Sample) Min() float64 { return s.min }
 // sort.Float64s does.
 func (s *Sample) Max() float64 { return s.max }
 
-// Quantile returns the exact q-quantile under the same nearest-rank
-// convention as Histogram.Quantile (the value at index ⌊q·n⌋ of the
-// sorted sample, clamped to the ends), so the two paths agree within
-// one bucket width on the same data. "Sorted" is sort.Float64s's
-// order, NaN first; of values that order ties (−0 and +0), either may
-// be returned. q is clamped to [0, 1]; an empty sample returns 0.
+// Quantile returns the exact nearest-rank q-quantile: the value at
+// index ⌊q·n⌋ of the sorted sample, clamped to the ends. "Sorted" is
+// sort.Float64s's order, NaN first; of values that order ties (−0 and
+// +0), either may be returned. q is clamped to [0, 1]; an empty sample returns 0.
 func (s *Sample) Quantile(q float64) float64 {
 	if s.min == s.min { // no NaN was added
 		return SelectQuantile(s.xs, q)
@@ -404,64 +401,3 @@ func FitLine(xs, ys []float64) Line {
 
 // At evaluates the line at x.
 func (l Line) At(x float64) float64 { return l.Slope*x + l.Intercept }
-
-// Histogram is a fixed-width bucket histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	under   int
-	over    int
-	n       int
-}
-
-// NewHistogram creates a histogram with nb equal buckets over [lo, hi).
-func NewHistogram(lo, hi float64, nb int) *Histogram {
-	if hi <= lo || nb <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, nb)}
-}
-
-// Add records x, counting out-of-range values separately.
-func (h *Histogram) Add(x float64) {
-	h.n++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-		if i == len(h.Buckets) { // guard FP edge at Hi
-			i--
-		}
-		h.Buckets[i]++
-	}
-}
-
-// N returns the number of samples recorded, including out-of-range.
-func (h *Histogram) N() int { return h.n }
-
-// Outliers returns the counts below Lo and at/above Hi.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// Quantile returns an approximate q-quantile (0 <= q <= 1) from the
-// bucket midpoints. Out-of-range samples clamp to the bounds.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return h.Lo
-	}
-	target := int(q * float64(h.n))
-	seen := h.under
-	if seen > target {
-		return h.Lo
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		seen += c
-		if seen > target {
-			return h.Lo + (float64(i)+0.5)*w
-		}
-	}
-	return h.Hi
-}

@@ -155,88 +155,6 @@ func TestFitLinePanics(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	for i, c := range h.Buckets {
-		if c != 10 {
-			t.Errorf("bucket %d = %d, want 10", i, c)
-		}
-	}
-	h.Add(-1)
-	h.Add(10) // boundary Hi counts as over
-	h.Add(11)
-	u, o := h.Outliers()
-	if u != 1 || o != 2 {
-		t.Errorf("outliers = %d/%d, want 1/2", u, o)
-	}
-	if h.N() != 103 {
-		t.Errorf("N = %d", h.N())
-	}
-	med := h.Quantile(0.5)
-	if med < 4 || med > 6 {
-		t.Errorf("median estimate = %g", med)
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for hi <= lo")
-		}
-	}()
-	NewHistogram(1, 1, 4)
-}
-
-func TestHistogramQuantileEdges(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be Lo")
-	}
-	h.Add(0.9)
-	if q := h.Quantile(0); q <= 0 || q >= 1 {
-		t.Errorf("q0 = %g", q)
-	}
-}
-
-// TestHistogramQuantileFullEdges pins the q=0 / q=1 / empty contracts:
-// empty returns Lo, q=0 the first occupied bucket's midpoint, q=1 Hi.
-func TestHistogramQuantileFullEdges(t *testing.T) {
-	empty := NewHistogram(0, 10, 5)
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := empty.Quantile(q); got != 0 {
-			t.Errorf("empty histogram Quantile(%g) = %g, want Lo=0", q, got)
-		}
-	}
-
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{1, 3, 5, 7, 9} {
-		h.Add(x)
-	}
-	if got := h.Quantile(0); got != 1 {
-		t.Errorf("Quantile(0) = %g, want first bucket midpoint 1", got)
-	}
-	if got := h.Quantile(1); got != 10 {
-		t.Errorf("Quantile(1) = %g, want Hi=10", got)
-	}
-
-	// Out-of-range samples clamp to the bounds.
-	lo := NewHistogram(0, 10, 5)
-	lo.Add(-5)
-	lo.Add(5)
-	if got := lo.Quantile(0); got != 0 {
-		t.Errorf("Quantile(0) with an underflow sample = %g, want Lo=0", got)
-	}
-	hi := NewHistogram(0, 10, 5)
-	hi.Add(5)
-	hi.Add(15)
-	if got := hi.Quantile(0.99); got != 10 {
-		t.Errorf("Quantile(0.99) landing on the overflow = %g, want Hi=10", got)
-	}
-}
-
 // TestSampleQuantile pins the exact-quantile accumulator: empty
 // returns 0, q is clamped, and q=0 / q=1 hit min / max.
 func TestSampleQuantile(t *testing.T) {
@@ -262,34 +180,6 @@ func TestSampleQuantile(t *testing.T) {
 	s.Add(0.5)
 	if got := s.Quantile(0); got != 0.5 {
 		t.Errorf("Quantile(0) after Add = %g, want 0.5", got)
-	}
-}
-
-// TestSampleAgreesWithHistogram: on the same data, the exact path and
-// the bucketed path must agree within one bucket width at every
-// quantile — the contract that lets large runs swap Sample for
-// Histogram.
-func TestSampleAgreesWithHistogram(t *testing.T) {
-	const nb = 100
-	h := NewHistogram(0, 1, nb)
-	var s Sample
-	// Deterministic but irregular values in [0, 1).
-	x := 0.5
-	for i := 0; i < 5000; i++ {
-		x = 4 * 0.97 * x * (1 - x) // logistic map, stays in (0,1)
-		h.Add(x)
-		s.Add(x)
-	}
-	// q=1 is excluded: Histogram.Quantile(1) clamps to Hi by contract
-	// regardless of where the data ends, while Sample reports the true
-	// maximum.
-	width := 1.0 / nb
-	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.9, 0.95, 0.99} {
-		exact, approx := s.Quantile(q), h.Quantile(q)
-		if diff := exact - approx; diff < -width || diff > width {
-			t.Errorf("q=%g: exact %g vs histogram %g differ by more than bucket width %g",
-				q, exact, approx, width)
-		}
 	}
 }
 

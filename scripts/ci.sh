@@ -131,8 +131,10 @@ go test -run '^$' -bench BenchmarkHedgeTrigger -benchtime=1x ./internal/core
 go test -run '^$' -bench BenchmarkSampleQuantile -benchmem -benchtime=1x ./internal/stats
 # A collector's per-result cost over a cpu-gpu-serve-sized run (750k
 # results) gets the same sanity run; -benchmem shows what the chunked
-# latency store keeps. Its merged-view case sinks each result into one
-# of two group collectors and then into the merged view over them, as a
+# latency store keeps at both widths: about 8 B per result when every
+# part is under 4.29 s ("store"), 16 B when every service is longer
+# ("wide"). Its merged-view case sinks each result into one of two
+# group collectors and then into the merged view over them, as a
 # session does: its B/op matches the single store's, because the view
 # stores no pair of its own.
 go test -run '^$' -bench BenchmarkCollectorSink -benchmem -benchtime=1x ./internal/core
