@@ -3,7 +3,7 @@
 // arguments — `go run ./cmd/ncsw-vet ./...` checks the whole module —
 // and exits non-zero when any finding survives suppression.
 //
-// The five analyzers and the //ncsw:allow directive are documented in
+// The six analyzers and the //ncsw:allow directive are documented in
 // DESIGN.md §8; -help lists them.
 package main
 

@@ -158,10 +158,9 @@ func NewHarness(cfg Config) (*Harness, error) {
 }
 
 // Config returns the harness configuration.
+//
+//ncsw:allow unusedexport the root package's TestFacadeBenchmarks checks the harness scale through it
 func (h *Harness) Config() Config { return h.cfg }
-
-// GoogLeNet returns the cached full-size network.
-func (h *Harness) GoogLeNet() *nn.Graph { return h.goog }
 
 // experiments registers the regenerable artefacts in paper order: the
 // paper's figures, the headline summary, then the beyond-the-paper
@@ -196,19 +195,6 @@ var experiments = []struct {
 // field.
 func points[T any](f func(*Harness) ([]T, error)) func(*Harness) (any, error) {
 	return func(h *Harness) (any, error) { return f(h) }
-}
-
-// All runs every experiment in paper order.
-func (h *Harness) All() ([]*Table, error) {
-	var out []*Table
-	for _, e := range experiments {
-		t, err := e.run(h)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", e.id, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // Experiment runs one experiment by table ID.

@@ -267,10 +267,6 @@ func (a *AdmissionQueue) ObserveHealth(healthy, total int, _ time.Duration) {
 	a.q.SetCapacity(eff)
 }
 
-// EffectiveDepth returns the current health-scaled admission bound
-// (== Depth until ObserveHealth reports degraded capacity).
-func (a *AdmissionQueue) EffectiveDepth() int { return a.eff }
-
 // SetDepth re-bounds the ingress from now on — the operator's
 // mid-run admission knob (scenario hot-reload). The new depth becomes
 // both the configured bound (future health scaling works from it) and

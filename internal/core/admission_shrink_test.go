@@ -85,3 +85,7 @@ func TestAdmissionMinDepthValidation(t *testing.T) {
 		t.Error("negative MinDepth must be rejected")
 	}
 }
+
+// EffectiveDepth returns the current health-scaled admission bound
+// (== Depth until ObserveHealth reports degraded capacity).
+func (a *AdmissionQueue) EffectiveDepth() int { return a.eff }

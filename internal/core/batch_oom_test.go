@@ -111,3 +111,8 @@ func TestBatchOOMDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// OOMSplits returns how many batch submissions failed with an
+// injected allocator error and were split-and-retried. Valid after
+// the run completes.
+func (t *BatchTarget) OOMSplits() int { return t.oomSplits }

@@ -88,11 +88,6 @@ func (t *BatchTarget) SetAssembly(a BatchAssembly) {
 // after the run completes.
 func (t *BatchTarget) Batches() int { return t.batches }
 
-// OOMSplits returns how many batch submissions failed with an
-// injected allocator error and were split-and-retried. Valid after
-// the run completes.
-func (t *BatchTarget) OOMSplits() int { return t.oomSplits }
-
 // SetRetryObserver registers fn to observe every item re-enqueued by
 // an injected batch failure (fault.BatchOOM) — wire it to
 // Collector.NoteRetry so the session's retry accounting covers batch

@@ -138,9 +138,6 @@ type Job struct {
 	done bool
 }
 
-// Done reports whether the target has shut down (in virtual time).
-func (j *Job) Done() bool { return j.done }
-
 // OnFinish registers fn to run (in the target's own process) when the
 // job completes. Must be called before the simulation starts the
 // target's shutdown.
@@ -456,9 +453,6 @@ func (c *Collector) Score(label, pred int, conf float32) {
 // re-evaluated.
 func (c *Collector) SetSLO(d time.Duration) { c.slo = d }
 
-// SLO returns the configured target (0 = none).
-func (c *Collector) SLO() time.Duration { return c.slo }
-
 // NoteDrop records one dropped item: an admission drop (DropShed,
 // DropExpired — wire it to AdmissionQueue's OnDrop) or a
 // fault-attributed loss (DropFailed — wire it to RecoveryConfig's
@@ -580,6 +574,8 @@ func (c *Collector) ShedRate() float64 {
 // the producing targets stamp the Result lifecycle (all built-in
 // targets do); custom targets that stamp nothing report service time
 // only.
+//
+//ncsw:allow unusedexport pipeline's TestReportLatencyMatchesRetained and TestSessionVPUSeedLabel summarize a collector with it
 func (c *Collector) Latency() LatencySummary { return c.LatencyIn(nil) }
 
 // LatencyIn is Latency selected in scratch, which keeps its buffers for
@@ -609,13 +605,4 @@ func (c *Collector) MeanConfidence() float64 {
 		return 0
 	}
 	return c.ConfSum / float64(c.N)
-}
-
-// Span returns the virtual time between the first inference start and
-// the last completion.
-func (c *Collector) Span() time.Duration {
-	if !c.any {
-		return 0
-	}
-	return c.lastEnd - c.firstStart
 }

@@ -287,3 +287,15 @@ func TestVPUTargetValidation(t *testing.T) {
 		t.Error("bad options accepted")
 	}
 }
+
+// Done reports whether the target has shut down (in virtual time).
+func (j *Job) Done() bool { return j.done }
+
+// Span returns the virtual time between the first inference start and
+// the last completion.
+func (c *Collector) Span() time.Duration {
+	if !c.any {
+		return 0
+	}
+	return c.lastEnd - c.firstStart
+}

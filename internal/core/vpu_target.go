@@ -209,9 +209,6 @@ func (t *VPUTarget) TDPWatts() float64 {
 	return power.MultiVPUTDP(len(t.devices))
 }
 
-// Devices returns the managed devices.
-func (t *VPUTarget) Devices() []*ncs.Device { return t.devices }
-
 // DeviceCount reports how many sticks the target drives — the
 // capacity denominator health-aware routing and admission scale
 // against.

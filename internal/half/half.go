@@ -1,18 +1,21 @@
 // Package half implements IEEE 754 binary16 ("half precision") floating
-// point arithmetic in software.
+// point conversion in software.
 //
 // The Myriad 2 VPU performs inference in native FP16; the paper's NCSw
 // framework converts FP32 pixel data to FP16 with the OpenEXR half class
 // before offloading to the Neural Compute Stick. This package is the Go
 // equivalent of that conversion layer: bit-exact binary16 encoding with
-// round-to-nearest-even, plus the small set of arithmetic helpers the
-// inference engine needs to emulate an FP16 datapath.
+// round-to-nearest-even, and the slice rounding the inference engine
+// uses to emulate an FP16 datapath.
 //
 // All conversions are deterministic and allocation-free. The zero value
 // of Float16 is +0.
 package half
 
-import "math"
+import (
+	"math"
+	"strconv"
+)
 
 // Float16 is an IEEE 754 binary16 value stored in its raw bit pattern:
 // 1 sign bit, 5 exponent bits (bias 15), 10 mantissa bits.
@@ -20,23 +23,10 @@ type Float16 uint16
 
 // Special bit patterns.
 const (
-	// PositiveZero is +0: all bits clear.
-	PositiveZero Float16 = 0x0000
-	// NegativeZero is -0: sign bit only.
-	NegativeZero Float16 = 0x8000
 	// PositiveInfinity is +Inf: exponent all ones, mantissa zero.
 	PositiveInfinity Float16 = 0x7C00
 	// NegativeInfinity is -Inf: sign bit plus the +Inf pattern.
 	NegativeInfinity Float16 = 0xFC00
-	// QuietNaN is one canonical NaN encoding; IsNaN accepts all of them.
-	QuietNaN Float16 = 0x7E00
-
-	// MaxValue is the largest finite half: 65504.
-	MaxValue Float16 = 0x7BFF
-	// MinNormal is the smallest positive normal half: 2^-14.
-	MinNormal Float16 = 0x0400
-	// MinSubnormal is the smallest positive subnormal half: 2^-24.
-	MinSubnormal Float16 = 0x0001
 )
 
 const (
@@ -55,8 +45,9 @@ func (h Float16) Bits() uint16 { return uint16(h) }
 
 // FromFloat32 converts f to the nearest representable half using
 // round-to-nearest-even, the rounding mode the Myriad 2 VAU implements.
-// Values with magnitude above MaxValue round to infinity; values below
-// the subnormal range flush to (signed) zero only when they round to it.
+// Values with magnitude above 65504, the largest finite half, round to
+// infinity; values below the subnormal range flush to (signed) zero
+// only when they round to it.
 func FromFloat32(f float32) Float16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & signMask
@@ -102,12 +93,6 @@ func FromFloat32(f float32) Float16 {
 	return Float16(sign | uint16(m))
 }
 
-// FromFloat64 converts f to the nearest half. The conversion goes
-// through float32 first; because binary16 has far fewer significant
-// bits than binary32 this cannot double-round incorrectly except for
-// values that are already irrepresentable border cases in float32.
-func FromFloat64(f float64) Float16 { return FromFloat32(float32(f)) }
-
 // Float32 expands h to the exactly representable float32 value.
 func (h Float16) Float32() float32 {
 	sign := uint32(h&signMask) << 16
@@ -144,43 +129,18 @@ func (h Float16) IsNaN() bool {
 	return h&expMask == expMask && h&mantissaMask != 0
 }
 
-// IsInf reports whether h is an infinity. sign > 0 tests only +Inf,
-// sign < 0 only -Inf, and sign == 0 either.
-func (h Float16) IsInf(sign int) bool {
-	if h&expMask != expMask || h&mantissaMask != 0 {
-		return false
-	}
-	switch {
-	case sign > 0:
-		return h&signMask == 0
-	case sign < 0:
-		return h&signMask != 0
-	default:
-		return true
-	}
-}
-
 // IsZero reports whether h is +0 or -0.
 func (h Float16) IsZero() bool { return h&^signMask == 0 }
 
-// IsSubnormal reports whether h is a nonzero subnormal.
-func (h Float16) IsSubnormal() bool {
-	return h&expMask == 0 && h&mantissaMask != 0
-}
-
-// IsFinite reports whether h is neither infinite nor NaN.
-func (h Float16) IsFinite() bool { return h&expMask != expMask }
-
-// Signbit reports whether the sign bit of h is set.
-func (h Float16) Signbit() bool { return h&signMask != 0 }
-
-// Neg returns h with its sign flipped. Neg(NaN) is a NaN.
-func (h Float16) Neg() Float16 { return h ^ signMask }
-
-// Abs returns h with its sign bit cleared.
-func (h Float16) Abs() Float16 { return h &^ signMask }
-
 // String formats h with enough precision to round-trip.
 func (h Float16) String() string {
-	return formatFloat(h)
+	switch {
+	case h.IsNaN():
+		return "NaN"
+	case h == PositiveInfinity:
+		return "+Inf"
+	case h == NegativeInfinity:
+		return "-Inf"
+	}
+	return strconv.FormatFloat(h.Float64(), 'g', -1, 32)
 }

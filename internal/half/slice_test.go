@@ -9,20 +9,6 @@ import (
 
 var exhaustive = flag.Bool("exhaustive", false, "check RoundSlice against FromFloat32 on all 2^32 float32 bit patterns")
 
-func TestQuantizeDequantize(t *testing.T) {
-	src := []float32{0, 1, -1, 0.1, 3.14159, 65504, -65504}
-	q := Quantize(src)
-	d := Dequantize(q)
-	if len(q) != len(src) || len(d) != len(src) {
-		t.Fatal("length mismatch")
-	}
-	for i := range src {
-		if d[i] != FromFloat32(src[i]).Float32() {
-			t.Errorf("index %d: dequantized %g, want %g", i, d[i], FromFloat32(src[i]).Float32())
-		}
-	}
-}
-
 func TestRoundSliceInPlace(t *testing.T) {
 	s := []float32{0.1, 0.2, 0.3}
 	want := Rounded(s)
@@ -56,60 +42,6 @@ func TestMaxAbsDiff(t *testing.T) {
 		}
 	}()
 	MaxAbsDiff(a, b[:2])
-}
-
-func TestDotFP16AgainstExact(t *testing.T) {
-	a := []float32{1, 2, 3, 4}
-	b := []float32{0.5, 0.25, 2, -1}
-	// Exactly representable operands: dot = 0.5+0.5+6-4 = 3.
-	if got := DotFP16(a, b); got != 3 {
-		t.Errorf("DotFP16 = %g, want 3", got)
-	}
-	if got := DotFP16Strict(a, b); got != 3 {
-		t.Errorf("DotFP16Strict = %g, want 3", got)
-	}
-}
-
-func TestDotFP16StrictLosesMorePrecision(t *testing.T) {
-	// A long reduction of small values: the strict FP16 accumulator
-	// stalls once the running sum dwarfs each addend, while the FP32
-	// accumulator keeps absorbing them.
-	n := 4096
-	a := make([]float32, n)
-	b := make([]float32, n)
-	for i := range a {
-		a[i] = 1
-		b[i] = 1
-	}
-	exact := float32(n)
-	loose := DotFP16(a, b)
-	strict := DotFP16Strict(a, b)
-	if math.Abs(float64(loose-exact)) > math.Abs(float64(strict-exact)) {
-		t.Errorf("expected strict accumulation (%g) to be worse than fp32 accumulation (%g) vs exact %g",
-			strict, loose, exact)
-	}
-	// FP16 cannot even represent 4096+1, so the strict sum saturates
-	// well below n at 2048 (where ULP becomes 2 and +1 stops landing).
-	if strict >= exact {
-		t.Errorf("strict accumulator should have stagnated below %g, got %g", exact, strict)
-	}
-}
-
-// Property: quantize/dequantize equals elementwise FromFloat32 rounding.
-func TestQuickQuantizeMatchesScalar(t *testing.T) {
-	f := func(src []float32) bool {
-		d := Dequantize(Quantize(src))
-		for i := range src {
-			want := FromFloat32(src[i]).Float32()
-			if d[i] != want && !(math.IsNaN(float64(d[i])) && math.IsNaN(float64(want))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: RoundSlice output is always exactly representable in half.

@@ -171,9 +171,6 @@ func (d *Dataset) makePrototype(src *rng.Source) *tensor.T {
 	return p
 }
 
-// Config returns the dataset configuration.
-func (d *Dataset) Config() Config { return d.cfg }
-
 // Len returns the number of validation images.
 func (d *Dataset) Len() int { return d.cfg.Images }
 
@@ -188,16 +185,6 @@ func (d *Dataset) Label(i int) int {
 	d.checkIndex(i)
 	src := *d.labels.DeriveIndex(i)
 	return src.Intn(d.cfg.Classes)
-}
-
-// Prototype returns the raw-pixel prototype of a class. The returned
-// tensor is shared; callers must not modify it.
-func (d *Dataset) Prototype(class int) *tensor.T {
-	if class < 0 || class >= d.cfg.Classes {
-		panic(fmt.Sprintf("imagenet: class %d out of range", class))
-	}
-	protos, _ := d.table()
-	return protos[class]
 }
 
 // Image generates validation image i in raw pixel space ([0,255] CHW):
@@ -255,13 +242,6 @@ func (d *Dataset) PreprocessedPrototypes() []*tensor.T {
 	return out
 }
 
-// SubsetSize returns the image count of subset k (0-based); the last
-// subset absorbs the remainder.
-func (d *Dataset) SubsetSize(k int) int {
-	lo, hi := d.SubsetRange(k)
-	return hi - lo
-}
-
 // SubsetRange returns the [lo, hi) image index range of subset k.
 func (d *Dataset) SubsetRange(k int) (int, int) {
 	if k < 0 || k >= d.cfg.Subsets {
@@ -275,9 +255,6 @@ func (d *Dataset) SubsetRange(k int) (int, int) {
 	}
 	return lo, hi
 }
-
-// SubsetName returns the paper's subset naming ("Set-1" ... "Set-5").
-func (d *Dataset) SubsetName(k int) string { return fmt.Sprintf("Set-%d", k+1) }
 
 // FileName returns the ILSVRC-style validation file stem for image i.
 func (d *Dataset) FileName(i int) string {

@@ -1,6 +1,7 @@
 package imagenet
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -525,3 +526,26 @@ func TestQuickImageInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Config returns the dataset configuration.
+func (d *Dataset) Config() Config { return d.cfg }
+
+// Prototype returns the raw-pixel prototype of a class. The returned
+// tensor is shared; callers must not modify it.
+func (d *Dataset) Prototype(class int) *tensor.T {
+	if class < 0 || class >= d.cfg.Classes {
+		panic(fmt.Sprintf("imagenet: class %d out of range", class))
+	}
+	protos, _ := d.table()
+	return protos[class]
+}
+
+// SubsetSize returns the image count of subset k (0-based); the last
+// subset absorbs the remainder.
+func (d *Dataset) SubsetSize(k int) int {
+	lo, hi := d.SubsetRange(k)
+	return hi - lo
+}
+
+// SubsetName returns the paper's subset naming ("Set-1" ... "Set-5").
+func (d *Dataset) SubsetName(k int) string { return fmt.Sprintf("Set-%d", k+1) }

@@ -1,4 +1,4 @@
-// Package lint is the ncsw-vet static-analysis suite: five
+// Package lint is the ncsw-vet static-analysis suite: six
 // domain-specific analyzers that enforce the determinism and
 // API-hygiene invariants every benchmark table in this reproduction
 // rests on (DESIGN.md §4, §8).
@@ -16,8 +16,9 @@
 //	//ncsw:allow <analyzer> <reason>
 //
 // directive on the flagged line or the line directly above it; the
-// reason is mandatory and should say why the invariant does not apply
-// (see suppress.go).
+// reason is mandatory and should say why the invariant does not apply,
+// and a directive that suppresses nothing is itself a finding (see
+// suppress.go).
 package lint
 
 import (
@@ -63,6 +64,7 @@ type Pass struct {
 	// Info holds expression types, uses and defs for Files.
 	Info *types.Info
 
+	pkg   *Package
 	diags []Diagnostic
 }
 
@@ -104,12 +106,15 @@ func (p *Pass) TypeOf(expr ast.Expr) types.Type {
 
 // RunAnalyzers applies the given analyzers to pkg and returns the
 // suppression-filtered findings sorted by position. Malformed
-// //ncsw:allow directives surface as findings here too (attributed
-// to "ncsw-vet"). The fixture harness (linttest) calls this with a
-// single analyzer; the driver calls it with All().
+// //ncsw:allow directives, and stale ones naming an analyzer in
+// analyzers, surface as findings here too (attributed to "ncsw-vet").
+// The fixture harness (linttest) calls this with a single analyzer;
+// the driver calls it with All().
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var raw []Diagnostic
+	ran := map[string]bool{}
 	for _, a := range analyzers {
+		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     pkg.Fset,
@@ -117,11 +122,12 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
+			pkg:      pkg,
 		}
 		a.Run(pass)
 		raw = append(raw, pass.diags...)
 	}
-	out := applySuppressions(pkg, raw)
+	out := applySuppressions(pkg, raw, ran)
 	sort.Slice(out, func(i, j int) bool {
 		pi, pj := pkg.Fset.Position(out[i].Pos), pkg.Fset.Position(out[j].Pos)
 		if pi.Filename != pj.Filename {

@@ -49,6 +49,14 @@ func TestResultstamp(t *testing.T) {
 	linttest.Run(t, lint.Resultstamp, "testdata/src/resultstamp", "repro/internal/fixture/resultstamp")
 }
 
+func TestUnusedexport(t *testing.T) {
+	linttest.Run(t, lint.Unusedexport, "testdata/src/unusedexport", "repro/internal/fixture/unusedexport")
+}
+
+func TestUnusedexportSkipsNonInternal(t *testing.T) {
+	linttest.Run(t, lint.Unusedexport, "testdata/src/exportdocouter", "repro/tools/fixture")
+}
+
 func TestMalformedDirectives(t *testing.T) {
 	linttest.Run(t, lint.Walltime, "testdata/src/malformed", "repro/internal/fixture/malformed")
 }

@@ -60,6 +60,8 @@ type expectation struct {
 // own: "repro/internal/..." is covered, "repro/cmd/..." is
 // allowlisted), runs exactly one analyzer, and asserts the findings
 // against the fixture's want comments.
+//
+//ncsw:allow unusedexport it is the fixture harness of internal/lint's analyzer tests
 func Run(t *testing.T, a *lint.Analyzer, dir, importPath string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)

@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -31,6 +32,8 @@ type Package struct {
 	// Standard marks a Go standard-library package; those are loaded
 	// only to feed the type-checker, never analyzed.
 	Standard bool
+
+	universe *Universe
 }
 
 // Universe loads packages by shelling out to `go list` for module- and
@@ -47,6 +50,11 @@ type Package struct {
 type Universe struct {
 	fset *token.FileSet
 	pkgs map[string]*Package
+
+	// uses is the module's reference index, built on the first
+	// unusedexport pass (see moduleUses).
+	uses    *useIndex
+	usesErr error
 }
 
 // NewUniverse returns an empty universe. Loading is lazy: packages
@@ -67,9 +75,14 @@ type listPkg struct {
 // -deps included) and returns the decoded packages in listing order —
 // with -deps that is dependency order, dependencies first, exactly
 // what the type-checker needs.
-func goList(args []string) ([]*listPkg, error) {
+func goList(args []string) ([]*listPkg, error) { return goListIn("", args) }
+
+// goListIn is goList run in directory dir ("" for the working
+// directory), which selects the module the patterns resolve in.
+func goListIn(dir string, args []string) ([]*listPkg, error) {
 	args = append([]string{"list", "-json=ImportPath,Dir,GoFiles,Standard"}, args...)
 	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
 	// Force the pure-Go build so cgo-flavoured stdlib variants (net,
 	// os/user) never reach the source type-checker.
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
@@ -153,7 +166,7 @@ func (u *Universe) check(lp *listPkg) (*Package, error) {
 		return p, nil
 	}
 	if lp.ImportPath == "unsafe" {
-		p := &Package{Path: "unsafe", Fset: u.fset, Types: types.Unsafe, Standard: true}
+		p := &Package{Path: "unsafe", Fset: u.fset, Types: types.Unsafe, Standard: true, universe: u}
 		u.pkgs["unsafe"] = p
 		return p, nil
 	}
@@ -210,7 +223,7 @@ func (u *Universe) typeCheck(path string, files []*ast.File, standard bool) (*Pa
 	if len(typeErrs) > 0 && !standard {
 		return nil, fmt.Errorf("lint: type-checking %s: %v (and %d more)", path, typeErrs[0], len(typeErrs)-1)
 	}
-	return &Package{Path: path, Fset: u.fset, Files: files, Types: tp, Info: info, Standard: standard}, nil
+	return &Package{Path: path, Fset: u.fset, Files: files, Types: tp, Info: info, Standard: standard, universe: u}, nil
 }
 
 // importPkg resolves one import for the type-checker, loading the
@@ -229,3 +242,35 @@ type importerFunc func(string) (*types.Package, error)
 
 // Import implements types.Importer.
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// moduleDirs returns the root directory of the module containing the
+// working directory, then the directory of every module nested under
+// it (testdata, vendor and dot/underscore directories skipped), in
+// lexical order.
+func moduleDirs() ([]string, error) {
+	out, err := exec.Command("go", "env", "GOMOD").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go env GOMOD: %v", err)
+	}
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" || gomod == os.DevNull {
+		return nil, fmt.Errorf("lint: the working directory is not inside a module")
+	}
+	root := filepath.Dir(gomod)
+	dirs := []string{root}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root {
+			if name := d.Name(); name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+		}
+		if !d.IsDir() && d.Name() == "go.mod" && filepath.Dir(path) != root {
+			dirs = append(dirs, filepath.Dir(path))
+		}
+		return nil
+	})
+	return dirs, err
+}

@@ -11,6 +11,7 @@ type allowDirective struct {
 	analyzer string // the analyzer being silenced
 	reason   string // mandatory justification
 	bad      string // non-empty when the directive is malformed
+	used     bool   // it suppressed at least one finding
 }
 
 // directivePrefix is the comment marker that suppresses one finding.
@@ -73,8 +74,10 @@ func quote(s string) string { return "\"" + s + "\"" }
 // directives: a finding on the directive's line or the line below it
 // is dropped. Malformed directives are converted into findings of
 // their own (attributed to the "ncsw-vet" driver), so a typoed or
-// reasonless suppression cannot silently disable a gate.
-func applySuppressions(pkg *Package, diags []Diagnostic) []Diagnostic {
+// reasonless suppression cannot silently disable a gate. So is a
+// stale one: a well-formed directive whose analyzer ran (named in
+// ran) and found nothing for it to suppress.
+func applySuppressions(pkg *Package, diags []Diagnostic, ran map[string]bool) []Diagnostic {
 	known := map[string]bool{}
 	for _, a := range All() {
 		known[a.Name] = true
@@ -85,18 +88,22 @@ func applySuppressions(pkg *Package, diags []Diagnostic) []Diagnostic {
 		p := pkg.Fset.Position(d.Pos)
 		if byLine := dirs[p.Filename]; byLine != nil {
 			if dir := suppressorFor(byLine, p.Line, d.Analyzer); dir != nil {
+				dir.used = true
 				continue
 			}
 		}
 		out = append(out, d)
 	}
 	for _, dir := range ordered {
-		if dir.bad != "" {
-			out = append(out, Diagnostic{
-				Pos:      dir.pos,
-				Analyzer: "ncsw-vet",
-				Message:  "malformed //" + directivePrefix + " directive: " + dir.bad,
-			})
+		msg := ""
+		switch {
+		case dir.bad != "":
+			msg = "malformed //" + directivePrefix + " directive: " + dir.bad
+		case ran[dir.analyzer] && !dir.used:
+			msg = "stale //" + directivePrefix + " " + dir.analyzer + " directive: it suppresses no finding — delete it"
+		}
+		if msg != "" {
+			out = append(out, Diagnostic{Pos: dir.pos, Analyzer: "ncsw-vet", Message: msg})
 		}
 	}
 	return out

@@ -9,7 +9,7 @@ import (
 // attribute them. This is the set `ncsw-vet` runs and the set
 // //ncsw:allow directives may name.
 func All() []*Analyzer {
-	return []*Analyzer{Exportdoc, Maprange, Resultstamp, Seededrand, Walltime}
+	return []*Analyzer{Exportdoc, Maprange, Resultstamp, Seededrand, Unusedexport, Walltime}
 }
 
 // Vet loads the packages matched by patterns, runs every analyzer,

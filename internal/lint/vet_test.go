@@ -3,6 +3,7 @@ package lint_test
 import (
 	"bytes"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,5 +62,34 @@ func TestVetRepoIsClean(t *testing.T) {
 	}
 	if n != 0 {
 		t.Errorf("ncsw-vet found %d finding(s) in the module:\n%s", n, out.String())
+	}
+}
+
+// TestVetOnePackageMatchesModule: unusedexport counts references from
+// the whole module whatever packages Vet was pointed at, so vetting
+// internal/half (and the unusedexport fixture, which has findings)
+// reports what the whole-module run reports for them. Skipped under
+// -short (it loads and type-checks every package in the module).
+func TestVetOnePackageMatchesModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module vet under -short")
+	}
+	findings := func(patterns ...string) []string {
+		var out bytes.Buffer
+		if _, err := lint.Vet(&out, patterns...); err != nil {
+			t.Fatalf("Vet: %v", err)
+		}
+		var lines []string
+		for _, l := range strings.Split(out.String(), "\n") {
+			if strings.Contains(l, ": unusedexport: ") && (strings.Contains(l, "/internal/half/") || strings.Contains(l, "/testdata/src/unusedexport/")) {
+				lines = append(lines, l)
+			}
+		}
+		return lines
+	}
+	one := findings("./testdata/src/unusedexport", "repro/internal/half")
+	all := findings("./testdata/src/unusedexport", "repro/...")
+	if len(one) == 0 || !slices.Equal(one, all) {
+		t.Errorf("one-package findings differ from the whole-module run's:\n%s\n---\n%s", strings.Join(one, "\n"), strings.Join(all, "\n"))
 	}
 }

@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/gemm"
-	"repro/internal/half"
 	"repro/internal/vpu"
 )
 
@@ -144,25 +142,6 @@ func (p *Plan) Gflops() float64 {
 // Ionica & Gregg report (estimated through the TDP).
 func (p *Plan) GflopsPerWatt() float64 {
 	return p.Gflops() / p.cfg.ActivePowerW
-}
-
-// Execute computes C = A·B functionally: row-major A (m×k), B (k×n),
-// C (m×n). FP16 plans round inputs through binary16 first and the
-// result after, mirroring what the chip's half-precision path returns.
-// Virtual time is the caller's concern (use Duration).
-func (p *Plan) Execute(c, a, b []float32) error {
-	if len(a) < p.M*p.K || len(b) < p.K*p.N || len(c) < p.M*p.N {
-		return fmt.Errorf("mdk: buffers too small for %dx%dx%d", p.M, p.K, p.N)
-	}
-	if p.DType == FP16 {
-		ar := half.Rounded(a[:p.M*p.K])
-		br := half.Rounded(b[:p.K*p.N])
-		gemm.Mul(c, ar, br, p.M, p.K, p.N)
-		half.RoundSlice(c[:p.M*p.N])
-		return nil
-	}
-	gemm.Mul(c, a, b, p.M, p.K, p.N)
-	return nil
 }
 
 // BestTiling searches power-of-two tiles for the fastest valid plan.

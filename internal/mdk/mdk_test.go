@@ -1,9 +1,12 @@
 package mdk
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/gemm"
+	"repro/internal/half"
 	"repro/internal/rng"
 	"repro/internal/vpu"
 )
@@ -210,4 +213,23 @@ func BenchmarkExecute256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Execute computes C = A·B functionally: row-major A (m×k), B (k×n),
+// C (m×n). FP16 plans round inputs through binary16 first and the
+// result after, mirroring what the chip's half-precision path returns.
+// Virtual time is the caller's concern (use Duration).
+func (p *Plan) Execute(c, a, b []float32) error {
+	if len(a) < p.M*p.K || len(b) < p.K*p.N || len(c) < p.M*p.N {
+		return fmt.Errorf("mdk: buffers too small for %dx%dx%d", p.M, p.K, p.N)
+	}
+	if p.DType == FP16 {
+		ar := half.Rounded(a[:p.M*p.K])
+		br := half.Rounded(b[:p.K*p.N])
+		gemm.Mul(c, ar, br, p.M, p.K, p.N)
+		half.RoundSlice(c[:p.M*p.N])
+		return nil
+	}
+	gemm.Mul(c, a, b, p.M, p.K, p.N)
+	return nil
 }

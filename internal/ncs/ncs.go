@@ -256,9 +256,6 @@ func (d *Device) Name() string { return d.name }
 // Meter exposes the stick's power meter.
 func (d *Device) Meter() *power.Meter { return d.meter }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // Open pushes the firmware over USB and boots the RTOS (the NCAPI's
 // mvncOpenDevice). It must be called from a simulated process.
 func (d *Device) Open(p *sim.Proc) error {
@@ -413,15 +410,6 @@ type Graph struct {
 	// wakes it so the runtime can exit.
 	hangWait *sim.Queue[struct{}]
 }
-
-// Info returns the parsed blob header.
-func (g *Graph) Info() graphfile.Info { return *g.info }
-
-// Engine exposes the underlying VPU engine (for profiling tools).
-func (g *Graph) Engine() *vpu.Engine { return g.engine }
-
-// InputBytes returns the per-inference USB payload size.
-func (g *Graph) InputBytes() int { return g.inputBytes }
 
 // LoadTensor transfers one input to the stick and queues its
 // execution (mvncLoadTensor). It returns once the transfer completes

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/usb"
+	"repro/internal/vpu"
 )
 
 // rig builds an env with n sticks on the paper's testbed topology and
@@ -479,3 +480,12 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("nil port accepted")
 	}
 }
+
+// Config returns the device configuration.
+func (d *Device) Config() Config { return d.cfg }
+
+// Info returns the parsed blob header.
+func (g *Graph) Info() graphfile.Info { return *g.info }
+
+// Engine exposes the underlying VPU engine (for profiling tools).
+func (g *Graph) Engine() *vpu.Engine { return g.engine }

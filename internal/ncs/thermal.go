@@ -116,14 +116,3 @@ func (t *thermalState) level() (int, float64) {
 		return 0, 1.0
 	}
 }
-
-// ThermalStats returns the device's thermal telemetry as of the last
-// runtime activity.
-func (d *Device) ThermalStats() ThermalStats {
-	if d.thermal == nil {
-		return ThermalStats{}
-	}
-	s := d.thermal.stats
-	s.ThrottleLevel, _ = d.thermal.level()
-	return s
-}

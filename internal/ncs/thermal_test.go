@@ -207,3 +207,14 @@ func TestThermalStatsZeroValue(t *testing.T) {
 		t.Errorf("nil thermal state should give zero stats, got %+v", s)
 	}
 }
+
+// ThermalStats returns the device's thermal telemetry as of the last
+// runtime activity.
+func (d *Device) ThermalStats() ThermalStats {
+	if d.thermal == nil {
+		return ThermalStats{}
+	}
+	s := d.thermal.stats
+	s.ThrottleLevel, _ = d.thermal.level()
+	return s
+}

@@ -45,9 +45,13 @@ func NewConvRect(name string, inC, outC, kh, kw, stride, pad int, src *rng.Sourc
 
 // Weights returns the (OutC, InC, KH, KW) weight tensor, filling it on
 // first read.
+//
+//ncsw:allow unusedexport graphfile's TestParsedWeightsAreFP16Rounded compares parsed and built weights through it
 func (c *Conv) Weights() *tensor.T { w, _ := tensorsOf(c); return w }
 
 // Bias returns the (OutC) bias tensor, filling it on first read.
+//
+//ncsw:allow unusedexport graphfile's TestHandleParseDefersPayload reads a parsed bias through it
 func (c *Conv) Bias() *tensor.T { _, b := tensorsOf(c); return b }
 
 // Params exposes the layer's parameter source to the graph-file parser.

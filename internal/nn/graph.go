@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -154,9 +153,6 @@ func (g *Graph) InputsOf(name string) []string {
 	return nil
 }
 
-// ShapeOf returns the output shape of the named node (or the input).
-func (g *Graph) ShapeOf(name string) (tensor.Shape, error) { return g.shapeOf(name) }
-
 // Forward runs a batched inference. in must have shape N×InputShape.
 // With FP16 precision the input and every intermediate activation are
 // rounded through binary16 (weights are assumed already quantized via
@@ -266,6 +262,8 @@ func Classify(n int, input func(i int) *tensor.T, passes ...Pass) ([][]Predictio
 // QuantizeWeightsFP16 rounds every parameter tensor through binary16
 // in place, filling any not yet read first. The NCSDK graph compiler
 // performs the same conversion when building the NCS graph file.
+//
+//ncsw:allow unusedexport FP16 reference nets of nn tests (TestForwardGolden), graphfile's TestParsedGraphProducesSameOutputsAsQuantizedOriginal and vpu's TestInferFunctional are built with it
 func (g *Graph) QuantizeWeightsFP16() {
 	for _, name := range g.order {
 		if l, ok := g.nodes[name].layer.(weighted); ok {
@@ -365,18 +363,4 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("nn: output %q missing", g.output)
 	}
 	return nil
-}
-
-// Kinds returns the sorted set of operator kinds used by the graph.
-func (g *Graph) Kinds() []string {
-	set := map[string]bool{}
-	for _, name := range g.order {
-		set[g.nodes[name].layer.Kind()] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -255,4 +256,21 @@ func TestMustAddPanics(t *testing.T) {
 		}
 	}()
 	g.MustAdd(&ReLU{LayerName: "r"}, "missing")
+}
+
+// ShapeOf returns the output shape of the named node (or the input).
+func (g *Graph) ShapeOf(name string) (tensor.Shape, error) { return g.shapeOf(name) }
+
+// Kinds returns the sorted set of operator kinds used by the graph.
+func (g *Graph) Kinds() []string {
+	set := map[string]bool{}
+	for _, name := range g.order {
+		set[g.nodes[name].layer.Kind()] = true
+	}
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -908,9 +908,6 @@ func (s *Session) Env() *sim.Env { return s.env }
 // Dataset returns the synthetic validation set.
 func (s *Session) Dataset() *imagenet.Dataset { return s.ds }
 
-// Network returns the workload graph.
-func (s *Session) Network() *nn.Graph { return s.net }
-
 // Blob returns the compiled NCS graph file (nil when no VPU group),
 // building its payload if no one has yet. Live sessions over the same
 // self-built GoogLeNet share one blob, so it must be treated as

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/imagenet"
 	"repro/internal/ncs"
+	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/usb"
@@ -436,3 +437,6 @@ func TestTimingSessionAllocCeiling(t *testing.T) {
 		t.Errorf("8-stick session allocated %d MB, want < 64 MB", n>>20)
 	}
 }
+
+// Network returns the workload graph.
+func (s *Session) Network() *nn.Graph { return s.net }

@@ -91,16 +91,6 @@ func (s *Session) Cuts() []int {
 	return cuts
 }
 
-// Segments returns the per-stage network segments (nil entries for
-// custom stages; nil for non-pipeline sessions).
-func (s *Session) Segments() []*nn.Graph {
-	var segs []*nn.Graph
-	for _, st := range s.stages {
-		segs = append(segs, st.seg)
-	}
-	return segs
-}
-
 // resolveStages splits the workload network at the configured cuts
 // and collapses empty segments. Stages are resolved before any device
 // or blob is built: a session whose cuts leave a single effective

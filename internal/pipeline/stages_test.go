@@ -320,3 +320,13 @@ func (s *stubCustomTarget) Start(env *sim.Env, src core.Source, sink func(core.R
 	})
 	return job
 }
+
+// Segments returns the per-stage network segments (nil entries for
+// custom stages; nil for non-pipeline sessions).
+func (s *Session) Segments() []*nn.Graph {
+	var segs []*nn.Graph
+	for _, st := range s.stages {
+		segs = append(segs, st.seg)
+	}
+	return segs
+}

@@ -68,9 +68,6 @@ func NewMeter(name string, idleWatts float64) *Meter {
 	return &Meter{name: name, watts: idleWatts, peak: idleWatts}
 }
 
-// Name returns the meter's device name.
-func (m *Meter) Name() string { return m.name }
-
 // SetPower records a state transition at virtual time t to the given
 // draw. t must not move backwards.
 func (m *Meter) SetPower(t time.Duration, watts float64) {
@@ -108,4 +105,6 @@ func (m *Meter) AveragePowerWatts(t time.Duration) float64 {
 }
 
 // PeakWatts returns the highest power state seen.
+//
+//ncsw:allow unusedexport ncs's TestPowerMeterTracksActivity checks a stick's peak draw with it
 func (m *Meter) PeakWatts() float64 { return m.peak }

@@ -114,3 +114,6 @@ func TestMeterValidation(t *testing.T) {
 		}()
 	}
 }
+
+// Name returns the meter's device name.
+func (m *Meter) Name() string { return m.name }

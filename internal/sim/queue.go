@@ -40,9 +40,6 @@ func NewQueue[T any](e *Env, name string, capacity int) *Queue[T] {
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return q.n }
 
-// Capacity returns the current bound (0 = unbounded).
-func (q *Queue[T]) Capacity() int { return q.capacity }
-
 // grow doubles the ring (min 8 slots), unwrapping into FIFO order.
 // Called only when the ring is completely full, so every slot is live.
 func (q *Queue[T]) grow() {
@@ -143,10 +140,9 @@ func (q *Queue[T]) RemoveWhere(pred func(T) bool) (T, bool) {
 }
 
 // Peak returns the high-water mark of the buffer.
+//
+//ncsw:allow unusedexport core's TestPipelineBackpressure checks a stage handoff's high-water mark with it
 func (q *Queue[T]) Peak() int { return q.peak }
-
-// Name returns the queue name.
-func (q *Queue[T]) Name() string { return q.name }
 
 // Put appends v, blocking while the queue is full.
 func (q *Queue[T]) Put(p *Proc, v T) {

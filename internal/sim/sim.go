@@ -19,7 +19,7 @@
 // Run, and Env.Stop ends processes a run leaves parked.
 //
 // Model code that only waits and hands on need not be a process at
-// all: callbacks (At, Tick) run on the scheduler itself, and a callback
+// all: callbacks (At) run on the scheduler itself, and a callback
 // waiter (Env.Waiter) waits on a Queue through TryGetOr and TryPutOr,
 // or on a Resource through TryAcquireOr, beside parked processes. A
 // waiter is woken in the (time, sequence) slot a parked process would
@@ -311,33 +311,6 @@ func (e *Env) After(d time.Duration, fn func()) {
 	e.schedule(e.now+d, nil, fn)
 }
 
-// Tick schedules fn as a coalesced repeating callback: first at
-// absolute time start, then every interval for as long as fn returns
-// true. The whole ticker costs one closure for its lifetime and reuses
-// one heap slot per period — the allocation-free, goroutine-free way
-// to run fixed-period work (health polls, samplers) that a full
-// Process would pay two context switches per period for. Work paced
-// by irregular instants, such as an arrival process, reschedules
-// itself with At instead, and work that waits on a queue registers a
-// callback waiter (Waiter). fn runs on the scheduler and must not
-// block; it may schedule further events, including at the current
-// instant.
-func (e *Env) Tick(start, interval time.Duration, fn func(now time.Duration) bool) {
-	if interval <= 0 {
-		panic(fmt.Sprintf("sim: non-positive tick interval %v", interval))
-	}
-	if start < e.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", start, e.now))
-	}
-	var tick func()
-	tick = func() {
-		if fn(e.now) {
-			e.schedule(e.now+interval, nil, tick)
-		}
-	}
-	e.schedule(start, nil, tick)
-}
-
 // Proc is the handle a simulated process uses to interact with
 // virtual time. It is only valid inside the function passed to
 // Env.Process. Env.Waiter makes a Proc with no process behind it, a
@@ -396,9 +369,6 @@ func (e *Env) Waiter(name string, fn func()) *Proc {
 	}
 	return &Proc{env: e, name: name, fn: fn}
 }
-
-// Name returns the process name (for traces and errors).
-func (p *Proc) Name() string { return p.name }
 
 // Env returns the owning environment.
 func (p *Proc) Env() *Env { return p.env }
@@ -485,6 +455,8 @@ type Counts struct {
 
 // Counts returns the events dispatched and processes resumed since
 // NewEnv, live processes included.
+//
+//ncsw:allow unusedexport scenario's TestServingKernelCounts pins the serving workloads' kernel counts with it
 func (e *Env) Counts() Counts {
 	c := Counts{Events: e.events, ByName: make(map[string]uint64, len(e.resumes))}
 	for name, n := range e.resumes {
@@ -670,6 +642,8 @@ func (e *Env) Run() {
 // to t. Processes may still be live afterwards; Stop ends them. Like
 // Run, it re-raises a process's panic or runtime.Goexit after calling
 // Stop.
+//
+//ncsw:allow unusedexport core's TestBatchTargetAllocs and usb's TestTransferAllocs stop a run at a chosen instant with it
 func (e *Env) RunUntil(t time.Duration) {
 	e.dispatch(t)
 	if t > e.now {

@@ -291,23 +291,6 @@ func TestReleaseIdlePanics(t *testing.T) {
 	r.Release()
 }
 
-func TestResourceUse(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource("unit", 1)
-	e.Process("p", func(p *Proc) {
-		r.Use(p, func() {
-			if r.InUse() != 1 {
-				t.Error("not held inside Use")
-			}
-			p.Sleep(5 * ms)
-		})
-		if r.InUse() != 0 {
-			t.Error("not released after Use")
-		}
-	})
-	e.Run()
-}
-
 func TestDeadlockPanics(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource("unit", 1)
@@ -541,4 +524,34 @@ func TestCounts(t *testing.T) {
 	if c := e.Counts(); c.Resumes != 7 || c.ByName["getter"] != 1 {
 		t.Fatalf("after Stop: Counts = %+v, want the getter's resume kept", c)
 	}
+}
+
+func TestResourceUse(t *testing.T) {
+	e := NewEnv()
+	r := e.NewResource("unit", 1)
+	e.Process("p", func(p *Proc) {
+		r.Use(p, func() {
+			if r.InUse() != 1 {
+				t.Error("not held inside Use")
+			}
+			p.Sleep(5 * ms)
+		})
+		if r.InUse() != 0 {
+			t.Error("not released after Use")
+		}
+	})
+	e.Run()
+}
+
+// InUse returns the number of current holders.
+func (r *Resource) InUse() int { return r.inUse }
+
+// Name returns the process name (for traces and errors).
+func (p *Proc) Name() string { return p.name }
+
+// Use runs fn while holding one unit.
+func (r *Resource) Use(p *Proc, fn func()) {
+	r.Acquire(p)
+	defer r.Release()
+	fn()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -108,4 +109,25 @@ func TestDeadlockPanicCountsBlockedProcesses(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// Tick schedules fn as a coalesced repeating callback: first at
+// absolute time start, then every interval for as long as fn returns
+// true, with one closure and one heap slot per period. It drives
+// BenchmarkKernelRelay. fn runs on the scheduler and must not block;
+// it may schedule further events, including at the current instant.
+func (e *Env) Tick(start, interval time.Duration, fn func(now time.Duration) bool) {
+	if interval <= 0 {
+		panic(fmt.Sprintf("sim: non-positive tick interval %v", interval))
+	}
+	if start < e.now {
+		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", start, e.now))
+	}
+	var tick func()
+	tick = func() {
+		if fn(e.now) {
+			e.schedule(e.now+interval, nil, tick)
+		}
+	}
+	e.schedule(start, nil, tick)
 }

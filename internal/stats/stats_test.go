@@ -7,14 +7,13 @@ import (
 	"slices"
 	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // TestRunningMatchesBatch: the Welford accumulator agrees with Sample's
-// mean and extremes and with a direct two-pass variance.
+// mean and with a direct two-pass variance.
 func TestRunningMatchesBatch(t *testing.T) {
 	xs := []float64{1.5, -2, 7, 3.25, 0, 11, -4.5}
 	var r Running
@@ -31,9 +30,6 @@ func TestRunningMatchesBatch(t *testing.T) {
 	if !almostEq(r.Mean(), s.Mean(), 1e-12) || !almostEq(r.Std(), std, 1e-12) {
 		t.Errorf("running %g/%g vs batch %g/%g", r.Mean(), r.Std(), s.Mean(), std)
 	}
-	if r.Min() != s.Min() || r.Max() != s.Max() || r.Min() != -4.5 || r.Max() != 11 {
-		t.Errorf("running min/max = %g/%g, sample %g/%g", r.Min(), r.Max(), s.Min(), s.Max())
-	}
 }
 
 func TestRunningSingleValue(t *testing.T) {
@@ -41,67 +37,6 @@ func TestRunningSingleValue(t *testing.T) {
 	r.Add(42)
 	if r.Mean() != 42 || r.Std() != 0 || r.Var() != 0 {
 		t.Errorf("single value stats wrong: %g %g", r.Mean(), r.Std())
-	}
-}
-
-func TestRunningMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	var whole, a, b Running
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 4 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N != whole.N || !almostEq(a.Mean(), whole.Mean(), 1e-12) || !almostEq(a.Std(), whole.Std(), 1e-12) {
-		t.Errorf("merge diverges: %v vs %v", a, whole)
-	}
-	var empty Running
-	empty.Merge(a)
-	if !almostEq(empty.Mean(), whole.Mean(), 1e-12) {
-		t.Error("merge into empty lost data")
-	}
-	before := a
-	var empty2 Running
-	a.Merge(empty2)
-	if a != before {
-		t.Error("merging an empty accumulator changed state")
-	}
-}
-
-// Property: merging any split of a sample equals accumulating the whole.
-func TestQuickMergeEqualsWhole(t *testing.T) {
-	f := func(raw []float64, cut uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
-				continue
-			}
-			xs = append(xs, v)
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		k := int(cut) % (len(xs) + 1)
-		var whole, a, b Running
-		for i, x := range xs {
-			whole.Add(x)
-			if i < k {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(b)
-		tol := 1e-9 * (1 + math.Abs(whole.Mean()))
-		return a.N == whole.N && almostEq(a.Mean(), whole.Mean(), tol) &&
-			almostEq(a.Std(), whole.Std(), 1e-6*(1+whole.Std()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -533,3 +468,10 @@ func TestSelectQuantileOrdered(t *testing.T) {
 		}
 	}
 }
+
+// Min returns the smallest value (0 when empty), ordering NaN first as
+// sort.Float64s does.
+func (s *Sample) Min() float64 { return s.min }
+
+// Mean returns the running mean (0 for an empty accumulator).
+func (r *Running) Mean() float64 { return r.mean }

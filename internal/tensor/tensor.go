@@ -133,11 +133,15 @@ func (t *T) Reshape(shape ...int) *T {
 }
 
 // At reads the element at the given multi-index.
+//
+//ncsw:allow unusedexport tests in imagenet (TestPPMComments) and nn (TestConvKnownValues, convNaive) read elements with it
 func (t *T) At(idx ...int) float32 {
 	return t.Data[t.offset(idx)]
 }
 
 // Set writes the element at the given multi-index.
+//
+//ncsw:allow unusedexport nn's convNaive, the reference of TestConvMatchesNaive, writes its output with it
 func (t *T) Set(v float32, idx ...int) {
 	t.Data[t.offset(idx)] = v
 }
@@ -158,38 +162,20 @@ func (t *T) offset(idx []int) int {
 }
 
 // Fill sets every element to v.
+//
+//ncsw:allow unusedexport tests in nn, imagenet (TestResizeConstantImage) and graphfile (TestHandleSnapshotsSource) set inputs with it
 func (t *T) Fill(v float32) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
 }
 
-// Zero resets every element to 0.
-func (t *T) Zero() {
-	clear(t.Data)
-}
-
 // Scale multiplies every element by f in place.
+//
+//ncsw:allow unusedexport nn's TestQuickConvLinearity scales its input with it
 func (t *T) Scale(f float32) {
 	for i := range t.Data {
 		t.Data[i] *= f
-	}
-}
-
-// AddScalar adds f to every element in place.
-func (t *T) AddScalar(f float32) {
-	for i := range t.Data {
-		t.Data[i] += f
-	}
-}
-
-// Add accumulates o into t elementwise. Shapes must match.
-func (t *T) Add(o *T) {
-	if !t.ShapeOf.Equal(o.ShapeOf) {
-		panic(fmt.Sprintf("tensor: Add shape mismatch %v vs %v", t.ShapeOf, o.ShapeOf))
-	}
-	for i := range t.Data {
-		t.Data[i] += o.Data[i]
 	}
 }
 
@@ -205,15 +191,6 @@ func (t *T) ArgMax() (int, float32) {
 	return best, bv
 }
 
-// Sum returns the sum of all elements (float64 accumulator).
-func (t *T) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
 // QuantizeFP16 rounds every element through binary16 in place,
 // making t an exactly-representable FP16 tensor (stored as float32).
 func (t *T) QuantizeFP16() {
@@ -222,6 +199,8 @@ func (t *T) QuantizeFP16() {
 
 // IsFP16Exact reports whether every element is exactly representable
 // in binary16, i.e. whether QuantizeFP16 would be a no-op.
+//
+//ncsw:allow unusedexport FP16 outputs are checked with it by tests in nn, graphfile (TestParsedWeightsAreFP16Rounded), vpu (TestInferFunctional) and ncs (TestFunctionalInference)
 func (t *T) IsFP16Exact() bool {
 	for _, v := range t.Data {
 		if half.FromFloat32(v).Float32() != v {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -312,4 +313,35 @@ func TestTensorString(t *testing.T) {
 	if New(1, 3).String() != "tensor(1, 3)" {
 		t.Errorf("String = %q", New(1, 3).String())
 	}
+}
+
+// Zero resets every element to 0.
+func (t *T) Zero() {
+	clear(t.Data)
+}
+
+// AddScalar adds f to every element in place.
+func (t *T) AddScalar(f float32) {
+	for i := range t.Data {
+		t.Data[i] += f
+	}
+}
+
+// Add accumulates o into t elementwise. Shapes must match.
+func (t *T) Add(o *T) {
+	if !t.ShapeOf.Equal(o.ShapeOf) {
+		panic(fmt.Sprintf("tensor: Add shape mismatch %v vs %v", t.ShapeOf, o.ShapeOf))
+	}
+	for i := range t.Data {
+		t.Data[i] += o.Data[i]
+	}
+}
+
+// Sum returns the sum of all elements (float64 accumulator).
+func (t *T) Sum() float64 {
+	var s float64
+	for _, v := range t.Data {
+		s += float64(v)
+	}
+	return s
 }

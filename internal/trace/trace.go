@@ -76,6 +76,8 @@ func (t *Timeline) Add(track string, kind Kind, start, end time.Duration, note s
 }
 
 // Len returns the number of stored spans (0 for nil).
+//
+//ncsw:allow unusedexport core's TestVPUTargetTimelineShowsOverlap checks that a run recorded spans with it
 func (t *Timeline) Len() int {
 	if t == nil {
 		return 0
@@ -105,6 +107,8 @@ func (t *Timeline) Tracks() []string {
 }
 
 // BusyTime sums span durations per track and kind.
+//
+//ncsw:allow unusedexport core's TestVPUTargetTimelineShowsOverlap measures a stick's execution time with it
 func (t *Timeline) BusyTime(track string, kind Kind) time.Duration {
 	var total time.Duration
 	for _, s := range t.spans {

@@ -102,9 +102,6 @@ func (f *Fabric) AddHub() int {
 	return id
 }
 
-// Hubs returns the number of hubs.
-func (f *Fabric) Hubs() int { return len(f.hubs) }
-
 // Port is one attached device's path to the host.
 type Port struct {
 	fabric *Fabric
@@ -156,8 +153,9 @@ func (p *Port) InjectSlowdown(factor float64) {
 // ClearSlowdown ends a link-degradation window.
 func (p *Port) ClearSlowdown() { p.slow = 0 }
 
-// AttachDevice attaches a device either behind hub (0 <= hub <
-// Hubs()) or directly to the root (hub == -1), as in Fig. 5.
+// AttachDevice attaches a device either behind hub (0 <= hub < the
+// configured hub count) or directly to the root (hub == -1), as in
+// Fig. 5.
 func (f *Fabric) AttachDevice(name string, hub int) (*Port, error) {
 	dev := hop{res: f.env.NewResource("usb/dev/"+name, 1), bw: f.cfg.DeviceBandwidth}
 	path := []hop{dev}
@@ -175,9 +173,6 @@ func (f *Fabric) AttachDevice(name string, hub int) (*Port, error) {
 
 // Name returns the port's device name.
 func (p *Port) Name() string { return p.name }
-
-// BytesMoved returns the total traffic through this port.
-func (p *Port) BytesMoved() int64 { return p.bytesMoved }
 
 // Transfer moves n bytes between host and device, blocking proc in
 // virtual time for the full duration (bulk transfers are symmetric
@@ -265,23 +260,6 @@ func (x *xfer) release() {
 		return
 	}
 	x.acquire()
-}
-
-// MinDuration estimates the uncontended time for an n-byte transfer;
-// experiments use it to report overhead attribution.
-func (p *Port) MinDuration(n int) time.Duration {
-	d := p.fabric.cfg.SetupLatency
-	chunk := p.fabric.cfg.ChunkBytes
-	for moved := 0; moved < n; moved += chunk {
-		sz := chunk
-		if n-moved < sz {
-			sz = n - moved
-		}
-		for _, h := range p.path {
-			d += durationFor(sz, h.bw)
-		}
-	}
-	return d
 }
 
 func durationFor(bytes int, bw float64) time.Duration {

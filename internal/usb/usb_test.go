@@ -279,3 +279,26 @@ func TestInjectSlowdownStretchesTransfers(t *testing.T) {
 		t.Errorf("transfer after ClearSlowdown %v, want baseline %v", restored, normal)
 	}
 }
+
+// Hubs returns the number of hubs.
+func (f *Fabric) Hubs() int { return len(f.hubs) }
+
+// BytesMoved returns the total traffic through this port.
+func (p *Port) BytesMoved() int64 { return p.bytesMoved }
+
+// MinDuration estimates the uncontended time for an n-byte transfer;
+// experiments use it to report overhead attribution.
+func (p *Port) MinDuration(n int) time.Duration {
+	d := p.fabric.cfg.SetupLatency
+	chunk := p.fabric.cfg.ChunkBytes
+	for moved := 0; moved < n; moved += chunk {
+		sz := chunk
+		if n-moved < sz {
+			sz = n - moved
+		}
+		for _, h := range p.path {
+			d += durationFor(sz, h.bw)
+		}
+	}
+	return d
+}

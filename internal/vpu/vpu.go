@@ -160,12 +160,6 @@ func NewEngine(cfg Config, g *nn.Graph, seed *rng.Source) (*Engine, error) {
 	return e, nil
 }
 
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// Graph returns the executed network.
-func (e *Engine) Graph() *nn.Graph { return e.graph }
-
 // BaseExecDuration returns the jitter-free single-inference execution
 // time on the SHAVE array (no USB, no host).
 func (e *Engine) BaseExecDuration() time.Duration { return e.base }

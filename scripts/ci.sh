@@ -35,7 +35,10 @@ echo "== ncsw-vet (determinism & API hygiene) =="
 # at review time; exportdoc replaces the old awk godoc gate and covers
 # every internal/ package (the reliability and serving surfaces are
 # API for downstream code — an undocumented knob is a review bug);
-# resultstamp keeps the PR 2 lifecycle timestamps intact.
+# resultstamp keeps the PR 2 lifecycle timestamps intact; unusedexport
+# keeps the internal/ API to what non-test code of the module and of
+# cmd/ncsw-perf references. A //ncsw:allow that suppresses nothing
+# fails the step too.
 go run ./cmd/ncsw-vet ./...
 
 echo "== go build =="
