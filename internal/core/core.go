@@ -372,16 +372,13 @@ type Counters struct {
 // admission edge shed or expired (NoteDrop).
 type Collector struct {
 	Counters
-	N          int
-	Correct    int
-	Mispred    int
-	ConfSum    float64
-	Results    []Result
-	retain     bool
-	firstStart time.Duration
-	lastEnd    time.Duration
-	any        bool
-	lat        latencyAgg
+	N       int
+	Correct int
+	Mispred int
+	ConfSum float64
+	Results []Result
+	retain  bool
+	lat     latencyAgg
 	// slo is the per-item latency target goodput is measured against.
 	slo time.Duration
 	// Downtime accumulates detection-to-rejoin time across recovered
@@ -418,13 +415,6 @@ func (c *Collector) Sink() func(Result) {
 	return func(r Result) {
 		c.N++
 		c.Score(r.Label, r.Pred, r.Confidence)
-		if !c.any || r.Start < c.firstStart {
-			c.firstStart = r.Start
-		}
-		if r.End > c.lastEnd {
-			c.lastEnd = r.End
-		}
-		c.any = true
 		c.lat.add(r.Wait(), r.ServiceTime())
 		if c.slo > 0 && r.Latency() <= c.slo {
 			c.WithinSLO++

@@ -177,9 +177,6 @@ func TestCollector(t *testing.T) {
 	if got := c.TopOneError(); got != 0.5 {
 		t.Errorf("TopOneError = %g (unclassified items must not count)", got)
 	}
-	if c.Span() != 30*time.Millisecond {
-		t.Errorf("Span = %v", c.Span())
-	}
 	if len(c.Results) != 3 {
 		t.Error("retain lost results")
 	}
@@ -290,12 +287,3 @@ func TestVPUTargetValidation(t *testing.T) {
 
 // Done reports whether the target has shut down (in virtual time).
 func (j *Job) Done() bool { return j.done }
-
-// Span returns the virtual time between the first inference start and
-// the last completion.
-func (c *Collector) Span() time.Duration {
-	if !c.any {
-		return 0
-	}
-	return c.lastEnd - c.firstStart
-}

@@ -17,10 +17,12 @@ const feedSentinel = -1
 // onto bounded per-child feeds, re-deals the items reclaimed from a
 // child that stopped consuming ahead of the source, closes the feeds
 // when the source drains, and, with hedging on, owns the hedger and
-// places its duplicates. The owner supplies only what differs: where
-// an item goes (place), which children have stopped (gone), which are
-// unhealthy (down, Pool only), and what a lost item costs (it reads
-// lost after joining its children).
+// places its duplicates. Every dealt item of every policy is placed
+// by one routine, route. The owner supplies only what differs: its
+// policy as a place function that calls route with a home child, an
+// optional score and whether a full feed spills, which children have
+// stopped (gone), which are unhealthy (down, Pool only), and what a
+// lost item costs (it reads lost after joining its children).
 type dealer struct {
 	feeds []*sim.Queue[Item]
 	// orphans are the items reclaimed from gone children, re-dealt
@@ -37,15 +39,17 @@ type dealer struct {
 	// hedge is the hedged-request engine (nil when hedging is off).
 	hedge *hedger
 
-	// place puts the item on a live child's feed and reports which
-	// (ok=false when no child is left); k counts the items taken so
-	// far, settled duplicates included.
+	// place is the owner's policy: one call of route, reporting
+	// which child received the item (ok=false when no child is left);
+	// k counts the items taken so far, settled duplicates included.
 	place func(p *sim.Proc, item Item, k int) (int, bool)
 	// gone reports whether child j has stopped consuming its feed.
 	gone func(j int) bool
-	// down, when set, marks live children with no healthy device: put
+	// down, when set, marks live children with no healthy device: route
 	// prefers the others and hedge duplicates avoid them.
 	down []bool
+	// order is route's candidate scratch, reused across placements.
+	order []int
 }
 
 // newDealer builds n feeds named name0, name1, ..., each depth items
@@ -53,7 +57,7 @@ type dealer struct {
 // the fleet's in-flight ceiling, the hedger's DynamicBudget
 // denominator.
 func newDealer(env *sim.Env, name string, n, depth int, gone func(j int) bool, hedge HedgeConfig, capacity int) *dealer {
-	d := &dealer{feeds: make([]*sim.Queue[Item], n), dealt: make([]int, n), gone: gone}
+	d := &dealer{feeds: make([]*sim.Queue[Item], n), dealt: make([]int, n), gone: gone, order: make([]int, 0, n)}
 	for i := range d.feeds {
 		d.feeds[i] = sim.NewQueue[Item](env, fmt.Sprintf("%s%d", name, i), depth)
 	}
@@ -116,25 +120,54 @@ func (d *dealer) deliver(p *sim.Proc, item Item, k int) bool {
 	return true
 }
 
-// put blocks the item onto the first live child's feed scanning from
-// home and reports which child received it (ok=false when none is
-// live). Healthy children are preferred; when every live child is
-// down the item is queued on the first live one anyway (its bounded
-// feed absorbs a little work until someone rejoins) rather than
-// stalling the deal.
-func (d *dealer) put(p *sim.Proc, item Item, home int) (int, bool) {
+// route places the item on a child's feed and reports which child
+// received it (ok=false when no child is live). The candidates are
+// the live children that are not down, or every live child when all
+// of them are down: their bounded feeds absorb a little work until
+// one rejoins, rather than the deal stalling. They are taken in
+// rotation order from home or, when score is set, in ascending score
+// with ties broken by index. With spill the item goes to the first
+// candidate whose feed has room; otherwise, or when every feed is
+// full, it blocks on the first candidate's feed.
+func (d *dealer) route(p *sim.Proc, item Item, home int, score func(int) float64, spill bool) (int, bool) {
 	n := len(d.feeds)
-	for pass := 0; pass < 2; pass++ {
-		for off := 0; off < n; off++ {
+	// Without score or spill only the first candidate is ever used.
+	all := score != nil || spill
+	c := d.order[:0]
+	for pass := 0; pass < 2 && len(c) == 0; pass++ {
+		for off := 0; off < n && (all || len(c) == 0); off++ {
 			j := (home + off) % n
-			if d.gone(j) || pass == 0 && d.down != nil && d.down[j] {
-				continue
+			if !d.gone(j) && (pass == 1 || d.down == nil || !d.down[j]) {
+				c = append(c, j)
 			}
-			d.feeds[j].Put(p, item)
-			return j, true
 		}
 	}
-	return 0, false
+	d.order = c
+	if len(c) == 0 {
+		return 0, false
+	}
+	if score != nil {
+		// Insertion sort: n is a handful of children.
+		for i := 1; i < len(c); i++ {
+			for j := i; j > 0; j-- {
+				a, b := score(c[j]), score(c[j-1])
+				if !(a < b || a == b && c[j] < c[j-1]) {
+					break
+				}
+				c[j], c[j-1] = c[j-1], c[j]
+			}
+		}
+	}
+	if spill {
+		for _, j := range c {
+			if d.feeds[j].TryPut(item) {
+				return j, true
+			}
+		}
+	}
+	j := c[0]
+	d.feeds[j].Put(p, item)
+	return j, true
 }
 
 // shutdown posts the end-of-feed sentinel to every live child.

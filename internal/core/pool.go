@@ -109,8 +109,6 @@ type Pool struct {
 	// hedge is the hedged-request engine of the current run (nil when
 	// PoolOptions.Hedge is disabled).
 	hedge *hedger
-	// order is dispatchByScore's scratch, reused across dispatches.
-	order []int
 }
 
 // NewPool builds a device group over children.
@@ -378,12 +376,20 @@ func (pl *Pool) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 	return job
 }
 
-// placer returns the routing policy's placement for the dealer: it
-// puts the item on a live child's feed and reports which (ok=false
-// when no child is left alive). Static and round-robin count the items
-// they placed.
+// placer returns the routing policy's placement for the dealer, one
+// route call per item. Static and round-robin count the items they
+// placed. Weighted deals to the live child with the smallest dispatch
+// deficit dealt/weight: with explicit weights it blocks on that child
+// so the requested ratio holds exactly; in adaptive mode (weights
+// from observed completions, +1 so cold children stay eligible) a
+// full preferred feed spills the item down the deficit order, chasing
+// realized throughput instead of a fixed ratio. Latency deals to the
+// live child with the smallest expected completion time, EWMA service
+// time × (outstanding items + 1), and spills: a cold child (no
+// completions yet) scores zero and is probed first, so every child's
+// estimate warms up immediately.
 func (pl *Pool) placer(deal *dealer, completed []int, ewma []float64, total int) func(*sim.Proc, Item, int) (int, bool) {
-	feeds, dealt, n := deal.feeds, deal.dealt, len(deal.feeds)
+	dealt, n := deal.dealt, len(deal.feeds)
 	placed := 0
 	switch pl.opts.Routing {
 	case RouteStatic:
@@ -396,20 +402,28 @@ func (pl *Pool) placer(deal *dealer, completed []int, ewma []float64, total int)
 				child++
 			}
 			placed++
-			return deal.put(p, item, child)
+			return deal.route(p, item, child, nil, false)
 		}
 	case RouteRoundRobin:
 		return func(p *sim.Proc, item Item, _ int) (int, bool) {
 			placed++
-			return deal.put(p, item, (placed-1)%n)
+			return deal.route(p, item, (placed-1)%n, nil, false)
 		}
 	case RouteLatency:
+		score := func(i int) float64 { return ewma[i] * float64(dealt[i]-completed[i]+1) }
 		return func(p *sim.Proc, item Item, _ int) (int, bool) {
-			return pl.dispatchLatency(p, feeds, dealt, completed, ewma, item)
+			return deal.route(p, item, 0, score, true)
 		}
 	}
-	return func(p *sim.Proc, item Item, _ int) (int, bool) { // RouteWeighted
-		return pl.dispatchWeighted(p, feeds, dealt, completed, item)
+	weights := pl.opts.Weights // RouteWeighted
+	deficit := func(i int) float64 {
+		if weights != nil {
+			return float64(dealt[i]) / weights[i]
+		}
+		return float64(dealt[i]) / float64(completed[i]+1)
+	}
+	return func(p *sim.Proc, item Item, _ int) (int, bool) {
+		return deal.route(p, item, 0, deficit, weights == nil)
 	}
 }
 
@@ -425,88 +439,10 @@ func (pl *Pool) staticWeights(n int) []float64 {
 	return w
 }
 
-// dispatchWeighted deals the item to the live child with the smallest
-// dispatch deficit dealt/weight. With explicit weights it blocks on
-// that child so the requested ratio holds exactly; in adaptive mode
-// (weights from observed completions, +1 so cold children stay
-// eligible) a full preferred feed spills the item down the preference
-// order, chasing realized throughput instead of a fixed ratio.
-func (pl *Pool) dispatchWeighted(p *sim.Proc, feeds []*sim.Queue[Item], dealt, completed []int, item Item) (int, bool) {
-	explicit := pl.opts.Weights != nil
-	weight := func(i int) float64 {
-		if explicit {
-			return pl.opts.Weights[i]
-		}
-		return float64(completed[i] + 1)
-	}
-	deficit := func(i int) float64 { return float64(dealt[i]) / weight(i) }
-	return pl.dispatchByScore(p, feeds, deficit, !explicit, item)
-}
-
 // ewmaAlpha is the smoothing factor of the per-child service-time
 // estimate behind RouteLatency: recent observations dominate within
 // ~5 completions, slow enough to ride out single-item jitter.
 const ewmaAlpha = 0.2
-
-// dispatchLatency deals the item to the live child with the smallest
-// expected completion time: EWMA service time × (outstanding items +
-// 1). A cold child (no completions yet) scores zero and is probed
-// first, so every child's estimate warms up immediately.
-func (pl *Pool) dispatchLatency(p *sim.Proc, feeds []*sim.Queue[Item], dealt, completed []int, ewma []float64, item Item) (int, bool) {
-	score := func(i int) float64 {
-		outstanding := dealt[i] - completed[i]
-		return ewma[i] * float64(outstanding+1)
-	}
-	return pl.dispatchByScore(p, feeds, score, true, item)
-}
-
-// dispatchByScore is the dispatch skeleton shared by the scored
-// policies: deal to the live child with the smallest score. With
-// spill, a full preferred feed spills the item down the score order
-// (work-conserving); without, or when every live feed is full, it
-// blocks on the best child. Reports which child received the item
-// (ok=false when no child is left alive).
-func (pl *Pool) dispatchByScore(p *sim.Proc, feeds []*sim.Queue[Item], score func(int) float64, spill bool, item Item) (int, bool) {
-	// Unhealthy children are excluded from the deal (weight zero)
-	// until they rejoin; if every live child is down, deal to the live
-	// set anyway so the bounded feeds buffer the work instead of the
-	// pool stalling.
-	order := pl.order[:0]
-	for i := range feeds {
-		if !pl.jobs[i].done && !pl.down[i] {
-			order = append(order, i)
-		}
-	}
-	if len(order) == 0 {
-		for i := range feeds {
-			if !pl.jobs[i].done {
-				order = append(order, i)
-			}
-		}
-	}
-	pl.order = order
-	if len(order) == 0 {
-		return 0, false
-	}
-	// Insertion sort by score: n is a handful of devices.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && score(order[j]) < score(order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	if spill {
-		for _, i := range order {
-			if feeds[i].TryPut(item) {
-				return i, true
-			}
-		}
-	}
-	// Put may block, and another dispatch may reuse the scratch
-	// meanwhile.
-	best := order[0]
-	feeds[best].Put(p, item)
-	return best, true
-}
 
 // apportion splits total items into contiguous blocks proportional to
 // weights using largest-remainder rounding; it returns the exclusive

@@ -298,16 +298,13 @@ func (t *VPUTarget) Start(env *sim.Env, src Source, sink func(Result)) *Job {
 		tl.Add("main", trace.Fork, forkStart, p.Now(), fmt.Sprintf("%d workers", n))
 
 		// 3. Dispatch. Round-robin pushes item k to queue k mod n;
-		// dynamic pushes to whichever queue has room first. Dead
-		// workers are skipped and their reclaimed items re-dispatched
-		// to survivors.
+		// dynamic pushes to the first queue with room from there,
+		// blocking like round-robin when all are full. Dead workers
+		// are skipped and their reclaimed items re-dispatched to
+		// survivors.
+		spill := t.opts.Scheduling == Dynamic
 		deal.place = func(p *sim.Proc, item Item, k int) (int, bool) {
-			return deal.put(p, item, k%n)
-		}
-		if t.opts.Scheduling == Dynamic {
-			deal.place = func(p *sim.Proc, item Item, k int) (int, bool) {
-				return dispatchDynamic(p, deal, item, k)
-			}
+			return deal.route(p, item, k%n, nil, spill)
 		}
 		deal.run(p, src)
 
@@ -395,24 +392,6 @@ func (t *VPUTarget) heal(p *sim.Proc, d *ncs.Device, from time.Duration, note st
 		on(d.Name(), from, p.Now(), true)
 	}
 	return g, nil
-}
-
-// dispatchDynamic places the item on the first live queue with room,
-// scanning from the item's round-robin home for fairness, blocking on
-// the home queue when all are full. It reports which queue received
-// the item (ok=false when no live worker is left).
-func dispatchDynamic(p *sim.Proc, deal *dealer, item Item, k int) (int, bool) {
-	n := len(deal.feeds)
-	for off := 0; off < n; off++ {
-		j := (k + off) % n
-		if deal.gone(j) {
-			continue
-		}
-		if deal.feeds[j].TryPut(item) {
-			return j, true
-		}
-	}
-	return deal.put(p, item, k%n)
 }
 
 // inflight is one dispatched-but-unfinished item on a worker.
